@@ -6,7 +6,7 @@ Builds this directory's CMake project (the resmon library sources from
 checkout root, runs slot_ledger, and prints its result object as the last
 line of stdout. Build output and diagnostics go to stderr.
 
-    python3 slotbench/run.py --workload paper_fleet --seed 1 --seconds 20 --trace 0
+    python3 slotbench/run.py --workload paper_fleet --seed 1 --seconds 25 --trace 0
 
 Exits non-zero without printing a result when the sources are missing, the
 build fails, or the run fails or times out.

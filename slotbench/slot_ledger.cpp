@@ -20,17 +20,25 @@
 // its first byte is written and stops when its query returns. Each thread
 // is pinned to a CPU of its own.
 //
-// A run sets the whole system up three times (set-up time is the median),
-// then measures slots for --seconds, and at least a fixed number of them.
-// The trace is generated from --seed and replayed forward and backward, so
-// its length does not limit the run.
+// From collect_slot's return to the query's return the root only computes,
+// so wall time it spends off its CPU there (wall minus thread CPU time) is
+// the host's: on a shared virtual machine, steal. The slot clocks and the
+// capacity figure leave it out; agent cost is thread CPU time.
+//
+// A run generates the trace from --seed once, sets the system up three
+// times (set-up time is the trace's generation time plus the median), then
+// measures slots for --seconds, and at least a fixed number of them. The
+// trace is replayed forward and backward, so its length does not limit the
+// run.
 //
 // Every run also replays the same slot messages into a socket-free
 // pipeline and requires its query results to match the socket run's bit
-// for bit; a mismatch fails the slot.
+// for bit on the first fixed number of measured slots; a mismatch fails
+// the slot.
 //
 // With --trace 1 the measured slots alternate in blocks between traced and
-// untraced. Traced slots record spans
+// untraced; the trace overhead compares the two, and two interleaved halves
+// of the untraced blocks give its noise floor. Traced slots record spans
 // (name, slot, parent, start, end, item count) from this file's own code
 // around each call into a layer; spans stay in memory and are written once,
 // to --spans, when the run ends. The per-layer metrics come from these
@@ -50,6 +58,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -85,7 +94,8 @@ constexpr std::size_t kTraceBlock = 8;
 /// Steps of generated trace; runs replay it forward and backward (see
 /// MirroredTrace), so set-up time and memory do not grow with --seconds.
 constexpr std::size_t kTraceSteps = 384;
-/// Set-ups per run; setup_s is their median.
+/// System set-ups per run; setup_s is the trace's generation time plus
+/// their median.
 constexpr std::size_t kSetupReps = 3;
 /// Capacity and agent overhead are medians over windows of this many
 /// consecutive measured slots. A window spans several cycles of the
@@ -111,8 +121,9 @@ struct Workload {
   /// The slot's query: forecast_all(h) for h = 1..horizons.
   std::size_t horizons = 1;
   /// Measured slots every run completes, whatever --seconds says. The
-  /// deterministic metrics (rmse_h1, wire bytes) are taken over exactly
-  /// these, so they repeat bit for bit for a fixed seed.
+  /// deterministic metrics (rmse_h1, wire bytes) and the output check are
+  /// taken over exactly these, so they repeat bit for bit for a fixed seed
+  /// and the check costs the same at any --seconds.
   std::size_t min_slots = 0;
   /// Cap on the measured phase (it ends early at this many slots).
   std::size_t max_slots = 6000;
@@ -255,6 +266,14 @@ std::int64_t ns_since(Clock::time_point epoch, Clock::time_point t) {
 
 double ms_of(Clock::duration d) {
   return std::chrono::duration<double, std::milli>(d).count();
+}
+
+/// CPU time of the calling thread, in ns. Unlike the wall clock it leaves
+/// out the time a virtual machine's host gives the CPU to someone else.
+double thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
 }
 
 /// Span kinds; a span's id is slot * kKinds + kind, so ids and parent links
@@ -429,7 +448,7 @@ net::Socket connect_shard(std::uint16_t port, std::size_t shard,
 /// Generator-side record of one slot.
 struct GenSlot {
   Clock::time_point write_start;  ///< the slot clock starts here
-  double prepare_ns = 0.0;        ///< decisions + encoding
+  double prepare_ns = 0.0;        ///< decisions + encoding, thread CPU time
 };
 
 /// The generator thread. Its records are read only after join().
@@ -471,6 +490,7 @@ class Generator {
       // The last trace step only serves as RMSE(t, 1) truth.
       for (std::size_t t = 0; t + 1 < trace_.num_steps(); ++t) {
         const bool traced = plan_.traced(t);
+        const double cpu0 = thread_cpu_ns();
         const auto p0 = Clock::now();
         const std::uint64_t sends = fleet_.decide(t);
         const auto p1 = traced ? Clock::now() : p0;
@@ -478,8 +498,7 @@ class Generator {
           bytes[s] = wire::encode(fleet_.summaries()[s]);
         }
         const auto p2 = Clock::now();
-        slots_[t].prepare_ns =
-            std::chrono::duration<double, std::nano>(p2 - p0).count();
+        slots_[t].prepare_ns = thread_cpu_ns() - cpu0;
         if (traced) {
           spans_.add("gen.prepare", t, kPrepare, kNone, p0, p2);
           spans_.add("collect.decide", t, kDecide, kPrepare, p0, p1, sends);
@@ -575,15 +594,16 @@ struct Counters {
 class Session {
  public:
   Session(const Workload& w, std::uint64_t seed, const Plan& plan,
-          Clock::time_point epoch)
+          std::shared_ptr<const trace::Trace> trace, Clock::time_point epoch)
       : workload_(w),
         plan_(plan),
-        trace_(make_trace(w, seed)),
+        trace_(std::move(trace)),
         controller_(net::Socket::listen_tcp("127.0.0.1", 0),
                     controller_options(w)),
         generator_(*trace_, w, plan, controller_.port(), gate_, epoch),
         spans_(epoch, plan.tracing ? 8 * trace_->num_steps() : 0),
         end_(trace_->num_steps()),
+        stolen_ns_(trace_->num_steps(), 0.0),
         retrain_(trace_->num_steps(), 0),
         frames_(trace_->num_steps(), 0),
         bytes_(trace_->num_steps(), 0) {
@@ -596,31 +616,38 @@ class Session {
         *trace_, pipeline_options(w, seed), core::ExternalCollection{});
   }
 
-  /// Run warm-up slot t (untimed by the ledger; part of set-up).
+  /// Run warm-up slot t (untimed by the ledger; part of set-up). Nothing
+  /// reads a warm-up slot's forecasts, so it is not queried.
   bool warmup_slot(std::size_t t, bool stop) {
-    if (!slot(t)) return false;
+    if (!slot(t, false)) return false;
     gate_.answer(static_cast<long long>(t), stop);
     return true;
   }
 
-  /// Collect, step and query slot t; false if the barrier timed out.
-  bool slot(std::size_t t) {
+  /// Collect, step and (if `query`) query slot t; false if the barrier
+  /// timed out.
+  bool slot(std::size_t t, bool query = true) {
     const bool traced = plan_.traced(t);
     const auto c0 = Clock::now();
     std::optional<std::vector<transport::MeasurementMessage>> messages =
         controller_.collect_slot(t, kIoTimeoutMs);
     if (!messages) return false;
-    Clock::time_point c1, c2;
+    const Clock::time_point c1 = Clock::now();
+    const double cpu1 = thread_cpu_ns();
+    Clock::time_point c2;
     core::StageTimers before;
-    if (traced) {
-      c1 = Clock::now();
-      before = pipeline_->stage_timers();
-    }
+    if (traced) before = pipeline_->stage_timers();
     retrain_[t] = pipeline_->model(0, 0).next_observe_retrains() ? 1 : 0;
     pipeline_->step_external(*messages);
     if (traced) c2 = Clock::now();
-    run_query(*pipeline_, workload_.horizons, queries_);
+    if (query) run_query(*pipeline_, workload_.horizons, queries_);
+    const double cpu_end = thread_cpu_ns();
     end_[t] = Clock::now();
+    // From c1 on the root only computes, so wall time it did not spend on
+    // the CPU was taken by the host.
+    stolen_ns_[t] = std::max(
+        0.0, std::chrono::duration<double, std::nano>(end_[t] - c1).count() -
+                 (cpu_end - cpu1));
     frames_[t] = controller_.frames_received();
     bytes_[t] = controller_.bytes_received();
     if (traced) record_spans(t, c0, c1, c2, before);
@@ -646,10 +673,8 @@ class Session {
   net::Controller& controller() { return controller_; }
   const core::MonitoringPipeline& pipeline() const { return *pipeline_; }
   Generator& generator() { return generator_; }
-  const std::shared_ptr<const trace::Trace>& trace() const {
-    return trace_;
-  }
   const std::vector<Clock::time_point>& end() const { return end_; }
+  const std::vector<double>& stolen_ns() const { return stolen_ns_; }
   const std::vector<char>& retrain() const { return retrain_; }
   const std::vector<std::uint64_t>& frames() const { return frames_; }
   const std::vector<std::uint64_t>& bytes() const { return bytes_; }
@@ -700,6 +725,7 @@ class Session {
   Generator generator_;  // after everything its thread touches
   SpanLog spans_;
   std::vector<Clock::time_point> end_;  ///< query returned, per slot
+  std::vector<double> stolen_ns_;       ///< host steal in the root's compute
   std::vector<char> retrain_;           ///< models refit on this slot
   std::vector<std::uint64_t> frames_;   ///< cumulative frames after slot t
   std::vector<std::uint64_t> bytes_;    ///< cumulative bytes after slot t
@@ -775,12 +801,17 @@ struct Metric {
   std::string unit;
 };
 
-/// Spans of every traced slot, and each span's self time: its duration
-/// clipped to its parent, minus the part its children cover.
+/// Spans of every traced slot. Each span's interval is clipped to its
+/// parent's, so a root-side call that starts before the slot clock (the
+/// root enters collect_slot before the generator has woken to write)
+/// counts only from the slot's first written byte. A span's self time is
+/// its clipped duration minus the part its children cover.
 struct Ledger {
+  using Interval = std::pair<std::int64_t, std::int64_t>;
   std::vector<Span> spans;
-  std::vector<char> retrain;               // by slot: models refit
-  std::map<std::int64_t, double> self_ns;  // by span id
+  std::vector<char> retrain;                 // by slot: models refit
+  std::map<std::int64_t, Interval> clipped;  // by span id
+  std::map<std::int64_t, double> self_ns;    // by span id
 
   void derive_self_times() {
     std::map<std::int64_t, const Span*> by_id;
@@ -789,18 +820,18 @@ struct Ledger {
       by_id[s.id] = &s;
       if (s.parent >= 0) children[s.parent].push_back(&s);
     }
-    const auto clipped = [&](const Span& s) {
+    for (const Span& s : spans) {
       std::int64_t a = s.start_ns, b = s.end_ns;
       if (s.parent >= 0 && by_id.count(s.parent) != 0) {
         a = std::max(a, by_id[s.parent]->start_ns);
         b = std::min(b, by_id[s.parent]->end_ns);
       }
-      return std::pair<std::int64_t, std::int64_t>{a, std::max(a, b)};
-    };
+      clipped[s.id] = {a, std::max(a, b)};
+    }
     for (const Span& s : spans) {
-      const auto [a, b] = clipped(s);
-      std::vector<std::pair<std::int64_t, std::int64_t>> cover;
-      for (const Span* c : children[s.id]) cover.push_back(clipped(*c));
+      const auto [a, b] = clipped.at(s.id);
+      std::vector<Interval> cover;
+      for (const Span* c : children[s.id]) cover.push_back(clipped.at(c->id));
       std::sort(cover.begin(), cover.end());
       std::int64_t covered = 0, reach = a;
       for (auto [ca, cb] : cover) {
@@ -823,14 +854,15 @@ struct Ledger {
     return total;
   }
 
-  /// Durations (ms) of the spans named `name`, optionally only on steady
-  /// (non-retrain) slots.
+  /// Clipped durations (ms) of the spans named `name`, optionally only on
+  /// steady (non-retrain) slots.
   std::vector<double> durations_ms(const std::string& name,
                                    bool steady_only = false) const {
     std::vector<double> out;
     for (const Span& s : spans) {
       if (name != s.name || (steady_only && retrain[s.slot] != 0)) continue;
-      out.push_back(static_cast<double>(s.end_ns - s.start_ns) / 1e6);
+      const auto [a, b] = clipped.at(s.id);
+      out.push_back(static_cast<double>(b - a) / 1e6);
     }
     return out;
   }
@@ -901,14 +933,19 @@ int run(const Args& args) {
   pin_to_cpu(pin ? cpus[0] : -1);
   const Clock::time_point epoch = Clock::now();
 
-  // -- set-up, repeated; the last one goes on to the measured phase --------
+  // -- set-up: the trace once, the system repeatedly; the last system set-up
+  // goes on to the measured phase --------------------------------------------
+  const auto g0 = Clock::now();
+  const std::shared_ptr<const trace::Trace> trace = make_trace(w, seed);
+  const double trace_seconds =
+      std::chrono::duration<double>(Clock::now() - g0).count();
   std::vector<double> setup_seconds;
   std::unique_ptr<Session> session;
   Clock::time_point phase_start;
   for (std::size_t rep = 0; rep < kSetupReps; ++rep) {
     session.reset();
     const auto s0 = Clock::now();
-    session = std::make_unique<Session>(w, seed, plan, epoch);
+    session = std::make_unique<Session>(w, seed, plan, trace, epoch);
     const bool last_rep = rep + 1 == kSetupReps;
     for (std::size_t t = 0; t < plan.warmup; ++t) {
       const bool stop = !last_rep && t + 1 == plan.warmup;
@@ -941,7 +978,7 @@ int run(const Args& args) {
       break;
     }
     const auto b0 = Clock::now();
-    s.account(t, rmse[t], hashes[t]);
+    if (measured < w.min_slots) s.account(t, rmse[t], hashes[t]);
     ++measured;
     const bool done =
         (measured >= w.min_slots &&
@@ -952,6 +989,7 @@ int run(const Args& args) {
     s.gate().answer(static_cast<long long>(t), done);
     if (done) break;
   }
+  const auto s_end = Clock::now();
   const std::size_t last = first + measured - 1;
   s.generator().join();
   const Counters counters_after = Counters::read(s.pipeline().metrics());
@@ -964,33 +1002,48 @@ int run(const Args& args) {
               << " required slots completed\n";
   }
 
-  // Slot clocks, split into steady and retrain slots.
+  // Slot clocks less host steal, split into steady and retrain slots.
   const std::size_t det_slots = std::min(measured, w.min_slots);
+  // In a traced run the untraced blocks are also split into two interleaved
+  // halves, whose difference is the noise floor of the trace overhead.
   std::vector<double> steady_ms, retrain_ms, traced_steady_ms,
-      untraced_steady_ms;
+      untraced_steady_ms, untraced_half[2];
+  double wall_ms_sum = 0.0, stolen_ms_sum = 0.0;
   for (std::size_t t = first; t < first + measured; ++t) {
-    const double ms = ms_of(s.end()[t] - s.generator().slots()[t].write_start);
+    const double wall_ms =
+        ms_of(s.end()[t] - s.generator().slots()[t].write_start);
+    const double ms = wall_ms - s.stolen_ns()[t] / 1e6;
+    wall_ms_sum += wall_ms;
+    stolen_ms_sum += s.stolen_ns()[t] / 1e6;
     if (s.retrain()[t]) {
       retrain_ms.push_back(ms);
     } else {
       steady_ms.push_back(ms);
-      (plan.traced(t) ? traced_steady_ms : untraced_steady_ms).push_back(ms);
+      if (plan.traced(t)) {
+        traced_steady_ms.push_back(ms);
+      } else {
+        untraced_steady_ms.push_back(ms);
+        untraced_half[(t - first) / (2 * kTraceBlock) % 2].push_back(ms);
+      }
     }
   }
   // A window's wall time runs from the end of the slot before it to the end
-  // of its last slot, less the bookkeeping between its slots.
+  // of its last slot, less the bookkeeping between its slots and less host
+  // steal.
   std::vector<double> window_rate, window_agent_ns;
   const double window_node_slots =
       static_cast<double>(w.nodes) * static_cast<double>(kWindow);
   for (std::size_t b = first; b + kWindow <= first + measured; b += kWindow) {
     Clock::duration wall = s.end()[b + kWindow - 1] - s.end()[b - 1];
-    double prepare_ns = 0.0;
+    double prepare_ns = 0.0, stolen_ns = 0.0;
     for (std::size_t t = b; t < b + kWindow; ++t) {
       if (t > b) wall -= bookkeeping[t - 1];
       prepare_ns += s.generator().slots()[t].prepare_ns;
+      stolen_ns += s.stolen_ns()[t];
     }
-    window_rate.push_back(window_node_slots /
-                          std::chrono::duration<double>(wall).count());
+    window_rate.push_back(
+        window_node_slots /
+        (std::chrono::duration<double>(wall).count() - stolen_ns / 1e9));
     window_agent_ns.push_back(prepare_ns / window_node_slots);
   }
   double rmse_sum = 0.0;
@@ -1023,13 +1076,23 @@ int run(const Args& args) {
       s.bytes()[first + det_slots - 1] - bytes_before;
   const std::uint64_t bytes_all = s.bytes()[last] - bytes_before;
   const std::uint64_t frames_all = s.frames()[last] - frames_before;
-  const std::shared_ptr<const trace::Trace> trace = s.trace();
   session.reset();  // free the socket run before the reference pipeline
 
-  // -- output check ----------------------------------------------------------
+  // -- output check, over the first min_slots measured slots -----------------
+  const auto r0 = Clock::now();
   const std::size_t mismatches =
-      measured > 0 ? reference_mismatches(*trace, w, seed, plan, last, hashes)
-                   : 0;
+      det_slots > 0 ? reference_mismatches(*trace, w, seed, plan,
+                                           first + det_slots - 1, hashes)
+                    : 0;
+  std::cerr << "slot_ledger: trace " << format_number(trace_seconds)
+            << " s, system set-up " << format_number(median(setup_seconds))
+            << " s, measured phase "
+            << format_number(
+                   std::chrono::duration<double>(s_end - phase_start).count())
+            << " s, output check "
+            << format_number(
+                   std::chrono::duration<double>(Clock::now() - r0).count())
+            << " s\n";
   const std::size_t attempted = std::max<std::size_t>(1, measured + timeouts);
   std::size_t failed = timeouts + mismatches;
   if (rejected || measured < w.min_slots) failed = std::max<std::size_t>(1, failed);
@@ -1039,8 +1102,9 @@ int run(const Args& args) {
             << " measured_slots=" << measured
             << " steady=" << steady_ms.size()
             << " retrain=" << retrain_ms.size()
-            << " mismatches=" << mismatches << " timeouts=" << timeouts
-            << "\n";
+            << " checked=" << det_slots << " mismatches=" << mismatches
+            << " timeouts=" << timeouts << " host_steal_pct="
+            << format_number(100.0 * stolen_ms_sum / wall_ms_sum) << "\n";
 
   std::vector<Metric> metrics;
   if (!tracing) {
@@ -1059,7 +1123,7 @@ int run(const Args& args) {
              (static_cast<double>(w.nodes) * static_cast<double>(det_slots)),
          "bytes"},
         {"rmse_h1", rmse_sum / static_cast<double>(det_slots), "util"},
-        {"setup_s", median(setup_seconds), "s"},
+        {"setup_s", trace_seconds + median(setup_seconds), "s"},
         {"peak_rss_mb", peak_rss_mb(), "MB"},
         {"slot_ok_frac",
          static_cast<double>(attempted - failed) /
@@ -1079,7 +1143,9 @@ int run(const Args& args) {
     const double retrain_slots = static_cast<double>(retrain_ms.size());
     const double fit_count =
         counters_after.fit_seconds_count - counters_before.fit_seconds_count;
-    const double untraced_p50 = median(untraced_steady_ms);
+    const auto change_pct = [](double a, double b) {
+      return b > 0 ? 100.0 * (a / b - 1.0) : 0.0;
+    };
     metrics = {
         {"collect.decide_ns_per_node",
          ledger.self_sum("collect.decide") /
@@ -1142,10 +1208,11 @@ int run(const Args& args) {
                        : 0.0,
          "ms"},
         {"obs.trace_overhead_pct",
-         untraced_p50 > 0
-             ? 100.0 * (median(traced_steady_ms) / untraced_p50 - 1.0)
-             : 0.0,
+         change_pct(median(traced_steady_ms), median(untraced_steady_ms)),
          "%"},
+        {"obs.trace_overhead_noise_pct",
+         change_pct(median(untraced_half[0]), median(untraced_half[1])), "%"},
+        {"host.steal_pct", 100.0 * stolen_ms_sum / wall_ms_sum, "%"},
         {"share.net_pct", share("net.collect_slot"), "%"},
         {"share.core_apply_pct", share("core.apply"), "%"},
         {"share.cluster_pct", share("cluster.step"), "%"},
