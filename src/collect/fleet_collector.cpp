@@ -65,20 +65,19 @@ std::vector<std::unique_ptr<MeasurementSource>> validate_sources(
 FleetCollector::FleetCollector(
     const trace::Trace& trace,
     const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-    const transport::ChannelOptions& channel_options, ThreadPool* pool,
-    std::unique_ptr<transport::Link> link, obs::MetricsRegistry* metrics)
-    : FleetCollector(sources_over_trace(trace), make_policy, channel_options,
-                     pool, std::move(link), metrics) {}
+    ThreadPool* pool, std::unique_ptr<transport::Link> link,
+    obs::MetricsRegistry* metrics)
+    : FleetCollector(sources_over_trace(trace), make_policy, pool,
+                     std::move(link), metrics) {}
 
 FleetCollector::FleetCollector(
     std::vector<std::unique_ptr<MeasurementSource>> sources,
     const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-    const transport::ChannelOptions& channel_options, ThreadPool* pool,
-    std::unique_ptr<transport::Link> link, obs::MetricsRegistry* metrics)
+    ThreadPool* pool, std::unique_ptr<transport::Link> link,
+    obs::MetricsRegistry* metrics)
     : sources_(validate_sources(std::move(sources))),
-      link_(link != nullptr
-                ? std::move(link)
-                : std::make_unique<transport::Channel>(channel_options)),
+      link_(link != nullptr ? std::move(link)
+                            : std::make_unique<transport::Channel>()),
       store_(sources_.size(), sources_.front()->num_resources()),
       pool_(pool) {
   num_steps_ = MeasurementSource::unbounded();

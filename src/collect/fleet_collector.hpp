@@ -36,20 +36,18 @@ enum class PolicyKind {
 class FleetCollector {
  public:
   /// Builds a fleet with one policy per node from the given factory.
-  /// `channel_options` injects uplink failures (drops/delays); the default
-  /// is a reliable link. `pool` (non-owning, may be nullptr) parallelizes
-  /// the per-node policy stepping; each policy is only ever touched by one
-  /// thread per step and link sends stay serialized in node order on the
-  /// calling thread, so results are identical at every thread count.
-  /// `link` replaces the default in-process Channel (e.g. with a
-  /// net::LoopbackLink that runs the real wire codec); when provided,
-  /// `channel_options` is ignored — configure the link directly.
+  /// `pool` (non-owning, may be nullptr) parallelizes the per-node policy
+  /// stepping; each policy is only ever touched by one thread per step and
+  /// link sends stay serialized in node order on the calling thread, so
+  /// results are identical at every thread count.
+  /// `link` replaces the default reliable in-process Channel (e.g. with a
+  /// net::LoopbackLink that runs the real wire codec, or a
+  /// faultnet::FaultyLink that injects uplink failures).
   /// `metrics` (non-owning, may be nullptr) receives fleet-level collection
   /// series (resmon_collect_*; see DESIGN.md "Observability").
   FleetCollector(
       const trace::Trace& trace,
       const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-      const transport::ChannelOptions& channel_options = {},
       ThreadPool* pool = nullptr,
       std::unique_ptr<transport::Link> link = nullptr,
       obs::MetricsRegistry* metrics = nullptr);
@@ -63,7 +61,6 @@ class FleetCollector {
   FleetCollector(
       std::vector<std::unique_ptr<MeasurementSource>> sources,
       const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-      const transport::ChannelOptions& channel_options = {},
       ThreadPool* pool = nullptr,
       std::unique_ptr<transport::Link> link = nullptr,
       obs::MetricsRegistry* metrics = nullptr);

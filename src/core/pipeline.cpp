@@ -29,14 +29,6 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
                  "temporal window must be >= 1");
   RESMON_REQUIRE(options.similarity_lookback >= 1, "M must be >= 1");
 
-  // A channel seed of 0 means "unset": derive it from the pipeline seed so
-  // two pipelines with different seeds do not share identical drop/delay
-  // realizations (see ChannelOptions::seed in transport/channel.hpp).
-  if (options_.channel.seed == 0) {
-    options_.channel.seed =
-        options_.seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL;
-  }
-
   const std::size_t threads =
       options_.num_threads == 0
           ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
@@ -74,7 +66,7 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
     // TCP runtime uses and bandwidth counts real frame bytes. A non-empty
     // fault schedule layers the chaos harness on top of it.
     std::unique_ptr<transport::Link> link =
-        std::make_unique<net::LoopbackLink>(options_.channel);
+        std::make_unique<net::LoopbackLink>();
     if (!options_.faults.empty()) {
       link = std::make_unique<faultnet::FaultyLink>(
           options_.faults, std::move(link), registry_);
@@ -84,7 +76,7 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
         collect::make_policy_factory(options.policy, options.max_frequency,
                                      options.v0, options.gamma,
                                      options.clamp_queue, registry_),
-        options_.channel, pool_.get(), std::move(link), registry_);
+        pool_.get(), std::move(link), registry_);
   }
 
   const std::size_t views =

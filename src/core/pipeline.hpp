@@ -39,12 +39,10 @@ struct PipelineOptions {
   double v0 = 1e-12;           ///< V_0 of eq. (8)
   double gamma = 0.65;         ///< gamma of eq. (8)
   bool clamp_queue = false;    ///< see AdaptiveOptions::clamp_queue
-  /// Uplink failure injection (drops/delays); default = reliable link.
-  transport::ChannelOptions channel;
-  /// Chaos-harness fault schedule layered over the uplink: when non-empty,
-  /// the in-process LoopbackLink is wrapped in a faultnet::FaultyLink
-  /// applying this spec (drop/dup/corrupt/delay/reorder/stall/partition).
-  /// Unused in external-collection mode — the remote agents own their
+  /// Uplink fault schedule: when non-empty, the in-process LoopbackLink is
+  /// wrapped in a faultnet::FaultyLink applying this spec
+  /// (drop/dup/corrupt/delay/reorder/stall/partition); default = reliable
+  /// link. Unused in external-collection mode — the remote agents own their
   /// fault hooks.
   faultnet::FaultSpec faults;
 
@@ -119,7 +117,7 @@ class MonitoringPipeline {
 
   /// External-collection variant: no FleetCollector is built; the caller
   /// feeds each slot's received measurements through step_external().
-  /// PipelineOptions' collection knobs (policy, channel) are unused — the
+  /// PipelineOptions' collection knobs (policy, faults) are unused — the
   /// remote agents own them.
   MonitoringPipeline(const trace::Trace& trace,
                      const PipelineOptions& options, ExternalCollection);

@@ -75,7 +75,7 @@ void FaultyLink::send(transport::MeasurementMessage message) {
 
 std::vector<transport::MeasurementMessage> FaultyLink::drain() {
   // drain() is the slot clock: the pipeline drains exactly once per step,
-  // so drain index == current slot (matching transport::Channel).
+  // so drain index == current slot.
   const std::size_t now = drain_count_++;
   for (std::size_t i = 0; i < held_.size();) {
     if (held_[i].release_at <= now) {

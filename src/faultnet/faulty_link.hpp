@@ -15,10 +15,11 @@
 //   partition   messages inside the window are lost
 //   reorder     a delivered batch is deterministically shuffled
 //
-// drain() is the slot clock (the pipeline drains once per step), matching
-// transport::Channel's delay semantics. All decisions come from the
-// order-independent FaultInjector, so a seeded spec yields one exact fault
-// realization per run.
+// drain() is the slot clock (the pipeline drains once per step). This is the
+// uplink's only fault injector: transport::Channel and net::LoopbackLink are
+// reliable in-order queues. All decisions come from the order-independent
+// FaultInjector, so a seeded spec yields one exact fault realization per
+// run. The spec grammar is documented in faultnet/fault_spec.hpp.
 #pragma once
 
 #include <deque>
@@ -46,11 +47,12 @@ class FaultyLink final : public transport::Link {
     return inner_->pending() + held_.size();
   }
   /// Sender-side accounting: every send() counts (faulted sends included —
-  /// the sender paid for the transmission), mirroring transport::Channel.
+  /// the sender paid for the transmission).
   std::uint64_t messages_sent() const override { return messages_sent_; }
   std::uint64_t bytes_sent() const override { return bytes_sent_; }
-  /// Messages lost to injected faults (drop/corrupt/partition) plus
-  /// whatever the inner link dropped on its own.
+  /// Messages lost to injected faults (drop/corrupt/partition) plus the
+  /// inner link's own count — 0 for the plain links, nonzero when `inner`
+  /// is itself a FaultyLink.
   std::uint64_t messages_dropped() const override {
     return faulted_drops_ + inner_->messages_dropped();
   }

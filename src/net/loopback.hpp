@@ -3,10 +3,10 @@
 // Every message is encoded to wire bytes, fed through an incremental
 // FrameDecoder and only the decoded copy is delivered — so deterministic
 // tests and benches exercise the exact encode/decode path the TCP runtime
-// uses, and bandwidth accounting counts real frame bytes, while keeping the
-// Channel's seeded drop/delay failure injection. Because encode -> decode
-// is an identity, a LoopbackLink behaves bit-identically to a bare Channel
-// with the same options.
+// uses, and bandwidth accounting counts real frame bytes. Because encode ->
+// decode is an identity, a LoopbackLink behaves bit-identically to a bare
+// transport::Channel. Faults are injected by wrapping it in a
+// faultnet::FaultyLink.
 #pragma once
 
 #include "net/wire.hpp"
@@ -17,10 +17,6 @@ namespace resmon::net {
 
 class LoopbackLink final : public transport::Link {
  public:
-  LoopbackLink() = default;
-  explicit LoopbackLink(const transport::ChannelOptions& options)
-      : channel_(options) {}
-
   /// Encode, decode, then enqueue the decoded message on the channel.
   /// Throws InvalidState if the codec ever fails to round-trip (that is a
   /// bug, not an input condition: this link sees only locally built
@@ -39,9 +35,6 @@ class LoopbackLink final : public transport::Link {
   std::uint64_t messages_dropped() const override {
     return channel_.messages_dropped();
   }
-
-  /// The underlying simulated channel (for failure-injection inspection).
-  const transport::Channel& channel() const { return channel_; }
 
  private:
   transport::Channel channel_;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <exception>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -185,79 +186,50 @@ std::size_t resolve_run_steps(const ScenarioSpec& spec,
   return steps;
 }
 
-/// Shared result-export state: per-horizon RMSE accumulators plus the
-/// sampled series history for monotonicity assertions.
-struct ResultTracker {
-  explicit ResultTracker(const ScenarioSpec& spec) : spec_(spec) {
-    accumulators_.resize(spec.horizons.size());
-  }
-
-  /// Score the pipeline after it processed step t (0-based).
-  void score(const core::MonitoringPipeline& pipeline, std::size_t t) {
-    if (t + 1 < spec_.initial_steps) return;  // models still warming up
-    const std::size_t limit = pipeline.trace().num_steps();
-    for (std::size_t i = 0; i < spec_.horizons.size(); ++i) {
-      const std::size_t h = spec_.horizons[i];
-      if (t + h >= limit) continue;  // no ground truth that far out
-      accumulators_[i].add(pipeline.rmse_at(h));
-    }
-  }
-
-  void sample(const obs::MetricsRegistry& registry) {
-    for (const auto& [key, value] : snapshot_map(registry)) {
-      series_[key].push_back(value);
-    }
-  }
-
-  /// Export the resmon_scenario_* result gauges.
-  void publish(const ScenarioSpec& spec, obs::MetricsRegistry& registry,
-               const core::MonitoringPipeline& pipeline,
-               std::size_t steps_run, double traffic_fraction,
-               double bytes_sent, double divergence) {
-    register_result_metrics(registry, spec.horizons);
-    registry.gauge("resmon_scenario_steps", "")
-        .set(static_cast<double>(steps_run));
-    registry.gauge("resmon_scenario_traffic_fraction", "")
-        .set(traffic_fraction);
-    registry.gauge("resmon_scenario_bytes_sent", "").set(bytes_sent);
-    registry.gauge("resmon_scenario_forecast_divergence", "")
-        .set(divergence);
-    const std::size_t last = pipeline.current_step() - 1;
-    const std::size_t limit = pipeline.trace().num_steps();
-    for (std::size_t i = 0; i < spec.horizons.size(); ++i) {
-      const std::size_t h = spec.horizons[i];
-      const obs::Labels labels = {{"h", std::to_string(h)}};
-      registry.gauge("resmon_scenario_rmse", "", labels)
-          .set(accumulators_[i].value());
-      // Aggregate |mean forecast - mean truth| at the end of the run: the
-      // capacity-planning view (how much total load h slots ahead).
-      if (last + h < limit) {
-        const Matrix forecast = pipeline.forecast_all(h);
-        double fsum = 0.0;
-        double tsum = 0.0;
-        for (std::size_t n = 0; n < forecast.rows(); ++n) {
-          for (std::size_t r = 0; r < forecast.cols(); ++r) {
-            fsum += forecast(n, r);
-            tsum += pipeline.trace().value(n, last + h, r);
-          }
-        }
-        const double cells =
-            static_cast<double>(forecast.rows() * forecast.cols());
-        registry.gauge("resmon_scenario_aggregate_abs_error", "", labels)
-            .set(std::abs(fsum - tsum) / cells);
-      }
-    }
-  }
-
-  const std::map<std::string, std::vector<double>>& series() const {
-    return series_;
-  }
-
- private:
-  const ScenarioSpec& spec_;
-  std::vector<core::RmseAccumulator> accumulators_;
-  std::map<std::string, std::vector<double>> series_;
+/// Uplink traffic a mode's fleet paid for, read once its loop is done.
+struct Traffic {
+  double fraction = 0.0;  ///< measurements per node-slot
+  double bytes = 0.0;     ///< total uplink bytes
 };
+
+/// Export the resmon_scenario_* result gauges.
+void publish(const ScenarioSpec& spec, obs::MetricsRegistry& registry,
+             const core::MonitoringPipeline& pipeline, std::size_t steps_run,
+             const Traffic& traffic,
+             const std::vector<core::RmseAccumulator>& rmse,
+             double divergence) {
+  register_result_metrics(registry, spec.horizons);
+  registry.gauge("resmon_scenario_steps", "")
+      .set(static_cast<double>(steps_run));
+  registry.gauge("resmon_scenario_traffic_fraction", "")
+      .set(traffic.fraction);
+  registry.gauge("resmon_scenario_bytes_sent", "").set(traffic.bytes);
+  registry.gauge("resmon_scenario_forecast_divergence", "").set(divergence);
+  const std::size_t last = pipeline.current_step() - 1;
+  const std::size_t limit = pipeline.trace().num_steps();
+  for (std::size_t i = 0; i < spec.horizons.size(); ++i) {
+    const std::size_t h = spec.horizons[i];
+    const obs::Labels labels = {{"h", std::to_string(h)}};
+    registry.gauge("resmon_scenario_rmse", "", labels).set(rmse[i].value());
+    // Aggregate |mean forecast - mean truth| at the end of the run: the
+    // capacity-planning view (how much total load h slots ahead).
+    if (last + h < limit) {
+      const Matrix forecast = pipeline.forecast_all(h);
+      double fsum = 0.0;
+      double tsum = 0.0;
+      for (std::size_t n = 0; n < forecast.rows(); ++n) {
+        for (std::size_t r = 0; r < forecast.cols(); ++r) {
+          fsum += forecast(n, r);
+          tsum += pipeline.trace().value(n, last + h, r);
+        }
+      }
+      const double cells =
+          static_cast<double>(forecast.rows() * forecast.cols());
+      registry.gauge("resmon_scenario_aggregate_abs_error", "", labels)
+          .set(std::abs(fsum - tsum) / cells);
+    }
+  }
+}
 
 /// Max elementwise |a - b|; infinity on shape mismatch.
 double max_abs_diff(const Matrix& a, const Matrix& b) {
@@ -273,64 +245,108 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
   return worst;
 }
 
-ScenarioResult run_in_process(const ScenarioSpec& spec,
-                              obs::MetricsRegistry& registry) {
-  const trace::SyntheticProfile profile = profile_for(spec);
-  const trace::InMemoryTrace trace =
-      trace::generate(profile, spec.trace_seed);
-  const std::size_t steps = resolve_run_steps(spec, trace);
+/// What differs between the scenario modes, as the lockstep driver sees
+/// it: the pipeline it scores, an optional twin for the divergence gauge,
+/// how one slot advances both, and the fleet's traffic once the loop ends.
+struct Lockstep {
+  const core::MonitoringPipeline* pipeline = nullptr;
+  const core::MonitoringPipeline* twin = nullptr;  ///< nullptr = no twin
+  std::function<void(std::size_t)> advance;
+  std::function<Traffic()> traffic;
+};
 
-  core::MonitoringPipeline pipeline(trace, pipeline_options(spec, &registry));
-
-  // Fault-free twin for bit-identity divergence: same trace, same options,
-  // no faultnet spec, metrics kept out of the shared registry.
-  std::unique_ptr<obs::MetricsRegistry> twin_registry;
-  std::unique_ptr<core::MonitoringPipeline> twin;
-  if (spec.baseline_compare) {
-    twin_registry = std::make_unique<obs::MetricsRegistry>();
-    core::PipelineOptions twin_options =
-        pipeline_options(spec, twin_registry.get());
-    twin_options.faults = {};
-    twin = std::make_unique<core::MonitoringPipeline>(trace, twin_options);
-  }
-
-  ResultTracker tracker(spec);
+/// The one driver loop every mode runs through. Per slot: advance, score
+/// every horizon once the models are warm, and every sample_every slots
+/// sample the registry and the twin divergence. Then publish the result
+/// gauges and grade the assertions.
+ScenarioResult run_lockstep(const ScenarioSpec& spec,
+                            obs::MetricsRegistry& registry, std::size_t steps,
+                            const Lockstep& mode) {
+  const core::MonitoringPipeline& pipeline = *mode.pipeline;
+  const std::size_t limit = pipeline.trace().num_steps();
+  std::vector<core::RmseAccumulator> rmse(spec.horizons.size());
+  std::map<std::string, std::vector<double>> series;
+  const auto sample = [&] {
+    for (const auto& [key, value] : snapshot_map(registry)) {
+      series[key].push_back(value);
+    }
+  };
   double divergence = 0.0;
+  const auto diverge = [&](std::size_t h) {
+    divergence = std::max(divergence, max_abs_diff(pipeline.forecast_all(h),
+                                                   mode.twin->forecast_all(h)));
+  };
+
   for (std::size_t t = 0; t < steps; ++t) {
-    pipeline.step();
-    if (twin != nullptr) twin->step();
-    tracker.score(pipeline, t);
-    const bool sampled = (t + 1) % spec.sample_every == 0 || t + 1 == steps;
-    if (sampled) {
-      tracker.sample(registry);
-      if (twin != nullptr) {
-        // h = 0 compares the stored central view, h >= 1 the forecasts.
-        divergence = std::max(
-            divergence,
-            max_abs_diff(pipeline.forecast_all(0), twin->forecast_all(0)));
-        for (const std::size_t h : spec.horizons) {
-          if (t + h >= trace.num_steps()) continue;
-          divergence = std::max(
-              divergence,
-              max_abs_diff(pipeline.forecast_all(h), twin->forecast_all(h)));
-        }
+    mode.advance(t);
+    if (t + 1 >= spec.initial_steps) {  // models past their warm-up
+      for (std::size_t i = 0; i < spec.horizons.size(); ++i) {
+        const std::size_t h = spec.horizons[i];
+        if (t + h < limit) rmse[i].add(pipeline.rmse_at(h));
       }
+    }
+    if ((t + 1) % spec.sample_every != 0 && t + 1 != steps) continue;
+    sample();
+    if (mode.twin == nullptr) continue;
+    // h = 0 compares the stored central view, h >= 1 the forecasts.
+    diverge(0);
+    for (const std::size_t h : spec.horizons) {
+      if (t + h < limit) diverge(h);
     }
   }
 
-  const double traffic = pipeline.collector().average_actual_frequency();
-  const double bytes =
-      registry.value("resmon_collect_link_bytes_sent").value_or(0.0);
-  tracker.publish(spec, registry, pipeline, steps, traffic, bytes,
-                  divergence);
-
+  publish(spec, registry, pipeline, steps, mode.traffic(), rmse, divergence);
   ScenarioResult result;
   result.name = spec.name;
   result.steps_run = steps;
   // One final sample so monotonic assertions see the published gauges too.
-  tracker.sample(registry);
-  evaluate(spec, snapshot_map(registry), tracker.series(), result);
+  sample();
+  evaluate(spec, snapshot_map(registry), series, result);
   return result;
+}
+
+/// In-process and host modes: one pipeline over `trace` and, when
+/// `twin_trace` is set, a fault-free twin over it (same options, no
+/// faultnet spec, metrics kept out of the shared registry).
+ScenarioResult run_pipelines(const ScenarioSpec& spec,
+                             obs::MetricsRegistry& registry,
+                             const trace::Trace& trace,
+                             const trace::Trace* twin_trace) {
+  const std::size_t steps = resolve_run_steps(spec, trace);
+  core::MonitoringPipeline pipeline(trace, pipeline_options(spec, &registry));
+  obs::MetricsRegistry twin_registry;
+  std::unique_ptr<core::MonitoringPipeline> twin;
+  if (twin_trace != nullptr) {
+    core::PipelineOptions twin_options =
+        pipeline_options(spec, &twin_registry);
+    twin_options.faults = {};
+    twin = std::make_unique<core::MonitoringPipeline>(*twin_trace,
+                                                      twin_options);
+  }
+  return run_lockstep(
+      spec, registry, steps,
+      {.pipeline = &pipeline,
+       .twin = twin.get(),
+       .advance =
+           [&](std::size_t) {
+             pipeline.step();
+             if (twin != nullptr) twin->step();
+           },
+       .traffic =
+           [&] {
+             return Traffic{
+                 .fraction = pipeline.collector().average_actual_frequency(),
+                 .bytes = registry.value("resmon_collect_link_bytes_sent")
+                              .value_or(0.0)};
+           }});
+}
+
+ScenarioResult run_in_process(const ScenarioSpec& spec,
+                              obs::MetricsRegistry& registry) {
+  const trace::InMemoryTrace trace =
+      trace::generate(profile_for(spec), spec.trace_seed);
+  return run_pipelines(spec, registry, trace,
+                       spec.baseline_compare ? &trace : nullptr);
 }
 
 // ------------------------------------------------------------------ host mode
@@ -390,47 +406,11 @@ ScenarioResult run_host(const ScenarioSpec& spec,
   RESMON_REQUIRE(recording.rows == rows,
                  "scenario: replayed rows differ from the recorded samples");
 
+  // The replay twin is fault-free like the live pipeline: [host] rejects
+  // [faults] at parse time.
   const trace::InMemoryTrace live_trace = trace_from_rows(rows);
   const trace::InMemoryTrace replay_trace = trace_from_rows(recording.rows);
-  const std::size_t steps = resolve_run_steps(spec, live_trace);
-
-  core::MonitoringPipeline pipeline(live_trace,
-                                    pipeline_options(spec, &registry));
-  obs::MetricsRegistry twin_registry;
-  core::MonitoringPipeline twin(replay_trace,
-                                pipeline_options(spec, &twin_registry));
-
-  ResultTracker tracker(spec);
-  double divergence = 0.0;
-  for (std::size_t t = 0; t < steps; ++t) {
-    pipeline.step();
-    twin.step();
-    tracker.score(pipeline, t);
-    if ((t + 1) % spec.sample_every == 0 || t + 1 == steps) {
-      tracker.sample(registry);
-      divergence = std::max(divergence, max_abs_diff(pipeline.forecast_all(0),
-                                                     twin.forecast_all(0)));
-      for (const std::size_t h : spec.horizons) {
-        if (t + h >= live_trace.num_steps()) continue;
-        divergence = std::max(
-            divergence,
-            max_abs_diff(pipeline.forecast_all(h), twin.forecast_all(h)));
-      }
-    }
-  }
-
-  const double traffic = pipeline.collector().average_actual_frequency();
-  const double bytes =
-      registry.value("resmon_collect_link_bytes_sent").value_or(0.0);
-  tracker.publish(spec, registry, pipeline, steps, traffic, bytes,
-                  divergence);
-
-  ScenarioResult result;
-  result.name = spec.name;
-  result.steps_run = steps;
-  tracker.sample(registry);
-  evaluate(spec, snapshot_map(registry), tracker.series(), result);
-  return result;
+  return run_pipelines(spec, registry, live_trace, &replay_trace);
 }
 
 // ---------------------------------------------------------------- socket mode
@@ -707,47 +687,38 @@ std::vector<transport::MeasurementMessage> collect_fleet_slot(
 
 ScenarioResult run_socket(const ScenarioSpec& spec,
                           obs::MetricsRegistry& registry) {
-  const trace::SyntheticProfile profile = profile_for(spec);
   const trace::InMemoryTrace trace =
-      trace::generate(profile, spec.trace_seed);
+      trace::generate(profile_for(spec), spec.trace_seed);
   const std::size_t steps = resolve_run_steps(spec, trace);
   const std::size_t n = trace.num_nodes();
   const int msps = static_cast<int>(spec.ms_per_slot);
 
-  auto fleet =
-      make_socket_fleet(spec, trace, registry, spec.tiers == 2);
+  auto fleet = make_socket_fleet(spec, trace, registry, spec.tiers == 2);
 
   // The bit-identity twin (two-tier scenarios only, validated at parse
   // time): a single-tier fleet over the same trace, same churn, its own
   // clock and registry, driven in lock-step so the divergence gauge
   // compares the two topologies sample by sample.
-  std::unique_ptr<obs::MetricsRegistry> twin_registry;
+  obs::MetricsRegistry twin_registry;
   std::unique_ptr<SocketFleet> twin;
   if (spec.baseline_compare) {
-    twin_registry = std::make_unique<obs::MetricsRegistry>();
-    twin = make_socket_fleet(spec, trace, *twin_registry,
-                             /*two_tier=*/false);
+    twin = make_socket_fleet(spec, trace, twin_registry, /*two_tier=*/false);
   }
 
   // Index churn events by slot for the lock-step loop.
   std::map<std::size_t, std::vector<ChurnEvent>> churn_at;
   for (const ChurnEvent& ev : spec.churn) churn_at[ev.slot].push_back(ev);
 
-  ResultTracker tracker(spec);
-  double divergence = 0.0;
-  for (std::size_t t = 0; t < steps; ++t) {
-    if (const auto it = churn_at.find(t); it != churn_at.end()) {
-      apply_churn(spec, *fleet, it->second, trace.num_resources());
-      if (twin != nullptr) {
-        apply_churn(spec, *twin, it->second, trace.num_resources());
-      }
-    }
-
-    // Lock-step: every live agent writes its slot-t frame (measurement or
-    // heartbeat) before the collectors start, so the first pump below
-    // touches every live node at the *current* manual time.
+  const auto advance = [&](std::size_t t) {
+    const auto churn = churn_at.find(t);
     for (SocketFleet* f : {fleet.get(), twin.get()}) {
       if (f == nullptr) continue;
+      if (churn != churn_at.end()) {
+        apply_churn(spec, *f, churn->second, trace.num_resources());
+      }
+      // Lock-step: every live agent writes its slot-t frame (measurement or
+      // heartbeat) before the collector starts, so the first pump below
+      // touches every live node at the *current* manual time.
       for (std::size_t node = 0; node < n; ++node) {
         if (f->agents[node].agent == nullptr) continue;
         f->agents[node].agent->observe(t, trace.measurement(node, t));
@@ -755,43 +726,25 @@ ScenarioResult run_socket(const ScenarioSpec& spec,
       f->clock.advance_ms(msps);
       f->pipeline->step_external(collect_fleet_slot(spec, *f, t));
     }
-
-    tracker.score(*fleet->pipeline, t);
-    if ((t + 1) % spec.sample_every == 0 || t + 1 == steps) {
-      tracker.sample(registry);
-      if (twin != nullptr) {
-        // h = 0 compares the stored central view, h >= 1 the forecasts.
-        divergence = std::max(
-            divergence, max_abs_diff(fleet->pipeline->forecast_all(0),
-                                     twin->pipeline->forecast_all(0)));
-        for (const std::size_t h : spec.horizons) {
-          if (t + h >= trace.num_steps()) continue;
-          divergence = std::max(
-              divergence, max_abs_diff(fleet->pipeline->forecast_all(h),
-                                       twin->pipeline->forecast_all(h)));
-        }
+  };
+  const auto traffic = [&] {
+    for (SocketFleet* f : {fleet.get(), twin.get()}) {
+      if (f == nullptr) continue;
+      for (AgentSlot& slot : f->agents) {
+        if (slot.agent != nullptr) f->retire(slot);
       }
     }
-  }
-
-  for (SocketFleet* f : {fleet.get(), twin.get()}) {
-    if (f == nullptr) continue;
-    for (AgentSlot& slot : f->agents) {
-      if (slot.agent != nullptr) f->retire(slot);
-    }
-  }
-  const double traffic =
-      static_cast<double>(fleet->agent_measurements) /
-      (static_cast<double>(n) * static_cast<double>(steps));
-  tracker.publish(spec, registry, *fleet->pipeline, steps, traffic,
-                  static_cast<double>(fleet->agent_bytes), divergence);
-
-  ScenarioResult result;
-  result.name = spec.name;
-  result.steps_run = steps;
-  tracker.sample(registry);
-  evaluate(spec, snapshot_map(registry), tracker.series(), result);
-  return result;
+    return Traffic{.fraction = static_cast<double>(fleet->agent_measurements) /
+                               (static_cast<double>(n) *
+                                static_cast<double>(steps)),
+                   .bytes = static_cast<double>(fleet->agent_bytes)};
+  };
+  return run_lockstep(
+      spec, registry, steps,
+      {.pipeline = fleet->pipeline.get(),
+       .twin = twin != nullptr ? twin->pipeline.get() : nullptr,
+       .advance = advance,
+       .traffic = traffic});
 }
 
 }  // namespace

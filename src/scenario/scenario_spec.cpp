@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -389,6 +390,23 @@ ScenarioSpec ScenarioSpec::parse(std::istream& in, const std::string& origin) {
       spec.dead_after_slots < spec.stale_after_slots) {
     throw InvalidArgument(origin +
                           ": dead_after_slots must be >= stale_after_slots");
+  }
+  // The runner turns the slot thresholds into int milliseconds:
+  // max(stale, dead) * ms_per_slot + ms_per_slot / 2 must fit in an int.
+  if (spec.socket_mode) {
+    if (spec.ms_per_slot == 0) {
+      throw InvalidArgument(origin + ": ms_per_slot must be >= 1");
+    }
+    const std::size_t int_max =
+        static_cast<std::size_t>(std::numeric_limits<int>::max());
+    const std::size_t slots =
+        std::max(spec.stale_after_slots, spec.dead_after_slots);
+    if (spec.ms_per_slot > int_max ||
+        slots > (int_max - spec.ms_per_slot / 2) / spec.ms_per_slot) {
+      throw InvalidArgument(origin +
+                            ": ms_per_slot too large: the staleness "
+                            "thresholds overflow int milliseconds");
+    }
   }
   if (spec.socket_mode && !spec.faults.empty()) {
     throw InvalidArgument(origin +

@@ -1,42 +1,17 @@
 #include "transport/channel.hpp"
 
-namespace resmon::transport {
+#include <utility>
 
-Channel::Channel(const ChannelOptions& options)
-    : options_(options), rng_(options.seed) {
-  RESMON_REQUIRE(options.drop_probability >= 0.0 &&
-                     options.drop_probability <= 1.0,
-                 "drop probability must be in [0,1]");
-}
+namespace resmon::transport {
 
 void Channel::send(MeasurementMessage message) {
   ++messages_sent_;
   bytes_sent_ += message.wire_size();
-  if (options_.drop_probability > 0.0 &&
-      rng_.bernoulli(options_.drop_probability)) {
-    ++messages_dropped_;
-    return;
-  }
-  std::size_t delay = 0;
-  if (options_.max_delay_slots > 0) {
-    delay = rng_.index(options_.max_delay_slots + 1);
-  }
-  queue_.push_back({std::move(message), delay});
+  queue_.push_back(std::move(message));
 }
 
 std::vector<MeasurementMessage> Channel::drain() {
-  std::vector<MeasurementMessage> out;
-  std::deque<InFlight> still_in_flight;
-  for (InFlight& entry : queue_) {
-    if (entry.slots_remaining == 0) {
-      out.push_back(std::move(entry.message));
-    } else {
-      --entry.slots_remaining;
-      still_in_flight.push_back(std::move(entry));
-    }
-  }
-  queue_ = std::move(still_in_flight);
-  return out;
+  return std::exchange(queue_, {});
 }
 
 CentralStore::CentralStore(std::size_t num_nodes, std::size_t num_resources)

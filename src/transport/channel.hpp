@@ -8,11 +8,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "transport/wire_format.hpp"
 #include "transport/link.hpp"
 
@@ -33,58 +31,28 @@ struct MeasurementMessage {
   }
 };
 
-/// Failure-injection knobs for the uplink. Defaults model a reliable
-/// in-order link; drops/delays simulate a congested or flaky network.
-struct ChannelOptions {
-  /// Probability that a sent message is lost. Lost messages still consume
-  /// uplink bandwidth (the sender paid for the transmission).
-  double drop_probability = 0.0;
-  /// Maximum extra delivery delay, in drain() slots; each message gets a
-  /// uniform delay in [0, max_delay_slots], so messages can arrive out of
-  /// order.
-  std::size_t max_delay_slots = 0;
-  /// Seed of the drop/delay RNG. 0 means "unset": a Channel constructed
-  /// directly uses it literally, but MonitoringPipeline replaces an unset
-  /// seed with one derived from PipelineOptions::seed, so two pipelines
-  /// with different seeds never share identical drop/delay realizations.
-  /// Set any nonzero value to pin the channel RNG independently of the
-  /// pipeline seed.
-  std::uint64_t seed = 0;
-};
-
-/// In-process message channel with traffic accounting and optional
-/// drop/delay failure injection.
+/// In-process, in-order message queue with traffic accounting. Faults
+/// (drop, delay, ...) are layered on top by faultnet::FaultyLink; see the
+/// FaultSpec grammar in faultnet/fault_spec.hpp.
 class Channel final : public Link {
  public:
-  Channel() = default;
-  explicit Channel(const ChannelOptions& options);
-
   /// Enqueue a message for delivery to the central node.
   void send(MeasurementMessage message) override;
 
-  /// Deliver the messages due this slot (the central node drains the
-  /// channel once per time slot; delayed messages surface later).
+  /// Deliver every queued message, in send order (the central node drains
+  /// the channel once per time slot).
   std::vector<MeasurementMessage> drain() override;
 
   std::size_t pending() const override { return queue_.size(); }
   std::uint64_t messages_sent() const override { return messages_sent_; }
   std::uint64_t bytes_sent() const override { return bytes_sent_; }
-  std::uint64_t messages_dropped() const override {
-    return messages_dropped_;
-  }
+  /// A plain queue never loses a message.
+  std::uint64_t messages_dropped() const override { return 0; }
 
  private:
-  struct InFlight {
-    MeasurementMessage message;
-    std::size_t slots_remaining = 0;
-  };
-
-  ChannelOptions options_;
-  Rng rng_;
-  std::deque<InFlight> queue_;
+  std::vector<MeasurementMessage> queue_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
-  std::uint64_t messages_dropped_ = 0;
 };
 
 /// The central node's view of the system: z_t of §IV — the most recent

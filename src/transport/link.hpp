@@ -2,10 +2,15 @@
 //
 // A Link carries MeasurementMessages from the fleet to the central node and
 // accounts for the traffic it moved. Implementations:
-//   - transport::Channel      — in-process deque with drop/delay injection
-//                               (the deterministic simulation default);
+//   - transport::Channel      — reliable in-process in-order queue (the
+//                               deterministic simulation default);
 //   - net::LoopbackLink       — Channel wrapped in the real wire codec, so
 //                               deterministic runs exercise encode/decode;
+//   - faultnet::FaultyLink    — wraps any Link and injects the faults of a
+//                               FaultSpec (drop, dup, corrupt, delay,
+//                               reorder, stall, partition; grammar in
+//                               faultnet/fault_spec.hpp) — the uplink's
+//                               only fault injector;
 //   - real sockets            — net::Agent / net::Controller move the same
 //                               frames over TCP (they sit outside this
 //                               interface because one controller serves many
@@ -35,7 +40,8 @@ class Link {
   virtual std::size_t pending() const = 0;
 
   /// Traffic accounting. bytes_sent() counts real encoded frame bytes
-  /// (senders pay for dropped messages too).
+  /// (senders pay for dropped messages too); only fault-injecting links
+  /// report nonzero messages_dropped().
   virtual std::uint64_t messages_sent() const = 0;
   virtual std::uint64_t bytes_sent() const = 0;
   virtual std::uint64_t messages_dropped() const = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "faultnet/faulty_link.hpp"
 #include "net/loopback.hpp"
 #include "trace/trace.hpp"
 #include "trace/synthetic.hpp"
@@ -205,21 +206,24 @@ TEST(FleetCollector, ChannelAccountsForTraffic) {
 }
 
 TEST(FleetCollector, LoopbackLinkMatchesPlainChannelBitForBit) {
-  // The LoopbackLink pushes every message through the real wire codec; on
-  // a failure-injecting link it must still behave exactly like the bare
-  // Channel with the same options (encode->decode is an identity and both
-  // draw the same drop/delay RNG sequence).
+  // The LoopbackLink pushes every message through the real wire codec; under
+  // the same fault schedule it must still behave exactly like the bare
+  // Channel (encode->decode is an identity and the fault decisions are pure
+  // functions of the spec).
   trace::SyntheticProfile p = trace::alibaba_profile();
   p.num_nodes = 8;
   p.num_steps = 120;
   const trace::InMemoryTrace t = trace::generate(p, 13);
-  const transport::ChannelOptions lossy{
-      .drop_probability = 0.2, .max_delay_slots = 3, .seed = 99};
-  FleetCollector plain(t, make_policy_factory(PolicyKind::kAdaptive, 0.3),
-                       lossy);
-  FleetCollector loopback(t, make_policy_factory(PolicyKind::kAdaptive, 0.3),
-                          lossy, nullptr,
-                          std::make_unique<net::LoopbackLink>(lossy));
+  const faultnet::FaultSpec lossy =
+      faultnet::FaultSpec::parse("drop=0.2;delay=0.75:3;seed=99");
+  FleetCollector plain(
+      t, make_policy_factory(PolicyKind::kAdaptive, 0.3), nullptr,
+      std::make_unique<faultnet::FaultyLink>(
+          lossy, std::make_unique<transport::Channel>()));
+  FleetCollector loopback(
+      t, make_policy_factory(PolicyKind::kAdaptive, 0.3), nullptr,
+      std::make_unique<faultnet::FaultyLink>(
+          lossy, std::make_unique<net::LoopbackLink>()));
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
     EXPECT_EQ(plain.step(step), loopback.step(step)) << "step " << step;
     for (std::size_t i = 0; i < t.num_nodes(); ++i) {
@@ -232,6 +236,7 @@ TEST(FleetCollector, LoopbackLinkMatchesPlainChannelBitForBit) {
   }
   EXPECT_EQ(plain.link().messages_sent(), loopback.link().messages_sent());
   EXPECT_EQ(plain.link().bytes_sent(), loopback.link().bytes_sent());
+  EXPECT_GT(plain.link().messages_dropped(), 0u);
   EXPECT_EQ(plain.link().messages_dropped(),
             loopback.link().messages_dropped());
 }

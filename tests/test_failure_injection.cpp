@@ -1,4 +1,4 @@
-// Failure-injection tests: lossy/delayed channels, the deadband policy, the
+// Failure-injection tests: out-of-order delivery, the deadband policy, the
 // pipeline's behaviour under an unreliable uplink, and the faultnet chaos
 // harness layered over the wire-codec path.
 #include <cmath>
@@ -17,53 +17,7 @@
 namespace resmon {
 namespace {
 
-// ---- lossy / delayed channel ---------------------------------------------
-
-TEST(LossyChannel, ValidatesDropProbability) {
-  EXPECT_THROW(transport::Channel({.drop_probability = 1.5}),
-               InvalidArgument);
-}
-
-TEST(LossyChannel, DropsApproximatelyTheConfiguredFraction) {
-  transport::Channel ch({.drop_probability = 0.3, .seed = 7});
-  for (int i = 0; i < 5000; ++i) {
-    ch.send({.node = 0, .step = static_cast<std::size_t>(i), .values = {0.1}});
-    ch.drain();
-  }
-  const double drop_rate =
-      static_cast<double>(ch.messages_dropped()) /
-      static_cast<double>(ch.messages_sent());
-  EXPECT_NEAR(drop_rate, 0.3, 0.03);
-}
-
-TEST(LossyChannel, DroppedMessagesStillConsumeBandwidth) {
-  transport::Channel ch({.drop_probability = 1.0, .seed = 1});
-  ch.send({.node = 0, .step = 0, .values = {0.1}});
-  EXPECT_EQ(ch.messages_sent(), 1u);
-  EXPECT_EQ(ch.messages_dropped(), 1u);
-  EXPECT_GT(ch.bytes_sent(), 0u);
-  EXPECT_TRUE(ch.drain().empty());
-}
-
-TEST(DelayedChannel, MessagesSurfaceWithinMaxDelay) {
-  transport::Channel ch({.max_delay_slots = 3, .seed = 2});
-  for (int i = 0; i < 100; ++i) {
-    ch.send(
-        {.node = static_cast<std::size_t>(i), .step = 0, .values = {0.1}});
-  }
-  std::size_t delivered = 0;
-  for (int slot = 0; slot <= 3; ++slot) {
-    delivered += ch.drain().size();
-  }
-  EXPECT_EQ(delivered, 100u);
-  EXPECT_EQ(ch.pending(), 0u);
-}
-
-TEST(DelayedChannel, ZeroDelayIsImmediate) {
-  transport::Channel ch({.max_delay_slots = 0, .seed = 3});
-  ch.send({.node = 0, .step = 0, .values = {0.5}});
-  EXPECT_EQ(ch.drain().size(), 1u);
-}
+// ---- out-of-order delivery -------------------------------------------------
 
 TEST(DelayedChannel, OutOfOrderDeliveryKeepsFreshestInStore) {
   // Older messages surfacing after newer ones must not overwrite them.
@@ -122,13 +76,19 @@ TEST(Deadband, FleetFactorySupportsIt) {
 
 // ---- pipeline under failure ------------------------------------------------
 
+/// An unreliable uplink: each frame is lost with probability `drop`, and
+/// delayed by a uniform 0..`delay` slots (delay=K/(K+1):K).
 core::PipelineOptions lossy_options(double drop, std::size_t delay) {
   core::PipelineOptions o;
   o.num_clusters = 3;
   o.schedule = {.initial_steps = 50, .retrain_interval = 100};
-  o.channel.drop_probability = drop;
-  o.channel.max_delay_slots = delay;
-  o.channel.seed = 9;
+  o.faults.drop = drop;
+  if (delay > 0) {
+    o.faults.delay =
+        static_cast<double>(delay) / static_cast<double>(delay + 1);
+    o.faults.max_delay_slots = delay;
+  }
+  o.faults.seed = 9;
   return o;
 }
 

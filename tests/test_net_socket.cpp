@@ -60,7 +60,7 @@ TEST(NetSocket, TcpRunIsBitIdenticalToTheLoopbackLinkPath) {
       collect::make_policy_factory(collect::PolicyKind::kAdaptive, 0.3);
 
   // Reference: the in-process path through the same wire codec.
-  collect::FleetCollector reference(trace, factory, {}, nullptr,
+  collect::FleetCollector reference(trace, factory, nullptr,
                                     std::make_unique<LoopbackLink>());
   std::vector<StoreSnapshot> expected;
   for (std::size_t t = 0; t < kSlots; ++t) {

@@ -2,8 +2,8 @@
 // seeded synthetic trace must produce bit-identical outputs at every thread
 // count (PipelineOptions::num_threads ∈ {1, 2, 8}) and across repeated
 // runs. Covers forecasts, RMSE metrics, cluster memberships and the
-// channel's byte/message accounting, on both a reliable and a lossy/delayed
-// uplink.
+// link's byte/message accounting, on both a reliable and a lossy/delayed
+// (faultnet) uplink.
 #include <cstdint>
 #include <vector>
 
@@ -114,10 +114,7 @@ TEST(ParallelDeterminism, RepeatedRunsAreStable) {
 
 TEST(ParallelDeterminism, LossyDelayedUplinkBitIdenticalAcrossThreadCounts) {
   core::PipelineOptions o = base_options();
-  o.channel.drop_probability = 0.15;
-  o.channel.max_delay_slots = 2;
-  // channel.seed left at 0 on purpose: the pipeline derives it from the
-  // pipeline seed, and the derivation must be thread-count independent too.
+  o.faults = faultnet::FaultSpec::parse("drop=0.15;delay=0.6667:2;seed=7");
   const RunRecord serial = run_pipeline(o, 1);
   EXPECT_GT(serial.messages_dropped, 0u);
   expect_identical(serial, run_pipeline(o, 2), "lossy threads=2");
@@ -135,24 +132,6 @@ TEST(ParallelDeterminism, HardwareConcurrencyModeMatchesSerial) {
   // num_threads = 0 resolves to hardware concurrency; still bit-identical.
   expect_identical(run_pipeline(base_options(), 1),
                    run_pipeline(base_options(), 0), "threads=hw");
-}
-
-TEST(ParallelDeterminism, DerivedChannelSeedsDifferAcrossPipelineSeeds) {
-  // The bugfix this suite locks in: with channel.seed left unset, two
-  // pipelines with different seeds must not share identical drop
-  // realizations.
-  core::PipelineOptions o = base_options();
-  o.channel.drop_probability = 0.3;
-  core::PipelineOptions o2 = o;
-  o2.seed = 1234;
-  const RunRecord a = run_pipeline(o, 1);
-  const RunRecord b = run_pipeline(o2, 1);
-  ASSERT_GT(a.messages_dropped, 0u);
-  ASSERT_GT(b.messages_dropped, 0u);
-  // Same policy decisions (seed only feeds clustering/models/channel; the
-  // adaptive policies are deterministic), so identical drop realizations
-  // would give identical drop counts; distinct seeds must diverge.
-  EXPECT_NE(a.messages_dropped, b.messages_dropped);
 }
 
 }  // namespace

@@ -100,8 +100,7 @@ TEST(Report, CountsDroppedMessages) {
   PipelineOptions o;
   o.num_clusters = 2;
   o.schedule = {.initial_steps = 30, .retrain_interval = 50};
-  o.channel.drop_probability = 0.3;
-  o.channel.seed = 6;
+  o.faults = faultnet::FaultSpec::parse("drop=0.3;seed=6");
   MonitoringPipeline pipeline(t, o);
   pipeline.run(80);
   EXPECT_GT(make_report(pipeline).messages_dropped, 0u);

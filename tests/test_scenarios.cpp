@@ -217,6 +217,32 @@ TEST(ScenarioSpecParse, CrossFieldValidation) {
   expect_throw_containing(
       [] {
         ScenarioSpec::parse_string(
+            "name = x\n[controller]\nstale_after_slots = 3\n"
+            "ms_per_slot = 0\n");
+      },
+      "ms_per_slot must be >= 1");
+  // 3 * 715827882 + 715827882 / 2 = 2505397587 overflows a 32-bit int;
+  // one slot fewer still fits.
+  expect_throw_containing(
+      [] {
+        ScenarioSpec::parse_string(
+            "name = x\n[controller]\nstale_after_slots = 2\n"
+            "dead_after_slots = 3\nms_per_slot = 715827882\n");
+      },
+      "ms_per_slot too large");
+  EXPECT_NO_THROW(ScenarioSpec::parse_string(
+      "name = x\n[controller]\nstale_after_slots = 2\n"
+      "ms_per_slot = 715827882\n"));
+  expect_throw_containing(
+      [] {
+        ScenarioSpec::parse_string(
+            "name = x\n[controller]\nstale_after_slots = 1\n"
+            "ms_per_slot = 99999999999\n");
+      },
+      "ms_per_slot too large");
+  expect_throw_containing(
+      [] {
+        ScenarioSpec::parse_string(
             "name = x\n[controller]\nstale_after_slots = 1\n"
             "[churn]\nrestart = 2:30\n");
       },

@@ -1,9 +1,11 @@
 #include "transport/channel.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include <gtest/gtest.h>
 
+#include "faultnet/faulty_link.hpp"
 #include "net/wire.hpp"
 
 namespace resmon::transport {
@@ -148,10 +150,11 @@ TEST(CentralStore, ResourceSnapshotExtractsColumn) {
 }
 
 TEST(CentralStore, OutOfOrderDeliveryUnderDelayIgnoresStaleMessages) {
-  // End-to-end lossy-link path: a delayed channel reorders messages, and
+  // End-to-end lossy-link path: a delaying link reorders messages, and
   // the store must keep the freshest measurement while staleness() tracks
   // the age of what was actually applied.
-  Channel ch({.max_delay_slots = 3, .seed = 11});
+  faultnet::FaultyLink ch(faultnet::FaultSpec::parse("delay=1.0:3;seed=11"),
+                          std::make_unique<Channel>());
   CentralStore store(1, 1);
   long long freshest = -1;  // newest step applied so far
   bool saw_stale_arrival = false;
