@@ -32,12 +32,13 @@ double proposed_h0(const trace::Trace& t, double b) {
   collect::FleetCollector fleet(
       t, collect::make_policy_factory(collect::PolicyKind::kAdaptive, b,
                                       0.5, 0.65, false));
+  transport::CentralStore store(t.num_nodes(), t.num_resources());
   core::RmseAccumulator acc;
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    fleet.step(step);
+    for (const auto& m : fleet.step(step)) store.apply(m);
     double se = 0.0;
     for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-      const double e = fleet.store().stored(i)[0] - t.value(i, step, 0);
+      const double e = store.stored(i)[0] - t.value(i, step, 0);
       se += e * e;
     }
     acc.add(std::sqrt(se / static_cast<double>(t.num_nodes())));

@@ -28,13 +28,14 @@ Result run_policy(const trace::Trace& t, collect::PolicyKind kind, double b,
                   double v0, bool clamp) {
   collect::FleetCollector fleet(
       t, collect::make_policy_factory(kind, b, v0, 0.65, clamp));
+  transport::CentralStore store(t.num_nodes(), t.num_resources());
   core::RmseAccumulator acc;
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    fleet.step(step);
+    for (const auto& m : fleet.step(step)) store.apply(m);
     double se = 0.0;
     for (std::size_t i = 0; i < t.num_nodes(); ++i) {
       for (std::size_t r = 0; r < t.num_resources(); ++r) {
-        const double e = fleet.store().stored(i)[r] - t.value(i, step, r);
+        const double e = store.stored(i)[r] - t.value(i, step, r);
         se += e * e;
       }
     }

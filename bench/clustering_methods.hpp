@@ -61,13 +61,14 @@ inline ClusteringSweepResult clustering_sweep(const trace::Trace& t,
     mindists.emplace_back(k, seed + 200 + r);
   }
 
+  transport::CentralStore store(t.num_nodes(), d);
   std::vector<core::RmseAccumulator> acc_prop(d), acc_min(d), acc_stat(d);
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    fleet.step(step);
+    for (const auto& m : fleet.step(step)) store.apply(m);
     for (std::size_t r = 0; r < d; ++r) {
       Matrix snapshot(t.num_nodes(), 1);
       for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-        snapshot(i, 0) = fleet.store().stored(i)[r];
+        snapshot(i, 0) = store.stored(i)[r];
       }
       acc_prop[r].add(
           intermediate_at(t, step, r, trackers[r].update(snapshot)));

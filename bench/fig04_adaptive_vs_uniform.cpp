@@ -28,14 +28,14 @@ std::vector<double> h0_rmse(const trace::Trace& t,
                             double gamma) {
   collect::FleetCollector fleet(
       t, collect::make_policy_factory(kind, b, v0, gamma));
+  transport::CentralStore store(t.num_nodes(), t.num_resources());
   std::vector<core::RmseAccumulator> acc(t.num_resources());
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    fleet.step(step);
+    for (const auto& m : fleet.step(step)) store.apply(m);
     for (std::size_t r = 0; r < t.num_resources(); ++r) {
       double se = 0.0;
       for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-        const double e =
-            fleet.store().stored(i)[r] - t.value(i, step, r);
+        const double e = store.stored(i)[r] - t.value(i, step, r);
         se += e * e;
       }
       acc[r].add(std::sqrt(se / static_cast<double>(t.num_nodes())));

@@ -104,13 +104,14 @@ int main(int argc, char** argv) {
 
     const std::size_t eval_stride =
         static_cast<std::size_t>(args.get_int("eval-stride", 10));
+    transport::CentralStore store(n, d);
     std::size_t scored = 0;
     for (std::size_t step = 0; step < t.num_steps(); ++step) {
-      fleet.step(step);
+      for (const auto& m : fleet.step(step)) store.apply(m);
       for (std::size_t r = 0; r < d; ++r) {
         Matrix snapshot(n, 1);
         for (std::size_t i = 0; i < n; ++i) {
-          snapshot(i, 0) = fleet.store().stored(i)[r];
+          snapshot(i, 0) = store.stored(i)[r];
         }
         const cluster::Clustering& cd = dyn[r].update(snapshot);
         const cluster::Clustering cs = statik[r].at(snapshot);

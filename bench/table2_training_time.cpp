@@ -31,12 +31,13 @@ std::vector<double> centroid_series(const std::string& dataset,
 
   collect::FleetCollector fleet(
       t, collect::make_policy_factory(collect::PolicyKind::kAdaptive, 0.3));
+  transport::CentralStore store(t.num_nodes(), t.num_resources());
   cluster::DynamicClusterTracker tracker({.k = 3}, 1);
   for (std::size_t step = 0; step < steps; ++step) {
-    fleet.step(step);
+    for (const auto& m : fleet.step(step)) store.apply(m);
     Matrix snapshot(t.num_nodes(), 1);
     for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-      snapshot(i, 0) = fleet.store().stored(i)[0];
+      snapshot(i, 0) = store.stored(i)[0];
     }
     tracker.update(snapshot);
   }

@@ -32,30 +32,12 @@ class AlwaysTransmitter final : public TransmitPolicy {
   std::uint64_t decisions_ = 0;
 };
 
-}  // namespace
-
-namespace {
-
 std::vector<std::unique_ptr<MeasurementSource>> sources_over_trace(
     const trace::Trace& trace) {
   std::vector<std::unique_ptr<MeasurementSource>> sources;
   sources.reserve(trace.num_nodes());
   for (std::size_t i = 0; i < trace.num_nodes(); ++i) {
     sources.push_back(std::make_unique<TraceSource>(trace, i));
-  }
-  return sources;
-}
-
-/// Contract checks that must run before the member initializers touch
-/// sources.front() (the CentralStore is sized from it).
-std::vector<std::unique_ptr<MeasurementSource>> validate_sources(
-    std::vector<std::unique_ptr<MeasurementSource>> sources) {
-  RESMON_REQUIRE(!sources.empty(), "FleetCollector needs >= 1 source");
-  for (const auto& source : sources) {
-    RESMON_REQUIRE(source != nullptr, "null MeasurementSource");
-    RESMON_REQUIRE(
-        source->num_resources() == sources.front()->num_resources(),
-        "MeasurementSources disagree on num_resources");
   }
   return sources;
 }
@@ -75,11 +57,17 @@ FleetCollector::FleetCollector(
     const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
     ThreadPool* pool, std::unique_ptr<transport::Link> link,
     obs::MetricsRegistry* metrics)
-    : sources_(validate_sources(std::move(sources))),
+    : sources_(std::move(sources)),
       link_(link != nullptr ? std::move(link)
                             : std::make_unique<transport::Channel>()),
-      store_(sources_.size(), sources_.front()->num_resources()),
       pool_(pool) {
+  RESMON_REQUIRE(!sources_.empty(), "FleetCollector needs >= 1 source");
+  for (const auto& source : sources_) {
+    RESMON_REQUIRE(source != nullptr, "null MeasurementSource");
+    RESMON_REQUIRE(
+        source->num_resources() == sources_.front()->num_resources(),
+        "MeasurementSources disagree on num_resources");
+  }
   num_steps_ = MeasurementSource::unbounded();
   for (const auto& source : sources_) {
     num_steps_ = std::min(num_steps_, source->num_steps());
@@ -100,13 +88,11 @@ FleetCollector::FleetCollector(
     link_bytes_ = &metrics->gauge(
         "resmon_collect_link_bytes_sent",
         "Cumulative wire bytes the uplink has carried (exact frame sizes)");
-    store_complete_ = &metrics->gauge(
-        "resmon_collect_store_complete",
-        "1 once the central store has heard from every node, else 0");
   }
 }
 
-std::vector<bool> FleetCollector::step(std::size_t t) {
+std::span<const transport::MeasurementMessage> FleetCollector::step(
+    std::size_t t) {
   RESMON_REQUIRE(t == next_step_,
                  "FleetCollector::step must be called with consecutive t");
   RESMON_REQUIRE(t < num_steps_, "step beyond end of the shortest source");
@@ -134,24 +120,20 @@ std::vector<bool> FleetCollector::step(std::size_t t) {
                 }
               });
 
-  std::vector<bool> beta(n, false);
+  std::uint64_t sends = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (transmit[i] == 0) continue;
-    beta[i] = true;
+    ++sends;
     link_->send(
         {.node = i, .step = t, .values = std::move(measurements[i])});
   }
-  for (const transport::MeasurementMessage& msg : link_->drain()) {
-    store_.apply(msg);
-  }
+  delivered_ = link_->drain();
   if (decisions_total_ != nullptr) {
     decisions_total_->inc(n);
-    sends_total_->inc(static_cast<std::uint64_t>(
-        std::count(beta.begin(), beta.end(), true)));
+    sends_total_->inc(sends);
     link_bytes_->set(static_cast<double>(link_->bytes_sent()));
-    store_complete_->set(store_.complete() ? 1.0 : 0.0);
   }
-  return beta;
+  return delivered_;
 }
 
 double FleetCollector::average_actual_frequency() const {

@@ -1,12 +1,14 @@
 // FleetCollector: drives one TransmitPolicy per node against a trace and
-// maintains the central node's view (z_t) through a Channel.
+// produces each slot's uplink messages through a Link.
 //
-// This is the "measurement collection" half of the paper's system; the core
-// MonitoringPipeline layers clustering and forecasting on top of it.
+// This is the "measurement collection" half of the paper's system. It owns
+// no central store: the consumer applies each slot to its own z_t (the core
+// MonitoringPipeline owns the one the clustering and forecasting read).
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "collect/measurement_source.hpp"
@@ -32,7 +34,7 @@ enum class PolicyKind {
 
 /// Runs the collection stage: each time step, every node observes its
 /// measurement from the trace, its policy decides whether to transmit, and
-/// transmitted measurements land in the central store.
+/// the link delivers the slot's messages to the caller.
 class FleetCollector {
  public:
   /// Builds a fleet with one policy per node from the given factory.
@@ -66,10 +68,11 @@ class FleetCollector {
       obs::MetricsRegistry* metrics = nullptr);
 
   /// Advance one time step. Must be called with consecutive t starting at 0.
-  /// Returns the per-node transmission indicators beta_t.
-  std::vector<bool> step(std::size_t t);
+  /// Returns the messages the link delivers this slot, in delivery order;
+  /// valid until the next step(). On a reliable link they are exactly the
+  /// nodes with beta_t = 1, in node order.
+  std::span<const transport::MeasurementMessage> step(std::size_t t);
 
-  const transport::CentralStore& store() const { return store_; }
   const transport::Link& link() const { return *link_; }
 
   const TransmitPolicy& policy(std::size_t node) const {
@@ -86,14 +89,13 @@ class FleetCollector {
   std::size_t num_steps_ = 0;  ///< min over sources (cached)
   std::vector<std::unique_ptr<TransmitPolicy>> policies_;
   std::unique_ptr<transport::Link> link_;
-  transport::CentralStore store_;
+  std::vector<transport::MeasurementMessage> delivered_;  ///< by last step()
   ThreadPool* pool_ = nullptr;
   std::size_t next_step_ = 0;
   // Optional metrics (all nullptr when no registry was given).
   obs::Counter* decisions_total_ = nullptr;
   obs::Counter* sends_total_ = nullptr;
   obs::Gauge* link_bytes_ = nullptr;
-  obs::Gauge* store_complete_ = nullptr;
 };
 
 /// Convenience: a policy factory for the given kind and budget B.

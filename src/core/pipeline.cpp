@@ -11,17 +11,30 @@ namespace resmon::core {
 
 MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
                                        const PipelineOptions& options)
-    : MonitoringPipeline(trace, options, /*external=*/false) {}
+    : MonitoringPipeline(trace, options, ExternalCollection{}) {
+  // The in-process uplink runs the real wire codec (LoopbackLink), so every
+  // deterministic run exercises the exact encode/decode path the TCP runtime
+  // uses and bandwidth counts real frame bytes. A non-empty fault schedule
+  // layers the chaos harness on top of it.
+  std::unique_ptr<transport::Link> link = std::make_unique<net::LoopbackLink>();
+  if (!options_.faults.empty()) {
+    link = std::make_unique<faultnet::FaultyLink>(
+        options_.faults, std::move(link), registry_);
+  }
+  collector_ = std::make_unique<collect::FleetCollector>(
+      trace,
+      collect::make_policy_factory(options.policy, options.max_frequency,
+                                   options.v0, options.gamma,
+                                   options.clamp_queue, registry_),
+      pool_.get(), std::move(link), registry_);
+}
 
 MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
                                        const PipelineOptions& options,
                                        ExternalCollection)
-    : MonitoringPipeline(trace, options, /*external=*/true) {}
-
-MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
-                                       const PipelineOptions& options,
-                                       bool external)
-    : trace_(trace), options_(options) {
+    : trace_(trace),
+      options_(options),
+      store_(trace.num_nodes(), trace.num_resources()) {
   RESMON_REQUIRE(options.num_clusters >= 1 &&
                      options.num_clusters <= trace.num_nodes(),
                  "K must be in [1, N]");
@@ -54,30 +67,9 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
   warmup_total_ = &registry_->counter(
       "resmon_pipeline_warmup_slots_total",
       "Slots skipped because the central store was still incomplete");
-
-  if (external) {
-    // Measurements arrive from other processes via step_external(); the
-    // pipeline only owns the central node's view of them.
-    external_store_ = std::make_unique<transport::CentralStore>(
-        trace.num_nodes(), trace.num_resources());
-  } else {
-    // The in-process uplink runs the real wire codec (LoopbackLink), so
-    // every deterministic run exercises the exact encode/decode path the
-    // TCP runtime uses and bandwidth counts real frame bytes. A non-empty
-    // fault schedule layers the chaos harness on top of it.
-    std::unique_ptr<transport::Link> link =
-        std::make_unique<net::LoopbackLink>();
-    if (!options_.faults.empty()) {
-      link = std::make_unique<faultnet::FaultyLink>(
-          options_.faults, std::move(link), registry_);
-    }
-    collector_ = std::make_unique<collect::FleetCollector>(
-        trace,
-        collect::make_policy_factory(options.policy, options.max_frequency,
-                                     options.v0, options.gamma,
-                                     options.clamp_queue, registry_),
-        pool_.get(), std::move(link), registry_);
-  }
+  store_complete_ = &registry_->gauge(
+      "resmon_collect_store_complete",
+      "1 once the central store has heard from every node, else 0");
 
   const std::size_t views =
       options.cluster_per_resource ? trace.num_resources() : 1;
@@ -132,16 +124,15 @@ StageTimers MonitoringPipeline::stage_timers() const {
 
 void MonitoringPipeline::view_snapshot_into(std::size_t view,
                                             Matrix& snap) const {
-  const transport::CentralStore& store = this->store();
   const std::size_t n = trace_.num_nodes();
   if (options_.cluster_per_resource) {
     snap.resize(n, 1);
-    for (std::size_t i = 0; i < n; ++i) snap(i, 0) = store.stored(i)[view];
+    for (std::size_t i = 0; i < n; ++i) snap(i, 0) = store_.stored(i)[view];
     return;
   }
   snap.resize(n, trace_.num_resources());
   for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<double>& z = store.stored(i);
+    const std::vector<double>& z = store_.stored(i);
     for (std::size_t r = 0; r < z.size(); ++r) snap(i, r) = z[r];
   }
 }
@@ -189,7 +180,7 @@ Matrix MonitoringPipeline::view_features(std::size_t view) const {
 }
 
 void MonitoringPipeline::update_view(std::size_t view) {
-  // The ring indices were advanced in finish_step(); fill this view's slot.
+  // The ring indices were advanced in consume_slot(); fill this view's slot.
   Matrix& values = snapshot_ring_[view][snap_head_];
   view_snapshot_into(view, values);
 
@@ -208,33 +199,34 @@ void MonitoringPipeline::step() {
   RESMON_REQUIRE(collector_ != nullptr,
                  "step() needs in-process collection; use step_external()");
   RESMON_REQUIRE(!done(), "pipeline already consumed the whole trace");
-  const std::size_t t = step_count_;
-
-  {
-    obs::ScopedSpan span(options_.trace_events, "pipeline.collect",
-                         stage_collect_);
-    collector_->step(t);
-  }
-  finish_step();
+  obs::ScopedSpan collect(options_.trace_events, "pipeline.collect",
+                          stage_collect_);
+  consume_slot(collector_->step(step_count_), collect);
 }
 
 void MonitoringPipeline::step_external(
     std::span<const transport::MeasurementMessage> messages) {
-  RESMON_REQUIRE(external_store_ != nullptr,
-                 "step_external() requires the ExternalCollection mode");
   RESMON_REQUIRE(!done(), "pipeline already consumed the whole trace");
-  {
-    obs::ScopedSpan span(options_.trace_events, "pipeline.collect",
-                         stage_collect_);
-    for (const transport::MeasurementMessage& m : messages) {
-      external_store_->apply(m);
-    }
-  }
-  finish_step();
+  obs::ScopedSpan collect(options_.trace_events, "pipeline.collect",
+                          stage_collect_);
+  consume_slot(messages, collect);
 }
 
-void MonitoringPipeline::finish_step() {
-  if (!store().complete()) {
+void MonitoringPipeline::consume_slot(
+    std::span<const transport::MeasurementMessage> messages,
+    obs::ScopedSpan& collect_span) {
+  for (const transport::MeasurementMessage& m : messages) {
+    // z_t may only hold what was measured by slot t; a future measurement
+    // would also shadow the real one when it arrives ("not fresher").
+    RESMON_REQUIRE(m.step <= step_count_,
+                   "MonitoringPipeline: measurement from a later slot");
+    store_.apply(m);
+  }
+  const bool complete = store_.complete();
+  store_complete_->set(complete ? 1.0 : 0.0);
+  collect_span.stop();
+
+  if (!complete) {
     // Warm-up: with a lossy/delayed uplink the central node may not have
     // heard from every machine yet; keep collecting until it has. (Every
     // built-in policy transmits at t = 0, so on a reliable link this never
@@ -304,9 +296,8 @@ Matrix MonitoringPipeline::forecast_all(std::size_t h) const {
   Matrix out(n, d);
 
   if (h == 0) {
-    const transport::CentralStore& store = this->store();
     for (std::size_t i = 0; i < n; ++i) {
-      const std::vector<double>& z = store.stored(i);
+      const std::vector<double>& z = store_.stored(i);
       for (std::size_t r = 0; r < d; ++r) out(i, r) = z[r];
     }
     return out;

@@ -2,7 +2,9 @@
 //
 // Per time step:
 //   1. every local node's transmission policy decides whether to push its
-//      measurement (§V-A); the central store holds z_t;
+//      measurement (§V-A); the slot's messages, from the in-process
+//      FleetCollector or from outside via step_external(), update the
+//      pipeline's central store, which holds z_t;
 //   2. the central node clusters z_t with the dynamic cluster tracker
 //      (§V-B) — by default one tracker per resource on scalar values;
 //   3. each cluster's centroid extends that cluster's time series and is
@@ -107,7 +109,7 @@ struct StageTimers {
 
 /// Tag selecting external collection: measurements arrive from outside the
 /// process (e.g. a net::Controller draining TCP agents) via
-/// step_external() instead of from an in-process FleetCollector.
+/// step_external(); no in-process FleetCollector is built.
 struct ExternalCollection {};
 
 class MonitoringPipeline {
@@ -117,17 +119,22 @@ class MonitoringPipeline {
 
   /// External-collection variant: no FleetCollector is built; the caller
   /// feeds each slot's received measurements through step_external().
-  /// PipelineOptions' collection knobs (policy, faults) are unused — the
-  /// remote agents own them.
+  /// PipelineOptions' collection knobs (policy, max_frequency, v0, gamma,
+  /// clamp_queue, faults) are unused — the remote agents own them.
   MonitoringPipeline(const trace::Trace& trace,
                      const PipelineOptions& options, ExternalCollection);
 
-  /// Advance one time step (collection + clustering + model feeding).
+  /// Advance one time step: the in-process collector produces the slot,
+  /// which is consumed exactly like step_external()'s. Throws without a
+  /// collector, and after any step_external() (the collector needs
+  /// consecutive slots).
   void step();
 
-  /// Advance one time step in external-collection mode: apply the
-  /// measurements received for this slot to the central store, then run
-  /// the clustering + forecasting stages. Slots must be fed in order.
+  /// Advance one time step on measurements received from outside: apply
+  /// them to the central store, then run the clustering + forecasting
+  /// stages. Slots must be fed in order. Late messages (from earlier
+  /// slots) are applied when fresher than the stored one; a message from a
+  /// later slot than current_step() throws InvalidArgument.
   void step_external(
       std::span<const transport::MeasurementMessage> messages);
 
@@ -170,7 +177,7 @@ class MonitoringPipeline {
   /// mode (there is none; the agents live in other processes).
   const collect::FleetCollector& collector() const;
   /// The central node's current view z_t, in either collection mode.
-  const transport::CentralStore& central_store() const { return store(); }
+  const transport::CentralStore& central_store() const { return store_; }
   /// Managed forecaster of cluster j, dimension `dim` within `view`.
   const forecast::ManagedForecaster& model(std::size_t view, std::size_t j,
                                            std::size_t dim = 0) const;
@@ -192,16 +199,8 @@ class MonitoringPipeline {
   Matrix view_features(std::size_t view) const;
 
  private:
-  MonitoringPipeline(const trace::Trace& trace,
-                     const PipelineOptions& options, bool external);
-
   std::size_t view_dims() const {
     return options_.cluster_per_resource ? 1 : trace_.num_resources();
-  }
-  /// The central store backing this pipeline: the collector's in normal
-  /// mode, the pipeline-owned one in external-collection mode.
-  const transport::CentralStore& store() const {
-    return collector_ != nullptr ? collector_->store() : *external_store_;
   }
   /// Stored-measurement snapshot for a view, written into `snap`
   /// (N x view_dims(), capacity reused across steps).
@@ -216,16 +215,18 @@ class MonitoringPipeline {
   Matrix view_truth(std::size_t view, std::size_t t) const;
   /// One view's share of a step: push the snapshot, cluster, track offsets.
   void update_view(std::size_t view);
-  /// Clustering + forecasting stages shared by step() and step_external();
-  /// returns after bumping step_count_.
-  void finish_step();
+  /// The one consume path of step() and step_external(): apply the slot's
+  /// messages to store_, close the caller's collect span, then run the
+  /// clustering + forecasting stages; returns after bumping step_count_.
+  void consume_slot(std::span<const transport::MeasurementMessage> messages,
+                    obs::ScopedSpan& collect_span);
 
   const trace::Trace& trace_;
   PipelineOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // present only when num_threads > 1
-  std::unique_ptr<collect::FleetCollector> collector_;
-  /// Store owned by the pipeline in external-collection mode only.
-  std::unique_ptr<transport::CentralStore> external_store_;
+  std::unique_ptr<collect::FleetCollector> collector_;  // null if external
+  /// z_t of §IV: the central node's view, written only by consume_slot().
+  transport::CentralStore store_;
   std::vector<cluster::DynamicClusterTracker> trackers_;
   // Membership forecasting and eq. (12) offsets, one per view.
   std::vector<OffsetTracker> offsets_;
@@ -251,6 +252,7 @@ class MonitoringPipeline {
   obs::Gauge* stage_forecast_ = nullptr;
   obs::Counter* steps_total_ = nullptr;
   obs::Counter* warmup_total_ = nullptr;
+  obs::Gauge* store_complete_ = nullptr;
 };
 
 }  // namespace resmon::core

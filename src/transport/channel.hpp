@@ -29,6 +29,8 @@ struct MeasurementMessage {
   std::size_t wire_size() const {
     return net::wire::measurement_frame_size(values.size());
   }
+
+  bool operator==(const MeasurementMessage&) const = default;
 };
 
 /// In-process, in-order message queue with traffic accounting. Faults

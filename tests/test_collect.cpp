@@ -1,6 +1,7 @@
 #include "collect/adaptive_transmitter.hpp"
 #include "collect/fleet_collector.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -139,8 +140,9 @@ TEST(FleetCollector, StoreCompleteAfterFirstStep) {
   for (const PolicyKind kind :
        {PolicyKind::kAdaptive, PolicyKind::kUniform, PolicyKind::kAlways}) {
     FleetCollector fleet(t, make_policy_factory(kind, 0.3));
-    fleet.step(0);
-    EXPECT_TRUE(fleet.store().complete());
+    transport::CentralStore store(t.num_nodes(), t.num_resources());
+    for (const auto& m : fleet.step(0)) store.apply(m);
+    EXPECT_TRUE(store.complete());
   }
 }
 
@@ -160,11 +162,12 @@ TEST(FleetCollector, AlwaysPolicyKeepsStoreFresh) {
   p.num_steps = 30;
   const trace::InMemoryTrace t = trace::generate(p, 5);
   FleetCollector fleet(t, make_policy_factory(PolicyKind::kAlways, 1.0));
+  transport::CentralStore store(t.num_nodes(), t.num_resources());
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    fleet.step(step);
+    for (const auto& m : fleet.step(step)) store.apply(m);
     for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-      EXPECT_EQ(fleet.store().staleness(i, step), 0u);
-      EXPECT_DOUBLE_EQ(fleet.store().stored(i)[0], t.value(i, step, 0));
+      EXPECT_EQ(store.staleness(i, step), 0u);
+      EXPECT_DOUBLE_EQ(store.stored(i)[0], t.value(i, step, 0));
     }
   }
 }
@@ -174,16 +177,28 @@ TEST(FleetCollector, BetaIndicatorsMatchStoreUpdates) {
   p.num_nodes = 8;
   p.num_steps = 60;
   const trace::InMemoryTrace t = trace::generate(p, 6);
+  // On a reliable link a slot is exactly the beta_t = 1 nodes, in node
+  // order, each carrying its slot-t measurement.
   FleetCollector fleet(t, make_policy_factory(PolicyKind::kAdaptive, 0.3));
+  transport::CentralStore store(t.num_nodes(), t.num_resources());
+  const auto by_node = &transport::MeasurementMessage::node;
+  std::uint64_t delivered = 0;
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    const std::vector<bool> beta = fleet.step(step);
-    for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-      if (beta[i]) {
-        EXPECT_EQ(fleet.store().last_update_step(i), step);
-        EXPECT_DOUBLE_EQ(fleet.store().stored(i)[0], t.value(i, step, 0));
-      }
+    const auto slot = fleet.step(step);
+    EXPECT_TRUE(std::ranges::is_sorted(slot, {}, by_node));
+    for (const transport::MeasurementMessage& m : slot) {
+      EXPECT_EQ(m.step, step);
+      store.apply(m);
+      EXPECT_EQ(store.last_update_step(m.node), step);
+      EXPECT_DOUBLE_EQ(store.stored(m.node)[0], t.value(m.node, step, 0));
     }
+    delivered += slot.size();
   }
+  std::uint64_t transmissions = 0;
+  for (std::size_t i = 0; i < t.num_nodes(); ++i) {
+    transmissions += fleet.policy(i).transmissions();
+  }
+  EXPECT_EQ(delivered, transmissions);
 }
 
 TEST(FleetCollector, ChannelAccountsForTraffic) {
@@ -225,14 +240,8 @@ TEST(FleetCollector, LoopbackLinkMatchesPlainChannelBitForBit) {
       std::make_unique<faultnet::FaultyLink>(
           lossy, std::make_unique<net::LoopbackLink>()));
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    EXPECT_EQ(plain.step(step), loopback.step(step)) << "step " << step;
-    for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-      ASSERT_EQ(plain.store().has(i), loopback.store().has(i));
-      if (!plain.store().has(i)) continue;
-      ASSERT_EQ(plain.store().last_update_step(i),
-                loopback.store().last_update_step(i));
-      ASSERT_EQ(plain.store().stored(i), loopback.store().stored(i));
-    }
+    ASSERT_TRUE(std::ranges::equal(plain.step(step), loopback.step(step)))
+        << "step " << step;
   }
   EXPECT_EQ(plain.link().messages_sent(), loopback.link().messages_sent());
   EXPECT_EQ(plain.link().bytes_sent(), loopback.link().bytes_sent());
@@ -271,10 +280,8 @@ TEST(MeasurementSource, SourceFleetMatchesTraceFleetBitForBit) {
                       make_policy_factory(PolicyKind::kAdaptive, 0.3));
   EXPECT_EQ(seam.num_nodes(), t.num_nodes());
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    EXPECT_EQ(classic.step(step), seam.step(step)) << "step " << step;
-    for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-      ASSERT_EQ(classic.store().stored(i), seam.store().stored(i));
-    }
+    ASSERT_TRUE(std::ranges::equal(classic.step(step), seam.step(step)))
+        << "step " << step;
   }
 }
 

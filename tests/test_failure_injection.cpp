@@ -115,7 +115,7 @@ TEST(PipelineFailures, LossRaisesCollectionError) {
     core::RmseAccumulator acc;
     while (!pipeline.done()) {
       pipeline.step();
-      if (!pipeline.collector().store().complete()) continue;  // warm-up
+      if (!pipeline.central_store().complete()) continue;  // warm-up
       acc.add(pipeline.rmse_at(0));
     }
     return acc.value();

@@ -62,10 +62,11 @@ TEST(NetSocket, TcpRunIsBitIdenticalToTheLoopbackLinkPath) {
   // Reference: the in-process path through the same wire codec.
   collect::FleetCollector reference(trace, factory, nullptr,
                                     std::make_unique<LoopbackLink>());
+  transport::CentralStore reference_store(kNodes, trace.num_resources());
   std::vector<StoreSnapshot> expected;
   for (std::size_t t = 0; t < kSlots; ++t) {
-    reference.step(t);
-    expected.push_back(StoreSnapshot::of(reference.store()));
+    for (const auto& m : reference.step(t)) reference_store.apply(m);
+    expected.push_back(StoreSnapshot::of(reference_store));
   }
 
   // TCP: one controller, one OS thread per agent, same policies.

@@ -46,7 +46,7 @@ RunRecord run_pipeline(core::PipelineOptions options, std::size_t threads) {
   RunRecord rec;
   for (std::size_t step = 0; step < kSteps; ++step) {
     p.step();
-    if (!p.collector().store().complete()) continue;
+    if (!p.central_store().complete()) continue;
     if (step % 25 == 0 && step + 1 < kSteps) {
       rec.sampled_rmse0.push_back(p.rmse_at(0));
       rec.sampled_intermediate_rmse.push_back(p.intermediate_rmse());

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "faultnet/faulty_link.hpp"
+#include "net/loopback.hpp"
 #include "trace/synthetic.hpp"
 
 namespace resmon::core {
@@ -416,6 +418,84 @@ TEST(Pipeline, TraceEventsRecordOneSpanPerStage) {
   EXPECT_EQ(collect, 20u);
   EXPECT_EQ(cluster, 20u);
   EXPECT_EQ(forecast, 20u);
+}
+
+TEST(Pipeline, StepExternalRejectsMessagesFromLaterSlots) {
+  const trace::InMemoryTrace t = small_trace(4, 10);
+  MonitoringPipeline p(t, fast_options(), ExternalCollection{});
+  const auto message = [&](std::size_t node, std::size_t step) {
+    return transport::MeasurementMessage{
+        .node = node, .step = step, .values = t.measurement(node, step)};
+  };
+  const std::vector<transport::MeasurementMessage> future{message(0, 1)};
+  EXPECT_THROW(p.step_external(future), InvalidArgument);
+  EXPECT_EQ(p.current_step(), 0u);
+  EXPECT_FALSE(p.central_store().has(0));
+
+  // Node 0's slot-0 measurement is late: it arrives with slot 2.
+  for (std::size_t slot = 0; slot < 2; ++slot) {
+    std::vector<transport::MeasurementMessage> messages;
+    for (std::size_t node = 1; node < t.num_nodes(); ++node) {
+      messages.push_back(message(node, slot));
+    }
+    p.step_external(messages);
+  }
+  EXPECT_FALSE(p.central_store().complete());
+  const std::vector<transport::MeasurementMessage> late{message(0, 0)};
+  p.step_external(late);
+  EXPECT_EQ(p.current_step(), 3u);
+  EXPECT_TRUE(p.central_store().complete());
+  EXPECT_EQ(p.central_store().last_update_step(0), 0u);
+  EXPECT_EQ(p.central_store().stored(0), t.measurement(0, 0));
+  EXPECT_EQ(p.metrics().value("resmon_pipeline_warmup_slots_total"), 2.0);
+  EXPECT_EQ(p.metrics().value("resmon_collect_store_complete"), 1.0);
+}
+
+TEST(Pipeline, StepAfterStepExternalThrows) {
+  // The in-process collector needs consecutive slots.
+  const trace::InMemoryTrace t = small_trace(4, 10);
+  MonitoringPipeline p(t, fast_options());
+  p.step_external({});
+  EXPECT_THROW(p.step(), InvalidArgument);
+}
+
+TEST(Pipeline, StepMatchesStepExternalOnTheCollectorsSlots) {
+  // step() is step_external() on the in-process collector's slots: feeding
+  // an external pipeline from a standalone collector over the same link
+  // stack gives the same warm-up and bit-identical forecasts.
+  const trace::InMemoryTrace t = small_trace(12, 200, 8);
+  PipelineOptions o = fast_options();
+  o.forecaster = forecast::ForecasterKind::kArima;
+  o.schedule = {.initial_steps = 40, .retrain_interval = 30};
+  o.faults = faultnet::FaultSpec::parse("drop=0.2;delay=0.6667:2;seed=5");
+  MonitoringPipeline in_process(t, o);
+  MonitoringPipeline external(t, o, ExternalCollection{});
+  const auto policies = collect::make_policy_factory(
+      o.policy, o.max_frequency, o.v0, o.gamma, o.clamp_queue);
+  collect::FleetCollector fleet(
+      t, policies, nullptr,
+      std::make_unique<faultnet::FaultyLink>(
+          o.faults, std::make_unique<net::LoopbackLink>()));
+  const auto warmup = [](const MonitoringPipeline& p) {
+    return p.metrics().value("resmon_pipeline_warmup_slots_total").value();
+  };
+  std::size_t compared = 0;
+  for (std::size_t slot = 0; slot < t.num_steps(); ++slot) {
+    in_process.step();
+    external.step_external(fleet.step(slot));
+    ASSERT_EQ(warmup(in_process), warmup(external)) << "slot " << slot;
+    if (!in_process.central_store().complete()) continue;
+    for (const std::size_t h : {0, 1, 3}) {
+      ASSERT_EQ(in_process.forecast_all(h).data(),
+                external.forecast_all(h).data())
+          << "slot " << slot << ", h = " << h;
+    }
+    ++compared;
+  }
+  EXPECT_GT(warmup(in_process), 1.0);
+  EXPECT_GT(compared, 100u);
+  EXPECT_GT(fleet.link().messages_dropped(), 0u);
+  EXPECT_GE(in_process.model(0, 0).fits_completed(), 2u);
 }
 
 }  // namespace

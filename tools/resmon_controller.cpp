@@ -7,7 +7,7 @@
 // finite — the localhost smoke test in CI keys off that.
 //
 //   resmon_controller --port 0 --nodes 8 --steps 200 --dataset alibaba
-//       --seed 1 [--b 0.3] [--k 3] [--model hold] [--threads 1]
+//       --seed 1 [--k 3] [--model hold] [--threads 1]
 //       [--resources N] [--stale-after-ms MS] [--dead-after-ms MS]
 //       [--fault-spec SPEC]
 //       [--shards M] [--metrics-port 0] [--metrics-linger-ms 2000]
@@ -130,7 +130,6 @@ int main(int argc, char** argv) {
     }
 
     core::PipelineOptions popts;
-    popts.max_frequency = args.get_double("b", 0.3);
     popts.num_clusters = static_cast<std::size_t>(args.get_int("k", 3));
     popts.forecaster =
         forecast::forecaster_kind_from_string(args.get("model", "hold"));
