@@ -41,7 +41,7 @@ struct RunStats {
 std::unique_ptr<net::Agent> make_agent(std::uint16_t port, std::size_t node,
                                        std::size_t num_resources) {
   net::AgentOptions opt;
-  opt.port = port;
+  opt.upstream.port = port;
   opt.node = static_cast<std::uint32_t>(node);
   opt.num_resources = static_cast<std::uint32_t>(num_resources);
   return std::make_unique<net::Agent>(
@@ -137,7 +137,7 @@ RunStats run_two_tier(const trace::InMemoryTrace& trace, std::size_t slots,
     aopt.first_node = range.first_node;
     aopt.num_nodes = range.num_nodes;
     aopt.num_resources = trace.num_resources();
-    aopt.upstream_port = root.port();
+    aopt.upstream.port = root.port();
     aggs.push_back(std::make_unique<agg::Aggregator>(
         net::Socket::listen_tcp("127.0.0.1", 0), aopt));
     // Pump the root until the connector thread reports the shard hello

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <optional>
-#include <thread>
+#include <string>
+#include <vector>
+
+#include "net/wire.hpp"
 
 namespace resmon::agg {
 
@@ -15,14 +18,20 @@ net::ControllerOptions downstream_options(const AggregatorOptions& o) {
   copt.num_nodes = o.num_nodes;
   copt.num_resources = o.num_resources;
   copt.first_node = o.first_node;
-  copt.max_payload = o.max_payload;
   copt.metrics = o.net_metrics;
   copt.stale_after_ms = o.stale_after_ms;
   copt.dead_after_ms = o.dead_after_ms;
   copt.staleness_clock = o.staleness_clock;
-  copt.block_hook = o.block_hook;
   copt.log_sink = o.log_sink;
   return copt;
+}
+
+std::vector<std::uint8_t> shard_hello(const AggregatorOptions& o) {
+  return wire::encode(wire::ShardHelloFrame{
+      .shard = static_cast<std::uint32_t>(o.shard),
+      .first_node = static_cast<std::uint32_t>(o.first_node),
+      .num_nodes = static_cast<std::uint32_t>(o.num_nodes),
+      .num_resources = static_cast<std::uint32_t>(o.num_resources)});
 }
 
 }  // namespace
@@ -41,8 +50,11 @@ ShardRange shard_range(std::size_t num_nodes, std::size_t num_shards,
 
 Aggregator::Aggregator(net::Socket listener, const AggregatorOptions& options)
     : options_(options),
-      downstream_(std::move(listener), downstream_options(options)) {
-  RESMON_REQUIRE(options_.upstream_port != 0,
+      downstream_(std::move(listener), downstream_options(options)),
+      upstream_(options.upstream, shard_hello(options),
+                static_cast<std::uint32_t>(options.shard),
+                "aggregator shard " + std::to_string(options.shard), "root") {
+  RESMON_REQUIRE(options_.upstream.port != 0,
                  "Aggregator needs an upstream port");
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *options_.metrics;
@@ -63,12 +75,13 @@ Aggregator::Aggregator(net::Socket listener, const AggregatorOptions& options)
     m_status_frames_total_ =
         &reg.counter("resmon_agg_status_frames_total",
                      "Shard-status censuses sent upstream", labels);
-    m_upstream_reconnects_total_ = &reg.counter(
+    obs::Counter& reconnects = reg.counter(
         "resmon_agg_upstream_reconnects_total",
         "Successful upstream re-handshakes after a connection loss", labels);
-    m_upstream_connected_ =
+    upstream_.instrument(
         &reg.gauge("resmon_agg_upstream_connected",
-                   "1 while the upstream link is up, else 0", labels);
+                   "1 while the upstream link is up, else 0", labels),
+        &reconnects);
     m_compaction_ratio_ = &reg.gauge(
         "resmon_agg_compaction_ratio",
         "Agent frames received downstream per frame sent upstream", labels);
@@ -91,118 +104,18 @@ void Aggregator::log(const std::string& line) const {
   }
 }
 
-bool Aggregator::try_connect_upstream_once() {
-  net::Socket sock;
-  try {
-    sock = net::Socket::connect_tcp(options_.upstream_host,
-                                    options_.upstream_port,
-                                    options_.io_timeout_ms);
-  } catch (const net::SocketError&) {
-    return false;  // refused or timed out: the backoff loop retries
-  }
-  // Reason byte from an explicit root rejection; set before leaving the try
-  // block so the terminal throw below cannot be swallowed by the
-  // transient-I/O catch (same discipline as Agent::try_connect_once).
-  std::optional<std::uint8_t> rejected;
-  std::uint8_t rejecter_version = 0;
-  try {
-    const wire::ShardHelloFrame hello{
-        .shard = static_cast<std::uint32_t>(options_.shard),
-        .first_node = static_cast<std::uint32_t>(options_.first_node),
-        .num_nodes = static_cast<std::uint32_t>(options_.num_nodes),
-        .num_resources = static_cast<std::uint32_t>(options_.num_resources)};
-    if (!sock.write_all(wire::encode(hello), options_.io_timeout_ms)) {
-      return false;
-    }
-    wire::FrameDecoder decoder;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(options_.io_timeout_ms);
-    while (!rejected) {
-      if (!sock.wait_readable(50)) {
-        if (std::chrono::steady_clock::now() >= deadline) return false;
-        continue;
-      }
-      std::uint8_t buf[256];
-      std::size_t n = 0;
-      const net::IoStatus status = sock.read_some(buf, n);
-      if (status == net::IoStatus::kClosed) return false;
-      if (status == net::IoStatus::kOk && !decoder.feed({buf, n})) {
-        return false;
-      }
-      if (std::optional<wire::Frame> frame = decoder.next()) {
-        const auto* ack = std::get_if<wire::HelloAckFrame>(&*frame);
-        if (ack == nullptr || ack->node != options_.shard) return false;
-        if (!ack->accepted) {
-          rejected = ack->reason;
-          rejecter_version = ack->speaker_version;
-          break;
-        }
-        upstream_ = std::move(sock);
-        ever_connected_upstream_ = true;
-        if (m_upstream_connected_ != nullptr) m_upstream_connected_->set(1.0);
-        return true;
-      }
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-    }
-  } catch (const net::SocketError&) {
-    return false;  // transient handshake stall: retryable
-  }
-  // A rejected shard hello is terminal: retrying the same hello cannot
-  // succeed, so this propagates out of the backoff loop.
-  throw net::SocketError(
-      "aggregator shard " + std::to_string(options_.shard) +
-      ": root rejected shard hello (" +
-      wire::describe_hello_reject(*rejected, rejecter_version) + ")");
-}
-
-void Aggregator::reconnect_upstream_with_backoff() {
-  int backoff = options_.initial_backoff_ms;
-  for (std::size_t attempt = 0; attempt < options_.max_reconnect_attempts;
-       ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-      backoff = std::min(backoff * 2, options_.max_backoff_ms);
-    }
-    if (try_connect_upstream_once()) return;
-  }
-  throw net::SocketError(
-      "aggregator shard " + std::to_string(options_.shard) +
-      ": could not reach root at " + options_.upstream_host + ":" +
-      std::to_string(options_.upstream_port) + " after " +
-      std::to_string(options_.max_reconnect_attempts) + " attempts");
-}
-
 void Aggregator::connect_upstream() {
-  if (upstream_.valid()) return;
-  reconnect_upstream_with_backoff();
+  if (upstream_.connected()) return;
+  upstream_.connect();
   log("upstream link established");
 }
 
-void Aggregator::deliver_upstream(const std::vector<std::uint8_t>& bytes) {
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (!upstream_.valid()) {
-      const bool outage = ever_connected_upstream_;
-      reconnect_upstream_with_backoff();
-      if (outage) {
-        ++upstream_reconnects_;
-        if (m_upstream_reconnects_total_ != nullptr) {
-          m_upstream_reconnects_total_->inc();
-        }
-        log("upstream link re-established");
-      }
-    }
-    if (upstream_.write_all(bytes, options_.io_timeout_ms)) {
-      forwarded_bytes_ += bytes.size();
-      if (m_forwarded_bytes_total_ != nullptr) {
-        m_forwarded_bytes_total_->inc(bytes.size());
-      }
-      return;
-    }
-    upstream_.close();
-    if (m_upstream_connected_ != nullptr) m_upstream_connected_->set(0.0);
+void Aggregator::forward(const std::vector<std::uint8_t>& bytes) {
+  if (upstream_.deliver(bytes)) log("upstream link re-established");
+  forwarded_bytes_ += bytes.size();
+  if (m_forwarded_bytes_total_ != nullptr) {
+    m_forwarded_bytes_total_->inc(bytes.size());
   }
-  throw net::SocketError("aggregator shard " + std::to_string(options_.shard) +
-                         ": upstream connection lost and resend failed");
 }
 
 void Aggregator::count_states(std::size_t& live, std::size_t& stale,
@@ -261,7 +174,7 @@ bool Aggregator::forward_slot(std::size_t t, int timeout_ms) {
       .degraded = static_cast<std::uint32_t>(degraded),
       .num_resources = static_cast<std::uint32_t>(options_.num_resources),
       .measurements = std::move(*slot)};
-  deliver_upstream(wire::encode(summary));
+  forward(wire::encode(summary));
   ++forwarded_slots_;
   forwarded_measurements_ += summary.measurements.size();
   if (degraded > 0) ++degraded_slots_forwarded_;
@@ -286,7 +199,7 @@ void Aggregator::send_status() {
       .live = static_cast<std::uint32_t>(live),
       .stale = static_cast<std::uint32_t>(stale),
       .dead = static_cast<std::uint32_t>(dead)};
-  deliver_upstream(wire::encode(status));
+  forward(wire::encode(status));
   ++status_frames_;
   if (m_status_frames_total_ != nullptr) m_status_frames_total_->inc();
   update_gauges();

@@ -16,7 +16,7 @@
 // frames — so a two-tier run's forecasts and RMSE are byte-identical to a
 // single-tier run over the same trace.
 //
-// The upstream link reuses the Agent's availability discipline: bounded
+// The upstream link is the same net::UpstreamClient an Agent uses: bounded
 // exponential backoff on connect, one transparent reconnect-and-resend per
 // delivery, and a *terminal* error when the root explicitly rejects the
 // shard hello (retrying an invalid hello cannot succeed).
@@ -29,7 +29,7 @@
 
 #include "net/controller.hpp"
 #include "net/socket.hpp"
-#include "net/wire.hpp"
+#include "net/upstream.hpp"
 #include "obs/metrics.hpp"
 
 namespace resmon::agg {
@@ -52,14 +52,8 @@ struct AggregatorOptions {
   std::size_t num_nodes = 0;      ///< nodes this shard fronts
   std::size_t num_resources = 0;  ///< d: required hello dimensionality
 
-  std::string upstream_host = "127.0.0.1";  ///< root controller address
-  std::uint16_t upstream_port = 0;
-
-  /// Upstream availability knobs (mirrors AgentOptions).
-  std::size_t max_reconnect_attempts = 8;
-  int initial_backoff_ms = 20;
-  int max_backoff_ms = 1000;
-  int io_timeout_ms = 5000;
+  /// Root controller address and reconnect policy.
+  net::UpstreamOptions upstream;
 
   /// Downstream staleness policy + clock, handed to the internal
   /// Controller verbatim (see ControllerOptions).
@@ -67,15 +61,9 @@ struct AggregatorOptions {
   int dead_after_ms = 0;
   std::function<std::chrono::steady_clock::time_point()> staleness_clock;
 
-  /// Inbound-frame gate for the downstream side (fault injection).
-  net::BlockHook block_hook;
-
   /// Send a kShardStatus census after every Nth forwarded slot
   /// (0 = only on explicit send_status calls).
   std::size_t status_every_slots = 8;
-
-  /// Per-connection payload cap for downstream decoders.
-  std::size_t max_payload = net::wire::kMaxPayloadSize;
 
   /// Sink for the resmon_agg_* families (nullptr = no instrumentation).
   obs::MetricsRegistry* metrics = nullptr;
@@ -114,7 +102,7 @@ class Aggregator {
   /// (terminal: the rejection reason is named in the message).
   void connect_upstream();
 
-  bool upstream_connected() const { return upstream_.valid(); }
+  bool upstream_connected() const { return upstream_.connected(); }
 
   /// Pump the downstream event loop until `count` distinct shard nodes
   /// completed a hello, or `timeout_ms` elapses.
@@ -156,7 +144,9 @@ class Aggregator {
   }
   std::uint64_t forwarded_bytes() const { return forwarded_bytes_; }
   /// Successful upstream re-handshakes after a connection loss.
-  std::uint64_t upstream_reconnects() const { return upstream_reconnects_; }
+  std::uint64_t upstream_reconnects() const {
+    return upstream_.reconnects();
+  }
   /// Forwarded slots whose shard barrier skipped >= 1 non-LIVE node.
   std::uint64_t degraded_slots_forwarded() const {
     return degraded_slots_forwarded_;
@@ -165,15 +155,9 @@ class Aggregator {
   std::uint64_t status_frames() const { return status_frames_; }
 
  private:
-  /// One upstream connect + shard-hello handshake attempt. Returns false
-  /// on transient failure (caller retries with backoff); throws on an
-  /// explicit rejection.
-  bool try_connect_upstream_once();
-  void reconnect_upstream_with_backoff();
-  /// Write one encoded frame upstream, transparently reconnecting (and
-  /// re-handshaking) once if the connection is gone. Throws when both
-  /// attempts fail.
-  void deliver_upstream(const std::vector<std::uint8_t>& bytes);
+  /// Write one encoded frame upstream (see UpstreamClient::deliver) and
+  /// count its bytes.
+  void forward(const std::vector<std::uint8_t>& bytes);
   /// Census of owned-node staleness verdicts.
   void count_states(std::size_t& live, std::size_t& stale,
                     std::size_t& dead) const;
@@ -183,12 +167,10 @@ class Aggregator {
 
   AggregatorOptions options_;
   net::Controller downstream_;
-  net::Socket upstream_;
-  bool ever_connected_upstream_ = false;
+  net::UpstreamClient upstream_;
   std::uint64_t forwarded_slots_ = 0;
   std::uint64_t forwarded_measurements_ = 0;
   std::uint64_t forwarded_bytes_ = 0;
-  std::uint64_t upstream_reconnects_ = 0;
   std::uint64_t degraded_slots_forwarded_ = 0;
   std::uint64_t status_frames_ = 0;
   /// downstream_.degraded_slots() at the last forward, so each slot's
@@ -200,8 +182,6 @@ class Aggregator {
   obs::Counter* m_forwarded_bytes_total_ = nullptr;
   obs::Counter* m_degraded_slots_total_ = nullptr;
   obs::Counter* m_status_frames_total_ = nullptr;
-  obs::Counter* m_upstream_reconnects_total_ = nullptr;
-  obs::Gauge* m_upstream_connected_ = nullptr;
   obs::Gauge* m_compaction_ratio_ = nullptr;
   obs::Gauge* m_shard_nodes_ = nullptr;
   obs::Gauge* m_live_nodes_ = nullptr;

@@ -1,15 +1,19 @@
 #include "net/agent.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <optional>
-#include <thread>
+#include <string>
 
 namespace resmon::net {
 
 Agent::Agent(const AgentOptions& options,
              std::unique_ptr<collect::TransmitPolicy> policy)
-    : options_(options), policy_(std::move(policy)) {
+    : options_(options),
+      policy_(std::move(policy)),
+      upstream_(options.upstream,
+                wire::encode(wire::HelloFrame{
+                    .node = options.node,
+                    .num_resources = options.num_resources}),
+                options.node, "agent " + std::to_string(options.node),
+                "controller") {
   RESMON_REQUIRE(policy_ != nullptr, "Agent needs a transmit policy");
   RESMON_REQUIRE(options.num_resources > 0,
                  "Agent needs at least one resource");
@@ -27,128 +31,27 @@ Agent::Agent(const AgentOptions& options,
                      "Heartbeat frames delivered (silent slots)", labels);
     m_bytes_total_ = &reg.counter("resmon_agent_bytes_sent_total",
                                   "Encoded frame bytes delivered", labels);
-    m_reconnects_total_ =
-        &reg.counter("resmon_agent_reconnects_total",
-                     "Successful re-handshakes after a connection loss",
-                     labels);
-    m_connected_ = &reg.gauge("resmon_agent_connected",
-                              "1 while the connection is up, else 0", labels);
+    obs::Counter& reconnects =
+        reg.counter("resmon_agent_reconnects_total",
+                    "Successful re-handshakes after a connection loss",
+                    labels);
+    upstream_.instrument(
+        &reg.gauge("resmon_agent_connected",
+                   "1 while the connection is up, else 0", labels),
+        &reconnects);
   }
 }
 
-bool Agent::try_connect_once() {
-  Socket sock;
-  try {
-    sock = Socket::connect_tcp(options_.host, options_.port,
-                               options_.io_timeout_ms);
-  } catch (const SocketError&) {
-    return false;  // refused or timed out: the backoff loop retries
-  }
-  // Reason byte from an explicit controller rejection; set before leaving
-  // the try block so the terminal throw below cannot be swallowed by the
-  // transient-I/O catch.
-  std::optional<std::uint8_t> rejected;
-  std::uint8_t rejecter_version = 0;
-  try {
-    const wire::HelloFrame hello{.node = options_.node,
-                                 .num_resources = options_.num_resources};
-    if (!sock.write_all(wire::encode(hello), options_.io_timeout_ms)) {
-      return false;
-    }
-    // Wait for the ack (one small frame; arrives in one or two reads).
-    wire::FrameDecoder decoder;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(options_.io_timeout_ms);
-    while (!rejected) {
-      if (!sock.wait_readable(50)) {
-        if (std::chrono::steady_clock::now() >= deadline) return false;
-        continue;
-      }
-      std::uint8_t buf[256];
-      std::size_t n = 0;
-      const IoStatus status = sock.read_some(buf, n);
-      if (status == IoStatus::kClosed) return false;
-      if (status == IoStatus::kOk && !decoder.feed({buf, n})) return false;
-      if (std::optional<wire::Frame> frame = decoder.next()) {
-        const auto* ack = std::get_if<wire::HelloAckFrame>(&*frame);
-        if (ack == nullptr || ack->node != options_.node) return false;
-        if (!ack->accepted) {
-          rejected = ack->reason;
-          rejecter_version = ack->speaker_version;
-          break;
-        }
-        sock_ = std::move(sock);
-        ever_connected_ = true;
-        if (m_connected_ != nullptr) m_connected_->set(1.0);
-        return true;
-      }
-      if (std::chrono::steady_clock::now() >= deadline) return false;
-    }
-  } catch (const SocketError&) {
-    // Transient handshake stall (send timeout, surprise errno): retryable,
-    // exactly like a failed connect.
-    return false;
-  }
-  // A rejected hello is terminal: retrying the same hello cannot succeed,
-  // so this propagates out of the backoff loop.
-  throw SocketError("agent " + std::to_string(options_.node) +
-                    ": controller rejected hello (" +
-                    wire::describe_hello_reject(*rejected, rejecter_version) +
-                    ")");
-}
-
-void Agent::reconnect_with_backoff() {
-  int backoff = options_.initial_backoff_ms;
-  for (std::size_t attempt = 0; attempt < options_.max_reconnect_attempts;
-       ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-      backoff = std::min(backoff * 2, options_.max_backoff_ms);
-    }
-    // try_connect_once throws only for a rejected hello, which retrying
-    // cannot fix; plain connect/handshake failures return false and retry.
-    if (try_connect_once()) return;
-  }
-  throw SocketError("agent " + std::to_string(options_.node) +
-                    ": could not reach controller at " + options_.host + ":" +
-                    std::to_string(options_.port) + " after " +
-                    std::to_string(options_.max_reconnect_attempts) +
-                    " attempts");
-}
-
-void Agent::connect() {
-  if (connected()) return;
-  reconnect_with_backoff();
-}
+void Agent::connect() { upstream_.connect(); }
 
 void Agent::deliver(const std::vector<std::uint8_t>& bytes) {
-  // At most two write attempts: the current connection, then one fresh
-  // connection after a bounded backoff cycle. Failing on a connection that
-  // was just re-established means the controller is actively closing on
-  // this agent — give up rather than loop.
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    if (!connected()) {
-      const bool outage = ever_connected_;
-      reconnect_with_backoff();
-      if (outage) {
-        ++reconnects_;
-        if (m_reconnects_total_ != nullptr) m_reconnects_total_->inc();
-      }
-    }
-    if (sock_.write_all(bytes, options_.io_timeout_ms)) {
-      ++frames_sent_;
-      bytes_sent_ += bytes.size();
-      if (m_frames_total_ != nullptr) {
-        m_frames_total_->inc();
-        m_bytes_total_->inc(bytes.size());
-      }
-      return;
-    }
-    sock_.close();
-    if (m_connected_ != nullptr) m_connected_->set(0.0);
+  upstream_.deliver(bytes);
+  ++frames_sent_;
+  bytes_sent_ += bytes.size();
+  if (m_frames_total_ != nullptr) {
+    m_frames_total_->inc();
+    m_bytes_total_->inc(bytes.size());
   }
-  throw SocketError("agent " + std::to_string(options_.node) +
-                    ": connection lost and resend failed");
 }
 
 void Agent::dispatch(std::size_t t, std::vector<std::uint8_t> bytes) {
@@ -160,8 +63,7 @@ void Agent::dispatch(std::size_t t, std::vector<std::uint8_t> bytes) {
   if (action.sever) {
     // Half-open / agent-side partition: the frame is lost and the socket is
     // closed without a FIN exchange; the next surviving frame reconnects.
-    sock_.close();
-    if (m_connected_ != nullptr) m_connected_->set(0.0);
+    upstream_.close();
     return;
   }
   for (const std::vector<std::uint8_t>& frame : action.frames) {
@@ -181,7 +83,7 @@ bool Agent::observe(std::size_t t, std::span<const double> x) {
     dispatch(t, wire::encode(m));
     ++measurements_sent_;
     if (m_measurements_total_ != nullptr) m_measurements_total_->inc();
-  } else if (options_.heartbeat_when_silent) {
+  } else {
     dispatch(t, wire::encode(wire::HeartbeatFrame{
                     .node = options_.node,
                     .step = static_cast<std::uint64_t>(t)}));

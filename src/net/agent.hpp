@@ -3,20 +3,20 @@
 // Wraps a TransmitPolicy (normally the §V-A AdaptiveTransmitter): each time
 // slot the agent observes its measurement, lets the policy decide, and
 // pushes either a measurement frame (policy fired) or a heartbeat frame
-// (slot progress for the controller's barrier). Connection loss triggers
-// bounded reconnect-with-exponential-backoff; the frame of the current slot
-// is resent after a successful reconnect so no slot goes missing.
+// (slot progress for the controller's barrier). The link is an
+// UpstreamClient: connection loss triggers bounded
+// reconnect-with-exponential-backoff, and the frame of the current slot is
+// resent after a successful reconnect so no slot goes missing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "collect/transmit_policy.hpp"
-#include "net/socket.hpp"
+#include "net/upstream.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
 
@@ -41,23 +41,10 @@ using FrameHook = std::function<FrameAction(
     std::size_t step, const std::vector<std::uint8_t>& frame)>;
 
 struct AgentOptions {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
+  /// Controller address and reconnect policy.
+  UpstreamOptions upstream;
   std::uint32_t node = 0;
   std::uint32_t num_resources = 1;
-
-  /// Reconnect policy: at most `max_reconnect_attempts` tries per outage,
-  /// sleeping initial_backoff_ms, 2x, 4x, ... capped at max_backoff_ms.
-  std::size_t max_reconnect_attempts = 8;
-  int initial_backoff_ms = 20;
-  int max_backoff_ms = 1000;
-
-  /// Timeout for the hello/ack handshake and for blocking writes.
-  int io_timeout_ms = 5000;
-
-  /// Send a heartbeat on slots where the policy stays silent (required for
-  /// the controller's slot barrier; disable only for custom protocols).
-  bool heartbeat_when_silent = true;
 
   /// Optional metrics sink (non-owning): the resmon_agent_* series,
   /// labeled {node="<id>"}. nullptr = no instrumentation.
@@ -84,21 +71,20 @@ class Agent {
   /// measurement was transmitted).
   bool observe(std::size_t t, std::span<const double> x);
 
-  bool connected() const { return sock_.valid(); }
+  bool connected() const { return upstream_.connected(); }
   const collect::TransmitPolicy& policy() const { return *policy_; }
 
+  /// Frames and encoded bytes actually written to the controller.
   std::uint64_t frames_sent() const { return frames_sent_; }
-  std::uint64_t measurements_sent() const { return measurements_sent_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
+  /// Per-slot policy decisions to transmit (beta = 1), whether or not a
+  /// fault hook delivered the frame.
+  std::uint64_t measurements_sent() const { return measurements_sent_; }
   /// Successful re-handshakes after a connection loss.
-  std::uint64_t reconnects() const { return reconnects_; }
+  std::uint64_t reconnects() const { return upstream_.reconnects(); }
 
  private:
-  /// One connect + handshake attempt. Returns false on any failure.
-  bool try_connect_once();
-  /// Bounded backoff loop around try_connect_once(); throws on exhaustion.
-  void reconnect_with_backoff();
-  /// Deliver one encoded frame, reconnecting as needed.
+  /// Deliver one encoded frame and count it as sent.
   void deliver(const std::vector<std::uint8_t>& bytes);
   /// Route one encoded frame through the frame_hook (if set), then deliver
   /// whatever the hook returned.
@@ -106,19 +92,15 @@ class Agent {
 
   AgentOptions options_;
   std::unique_ptr<collect::TransmitPolicy> policy_;
-  Socket sock_;
+  UpstreamClient upstream_;
   std::uint64_t frames_sent_ = 0;
   std::uint64_t measurements_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
-  std::uint64_t reconnects_ = 0;
-  bool ever_connected_ = false;
   // Optional metrics (all nullptr when no registry was given).
   obs::Counter* m_frames_total_ = nullptr;
   obs::Counter* m_measurements_total_ = nullptr;
   obs::Counter* m_heartbeats_total_ = nullptr;
   obs::Counter* m_bytes_total_ = nullptr;
-  obs::Counter* m_reconnects_total_ = nullptr;
-  obs::Gauge* m_connected_ = nullptr;
 };
 
 }  // namespace resmon::net

@@ -300,8 +300,7 @@ void Controller::pump(int timeout_ms) {
 void Controller::accept_pending() {
   while (std::optional<Socket> sock = listener_.accept()) {
     const int fd = sock->fd();
-    connections_.emplace(fd,
-                         Connection(std::move(*sock), options_.max_payload));
+    connections_.emplace(fd, Connection(std::move(*sock)));
     poller_.watch(fd);
     if (m_connections_total_ != nullptr) m_connections_total_->inc();
   }

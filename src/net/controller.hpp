@@ -79,8 +79,6 @@ struct ControllerOptions {
   /// exports per-shard staleness gauges; direct agent connections keep
   /// working, so a fleet can migrate tier by tier.
   std::size_t num_shards = 0;
-  /// Per-connection payload cap handed to the decoders.
-  std::size_t max_payload = wire::kMaxPayloadSize;
   /// Optional metrics sink (non-owning): the resmon_net_* series, and the
   /// registry the metrics endpoint (serve_metrics) exposes. nullptr = no
   /// instrumentation and no endpoint.
@@ -206,8 +204,7 @@ class Controller {
     wire::FrameDecoder decoder;
     long long node = -1;   ///< -1 until the hello handshake completes
     long long shard = -1;  ///< -1 unless a shard hello completed instead
-    Connection(Socket s, std::size_t max_payload)
-        : sock(std::move(s)), decoder(max_payload) {}
+    explicit Connection(Socket s) : sock(std::move(s)) {}
   };
 
   /// What the root knows about one aggregator shard after its hello.

@@ -425,38 +425,34 @@ std::unique_ptr<net::Agent> make_agent(const ScenarioSpec& spec,
                                        std::uint16_t port, std::size_t node,
                                        std::size_t num_resources) {
   net::AgentOptions opt;
-  opt.port = port;
+  opt.upstream.port = port;
   opt.node = static_cast<std::uint32_t>(node);
   opt.num_resources = static_cast<std::uint32_t>(num_resources);
   return std::make_unique<net::Agent>(
       opt, collect::make_policy_factory(spec.policy, spec.max_frequency)());
 }
 
-/// Run `connect()` on a helper thread while the controller pumps its event
-/// loop until the node's hello lands (the rejoin flips it back to LIVE);
-/// rethrows any connect failure on the caller. Bounded so a wedged
-/// handshake cannot hang the runner.
-void connect_pumping(net::Agent& agent, net::Controller& controller,
-                     std::size_t node) {
+/// Run a blocking `connect` on a helper thread while this thread pumps the
+/// `controller` that must ack its hello; rethrows any connect failure on the
+/// caller. The loop polls only the connector's done flag — never the
+/// connecting object's own state, which the helper thread is still writing.
+void connect_pumping(net::Controller& controller,
+                     const std::function<void()>& connect) {
   std::exception_ptr failure;
-  std::thread th([&] {
+  std::atomic<bool> done{false};
+  std::thread connector([&] {
     try {
-      agent.connect();
+      connect();
       // Captured for the deferred std::rethrow_exception after join().
       // resmon-lint-allow(catch-all-swallow): rethrown on the caller
     } catch (...) {
       failure = std::current_exception();
     }
+    done.store(true, std::memory_order_release);
   });
-  for (int rounds = 0;
-       rounds < 1000 && controller.node_state(node) != net::NodeState::kLive;
-       ++rounds) {
-    controller.pump_idle(10);
-  }
-  th.join();
+  while (!done.load(std::memory_order_acquire)) controller.pump_idle(10);
+  connector.join();
   if (failure != nullptr) std::rethrow_exception(failure);
-  RESMON_REQUIRE(controller.node_state(node) == net::NodeState::kLive,
-                 "scenario: node did not rejoin after restart");
 }
 
 /// One socket-mode fleet: agents -> controller (single tier) or agents ->
@@ -538,7 +534,7 @@ std::unique_ptr<SocketFleet> make_socket_fleet(const ScenarioSpec& spec,
       aopt.first_node = range.first_node;
       aopt.num_nodes = range.num_nodes;
       aopt.num_resources = trace.num_resources();
-      aopt.upstream_port = fleet->root->port();
+      aopt.upstream.port = fleet->root->port();
       aopt.stale_after_ms = stale_after_ms;
       aopt.dead_after_ms = dead_after_ms;
       aopt.staleness_clock = fleet->clock.now_fn();
@@ -552,27 +548,9 @@ std::unique_ptr<SocketFleet> make_socket_fleet(const ScenarioSpec& spec,
            node < range.first_node + range.num_nodes; ++node) {
         fleet->owner[node] = shard;
       }
-      // The shard hello blocks until the root pumps the ack. The main
-      // thread owns the root, so the loop polls only the connector's done
-      // flag — never the aggregator's own state, which the helper thread
-      // is still writing.
+      // The shard hello blocks until the root pumps the ack.
       agg::Aggregator& aggregator = *fleet->aggs.back();
-      std::exception_ptr failure;
-      std::atomic<bool> done{false};
-      std::thread connector([&] {
-        try {
-          aggregator.connect_upstream();
-          // resmon-lint-allow(catch-all-swallow): rethrown after the join
-        } catch (...) {
-          failure = std::current_exception();
-        }
-        done.store(true, std::memory_order_release);
-      });
-      while (!done.load(std::memory_order_acquire)) {
-        fleet->root->pump_idle(10);
-      }
-      connector.join();
-      if (failure != nullptr) std::rethrow_exception(failure);
+      connect_pumping(*fleet->root, [&] { aggregator.connect_upstream(); });
     }
     RESMON_REQUIRE(fleet->root->wait_for_shards(spec.shards, 10000),
                    "scenario: shard hellos did not finish");
@@ -624,7 +602,7 @@ std::unique_ptr<SocketFleet> make_socket_fleet(const ScenarioSpec& spec,
 
 /// Apply one slot's churn events to a fleet. A restarted agent reconnects
 /// to its original collector (the shard's downstream side in two-tier
-/// mode), which pumps until the node is LIVE again.
+/// mode), pumping it until the handshake completes and the node is LIVE.
 void apply_churn(const ScenarioSpec& spec, SocketFleet& fleet,
                  const std::vector<ChurnEvent>& events,
                  std::size_t num_resources) {
@@ -642,7 +620,9 @@ void apply_churn(const ScenarioSpec& spec, SocketFleet& fleet,
       net::Controller& downstream = fleet.downstream_of(ev.node);
       slot.agent =
           make_agent(spec, downstream.port(), ev.node, num_resources);
-      connect_pumping(*slot.agent, downstream, ev.node);
+      connect_pumping(downstream, [&] { slot.agent->connect(); });
+      RESMON_REQUIRE(downstream.node_state(ev.node) == net::NodeState::kLive,
+                     "scenario: node did not rejoin after restart");
     }
   }
 }

@@ -1,7 +1,8 @@
 // Aggregator-tier tests: shard partition math, the golden-trace
 // bit-identity guarantee (a two-tier fleet — root + 2 aggregators — must
 // produce byte-identical forecasts and RMSE to a single-tier controller
-// fronting the same agents), shard-hello rejection semantics, and the
+// fronting the same agents), shard-hello rejection semantics, the upstream
+// link's bounded backoff and reconnect-after-root-restart, and the
 // compaction accounting.
 //
 // All fleets run over real loopback TCP in one process; staleness clocks
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -108,7 +110,7 @@ std::unique_ptr<core::MonitoringPipeline> run_single_tier(
   std::vector<net::Agent*> handles;
   for (std::uint32_t node = 0; node < trace.num_nodes(); ++node) {
     net::AgentOptions aopts;
-    aopts.port = root.port();
+    aopts.upstream.port = root.port();
     aopts.node = node;
     aopts.num_resources = static_cast<std::uint32_t>(trace.num_resources());
     agents.push_back(std::make_unique<net::Agent>(aopts, policy()));
@@ -148,7 +150,7 @@ std::unique_ptr<core::MonitoringPipeline> run_two_tier(
     aopts.first_node = range.first_node;
     aopts.num_nodes = range.num_nodes;
     aopts.num_resources = trace.num_resources();
-    aopts.upstream_port = root.port();
+    aopts.upstream.port = root.port();
     aggs.push_back(std::make_unique<Aggregator>(
         net::Socket::listen_tcp("127.0.0.1", 0), aopts));
     connect_upstream_pumped(*aggs.back(), root);
@@ -167,7 +169,7 @@ std::unique_ptr<core::MonitoringPipeline> run_two_tier(
       ++shard;
     }
     net::AgentOptions aopts;
-    aopts.port = aggs[shard]->port();
+    aopts.upstream.port = aggs[shard]->port();
     aopts.node = node;
     aopts.num_resources = static_cast<std::uint32_t>(trace.num_resources());
     agents.push_back(std::make_unique<net::Agent>(aopts, policy()));
@@ -239,7 +241,7 @@ TEST(Agg, ShardHelloToSingleTierRootIsTerminallyRejected) {
   aopts.first_node = 0;
   aopts.num_nodes = 2;
   aopts.num_resources = 1;
-  aopts.upstream_port = root.port();
+  aopts.upstream.port = root.port();
   Aggregator agg(net::Socket::listen_tcp("127.0.0.1", 0), aopts);
 
   std::string error;
@@ -263,6 +265,97 @@ TEST(Agg, ShardHelloToSingleTierRootIsTerminallyRejected) {
   EXPECT_FALSE(agg.upstream_connected());
   EXPECT_NE(error.find("single-tier"), std::string::npos) << error;
   EXPECT_EQ(root.connected_shards(), 0u);
+}
+
+TEST(Agg, UpstreamConnectGivesUpAfterBoundedBackoffAttempts) {
+  // Grab an ephemeral port, then close the listener so nothing serves it.
+  std::uint16_t dead_port = 0;
+  {
+    net::Socket listener = net::Socket::listen_tcp("127.0.0.1", 0);
+    dead_port = listener.local_port();
+  }
+
+  AggregatorOptions aopts;
+  aopts.num_nodes = 1;
+  aopts.num_resources = 1;
+  aopts.upstream.port = dead_port;
+  aopts.upstream.max_reconnect_attempts = 3;
+  aopts.upstream.initial_backoff_ms = 1;
+  aopts.upstream.max_backoff_ms = 4;
+  Aggregator agg(net::Socket::listen_tcp("127.0.0.1", 0), aopts);
+
+  std::string error;
+  try {
+    agg.connect_upstream();
+  } catch (const net::SocketError& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("could not reach root at 127.0.0.1:" +
+                       std::to_string(dead_port) + " after 3 attempts"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(agg.upstream_connected());
+  EXPECT_EQ(agg.upstream_reconnects(), 0u);
+}
+
+TEST(Agg, AggregatorReconnectsAfterTheRootRestarts) {
+  net::ControllerOptions copts;
+  copts.num_nodes = 1;
+  copts.num_resources = 1;
+  copts.num_shards = 1;
+  auto root = std::make_unique<net::Controller>(
+      net::Socket::listen_tcp("127.0.0.1", 0), copts);
+  const std::uint16_t port = root->port();
+
+  obs::MetricsRegistry registry;
+  AggregatorOptions aopts;
+  aopts.num_nodes = 1;
+  aopts.num_resources = 1;
+  aopts.upstream.port = port;
+  aopts.upstream.initial_backoff_ms = 1;
+  aopts.upstream.max_backoff_ms = 50;
+  aopts.upstream.max_reconnect_attempts = 20;
+  aopts.status_every_slots = 0;
+  aopts.metrics = &registry;
+  Aggregator agg(net::Socket::listen_tcp("127.0.0.1", 0), aopts);
+  connect_upstream_pumped(agg, *root);
+
+  net::AgentOptions agent_opts;
+  agent_opts.upstream.port = agg.port();
+  net::Agent agent(agent_opts, collect::make_policy_factory(
+                                   collect::PolicyKind::kAlways, 1.0)());
+  connect_all(agg.downstream(), {&agent});
+
+  // Kill the root (closes listener + shard connection), restart it on the
+  // same port (SO_REUSEADDR), and keep forwarding: the aggregator must
+  // notice the dead link, re-handshake, and deliver the later summaries to
+  // the new root, which a helper thread pumps until the shard hello lands.
+  root.reset();
+  root = std::make_unique<net::Controller>(
+      net::Socket::listen_tcp("127.0.0.1", port), copts);
+  {
+    net::Controller& restarted = *root;
+    std::thread pump([&restarted] { restarted.wait_for_shards(1, 10000); });
+    const std::vector<double> x = {0.5};
+    for (std::size_t t = 0; t < 10; ++t) {
+      agent.observe(t, x);
+      EXPECT_TRUE(agg.forward_slot(t, 10000)) << "slot " << t;
+    }
+    pump.join();
+  }
+  EXPECT_GE(agg.upstream_reconnects(), 1u);
+  EXPECT_EQ(registry.value("resmon_agg_upstream_reconnects_total",
+                           {{"shard", "0"}}),
+            static_cast<double>(agg.upstream_reconnects()));
+  EXPECT_TRUE(agg.upstream_connected());
+  EXPECT_EQ(root->connected_shards(), 1u);
+
+  // Slot 9 was forwarded strictly after the re-handshake, so the new root
+  // must be able to collect its summary.
+  auto messages = root->collect_slot(9, 5000);
+  ASSERT_TRUE(messages.has_value());
+  ASSERT_EQ(messages->size(), 1u);
+  EXPECT_EQ((*messages)[0].step, 9u);
 }
 
 TEST(Agg, VersionSkewedShardHelloIsRejectedNamingBothVersions) {
@@ -319,7 +412,7 @@ TEST(Agg, CompactionAccountingCountsFramesInPerFrameOut) {
   aopts.first_node = 0;
   aopts.num_nodes = trace.num_nodes();
   aopts.num_resources = trace.num_resources();
-  aopts.upstream_port = root.port();
+  aopts.upstream.port = root.port();
   aopts.status_every_slots = 4;
   aopts.metrics = &agg_registry;
   Aggregator agg(net::Socket::listen_tcp("127.0.0.1", 0), aopts);
@@ -331,7 +424,7 @@ TEST(Agg, CompactionAccountingCountsFramesInPerFrameOut) {
   std::vector<net::Agent*> handles;
   for (std::uint32_t node = 0; node < trace.num_nodes(); ++node) {
     net::AgentOptions opts;
-    opts.port = agg.port();
+    opts.upstream.port = agg.port();
     opts.node = node;
     opts.num_resources = static_cast<std::uint32_t>(trace.num_resources());
     agents.push_back(std::make_unique<net::Agent>(opts, policy()));

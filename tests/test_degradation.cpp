@@ -35,7 +35,7 @@ constexpr int kMsPerSlot = 100;
 AgentOptions agent_options(const Controller& controller, std::uint32_t node,
                            std::size_t num_resources) {
   AgentOptions opts;
-  opts.port = controller.port();
+  opts.upstream.port = controller.port();
   opts.node = node;
   opts.num_resources = static_cast<std::uint32_t>(num_resources);
   return opts;
@@ -205,7 +205,7 @@ TEST(Degradation, AggregatorShardStalenessPropagatesToRootAccounting) {
   aopts.first_node = 0;
   aopts.num_nodes = 2;
   aopts.num_resources = trace.num_resources();
-  aopts.upstream_port = root.port();
+  aopts.upstream.port = root.port();
   aopts.stale_after_ms = kMsPerSlot + kMsPerSlot / 2;
   aopts.dead_after_ms = 4 * kMsPerSlot + kMsPerSlot / 2;
   aopts.staleness_clock = clock.now_fn();

@@ -67,7 +67,7 @@ obs::MetricsRegistry& populated_registry() {
   agg::AggregatorOptions gopts;
   gopts.num_nodes = 1;
   gopts.num_resources = trace.num_resources();
-  gopts.upstream_port = controller.port();  // never dialed: no connect here
+  gopts.upstream.port = controller.port();  // never dialed: no connect here
   gopts.metrics = &registry;
   static agg::Aggregator aggregator(net::Socket::listen_tcp("127.0.0.1", 0),
                                     gopts);

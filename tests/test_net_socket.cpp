@@ -1,6 +1,7 @@
 // Socket runtime tests: the real TCP agent/controller path against
 // 127.0.0.1, checked bit-for-bit against the in-process LoopbackLink path,
-// plus the handshake-rejection and reconnect-backoff behavior.
+// plus the handshake-rejection and reconnect-backoff behavior and the
+// agent's send counters.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,6 +16,7 @@
 #include "net/loopback.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "trace/synthetic.hpp"
 #include "transport/channel.hpp"
 
@@ -79,7 +81,7 @@ TEST(NetSocket, TcpRunIsBitIdenticalToTheLoopbackLinkPath) {
   for (std::size_t node = 0; node < kNodes; ++node) {
     agents.emplace_back([&, node] {
       AgentOptions aopts;
-      aopts.port = controller.port();
+      aopts.upstream.port = controller.port();
       aopts.node = static_cast<std::uint32_t>(node);
       aopts.num_resources = static_cast<std::uint32_t>(trace.num_resources());
       Agent agent(aopts, factory());
@@ -147,11 +149,11 @@ TEST(NetSocket, ConnectGivesUpAfterBoundedBackoffAttempts) {
   }
 
   AgentOptions aopts;
-  aopts.port = dead_port;
+  aopts.upstream.port = dead_port;
   aopts.num_resources = 1;
-  aopts.max_reconnect_attempts = 3;
-  aopts.initial_backoff_ms = 1;
-  aopts.max_backoff_ms = 4;
+  aopts.upstream.max_reconnect_attempts = 3;
+  aopts.upstream.initial_backoff_ms = 1;
+  aopts.upstream.max_backoff_ms = 4;
   Agent agent(aopts, collect::make_policy_factory(
                          collect::PolicyKind::kAlways, 1.0)());
   EXPECT_THROW(agent.connect(), SocketError);
@@ -180,10 +182,10 @@ TEST(NetSocket, HelloRejectionIsTerminalNotRetried) {
   Controller controller(Socket::listen_tcp("127.0.0.1", 0), copts);
 
   AgentOptions aopts;
-  aopts.port = controller.port();
+  aopts.upstream.port = controller.port();
   aopts.node = 7;  // out of range for a 2-node controller
   aopts.num_resources = 3;
-  aopts.initial_backoff_ms = 1;
+  aopts.upstream.initial_backoff_ms = 1;
   Agent agent(aopts, collect::make_policy_factory(
                          collect::PolicyKind::kAlways, 1.0)());
   {
@@ -201,10 +203,10 @@ TEST(NetSocket, DimensionMismatchIsRejected) {
   Controller controller(Socket::listen_tcp("127.0.0.1", 0), copts);
 
   AgentOptions aopts;
-  aopts.port = controller.port();
+  aopts.upstream.port = controller.port();
   aopts.node = 0;
   aopts.num_resources = 2;  // controller expects 3
-  aopts.initial_backoff_ms = 1;
+  aopts.upstream.initial_backoff_ms = 1;
   Agent agent(aopts, collect::make_policy_factory(
                          collect::PolicyKind::kAlways, 1.0)());
   {
@@ -225,10 +227,10 @@ TEST(NetSocket, NewerConnectionForTheSameNodeWinsOverTheStaleOne) {
   Controller controller(Socket::listen_tcp("127.0.0.1", 0), copts);
 
   AgentOptions aopts;
-  aopts.port = controller.port();
+  aopts.upstream.port = controller.port();
   aopts.node = 0;
   aopts.num_resources = 1;
-  aopts.initial_backoff_ms = 1;
+  aopts.upstream.initial_backoff_ms = 1;
   const auto factory =
       collect::make_policy_factory(collect::PolicyKind::kAlways, 1.0);
 
@@ -286,6 +288,48 @@ TEST(NetSocket, SecondHelloOnOneStreamIsStillRejected) {
   EXPECT_EQ(controller.nodes_seen(), 1u);
 }
 
+TEST(NetSocket, SendCountersSplitPolicyDecisionsFromDeliveries) {
+  // measurements_sent counts the policy's beta = 1 decisions; frames_sent
+  // and bytes_sent count what the frame hook actually let onto the wire.
+  constexpr std::uint32_t kDims = 2;
+  ControllerOptions copts;
+  copts.num_nodes = 1;
+  copts.num_resources = kDims;
+  Controller controller(Socket::listen_tcp("127.0.0.1", 0), copts);
+
+  obs::MetricsRegistry registry;
+  AgentOptions aopts;
+  aopts.upstream.port = controller.port();
+  aopts.num_resources = kDims;
+  aopts.metrics = &registry;
+  aopts.frame_hook = [](std::size_t step,
+                        const std::vector<std::uint8_t>& frame) {
+    FrameAction action;
+    if (step % 2 == 0) action.frames.push_back(frame);  // drop odd slots
+    return action;
+  };
+  Agent agent(aopts, collect::make_policy_factory(
+                         collect::PolicyKind::kAlways, 1.0)());
+  {
+    PumpThread pump(controller, 1, 5000);
+    agent.connect();
+  }
+  const std::vector<double> x = {0.25, 0.75};
+  for (std::size_t t = 0; t < 10; ++t) agent.observe(t, x);
+
+  EXPECT_EQ(agent.measurements_sent(), 10u);
+  EXPECT_EQ(agent.frames_sent(), 5u);
+  EXPECT_EQ(agent.bytes_sent(), 5 * wire::measurement_frame_size(kDims));
+  const obs::Labels node = {{"node", "0"}};
+  EXPECT_EQ(registry.value("resmon_agent_measurements_sent_total", node),
+            static_cast<double>(agent.measurements_sent()));
+  EXPECT_EQ(registry.value("resmon_agent_frames_sent_total", node),
+            static_cast<double>(agent.frames_sent()));
+  EXPECT_EQ(registry.value("resmon_agent_bytes_sent_total", node),
+            static_cast<double>(agent.bytes_sent()));
+  EXPECT_EQ(registry.value("resmon_agent_heartbeats_sent_total", node), 0.0);
+}
+
 TEST(NetSocket, AgentReconnectsAfterTheControllerRestarts) {
   ControllerOptions copts;
   copts.num_nodes = 1;
@@ -295,12 +339,12 @@ TEST(NetSocket, AgentReconnectsAfterTheControllerRestarts) {
   const std::uint16_t port = controller->port();
 
   AgentOptions aopts;
-  aopts.port = port;
+  aopts.upstream.port = port;
   aopts.node = 0;
   aopts.num_resources = 1;
-  aopts.initial_backoff_ms = 1;
-  aopts.max_backoff_ms = 50;
-  aopts.max_reconnect_attempts = 20;
+  aopts.upstream.initial_backoff_ms = 1;
+  aopts.upstream.max_backoff_ms = 50;
+  aopts.upstream.max_reconnect_attempts = 20;
   Agent agent(aopts, collect::make_policy_factory(
                          collect::PolicyKind::kAlways, 1.0)());
   {

@@ -165,11 +165,11 @@ int main(int argc, char** argv) {
     }
 
     net::AgentOptions opts;
-    opts.host = args.get("host", "127.0.0.1");
-    opts.port = static_cast<std::uint16_t>(args.get_int("port", 0));
+    opts.upstream.host = args.get("host", "127.0.0.1");
+    opts.upstream.port = static_cast<std::uint16_t>(args.get_int("port", 0));
     opts.node = static_cast<std::uint32_t>(node);
     opts.num_resources = static_cast<std::uint32_t>(num_resources);
-    opts.max_reconnect_attempts =
+    opts.upstream.max_reconnect_attempts =
         static_cast<std::size_t>(args.get_int("reconnect-attempts", 8));
     opts.metrics = &registry;
     if (args.has("fault-spec")) {

@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
     opts.first_node = range.first_node;
     opts.num_nodes = range.num_nodes;
     opts.num_resources = trace.num_resources();
-    opts.upstream_host = args.get("upstream-host", host);
-    opts.upstream_port =
+    opts.upstream.host = args.get("upstream-host", host);
+    opts.upstream.port =
         static_cast<std::uint16_t>(args.get_int("upstream-port", 0));
     opts.stale_after_ms =
         static_cast<int>(args.get_int("stale-after-ms", 0));
