@@ -45,8 +45,7 @@ Result run_config(const trace::Trace& t, bool reindex,
   std::size_t count = 0;
   for (std::size_t v = 0; v < pipeline.num_views(); ++v) {
     for (std::size_t j = 0; j < 3; ++j) {
-      const std::vector<double> series =
-          pipeline.tracker(v).centroid_series(j, 0);
+      const std::span<const double> series = pipeline.model(v, j).history();
       for (std::size_t s = 1; s < series.size(); ++s) {
         jump += std::fabs(series[s] - series[s - 1]);
         ++count;

@@ -76,9 +76,9 @@ int main(int argc, char** argv) {
   for (const auto& [target, row] : pending) {
     std::vector<Table::Cell> cells{static_cast<double>(target)};
     for (std::size_t j = 0; j < k; ++j) {
-      // True centroid at the target step, from the pipeline's own
-      // clustering (all three pipelines share it).
-      cells.push_back(hold.tracker(0).centroid_series(j, 0)[target]);
+      // True centroid at the target step: the series the pipeline's own
+      // model observed (all three pipelines share the clustering).
+      cells.push_back(hold.model(0, j).history()[target]);
       cells.push_back(row.arima[j]);
       cells.push_back(row.hold[j]);
       cells.push_back(row.lstm[j]);

@@ -33,15 +33,17 @@ std::vector<double> centroid_series(const std::string& dataset,
       t, collect::make_policy_factory(collect::PolicyKind::kAdaptive, 0.3));
   transport::CentralStore store(t.num_nodes(), t.num_resources());
   cluster::DynamicClusterTracker tracker({.k = 3}, 1);
+  std::vector<double> series;
+  series.reserve(steps);
   for (std::size_t step = 0; step < steps; ++step) {
     for (const auto& m : fleet.step(step)) store.apply(m);
     Matrix snapshot(t.num_nodes(), 1);
     for (std::size_t i = 0; i < t.num_nodes(); ++i) {
       snapshot(i, 0) = store.stored(i)[0];
     }
-    tracker.update(snapshot);
+    series.push_back(tracker.update(snapshot).centroids(0, 0));
   }
-  return tracker.centroid_series(0, 0);
+  return series;
 }
 
 /// Replay the paper's observe/retrain schedule and report the total time

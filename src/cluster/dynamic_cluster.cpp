@@ -7,25 +7,13 @@
 
 namespace resmon::cluster {
 
-namespace {
-
-/// Initial reservation (in steps) of each flat centroid series; growth
-/// beyond it doubles, so allocations on the unbounded series are amortized
-/// and absent from any bounded steady-state window.
-constexpr std::size_t kSeriesReserveSteps = 1024;
-
-}  // namespace
-
 DynamicClusterTracker::DynamicClusterTracker(
     const DynamicClusterOptions& options, std::uint64_t seed)
     : options_(options),
       rng_(seed),
-      ring_(options.history_capacity),
-      series_(options.k) {
+      ring_(options.history_m + 1) {
   RESMON_REQUIRE(options.k >= 1, "tracker needs at least one cluster");
   RESMON_REQUIRE(options.history_m >= 1, "M must be at least 1");
-  RESMON_REQUIRE(options.history_capacity >= options.history_m,
-                 "history capacity must cover M");
   if (options_.metrics != nullptr) {
     const obs::Labels labels = {{"view", options_.metrics_view}};
     obs::MetricsRegistry& reg = *options_.metrics;
@@ -133,8 +121,9 @@ const Clustering& DynamicClusterTracker::update(const Matrix& features,
     }
   }
 
-  // The slot claimed here is the oldest retained clustering; everything the
-  // similarity pass needed was read above, so its buffers recycle safely.
+  // The slot claimed here is the oldest of the M + 1 retained clusterings;
+  // the similarity pass read only the M newest above, so its buffers
+  // recycle safely.
   Clustering& fresh = claim_slot();
   fresh.assignment.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -144,16 +133,6 @@ const Clustering& DynamicClusterTracker::update(const Matrix& features,
   // repair guarantees every cluster has at least one member.
   centroids_of_into(values, fresh.assignment, k, counts_scratch_,
                     fresh.centroids, &empty_scratch_);
-
-  dims_ = values.cols();
-  for (std::size_t j = 0; j < k; ++j) {
-    std::vector<double>& series = series_[j];
-    if (series.capacity() < series.size() + dims_) {
-      series.reserve(std::max(series.size() * 2, kSeriesReserveSteps * dims_));
-    }
-    const auto row = fresh.centroids.row(j);
-    series.insert(series.end(), row.begin(), row.end());
-  }
 
   if (updates_total_ != nullptr) {
     updates_total_->inc();
@@ -177,25 +156,6 @@ const Clustering& DynamicClusterTracker::update(const Matrix& features,
 const Clustering& DynamicClusterTracker::history(std::size_t age) const {
   RESMON_REQUIRE(age < ring_size_, "history age out of range");
   return ring_[(ring_head_ + age) % ring_.size()];
-}
-
-std::span<const double> DynamicClusterTracker::centroid_series_flat(
-    std::size_t j) const {
-  RESMON_REQUIRE(j < options_.k, "cluster index out of range");
-  return series_[j];
-}
-
-std::vector<double> DynamicClusterTracker::centroid_series(
-    std::size_t j, std::size_t dim) const {
-  const std::span<const double> flat = centroid_series_flat(j);
-  RESMON_REQUIRE(dim < dims_ || steps_ == 0,
-                 "centroid dimension out of range");
-  std::vector<double> out;
-  out.reserve(steps_);
-  for (std::size_t t = 0; t < steps_; ++t) {
-    out.push_back(flat[t * dims_ + dim]);
-  }
-  return out;
 }
 
 }  // namespace resmon::cluster

@@ -6,17 +6,19 @@
 // nodes present both in the new cluster k and in cluster j throughout the
 // last M steps, and the best one-to-one re-indexing (eq. (11)) is found with
 // the Hungarian algorithm. The centroid of each (re-indexed) cluster then
-// traces out the time series that the forecasting models are trained on.
+// traces out the time series that the forecasting models are trained on;
+// the tracker keeps no copy of that series — each cluster's
+// forecast::ManagedForecaster owns it.
 //
-// The tracker owns every scratch buffer its per-step work needs (K-means,
-// similarity, Hungarian, the clustering ring) so steady-state updates
-// perform no heap allocations; the only amortized exception is the
-// unbounded centroid series, which grows geometrically in reserved slabs
-// (see docs/PERFORMANCE.md "Zero-allocation steady state").
+// The tracker retains only the last M + 1 clusterings (the M the
+// similarity pass reads plus the newest one) and owns every scratch buffer
+// its per-step work needs (K-means, similarity, Hungarian), so its memory
+// is O(N * (M + 1)) whatever the run length and steady-state updates
+// perform no heap allocations (see docs/PERFORMANCE.md "Zero-allocation
+// steady state").
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cluster/hungarian.hpp"
@@ -46,9 +48,6 @@ struct DynamicClusterOptions {
   /// Disable the eq. (10)/(11) re-indexing (ablation): cluster labels are
   /// then whatever K-means returns, so centroid series lose identity.
   bool reindex = true;
-  /// How many past clusterings to retain for consumers (must cover both M
-  /// and the forecaster's M'); centroid series are kept in full regardless.
-  std::size_t history_capacity = 128;
   KMeansOptions kmeans;
 
   /// Optional metrics sink (non-owning). Series are labeled
@@ -59,8 +58,8 @@ struct DynamicClusterOptions {
 };
 
 /// Online evolutionary clustering: call update() once per time step with the
-/// central store's snapshot; read the re-indexed clustering and the
-/// accumulated centroid series.
+/// central store's snapshot; read the re-indexed clustering of this and
+/// the last M steps through history().
 class DynamicClusterTracker {
  public:
   DynamicClusterTracker(const DynamicClusterOptions& options,
@@ -79,24 +78,12 @@ class DynamicClusterTracker {
   std::size_t k() const { return options_.k; }
   std::size_t steps() const { return steps_; }
 
-  /// Number of past clusterings currently retained (<= history_capacity).
+  /// Number of past clusterings currently retained: min(steps(), M + 1).
   std::size_t history_size() const { return ring_size_; }
 
   /// Clustering `age` steps ago: history(0) is the most recent update.
+  /// Requires age < history_size().
   const Clustering& history(std::size_t age) const;
-
-  /// Full centroid time series of cluster j, flattened time-major: element
-  /// t * d + dim is dimension `dim` of c_{j,t}, oldest step first. This is
-  /// {c_{j,tau} : tau <= t}; the number of steps recorded is steps().
-  std::span<const double> centroid_series_flat(std::size_t j) const;
-
-  /// Scalar centroid series of cluster j for one dimension (convenience for
-  /// the scalar-per-resource pipeline configuration; allocates — analysis
-  /// paths only).
-  std::vector<double> centroid_series(std::size_t j, std::size_t dim) const;
-
-  /// Dimension of the recorded centroids (0 before the first update).
-  std::size_t centroid_dims() const { return dims_; }
 
  private:
   /// Fill `w_` with the eq. (10) similarity of the fresh assignment
@@ -109,15 +96,12 @@ class DynamicClusterTracker {
 
   DynamicClusterOptions options_;
   Rng rng_;
-  // Fixed-size ring of past clusterings, newest at ring_head_. A ring
-  // (not a deque) so the per-step path recycles buffers instead of
-  // churning allocator nodes.
+  // Ring of the last M + 1 clusterings, newest at ring_head_. A ring (not
+  // a deque) so the per-step path recycles buffers instead of churning
+  // allocator nodes.
   std::vector<Clustering> ring_;
   std::size_t ring_head_ = 0;
   std::size_t ring_size_ = 0;
-  // Flat per-cluster centroid series (see centroid_series_flat).
-  std::vector<std::vector<double>> series_;
-  std::size_t dims_ = 0;
   std::size_t steps_ = 0;
   // Per-step scratch (see class comment).
   KMeansScratch kmeans_scratch_;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "collect/adaptive_transmitter.hpp"
 #include "faultnet/faulty_link.hpp"
 #include "net/loopback.hpp"
 
@@ -21,11 +22,12 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
     link = std::make_unique<faultnet::FaultyLink>(
         options_.faults, std::move(link), registry_);
   }
+  const collect::AdaptiveOptions adaptive;
   collector_ = std::make_unique<collect::FleetCollector>(
       trace,
       collect::make_policy_factory(options.policy, options.max_frequency,
-                                   options.v0, options.gamma,
-                                   options.clamp_queue, registry_),
+                                   adaptive.v0, adaptive.gamma,
+                                   adaptive.clamp_queue, registry_),
       pool_.get(), std::move(link), registry_);
 }
 
@@ -80,9 +82,6 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
   copts.history_m = options.similarity_lookback;
   copts.similarity = options.similarity;
   copts.reindex = options.reindex_clusters;
-  copts.history_capacity = std::max(
-      {options.similarity_lookback, options.offset_lookback + 1,
-       std::size_t{16}});
   copts.kmeans.pool = pool_.get();
   copts.metrics = registry_;
 

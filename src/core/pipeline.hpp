@@ -36,11 +36,10 @@ namespace resmon::core {
 
 struct PipelineOptions {
   // -- collection (§V-A) ----------------------------------------------------
+  /// The adaptive policy runs with collect::AdaptiveOptions' paper defaults
+  /// for V_0, gamma and the queue clamp.
   collect::PolicyKind policy = collect::PolicyKind::kAdaptive;
   double max_frequency = 0.3;  ///< B (paper default 0.3)
-  double v0 = 1e-12;           ///< V_0 of eq. (8)
-  double gamma = 0.65;         ///< gamma of eq. (8)
-  bool clamp_queue = false;    ///< see AdaptiveOptions::clamp_queue
   /// Uplink fault schedule: when non-empty, the in-process LoopbackLink is
   /// wrapped in a faultnet::FaultyLink applying this spec
   /// (drop/dup/corrupt/delay/reorder/stall/partition); default = reliable
@@ -119,8 +118,8 @@ class MonitoringPipeline {
 
   /// External-collection variant: no FleetCollector is built; the caller
   /// feeds each slot's received measurements through step_external().
-  /// PipelineOptions' collection knobs (policy, max_frequency, v0, gamma,
-  /// clamp_queue, faults) are unused — the remote agents own them.
+  /// PipelineOptions' collection knobs (policy, max_frequency, faults) are
+  /// unused — the remote agents own them.
   MonitoringPipeline(const trace::Trace& trace,
                      const PipelineOptions& options, ExternalCollection);
 
@@ -242,7 +241,7 @@ class MonitoringPipeline {
   std::size_t snap_head_ = 0;
   std::size_t snap_size_ = 0;
   // Per-view clustering-feature scratch for the temporal window path.
-  mutable std::vector<Matrix> features_scratch_;
+  std::vector<Matrix> features_scratch_;
   std::size_t step_count_ = 0;
   /// Fallback registry, owned only when PipelineOptions::metrics is null.
   std::unique_ptr<obs::MetricsRegistry> owned_registry_;

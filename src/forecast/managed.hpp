@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "forecast/forecaster.hpp"
@@ -54,6 +55,9 @@ class ManagedForecaster {
   double forecast(std::size_t h) const;
 
   std::size_t observations() const { return history_.size(); }
+  /// Every value observed so far, oldest first: the cluster's centroid
+  /// series that each (re)fit trains on. The pipeline keeps no other copy.
+  std::span<const double> history() const { return history_; }
   std::size_t fits_completed() const { return fits_completed_; }
   const Forecaster& model() const { return *model_; }
 

@@ -1,5 +1,6 @@
 #include "cluster/dynamic_cluster.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -26,10 +27,6 @@ TEST(DynamicCluster, ValidatesOptions) {
   EXPECT_THROW(DynamicClusterTracker({.k = 0}, 1), InvalidArgument);
   EXPECT_THROW(DynamicClusterTracker({.k = 2, .history_m = 0}, 1),
                InvalidArgument);
-  EXPECT_THROW(
-      DynamicClusterTracker({.k = 2, .history_m = 5, .history_capacity = 2},
-                            1),
-      InvalidArgument);
 }
 
 TEST(DynamicCluster, FirstUpdateProducesKClusters) {
@@ -64,16 +61,19 @@ TEST(DynamicCluster, LabelsStayStableAcrossSteps) {
 }
 
 TEST(DynamicCluster, CentroidSeriesTracksGroupMeans) {
+  // Each step's newest clustering reports the group means as centroids,
+  // under the labels of the first step.
   DynamicClusterTracker tracker({.k = 2}, 3);
   Rng rng(3);
+  std::size_t lo_label = 0;
   for (std::size_t t = 0; t < 10; ++t) {
     tracker.update(two_groups(0.3, 0.7, 8, rng));
+    const Clustering& c = tracker.history(0);
+    if (t == 0) lo_label = c.assignment[0];
+    ASSERT_EQ(c.assignment[0], lo_label) << "t=" << t;
+    EXPECT_NEAR(c.centroids(lo_label, 0), 0.3, 0.05) << "t=" << t;
+    EXPECT_NEAR(c.centroids(1 - lo_label, 0), 0.7, 0.05) << "t=" << t;
   }
-  const Clustering& c = tracker.history(0);
-  const std::size_t lo_label = c.assignment[0];
-  const std::vector<double> series = tracker.centroid_series(lo_label, 0);
-  ASSERT_EQ(series.size(), 10u);
-  for (const double v : series) EXPECT_NEAR(v, 0.3, 0.05);
 }
 
 TEST(DynamicCluster, MembershipSwitchIsTracked) {
@@ -98,28 +98,6 @@ TEST(DynamicCluster, MembershipSwitchIsTracked) {
   for (std::size_t i = 5; i < 10; ++i) {
     EXPECT_EQ(after.assignment[i], lo_label);
   }
-}
-
-TEST(DynamicCluster, HistoryCapacityIsEnforced) {
-  DynamicClusterTracker tracker({.k = 2, .history_capacity = 3}, 5);
-  Rng rng(5);
-  for (std::size_t t = 0; t < 10; ++t) {
-    tracker.update(two_groups(0.2, 0.8, 5, rng));
-  }
-  EXPECT_EQ(tracker.history_size(), 3u);
-  EXPECT_EQ(tracker.steps(), 10u);
-  EXPECT_THROW(tracker.history(3), InvalidArgument);
-}
-
-TEST(DynamicCluster, CentroidSeriesKeptInFullDespiteCapacity) {
-  DynamicClusterTracker tracker({.k = 2, .history_capacity = 2}, 6);
-  Rng rng(6);
-  for (std::size_t t = 0; t < 7; ++t) {
-    tracker.update(two_groups(0.1, 0.9, 5, rng));
-  }
-  EXPECT_EQ(tracker.centroid_series(0, 0).size(), 7u);
-  EXPECT_EQ(tracker.centroid_series_flat(0).size(),
-            7u * tracker.centroid_dims());
 }
 
 TEST(DynamicCluster, NodeCountMustStayConstant) {
@@ -169,9 +147,7 @@ class LookbackTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(LookbackTest, StableUnderLookbackM) {
   const std::size_t m = GetParam();
-  DynamicClusterTracker tracker(
-      {.k = 3, .history_m = m, .history_capacity = std::max<std::size_t>(m, 16)},
-      11);
+  DynamicClusterTracker tracker({.k = 3, .history_m = m}, 11);
   Rng rng(11 + m);
   auto three_groups = [&]() {
     Matrix points(15, 1);
@@ -190,6 +166,11 @@ TEST_P(LookbackTest, StableUnderLookbackM) {
     EXPECT_EQ(c.assignment[0], labels[0]);
     EXPECT_EQ(c.assignment[5], labels[1]);
     EXPECT_EQ(c.assignment[10], labels[2]);
+    // The ring keeps the M clusterings re-indexing reads plus the newest.
+    const std::size_t steps = t + 1;
+    EXPECT_EQ(tracker.steps(), steps);
+    EXPECT_EQ(tracker.history_size(), std::min(steps, m + 1)) << "t=" << t;
+    EXPECT_THROW(tracker.history(tracker.history_size()), InvalidArgument);
   }
 }
 

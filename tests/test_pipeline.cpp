@@ -1,7 +1,10 @@
 #include "core/pipeline.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +141,43 @@ TEST(Pipeline, ModelsObserveEveryStep) {
     }
   }
   EXPECT_THROW(p.model(0, 9), InvalidArgument);
+}
+
+TEST(Pipeline, ModelHistoryIsTheTrackersCentroidSeries) {
+  // Each model's history is its cluster's centroid series: one value per
+  // clustered slot, the newest bitwise equal to the tracker's newest
+  // centroid. A lossy uplink stretches warm-up past the first slot, so the
+  // series must skip the slots that were not clustered.
+  const trace::InMemoryTrace t = small_trace(12, 80, 9);
+  for (const bool per_resource : {true, false}) {
+    PipelineOptions o = fast_options();
+    o.cluster_per_resource = per_resource;
+    o.faults = faultnet::FaultSpec::parse("drop=0.2;seed=5");
+    MonitoringPipeline p(t, o);
+    const std::size_t dims = per_resource ? 1 : t.num_resources();
+    std::size_t clustered = 0;
+    for (std::size_t slot = 0; slot < t.num_steps(); ++slot) {
+      p.step();
+      if (!p.central_store().complete()) continue;
+      ++clustered;
+      for (std::size_t v = 0; v < p.num_views(); ++v) {
+        const cluster::Clustering& newest = p.tracker(v).history(0);
+        for (std::size_t j = 0; j < o.num_clusters; ++j) {
+          for (std::size_t dim = 0; dim < dims; ++dim) {
+            const std::span<const double> series =
+                p.model(v, j, dim).history();
+            ASSERT_EQ(series.size(), clustered) << "slot " << slot;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(series.back()),
+                      std::bit_cast<std::uint64_t>(newest.centroids(j, dim)))
+                << "per_resource " << per_resource << ", slot " << slot
+                << ", view " << v << ", cluster " << j << ", dim " << dim;
+          }
+        }
+      }
+    }
+    EXPECT_LT(clustered, t.num_steps() - 1) << "warm-up lasted one slot";
+    EXPECT_EQ(p.tracker(0).steps(), clustered);
+  }
 }
 
 TEST(Pipeline, ModelsFitOnSchedule) {
@@ -470,8 +510,8 @@ TEST(Pipeline, StepMatchesStepExternalOnTheCollectorsSlots) {
   o.faults = faultnet::FaultSpec::parse("drop=0.2;delay=0.6667:2;seed=5");
   MonitoringPipeline in_process(t, o);
   MonitoringPipeline external(t, o, ExternalCollection{});
-  const auto policies = collect::make_policy_factory(
-      o.policy, o.max_frequency, o.v0, o.gamma, o.clamp_queue);
+  const auto policies =
+      collect::make_policy_factory(o.policy, o.max_frequency);
   collect::FleetCollector fleet(
       t, policies, nullptr,
       std::make_unique<faultnet::FaultyLink>(
