@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     }
     table.add_row({b, pipeline.collector().average_actual_frequency(),
                    static_cast<double>(
-                       pipeline.collector().link().bytes_sent()) /
+                       pipeline.collector().bytes_sent()) /
                        (1024.0 * 1024.0),
                    now.value(), ahead.value()});
   }

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
             << ", actual frequency: "
             << pipeline.collector().average_actual_frequency() << "\n";
   std::cout << "bytes on the wire: "
-            << pipeline.collector().link().bytes_sent() << " ("
+            << pipeline.collector().bytes_sent() << " ("
             << 100.0 * pipeline.collector().average_actual_frequency()
             << "% of always-send)\n";
   std::cout << "RMSE  h=0  (collection only): " << now.value() << "\n";

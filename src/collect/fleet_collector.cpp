@@ -47,20 +47,14 @@ std::vector<std::unique_ptr<MeasurementSource>> sources_over_trace(
 FleetCollector::FleetCollector(
     const trace::Trace& trace,
     const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-    ThreadPool* pool, std::unique_ptr<transport::Link> link,
-    obs::MetricsRegistry* metrics)
-    : FleetCollector(sources_over_trace(trace), make_policy, pool,
-                     std::move(link), metrics) {}
+    ThreadPool* pool, obs::MetricsRegistry* metrics)
+    : FleetCollector(sources_over_trace(trace), make_policy, pool, metrics) {}
 
 FleetCollector::FleetCollector(
     std::vector<std::unique_ptr<MeasurementSource>> sources,
     const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-    ThreadPool* pool, std::unique_ptr<transport::Link> link,
-    obs::MetricsRegistry* metrics)
-    : sources_(std::move(sources)),
-      link_(link != nullptr ? std::move(link)
-                            : std::make_unique<transport::Channel>()),
-      pool_(pool) {
+    ThreadPool* pool, obs::MetricsRegistry* metrics)
+    : sources_(std::move(sources)), pool_(pool) {
   RESMON_REQUIRE(!sources_.empty(), "FleetCollector needs >= 1 source");
   for (const auto& source : sources_) {
     RESMON_REQUIRE(source != nullptr, "null MeasurementSource");
@@ -100,11 +94,11 @@ std::span<const transport::MeasurementMessage> FleetCollector::step(
 
   // Every node's policy decision is independent, so the decide() calls run
   // in parallel; per-node results land in disjoint slots (std::vector<bool>
-  // packs bits, hence the byte-wide scratch vector). The link sends then
-  // happen on this thread in node order, so bandwidth accounting and the
-  // link's drop/delay RNG draws are identical to the serial path. A fleet
-  // holding any unbounded (live-sampling) source stays serial: such sources
-  // pace themselves on the wall clock inside measurement().
+  // packs bits, hence the byte-wide scratch vector). The slot's messages are
+  // then gathered on this thread in node order, so the slot and its traffic
+  // accounting are identical to the serial path. A fleet holding any
+  // unbounded (live-sampling) source stays serial: such sources pace
+  // themselves on the wall clock inside measurement().
   const std::size_t n = policies_.size();
   std::vector<std::uint8_t> transmit(n, 0);
   std::vector<std::vector<double>> measurements(n);
@@ -120,20 +114,20 @@ std::span<const transport::MeasurementMessage> FleetCollector::step(
                 }
               });
 
-  std::uint64_t sends = 0;
+  sent_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (transmit[i] == 0) continue;
-    ++sends;
-    link_->send(
+    sent_.push_back(
         {.node = i, .step = t, .values = std::move(measurements[i])});
+    bytes_sent_ += sent_.back().wire_size();
   }
-  delivered_ = link_->drain();
+  messages_sent_ += sent_.size();
   if (decisions_total_ != nullptr) {
     decisions_total_->inc(n);
-    sends_total_->inc(sends);
-    link_bytes_->set(static_cast<double>(link_->bytes_sent()));
+    sends_total_->inc(sent_.size());
+    link_bytes_->set(static_cast<double>(bytes_sent_));
   }
-  return delivered_;
+  return sent_;
 }
 
 double FleetCollector::average_actual_frequency() const {

@@ -1,5 +1,5 @@
 // FleetCollector: drives one TransmitPolicy per node against a trace and
-// produces each slot's uplink messages through a Link.
+// produces each slot's uplink messages.
 //
 // This is the "measurement collection" half of the paper's system. It owns
 // no central store: the consumer applies each slot to its own z_t (the core
@@ -16,7 +16,6 @@
 #include "obs/metrics.hpp"
 #include "trace/trace.hpp"
 #include "transport/channel.hpp"
-#include "transport/link.hpp"
 
 namespace resmon {
 class ThreadPool;
@@ -34,25 +33,20 @@ enum class PolicyKind {
 
 /// Runs the collection stage: each time step, every node observes its
 /// measurement from the trace, its policy decides whether to transmit, and
-/// the link delivers the slot's messages to the caller.
+/// the slot's transmitted messages go to the caller.
 class FleetCollector {
  public:
   /// Builds a fleet with one policy per node from the given factory.
   /// `pool` (non-owning, may be nullptr) parallelizes the per-node policy
   /// stepping; each policy is only ever touched by one thread per step and
-  /// link sends stay serialized in node order on the calling thread, so
-  /// results are identical at every thread count.
-  /// `link` replaces the default reliable in-process Channel (e.g. with a
-  /// net::LoopbackLink that runs the real wire codec, or a
-  /// faultnet::FaultyLink that injects uplink failures).
+  /// the slot's messages are gathered in node order on the calling thread,
+  /// so results are identical at every thread count.
   /// `metrics` (non-owning, may be nullptr) receives fleet-level collection
   /// series (resmon_collect_*; see DESIGN.md "Observability").
   FleetCollector(
       const trace::Trace& trace,
       const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-      ThreadPool* pool = nullptr,
-      std::unique_ptr<transport::Link> link = nullptr,
-      obs::MetricsRegistry* metrics = nullptr);
+      ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr);
 
   /// Same, but over arbitrary MeasurementSources (one per node) instead of
   /// a trace — the host-collection path (procfs sampling, recorded-series
@@ -63,17 +57,18 @@ class FleetCollector {
   FleetCollector(
       std::vector<std::unique_ptr<MeasurementSource>> sources,
       const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-      ThreadPool* pool = nullptr,
-      std::unique_ptr<transport::Link> link = nullptr,
-      obs::MetricsRegistry* metrics = nullptr);
+      ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr);
 
   /// Advance one time step. Must be called with consecutive t starting at 0.
-  /// Returns the messages the link delivers this slot, in delivery order;
-  /// valid until the next step(). On a reliable link they are exactly the
-  /// nodes with beta_t = 1, in node order.
+  /// Returns the slot's transmitted messages: exactly the nodes with
+  /// beta_t = 1, in node order; valid until the next step().
   std::span<const transport::MeasurementMessage> step(std::size_t t);
 
-  const transport::Link& link() const { return *link_; }
+  /// Sender-side traffic so far: every transmitted message and its exact
+  /// wire-frame bytes (what the fleet paid for, whatever the uplink then
+  /// loses).
+  std::uint64_t messages_sent() const { return messages_sent_; }
+  std::uint64_t bytes_sent() const { return bytes_sent_; }
 
   const TransmitPolicy& policy(std::size_t node) const {
     return *policies_[node];
@@ -88,8 +83,9 @@ class FleetCollector {
   std::vector<std::unique_ptr<MeasurementSource>> sources_;
   std::size_t num_steps_ = 0;  ///< min over sources (cached)
   std::vector<std::unique_ptr<TransmitPolicy>> policies_;
-  std::unique_ptr<transport::Link> link_;
-  std::vector<transport::MeasurementMessage> delivered_;  ///< by last step()
+  std::vector<transport::MeasurementMessage> sent_;  ///< by last step()
+  std::uint64_t messages_sent_ = 0;
+  std::uint64_t bytes_sent_ = 0;
   ThreadPool* pool_ = nullptr;
   std::size_t next_step_ = 0;
   // Optional metrics (all nullptr when no registry was given).

@@ -43,14 +43,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::enqueue(std::function<void()> task) {
-  {
-    MutexLock lock(mutex_);
-    queue_.push_back(std::move(task));
-  }
-  work_ready_.notify_one();
-}
-
 std::shared_ptr<ThreadPool::ForLoop> ThreadPool::runnable_loop_locked() {
   // Retire exhausted regions (their caller is responsible for completion
   // tracking; once every chunk is claimed there is nothing left to help
@@ -72,28 +64,17 @@ std::shared_ptr<ThreadPool::ForLoop> ThreadPool::runnable_loop_locked() {
 void ThreadPool::worker_main() {
   for (;;) {
     std::shared_ptr<ForLoop> loop;
-    std::function<void()> task;
     {
       // Explicit predicate loop (not a cv.wait lambda): thread-safety
       // analysis treats lambdas as separate functions, which would lose
       // the "mutex_ held" context the guarded reads below need.
       MutexLock lock(mutex_);
-      while (!stopping_ && queue_.empty() &&
-             (loop = runnable_loop_locked()) == nullptr) {
+      while (!stopping_ && (loop = runnable_loop_locked()) == nullptr) {
         work_ready_.wait(mutex_);
       }
-      if (loop == nullptr) {
-        if (queue_.empty()) return;  // stopping and drained
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
+      if (loop == nullptr) return;  // stopping
     }
-    if (loop != nullptr) {
-      drive(*loop);
-      loop.reset();
-    } else {
-      task();
-    }
+    drive(*loop);
   }
 }
 

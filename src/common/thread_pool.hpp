@@ -23,11 +23,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <deque>
-#include <functional>
-#include <future>
 #include <memory>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -37,7 +34,7 @@ namespace resmon {
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers; 0 means std::thread::hardware_concurrency()
-  /// (at least 1). The destructor drains queued work and joins.
+  /// (at least 1). The destructor joins them.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
@@ -45,21 +42,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
-
-  /// Run `task` on a worker; the future carries its result or exception.
-  /// Blocking on the future from inside a pool task can deadlock a fully
-  /// loaded pool — nested parallelism should go through parallel_for,
-  /// whose caller helps execute the work.
-  template <typename F>
-  auto submit(F&& task)
-      -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto packaged =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(task));
-    std::future<R> result = packaged->get_future();
-    enqueue([packaged]() { (*packaged)(); });
-    return result;
-  }
 
   /// Non-owning reference to a chunk body. parallel_for blocks until every
   /// chunk has run, so the referenced callable safely lives on the caller's
@@ -100,13 +82,11 @@ class ThreadPool {
   /// First published loop that still has unclaimed chunks; also retires
   /// exhausted loops from the front.
   std::shared_ptr<ForLoop> runnable_loop_locked() RESMON_REQUIRES(mutex_);
-  void enqueue(std::function<void()> task);
   void worker_main();
 
   std::vector<std::thread> workers_;
   Mutex mutex_;
   CondVar work_ready_;
-  std::deque<std::function<void()>> queue_ RESMON_GUARDED_BY(mutex_);
   /// Active parallel regions, newest last. Workers claim chunks directly
   /// from these descriptors; one push + wakeup per region replaces the old
   /// per-helper closure enqueue.

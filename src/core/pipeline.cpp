@@ -5,22 +5,16 @@
 #include <cmath>
 
 #include "collect/adaptive_transmitter.hpp"
-#include "faultnet/faulty_link.hpp"
-#include "net/loopback.hpp"
 
 namespace resmon::core {
 
 MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
                                        const PipelineOptions& options)
     : MonitoringPipeline(trace, options, ExternalCollection{}) {
-  // The in-process uplink runs the real wire codec (LoopbackLink), so every
-  // deterministic run exercises the exact encode/decode path the TCP runtime
-  // uses and bandwidth counts real frame bytes. A non-empty fault schedule
-  // layers the chaos harness on top of it.
-  std::unique_ptr<transport::Link> link = std::make_unique<net::LoopbackLink>();
+  // Built before the collector so the fault series register first.
   if (!options_.faults.empty()) {
-    link = std::make_unique<faultnet::FaultyLink>(
-        options_.faults, std::move(link), registry_);
+    faults_ = std::make_unique<faultnet::FaultyLink>(options_.faults,
+                                                     registry_);
   }
   const collect::AdaptiveOptions adaptive;
   collector_ = std::make_unique<collect::FleetCollector>(
@@ -28,7 +22,7 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
       collect::make_policy_factory(options.policy, options.max_frequency,
                                    adaptive.v0, adaptive.gamma,
                                    adaptive.clamp_queue, registry_),
-      pool_.get(), std::move(link), registry_);
+      pool_.get(), registry_);
 }
 
 MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
@@ -200,7 +194,14 @@ void MonitoringPipeline::step() {
   RESMON_REQUIRE(!done(), "pipeline already consumed the whole trace");
   obs::ScopedSpan collect(options_.trace_events, "pipeline.collect",
                           stage_collect_);
-  consume_slot(collector_->step(step_count_), collect);
+  const std::span<const transport::MeasurementMessage> slot =
+      collector_->step(step_count_);
+  if (faults_ == nullptr) {
+    consume_slot(slot, collect);
+    return;
+  }
+  for (const transport::MeasurementMessage& m : slot) faults_->send(m);
+  consume_slot(faults_->drain(), collect);
 }
 
 void MonitoringPipeline::step_external(

@@ -22,11 +22,11 @@
 
 #include "cluster/dynamic_cluster.hpp"
 #include "collect/fleet_collector.hpp"
-#include "faultnet/fault_spec.hpp"
 #include "common/matrix.hpp"
 #include "common/thread_pool.hpp"
 #include "core/estimation.hpp"
 #include "core/metrics.hpp"
+#include "faultnet/faulty_link.hpp"
 #include "forecast/managed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_log.hpp"
@@ -40,11 +40,11 @@ struct PipelineOptions {
   /// for V_0, gamma and the queue clamp.
   collect::PolicyKind policy = collect::PolicyKind::kAdaptive;
   double max_frequency = 0.3;  ///< B (paper default 0.3)
-  /// Uplink fault schedule: when non-empty, the in-process LoopbackLink is
-  /// wrapped in a faultnet::FaultyLink applying this spec
+  /// Uplink fault schedule: when non-empty, step() passes each collected
+  /// slot through a faultnet::FaultyLink applying this spec
   /// (drop/dup/corrupt/delay/reorder/stall/partition); default = reliable
-  /// link. Unused in external-collection mode — the remote agents own their
-  /// fault hooks.
+  /// uplink. Unused in external-collection mode — the remote agents own
+  /// their fault hooks.
   faultnet::FaultSpec faults;
 
   // -- clustering (§V-B) ----------------------------------------------------
@@ -98,7 +98,7 @@ struct PipelineOptions {
 /// table4_computation_time report). A value-type adapter over the
 /// resmon_pipeline_stage_seconds{stage=...} gauges in the registry.
 struct StageTimers {
-  double collect_seconds = 0.0;   ///< policy stepping + channel + store
+  double collect_seconds = 0.0;   ///< policy stepping + fault stage + store
   double cluster_seconds = 0.0;   ///< snapshots, K-means, re-indexing, offsets
   double forecast_seconds = 0.0;  ///< feeding/retraining managed forecasters
   double total_seconds() const {
@@ -124,9 +124,10 @@ class MonitoringPipeline {
                      const PipelineOptions& options, ExternalCollection);
 
   /// Advance one time step: the in-process collector produces the slot,
-  /// which is consumed exactly like step_external()'s. Throws without a
-  /// collector, and after any step_external() (the collector needs
-  /// consecutive slots).
+  /// the fault stage (if PipelineOptions::faults is set) sends it and
+  /// drains once, and what arrives is consumed exactly like
+  /// step_external()'s. Throws without a collector, and after any
+  /// step_external() (the collector needs consecutive slots).
   void step();
 
   /// Advance one time step on measurements received from outside: apply
@@ -175,6 +176,9 @@ class MonitoringPipeline {
   /// The in-process collector. Throws InvalidState in external-collection
   /// mode (there is none; the agents live in other processes).
   const collect::FleetCollector& collector() const;
+  /// The in-process uplink's fault stage; nullptr without
+  /// PipelineOptions::faults (and in external-collection mode).
+  const faultnet::FaultyLink* faults() const { return faults_.get(); }
   /// The central node's current view z_t, in either collection mode.
   const transport::CentralStore& central_store() const { return store_; }
   /// Managed forecaster of cluster j, dimension `dim` within `view`.
@@ -223,6 +227,7 @@ class MonitoringPipeline {
   const trace::Trace& trace_;
   PipelineOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // present only when num_threads > 1
+  std::unique_ptr<faultnet::FaultyLink> faults_;  // null without faults
   std::unique_ptr<collect::FleetCollector> collector_;  // null if external
   /// z_t of §IV: the central node's view, written only by consume_slot().
   transport::CentralStore store_;

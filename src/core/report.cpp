@@ -15,9 +15,10 @@ MonitoringReport make_report(const MonitoringPipeline& pipeline) {
   report.num_nodes = pipeline.trace().num_nodes();
   report.average_frequency =
       pipeline.collector().average_actual_frequency();
-  report.bytes_sent = pipeline.collector().link().bytes_sent();
-  report.messages_dropped =
-      pipeline.collector().link().messages_dropped();
+  report.bytes_sent = pipeline.collector().bytes_sent();
+  if (pipeline.faults() != nullptr) {
+    report.messages_dropped = pipeline.faults()->messages_dropped();
+  }
 
   const std::size_t k = pipeline.options().num_clusters;
   for (std::size_t v = 0; v < pipeline.num_views(); ++v) {

@@ -17,11 +17,8 @@ constexpr std::uint64_t kSaltShuffle = 0x12;
 
 }  // namespace
 
-FaultyLink::FaultyLink(const FaultSpec& spec,
-                       std::unique_ptr<transport::Link> inner,
-                       obs::MetricsRegistry* metrics)
-    : injector_(spec, metrics), inner_(std::move(inner)) {
-  RESMON_REQUIRE(inner_ != nullptr, "FaultyLink needs an inner link");
+FaultyLink::FaultyLink(const FaultSpec& spec, obs::MetricsRegistry* metrics)
+    : injector_(spec, metrics) {
   if (metrics != nullptr) {
     m_crc_rejects_ = &metrics->counter(
         "resmon_faultnet_crc_rejects_total",
@@ -30,12 +27,10 @@ FaultyLink::FaultyLink(const FaultSpec& spec,
 }
 
 void FaultyLink::send(transport::MeasurementMessage message) {
-  ++messages_sent_;
-  bytes_sent_ += message.wire_size();
   const FaultDecision d = injector_.decide(message.node, message.step);
   if (d.partitioned) {
     injector_.count(FaultKind::kPartition);
-    ++faulted_drops_;
+    ++messages_dropped_;
     return;
   }
   if (d.stalled) {
@@ -51,13 +46,13 @@ void FaultyLink::send(transport::MeasurementMessage message) {
   }
   if (d.drop) {
     injector_.count(FaultKind::kDrop);
-    ++faulted_drops_;
+    ++messages_dropped_;
     return;
   }
   if (d.corrupt) {
     injector_.count(FaultKind::kCorrupt);
     corrupt_and_reject(message);
-    ++faulted_drops_;
+    ++messages_dropped_;
     return;
   }
   if (d.delay_slots > 0) {
@@ -68,9 +63,9 @@ void FaultyLink::send(transport::MeasurementMessage message) {
   }
   if (d.duplicate) {
     injector_.count(FaultKind::kDuplicate);
-    inner_->send(message);
+    ready_.push_back(message);
   }
-  inner_->send(std::move(message));
+  ready_.push_back(std::move(message));
 }
 
 std::vector<transport::MeasurementMessage> FaultyLink::drain() {
@@ -79,13 +74,14 @@ std::vector<transport::MeasurementMessage> FaultyLink::drain() {
   const std::size_t now = drain_count_++;
   for (std::size_t i = 0; i < held_.size();) {
     if (held_[i].release_at <= now) {
-      inner_->send(std::move(held_[i].message));
+      ready_.push_back(std::move(held_[i].message));
       held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
       ++i;
     }
   }
-  std::vector<transport::MeasurementMessage> batch = inner_->drain();
+  std::vector<transport::MeasurementMessage> batch =
+      std::exchange(ready_, {});
   if (batch.size() > 1 && injector_.reorder_batch(0, now)) {
     injector_.count(FaultKind::kReorder);
     // Deterministic Fisher-Yates keyed on (batch index, position). Safe for

@@ -1,8 +1,7 @@
-// FaultyLink: fault-injecting wrapper around any transport::Link.
+// FaultyLink: the in-process uplink's fault stage.
 //
-// Composes over the uplink the pipeline already uses (normally a
-// net::LoopbackLink, so the real wire codec still runs underneath) and
-// applies a FaultSpec's schedule on the way through:
+// The pipeline sends each slot's messages through it and drains it once per
+// slot; it applies a FaultSpec's schedule on the way through:
 //
 //   drop        message vanishes (sender still pays bandwidth)
 //   duplicate   message is enqueued twice (receiver dedups by step)
@@ -16,49 +15,40 @@
 //   reorder     a delivered batch is deterministically shuffled
 //
 // drain() is the slot clock (the pipeline drains once per step). This is the
-// uplink's only fault injector: transport::Channel and net::LoopbackLink are
-// reliable in-order queues. All decisions come from the order-independent
+// uplink's only fault injector; without it the slot's messages go straight
+// to the central store. All decisions come from the order-independent
 // FaultInjector, so a seeded spec yields one exact fault realization per
 // run. The spec grammar is documented in faultnet/fault_spec.hpp.
 #pragma once
 
 #include <deque>
-#include <memory>
+#include <vector>
 
 #include "faultnet/injector.hpp"
 #include "obs/metrics.hpp"
 #include "transport/channel.hpp"
-#include "transport/link.hpp"
 
 namespace resmon::faultnet {
 
-class FaultyLink final : public transport::Link {
+class FaultyLink {
  public:
-  /// Wraps `inner` (owned). `metrics` (non-owning, may be nullptr) receives
+  /// `metrics` (non-owning, may be nullptr) receives
   /// resmon_faultnet_injected_total{fault=...} and
   /// resmon_faultnet_crc_rejects_total.
-  FaultyLink(const FaultSpec& spec, std::unique_ptr<transport::Link> inner,
-             obs::MetricsRegistry* metrics = nullptr);
+  explicit FaultyLink(const FaultSpec& spec,
+                      obs::MetricsRegistry* metrics = nullptr);
 
-  void send(transport::MeasurementMessage message) override;
-  std::vector<transport::MeasurementMessage> drain() override;
+  /// Apply the schedule to one message: lose it, hold it, or queue it (once
+  /// or twice) for the next drain().
+  void send(transport::MeasurementMessage message);
+  /// Deliver the messages due this slot, in send order unless reordered.
+  std::vector<transport::MeasurementMessage> drain();
 
-  std::size_t pending() const override {
-    return inner_->pending() + held_.size();
-  }
-  /// Sender-side accounting: every send() counts (faulted sends included —
-  /// the sender paid for the transmission).
-  std::uint64_t messages_sent() const override { return messages_sent_; }
-  std::uint64_t bytes_sent() const override { return bytes_sent_; }
-  /// Messages lost to injected faults (drop/corrupt/partition) plus the
-  /// inner link's own count — 0 for the plain links, nonzero when `inner`
-  /// is itself a FaultyLink.
-  std::uint64_t messages_dropped() const override {
-    return faulted_drops_ + inner_->messages_dropped();
-  }
+  /// Messages accepted but not yet delivered.
+  std::size_t pending() const { return ready_.size() + held_.size(); }
+  /// Messages lost to injected faults (drop/corrupt/partition).
+  std::uint64_t messages_dropped() const { return messages_dropped_; }
 
-  const FaultInjector& injector() const { return injector_; }
-  const transport::Link& inner() const { return *inner_; }
   /// Corrupted frames rejected by the wire decoder's CRC check.
   std::uint64_t crc_rejects() const { return crc_rejects_; }
 
@@ -72,12 +62,10 @@ class FaultyLink final : public transport::Link {
   void corrupt_and_reject(const transport::MeasurementMessage& message);
 
   FaultInjector injector_;
-  std::unique_ptr<transport::Link> inner_;
+  std::vector<transport::MeasurementMessage> ready_;  ///< due next drain()
   std::deque<Held> held_;
   std::size_t drain_count_ = 0;
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t faulted_drops_ = 0;
+  std::uint64_t messages_dropped_ = 0;
   std::uint64_t crc_rejects_ = 0;
   obs::Counter* m_crc_rejects_ = nullptr;
 };

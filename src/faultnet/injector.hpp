@@ -5,8 +5,9 @@
 // against the spec's probability. No shared RNG state means the decision
 // for frame (node, step) is identical whether it is asked once or twice,
 // from one process or eight, in any order — which is what makes the chaos
-// harness reproducible: the agent-side hook, the link wrapper and a test
-// re-deriving the schedule all agree on exactly which frames fault.
+// harness reproducible: the agent-side hook, the in-process fault stage
+// and a test re-deriving the schedule all agree on exactly which frames
+// fault.
 #pragma once
 
 #include <cstddef>

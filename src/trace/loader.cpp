@@ -1,6 +1,7 @@
 #include "trace/loader.hpp"
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -13,10 +14,13 @@ namespace resmon::trace {
 namespace {
 
 // A row can place a node/step index anywhere, and the resulting dense
-// grid is n*steps cells. Bound both axes so a corrupt index ("4294967295"
-// where "42" was meant) is diagnosed instead of attempting a huge
-// allocation.
+// grid is n*steps*resources cells. Bound both axes so a corrupt index
+// ("4294967295" where "42" was meant) is diagnosed early, and bound the
+// grid itself before allocating it: two in-range indices can still ask for
+// 10^14 cells. 2^29 cells admits the paper's Google fleet at 4 resources
+// (12,478 x 8,352 x 4 ~ 4.2e8).
 constexpr std::size_t kMaxIndex = 10'000'000;
+constexpr std::size_t kMaxCells = std::size_t{1} << 29;
 
 std::vector<std::string> split_csv_line(const std::string& line) {
   std::vector<std::string> fields;
@@ -95,6 +99,13 @@ InMemoryTrace load_csv(std::istream& in) {
 
   const std::size_t n = max_node + 1;
   const std::size_t steps = max_step + 1;
+  // n * steps <= (kMaxIndex + 1)^2 cannot overflow.
+  if (n * steps > kMaxCells / num_resources) {
+    throw Error("load_csv: " + std::to_string(n) + " nodes x " +
+                std::to_string(steps) + " steps x " +
+                std::to_string(num_resources) + " resources exceeds the " +
+                std::to_string(kMaxCells) + "-cell trace limit");
+  }
   InMemoryTrace trace(n, steps, num_resources);
 
   // Track which cells were provided so gaps can be sample-and-held.
@@ -126,6 +137,12 @@ InMemoryTrace load_csv_file(const std::string& path) {
 }
 
 void save_csv(const Trace& trace, std::ostream& out) {
+  // max_digits10 significant digits in %g style make save -> load the
+  // identity; the caller's format state is restored afterwards.
+  const std::ios_base::fmtflags flags =
+      out.flags(out.flags() & ~std::ios_base::floatfield);
+  const std::streamsize precision =
+      out.precision(std::numeric_limits<double>::max_digits10);
   out << "node,step";
   for (std::size_t r = 0; r < trace.num_resources(); ++r) {
     out << ',' << resource_name(r);
@@ -140,6 +157,8 @@ void save_csv(const Trace& trace, std::ostream& out) {
       out << '\n';
     }
   }
+  out.flags(flags);
+  out.precision(precision);
 }
 
 }  // namespace resmon::trace

@@ -22,7 +22,8 @@ InMemoryTrace load_csv(std::istream& in);
 InMemoryTrace load_csv_file(const std::string& path);
 
 /// Serialize a trace in the same CSV format (for round-tripping and for
-/// exporting synthetic traces to other tools).
+/// exporting synthetic traces to other tools). Values are written with
+/// max_digits10 significant digits, so load_csv(save_csv(t)) == t bitwise.
 void save_csv(const Trace& trace, std::ostream& out);
 
 }  // namespace resmon::trace

@@ -1,18 +1,6 @@
 #include "transport/channel.hpp"
 
-#include <utility>
-
 namespace resmon::transport {
-
-void Channel::send(MeasurementMessage message) {
-  ++messages_sent_;
-  bytes_sent_ += message.wire_size();
-  queue_.push_back(std::move(message));
-}
-
-std::vector<MeasurementMessage> Channel::drain() {
-  return std::exchange(queue_, {});
-}
 
 CentralStore::CentralStore(std::size_t num_nodes, std::size_t num_resources)
     : num_nodes_(num_nodes),

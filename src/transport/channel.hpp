@@ -1,18 +1,18 @@
-// In-process transport between local nodes and the central controller.
+// The two ends of the uplink between local nodes and the central node.
 //
 // The paper's system is a star topology: every machine may push its latest
-// measurement to the controller each slot. Channel simulates that link and
-// accounts for messages/bytes so experiments can report the communication
-// cost a transmission policy actually incurs.
+// measurement to the controller each slot. MeasurementMessage is what one
+// push carries, and CentralStore is the controller's z_t that the pushes
+// update. The hop between them is a span of messages per slot, from the
+// in-process collect::FleetCollector (optionally through a
+// faultnet::FaultyLink) or from the TCP runtime in net.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
 #include "transport/wire_format.hpp"
-#include "transport/link.hpp"
 
 namespace resmon::transport {
 
@@ -31,30 +31,6 @@ struct MeasurementMessage {
   }
 
   bool operator==(const MeasurementMessage&) const = default;
-};
-
-/// In-process, in-order message queue with traffic accounting. Faults
-/// (drop, delay, ...) are layered on top by faultnet::FaultyLink; see the
-/// FaultSpec grammar in faultnet/fault_spec.hpp.
-class Channel final : public Link {
- public:
-  /// Enqueue a message for delivery to the central node.
-  void send(MeasurementMessage message) override;
-
-  /// Deliver every queued message, in send order (the central node drains
-  /// the channel once per time slot).
-  std::vector<MeasurementMessage> drain() override;
-
-  std::size_t pending() const override { return queue_.size(); }
-  std::uint64_t messages_sent() const override { return messages_sent_; }
-  std::uint64_t bytes_sent() const override { return bytes_sent_; }
-  /// A plain queue never loses a message.
-  std::uint64_t messages_dropped() const override { return 0; }
-
- private:
-  std::vector<MeasurementMessage> queue_;
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
 };
 
 /// The central node's view of the system: z_t of §IV — the most recent

@@ -8,8 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "faultnet/faulty_link.hpp"
-#include "net/loopback.hpp"
 #include "trace/trace.hpp"
 #include "trace/synthetic.hpp"
 
@@ -177,8 +175,8 @@ TEST(FleetCollector, BetaIndicatorsMatchStoreUpdates) {
   p.num_nodes = 8;
   p.num_steps = 60;
   const trace::InMemoryTrace t = trace::generate(p, 6);
-  // On a reliable link a slot is exactly the beta_t = 1 nodes, in node
-  // order, each carrying its slot-t measurement.
+  // A slot is exactly the beta_t = 1 nodes, in node order, each carrying
+  // its slot-t measurement.
   FleetCollector fleet(t, make_policy_factory(PolicyKind::kAdaptive, 0.3));
   transport::CentralStore store(t.num_nodes(), t.num_resources());
   const auto by_node = &transport::MeasurementMessage::node;
@@ -201,7 +199,7 @@ TEST(FleetCollector, BetaIndicatorsMatchStoreUpdates) {
   EXPECT_EQ(delivered, transmissions);
 }
 
-TEST(FleetCollector, ChannelAccountsForTraffic) {
+TEST(FleetCollector, AccountsForTraffic) {
   trace::SyntheticProfile p = trace::alibaba_profile();
   p.num_nodes = 5;
   p.num_steps = 40;
@@ -212,42 +210,12 @@ TEST(FleetCollector, ChannelAccountsForTraffic) {
   for (std::size_t i = 0; i < t.num_nodes(); ++i) {
     transmissions += fleet.policy(i).transmissions();
   }
-  EXPECT_EQ(fleet.link().messages_sent(), transmissions);
+  EXPECT_EQ(fleet.messages_sent(), transmissions);
   // Every message is one wire frame; wire_size() is the encoder's exact
   // byte count (see transport/wire_format.hpp).
-  EXPECT_EQ(fleet.link().bytes_sent(),
+  EXPECT_EQ(fleet.bytes_sent(),
             transmissions *
                 net::wire::measurement_frame_size(t.num_resources()));
-}
-
-TEST(FleetCollector, LoopbackLinkMatchesPlainChannelBitForBit) {
-  // The LoopbackLink pushes every message through the real wire codec; under
-  // the same fault schedule it must still behave exactly like the bare
-  // Channel (encode->decode is an identity and the fault decisions are pure
-  // functions of the spec).
-  trace::SyntheticProfile p = trace::alibaba_profile();
-  p.num_nodes = 8;
-  p.num_steps = 120;
-  const trace::InMemoryTrace t = trace::generate(p, 13);
-  const faultnet::FaultSpec lossy =
-      faultnet::FaultSpec::parse("drop=0.2;delay=0.75:3;seed=99");
-  FleetCollector plain(
-      t, make_policy_factory(PolicyKind::kAdaptive, 0.3), nullptr,
-      std::make_unique<faultnet::FaultyLink>(
-          lossy, std::make_unique<transport::Channel>()));
-  FleetCollector loopback(
-      t, make_policy_factory(PolicyKind::kAdaptive, 0.3), nullptr,
-      std::make_unique<faultnet::FaultyLink>(
-          lossy, std::make_unique<net::LoopbackLink>()));
-  for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    ASSERT_TRUE(std::ranges::equal(plain.step(step), loopback.step(step)))
-        << "step " << step;
-  }
-  EXPECT_EQ(plain.link().messages_sent(), loopback.link().messages_sent());
-  EXPECT_EQ(plain.link().bytes_sent(), loopback.link().bytes_sent());
-  EXPECT_GT(plain.link().messages_dropped(), 0u);
-  EXPECT_EQ(plain.link().messages_dropped(),
-            loopback.link().messages_dropped());
 }
 
 // ---- MeasurementSource ----------------------------------------------

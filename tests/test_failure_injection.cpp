@@ -1,6 +1,6 @@
 // Failure-injection tests: out-of-order delivery, the deadband policy, the
 // pipeline's behaviour under an unreliable uplink, and the faultnet chaos
-// harness layered over the wire-codec path.
+// harness.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -124,7 +124,7 @@ TEST(PipelineFailures, LossRaisesCollectionError) {
   EXPECT_GT(run_rmse(0.4), run_rmse(0.0));
 }
 
-// ---- chaos harness over the wire path --------------------------------------
+// ---- chaos harness in the pipeline ----------------------------------------
 
 TEST(PipelineChaos, DuplicationAndReorderMatchTheGoldenRunBitForBit) {
   // Duplicates are deduped by the store (freshest-wins) and a shuffled

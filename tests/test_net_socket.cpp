@@ -1,5 +1,5 @@
 // Socket runtime tests: the real TCP agent/controller path against
-// 127.0.0.1, checked bit-for-bit against the in-process LoopbackLink path,
+// 127.0.0.1, checked bit-for-bit against the in-process path,
 // plus the handshake-rejection and reconnect-backoff behavior and the
 // agent's send counters.
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "collect/fleet_collector.hpp"
 #include "net/agent.hpp"
 #include "net/controller.hpp"
-#include "net/loopback.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
@@ -54,16 +53,15 @@ struct StoreSnapshot {
   bool operator==(const StoreSnapshot&) const = default;
 };
 
-TEST(NetSocket, TcpRunIsBitIdenticalToTheLoopbackLinkPath) {
+TEST(NetSocket, TcpRunIsBitIdenticalToTheInProcessPath) {
   constexpr std::size_t kNodes = 6;
   constexpr std::size_t kSlots = 80;
   const trace::InMemoryTrace trace = make_trace(kNodes, kSlots, 7);
   const auto factory =
       collect::make_policy_factory(collect::PolicyKind::kAdaptive, 0.3);
 
-  // Reference: the in-process path through the same wire codec.
-  collect::FleetCollector reference(trace, factory, nullptr,
-                                    std::make_unique<LoopbackLink>());
+  // Reference: the in-process collector's slots, no sockets or codec.
+  collect::FleetCollector reference(trace, factory);
   transport::CentralStore reference_store(kNodes, trace.num_resources());
   std::vector<StoreSnapshot> expected;
   for (std::size_t t = 0; t < kSlots; ++t) {

@@ -57,9 +57,10 @@ RunRecord run_pipeline(core::PipelineOptions options, std::size_t threads) {
   for (std::size_t v = 0; v < p.num_views(); ++v) {
     rec.memberships.push_back(p.tracker(v).history(0).assignment);
   }
-  rec.messages_sent = p.collector().link().messages_sent();
-  rec.bytes_sent = p.collector().link().bytes_sent();
-  rec.messages_dropped = p.collector().link().messages_dropped();
+  rec.messages_sent = p.collector().messages_sent();
+  rec.bytes_sent = p.collector().bytes_sent();
+  rec.messages_dropped =
+      p.faults() != nullptr ? p.faults()->messages_dropped() : 0;
   rec.avg_frequency = p.collector().average_actual_frequency();
   return rec;
 }

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "faultnet/faulty_link.hpp"
-#include "net/loopback.hpp"
 #include "trace/synthetic.hpp"
 
 namespace resmon::core {
@@ -501,8 +500,8 @@ TEST(Pipeline, StepAfterStepExternalThrows) {
 
 TEST(Pipeline, StepMatchesStepExternalOnTheCollectorsSlots) {
   // step() is step_external() on the in-process collector's slots: feeding
-  // an external pipeline from a standalone collector over the same link
-  // stack gives the same warm-up and bit-identical forecasts.
+  // an external pipeline from a standalone collector through the same fault
+  // stage gives the same warm-up, losses and bit-identical forecasts.
   const trace::InMemoryTrace t = small_trace(12, 200, 8);
   PipelineOptions o = fast_options();
   o.forecaster = forecast::ForecasterKind::kArima;
@@ -512,17 +511,18 @@ TEST(Pipeline, StepMatchesStepExternalOnTheCollectorsSlots) {
   MonitoringPipeline external(t, o, ExternalCollection{});
   const auto policies =
       collect::make_policy_factory(o.policy, o.max_frequency);
-  collect::FleetCollector fleet(
-      t, policies, nullptr,
-      std::make_unique<faultnet::FaultyLink>(
-          o.faults, std::make_unique<net::LoopbackLink>()));
+  collect::FleetCollector fleet(t, policies);
+  faultnet::FaultyLink faults(o.faults);
   const auto warmup = [](const MonitoringPipeline& p) {
     return p.metrics().value("resmon_pipeline_warmup_slots_total").value();
   };
   std::size_t compared = 0;
   for (std::size_t slot = 0; slot < t.num_steps(); ++slot) {
     in_process.step();
-    external.step_external(fleet.step(slot));
+    for (const transport::MeasurementMessage& m : fleet.step(slot)) {
+      faults.send(m);
+    }
+    external.step_external(faults.drain());
     ASSERT_EQ(warmup(in_process), warmup(external)) << "slot " << slot;
     if (!in_process.central_store().complete()) continue;
     for (const std::size_t h : {0, 1, 3}) {
@@ -534,7 +534,10 @@ TEST(Pipeline, StepMatchesStepExternalOnTheCollectorsSlots) {
   }
   EXPECT_GT(warmup(in_process), 1.0);
   EXPECT_GT(compared, 100u);
-  EXPECT_GT(fleet.link().messages_dropped(), 0u);
+  EXPECT_GT(faults.messages_dropped(), 0u);
+  ASSERT_NE(in_process.faults(), nullptr);
+  EXPECT_EQ(in_process.faults()->messages_dropped(),
+            faults.messages_dropped());
   EXPECT_GE(in_process.model(0, 0).fits_completed(), 2u);
 }
 

@@ -100,10 +100,16 @@ TEST(Report, CountsDroppedMessages) {
   PipelineOptions o;
   o.num_clusters = 2;
   o.schedule = {.initial_steps = 30, .retrain_interval = 50};
+  MonitoringPipeline reliable(t, o);
+  reliable.run(80);
   o.faults = faultnet::FaultSpec::parse("drop=0.3;seed=6");
   MonitoringPipeline pipeline(t, o);
   pipeline.run(80);
-  EXPECT_GT(make_report(pipeline).messages_dropped, 0u);
+  const MonitoringReport report = make_report(pipeline);
+  EXPECT_GT(report.messages_dropped, 0u);
+  // Senders pay for dropped messages: policies never see delivery, so the
+  // fleet sends exactly what it sends over a reliable uplink.
+  EXPECT_EQ(report.bytes_sent, make_report(reliable).bytes_sent);
 }
 
 }  // namespace

@@ -437,7 +437,7 @@ TEST(ScenarioRunner, MatchesAHandRolledPipelineOnTheGoldenTrace) {
       rmse.value());
   EXPECT_DOUBLE_EQ(
       registry.value("resmon_scenario_bytes_sent").value_or(-1.0),
-      static_cast<double>(pipeline.collector().link().bytes_sent()));
+      static_cast<double>(pipeline.collector().bytes_sent()));
   EXPECT_DOUBLE_EQ(
       registry.value("resmon_scenario_traffic_fraction").value_or(-1.0),
       pipeline.collector().average_actual_frequency());

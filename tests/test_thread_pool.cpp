@@ -28,32 +28,6 @@ TEST(ThreadPool, TeardownWithIdleWorkersDoesNotHang) {
   }
 }
 
-TEST(ThreadPool, SubmitReturnsResultThroughFuture) {
-  ThreadPool pool(2);
-  std::future<int> f = pool.submit([]() { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  std::future<void> f = pool.submit(
-      []() { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, PendingSubmitsStillRunDuringTeardown) {
-  // Tasks queued before destruction must complete (the destructor drains
-  // the queue), so their futures never go abandoned.
-  std::vector<std::future<int>> futures;
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      futures.push_back(pool.submit([i]() { return i; }));
-    }
-  }
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(futures[i].get(), i);
-}
-
 TEST(ThreadPool, ParallelForCoversAllIndicesExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 1000;
@@ -135,16 +109,6 @@ TEST(ThreadPool, NestedParallelForIsDeadlockFreeAndCoversAllIndices) {
       ASSERT_EQ(visits[i].load(), 1) << "workers " << workers << " slot " << i;
     }
   }
-}
-
-TEST(ThreadPool, NestedSubmitCompletes) {
-  ThreadPool pool(2);
-  // A task that enqueues another task and returns (without blocking on it)
-  // is safe at any pool size.
-  std::future<std::future<int>> outer = pool.submit([&pool]() {
-    return pool.submit([]() { return 99; });
-  });
-  EXPECT_EQ(outer.get().get(), 99);
 }
 
 TEST(RunChunked, NullPoolRunsInlineInChunkOrder) {

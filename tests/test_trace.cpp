@@ -1,6 +1,8 @@
 #include "trace/trace.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 
@@ -179,24 +181,48 @@ TEST(Synthetic, RegimeSwitchingChangesGroups) {
 // ---- CSV loader ---------------------------------------------------------
 
 TEST(Loader, RoundTripsThroughCsv) {
-  SyntheticProfile p = bitbrains_profile();
-  p.num_nodes = 4;
-  p.num_steps = 20;
-  const InMemoryTrace original = generate(p, 21);
+  // save -> load is the identity, bit for bit, on every profile.
+  for (SyntheticProfile p :
+       {alibaba_profile(), bitbrains_profile(), google_profile()}) {
+    p.num_nodes = 10;
+    p.num_steps = 50;
+    const InMemoryTrace original = generate(p, 21);
 
-  std::stringstream ss;
-  save_csv(original, ss);
-  const InMemoryTrace loaded = load_csv(ss);
+    std::stringstream ss;
+    save_csv(original, ss);
+    EXPECT_EQ(ss.precision(), 6) << "caller's stream state was changed";
+    const InMemoryTrace loaded = load_csv(ss);
 
-  ASSERT_EQ(loaded.num_nodes(), original.num_nodes());
-  ASSERT_EQ(loaded.num_steps(), original.num_steps());
-  ASSERT_EQ(loaded.num_resources(), original.num_resources());
-  for (std::size_t i = 0; i < original.num_nodes(); ++i) {
-    for (std::size_t t = 0; t < original.num_steps(); ++t) {
-      for (std::size_t r = 0; r < original.num_resources(); ++r) {
-        EXPECT_NEAR(loaded.value(i, t, r), original.value(i, t, r), 1e-9);
+    ASSERT_EQ(loaded.num_nodes(), original.num_nodes());
+    ASSERT_EQ(loaded.num_steps(), original.num_steps());
+    ASSERT_EQ(loaded.num_resources(), original.num_resources());
+    for (std::size_t i = 0; i < original.num_nodes(); ++i) {
+      for (std::size_t t = 0; t < original.num_steps(); ++t) {
+        for (std::size_t r = 0; r < original.num_resources(); ++r) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(loaded.value(i, t, r)),
+                    std::bit_cast<std::uint64_t>(original.value(i, t, r)))
+              << p.name << " node " << i << " step " << t << " resource "
+              << r;
+        }
       }
     }
+  }
+}
+
+TEST(Loader, RejectsAGridTooLargeToAllocate) {
+  // Both indices pass the per-axis bound, but the dense grid would be
+  // 10^14 cells.
+  std::stringstream ss;
+  ss << "node,step,cpu\n"
+     << "0,0,0.5\n"
+     << "9999999,9999999,0.5\n";
+  try {
+    load_csv(ss);
+    FAIL() << "expected resmon::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("10000000 nodes x 10000000 steps"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -1,7 +1,6 @@
 #include "transport/channel.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -10,32 +9,6 @@
 
 namespace resmon::transport {
 namespace {
-
-TEST(Channel, DeliversInOrder) {
-  Channel ch;
-  ch.send({.node = 0, .step = 1, .values = {0.5}});
-  ch.send({.node = 1, .step = 1, .values = {0.7}});
-  const auto msgs = ch.drain();
-  ASSERT_EQ(msgs.size(), 2u);
-  EXPECT_EQ(msgs[0].node, 0u);
-  EXPECT_EQ(msgs[1].node, 1u);
-  EXPECT_EQ(ch.pending(), 0u);
-}
-
-TEST(Channel, DrainOnEmptyReturnsNothing) {
-  Channel ch;
-  EXPECT_TRUE(ch.drain().empty());
-}
-
-TEST(Channel, CountsMessagesAndBytes) {
-  Channel ch;
-  ch.send({.node = 0, .step = 0, .values = {0.1, 0.2}});
-  EXPECT_EQ(ch.messages_sent(), 1u);
-  // Frame header (16) + measurement payload header (16) + 2 doubles.
-  EXPECT_EQ(ch.bytes_sent(), 16u + 16u + 16u);
-  ch.send({.node = 1, .step = 0, .values = {0.3, 0.4}});
-  EXPECT_EQ(ch.messages_sent(), 2u);
-}
 
 TEST(MeasurementMessage, WireSizeScalesWithDimension) {
   MeasurementMessage one{.node = 0, .step = 0, .values = {0.0}};
@@ -153,8 +126,7 @@ TEST(CentralStore, OutOfOrderDeliveryUnderDelayIgnoresStaleMessages) {
   // End-to-end lossy-link path: a delaying link reorders messages, and
   // the store must keep the freshest measurement while staleness() tracks
   // the age of what was actually applied.
-  faultnet::FaultyLink ch(faultnet::FaultSpec::parse("delay=1.0:3;seed=11"),
-                          std::make_unique<Channel>());
+  faultnet::FaultyLink ch(faultnet::FaultSpec::parse("delay=1.0:3;seed=11"));
   CentralStore store(1, 1);
   long long freshest = -1;  // newest step applied so far
   bool saw_stale_arrival = false;

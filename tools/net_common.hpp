@@ -4,7 +4,7 @@
 // shared --dataset/--nodes/--steps/--seed flags: agents read their own
 // node's measurements from it, the controller uses it as ground truth for
 // RMSE. Any asymmetry here would silently break the bit-identical
-// equivalence between the TCP path and the in-process LoopbackLink path,
+// equivalence between the TCP path and the in-process path,
 // so the construction lives in exactly one place.
 #pragma once
 

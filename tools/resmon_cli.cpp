@@ -262,7 +262,7 @@ int cmd_monitor(const Args& args) {
             << "budget B = " << options.max_frequency << ", actual "
             << pipeline.collector().average_actual_frequency() << "\n"
             << "bytes on the wire: "
-            << pipeline.collector().link().bytes_sent() << "\n"
+            << pipeline.collector().bytes_sent() << "\n"
             << "time-averaged RMSE h=0: " << now.value() << "\n"
             << "time-averaged RMSE h=" << h << ": " << ahead.value()
             << "\n";
