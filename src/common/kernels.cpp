@@ -1,5 +1,6 @@
 #include "common/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 // Two instances of every kernel body. The SIMD instance is compiled for
@@ -73,21 +74,13 @@ void min_distance_update(const double* const* xcols, std::size_t d,
   }
 }
 
-void subtract_mean(const double* src, double mean, std::size_t n,
-                   double* dst) {
+void css_lanes(const double* w, std::size_t n, const double* mean,
+               LagTerms ar, LagTerms ma, std::size_t css_from,
+               double* scratch, double* css, double* resid) {
   if (use_simd()) {
-    simd::subtract_mean(src, mean, n, dst);
+    simd::css_lanes(w, n, mean, ar, ma, css_from, scratch, css, resid);
   } else {
-    scalar::subtract_mean(src, mean, n, dst);
-  }
-}
-
-void axpy_lagged(double a, const double* w, std::size_t lag, std::size_t n,
-                 double* e) {
-  if (use_simd()) {
-    simd::axpy_lagged(a, w, lag, n, e);
-  } else {
-    scalar::axpy_lagged(a, w, lag, n, e);
+    scalar::css_lanes(w, n, mean, ar, ma, css_from, scratch, css, resid);
   }
 }
 

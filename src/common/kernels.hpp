@@ -52,15 +52,33 @@ void min_distance_update(const double* const* xcols, std::size_t d,
                          const double* c, std::size_t begin, std::size_t end,
                          double* dist2);
 
-/// dst[i] = src[i] - mean for i in [0, n) (ARIMA centering).
-void subtract_mean(const double* src, double mean, std::size_t n,
-                   double* dst);
+/// Coefficient vectors css_lanes scores in one pass, one per lane.
+inline constexpr std::size_t kCssLanes = 4;
 
-/// e[t] -= a * w[t - lag] for t in [lag, n). One pass of the AR-only CSS
-/// residual recursion; applying passes in lag order reproduces the scalar
-/// per-t accumulation order bit for bit. `e` and `w` must not alias.
-void axpy_lagged(double a, const double* w, std::size_t lag, std::size_t n,
-                 double* e);
+/// One side (AR or MA) of an ARMA lag polynomial whose lags every lane
+/// shares: term k has lag lag[k], and lane l's coefficient for it is
+/// coef[k * kCssLanes + l].
+struct LagTerms {
+  const std::size_t* lag = nullptr;
+  const double* coef = nullptr;
+  std::size_t count = 0;
+};
+
+/// Conditional sum of squares (CSS) of one series w[0, n) under
+/// kCssLanes coefficient vectors at once. Each lane l runs the
+/// zero-initialized ARMA residual recursion
+///   e[t] = (w[t] - mean[l]) - sum_ar a * (w[t - lag] - mean[l])
+///                           - sum_ma b * e[t - lag],
+/// subtracting AR terms in list order, then MA terms in list order, and
+/// skipping (not zero-multiplying) every term with t < lag. css[l] sums
+/// e[t]^2 over t in [css_from, n) in t order. When `resid` is non-null it
+/// receives lane 0's residuals e[0, n). `scratch` holds n * kCssLanes
+/// doubles. Lanes are independent, so the scalar and SIMD instances agree
+/// bit for bit with each other and with a plain one-vector recursion in
+/// that operation order.
+void css_lanes(const double* w, std::size_t n, const double* mean,
+               LagTerms ar, LagTerms ma, std::size_t css_from,
+               double* scratch, double* css, double* resid);
 
 /// Hungarian re-indexing history pass: clear mask[i*k + j] (i in
 /// [begin, end), j in [0, k)) wherever past[i] != j. Starting from an

@@ -1,15 +1,23 @@
 #include "common/optim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
 
 namespace resmon::optim {
 
-OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
-                        std::vector<double> x0,
-                        const NelderMeadOptions& options) {
+namespace {
+
+// The one Nelder-Mead loop. With batch > 1 each iteration scores its
+// reflect, expand and contract points in one call of f before deciding,
+// and vertex sets go batch points per call; with batch == 1 each point is
+// scored only when a decision reads it. The decisions, and so the result,
+// are the same either way.
+OptimResult minimize(const BatchObjective& f, std::size_t batch,
+                     std::vector<double> x0,
+                     const NelderMeadOptions& options) {
   RESMON_REQUIRE(!x0.empty(), "nelder_mead requires at least one parameter");
   const std::size_t n = x0.size();
 
@@ -19,19 +27,58 @@ OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
   constexpr double kRho = 0.5;
   constexpr double kSigma = 0.5;
 
+  std::array<std::span<const double>, kNelderMeadBatch> xs;
+  std::array<double, kNelderMeadBatch> out{};
   std::vector<std::vector<double>> simplex(n + 1, x0);
+  std::vector<double> fvals(n + 1);
+  // Scores every vertex but `skip`, batch vertices per call of f.
+  const auto score_vertices = [&](std::size_t skip) {
+    std::array<std::size_t, kNelderMeadBatch> idx{};
+    std::size_t m = 0;
+    const auto flush = [&] {
+      f({xs.data(), m}, {out.data(), m});
+      for (std::size_t i = 0; i < m; ++i) fvals[idx[i]] = out[i];
+      m = 0;
+    };
+    for (std::size_t i = 0; i <= n; ++i) {
+      if (i == skip) continue;
+      idx[m] = i;
+      xs[m] = simplex[i];
+      if (++m == batch) flush();
+    }
+    if (m > 0) flush();
+  };
+
   for (std::size_t i = 0; i < n; ++i) {
     simplex[i + 1][i] +=
         x0[i] != 0.0 ? options.initial_step * std::fabs(x0[i]) +
                            options.initial_step
                      : options.initial_step;
   }
-  std::vector<double> fvals(n + 1);
-  for (std::size_t i = 0; i <= n; ++i) fvals[i] = f(simplex[i]);
+  score_vertices(n + 1);
 
   std::vector<std::size_t> order(n + 1);
   OptimResult result;
-  std::vector<double> centroid(n), reflected(n), expanded(n), contracted(n);
+  std::vector<double> centroid(n);
+  // The three candidate points of an iteration and their objective values.
+  enum Trial : std::size_t { kReflected, kExpanded, kContracted, kTrials };
+  static_assert(kTrials <= kNelderMeadBatch);
+  std::array<std::vector<double>, kTrials> trial;
+  for (auto& v : trial) v.resize(n);
+  std::array<double, kTrials> f_trial{};
+  std::array<bool, kTrials> scored{};
+  const auto value = [&](Trial c) {
+    if (!scored[c]) {
+      xs[0] = trial[c];
+      f({xs.data(), 1}, {&f_trial[c], 1});
+      scored[c] = true;
+    }
+    return f_trial[c];
+  };
+  const auto accept = [&](std::size_t worst, Trial c) {
+    simplex[worst] = trial[c];
+    fvals[worst] = f_trial[c];
+  };
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
@@ -64,44 +111,36 @@ OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
     for (double& c : centroid) c /= static_cast<double>(n);
 
     for (std::size_t d = 0; d < n; ++d) {
-      reflected[d] = centroid[d] + kAlpha * (centroid[d] - simplex[worst][d]);
+      trial[kReflected][d] =
+          centroid[d] + kAlpha * (centroid[d] - simplex[worst][d]);
+      trial[kExpanded][d] =
+          centroid[d] + kGamma * (trial[kReflected][d] - centroid[d]);
+      trial[kContracted][d] =
+          centroid[d] + kRho * (simplex[worst][d] - centroid[d]);
     }
-    const double f_reflected = f(reflected);
+    scored.fill(batch > 1);
+    if (batch > 1) {
+      for (std::size_t c = 0; c < kTrials; ++c) xs[c] = trial[c];
+      f({xs.data(), kTrials}, {f_trial.data(), kTrials});
+    }
 
+    const double f_reflected = value(kReflected);
     if (f_reflected < fvals[best]) {
-      for (std::size_t d = 0; d < n; ++d) {
-        expanded[d] = centroid[d] + kGamma * (reflected[d] - centroid[d]);
-      }
-      const double f_expanded = f(expanded);
-      if (f_expanded < f_reflected) {
-        simplex[worst] = expanded;
-        fvals[worst] = f_expanded;
-      } else {
-        simplex[worst] = reflected;
-        fvals[worst] = f_reflected;
-      }
+      accept(worst, value(kExpanded) < f_reflected ? kExpanded : kReflected);
     } else if (f_reflected < fvals[second_worst]) {
-      simplex[worst] = reflected;
-      fvals[worst] = f_reflected;
+      accept(worst, kReflected);
+    } else if (value(kContracted) < fvals[worst]) {
+      accept(worst, kContracted);
     } else {
-      for (std::size_t d = 0; d < n; ++d) {
-        contracted[d] = centroid[d] + kRho * (simplex[worst][d] - centroid[d]);
-      }
-      const double f_contracted = f(contracted);
-      if (f_contracted < fvals[worst]) {
-        simplex[worst] = contracted;
-        fvals[worst] = f_contracted;
-      } else {
-        // Shrink the whole simplex towards the best vertex.
-        for (std::size_t i = 0; i <= n; ++i) {
-          if (i == best) continue;
-          for (std::size_t d = 0; d < n; ++d) {
-            simplex[i][d] = simplex[best][d] +
-                            kSigma * (simplex[i][d] - simplex[best][d]);
-          }
-          fvals[i] = f(simplex[i]);
+      // Shrink the whole simplex towards the best vertex.
+      for (std::size_t i = 0; i <= n; ++i) {
+        if (i == best) continue;
+        for (std::size_t d = 0; d < n; ++d) {
+          simplex[i][d] = simplex[best][d] +
+                          kSigma * (simplex[i][d] - simplex[best][d]);
         }
       }
+      score_vertices(best);
     }
   }
 
@@ -109,6 +148,24 @@ OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
   result.value = *best_it;
   result.x = simplex[static_cast<std::size_t>(best_it - fvals.begin())];
   return result;
+}
+
+}  // namespace
+
+OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
+                        std::vector<double> x0,
+                        const NelderMeadOptions& options) {
+  const BatchObjective one_at_a_time =
+      [&f](std::span<const std::span<const double>> xs,
+           std::span<double> out) {
+        for (std::size_t i = 0; i < xs.size(); ++i) out[i] = f(xs[i]);
+      };
+  return minimize(one_at_a_time, 1, std::move(x0), options);
+}
+
+OptimResult nelder_mead(const BatchObjective& f, std::vector<double> x0,
+                        const NelderMeadOptions& options) {
+  return minimize(f, kNelderMeadBatch, std::move(x0), options);
 }
 
 Adam::Adam(std::size_t dimension, const Options& options)

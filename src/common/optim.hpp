@@ -26,10 +26,29 @@ struct OptimResult {
   bool converged = false;      ///< Tolerances reached before max_iterations.
 };
 
+/// Most points a batch objective is handed in one call.
+inline constexpr std::size_t kNelderMeadBatch = 4;
+
+/// Objective that scores several points in one call:
+/// out[i] = f(xs[i]) for every i < xs.size() <= kNelderMeadBatch.
+using BatchObjective = std::function<void(
+    std::span<const std::span<const double>> xs, std::span<double> out)>;
+
 /// Minimize f starting from x0 with the Nelder-Mead simplex method.
 /// f must be defined for all real inputs (use penalties for constraints).
+/// f is evaluated only at the points the method's decisions reach.
 OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
                         std::vector<double> x0,
+                        const NelderMeadOptions& options = {});
+
+/// The same method over a batch objective. Each iteration scores its
+/// reflect, expand and contract candidates in one call, since all three
+/// depend only on the centroid and the worst vertex; the initial simplex
+/// and shrinks go in batches of up to kNelderMeadBatch. The decisions are
+/// the scalar overload's, so for a pure objective both return the same
+/// result bit for bit; the batch form spends more evaluations, in fewer
+/// calls.
+OptimResult nelder_mead(const BatchObjective& f, std::vector<double> x0,
                         const NelderMeadOptions& options = {});
 
 /// Tunables for the Adam optimizer.

@@ -1,6 +1,7 @@
 #include "forecast/arima.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -13,20 +14,28 @@ namespace resmon::forecast {
 
 namespace {
 
+/// (lag, coefficient) terms of one side of a lag polynomial.
+using Terms = std::vector<std::pair<std::size_t, double>>;
+
 /// Combined sparse lag polynomials of a multiplicative seasonal ARMA, plus
 /// the mean term, built from a flat parameter vector laid out as
 /// [phi_1..phi_p, theta_1..theta_q, PHI_1..PHI_sp, THETA_1..THETA_sq, (mean)].
 struct Polys {
-  std::vector<std::pair<std::size_t, double>> ar;
-  std::vector<std::pair<std::size_t, double>> ma;
+  Terms ar;
+  Terms ma;
   double mean = 0.0;
   std::size_t max_ar_lag = 0;
   double ar_abs_sum = 0.0;
   double ma_abs_sum = 0.0;
 };
 
-Polys build_polys(const ArimaOrder& o, std::span<const double> params) {
-  Polys out;
+void build_polys(const ArimaOrder& o, std::span<const double> params,
+                 Polys& out) {
+  out.ar.clear();
+  out.ma.clear();
+  out.max_ar_lag = 0;
+  out.ar_abs_sum = 0.0;
+  out.ma_abs_sum = 0.0;
   std::size_t idx = 0;
   const std::span<const double> phi = params.subspan(idx, o.p);
   idx += o.p;
@@ -65,51 +74,65 @@ Polys build_polys(const ArimaOrder& o, std::span<const double> params) {
     (void)lag;
     out.ma_abs_sum += std::fabs(b);
   }
-  return out;
 }
 
-/// Residual recursion with zero initialization (conditional sum of squares).
-/// Returns the CSS over t >= max_ar_lag and fills e (one residual per w).
-/// `wc` is caller-provided scratch for the centered series, so the
-/// Nelder-Mead objective (which calls this once per evaluation) allocates
-/// nothing once warm.
-double compute_residuals(std::span<const double> w, const Polys& polys,
-                         std::vector<double>& e, std::vector<double>& wc,
-                         std::size_t* n_eff) {
-  const std::size_t n = w.size();
-  e.assign(n, 0.0);
-  wc.resize(n);
-  kern::subtract_mean(w.data(), polys.mean, n, wc.data());
+/// Scores up to kern::kCssLanes parameter vectors of one order on one
+/// differenced series in a single kern::css_lanes pass. Its buffers persist
+/// across calls, so the Nelder-Mead objective allocates nothing once warm.
+class CssBatch {
+ public:
+  CssBatch(const ArimaOrder& order, std::span<const double> w)
+      : order_(order), w_(w), work_(w.size() * kern::kCssLanes) {}
 
-  double css = 0.0;
-  if (polys.ma.empty()) {
-    // Pure-AR model: e has no dependence on earlier residuals, so the
-    // recursion decomposes into one vectorizable axpy pass per AR lag. For
-    // each t the accumulator sees the exact same subtractions in the exact
-    // same (ar-list) order as the scalar recursion — bit-identical.
-    std::copy(wc.begin(), wc.end(), e.begin());
-    for (const auto& [lag, a] : polys.ar) {
-      kern::axpy_lagged(a, wc.data(), lag, n, e.data());
+  /// The polynomials of params[l] from the last run(), l < params.size().
+  const Polys& polys(std::size_t l) const { return polys_[l]; }
+
+  /// css[l] = the CSS of w under params[l] over t >= max_ar_lag, for each
+  /// of the 1..kCssLanes vectors in params; spare lanes repeat params[0].
+  /// `resid`, when non-null, receives params[0]'s residuals (w.size()).
+  void run(std::span<const std::span<const double>> params, double* css,
+           double* resid) {
+    constexpr std::size_t kL = kern::kCssLanes;
+    const std::size_t m = params.size();
+    for (std::size_t l = 0; l < m; ++l) {
+      build_polys(order_, params[l], polys_[l]);
     }
-    for (std::size_t t = polys.max_ar_lag; t < n; ++t) css += e[t] * e[t];
-  } else {
-    for (std::size_t t = 0; t < n; ++t) {
-      double acc = wc[t];
-      for (const auto& [lag, a] : polys.ar) {
-        if (t >= lag) acc -= a * wc[t - lag];
+    const auto lane = [&](std::size_t l) -> const Polys& {
+      return polys_[l < m ? l : 0];
+    };
+    // Lags are the order's, so lane 0's; coefficients go lane-interleaved.
+    const auto interleave = [&](Terms Polys::*side,
+                                std::vector<std::size_t>& lag,
+                                std::vector<double>& coef) -> kern::LagTerms {
+      const Terms& terms = polys_[0].*side;
+      lag.resize(terms.size());
+      coef.resize(terms.size() * kL);
+      for (std::size_t k = 0; k < terms.size(); ++k) {
+        lag[k] = terms[k].first;
+        for (std::size_t l = 0; l < kL; ++l) {
+          coef[k * kL + l] = (lane(l).*side)[k].second;
+        }
       }
-      for (const auto& [lag, b] : polys.ma) {
-        if (t >= lag) acc -= b * e[t - lag];
-      }
-      e[t] = acc;
-      if (t >= polys.max_ar_lag) css += acc * acc;
-    }
+      return {lag.data(), coef.data(), lag.size()};
+    };
+    double mean[kL];
+    for (std::size_t l = 0; l < kL; ++l) mean[l] = lane(l).mean;
+    double lane_css[kL];
+    kern::css_lanes(w_.data(), w_.size(), mean,
+                    interleave(&Polys::ar, ar_lag_, ar_coef_),
+                    interleave(&Polys::ma, ma_lag_, ma_coef_),
+                    polys_[0].max_ar_lag, work_.data(), lane_css, resid);
+    std::copy_n(lane_css, m, css);
   }
-  if (n_eff != nullptr) {
-    *n_eff = n > polys.max_ar_lag ? n - polys.max_ar_lag : 0;
-  }
-  return css;
-}
+
+ private:
+  ArimaOrder order_;
+  std::span<const double> w_;
+  Polys polys_[kern::kCssLanes];
+  std::vector<std::size_t> ar_lag_, ma_lag_;
+  std::vector<double> ar_coef_, ma_coef_;
+  std::vector<double> work_;
+};
 
 std::vector<double> difference(std::span<const double> x, std::size_t lag) {
   RESMON_REQUIRE(x.size() > lag, "series too short to difference");
@@ -158,20 +181,6 @@ ArimaForecaster::ArimaForecaster(const ArimaOrder& order,
   }
 }
 
-void ArimaForecaster::rebuild_polynomials() {
-  const Polys polys = build_polys(order_, params_);
-  ar_lags_ = polys.ar;
-  ma_lags_ = polys.ma;
-  mean_ = polys.mean;
-  max_ar_lag_ = polys.max_ar_lag;
-}
-
-void ArimaForecaster::recompute_chain_and_residuals() {
-  const Polys polys = build_polys(order_, params_);
-  css_ = compute_residuals(chain_.back(), polys, residuals_, wc_scratch_,
-                           &n_effective_);
-}
-
 void ArimaForecaster::fit(std::span<const double> series) {
   const std::size_t seasonal_loss = order_.sd * order_.season;
   const std::size_t loss = order_.d + seasonal_loss;
@@ -179,7 +188,8 @@ void ArimaForecaster::fit(std::span<const double> series) {
   // Trial polynomials with unit coefficients give the deepest lag the model
   // will ever reach; the differenced series must comfortably cover it.
   std::vector<double> ones(order_.num_params(), 0.1);
-  const Polys trial = build_polys(order_, ones);
+  Polys trial;
+  build_polys(order_, ones, trial);
   const std::size_t min_len =
       std::max<std::size_t>(trial.max_ar_lag + 8, 16);
   if (series.size() < loss + min_len) {
@@ -206,27 +216,39 @@ void ArimaForecaster::fit(std::span<const double> series) {
     params_.back() = m / static_cast<double>(w.size());
   }
 
+  CssBatch batch(order_, w);
   if (!params_.empty()) {
     const double n = static_cast<double>(w.size());
-    std::vector<double> scratch;
-    auto objective = [&](std::span<const double> candidate) -> double {
-      const Polys polys = build_polys(order_, candidate);
-      const double css =
-          compute_residuals(w, polys, scratch, wc_scratch_, nullptr);
-      // Soft stationarity/invertibility penalty: keep the combined lag
-      // polynomials inside the (conservative) |coeffs| sum < 1 region.
-      const double excess_ar = std::max(0.0, polys.ar_abs_sum - 0.999);
-      const double excess_ma = std::max(0.0, polys.ma_abs_sum - 0.999);
-      return css * (1.0 + 50.0 * (excess_ar + excess_ma)) +
-             n * (excess_ar + excess_ma);
-    };
+    const optim::BatchObjective objective =
+        [&](std::span<const std::span<const double>> candidates,
+            std::span<double> out) {
+          batch.run(candidates, out.data(), nullptr);
+          for (std::size_t i = 0; i < candidates.size(); ++i) {
+            // Soft stationarity/invertibility penalty: keep the combined
+            // lag polynomials inside the (conservative) |coeffs| sum < 1
+            // region.
+            const Polys& polys = batch.polys(i);
+            const double excess_ar = std::max(0.0, polys.ar_abs_sum - 0.999);
+            const double excess_ma = std::max(0.0, polys.ma_abs_sum - 0.999);
+            out[i] = out[i] * (1.0 + 50.0 * (excess_ar + excess_ma)) +
+                     n * (excess_ar + excess_ma);
+          }
+        };
     const optim::OptimResult opt =
         optim::nelder_mead(objective, params_, options_.optimizer);
     params_ = opt.x;
   }
 
-  rebuild_polynomials();
-  recompute_chain_and_residuals();
+  // One more pass at the optimum keeps its residuals, CSS and polynomials.
+  const std::span<const double> optimum[] = {params_};
+  residuals_.resize(w.size());
+  batch.run(optimum, &css_, residuals_.data());
+  const Polys& polys = batch.polys(0);
+  ar_lags_ = polys.ar;
+  ma_lags_ = polys.ma;
+  mean_ = polys.mean;
+  max_ar_lag_ = polys.max_ar_lag;
+  n_effective_ = w.size() > max_ar_lag_ ? w.size() - max_ar_lag_ : 0;
   fitted_ = true;
 }
 
@@ -286,11 +308,15 @@ double ArimaForecaster::forecast(std::size_t h) const {
   const std::size_t n = w.size();
 
   // Forecast the stationary (differenced, centered) series: future shocks
-  // are zero, past residuals come from the fitted recursion. fc lives in a
-  // member scratch: the pipeline's residual tracking calls forecast(1)
-  // every step, which must stay allocation-free.
-  std::vector<double>& fc = fc_scratch_;
-  fc.assign(h, 0.0);
+  // are zero, past residuals come from the fitted recursion. fc is the
+  // caller's own stack buffer up to kStackHorizon, so forecast() writes no
+  // shared state (concurrent readers are safe) and the per-step forecast(1)
+  // of the pipeline's residual tracking stays allocation-free.
+  constexpr std::size_t kStackHorizon = 64;
+  std::array<double, kStackHorizon> stack_fc{};
+  std::vector<double> heap_fc(h > kStackHorizon ? h : 0);
+  const std::span<double> fc(
+      h > kStackHorizon ? heap_fc.data() : stack_fc.data(), h);
   auto wc_at = [&](long long idx) -> double {
     // idx relative to w; negative = before data start (treated as mean).
     if (idx < 0) return 0.0;

@@ -92,15 +92,7 @@ class ArimaForecaster final : public Forecaster {
   const std::vector<double>& coefficients() const { return params_; }
 
  private:
-  void rebuild_polynomials();
-  void recompute_chain_and_residuals();
   void append_to_chain(double value);
-
-  // Scratch buffers (centered series / forecast recursion) so the steady
-  // per-step path — update() plus the one-step forecast(1) the pipeline's
-  // residual tracking issues — performs no heap allocations.
-  std::vector<double> wc_scratch_;
-  mutable std::vector<double> fc_scratch_;
 
   ArimaOrder order_;
   ArimaOptions options_;

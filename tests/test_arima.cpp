@@ -1,13 +1,17 @@
 #include "forecast/arima.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "reference_nelder_mead.hpp"
 
 namespace resmon::forecast {
 namespace {
@@ -241,6 +245,131 @@ TEST(AutoArima, PaperGridMatchesPaperRanges) {
 }
 
 // ---- prediction intervals -------------------------------------------------
+
+// ---- Differential oracle: fit() against a sequential scalar CSS fit ----
+
+using Terms = std::vector<std::pair<std::size_t, double>>;
+
+/// ARIMA's expanded lag polynomials for params laid out as
+/// [phi, theta, PHI, THETA, (mean)].
+void reference_polys(const ArimaOrder& o, std::span<const double> params,
+                     Terms& ar, Terms& ma, double& mean) {
+  const std::size_t s = o.season;
+  const double* phi = params.data();
+  const double* theta = phi + o.p;
+  const double* sphi = theta + o.q;
+  const double* stheta = sphi + o.sp;
+  mean = o.needs_mean() ? stheta[o.sq] : 0.0;
+  ar.clear();
+  ma.clear();
+  for (std::size_t i = 0; i < o.p; ++i) ar.emplace_back(i + 1, phi[i]);
+  for (std::size_t I = 0; I < o.sp; ++I) {
+    ar.emplace_back(s * (I + 1), sphi[I]);
+    for (std::size_t i = 0; i < o.p; ++i) {
+      ar.emplace_back(s * (I + 1) + i + 1, -phi[i] * sphi[I]);
+    }
+  }
+  for (std::size_t j = 0; j < o.q; ++j) ma.emplace_back(j + 1, theta[j]);
+  for (std::size_t J = 0; J < o.sq; ++J) {
+    ma.emplace_back(s * (J + 1), stheta[J]);
+    for (std::size_t j = 0; j < o.q; ++j) {
+      ma.emplace_back(s * (J + 1) + j + 1, theta[j] * stheta[J]);
+    }
+  }
+}
+
+/// The penalized CSS objective fit() minimizes, one vector at a time.
+double reference_objective(const ArimaOrder& o, const std::vector<double>& w,
+                           std::span<const double> params) {
+  Terms ar, ma;
+  double mean = 0.0;
+  reference_polys(o, params, ar, ma, mean);
+  std::size_t max_ar_lag = 0;
+  double ar_abs = 0.0, ma_abs = 0.0;
+  for (const auto& [lag, a] : ar) {
+    max_ar_lag = std::max(max_ar_lag, lag);
+    ar_abs += std::fabs(a);
+  }
+  for (const auto& term : ma) ma_abs += std::fabs(term.second);
+  std::vector<double> e(w.size(), 0.0);
+  double css = 0.0;
+  for (std::size_t t = 0; t < w.size(); ++t) {
+    double acc = w[t] - mean;
+    for (const auto& [lag, a] : ar) {
+      if (t >= lag) acc -= a * (w[t - lag] - mean);
+    }
+    for (const auto& [lag, b] : ma) {
+      if (t >= lag) acc -= b * e[t - lag];
+    }
+    e[t] = acc;
+    if (t >= max_ar_lag) css += acc * acc;
+  }
+  const double excess_ar = std::max(0.0, ar_abs - 0.999);
+  const double excess_ma = std::max(0.0, ma_abs - 0.999);
+  return css * (1.0 + 50.0 * (excess_ar + excess_ma)) +
+         static_cast<double>(w.size()) * (excess_ar + excess_ma);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(ArimaOracle, BatchedFitMatchesSequentialScalarFit) {
+  Rng rng(31);
+  std::vector<double> x(480);
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    const double tt = static_cast<double>(t);
+    x[t] = 0.5 + 0.2 * std::sin(2.0 * std::numbers::pi * tt / 12.0) +
+           0.0004 * tt + rng.normal(0.0, 0.03);
+  }
+  const std::vector<ArimaOrder> orders{
+      {.p = 2, .d = 0, .q = 1},
+      {.p = 1, .d = 0, .q = 0},
+      {.p = 0, .d = 1, .q = 2},
+      {.p = 2, .d = 1, .q = 0},
+      {.p = 1, .d = 0, .q = 1, .sp = 1, .sd = 0, .sq = 1, .season = 12},
+      {.p = 0, .d = 1, .q = 1, .sp = 0, .sd = 1, .sq = 1, .season = 12},
+  };
+  for (const ArimaOrder& order : orders) {
+    SCOPED_TRACE(order.to_string());
+    ArimaForecaster model(order);
+    model.fit(x);
+
+    std::vector<double> w = x;
+    for (std::size_t i = 0; i < order.sd; ++i) {
+      for (std::size_t t = w.size(); t-- > order.season;) {
+        w[t] -= w[t - order.season];
+      }
+      w.erase(w.begin(), w.begin() + static_cast<std::ptrdiff_t>(order.season));
+    }
+    for (std::size_t i = 0; i < order.d; ++i) {
+      for (std::size_t t = w.size(); t-- > 1;) w[t] -= w[t - 1];
+      w.erase(w.begin());
+    }
+    std::vector<double> x0(order.num_params(), 0.1);
+    if (order.needs_mean()) {
+      double m = 0.0;
+      for (const double v : w) m += v;
+      x0.back() = m / static_cast<double>(w.size());
+    }
+    const auto want = oracle::reference_nelder_mead(
+        [&](std::span<const double> p) {
+          return reference_objective(order, w, p);
+        },
+        x0, ArimaOptions{}.optimizer);
+
+    const std::vector<double>& got = model.coefficients();
+    ASSERT_EQ(got.size(), want.result.x.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(same_bits(got[i], want.result.x[i]))
+          << "coefficient " << i << ": " << got[i] << " vs "
+          << want.result.x[i];
+    }
+    // No penalty applies at these optima, so the objective is the CSS.
+    EXPECT_TRUE(same_bits(model.css(), want.result.value))
+        << model.css() << " vs " << want.result.value;
+  }
+}
 
 TEST(ArimaIntervals, Ar1VarianceMatchesTheory) {
   // For AR(1), se_h^2 = sigma^2 * (1 - phi^(2h)) / (1 - phi^2).

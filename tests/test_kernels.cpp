@@ -7,8 +7,10 @@
 // accumulation preserved) makes that guarantee possible.
 #include "common/kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,25 +114,157 @@ TEST(Kernels, MinDistanceUpdateMatchesScalarBitwise) {
   }
 }
 
-TEST(Kernels, ArimaKernelsMatchScalarBitwise) {
-  if (!kern::simd_supported()) GTEST_SKIP() << "no AVX2 on this host";
+// ---- css_lanes against a plain one-vector CSS recursion ----
+
+using Terms = std::vector<std::pair<std::size_t, double>>;
+
+/// The recursion css_lanes documents, one coefficient vector at a time.
+double reference_css(const std::vector<double>& w, double mean,
+                     const Terms& ar, const Terms& ma, std::size_t css_from,
+                     std::vector<double>& e) {
+  e.assign(w.size(), 0.0);
+  double css = 0.0;
+  for (std::size_t t = 0; t < w.size(); ++t) {
+    double acc = w[t] - mean;
+    for (const auto& [lag, a] : ar) {
+      if (t >= lag) acc -= a * (w[t - lag] - mean);
+    }
+    for (const auto& [lag, b] : ma) {
+      if (t >= lag) acc -= b * e[t - lag];
+    }
+    e[t] = acc;
+    if (t >= css_from) css += acc * acc;
+  }
+  return css;
+}
+
+/// Lags of a multiplicative seasonal ARMA(p,q)(P,Q)_s, in the order ARIMA
+/// lists its expanded polynomial terms.
+std::vector<std::size_t> seasonal_lags(std::size_t p, std::size_t sp,
+                                       std::size_t s) {
+  std::vector<std::size_t> lags;
+  for (std::size_t i = 1; i <= p; ++i) lags.push_back(i);
+  for (std::size_t I = 1; I <= sp; ++I) {
+    lags.push_back(s * I);
+    for (std::size_t i = 1; i <= p; ++i) lags.push_back(s * I + i);
+  }
+  return lags;
+}
+
+std::vector<double> differenced(std::vector<double> x, std::size_t lag) {
+  for (std::size_t t = x.size(); t-- > lag;) x[t] -= x[t - lag];
+  x.erase(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(lag));
+  return x;
+}
+
+struct CssCase {
+  std::size_t p, d, q, sp, sd, sq, season;
+  bool mean;
+  std::size_t length;
+  std::size_t lanes;
+};
+
+void check_css_lanes(const CssCase& c, Rng& rng) {
+  constexpr std::size_t kL = kern::kCssLanes;
+  std::vector<double> w(c.length);
+  for (double& v : w) v = rng.normal(0.5, 0.2);
+  for (std::size_t i = 0; i < c.sd; ++i) w = differenced(w, c.season);
+  for (std::size_t i = 0; i < c.d; ++i) w = differenced(w, 1);
+  const std::size_t n = w.size();
+
+  const std::vector<std::size_t> ar_lag = seasonal_lags(c.p, c.sp, c.season);
+  const std::vector<std::size_t> ma_lag = seasonal_lags(c.q, c.sq, c.season);
+  std::size_t max_ar_lag = 0;
+  for (std::size_t lag : ar_lag) max_ar_lag = std::max(max_ar_lag, lag);
+
+  // Distinct coefficients in the first c.lanes lanes; spare lanes repeat
+  // lane 0, as ARIMA's batches do.
+  std::vector<double> ar_coef(ar_lag.size() * kL), ma_coef(ma_lag.size() * kL);
+  double mean[kL];
+  for (std::size_t l = 0; l < kL; ++l) {
+    const std::size_t src = l < c.lanes ? l : 0;
+    for (std::size_t k = 0; k < ar_lag.size(); ++k) {
+      ar_coef[k * kL + l] =
+          l == src ? rng.normal(0.0, 0.4) : ar_coef[k * kL + src];
+    }
+    for (std::size_t k = 0; k < ma_lag.size(); ++k) {
+      ma_coef[k * kL + l] =
+          l == src ? rng.normal(0.0, 0.4) : ma_coef[k * kL + src];
+    }
+    mean[l] = !c.mean ? 0.0 : l == src ? rng.normal(0.5, 0.1) : mean[src];
+  }
+
+  std::vector<double> scratch(2 * n * kL), resid(n);
+  std::vector<kern::Path> paths{kern::Path::kScalar};
+  if (kern::simd_supported()) paths.push_back(kern::Path::kSimd);
+  for (const kern::Path path : paths) {
+    kern::set_path(path);
+    double css[kL];
+    kern::css_lanes(w.data(), n, mean,
+                    {ar_lag.data(), ar_coef.data(), ar_lag.size()},
+                    {ma_lag.data(), ma_coef.data(), ma_lag.size()},
+                    max_ar_lag, scratch.data(), css, resid.data());
+    for (std::size_t l = 0; l < c.lanes; ++l) {
+      Terms ar, ma;
+      for (std::size_t k = 0; k < ar_lag.size(); ++k) {
+        ar.emplace_back(ar_lag[k], ar_coef[k * kL + l]);
+      }
+      for (std::size_t k = 0; k < ma_lag.size(); ++k) {
+        ma.emplace_back(ma_lag[k], ma_coef[k * kL + l]);
+      }
+      std::vector<double> e;
+      const double want = reference_css(w, mean[l], ar, ma, max_ar_lag, e);
+      EXPECT_TRUE(bitwise_equal(css[l], want))
+          << "path " << static_cast<int>(path) << " lane " << l << ": "
+          << css[l] << " vs " << want;
+      if (l != 0) continue;
+      for (std::size_t t = 0; t < n; ++t) {
+        ASSERT_TRUE(bitwise_equal(resid[t], e[t]))
+            << "path " << static_cast<int>(path) << " t " << t;
+      }
+    }
+  }
+}
+
+TEST(Kernels, CssLanesMatchScalarRecursionBitwise) {
   PathGuard guard;
   Rng rng(43);
-  const std::size_t n = 203;
-  std::vector<double> w(n);
-  for (double& v : w) v = rng.normal(0.5, 0.2);
-
-  std::vector<double> centered_scalar(n), centered_simd(n);
-  std::vector<double> e_scalar(w), e_simd(w);
-  kern::set_path(kern::Path::kScalar);
-  kern::subtract_mean(w.data(), 0.37, n, centered_scalar.data());
-  kern::axpy_lagged(0.81, w.data(), 3, n, e_scalar.data());
-  kern::set_path(kern::Path::kSimd);
-  kern::subtract_mean(w.data(), 0.37, n, centered_simd.data());
-  kern::axpy_lagged(0.81, w.data(), 3, n, e_simd.data());
-  for (std::size_t t = 0; t < n; ++t) {
-    EXPECT_TRUE(bitwise_equal(centered_scalar[t], centered_simd[t])) << t;
-    EXPECT_TRUE(bitwise_equal(e_scalar[t], e_simd[t])) << t;
+  // Named shapes: q = 2 without a mean, pure AR, pure MA, no terms at all,
+  // and a series shorter than the deepest lag.
+  const std::vector<CssCase> named{
+      {.p = 0, .d = 1, .q = 2, .sp = 0, .sd = 0, .sq = 0, .season = 0,
+       .mean = false, .length = 300, .lanes = 4},
+      {.p = 2, .d = 0, .q = 0, .sp = 1, .sd = 0, .sq = 0, .season = 12,
+       .mean = true, .length = 250, .lanes = 3},
+      {.p = 0, .d = 0, .q = 2, .sp = 0, .sd = 1, .sq = 2, .season = 7,
+       .mean = false, .length = 200, .lanes = 2},
+      {.p = 0, .d = 2, .q = 0, .sp = 0, .sd = 0, .sq = 0, .season = 0,
+       .mean = false, .length = 50, .lanes = 1},
+      {.p = 2, .d = 0, .q = 1, .sp = 2, .sd = 0, .sq = 0, .season = 24,
+       .mean = true, .length = 40, .lanes = 4},
+  };
+  for (const CssCase& c : named) check_css_lanes(c, rng);
+  // Every non-seasonal p, q <= 2: the term counts with their own instance.
+  for (std::size_t p = 0; p <= 2; ++p) {
+    for (std::size_t q = 0; q <= 2; ++q) {
+      check_css_lanes({.p = p, .d = 0, .q = q, .sp = 0, .sd = 0, .sq = 0,
+                       .season = 0, .mean = true, .length = 150,
+                       .lanes = 1 + (3 * p + q) % kern::kCssLanes},
+                      rng);
+    }
+  }
+  // Random orders with seasonal P/Q, d/D and 1-4 lanes.
+  for (std::size_t trial = 0; trial < 48; ++trial) {
+    const auto pick = [&](std::size_t hi) {
+      return static_cast<std::size_t>(rng.uniform() * (hi + 1)) % (hi + 1);
+    };
+    CssCase c{.p = pick(3), .d = pick(2), .q = pick(2), .sp = pick(2),
+              .sd = pick(1), .sq = pick(2), .season = 2 + pick(10),
+              .mean = false, .length = 30 + pick(400),
+              .lanes = 1 + trial % kern::kCssLanes};
+    c.mean = c.d == 0 && c.sd == 0;
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    check_css_lanes(c, rng);
   }
 }
 

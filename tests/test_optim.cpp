@@ -1,11 +1,15 @@
 #include "common/optim.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "forecast/holt_winters.hpp"
+#include "reference_nelder_mead.hpp"
 
 namespace resmon::optim {
 namespace {
@@ -62,6 +66,151 @@ TEST(NelderMead, RespectsIterationBudget) {
 TEST(NelderMead, EmptyStartThrows) {
   auto f = [](std::span<const double>) { return 0.0; };
   EXPECT_THROW(nelder_mead(f, {}), InvalidArgument);
+}
+
+// ---- Differential oracle: both overloads against the sequential loop ----
+
+void expect_same_result(const OptimResult& got, const OptimResult& want) {
+  ASSERT_EQ(got.x.size(), want.x.size());
+  for (std::size_t i = 0; i < got.x.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&got.x[i], &want.x[i], sizeof(double)), 0)
+        << "x[" << i << "]: " << got.x[i] << " vs " << want.x[i];
+  }
+  EXPECT_EQ(std::memcmp(&got.value, &want.value, sizeof(double)), 0)
+      << got.value << " vs " << want.value;
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+}
+
+double rosenbrock(std::span<const double> x) {
+  double s = 0.0;
+  for (std::size_t i = 0; i + 1 < x.size(); ++i) {
+    const double a = 1.0 - x[i];
+    const double b = x[i + 1] - x[i] * x[i];
+    s += a * a + 100.0 * b * b;
+  }
+  return x.size() == 1 ? (1.0 - x[0]) * (1.0 - x[0]) : s;
+}
+
+// Flat steps: a contract point often ties the worst vertex instead of
+// beating it, so the simplex keeps shrinking.
+double staircase(std::span<const double> x) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    s += std::floor(4.0 * std::fabs(x[i] - 0.3 * static_cast<double>(i)));
+  }
+  return s;
+}
+
+using Scalar = double (*)(std::span<const double>);
+
+struct OracleCase {
+  Scalar f;
+  std::size_t dims;
+};
+
+std::vector<OracleCase> oracle_cases() {
+  std::vector<OracleCase> cases;
+  for (std::size_t n = 1; n <= 6; ++n) {
+    cases.push_back({rosenbrock, n});
+    cases.push_back({staircase, n});
+  }
+  return cases;
+}
+
+std::vector<double> start_point(std::size_t n) {
+  std::vector<double> x0(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x0[i] = i % 2 == 0 ? -1.2 : 1.0 + 0.1 * static_cast<double>(i);
+  }
+  return x0;
+}
+
+TEST(NelderMeadOracle, ScalarOverloadMatchesSequentialLoop) {
+  const NelderMeadOptions options{.max_iterations = 700};
+  for (const OracleCase& c : oracle_cases()) {
+    SCOPED_TRACE(::testing::Message() << "dims " << c.dims);
+    const auto want =
+        oracle::reference_nelder_mead(c.f, start_point(c.dims), options);
+    std::size_t evaluations = 0;
+    const auto counted = [&](std::span<const double> x) {
+      ++evaluations;
+      return c.f(x);
+    };
+    expect_same_result(nelder_mead(counted, start_point(c.dims), options),
+                       want.result);
+    EXPECT_EQ(evaluations, want.evaluations);
+  }
+}
+
+TEST(NelderMeadOracle, BatchedOverloadMatchesSequentialLoop) {
+  const NelderMeadOptions options{.max_iterations = 700};
+  std::size_t staircase_shrinks = 0;
+  for (const OracleCase& c : oracle_cases()) {
+    SCOPED_TRACE(::testing::Message() << "dims " << c.dims);
+    const auto want =
+        oracle::reference_nelder_mead(c.f, start_point(c.dims), options);
+    if (c.f == staircase) staircase_shrinks += want.shrinks;
+    std::size_t calls = 0;
+    std::size_t widest = 0;
+    const BatchObjective batched =
+        [&](std::span<const std::span<const double>> xs,
+            std::span<double> out) {
+          ++calls;
+          widest = std::max(widest, xs.size());
+          ASSERT_EQ(xs.size(), out.size());
+          for (std::size_t i = 0; i < xs.size(); ++i) out[i] = c.f(xs[i]);
+        };
+    expect_same_result(nelder_mead(batched, start_point(c.dims), options),
+                       want.result);
+    EXPECT_LE(widest, kNelderMeadBatch);
+    EXPECT_LT(calls, want.evaluations);
+  }
+  // The shrink path (batched vertex re-scoring) really ran.
+  EXPECT_GE(staircase_shrinks, 20u);
+}
+
+// Holt-Winters hands nelder_mead a scalar objective, so batching must not
+// change how often it is evaluated. The objective is rebuilt here from the
+// public API; the fitted parameters prove it is the one fit() minimizes.
+TEST(NelderMeadOracle, HoltWintersEvaluationCountIsPinned) {
+  std::vector<double> series(120);
+  for (std::size_t t = 0; t < series.size(); ++t) {
+    const double tt = static_cast<double>(t);
+    series[t] = 0.5 + 0.002 * tt + 0.1 * std::sin(tt * 0.5236) +
+                0.01 * std::cos(tt * 1.7);
+  }
+  const forecast::HoltWintersOptions defaults{.season = 12};
+  const auto clamp01 = [](double v) { return std::clamp(v, 0.0, 1.0); };
+  std::size_t evaluations = 0;
+  const auto objective = [&](std::span<const double> p) {
+    ++evaluations;
+    double penalty = 0.0;
+    for (const double v : p) {
+      penalty += std::max(0.0, v - 1.0) + std::max(0.0, -v);
+    }
+    forecast::HoltWintersForecaster fixed({.season = 12,
+                                           .optimize = false,
+                                           .alpha = clamp01(p[0]),
+                                           .beta = clamp01(p[1]),
+                                           .gamma = clamp01(p[2])});
+    fixed.fit(series);
+    return fixed.training_sse() * (1.0 + penalty) + penalty;
+  };
+  const std::vector<double> x0{defaults.alpha, defaults.beta, defaults.gamma};
+  const OptimResult r = nelder_mead(objective, x0, defaults.optimizer);
+  const std::size_t counted = evaluations;
+  const auto want =
+      oracle::reference_nelder_mead(objective, x0, defaults.optimizer);
+  EXPECT_EQ(counted, want.evaluations);
+  EXPECT_EQ(counted, 236u);
+  expect_same_result(r, want.result);
+
+  forecast::HoltWintersForecaster hw(defaults);
+  hw.fit(series);
+  EXPECT_EQ(hw.alpha(), clamp01(r.x[0]));
+  EXPECT_EQ(hw.beta(), clamp01(r.x[1]));
+  EXPECT_EQ(hw.gamma(), clamp01(r.x[2]));
 }
 
 TEST(Adam, ConvergesOnQuadratic) {

@@ -5,6 +5,7 @@
 // link's byte/message accounting, on both a reliable and a lossy/delayed
 // (faultnet) uplink.
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,6 +134,44 @@ TEST(ParallelDeterminism, HardwareConcurrencyModeMatchesSerial) {
   // num_threads = 0 resolves to hardware concurrency; still bit-identical.
   expect_identical(run_pipeline(base_options(), 1),
                    run_pipeline(base_options(), 0), "threads=hw");
+}
+
+TEST(ParallelDeterminism, TwoForecastAllReadersMatchSerial) {
+  // forecast_all() is const, so two threads may query one pipeline at once:
+  // neither may race (the TSan job runs this) nor disturb the other's
+  // values. ARIMA horizons past 64 also take its heap forecast buffer.
+  core::PipelineOptions o = base_options();
+  o.forecaster = forecast::ForecasterKind::kArima;
+  core::MonitoringPipeline p(shared_trace(), o);
+  for (std::size_t step = 0; step < 200; ++step) p.step();
+  ASSERT_TRUE(p.central_store().complete());
+  const std::vector<std::size_t> horizons{1, 4, 64, 65, 70};
+  std::vector<std::vector<double>> serial;
+  for (const std::size_t h : horizons) {
+    serial.push_back(flatten(p.forecast_all(h)));
+  }
+
+  constexpr std::size_t kReaders = 2;
+  constexpr std::size_t kRounds = 3;
+  std::vector<std::vector<std::vector<double>>> seen(kReaders);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&p, &horizons, &out = seen[r]] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (const std::size_t h : horizons) {
+          out.push_back(flatten(p.forecast_all(h)));
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    ASSERT_EQ(seen[r].size(), kRounds * horizons.size());
+    for (std::size_t i = 0; i < seen[r].size(); ++i) {
+      EXPECT_EQ(seen[r][i], serial[i % horizons.size()])
+          << "reader " << r << ", h = " << horizons[i % horizons.size()];
+    }
+  }
 }
 
 }  // namespace
