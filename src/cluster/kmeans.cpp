@@ -11,10 +11,11 @@ namespace resmon::cluster {
 
 namespace {
 
-/// Fixed chunk grain of the parallel point loops. Determinism requires the
-/// chunk partition to depend only on the point count, never on the thread
-/// count, so this is a constant — do not derive it from pool size.
-constexpr std::size_t kPointGrain = 256;
+/// Points per task of the pooled Lloyd pass: one kern::lloyd_lanes group.
+/// Determinism requires the partition to depend only on the point count,
+/// never on the thread count, so this is a constant — do not derive it from
+/// pool size.
+constexpr std::size_t kGroupPoints = kern::kLloydChunk * kern::kLloydLanes;
 
 /// Minimum n*k*d work per parallel region before a pool is worth waking:
 /// below this, dispatch overhead exceeds the loop body and threads hurt
@@ -75,75 +76,48 @@ void run_once_into(const Matrix& points, std::size_t k, Rng& rng,
   result.iterations = 0;
   seed_centroids_into(soa, k, rng, scratch.dist2, result.centroids);
   result.assignment.assign(n, 0);
-  scratch.best_d2.resize(n);
-  scratch.best_j.resize(n);
 
   double prev_inertia = std::numeric_limits<double>::max();
   scratch.counts.assign(k, 0);
 
-  // Per-chunk partial reductions of the two point loops. The partition is
-  // fixed by kPointGrain, each chunk accumulates its slice in index order,
-  // and the merges below walk chunks in order — so the floating-point
-  // operation sequence is identical at every thread count.
-  const std::size_t chunks = ThreadPool::num_chunks(n, kPointGrain);
+  // Per-chunk partials of the Lloyd pass. The chunk partition is fixed by
+  // kern::kLloydChunk, each chunk accumulates its slice in point order, and
+  // the merges below walk chunks in order — so the floating-point operation
+  // sequence is identical at every thread count.
+  const std::size_t chunks = ThreadPool::num_chunks(n, kern::kLloydChunk);
   scratch.chunk_inertia.resize(chunks);
-  scratch.chunk_sums.resize(chunks);
-  scratch.chunk_counts.resize(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    scratch.chunk_sums[c].resize(k, d);
-    scratch.chunk_counts[c].assign(k, 0);
-  }
+  scratch.chunk_counts.resize(chunks * k);
+  scratch.chunk_sums.resize(chunks * k * d);
 
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
 
-    // Assignment step: the kernel scans centroids in index order with a
-    // strict `<`, so each point's winner and squared distance match the
-    // scalar argmin bit for bit; the per-chunk inertia then sums the
-    // already-computed best_d2 in point order (the same values the old
-    // code recomputed with squared_distance).
-    run_chunked(pool, n, kPointGrain,
-                [&](std::size_t c, std::size_t begin, std::size_t end) {
-                  kern::nearest_centroids(
+    // One fused pass: each point's nearest centroid (strict-< argmin in
+    // centroid order), then its squared distance, count and coordinates
+    // into its chunk's partials. A task is a group of kLloydLanes chunks.
+    run_chunked(pool, n, kGroupPoints,
+                [&](std::size_t g, std::size_t begin, std::size_t end) {
+                  const std::size_t c = g * kern::kLloydLanes;
+                  kern::lloyd_lanes(
                       soa.col_ptrs(), d, result.centroids.data().data(), k,
-                      begin, end, scratch.best_j.data(),
-                      scratch.best_d2.data());
-                  double local = 0.0;
-                  for (std::size_t i = begin; i < end; ++i) {
-                    result.assignment[i] = scratch.best_j[i];
-                    local += scratch.best_d2[i];
-                  }
-                  scratch.chunk_inertia[c].value = local;
+                      begin, end, result.assignment.data(),
+                      {scratch.chunk_inertia.data() + c,
+                       scratch.chunk_counts.data() + c * k,
+                       scratch.chunk_sums.data() + c * k * d});
                 });
     double inertia = 0.0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      inertia += scratch.chunk_inertia[c].value;
-    }
-
-    // Update step: accumulation stays in point order (row-major reads are
-    // already contiguous here), merged chunk by chunk.
-    run_chunked(pool, n, kPointGrain,
-                [&](std::size_t c, std::size_t begin, std::size_t end) {
-                  Matrix& local_sums = scratch.chunk_sums[c];
-                  std::fill(local_sums.data().begin(),
-                            local_sums.data().end(), 0.0);
-                  std::vector<std::size_t>& local_counts =
-                      scratch.chunk_counts[c];
-                  std::fill(local_counts.begin(), local_counts.end(), 0);
-                  for (std::size_t i = begin; i < end; ++i) {
-                    const std::size_t j = result.assignment[i];
-                    ++local_counts[j];
-                    axpy(1.0, points.row(i), local_sums.row(j));
-                  }
-                });
     Matrix& sums = scratch.sums;
     sums.resize(k, d);
     std::vector<std::size_t>& counts = scratch.counts;
     std::fill(counts.begin(), counts.end(), 0);
     for (std::size_t c = 0; c < chunks; ++c) {
-      sums += scratch.chunk_sums[c];
+      inertia += scratch.chunk_inertia[c];
       for (std::size_t j = 0; j < k; ++j) {
-        counts[j] += scratch.chunk_counts[c][j];
+        counts[j] += scratch.chunk_counts[c * k + j];
+      }
+      const double* chunk_sums = scratch.chunk_sums.data() + c * k * d;
+      for (std::size_t e = 0; e < k * d; ++e) {
+        sums.data()[e] += chunk_sums[e];
       }
     }
     for (std::size_t j = 0; j < k; ++j) {

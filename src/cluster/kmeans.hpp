@@ -6,15 +6,21 @@
 // full-vector clustering, temporal-window clustering (Fig. 5) and the
 // offline whole-series baseline.
 //
-// The assignment and seeding scans run on the dispatchable SIMD kernels of
-// common/kernels.hpp over a dimension-major (SoA) copy of the points; the
-// scalar and SIMD paths are bit-identical (DESIGN.md "Memory layout & SIMD
-// kernels"). Callers on the per-slot hot path pass a KMeansScratch via
-// kmeans_into() so repeated runs perform no steady-state allocations.
+// Each Lloyd iteration is one fused pass over a dimension-major (SoA) copy
+// of the points (kern::lloyd_lanes): it assigns every point to its nearest
+// centroid and adds its squared distance, count and coordinates to its
+// 256-point chunk's partials, which merge in chunk order. Points with
+// d <= 4 and K <= 10 (per-resource and joint views) run four chunks side by
+// side, one per lane of an AVX2 vector; every lane, the scalar and SIMD
+// paths and every thread count keep the serial loop's operation order, so
+// results are bit-identical to a textbook Lloyd loop (DESIGN.md "Memory
+// layout & SIMD kernels"). k-means++
+// seeding runs on the same SoA copy. Callers on the per-slot hot path pass
+// a KMeansScratch via kmeans_into() so repeated runs perform no
+// steady-state allocations.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -31,9 +37,9 @@ struct KMeansOptions {
   std::size_t max_iterations = 100;
   std::size_t restarts = 2;    ///< independent k-means++ restarts; best kept.
   double tolerance = 1e-10;    ///< stop when inertia improvement is below.
-  /// Optional worker pool for the assignment and centroid-update loops.
-  /// Results are bit-identical with and without a pool: the loops use a
-  /// fixed chunk partition and merge per-chunk partials in chunk order
+  /// Optional worker pool for the Lloyd pass. Results are bit-identical
+  /// with and without a pool: the pass uses a fixed chunk partition and
+  /// merges per-chunk partials in chunk order
   /// (see common/thread_pool.hpp), and all RNG draws (seeding) stay on the
   /// calling thread. Non-owning; nullptr = serial. Regions smaller than an
   /// internal work threshold run serially even with a pool (identical
@@ -49,24 +55,19 @@ struct KMeansResult {
 };
 
 /// Reusable buffers for kmeans_into(): the SoA mirror of the points, the
-/// per-point nearest-centroid scratch the kernels fill, per-chunk reduction
-/// slots, and the runner-up restart result. Owned by long-lived callers
+/// seeding distances, the per-chunk partials of the Lloyd pass and their
+/// merge, and the runner-up restart result. Owned by long-lived callers
 /// (DynamicClusterTracker) so the per-step path allocates nothing once
 /// warm.
 struct KMeansScratch {
   SoaMatrix soa;
-  std::vector<double> best_d2;
-  std::vector<std::uint32_t> best_j;
   std::vector<double> dist2;  ///< k-means++ seeding distances
-  /// Per-chunk inertia partials, cache-line padded: adjacent chunks are
-  /// reduced by different workers, and unpadded doubles false-share.
-  struct alignas(64) PaddedDouble {
-    double value = 0.0;
-  };
-  std::vector<PaddedDouble> chunk_inertia;
-  std::vector<Matrix> chunk_sums;
+  /// kern::LloydPartials of every chunk: inertia[c], counts[c*k + j],
+  /// sums[(c*k + j)*d + dim].
+  std::vector<double> chunk_inertia;
+  std::vector<std::size_t> chunk_counts;
+  std::vector<double> chunk_sums;
   Matrix sums;  ///< chunk_sums merged in chunk order
-  std::vector<std::vector<std::size_t>> chunk_counts;
   std::vector<std::size_t> counts;
   KMeansResult candidate;  ///< losing restart, kept for buffer reuse
 };

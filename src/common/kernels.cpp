@@ -1,7 +1,10 @@
 #include "common/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <iterator>
+#include <utility>
 
 // Two instances of every kernel body. The SIMD instance is compiled for
 // AVX2 via the target attribute (note: *not* "avx2,fma" — fused
@@ -51,16 +54,13 @@ Path active_path() {
   return resolve(g_path.load(std::memory_order_relaxed));
 }
 
-void nearest_centroids(const double* const* xcols, std::size_t d,
-                       const double* centroids, std::size_t k,
-                       std::size_t begin, std::size_t end,
-                       std::uint32_t* best_j, double* best_d2) {
+void lloyd_lanes(const double* const* xcols, std::size_t d,
+                 const double* centroids, std::size_t k, std::size_t begin,
+                 std::size_t end, std::size_t* assignment, LloydPartials out) {
   if (use_simd()) {
-    simd::nearest_centroids(xcols, d, centroids, k, begin, end, best_j,
-                            best_d2);
+    simd::lloyd_lanes(xcols, d, centroids, k, begin, end, assignment, out);
   } else {
-    scalar::nearest_centroids(xcols, d, centroids, k, begin, end, best_j,
-                              best_d2);
+    scalar::lloyd_lanes(xcols, d, centroids, k, begin, end, assignment, out);
   }
 }
 

@@ -4,10 +4,11 @@
 // plain scalar build and a SIMD build (`#pragma omp simd` loops compiled
 // with AVX2 enabled). Both instances perform the *same* floating-point
 // operations on each element in the *same* order — vectorization only runs
-// independent per-point lanes side by side — so the two paths are bitwise
-// identical and both match the golden determinism traces. The
-// bit-compatibility contract is spelled out in DESIGN.md ("Memory layout &
-// SIMD kernels") and enforced by tests/test_kernels.cpp.
+// independent lanes (points, chunks or coefficient vectors) side by side —
+// so the two paths are bitwise identical and both match the golden
+// determinism traces. The bit-compatibility contract is spelled out in
+// DESIGN.md ("Memory layout & SIMD kernels") and enforced by
+// tests/test_kernels.cpp.
 //
 // Dispatch: kAuto resolves once per process to the SIMD instance when the
 // CPU supports AVX2, the scalar instance otherwise. Tests pin the path with
@@ -35,16 +36,34 @@ void set_path(Path path);
 /// The instance kernels currently dispatch to (never kAuto).
 Path active_path();
 
-/// Nearest centroid of each point i in [begin, end), for d-dimensional
-/// points stored dimension-major (SoA): xcols[dim][i] is coordinate `dim`
-/// of point i. `centroids` is row-major k x d. Writes best_j[i] and the
-/// squared distance best_d2[i]. Per point, distances accumulate in
-/// dimension order and candidates are scanned in centroid order with a
-/// strict `<`, exactly like the scalar argmin loop it replaces.
-void nearest_centroids(const double* const* xcols, std::size_t d,
-                       const double* centroids, std::size_t k,
-                       std::size_t begin, std::size_t end,
-                       std::uint32_t* best_j, double* best_d2);
+/// Points per chunk of a Lloyd pass, and the chunks lloyd_lanes reduces
+/// side by side, one per lane. Chunks depend on the point count alone,
+/// never on a thread count.
+inline constexpr std::size_t kLloydChunk = 256;
+inline constexpr std::size_t kLloydLanes = 4;
+
+/// Per-chunk partials of a Lloyd pass, indexed from the pass's first
+/// chunk c: inertia[c], counts[c * k + j] and sums[(c * k + j) * d + dim].
+struct LloydPartials {
+  double* inertia = nullptr;
+  std::size_t* counts = nullptr;
+  double* sums = nullptr;
+};
+
+/// One fused Lloyd pass over the points [begin, end), stored
+/// dimension-major (xcols[dim][i] is coordinate `dim` of point i): at most
+/// kLloydLanes chunks of kLloydChunk points, `begin` on a chunk boundary,
+/// only the last chunk short. For each point i it writes the nearest of the
+/// k row-major centroids to assignment[i] (squared distances summed in
+/// dimension order, a strict-`<` argmin in centroid order) and adds the
+/// squared distance, a count and the coordinates to its chunk's partials,
+/// in point order from zero. Four chunks of d = 1 points with small k run
+/// side by side, one per lane of a four-double vector, each lane repeating
+/// the one-chunk loop's operations; so every partial is bitwise that loop's
+/// on both instances, whichever way (k, d) routes the pass.
+void lloyd_lanes(const double* const* xcols, std::size_t d,
+                 const double* centroids, std::size_t k, std::size_t begin,
+                 std::size_t end, std::size_t* assignment, LloydPartials out);
 
 /// k-means++ seeding distance pass over one new centroid `c` (length d):
 /// dist2[i] = min(dist2[i], ||x_i - c||^2) for i in [begin, end).

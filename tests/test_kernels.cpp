@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -48,47 +49,143 @@ Matrix random_points(std::size_t n, std::size_t d, Rng& rng) {
   return points;
 }
 
-/// Runs nearest_centroids on both paths and asserts bitwise equality.
-void check_nearest_centroids(std::size_t n, std::size_t d, std::size_t k) {
-  if (!kern::simd_supported()) GTEST_SKIP() << "no AVX2 on this host";
-  PathGuard guard;
-  Rng rng(17 + n + 10 * d + 100 * k);
-  const Matrix points = random_points(n, d, rng);
-  const Matrix centroids = random_points(k, d, rng);
+/// Per-chunk partials and assignment of one Lloyd pass over all points.
+struct LloydPass {
+  std::vector<std::size_t> assignment;
+  std::vector<double> inertia;
+  std::vector<std::size_t> counts;
+  std::vector<double> sums;
+};
+
+/// The pass lloyd_lanes documents, one point at a time: the nearest
+/// centroid by a strict-< scan, then each 256-point chunk's squared
+/// distances, counts and coordinates summed in point order from zero.
+LloydPass reference_lloyd_pass(const Matrix& points, const Matrix& centroids) {
+  const std::size_t n = points.rows();
+  const std::size_t d = points.cols();
+  const std::size_t k = centroids.rows();
+  const std::size_t chunks = (n + kern::kLloydChunk - 1) / kern::kLloydChunk;
+  LloydPass want{std::vector<std::size_t>(n), std::vector<double>(chunks),
+                 std::vector<std::size_t>(chunks * k),
+                 std::vector<double>(chunks * k * d)};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t c = i / kern::kLloydChunk;
+    std::size_t best_j = 0;
+    double best = squared_distance(points.row(i), centroids.row(0));
+    for (std::size_t j = 1; j < k; ++j) {
+      const double d2 = squared_distance(points.row(i), centroids.row(j));
+      if (d2 < best) {
+        best = d2;
+        best_j = j;
+      }
+    }
+    want.assignment[i] = best_j;
+    want.inertia[c] += best;
+    ++want.counts[c * k + best_j];
+    for (std::size_t dim = 0; dim < d; ++dim) {
+      want.sums[(c * k + best_j) * d + dim] += points(i, dim);
+    }
+  }
+  return want;
+}
+
+/// Runs lloyd_lanes over every group of kLloydLanes chunks, into buffers
+/// pre-filled with NaN (the kernel must zero its partials itself).
+LloydPass run_lloyd_pass(const Matrix& points, const Matrix& centroids) {
+  const std::size_t n = points.rows();
+  const std::size_t d = points.cols();
+  const std::size_t k = centroids.rows();
+  const std::size_t chunks = (n + kern::kLloydChunk - 1) / kern::kLloydChunk;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  LloydPass got{std::vector<std::size_t>(n, k),
+                std::vector<double>(chunks, nan),
+                std::vector<std::size_t>(chunks * k, n + 1),
+                std::vector<double>(chunks * k * d, nan)};
   SoaMatrix soa;
   soa.assign_from(points);
+  constexpr std::size_t kGroup = kern::kLloydChunk * kern::kLloydLanes;
+  for (std::size_t begin = 0; begin < n; begin += kGroup) {
+    const std::size_t c = begin / kern::kLloydChunk;
+    kern::lloyd_lanes(soa.col_ptrs(), d, centroids.data().data(), k, begin,
+                      std::min(n, begin + kGroup), got.assignment.data(),
+                      {got.inertia.data() + c, got.counts.data() + c * k,
+                       got.sums.data() + c * k * d});
+  }
+  return got;
+}
 
-  std::vector<std::uint32_t> j_scalar(n), j_simd(n);
-  std::vector<double> d2_scalar(n), d2_simd(n);
-  kern::set_path(kern::Path::kScalar);
-  kern::nearest_centroids(soa.col_ptrs(), d, centroids.data().data(), k, 0, n,
-                          j_scalar.data(), d2_scalar.data());
-  kern::set_path(kern::Path::kSimd);
-  kern::nearest_centroids(soa.col_ptrs(), d, centroids.data().data(), k, 0, n,
-                          j_simd.data(), d2_simd.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(j_scalar[i], j_simd[i]) << "point " << i;
-    EXPECT_TRUE(bitwise_equal(d2_scalar[i], d2_simd[i])) << "point " << i;
-    EXPECT_FALSE(std::isnan(d2_scalar[i])) << "point " << i;
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t e = 0; e < got.size(); ++e) {
+    EXPECT_TRUE(bitwise_equal(got[e], want[e]))
+        << what << "[" << e << "]: " << got[e] << " vs " << want[e];
+  }
+}
+
+/// Runs lloyd_lanes on every path and asserts it matches the one-point-at-
+/// a-time pass bit for bit. A positive `quantum` rounds points and
+/// centroids to multiples of it, which makes exact distance ties common.
+void check_lloyd_pass(std::size_t n, std::size_t d, std::size_t k,
+                      double quantum = 0.0) {
+  SCOPED_TRACE(::testing::Message() << "n " << n << " d " << d << " k " << k
+                                    << " quantum " << quantum);
+  PathGuard guard;
+  Rng rng(17 + n + 10 * d + 100 * k);
+  Matrix points = random_points(n, d, rng);
+  Matrix centroids = random_points(k, d, rng);
+  if (quantum > 0.0) {
+    for (double& v : points.data()) v = quantum * std::round(v / quantum);
+    for (double& v : centroids.data()) v = quantum * std::round(v / quantum);
+  }
+  const LloydPass want = reference_lloyd_pass(points, centroids);
+  std::vector<kern::Path> paths{kern::Path::kScalar};
+  if (kern::simd_supported()) paths.push_back(kern::Path::kSimd);
+  for (const kern::Path path : paths) {
+    SCOPED_TRACE(::testing::Message() << "path " << static_cast<int>(path));
+    kern::set_path(path);
+    const LloydPass got = run_lloyd_pass(points, centroids);
+    EXPECT_EQ(got.assignment, want.assignment);
+    EXPECT_EQ(got.counts, want.counts);
+    expect_same_bits(got.inertia, want.inertia, "inertia");
+    expect_same_bits(got.sums, want.sums, "sums");
   }
 }
 
 TEST(Kernels, NearestCentroidsMatchesScalarBitwise) {
-  check_nearest_centroids(257, 3, 5);
+  check_lloyd_pass(257, 3, 5);
 }
 
 TEST(Kernels, NearestCentroidsScalarDimension) {
-  check_nearest_centroids(300, 1, 10);
+  check_lloyd_pass(300, 1, 10);
 }
 
 TEST(Kernels, NearestCentroidsWindowShorterThanVectorWidth) {
   // Fewer points than any unroll/vector width: the tail path must agree.
-  for (std::size_t n = 1; n <= 7; ++n) check_nearest_centroids(n, 2, 3);
+  for (std::size_t n = 1; n <= 7; ++n) check_lloyd_pass(n, 2, 3);
 }
 
 TEST(Kernels, NearestCentroidsOneClusterPerPoint) {
   // K == n (every point its own cluster) exercises the densest argmin.
-  check_nearest_centroids(16, 2, 16);
+  check_lloyd_pass(16, 2, 16);
+}
+
+TEST(Kernels, LloydLanesMatchPointLoopBitwise) {
+  // d <= 4 with K <= 10 takes the chunk lanes on a group of four chunks;
+  // d = 5, K = 11 and groups of fewer chunks take the one-chunk loop. The
+  // point counts give groups of fewer than four chunks (1, 255, 256), a
+  // group whose last chunk is short (1000, 1023), whole groups (1024, 2048)
+  // and a short tail chunk after them (1025, 2065).
+  for (const std::size_t n : {1, 255, 256, 1000, 1023, 1024, 1025, 2048,
+                              2065}) {
+    for (const std::size_t d : {1, 2, 3, 4, 5}) {
+      for (const std::size_t k : {1, 2, 3, 4, 10, 11}) {
+        if (k > n) continue;
+        check_lloyd_pass(n, d, k);
+        check_lloyd_pass(n, d, k, 0.5);
+      }
+    }
+  }
 }
 
 TEST(Kernels, MinDistanceUpdateMatchesScalarBitwise) {

@@ -1,12 +1,19 @@
 #include "cluster/kmeans.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/kernels.hpp"
 #include "common/rng.hpp"
+#include "reference_kmeans.hpp"
 
 namespace resmon::cluster {
 namespace {
@@ -180,6 +187,131 @@ TEST_P(KMeansSweepTest, LabelsInRangeAndNoEmptyClusters) {
 
 INSTANTIATE_TEST_SUITE_P(Ks, KMeansSweepTest,
                          ::testing::Values(1, 2, 3, 5, 10, 25, 50));
+
+// ---- kmeans_into against a textbook sequential Lloyd loop ----
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// n points around `centres` random centres in [0, 1]^d. A positive
+/// `quantum` rounds every coordinate to a multiple of it, so seeded
+/// centroids (which are points) put many points at exactly equal distances.
+Matrix mixture(std::size_t n, std::size_t d, std::size_t centres,
+               double quantum, Rng& rng) {
+  Matrix mean(centres, d);
+  for (double& v : mean.data()) v = rng.uniform();
+  Matrix points(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t m = rng.index(centres);
+    for (std::size_t c = 0; c < d; ++c) {
+      double v = mean(m, c) + rng.normal(0.0, 0.08);
+      if (quantum > 0.0) v = quantum * std::round(v / quantum);
+      points(i, c) = v;
+    }
+  }
+  return points;
+}
+
+std::vector<kern::Path> kernel_paths() {
+  std::vector<kern::Path> paths{kern::Path::kScalar};
+  if (kern::simd_supported()) paths.push_back(kern::Path::kSimd);
+  return paths;
+}
+
+/// kmeans_into on every kernel path, with one scratch per path reused
+/// across calls, must equal the oracle bit for bit and leave the Rng where
+/// the oracle left it. Returns the oracle's repair count.
+std::size_t expect_matches_oracle(const Matrix& points, std::size_t k,
+                                  std::size_t restarts, std::uint64_t seed,
+                                  std::vector<KMeansScratch>& scratch) {
+  SCOPED_TRACE(::testing::Message()
+               << "n " << points.rows() << " d " << points.cols() << " k "
+               << k << " restarts " << restarts);
+  const KMeansOptions options{.restarts = restarts};
+  Rng oracle_rng(seed);
+  const oracle::ReferenceKMeans want =
+      oracle::reference_kmeans(points, k, oracle_rng, options);
+  const double oracle_next = oracle_rng.uniform();
+  const kern::Path saved = kern::active_path();
+  const std::vector<kern::Path> paths = kernel_paths();
+  scratch.resize(paths.size());
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    SCOPED_TRACE(::testing::Message()
+                 << "path " << static_cast<int>(paths[p]));
+    kern::set_path(paths[p]);
+    Rng rng(seed);
+    KMeansResult got;
+    kmeans_into(points, k, rng, options, scratch[p], got);
+    EXPECT_TRUE(same_bits(rng.uniform(), oracle_next)) << "Rng draws differ";
+    EXPECT_EQ(got.assignment, want.result.assignment);
+    EXPECT_EQ(got.iterations, want.result.iterations);
+    EXPECT_TRUE(same_bits(got.inertia, want.result.inertia))
+        << got.inertia << " vs " << want.result.inertia;
+    const std::vector<double>& centroids = got.centroids.data();
+    const std::vector<double>& oracle_centroids =
+        want.result.centroids.data();
+    EXPECT_EQ(centroids.size(), oracle_centroids.size());
+    for (std::size_t e = 0;
+         e < std::min(centroids.size(), oracle_centroids.size()); ++e) {
+      EXPECT_TRUE(same_bits(centroids[e], oracle_centroids[e]))
+          << "centroid entry " << e;
+    }
+  }
+  kern::set_path(saved);
+  return want.repairs;
+}
+
+/// Every K in {1, 2, 3, 5, 10} (K <= n), with one and two restarts, at point
+/// counts that give groups of fewer than four chunks (3, 255, 256), a group
+/// whose last chunk is short (1023), a whole group (1024), and a short tail
+/// chunk after whole groups (1025, 4097).
+void sweep_oracle(std::size_t d) {
+  std::vector<KMeansScratch> scratch;
+  std::uint64_t seed = 100 * d;
+  for (const std::size_t n : {3, 255, 256, 1023, 1024, 1025, 4097}) {
+    for (const std::size_t k : {1, 2, 3, 5, 10}) {
+      if (k > n) continue;
+      for (const std::size_t restarts : {1, 2}) {
+        ++seed;
+        Rng data_rng(seed);
+        const double quantum = seed % 2 == 0 ? 1.0 / 16.0 : 0.0;
+        const Matrix points = mixture(n, d, k, quantum, data_rng);
+        expect_matches_oracle(points, k, restarts, seed, scratch);
+      }
+    }
+  }
+}
+
+TEST(KMeansOracle, OneDimensionalPoints) { sweep_oracle(1); }
+
+TEST(KMeansOracle, TwoDimensionalPoints) { sweep_oracle(2); }
+
+TEST(KMeansOracle, FourDimensionalPoints) { sweep_oracle(4); }
+
+TEST(KMeansOracle, FiveDimensionalPoints) { sweep_oracle(5); }
+
+TEST(KMeansOracle, ForcedEmptyClusterRepair) {
+  // Two distinct rows and K > 2: after both are seeded every distance is
+  // zero, so k-means++ draws a duplicate centroid, which loses every tie
+  // to its lower-index twin and comes out of the pass empty.
+  std::vector<KMeansScratch> scratch;
+  for (const std::size_t d : {1, 4}) {
+    for (const std::size_t k : {3, 5}) {
+      Rng data_rng(7 * d + k);
+      Matrix points(1025, d);
+      for (std::size_t i = 0; i < points.rows(); ++i) {
+        const double v = data_rng.uniform() < 0.5 ? 0.2 : 0.8;
+        for (std::size_t c = 0; c < d; ++c) points(i, c) = v;
+      }
+      for (const std::size_t restarts : {1, 2}) {
+        const std::size_t repairs =
+            expect_matches_oracle(points, k, restarts, 31 * k + d, scratch);
+        EXPECT_GT(repairs, 0u) << "d " << d << " k " << k << ": no repair";
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace resmon::cluster

@@ -4,12 +4,17 @@
 // runs. Covers forecasts, RMSE metrics, cluster memberships and the
 // link's byte/message accounting, on both a reliable and a lossy/delayed
 // (faultnet) uplink.
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cluster/kmeans.hpp"
+#include "common/kernels.hpp"
+#include "common/thread_pool.hpp"
 #include "core/pipeline.hpp"
 #include "golden_fixture.hpp"
 #include "trace/synthetic.hpp"
@@ -172,6 +177,63 @@ TEST(ParallelDeterminism, TwoForecastAllReadersMatchSerial) {
           << "reader " << r << ", h = " << horizons[i % horizons.size()];
     }
   }
+}
+
+/// One K-means run of `points` on the active kernel path.
+cluster::KMeansResult pooled_kmeans(const Matrix& points, std::size_t k,
+                                    ThreadPool* pool) {
+  Rng rng(5);
+  return cluster::kmeans(points, k, rng,
+                         {.max_iterations = 20, .restarts = 2, .pool = pool});
+}
+
+void expect_same_kmeans(const cluster::KMeansResult& a,
+                        const cluster::KMeansResult& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.assignment, b.assignment) << label;
+  EXPECT_EQ(a.iterations, b.iterations) << label;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.inertia),
+            std::bit_cast<std::uint64_t>(b.inertia))
+      << label;
+  ASSERT_EQ(a.centroids.data().size(), b.centroids.data().size()) << label;
+  for (std::size_t e = 0; e < a.centroids.data().size(); ++e) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.centroids.data()[e]),
+              std::bit_cast<std::uint64_t>(b.centroids.data()[e]))
+        << label << " centroid entry " << e;
+  }
+}
+
+TEST(ParallelDeterminism, PooledLloydMatchesSerial) {
+  // Both shapes clear K-means' n*k*d work threshold, so a pool really runs
+  // the Lloyd pass on its workers (the golden runs stay below it): the
+  // joint d = 4 view on the one-chunk loop, and the d = 1 view on the
+  // chunk lanes. Each must equal the serial run bit for bit on both
+  // kernel paths, with 2 and 4 workers.
+  struct Shape {
+    std::size_t n, d;
+  };
+  const kern::Path saved = kern::active_path();
+  std::vector<kern::Path> paths{kern::Path::kScalar};
+  if (kern::simd_supported()) paths.push_back(kern::Path::kSimd);
+  ThreadPool two(2);
+  ThreadPool four(4);
+  for (const Shape shape : {Shape{65536, 4}, Shape{180000, 1}}) {
+    Rng data_rng(shape.n + shape.d);
+    Matrix points(shape.n, shape.d);
+    for (double& v : points.data()) v = data_rng.uniform();
+    for (const kern::Path path : paths) {
+      kern::set_path(path);
+      const std::string label = "n " + std::to_string(shape.n) + " d " +
+                                std::to_string(shape.d) + " path " +
+                                std::to_string(static_cast<int>(path));
+      const cluster::KMeansResult serial = pooled_kmeans(points, 3, nullptr);
+      expect_same_kmeans(serial, pooled_kmeans(points, 3, &two),
+                         label + " threads=2");
+      expect_same_kmeans(serial, pooled_kmeans(points, 3, &four),
+                         label + " threads=4");
+    }
+  }
+  kern::set_path(saved);
 }
 
 }  // namespace
