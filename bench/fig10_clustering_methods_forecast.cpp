@@ -29,10 +29,12 @@ constexpr std::size_t kMPrime = 5;
 std::vector<double> estimate_nodes(const core::OffsetTracker& tracker,
                                    const cluster::Clustering& current,
                                    std::size_t n) {
+  std::vector<std::size_t> modal(n);
+  Matrix offsets;
+  tracker.modal_offsets(modal, &offsets);
   std::vector<double> out(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = tracker.modal_cluster(i);
-    out[i] = current.centroids(j, 0) + tracker.offset(i, j)[0];
+    out[i] = current.centroids(modal[i], 0) + offsets(i, 0);
   }
   return out;
 }

@@ -12,15 +12,20 @@
 //
 // It also measures the zero-allocation contract: a steady-state window of
 // step_external() slots (between two scheduled retrains) must perform ZERO
-// heap allocations — counted by this TU's operator new replacement. See
-// docs/PERFORMANCE.md for how to read and enforce both properties.
+// heap allocations — counted by this TU's operator new replacement. After
+// that window it times the query, forecast_all(1), and counts its heap
+// allocations per call, which must stay within a small constant per view
+// (call-local buffers, never per node). See docs/PERFORMANCE.md for how to
+// read and enforce these properties.
 //
 // Flags: --nodes --steps --clusters --model --dataset --seed --threads
 // (run only {1, <threads>} instead of the default {1, 2, 4, 8} sweep);
-// --strict turns the speedup / zero-allocation WARNings into exit 1;
+// --strict turns the speedup / allocation WARNings into exit 1;
 // --json PATH / --json-run LABEL select the JSON sink and append a
 // timestamped history entry for this run.
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -89,14 +94,22 @@ StageRun run_once(const trace::Trace& t, const core::PipelineOptions& base,
   return {p.stage_timers(), p.forecast_all(1)};
 }
 
+/// Heap allocations one forecast_all call may make per view: the call's
+/// output and scratch, never anything per node.
+constexpr double kQueryAllocsPerView = 16.0;
+
 struct SteadyStats {
   std::uint64_t total_allocs = 0;
   std::size_t window_steps = 0;
+  double query_ms = 0.0;           ///< median forecast_all(1) wall time
+  double query_allocs = 0.0;       ///< heap allocations per forecast_all(1)
+  std::size_t views = 0;
 };
 
 /// Drives an external-collection pipeline through the first retrain, then
 /// counts heap allocations over the steady slots strictly between retrains
-/// (prebuilt messages, serial execution): the contract is zero.
+/// (prebuilt messages, serial execution): the contract is zero. Then times
+/// forecast_all(1) on the same pipeline and counts its allocations.
 SteadyStats measure_steady_allocs(const trace::Trace& t,
                                   const core::PipelineOptions& base) {
   core::PipelineOptions o = base;
@@ -136,6 +149,26 @@ SteadyStats measure_steady_allocs(const trace::Trace& t,
       ++stats.window_steps;
     }
   }
+
+  constexpr std::size_t kQueryCalls = 16;
+  std::vector<double> query_ms;
+  query_ms.reserve(kQueryCalls);
+  std::uint64_t query_allocs = 0;
+  for (std::size_t c = 0; c < kQueryCalls; ++c) {
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const auto start = std::chrono::steady_clock::now();
+    const Matrix forecast = p.forecast_all(1);
+    const std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - start;
+    query_allocs += g_allocs.load(std::memory_order_relaxed) - before;
+    query_ms.push_back(took.count());
+  }
+  std::nth_element(query_ms.begin(), query_ms.begin() + kQueryCalls / 2,
+                   query_ms.end());
+  stats.query_ms = query_ms[kQueryCalls / 2];
+  stats.query_allocs =
+      static_cast<double>(query_allocs) / static_cast<double>(kQueryCalls);
+  stats.views = o.cluster_per_resource ? d : 1;
   return stats;
 }
 
@@ -228,14 +261,31 @@ int main(int argc, char** argv) {
     sink.add("steady", {{"steady_allocs_per_step", per_step},
                         {"steady_window_steps",
                          static_cast<double>(steady.window_steps)}});
+    const double query_budget =
+        kQueryAllocsPerView * static_cast<double>(steady.views);
+    sink.add("forecast_all", {{"forecast_all_ms", steady.query_ms},
+                              {"forecast_all_allocs_per_call",
+                               steady.query_allocs},
+                              {"views", static_cast<double>(steady.views)}});
     std::cout << "\nsteady-state window: " << steady.window_steps
               << " steps, " << steady.total_allocs
-              << " heap allocations (contract: 0)\n";
+              << " heap allocations (contract: 0)\n"
+              << "forecast_all(1): " << steady.query_ms << " ms, "
+              << steady.query_allocs << " heap allocations per call "
+              << "(contract: <= " << query_budget << " for "
+              << steady.views << " views)\n";
     if (steady.total_allocs != 0) {
       steady_ok = false;
       std::cout << "WARNING: steady-state step path allocated "
                 << steady.total_allocs << " times; the zero-allocation "
                 << "contract is broken (see docs/PERFORMANCE.md)\n";
+    }
+    if (steady.query_allocs > query_budget) {
+      steady_ok = false;
+      std::cout << "WARNING: forecast_all(1) allocated "
+                << steady.query_allocs << " times per call, above "
+                << query_budget << "; the query allocates per node "
+                << "(see docs/PERFORMANCE.md)\n";
     }
   } else {
     std::cout << "\nsteady-state allocation check skipped: needs --steps >= "

@@ -4,7 +4,9 @@
 #include <array>
 #include <atomic>
 #include <iterator>
+#include <limits>
 #include <utility>
+#include <vector>
 
 // Two instances of every kernel body. The SIMD instance is compiled for
 // AVX2 via the target attribute (note: *not* "avx2,fma" — fused
@@ -81,6 +83,16 @@ void css_lanes(const double* w, std::size_t n, const double* mean,
     simd::css_lanes(w, n, mean, ar, ma, css_from, scratch, css, resid);
   } else {
     scalar::css_lanes(w, n, mean, ar, ma, css_from, scratch, css, resid);
+  }
+}
+
+void offset_lanes(const OffsetEntry* ring, std::size_t ages, std::size_t n,
+                  std::size_t d, std::size_t k, bool use_alpha,
+                  std::size_t* modal, double* offset) {
+  if (use_simd()) {
+    simd::offset_lanes(ring, ages, n, d, k, use_alpha, modal, offset);
+  } else {
+    scalar::offset_lanes(ring, ages, n, d, k, use_alpha, modal, offset);
   }
 }
 

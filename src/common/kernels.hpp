@@ -99,6 +99,35 @@ void css_lanes(const double* w, std::size_t n, const double* mean,
                LagTerms ar, LagTerms ma, std::size_t css_from,
                double* scratch, double* css, double* resid);
 
+/// One step of a view's offset window: the node -> cluster assignment
+/// (n entries), the stored snapshot (n x d) and the centroids (k x d),
+/// both row-major.
+struct OffsetEntry {
+  const std::size_t* assignment = nullptr;
+  const double* snapshot = nullptr;
+  const double* centroids = nullptr;
+};
+
+/// The per-node terms of eq. (2) over `ages` window steps, ring[0] newest.
+/// modal[i] is the cluster node i was assigned to most often (ties break
+/// to the smaller index); assignments must be < k. When `offset` is
+/// non-null, offset[i * d + c] is node i's eq. (12) offset relative to
+/// modal[i]: from 0.0, newest step first, it adds alpha * delta with
+/// delta = snapshot(i) - centroid(modal[i]) and alpha the largest value in
+/// [0, 1] that keeps centroid + alpha * delta nearest to its own centroid
+/// (1.0 when !use_alpha), then divides by `ages`. alpha follows the
+/// textbook loop: per other centroid l in index order, dot = delta . g and
+/// gap2 = g . g with g = c_l - c_j, each summed from 0.0 in dimension
+/// order; alpha = min(alpha, gap2 / (2 dot)) when both are positive; then
+/// clamped to [0, 1]. Nodes with one modal cluster run four side by side,
+/// one per lane, with compile-time (d, k) instances for d <= 4 and k <= 10
+/// and a one-node loop for other shapes; every node's result is bitwise
+/// the textbook loop's on both instances. The call allocates its own
+/// scratch (counts, buckets, gaps): a few buffers, none per node.
+void offset_lanes(const OffsetEntry* ring, std::size_t ages, std::size_t n,
+                  std::size_t d, std::size_t k, bool use_alpha,
+                  std::size_t* modal, double* offset);
+
 /// Hungarian re-indexing history pass: clear mask[i*k + j] (i in
 /// [begin, end), j in [0, k)) wherever past[i] != j. Starting from an
 /// all-ones mask and applying one pass per retained clustering leaves

@@ -1,32 +1,9 @@
 #include "core/estimation.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
+#include "common/kernels.hpp"
 
 namespace resmon::core {
-
-double alpha_scale(std::span<const double> delta, const Matrix& centroids,
-                   std::size_t j) {
-  RESMON_REQUIRE(j < centroids.rows(), "alpha_scale: cluster out of range");
-  RESMON_REQUIRE(delta.size() == centroids.cols(),
-                 "alpha_scale: dimension mismatch");
-  double alpha = 1.0;
-  for (std::size_t l = 0; l < centroids.rows(); ++l) {
-    if (l == j) continue;
-    double dir_dot = 0.0;  // delta . (c_l - c_j)
-    double gap2 = 0.0;     // ||c_l - c_j||^2
-    for (std::size_t c = 0; c < delta.size(); ++c) {
-      const double g = centroids(l, c) - centroids(j, c);
-      dir_dot += delta[c] * g;
-      gap2 += g * g;
-    }
-    if (dir_dot > 0.0 && gap2 > 0.0) {
-      alpha = std::min(alpha, gap2 / (2.0 * dir_dot));
-    }
-  }
-  return std::clamp(alpha, 0.0, 1.0);
-}
 
 OffsetTracker::OffsetTracker(std::size_t m_prime, std::size_t k,
                              bool use_alpha)
@@ -46,6 +23,9 @@ void OffsetTracker::push(const cluster::Clustering& clustering,
     RESMON_REQUIRE(snapshot.rows() == entry(0).snapshot.rows(),
                    "OffsetTracker: node count changed between steps");
   }
+  for (const std::size_t j : clustering.assignment) {
+    RESMON_REQUIRE(j < k_, "OffsetTracker: cluster out of range");
+  }
   // Rotate the ring backward and copy-assign into the evicted slot, so the
   // entry's vectors/matrices recycle their capacity (no steady-state
   // allocations).
@@ -58,47 +38,24 @@ void OffsetTracker::push(const cluster::Clustering& clustering,
   slot.snapshot = snapshot;
 }
 
-std::size_t OffsetTracker::modal_cluster(std::size_t node) const {
+void OffsetTracker::modal_offsets(std::span<std::size_t> modal,
+                                  Matrix* offsets) const {
   if (ring_size_ == 0) {
     throw InvalidState("OffsetTracker: no steps recorded");
   }
-  std::vector<std::size_t> counts(k_, 0);
+  const Matrix& newest = entry(0).snapshot;
+  RESMON_REQUIRE(modal.size() == newest.rows(),
+                 "OffsetTracker: one modal cluster per node");
+  std::vector<kern::OffsetEntry> ring(ring_size_);
   for (std::size_t age = 0; age < ring_size_; ++age) {
     const Entry& e = entry(age);
-    RESMON_REQUIRE(node < e.clustering.assignment.size(),
-                   "OffsetTracker: node out of range");
-    ++counts[e.clustering.assignment[node]];
+    ring[age] = {e.clustering.assignment.data(), e.snapshot.data().data(),
+                 e.clustering.centroids.data().data()};
   }
-  std::size_t best = 0;
-  for (std::size_t j = 1; j < k_; ++j) {
-    if (counts[j] > counts[best]) best = j;
-  }
-  return best;
-}
-
-std::vector<double> OffsetTracker::offset(std::size_t node,
-                                          std::size_t j) const {
-  if (ring_size_ == 0) {
-    throw InvalidState("OffsetTracker: no steps recorded");
-  }
-  RESMON_REQUIRE(j < k_, "OffsetTracker: cluster out of range");
-  const std::size_t dims = entry(0).snapshot.cols();
-  std::vector<double> out(dims, 0.0);
-  std::vector<double> delta(dims);
-  // Newest-first, matching the push order of the former deque exactly.
-  for (std::size_t age = 0; age < ring_size_; ++age) {
-    const Entry& e = entry(age);
-    for (std::size_t c = 0; c < dims; ++c) {
-      delta[c] = e.snapshot(node, c) - e.clustering.centroids(j, c);
-    }
-    const double alpha =
-        use_alpha_ ? alpha_scale(delta, e.clustering.centroids, j) : 1.0;
-    for (std::size_t c = 0; c < dims; ++c) {
-      out[c] += alpha * delta[c];
-    }
-  }
-  for (double& v : out) v /= static_cast<double>(ring_size_);
-  return out;
+  if (offsets != nullptr) offsets->resize(newest.rows(), newest.cols());
+  kern::offset_lanes(ring.data(), ring_size_, newest.rows(), newest.cols(),
+                     k_, use_alpha_, modal.data(),
+                     offsets != nullptr ? offsets->data().data() : nullptr);
 }
 
 }  // namespace resmon::core

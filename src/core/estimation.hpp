@@ -4,7 +4,11 @@
 //  * forecasted cluster membership — the cluster a node belonged to most
 //    often within the last M'+1 steps;
 //  * the per-node offset s-hat of eq. (12), with the alpha scaling that
-//    keeps "centroid + offset" inside the node's own cluster.
+//    keeps "centroid + offset" inside the node's own cluster: the largest
+//    alpha in [0, 1] such that c_j + alpha * delta is still closest to
+//    centroid j. Each other centroid c_l bounds it at its perpendicular
+//    bisector with c_j, alpha <= ||c_l - c_j||^2 / (2 delta . (c_l - c_j)),
+//    whenever delta points toward c_l.
 #pragma once
 
 #include <span>
@@ -14,14 +18,6 @@
 #include "common/matrix.hpp"
 
 namespace resmon::core {
-
-/// Largest alpha in [0, 1] such that c_j + alpha * delta is still closest
-/// to centroid j among all centroids. For each other centroid c_l the
-/// boundary is the perpendicular bisector between c_j and c_l, giving
-/// alpha <= ||c_l - c_j||^2 / (2 delta . (c_l - c_j)) whenever delta points
-/// toward c_l.
-double alpha_scale(std::span<const double> delta, const Matrix& centroids,
-                   std::size_t j);
 
 /// Rolling window of (clustering, stored-snapshot) pairs that answers the
 /// two per-node questions above. Push once per time step, newest first.
@@ -40,12 +36,12 @@ class OffsetTracker {
   std::size_t steps() const { return ring_size_; }
   bool empty() const { return ring_size_ == 0; }
 
-  /// C-hat membership: the cluster `node` belonged to most often over the
-  /// last min(M'+1, steps()) steps (ties break to the smaller index).
-  std::size_t modal_cluster(std::size_t node) const;
-
-  /// s-hat of eq. (12) for `node` relative to cluster `j`.
-  std::vector<double> offset(std::size_t node, std::size_t j) const;
+  /// For every node i, modal[i] is its C-hat membership: the cluster it
+  /// belonged to most often over the last min(M'+1, steps()) steps (ties
+  /// break to the smaller index). When `offsets` is non-null it is reshaped
+  /// to N x dims and row i receives s-hat of eq. (12) relative to modal[i].
+  /// One kern::offset_lanes pass over the window; `modal` holds N entries.
+  void modal_offsets(std::span<std::size_t> modal, Matrix* offsets) const;
 
  private:
   struct Entry {

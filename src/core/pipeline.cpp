@@ -304,23 +304,24 @@ Matrix MonitoringPipeline::forecast_all(std::size_t h) const {
   }
 
   const std::size_t dims = view_dims();
+  // Call-local buffers keep concurrent queries independent; without
+  // use_offset the offsets stay zero and are still added.
+  std::vector<std::size_t> modal(n);
+  Matrix offset(n, dims);
+  Matrix c_hat(options_.num_clusters, dims);
   for (std::size_t v = 0; v < trackers_.size(); ++v) {
     // Forecasted centroids for every cluster of this view.
-    Matrix c_hat(options_.num_clusters, dims);
     for (std::size_t j = 0; j < options_.num_clusters; ++j) {
       for (std::size_t dim = 0; dim < dims; ++dim) {
         c_hat(j, dim) = models_[v][j * dims + dim]->forecast(h);
       }
     }
+    offsets_[v].modal_offsets(modal,
+                              options_.use_offset ? &offset : nullptr);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t j = offsets_[v].modal_cluster(i);
-      const std::vector<double> offset =
-          options_.use_offset ? offsets_[v].offset(i, j)
-                              : std::vector<double>(dims, 0.0);
       for (std::size_t dim = 0; dim < dims; ++dim) {
-        const double value = c_hat(j, dim) + offset[dim];
         const std::size_t r = options_.cluster_per_resource ? v : dim;
-        out(i, r) = value;
+        out(i, r) = c_hat(modal[i], dim) + offset(i, dim);
       }
     }
   }

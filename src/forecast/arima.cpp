@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numbers>
@@ -134,13 +135,20 @@ class CssBatch {
   std::vector<double> work_;
 };
 
-std::vector<double> difference(std::span<const double> x, std::size_t lag) {
-  RESMON_REQUIRE(x.size() > lag, "series too short to difference");
-  std::vector<double> out(x.size() - lag);
-  for (std::size_t t = 0; t < out.size(); ++t) {
-    out[t] = x[t + lag] - x[t];
-  }
-  return out;
+/// Differences x in place, seasonal differences first, as the chain does:
+/// level by level, x[t] becomes x[t + lag] - x[t]. Calls on_level(x, i)
+/// with the undifferenced level i before each difference.
+template <typename OnLevel>
+void difference_chain(const ArimaOrder& o, std::vector<double>& x,
+                      OnLevel&& on_level) {
+  std::size_t level = 0;
+  const auto difference = [&](std::size_t lag) {
+    on_level(x, level++);
+    for (std::size_t t = 0; t + lag < x.size(); ++t) x[t] = x[t + lag] - x[t];
+    x.resize(x.size() - lag);
+  };
+  for (std::size_t i = 0; i < o.sd; ++i) difference(o.season);
+  for (std::size_t i = 0; i < o.d; ++i) difference(1);
 }
 
 }  // namespace
@@ -198,16 +206,28 @@ void ArimaForecaster::fit(std::span<const double> series) {
                          std::to_string(series.size()) + " points)");
   }
 
-  // Build the differencing chain: seasonal differences first, regular after.
-  chain_.clear();
-  chain_.emplace_back(series.begin(), series.end());
-  for (std::size_t i = 0; i < order_.sd; ++i) {
-    chain_.push_back(difference(chain_.back(), order_.season));
+  // Each chain level and the residuals keep their newest values, as deep
+  // as update() and forecast() read: the deepest AR lag, MA lag or season
+  // (at least 1, as a regular difference reads two values), plus the
+  // newest. The lags depend on the order alone, so the trial polynomials
+  // give them. The stationary series w is the history itself when nothing
+  // is differenced, else the differences of one copy.
+  std::size_t depth =
+      std::max<std::size_t>({trial.max_ar_lag, order_.season, 1});
+  for (const auto& [lag, b] : trial.ma) depth = std::max(depth, lag);
+  ++depth;
+  chain_.resize(1 + order_.sd + order_.d);
+  std::vector<double> diffed;
+  std::span<const double> w = series;
+  if (order_.sd + order_.d > 0) {
+    diffed.assign(series.begin(), series.end());
+    difference_chain(order_, diffed,
+                     [&](std::span<const double> level, std::size_t i) {
+                       chain_[i].assign(depth, level);
+                     });
+    w = diffed;
   }
-  for (std::size_t i = 0; i < order_.d; ++i) {
-    chain_.push_back(difference(chain_.back(), 1));
-  }
-  const std::vector<double>& w = chain_.back();
+  chain_.back().assign(depth, w);
 
   params_.assign(order_.num_params(), 0.1);
   if (order_.needs_mean()) {
@@ -241,8 +261,9 @@ void ArimaForecaster::fit(std::span<const double> series) {
 
   // One more pass at the optimum keeps its residuals, CSS and polynomials.
   const std::span<const double> optimum[] = {params_};
-  residuals_.resize(w.size());
-  batch.run(optimum, &css_, residuals_.data());
+  std::vector<double> residuals(w.size());
+  batch.run(optimum, &css_, residuals.data());
+  residuals_.assign(depth, residuals);
   const Polys& polys = batch.polys(0);
   ar_lags_ = polys.ar;
   ma_lags_ = polys.ma;
@@ -252,35 +273,29 @@ void ArimaForecaster::fit(std::span<const double> series) {
   fitted_ = true;
 }
 
-void ArimaForecaster::append_to_chain(double value) {
-  // Reserve in slabs so the unbounded chain levels do not reallocate on the
-  // steady per-step path (see docs/PERFORMANCE.md).
-  const auto grow = [](std::vector<double>& v) {
-    if (v.capacity() == v.size()) {
-      v.reserve(std::max(v.size() * 2, v.size() + 1024));
-    }
-  };
-  grow(chain_[0]);
-  chain_[0].push_back(value);
-  std::size_t level = 1;
-  for (std::size_t i = 0; i < order_.sd; ++i, ++level) {
-    const std::vector<double>& prev = chain_[level - 1];
-    grow(chain_[level]);
-    chain_[level].push_back(prev.back() - prev[prev.size() - 1 - order_.season]);
-  }
-  for (std::size_t i = 0; i < order_.d; ++i, ++level) {
-    const std::vector<double>& prev = chain_[level - 1];
-    grow(chain_[level]);
-    chain_[level].push_back(prev.back() - prev[prev.size() - 2]);
-  }
+void ArimaForecaster::Ring::assign(std::size_t depth,
+                                   std::span<const double> series) {
+  buf_.assign(std::bit_ceil(std::max<std::size_t>(depth, 1)), 0.0);
+  mask_ = buf_.size() - 1;
+  size_ = series.size() - std::min(buf_.size(), series.size());
+  while (size_ < series.size()) push(series[size_]);
 }
 
 void ArimaForecaster::update(double value) {
   if (!fitted_) throw InvalidState("ARIMA: update before fit");
-  append_to_chain(value);
+  chain_[0].push(value);
+  std::size_t level = 1;
+  for (std::size_t i = 0; i < order_.sd; ++i, ++level) {
+    const Ring& prev = chain_[level - 1];
+    chain_[level].push(prev.back() - prev[prev.size() - 1 - order_.season]);
+  }
+  for (std::size_t i = 0; i < order_.d; ++i, ++level) {
+    const Ring& prev = chain_[level - 1];
+    chain_[level].push(prev.back() - prev[prev.size() - 2]);
+  }
 
   // Extend the residual recursion by one step.
-  const std::vector<double>& w = chain_.back();
+  const Ring& w = chain_.back();
   const std::size_t t = w.size() - 1;
   double acc = w[t] - mean_;
   for (const auto& [lag, a] : ar_lags_) {
@@ -289,11 +304,7 @@ void ArimaForecaster::update(double value) {
   for (const auto& [lag, b] : ma_lags_) {
     if (t >= lag) acc -= b * residuals_[t - lag];
   }
-  if (residuals_.capacity() == residuals_.size()) {
-    residuals_.reserve(
-        std::max(residuals_.size() * 2, residuals_.size() + 1024));
-  }
-  residuals_.push_back(acc);
+  residuals_.push(acc);
   if (t >= max_ar_lag_) {
     css_ += acc * acc;
     ++n_effective_;
@@ -304,7 +315,7 @@ double ArimaForecaster::forecast(std::size_t h) const {
   RESMON_REQUIRE(h >= 1, "forecast horizon must be >= 1");
   if (!fitted_) throw InvalidState("ARIMA: forecast before fit");
 
-  const std::vector<double>& w = chain_.back();
+  const Ring& w = chain_.back();
   const std::size_t n = w.size();
 
   // Forecast the stationary (differenced, centered) series: future shocks
@@ -345,7 +356,7 @@ double ArimaForecaster::forecast(std::size_t h) const {
   // applied last, so they are inverted first).
   std::size_t level = chain_.size() - 1;
   for (std::size_t i = 0; i < order_.d; ++i, --level) {
-    const std::vector<double>& base = chain_[level - 1];
+    const Ring& base = chain_[level - 1];
     double prev = base.back();
     for (std::size_t tau = 0; tau < h; ++tau) {
       fc[tau] = prev + fc[tau];
@@ -353,7 +364,7 @@ double ArimaForecaster::forecast(std::size_t h) const {
     }
   }
   for (std::size_t i = 0; i < order_.sd; ++i, --level) {
-    const std::vector<double>& base = chain_[level - 1];
+    const Ring& base = chain_[level - 1];
     const std::size_t s = order_.season;
     for (std::size_t tau = 0; tau < h; ++tau) {
       // x_{n-1+tau+1} = x_{n-1+tau+1-s} + u_fc[tau]
@@ -443,9 +454,15 @@ ArimaForecaster::Interval ArimaForecaster::forecast_interval(
 }
 
 stats::LjungBoxResult ArimaForecaster::residual_diagnostics(
-    std::size_t lags) const {
+    std::span<const double> series, std::size_t lags) const {
   if (!fitted_) throw InvalidState("ARIMA: diagnostics before fit");
-  return stats::ljung_box(residuals_, lags, order_.num_params());
+  std::vector<double> w(series.begin(), series.end());
+  difference_chain(order_, w, [](std::span<const double>, std::size_t) {});
+  const std::span<const double> fitted[] = {params_};
+  std::vector<double> residuals(w.size());
+  double css = 0.0;
+  CssBatch(order_, w).run(fitted, &css, residuals.data());
+  return stats::ljung_box(residuals, lags, order_.num_params());
 }
 
 double ArimaForecaster::css() const {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -83,16 +84,35 @@ class ArimaForecaster final : public Forecaster {
   /// confidence level (default 95%).
   Interval forecast_interval(std::size_t h, double confidence = 0.95) const;
 
-  /// Ljung-Box whiteness test on the fitted residuals. A small p-value
-  /// means the model left autocorrelated structure unexplained and a
-  /// richer order should be considered.
-  stats::LjungBoxResult residual_diagnostics(std::size_t lags = 20) const;
+  /// Ljung-Box whiteness test on the fitted model's residuals over
+  /// `series`, normally the series fit() saw (the model keeps only the
+  /// newest residuals its forecasts read). A small p-value means the model
+  /// left autocorrelated structure unexplained and a richer order should be
+  /// considered.
+  stats::LjungBoxResult residual_diagnostics(std::span<const double> series,
+                                             std::size_t lags = 20) const;
 
   /// Estimated coefficients in the layout [phi, theta, PHI, THETA, (mean)].
   const std::vector<double>& coefficients() const { return params_; }
 
  private:
-  void append_to_chain(double value);
+  /// The newest values of an unbounded series, in a power-of-two ring at
+  /// least `depth` deep: value t (0-based over the whole series) is
+  /// readable while t >= size() - depth.
+  class Ring {
+   public:
+    /// Keeps the newest values of `series`, with size() == series.size().
+    void assign(std::size_t depth, std::span<const double> series);
+    void push(double value) { buf_[size_++ & mask_] = value; }
+    double operator[](std::size_t t) const { return buf_[t & mask_]; }
+    double back() const { return (*this)[size_ - 1]; }
+    std::size_t size() const { return size_; }
+
+   private:
+    std::vector<double> buf_;
+    std::size_t mask_ = 0;
+    std::size_t size_ = 0;
+  };
 
   ArimaOrder order_;
   ArimaOptions options_;
@@ -107,9 +127,12 @@ class ArimaForecaster final : public Forecaster {
   std::size_t max_ar_lag_ = 0;  ///< deepest AR lag (hoisted for update())
 
   // Differencing chain: chain_[0] is the raw series; then sd seasonal
-  // differences, then d regular differences; chain_.back() is w.
-  std::vector<std::vector<double>> chain_;
-  std::vector<double> residuals_;  // e_t over w (zero-initialized recursion)
+  // differences, then d regular differences; chain_.back() is w. Each level
+  // and the residuals keep only what update() and forecast() read: the
+  // deepest AR lag, MA lag or season, plus the newest value.
+  std::vector<Ring> chain_;
+  Ring residuals_;  // e_t over w (zero-initialized recursion)
+  // Running CSS and its term count over the whole series.
   double css_ = 0.0;
   std::size_t n_effective_ = 0;
 };

@@ -282,15 +282,16 @@ double LstmForecaster::gradient_check(std::span<const double> window,
 void LstmForecaster::fit(std::span<const double> series) {
   RESMON_REQUIRE(series.size() > options_.window + 1,
                  "LSTM: series shorter than training window");
-  series_.assign(series.begin(), series.end());
+  recent_.assign(series.end() - options_.window, series.end());
+  recent_oldest_ = 0;
 
   lo_ = *std::min_element(series.begin(), series.end());
   hi_ = *std::max_element(series.begin(), series.end());
   if (hi_ - lo_ < 1e-9) hi_ = lo_ + 1.0;  // constant series: avoid div by 0
 
-  std::vector<double> norm(series_.size());
+  std::vector<double> norm(series.size());
   for (std::size_t i = 0; i < norm.size(); ++i) {
-    norm[i] = normalize(series_[i]);
+    norm[i] = normalize(series[i]);
   }
 
   // Training examples: window [t, t+W) -> target at t+W-1+h for a horizon
@@ -359,19 +360,15 @@ void LstmForecaster::fit(std::span<const double> series) {
 
 void LstmForecaster::update(double value) {
   if (!fitted_) throw InvalidState("LSTM: update before fit");
-  series_.push_back(value);
+  recent_[recent_oldest_] = value;
+  recent_oldest_ = (recent_oldest_ + 1) % recent_.size();
 }
 
 double LstmForecaster::predict_head(std::size_t head) const {
-  const std::size_t w = options_.window;
-  std::vector<double> window;
-  window.reserve(w);
-  const std::size_t have = std::min(series_.size(), w);
-  for (std::size_t i = series_.size() - have; i < series_.size(); ++i) {
-    window.push_back(normalize(series_[i]));
-  }
-  while (window.size() < w) {
-    window.insert(window.begin(), window.front());  // pad short histories
+  const std::size_t w = recent_.size();
+  std::vector<double> window(w);
+  for (std::size_t i = 0; i < w; ++i) {
+    window[i] = normalize(recent_[(recent_oldest_ + i) % w]);
   }
   return forward(window, head, nullptr);
 }

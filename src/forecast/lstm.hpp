@@ -101,7 +101,10 @@ class LstmForecaster final : public Forecaster {
   std::vector<std::size_t> head_w_;  ///< dense weight offset per head
   std::vector<std::size_t> head_b_;  ///< dense bias offset per head
 
-  std::vector<double> series_;  // raw (unnormalized) history
+  // The newest `window` raw (unnormalized) values, all a prediction
+  // reads, in a ring whose oldest value sits at recent_oldest_.
+  std::vector<double> recent_;
+  std::size_t recent_oldest_ = 0;
   double lo_ = 0.0;             // normalization range from the last fit
   double hi_ = 1.0;
   double final_loss_ = 0.0;

@@ -177,7 +177,7 @@ TEST(ArimaDiagnostics, CorrectModelLeavesWhiteResiduals) {
   const std::vector<double> x = ar1_series(0.7, 0.5, 3000, 0.05, 18);
   ArimaForecaster f(ArimaOrder{.p = 1});
   f.fit(x);
-  EXPECT_GT(f.residual_diagnostics(20).p_value, 0.01);
+  EXPECT_GT(f.residual_diagnostics(x, 20).p_value, 0.01);
 }
 
 TEST(ArimaDiagnostics, UnderfitModelIsRejected) {
@@ -185,12 +185,13 @@ TEST(ArimaDiagnostics, UnderfitModelIsRejected) {
   const std::vector<double> x = ar1_series(0.9, 0.5, 3000, 0.05, 19);
   ArimaForecaster f(ArimaOrder{.p = 0, .d = 0, .q = 0});
   f.fit(x);
-  EXPECT_LT(f.residual_diagnostics(20).p_value, 1e-6);
+  EXPECT_LT(f.residual_diagnostics(x, 20).p_value, 1e-6);
 }
 
 TEST(ArimaDiagnostics, BeforeFitThrows) {
   ArimaForecaster f(ArimaOrder{.p = 1});
-  EXPECT_THROW(f.residual_diagnostics(), InvalidState);
+  EXPECT_THROW(f.residual_diagnostics(ar1_series(0.5, 0.5, 100, 0.05, 20)),
+               InvalidState);
 }
 
 // ---- AutoArima ----------------------------------------------------------
@@ -243,8 +244,6 @@ TEST(AutoArima, PaperGridMatchesPaperRanges) {
   EXPECT_EQ(g.max_sq, 2u);
   EXPECT_EQ(g.season, 288u);
 }
-
-// ---- prediction intervals -------------------------------------------------
 
 // ---- Differential oracle: fit() against a sequential scalar CSS fit ----
 
@@ -369,6 +368,132 @@ TEST(ArimaOracle, BatchedFitMatchesSequentialScalarFit) {
     EXPECT_TRUE(same_bits(model.css(), want.result.value))
         << model.css() << " vs " << want.result.value;
   }
+}
+
+// ---- prediction intervals -------------------------------------------------
+
+/// The textbook model with unbounded state: the whole raw series, every
+/// differencing level and every residual, each grown one value per
+/// observation, and forecasts read straight from them.
+class UnboundedArima {
+ public:
+  UnboundedArima(const ArimaOrder& order, std::span<const double> params)
+      : order_(order), chain_(1 + order.sd + order.d) {
+    reference_polys(order, params, ar_, ma_, mean_);
+    for (const auto& term : ar_) max_ar_lag_ = std::max(max_ar_lag_, term.first);
+  }
+
+  void observe(double x) {
+    chain_[0].push_back(x);
+    for (std::size_t level = 1; level < chain_.size(); ++level) {
+      const std::vector<double>& below = chain_[level - 1];
+      const std::size_t lag = level <= order_.sd ? order_.season : 1;
+      if (below.size() <= lag) return;
+      chain_[level].push_back(below.back() - below[below.size() - 1 - lag]);
+    }
+    const std::vector<double>& w = chain_.back();
+    const std::size_t t = w.size() - 1;
+    double acc = w[t] - mean_;
+    for (const auto& [lag, a] : ar_) {
+      if (t >= lag) acc -= a * (w[t - lag] - mean_);
+    }
+    for (const auto& [lag, b] : ma_) {
+      if (t >= lag) acc -= b * e_[t - lag];
+    }
+    e_.push_back(acc);
+    if (t >= max_ar_lag_) css_ += acc * acc;
+  }
+
+  double css() const { return css_; }
+
+  double forecast(std::size_t h) const {
+    const std::vector<double>& w = chain_.back();
+    const std::size_t n = w.size();
+    std::vector<double> fc(h);
+    for (std::size_t tau = 0; tau < h; ++tau) {
+      double acc = 0.0;
+      for (const auto& [lag, a] : ar_) {
+        const std::size_t t = n + tau - lag;
+        acc += a * (t < n ? w[t] - mean_ : fc[t - n]);
+      }
+      for (const auto& [lag, b] : ma_) {
+        const std::size_t t = n + tau - lag;
+        acc += b * (t < n ? e_[t] : 0.0);
+      }
+      fc[tau] = acc;
+    }
+    for (double& v : fc) v += mean_;
+    for (std::size_t level = chain_.size() - 1; level > 0; --level) {
+      const std::vector<double>& base = chain_[level - 1];
+      const std::size_t lag = level <= order_.sd ? order_.season : 1;
+      for (std::size_t tau = 0; tau < h; ++tau) {
+        const std::size_t t = base.size() + tau - lag;
+        fc[tau] = (t < base.size() ? base[t] : fc[t - base.size()]) + fc[tau];
+      }
+    }
+    return fc[h - 1];
+  }
+
+ private:
+  ArimaOrder order_;
+  Terms ar_, ma_;
+  double mean_ = 0.0;
+  std::size_t max_ar_lag_ = 0;
+  std::vector<std::vector<double>> chain_;
+  std::vector<double> e_;
+  double css_ = 0.0;
+};
+
+TEST(ArimaOracle, BoundedStateMatchesUnboundedRecursion) {
+  constexpr std::size_t kFit = 240;
+  constexpr std::size_t kUpdates = 20000;
+  Rng rng(47);
+  std::vector<double> x(kFit + kUpdates);
+  double state = 0.0;
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    state = 0.6 * state + rng.normal(0.0, 0.03);
+    x[t] = 0.5 + 0.1 * std::sin(2.0 * std::numbers::pi *
+                                static_cast<double>(t) / 12.0) +
+           state;
+  }
+  const std::vector<ArimaOrder> orders{
+      {.p = 2, .d = 0, .q = 1},
+      {.p = 1, .d = 1, .q = 1},
+      {.p = 1, .d = 0, .q = 1, .sp = 1, .sd = 1, .sq = 1, .season = 12},
+  };
+  for (const ArimaOrder& order : orders) {
+    SCOPED_TRACE(order.to_string());
+    ArimaForecaster model(order);
+    model.fit(std::span<const double>(x).first(kFit));
+    UnboundedArima reference(order, model.coefficients());
+    for (std::size_t t = 0; t < kFit; ++t) reference.observe(x[t]);
+    for (std::size_t u = 0; u <= kUpdates; ++u) {
+      if (u % 1000 == 0) {
+        EXPECT_TRUE(same_bits(model.css(), reference.css())) << "update " << u;
+        for (const std::size_t h : {1, 2, 13, 48}) {
+          const double got = model.forecast(h);
+          const double want = reference.forecast(h);
+          ASSERT_TRUE(same_bits(got, want))
+              << "update " << u << " h " << h << ": " << got << " vs "
+              << want;
+        }
+      }
+      if (u < kUpdates) {
+        model.update(x[kFit + u]);
+        reference.observe(x[kFit + u]);
+      }
+    }
+  }
+}
+
+TEST(ArimaDiagnostics, ResidualsOfTheFitSeriesAfterUpdates) {
+  // Updates do not change what the diagnostics report for the fit series.
+  const std::vector<double> x = ar1_series(0.7, 0.5, 600, 0.05, 21);
+  ArimaForecaster f(ArimaOrder{.p = 1});
+  f.fit(x);
+  const double before = f.residual_diagnostics(x, 10).statistic;
+  for (int i = 0; i < 50; ++i) f.update(0.5);
+  EXPECT_TRUE(same_bits(f.residual_diagnostics(x, 10).statistic, before));
 }
 
 TEST(ArimaIntervals, Ar1VarianceMatchesTheory) {

@@ -203,10 +203,11 @@ TEST(PerformancePlaybook, DocumentsContractFieldNames) {
       read_file(std::string(RESMON_SOURCE_DIR) + "/docs/PERFORMANCE.md");
   const std::string bench = read_file(std::string(RESMON_SOURCE_DIR) +
                                       "/bench/micro_parallel_step.cpp");
-  // The two contract fields the regression policy gates on must exist in
-  // both the harness that emits them and the playbook that explains them.
+  // The contract fields the regression policy gates on must exist in both
+  // the harness that emits them and the playbook that explains them.
   for (const char* field :
-       {"cluster_forecast_speedup", "steady_allocs_per_step", "identical"}) {
+       {"cluster_forecast_speedup", "steady_allocs_per_step", "identical",
+        "forecast_all_allocs_per_call"}) {
     EXPECT_NE(bench.find(field), std::string::npos)
         << field << " vanished from bench/micro_parallel_step.cpp — update "
         << "docs/PERFORMANCE.md and this test together";

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "common/error.hpp"
+#include "common/kernels.hpp"
+#include "common/rng.hpp"
+#include "reference_estimation.hpp"
 
 namespace resmon::core {
 namespace {
+
+using oracle::alpha_scale;
 
 cluster::Clustering make_clustering(std::vector<std::size_t> assignment,
                                     Matrix centroids) {
@@ -13,6 +21,14 @@ cluster::Clustering make_clustering(std::vector<std::size_t> assignment,
   c.assignment = std::move(assignment);
   c.centroids = std::move(centroids);
   return c;
+}
+
+/// One modal_offsets call: the modal clusters, and the offsets in `offsets`.
+std::vector<std::size_t> modal_offsets(const OffsetTracker& tracker,
+                                       std::size_t n, Matrix& offsets) {
+  std::vector<std::size_t> modal(n);
+  tracker.modal_offsets(modal, &offsets);
+  return modal;
 }
 
 // ---- alpha_scale ---------------------------------------------------------
@@ -93,8 +109,10 @@ TEST(OffsetTracker, RejectsZeroClusters) {
 TEST(OffsetTracker, QueriesBeforePushThrow) {
   OffsetTracker tracker(5, 2);
   EXPECT_TRUE(tracker.empty());
-  EXPECT_THROW(tracker.modal_cluster(0), InvalidState);
-  EXPECT_THROW(tracker.offset(0, 0), InvalidState);
+  std::vector<std::size_t> modal(1);
+  Matrix offsets;
+  EXPECT_THROW(tracker.modal_offsets(modal, &offsets), InvalidState);
+  EXPECT_THROW(tracker.modal_offsets(modal, nullptr), InvalidState);
 }
 
 TEST(OffsetTracker, PushValidatesShapes) {
@@ -120,7 +138,8 @@ TEST(OffsetTracker, ModalClusterPicksMostFrequent) {
   tracker.push(make_clustering({0}, centroids), snapshot);
   tracker.push(make_clustering({1}, centroids), snapshot);
   tracker.push(make_clustering({1}, centroids), snapshot);
-  EXPECT_EQ(tracker.modal_cluster(0), 1u);
+  Matrix offsets;
+  EXPECT_EQ(modal_offsets(tracker, 1, offsets)[0], 1u);
 }
 
 TEST(OffsetTracker, ModalClusterTiesBreakLow) {
@@ -129,7 +148,9 @@ TEST(OffsetTracker, ModalClusterTiesBreakLow) {
   Matrix centroids{{0.1}, {0.5}, {0.9}};
   tracker.push(make_clustering({2}, centroids), snapshot);
   tracker.push(make_clustering({1}, centroids), snapshot);
-  EXPECT_EQ(tracker.modal_cluster(0), 1u);  // 1 and 2 tie; lower wins
+  Matrix offsets;
+  // 1 and 2 tie; lower wins.
+  EXPECT_EQ(modal_offsets(tracker, 1, offsets)[0], 1u);
 }
 
 TEST(OffsetTracker, WindowIsBounded) {
@@ -151,7 +172,9 @@ TEST(OffsetTracker, OffsetIsAverageOfInClusterDeviations) {
   for (int i = 0; i < 3; ++i) {
     tracker.push(make_clustering({0}, centroids), snapshot);
   }
-  EXPECT_NEAR(tracker.offset(0, 0)[0], 0.05, 1e-12);
+  Matrix offsets;
+  ASSERT_EQ(modal_offsets(tracker, 1, offsets)[0], 0u);
+  EXPECT_NEAR(offsets(0, 0), 0.05, 1e-12);
 }
 
 TEST(OffsetTracker, OffsetClampedWhenDeviationCrossesBisector) {
@@ -162,18 +185,23 @@ TEST(OffsetTracker, OffsetClampedWhenDeviationCrossesBisector) {
   Matrix centroids{{0.2}, {0.8}};
   Matrix snapshot(1, 1);
   snapshot(0, 0) = 0.7;
-  tracker.push(make_clustering({1}, centroids), snapshot);
-  EXPECT_NEAR(tracker.offset(0, 0)[0], 0.3, 1e-12);
+  tracker.push(make_clustering({0}, centroids), snapshot);
+  Matrix offsets;
+  ASSERT_EQ(modal_offsets(tracker, 1, offsets)[0], 0u);
+  EXPECT_NEAR(offsets(0, 0), 0.3, 1e-12);
 }
 
 TEST(OffsetTracker, OffsetRelativeToRequestedCluster) {
+  // The offset is taken relative to the modal cluster the query uses.
   OffsetTracker tracker(0, 2);
   Matrix centroids{{0.2}, {0.8}};
   Matrix snapshot(1, 1);
   snapshot(0, 0) = 0.75;
   tracker.push(make_clustering({1}, centroids), snapshot);
+  Matrix offsets;
+  ASSERT_EQ(modal_offsets(tracker, 1, offsets)[0], 1u);
   // Relative to cluster 1 the deviation is -0.05 (in-cluster, alpha = 1).
-  EXPECT_NEAR(tracker.offset(0, 1)[0], -0.05, 1e-12);
+  EXPECT_NEAR(offsets(0, 0), -0.05, 1e-12);
 }
 
 TEST(OffsetTracker, NodeCountMustStayConstant) {
@@ -183,13 +211,160 @@ TEST(OffsetTracker, NodeCountMustStayConstant) {
   EXPECT_THROW(
       tracker.push(make_clustering({0, 1, 0}, centroids), Matrix(3, 1)),
       InvalidArgument);
+  std::vector<std::size_t> too_few(1);
+  EXPECT_THROW(tracker.modal_offsets(too_few, nullptr), InvalidArgument);
 }
 
 TEST(OffsetTracker, ClusterIndexValidated) {
   OffsetTracker tracker(3, 2);
   Matrix centroids{{0.2}, {0.8}};
-  tracker.push(make_clustering({0}, centroids), Matrix(1, 1));
-  EXPECT_THROW(tracker.offset(0, 7), InvalidArgument);
+  EXPECT_THROW(tracker.push(make_clustering({7}, centroids), Matrix(1, 1)),
+               InvalidArgument);
+  EXPECT_TRUE(tracker.empty());
+}
+
+// ---- modal_offsets against the textbook per-node loop ----------------------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+std::vector<kern::Path> kernel_paths() {
+  std::vector<kern::Path> paths{kern::Path::kScalar};
+  if (kern::simd_supported()) paths.push_back(kern::Path::kSimd);
+  return paths;
+}
+
+struct Sweep {
+  std::size_t n = 37;  ///< not a multiple of the four lanes
+  std::size_t steps = 8;
+  bool use_alpha = true;
+  bool ties = false;  ///< nodes alternate between two clusters
+};
+
+/// One step's clustering and snapshot. Coordinates sit on a 1/16 grid, so
+/// equal distances, zero deltas and zero dot products happen; one centroid
+/// in four repeats centroid 0 (gap2 = 0); a node lies near its own centroid,
+/// far past a bisector, or exactly on its centroid.
+std::pair<cluster::Clustering, Matrix> random_step(std::size_t n,
+                                                   std::size_t d,
+                                                   std::size_t k,
+                                                   std::size_t step,
+                                                   bool ties, Rng& rng) {
+  const auto grid = [](double v) { return std::round(v * 16.0) / 16.0; };
+  cluster::Clustering clustering;
+  clustering.centroids = Matrix(k, d);
+  for (std::size_t j = 0; j < k; ++j) {
+    const bool repeat = j > 0 && rng.index(4) == 0;
+    for (std::size_t c = 0; c < d; ++c) {
+      clustering.centroids(j, c) =
+          repeat ? clustering.centroids(0, c) : grid(rng.uniform());
+    }
+  }
+  clustering.assignment.resize(n);
+  Matrix snapshot(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j =
+        ties ? (i + step) % 2 % k : (rng.index(3) == 0 ? i % k : rng.index(k));
+    clustering.assignment[i] = j;
+    const std::size_t kind = rng.index(4);
+    for (std::size_t c = 0; c < d; ++c) {
+      const double centre = clustering.centroids(j, c);
+      snapshot(i, c) = kind == 0   ? centre
+                       : kind == 1 ? grid(rng.uniform(-1.0, 2.0))
+                                   : centre + rng.normal(0.0, 0.05);
+    }
+  }
+  return {std::move(clustering), std::move(snapshot)};
+}
+
+/// After every push, on every kernel path: the modal clusters equal the
+/// oracle's, and each offset equals the oracle's offset relative to the
+/// node's modal cluster bit for bit; a call without offsets returns the
+/// same modal clusters.
+void expect_matches_oracle(std::size_t d, std::size_t k,
+                           std::size_t m_prime, const Sweep& sweep) {
+  SCOPED_TRACE(::testing::Message() << "d " << d << " k " << k << " M' "
+                                    << m_prime << " n " << sweep.n);
+  const kern::Path saved = kern::active_path();
+  for (const kern::Path path : kernel_paths()) {
+    SCOPED_TRACE(::testing::Message() << "path " << static_cast<int>(path));
+    kern::set_path(path);
+    OffsetTracker tracker(m_prime, k, sweep.use_alpha);
+    oracle::ReferenceOffsets reference(m_prime, k, sweep.use_alpha);
+    Rng rng(1000 * d + 10 * k + m_prime);
+    for (std::size_t step = 0; step < sweep.steps; ++step) {
+      const auto [clustering, snapshot] =
+          random_step(sweep.n, d, k, step, sweep.ties, rng);
+      tracker.push(clustering, snapshot);
+      reference.push(clustering, snapshot);
+      Matrix offsets;
+      const std::vector<std::size_t> modal =
+          modal_offsets(tracker, sweep.n, offsets);
+      std::vector<std::size_t> modal_only(sweep.n);
+      tracker.modal_offsets(modal_only, nullptr);
+      EXPECT_EQ(modal_only, modal);
+      ASSERT_EQ(offsets.rows(), sweep.n);
+      ASSERT_EQ(offsets.cols(), d);
+      for (std::size_t i = 0; i < sweep.n; ++i) {
+        ASSERT_EQ(modal[i], reference.modal_cluster(i))
+            << "step " << step << " node " << i;
+        const std::vector<double> want = reference.offset(i, modal[i]);
+        for (std::size_t c = 0; c < d; ++c) {
+          ASSERT_TRUE(same_bits(offsets(i, c), want[c]))
+              << "step " << step << " node " << i << " dim " << c << ": "
+              << offsets(i, c) << " vs " << want[c];
+        }
+      }
+    }
+  }
+  kern::set_path(saved);
+}
+
+void sweep_shapes(std::size_t d, const Sweep& sweep = {}) {
+  for (const std::size_t k : {1, 2, 3, 10, 11}) {
+    for (const std::size_t m_prime : {0, 1, 5}) {
+      expect_matches_oracle(d, k, m_prime, sweep);
+    }
+  }
+}
+
+TEST(OffsetOracle, OneDimensionalPoints) { sweep_shapes(1); }
+
+TEST(OffsetOracle, TwoDimensionalPoints) { sweep_shapes(2); }
+
+TEST(OffsetOracle, FourDimensionalPoints) { sweep_shapes(4); }
+
+TEST(OffsetOracle, FiveDimensionalPoints) { sweep_shapes(5); }
+
+TEST(OffsetOracle, ForcedTiesBreakToLowerCluster) {
+  // Every node alternates between clusters 0 and 1, so an even window ties.
+  for (const std::size_t d : {1, 4, 5}) {
+    sweep_shapes(d, Sweep{.ties = true});
+  }
+}
+
+TEST(OffsetOracle, WithoutAlphaScaling) {
+  for (const std::size_t d : {1, 2, 4, 5}) {
+    sweep_shapes(d, Sweep{.use_alpha = false});
+  }
+}
+
+TEST(OffsetOracle, SingleNodeAndOneFullLaneGroup) {
+  for (const std::size_t n : {1, 4}) {
+    expect_matches_oracle(1, 3, 5, Sweep{.n = n});
+    expect_matches_oracle(4, 10, 1, Sweep{.n = n});
+  }
+}
+
+TEST(OffsetOracle, ModalOnlyCallLeavesOffsetsAlone) {
+  // use_offset off: the pipeline asks for modal clusters alone.
+  OffsetTracker tracker(1, 2);
+  tracker.push(make_clustering({1, 0}, Matrix{{0.2}, {0.8}}),
+               Matrix{{0.9}, {0.1}});
+  std::vector<std::size_t> modal(2);
+  tracker.modal_offsets(modal, nullptr);
+  EXPECT_EQ(modal, (std::vector<std::size_t>{1, 0}));
 }
 
 }  // namespace
