@@ -50,13 +50,14 @@ inline ClusteringSweepResult clustering_sweep(const trace::Trace& t,
   collect::FleetCollector fleet(
       t, collect::make_policy_factory(collect::PolicyKind::kAdaptive, b));
 
+  const cluster::DynamicClusterOptions options{.k = k, .similarity = sim};
   std::vector<cluster::DynamicClusterTracker> trackers;
+  std::vector<cluster::ClusterHistory> histories(
+      d, cluster::ClusterHistory(options.history_m + 1));
   std::vector<cluster::StaticClustering> statics;
   std::vector<cluster::MinimumDistanceClustering> mindists;
   for (std::size_t r = 0; r < d; ++r) {
-    trackers.emplace_back(
-        cluster::DynamicClusterOptions{.k = k, .similarity = sim},
-        seed + r);
+    trackers.emplace_back(options, seed + r);
     statics.emplace_back(t, r, k, seed + 100 + r);
     mindists.emplace_back(k, seed + 200 + r);
   }
@@ -66,12 +67,13 @@ inline ClusteringSweepResult clustering_sweep(const trace::Trace& t,
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
     for (const auto& m : fleet.step(step)) store.apply(m);
     for (std::size_t r = 0; r < d; ++r) {
-      Matrix snapshot(t.num_nodes(), 1);
+      Matrix& snapshot = histories[r].advance().values;
+      snapshot.resize(t.num_nodes(), 1);
       for (std::size_t i = 0; i < t.num_nodes(); ++i) {
         snapshot(i, 0) = store.stored(i)[r];
       }
       acc_prop[r].add(
-          intermediate_at(t, step, r, trackers[r].update(snapshot)));
+          intermediate_at(t, step, r, trackers[r].update(histories[r])));
       acc_min[r].add(
           intermediate_at(t, step, r, mindists[r].at(snapshot)));
       acc_stat[r].add(

@@ -5,7 +5,8 @@
 //
 // All methods use the same estimation rule (eq. (2)): held centroid of the
 // node's modal cluster over the last M'+1 steps, plus the alpha-scaled
-// per-node offset of eq. (12).
+// per-node offset of eq. (12). Each method keeps its own history of
+// (snapshot, clustering) steps, read by the one core::modal_offsets.
 //
 // Expected shape: proposed best at short horizons; static (offline)
 // approaches it at long horizons; minimum-distance worst.
@@ -24,14 +25,15 @@ using namespace resmon;
 
 constexpr std::size_t kMPrime = 5;
 
-/// Sample-and-hold estimate for every node from an offset tracker: held
+/// Sample-and-hold estimate for every node from one method's history: held
 /// centroid of the modal cluster + eq. (12) offset. (Scalar, one resource.)
-std::vector<double> estimate_nodes(const core::OffsetTracker& tracker,
-                                   const cluster::Clustering& current,
-                                   std::size_t n) {
+std::vector<double> estimate_nodes(const cluster::ClusterHistory& history) {
+  const cluster::Clustering& current = history.at(0).clustering;
+  const std::size_t n = current.assignment.size();
   std::vector<std::size_t> modal(n);
   Matrix offsets;
-  tracker.modal_offsets(modal, &offsets);
+  core::modal_offsets(history, kMPrime + 1, /*use_alpha=*/true, modal,
+                      &offsets);
   std::vector<double> out(n);
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = current.centroids(modal[i], 0) + offsets(i, 0);
@@ -78,14 +80,16 @@ int main(int argc, char** argv) {
     std::vector<cluster::DynamicClusterTracker> dyn;
     std::vector<cluster::StaticClustering> statik;
     std::vector<cluster::MinimumDistanceClustering> mindist;
-    std::vector<core::OffsetTracker> off_dyn, off_stat, off_min;
+    // Per resource, one history per method, M' + 1 deep (the tracker's
+    // M = 1 needs only two steps).
+    std::vector<cluster::ClusterHistory> hist_dyn, hist_stat, hist_min;
     for (std::size_t r = 0; r < d; ++r) {
       dyn.emplace_back(cluster::DynamicClusterOptions{.k = k}, 1 + r);
       statik.emplace_back(t, r, k, 100 + r);
       mindist.emplace_back(k, 200 + r);
-      off_dyn.emplace_back(kMPrime, k);
-      off_stat.emplace_back(kMPrime, k);
-      off_min.emplace_back(kMPrime, k);
+      hist_dyn.emplace_back(kMPrime + 1);
+      hist_stat.emplace_back(kMPrime + 1);
+      hist_min.emplace_back(kMPrime + 1);
     }
 
     // acc[method][resource][h-index]
@@ -111,26 +115,24 @@ int main(int argc, char** argv) {
     for (std::size_t step = 0; step < t.num_steps(); ++step) {
       for (const auto& m : fleet.step(step)) store.apply(m);
       for (std::size_t r = 0; r < d; ++r) {
-        Matrix snapshot(n, 1);
+        Matrix& snapshot = hist_dyn[r].advance().values;
+        snapshot.resize(n, 1);
         for (std::size_t i = 0; i < n; ++i) {
           snapshot(i, 0) = store.stored(i)[r];
         }
-        const cluster::Clustering& cd = dyn[r].update(snapshot);
-        const cluster::Clustering cs = statik[r].at(snapshot);
-        const cluster::Clustering cm = mindist[r].at(snapshot);
-        off_dyn[r].push(cd, snapshot);
-        off_stat[r].push(cs, snapshot);
-        off_min[r].push(cm, snapshot);
+        dyn[r].update(hist_dyn[r]);
+        hist_stat[r].push(snapshot, statik[r].at(snapshot));
+        hist_min[r].push(snapshot, mindist[r].at(snapshot));
 
         if (step % eval_stride != 0 || step < kMPrime + 1) continue;
         for (std::size_t hi = 0; hi < hs.size(); ++hi) {
           if (step + hs[hi] >= t.num_steps()) continue;
-          pending.push_back({step + hs[hi], 0, r, hi,
-                             estimate_nodes(off_dyn[r], cd, n)});
-          pending.push_back({step + hs[hi], 1, r, hi,
-                             estimate_nodes(off_min[r], cm, n)});
-          pending.push_back({step + hs[hi], 2, r, hi,
-                             estimate_nodes(off_stat[r], cs, n)});
+          pending.push_back(
+              {step + hs[hi], 0, r, hi, estimate_nodes(hist_dyn[r])});
+          pending.push_back(
+              {step + hs[hi], 1, r, hi, estimate_nodes(hist_min[r])});
+          pending.push_back(
+              {step + hs[hi], 2, r, hi, estimate_nodes(hist_stat[r])});
         }
       }
       // Score everything whose target step is now.

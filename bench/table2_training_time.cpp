@@ -32,16 +32,19 @@ std::vector<double> centroid_series(const std::string& dataset,
   collect::FleetCollector fleet(
       t, collect::make_policy_factory(collect::PolicyKind::kAdaptive, 0.3));
   transport::CentralStore store(t.num_nodes(), t.num_resources());
-  cluster::DynamicClusterTracker tracker({.k = 3}, 1);
+  const cluster::DynamicClusterOptions options{.k = 3};
+  cluster::DynamicClusterTracker tracker(options, 1);
+  cluster::ClusterHistory history(options.history_m + 1);
   std::vector<double> series;
   series.reserve(steps);
   for (std::size_t step = 0; step < steps; ++step) {
     for (const auto& m : fleet.step(step)) store.apply(m);
-    Matrix snapshot(t.num_nodes(), 1);
+    Matrix& snapshot = history.advance().values;
+    snapshot.resize(t.num_nodes(), 1);
     for (std::size_t i = 0; i < t.num_nodes(); ++i) {
       snapshot(i, 0) = store.stored(i)[0];
     }
-    series.push_back(tracker.update(snapshot).centroids(0, 0));
+    series.push_back(tracker.update(history).centroids(0, 0));
   }
   return series;
 }

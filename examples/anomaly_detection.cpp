@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     const Matrix z = pipeline.forecast_all(0);
     std::fill(distance.begin(), distance.end(), 0.0);
     for (std::size_t r = 0; r < pipeline.num_views(); ++r) {
-      const cluster::Clustering& c = pipeline.tracker(r).history(0);
+      const cluster::Clustering& c = pipeline.history(r).at(0).clustering;
       std::vector<std::size_t> cluster_size(options.num_clusters, 0);
       for (std::size_t i = 0; i < n; ++i) ++cluster_size[c.assignment[i]];
       for (std::size_t i = 0; i < n; ++i) {

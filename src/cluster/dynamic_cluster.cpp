@@ -7,11 +7,43 @@
 
 namespace resmon::cluster {
 
+ClusterHistory::ClusterHistory(std::size_t depth) : steps_(depth) {
+  RESMON_REQUIRE(depth >= 1, "history depth must be at least 1");
+}
+
+HistoryStep& ClusterHistory::advance() {
+  head_ = (head_ + depth() - 1) % depth();
+  if (size_ < depth()) ++size_;
+  return steps_[head_];
+}
+
+void ClusterHistory::push(const Matrix& values,
+                          const Clustering& clustering) {
+  const std::size_t k = clustering.centroids.rows();
+  RESMON_REQUIRE(values.rows() == clustering.assignment.size(),
+                 "ClusterHistory: snapshot/assignment size mismatch");
+  RESMON_REQUIRE(values.cols() == clustering.centroids.cols(),
+                 "ClusterHistory: snapshot/centroid dimension mismatch");
+  RESMON_REQUIRE(empty() || (values.rows() == at(0).values.rows() &&
+                              k == at(0).clustering.centroids.rows()),
+                 "ClusterHistory: N or K changed between steps");
+  for (const std::size_t j : clustering.assignment) {
+    RESMON_REQUIRE(j < k, "ClusterHistory: cluster out of range");
+  }
+  // Copy-assign into the recycled step so its buffers keep their capacity.
+  HistoryStep& step = advance();
+  step.values = values;
+  step.clustering = clustering;
+}
+
+std::size_t ClusterHistory::index(std::size_t age) const {
+  RESMON_REQUIRE(age < size_, "history age out of range");
+  return (head_ + age) % depth();
+}
+
 DynamicClusterTracker::DynamicClusterTracker(
     const DynamicClusterOptions& options, std::uint64_t seed)
-    : options_(options),
-      rng_(seed),
-      ring_(options.history_m + 1) {
+    : options_(options), rng_(seed) {
   RESMON_REQUIRE(options.k >= 1, "tracker needs at least one cluster");
   RESMON_REQUIRE(options.history_m >= 1, "M must be at least 1");
   if (options_.metrics != nullptr) {
@@ -39,15 +71,18 @@ DynamicClusterTracker::DynamicClusterTracker(
 }
 
 void DynamicClusterTracker::similarity_into(
-    const std::vector<std::size_t>& fresh_assignment, std::size_t n) {
+    const std::vector<std::size_t>& fresh_assignment,
+    const ClusterHistory& history) {
   const std::size_t k = options_.k;
+  const std::size_t n = fresh_assignment.size();
   // Nodes that stayed in cluster j throughout the last min(M, t-1) steps:
   // the intersection term of eq. (10).
-  const std::size_t lookback = std::min(options_.history_m, ring_size_);
+  const std::size_t lookback =
+      std::min(options_.history_m, history.size() - 1);
   in_all_.assign(n * k, 1);
-  for (std::size_t m = 0; m < lookback; ++m) {
-    const Clustering& past = history(m);
-    kern::history_mask(past.assignment.data(), k, 0, n, in_all_.data());
+  for (std::size_t age = 1; age <= lookback; ++age) {
+    kern::history_mask(history.at(age).clustering.assignment.data(), k, 0, n,
+                       in_all_.data());
   }
 
   w_.resize(k, k);
@@ -82,27 +117,24 @@ void DynamicClusterTracker::similarity_into(
   }
 }
 
-Clustering& DynamicClusterTracker::claim_slot() {
-  const std::size_t cap = ring_.size();
-  ring_head_ = (ring_head_ + cap - 1) % cap;
-  if (ring_size_ < cap) ++ring_size_;
-  return ring_[ring_head_];
-}
-
-const Clustering& DynamicClusterTracker::update(const Matrix& points) {
-  return update(points, points);
+const Clustering& DynamicClusterTracker::update(ClusterHistory& history) {
+  return update(history.at(0).values, history);
 }
 
 const Clustering& DynamicClusterTracker::update(const Matrix& features,
-                                                const Matrix& values) {
+                                                ClusterHistory& history) {
+  RESMON_REQUIRE(history.depth() >= options_.history_m + 1,
+                 "history must hold at least M + 1 steps");
+  HistoryStep& newest = history.at(0);
   RESMON_REQUIRE(features.rows() >= options_.k,
                  "need at least k points to cluster");
-  RESMON_REQUIRE(features.rows() == values.rows(),
+  RESMON_REQUIRE(features.rows() == newest.values.rows(),
                  "features/values row count mismatch");
   const std::size_t n = features.rows();
   const std::size_t k = options_.k;
-  if (ring_size_ > 0) {
-    RESMON_REQUIRE(n == history(0).assignment.size(),
+  const bool has_past = history.size() > 1;
+  if (has_past) {
+    RESMON_REQUIRE(n == history.at(1).clustering.assignment.size(),
                    "node count changed between updates");
   }
 
@@ -110,28 +142,25 @@ const Clustering& DynamicClusterTracker::update(const Matrix& features,
 
   // phi maps the raw K-means index k to the stable index j (eq. (11)).
   phi_.resize(k);
-  if (ring_size_ == 0 || !options_.reindex) {
+  if (!has_past || !options_.reindex) {
     for (std::size_t j = 0; j < k; ++j) phi_[j] = j;
     if (match_weight_ != nullptr) match_weight_->set(0.0);
   } else {
-    similarity_into(raw_.assignment, n);
+    similarity_into(raw_.assignment, history);
     max_weight_assignment_into(w_, assign_scratch_, phi_);
     if (match_weight_ != nullptr) {
       match_weight_->set(assignment_value(w_, phi_));
     }
   }
 
-  // The slot claimed here is the oldest of the M + 1 retained clusterings;
-  // the similarity pass read only the M newest above, so its buffers
-  // recycle safely.
-  Clustering& fresh = claim_slot();
+  Clustering& fresh = newest.clustering;
   fresh.assignment.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     fresh.assignment[i] = phi_[raw_.assignment[i]];
   }
   // Report centroids in measurement space (eq. (1)); K-means' empty-cluster
   // repair guarantees every cluster has at least one member.
-  centroids_of_into(values, fresh.assignment, k, counts_scratch_,
+  centroids_of_into(newest.values, fresh.assignment, k, counts_scratch_,
                     fresh.centroids, &empty_scratch_);
 
   if (updates_total_ != nullptr) {
@@ -139,9 +168,9 @@ const Clustering& DynamicClusterTracker::update(const Matrix& features,
     kmeans_iterations_total_->inc(raw_.iterations);
     empty_clusters_->set(static_cast<double>(std::count(
         empty_scratch_.begin(), empty_scratch_.end(), true)));
-    if (ring_size_ > 1) {
+    if (has_past) {
       std::uint64_t moved = 0;
-      const Clustering& prev = history(1);
+      const Clustering& prev = history.at(1).clustering;
       for (std::size_t i = 0; i < n; ++i) {
         if (fresh.assignment[i] != prev.assignment[i]) ++moved;
       }
@@ -151,11 +180,6 @@ const Clustering& DynamicClusterTracker::update(const Matrix& features,
 
   ++steps_;
   return fresh;
-}
-
-const Clustering& DynamicClusterTracker::history(std::size_t age) const {
-  RESMON_REQUIRE(age < ring_size_, "history age out of range");
-  return ring_[(ring_head_ + age) % ring_.size()];
 }
 
 }  // namespace resmon::cluster

@@ -10,12 +10,11 @@
 // the tracker keeps no copy of that series — each cluster's
 // forecast::ManagedForecaster owns it.
 //
-// The tracker retains only the last M + 1 clusterings (the M the
-// similarity pass reads plus the newest one) and owns every scratch buffer
-// its per-step work needs (K-means, similarity, Hungarian), so its memory
-// is O(N * (M + 1)) whatever the run length and steady-state updates
-// perform no heap allocations (see docs/PERFORMANCE.md "Zero-allocation
-// steady state").
+// The caller owns the history (a ClusterHistory of snapshots and their
+// clusterings, shared with every other reader); the tracker keeps only its
+// RNG and per-step scratch (K-means, similarity, Hungarian), so
+// steady-state updates perform no heap allocations (see
+// docs/PERFORMANCE.md "Zero-allocation steady state").
 #pragma once
 
 #include <cstdint>
@@ -33,6 +32,47 @@ namespace resmon::cluster {
 struct Clustering {
   std::vector<std::size_t> assignment;  ///< node index -> cluster j in [0,k)
   Matrix centroids;                     ///< k x d, eq. (1)
+};
+
+/// One step of a view's history: the snapshot clustered at that step and
+/// its clustering (centroids in the snapshot's measurement space).
+struct HistoryStep {
+  Matrix values;  ///< n x d stored measurements
+  Clustering clustering;
+};
+
+/// A view's history: the last depth() steps, newest at age 0. advance()
+/// recycles the oldest step in place, so its buffers keep their capacity
+/// and a steady-state step allocates nothing.
+class ClusterHistory {
+ public:
+  explicit ClusterHistory(std::size_t depth);
+
+  std::size_t depth() const { return steps_.size(); }
+  /// Steps recorded so far, at most depth().
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// Start a new newest step: the oldest one becomes age 0, still holding
+  /// its old contents for the caller to overwrite.
+  HistoryStep& advance();
+
+  /// Record a snapshot with a clustering made outside a
+  /// DynamicClusterTracker (a baseline, a test). Checks one cluster index
+  /// below K per snapshot row, centroids in the snapshot's dimension, and
+  /// the newest step's N and K, then copies both into a recycled step.
+  void push(const Matrix& values, const Clustering& clustering);
+
+  /// The step `age` steps back (0 = newest). Requires age < size().
+  const HistoryStep& at(std::size_t age) const { return steps_[index(age)]; }
+  HistoryStep& at(std::size_t age) { return steps_[index(age)]; }
+
+ private:
+  std::size_t index(std::size_t age) const;
+
+  std::vector<HistoryStep> steps_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
 };
 
 /// Similarity between a fresh K-means cluster and historical clusters.
@@ -57,51 +97,37 @@ struct DynamicClusterOptions {
   std::string metrics_view;
 };
 
-/// Online evolutionary clustering: call update() once per time step with the
-/// central store's snapshot; read the re-indexed clustering of this and
-/// the last M steps through history().
+/// Online evolutionary clustering: once per time step, advance the view's
+/// history, write the central store's snapshot into its values and call
+/// update(); the re-indexed clustering lands in the same step.
 class DynamicClusterTracker {
  public:
   DynamicClusterTracker(const DynamicClusterOptions& options,
                         std::uint64_t seed);
 
-  /// Cluster the rows of `points` (n x d) and re-index against history.
-  /// Returns the final clustering for this step (also kept in history).
-  const Clustering& update(const Matrix& points);
+  /// Cluster the newest step's values (history.at(0).values, n x d),
+  /// re-index against the M steps before it and write the result, with
+  /// measurement-space centroids, to history.at(0).clustering. Requires
+  /// history.depth() >= M + 1.
+  const Clustering& update(ClusterHistory& history);
 
   /// Cluster on `features` (n x f) but compute the reported centroids from
-  /// `values` (n x d). Used when clustering on extended temporal-window
-  /// feature vectors (Fig. 5) while forecasting needs measurement-space
-  /// centroids of the current snapshot.
-  const Clustering& update(const Matrix& features, const Matrix& values);
+  /// the newest step's values. Used when clustering on extended
+  /// temporal-window feature vectors (Fig. 5) while forecasting needs
+  /// measurement-space centroids of the current snapshot.
+  const Clustering& update(const Matrix& features, ClusterHistory& history);
 
   std::size_t k() const { return options_.k; }
   std::size_t steps() const { return steps_; }
 
-  /// Number of past clusterings currently retained: min(steps(), M + 1).
-  std::size_t history_size() const { return ring_size_; }
-
-  /// Clustering `age` steps ago: history(0) is the most recent update.
-  /// Requires age < history_size().
-  const Clustering& history(std::size_t age) const;
-
  private:
   /// Fill `w_` with the eq. (10) similarity of the fresh assignment
-  /// against the retained history.
+  /// against the M clusterings before the newest step.
   void similarity_into(const std::vector<std::size_t>& fresh_assignment,
-                       std::size_t n);
-  /// Rotate the ring and return the slot for the new most-recent
-  /// clustering (buffers recycled from the evicted entry).
-  Clustering& claim_slot();
+                       const ClusterHistory& history);
 
   DynamicClusterOptions options_;
   Rng rng_;
-  // Ring of the last M + 1 clusterings, newest at ring_head_. A ring (not
-  // a deque) so the per-step path recycles buffers instead of churning
-  // allocator nodes.
-  std::vector<Clustering> ring_;
-  std::size_t ring_head_ = 0;
-  std::size_t ring_size_ = 0;
   std::size_t steps_ = 0;
   // Per-step scratch (see class comment).
   KMeansScratch kmeans_scratch_;

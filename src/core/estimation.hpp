@@ -12,56 +12,23 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "cluster/dynamic_cluster.hpp"
 #include "common/matrix.hpp"
 
 namespace resmon::core {
 
-/// Rolling window of (clustering, stored-snapshot) pairs that answers the
-/// two per-node questions above. Push once per time step, newest first.
-class OffsetTracker {
- public:
-  /// `m_prime` is M' (the paper's look-back, default 5); `k` the number of
-  /// clusters. `use_alpha` applies the eq. (12) alpha scaling (disable for
-  /// the ablation in bench/ablation_offset).
-  OffsetTracker(std::size_t m_prime, std::size_t k, bool use_alpha = true);
-
-  /// Record this step's clustering and the snapshot it was computed from
-  /// (snapshot rows must be in the same measurement space as the
-  /// clustering's centroids).
-  void push(const cluster::Clustering& clustering, const Matrix& snapshot);
-
-  std::size_t steps() const { return ring_size_; }
-  bool empty() const { return ring_size_ == 0; }
-
-  /// For every node i, modal[i] is its C-hat membership: the cluster it
-  /// belonged to most often over the last min(M'+1, steps()) steps (ties
-  /// break to the smaller index). When `offsets` is non-null it is reshaped
-  /// to N x dims and row i receives s-hat of eq. (12) relative to modal[i].
-  /// One kern::offset_lanes pass over the window; `modal` holds N entries.
-  void modal_offsets(std::span<std::size_t> modal, Matrix* offsets) const;
-
- private:
-  struct Entry {
-    cluster::Clustering clustering;
-    Matrix snapshot;
-  };
-
-  /// Entry `age` steps back (0 = most recent). Requires age < steps().
-  const Entry& entry(std::size_t age) const {
-    return ring_[(ring_head_ + age) % ring_.size()];
-  }
-
-  std::size_t m_prime_;
-  std::size_t k_;
-  bool use_alpha_;
-  // Fixed ring of the last M'+1 entries, newest at ring_head_; buffers are
-  // recycled in place so push() allocates nothing at steady state.
-  std::vector<Entry> ring_;
-  std::size_t ring_head_ = 0;
-  std::size_t ring_size_ = 0;
-};
+/// Answers the two per-node questions above from the newest
+/// min(window, history.size()) steps of `history`, where `window` is
+/// M' + 1. For every node i, modal[i] is its C-hat membership: the cluster
+/// it belonged to most often in those steps (ties break to the smaller
+/// index). When `offsets` is non-null it is reshaped to N x d and row i
+/// receives s-hat of eq. (12) relative to modal[i]; `use_alpha` applies
+/// the alpha scaling (disable for the ablation in bench/ablation_offset).
+/// One kern::offset_lanes pass over the window; `modal` holds N entries.
+/// Throws InvalidState on an empty history.
+void modal_offsets(const cluster::ClusterHistory& history,
+                   std::size_t window, bool use_alpha,
+                   std::span<std::size_t> modal, Matrix* offsets);
 
 }  // namespace resmon::core

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "collect/adaptive_transmitter.hpp"
+#include "core/estimation.hpp"
 
 namespace resmon::core {
 
@@ -69,7 +70,9 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
 
   const std::size_t views =
       options.cluster_per_resource ? trace.num_resources() : 1;
-  snapshot_capacity_ = options.temporal_window;
+  const std::size_t depth =
+      std::max({options.temporal_window, options.similarity_lookback + 1,
+                options.offset_lookback + 1});
 
   cluster::DynamicClusterOptions copts;
   copts.k = options.num_clusters;
@@ -80,19 +83,13 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
   copts.metrics = registry_;
 
   trackers_.reserve(views);
-  offsets_.reserve(views);
+  histories_.assign(views, cluster::ClusterHistory(depth));
   models_.resize(views);
-  snapshot_ring_.resize(views);
-  for (std::size_t v = 0; v < views; ++v) {
-    snapshot_ring_[v].resize(snapshot_capacity_);
-  }
   if (options.temporal_window > 1) features_scratch_.resize(views);
   for (std::size_t v = 0; v < views; ++v) {
     cluster::DynamicClusterOptions vopts = copts;
     vopts.metrics_view = std::to_string(v);
     trackers_.emplace_back(vopts, options.seed + 1000 * (v + 1));
-    offsets_.emplace_back(options.offset_lookback, options.num_clusters,
-                          options.offset_alpha);
     const std::size_t dims = view_dims();
     models_[v].reserve(options.num_clusters * dims);
     for (std::size_t j = 0; j < options.num_clusters; ++j) {
@@ -153,11 +150,13 @@ void MonitoringPipeline::view_features_into(std::size_t view,
   const std::size_t w = options_.temporal_window;
   const std::size_t n = trace_.num_nodes();
   const std::size_t vd = view_dims();
+  const cluster::ClusterHistory& history = histories_[view];
   features.resize(n, vd * w);
   for (std::size_t slot = 0; slot < w; ++slot) {
     // slot 0 = most recent snapshot; pad older slots with the oldest
     // available snapshot during warm-up.
-    const Matrix& snap = snapshot(view, std::min(slot, snap_size_ - 1));
+    const Matrix& snap =
+        history.at(std::min(slot, history.size() - 1)).values;
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t c = 0; c < vd; ++c) {
         features(i, slot * vd + c) = snap(i, c);
@@ -167,25 +166,23 @@ void MonitoringPipeline::view_features_into(std::size_t view,
 }
 
 Matrix MonitoringPipeline::view_features(std::size_t view) const {
+  RESMON_REQUIRE(!history(view).empty(),
+                 "view_features before any clustered step");
   Matrix features;
   view_features_into(view, features);
   return features;
 }
 
 void MonitoringPipeline::update_view(std::size_t view) {
-  // The ring indices were advanced in consume_slot(); fill this view's slot.
-  Matrix& values = snapshot_ring_[view][snap_head_];
-  view_snapshot_into(view, values);
-
-  const cluster::Clustering* clustering = nullptr;
+  cluster::ClusterHistory& history = histories_[view];
+  view_snapshot_into(view, history.advance().values);
   if (options_.temporal_window == 1) {
-    clustering = &trackers_[view].update(values);
+    trackers_[view].update(history);
   } else {
     Matrix& features = features_scratch_[view];
     view_features_into(view, features);
-    clustering = &trackers_[view].update(features, values);
+    trackers_[view].update(features, history);
   }
-  offsets_[view].push(*clustering, values);
 }
 
 void MonitoringPipeline::step() {
@@ -237,16 +234,12 @@ void MonitoringPipeline::consume_slot(
     return;
   }
 
-  // Each view owns its tracker, offset window and snapshot history (and its
-  // own RNG inside the tracker), so views update in parallel; a view's
-  // nested K-means parallel loops fall through to the same pool. Chunk
-  // grain 1 = one task per view.
+  // Each view owns its tracker and history (and its own RNG inside the
+  // tracker), so views update in parallel; a view's nested K-means parallel
+  // loops fall through to the same pool. Chunk grain 1 = one task per view.
   {
     obs::ScopedSpan span(options_.trace_events, "pipeline.cluster",
                          stage_cluster_);
-    // Advance the shared snapshot ring once; update_view fills the slots.
-    snap_head_ = (snap_head_ + snapshot_capacity_ - 1) % snapshot_capacity_;
-    if (snap_size_ < snapshot_capacity_) ++snap_size_;
     run_chunked(pool_.get(), trackers_.size(), 1,
                 [&](std::size_t, std::size_t begin, std::size_t end) {
                   for (std::size_t v = begin; v < end; ++v) update_view(v);
@@ -272,7 +265,7 @@ void MonitoringPipeline::consume_slot(
                     const std::size_t v = m / per_view;
                     const std::size_t idx = m % per_view;
                     const cluster::Clustering& clustering =
-                        trackers_[v].history(0);
+                        histories_[v].at(0).clustering;
                     models_[v][idx]->observe(
                         clustering.centroids(idx / dims, idx % dims));
                   }
@@ -316,8 +309,9 @@ Matrix MonitoringPipeline::forecast_all(std::size_t h) const {
         c_hat(j, dim) = models_[v][j * dims + dim]->forecast(h);
       }
     }
-    offsets_[v].modal_offsets(modal,
-                              options_.use_offset ? &offset : nullptr);
+    modal_offsets(histories_[v], options_.offset_lookback + 1,
+                  options_.offset_alpha, modal,
+                  options_.use_offset ? &offset : nullptr);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t dim = 0; dim < dims; ++dim) {
         const std::size_t r = options_.cluster_per_resource ? v : dim;
@@ -351,7 +345,7 @@ double MonitoringPipeline::intermediate_rmse() const {
   double total = 0.0;
   for (std::size_t v = 0; v < trackers_.size(); ++v) {
     const Matrix truth = view_truth(v, t_last);
-    const cluster::Clustering& clustering = trackers_[v].history(0);
+    const cluster::Clustering& clustering = histories_[v].at(0).clustering;
     for (std::size_t i = 0; i < n; ++i) {
       total += squared_distance(
           truth.row(i), clustering.centroids.row(clustering.assignment[i]));
@@ -367,7 +361,7 @@ double MonitoringPipeline::intermediate_rmse(std::size_t view,
   RESMON_REQUIRE(dim < view_dims(), "dimension index out of range");
   const std::size_t t_last = step_count_ - 1;
   const std::size_t n = trace_.num_nodes();
-  const cluster::Clustering& clustering = trackers_[view].history(0);
+  const cluster::Clustering& clustering = histories_[view].at(0).clustering;
   const std::size_t resource = options_.cluster_per_resource ? view : dim;
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -392,6 +386,12 @@ const cluster::DynamicClusterTracker& MonitoringPipeline::tracker(
     std::size_t view) const {
   RESMON_REQUIRE(view < trackers_.size(), "view index out of range");
   return trackers_[view];
+}
+
+const cluster::ClusterHistory& MonitoringPipeline::history(
+    std::size_t view) const {
+  RESMON_REQUIRE(view < histories_.size(), "view index out of range");
+  return histories_[view];
 }
 
 const forecast::ManagedForecaster& MonitoringPipeline::model(

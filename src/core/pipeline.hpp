@@ -24,7 +24,6 @@
 #include "collect/fleet_collector.hpp"
 #include "common/matrix.hpp"
 #include "common/thread_pool.hpp"
-#include "core/estimation.hpp"
 #include "core/metrics.hpp"
 #include "faultnet/faulty_link.hpp"
 #include "forecast/managed.hpp"
@@ -99,7 +98,7 @@ struct PipelineOptions {
 /// resmon_pipeline_stage_seconds{stage=...} gauges in the registry.
 struct StageTimers {
   double collect_seconds = 0.0;   ///< policy stepping + fault stage + store
-  double cluster_seconds = 0.0;   ///< snapshots, K-means, re-indexing, offsets
+  double cluster_seconds = 0.0;   ///< snapshots, K-means, re-indexing
   double forecast_seconds = 0.0;  ///< feeding/retraining managed forecasters
   double total_seconds() const {
     return collect_seconds + cluster_seconds + forecast_seconds;
@@ -173,6 +172,11 @@ class MonitoringPipeline {
   /// resource, otherwise 1.
   std::size_t num_views() const { return trackers_.size(); }
   const cluster::DynamicClusterTracker& tracker(std::size_t view) const;
+  /// The view's one history, max(temporal_window, M + 1, M' + 1) steps
+  /// deep: each clustered slot's snapshot and its clustering, newest at
+  /// age 0. The tracker re-indexes against it, forecast_all() reads modal
+  /// membership and offsets from it, and view_features() concatenates it.
+  const cluster::ClusterHistory& history(std::size_t view) const;
   /// The in-process collector. Throws InvalidState in external-collection
   /// mode (there is none; the agents live in other processes).
   const collect::FleetCollector& collector() const;
@@ -198,7 +202,7 @@ class MonitoringPipeline {
   /// Clustering features of a view: the concatenation of the last
   /// `temporal_window` stored snapshots, N x (view_dims * temporal_window),
   /// with warm-up slots padded by the oldest available snapshot (Fig. 5).
-  /// Requires at least one clustered step.
+  /// Throws before the first clustered step.
   Matrix view_features(std::size_t view) const;
 
  private:
@@ -210,13 +214,9 @@ class MonitoringPipeline {
   void view_snapshot_into(std::size_t view, Matrix& snap) const;
   /// Allocation-free core of view_features().
   void view_features_into(std::size_t view, Matrix& features) const;
-  /// Retained snapshot of a view, `age` steps back (0 = most recent).
-  const Matrix& snapshot(std::size_t view, std::size_t age) const {
-    return snapshot_ring_[view][(snap_head_ + age) % snapshot_capacity_];
-  }
   /// Ground-truth snapshot for a view at a given step.
   Matrix view_truth(std::size_t view, std::size_t t) const;
-  /// One view's share of a step: push the snapshot, cluster, track offsets.
+  /// One view's share of a step: record the snapshot, then cluster it.
   void update_view(std::size_t view);
   /// The one consume path of step() and step_external(): apply the slot's
   /// messages to store_, close the caller's collect span, then run the
@@ -232,19 +232,10 @@ class MonitoringPipeline {
   /// z_t of §IV: the central node's view, written only by consume_slot().
   transport::CentralStore store_;
   std::vector<cluster::DynamicClusterTracker> trackers_;
-  // Membership forecasting and eq. (12) offsets, one per view.
-  std::vector<OffsetTracker> offsets_;
+  std::vector<cluster::ClusterHistory> histories_;  // see history()
   // models_[view][j * view_dims + dim]
   std::vector<std::vector<std::unique_ptr<forecast::ManagedForecaster>>>
       models_;
-  // Per-view ring of the last `temporal_window` stored snapshots, newest at
-  // snap_head_. All views advance in lockstep, so the head/size indices are
-  // shared; Matrix slots recycle their capacity, keeping the per-step path
-  // allocation-free (see docs/PERFORMANCE.md).
-  std::vector<std::vector<Matrix>> snapshot_ring_;
-  std::size_t snapshot_capacity_;
-  std::size_t snap_head_ = 0;
-  std::size_t snap_size_ = 0;
   // Per-view clustering-feature scratch for the temporal window path.
   std::vector<Matrix> features_scratch_;
   std::size_t step_count_ = 0;

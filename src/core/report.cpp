@@ -22,7 +22,8 @@ MonitoringReport make_report(const MonitoringPipeline& pipeline) {
 
   const std::size_t k = pipeline.options().num_clusters;
   for (std::size_t v = 0; v < pipeline.num_views(); ++v) {
-    const cluster::Clustering& clustering = pipeline.tracker(v).history(0);
+    const cluster::Clustering& clustering =
+        pipeline.history(v).at(0).clustering;
     std::vector<std::size_t> sizes(k, 0);
     for (const std::size_t a : clustering.assignment) ++sizes[a];
     for (std::size_t j = 0; j < k; ++j) {

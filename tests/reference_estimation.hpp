@@ -1,7 +1,7 @@
-// Textbook per-node estimation of §V-C: the oracle that
-// core::OffsetTracker::modal_offsets must match bit for bit. It keeps its
-// own newest-first window of copied (clustering, snapshot) pairs and answers
-// one node and one cluster at a time, with no kernels, lanes or buckets:
+// Textbook per-node estimation of §V-C: the oracle that core::modal_offsets
+// must match bit for bit. It keeps its own newest-first window of copied
+// (clustering, snapshot) pairs and answers one node and one cluster at a
+// time, with no kernels, lanes or buckets:
 //
 //  * modal_cluster: the cluster a node belonged to most often in the
 //    window, ties to the smaller index;

@@ -23,14 +23,104 @@ Matrix two_groups(double lo, double hi, std::size_t per_group, Rng& rng) {
   return points;
 }
 
+/// A tracker plus the M + 1 deep history it writes, owned side by side as
+/// the pipeline owns them: update(points) records `points` as the newest
+/// step's values and clusters them.
+struct Tracked : DynamicClusterTracker {
+  Tracked(const DynamicClusterOptions& options, std::uint64_t seed)
+      : DynamicClusterTracker(options, seed), history(options.history_m + 1) {}
+
+  using DynamicClusterTracker::update;
+  const Clustering& update(const Matrix& points) {
+    history.advance().values = points;
+    return update(history);
+  }
+
+  ClusterHistory history;
+};
+
+// -- the caller-owned history ------------------------------------------------
+
+/// Advance `history` and write a 2 x 1 step whose values and assignment
+/// carry `tag`.
+void record(ClusterHistory& history, double tag) {
+  HistoryStep& step = history.advance();
+  step.values.resize(2, 1);
+  step.values(0, 0) = tag;
+  step.values(1, 0) = tag;
+  step.clustering.assignment.assign(2, static_cast<std::size_t>(tag));
+}
+
+TEST(ClusterHistory, AgesRunNewestFirst) {
+  ClusterHistory history(3);
+  for (int t = 0; t < 5; ++t) {
+    record(history, t);
+    ASSERT_EQ(history.size(), std::min<std::size_t>(t + 1, 3));
+    for (std::size_t age = 0; age < history.size(); ++age) {
+      EXPECT_EQ(history.at(age).values(0, 0), t - static_cast<double>(age));
+      EXPECT_EQ(history.at(age).clustering.assignment[1],
+                static_cast<std::size_t>(t) - age);
+    }
+  }
+}
+
+TEST(ClusterHistory, RecyclesTheOldestStepInPlace) {
+  // Once full, advance() hands back the oldest step with its buffers: the
+  // same storage, so rewriting a step of the same shape allocates nothing.
+  ClusterHistory history(2);
+  record(history, 0);
+  record(history, 1);
+  const HistoryStep& oldest = history.at(1);
+  const double* values = oldest.values.data().data();
+  const std::size_t* assignment = oldest.clustering.assignment.data();
+  HistoryStep& recycled = history.advance();
+  EXPECT_EQ(&recycled, &oldest);
+  EXPECT_EQ(recycled.values(0, 0), 0.0);  // old contents, to overwrite
+  record(history, 2);  // recycles step 1's storage
+  record(history, 3);  // and comes back round to step 0's
+  EXPECT_EQ(history.at(0).values.data().data(), values);
+  EXPECT_EQ(history.at(0).clustering.assignment.data(), assignment);
+  EXPECT_EQ(history.at(0).values(1, 0), 3.0);
+}
+
+TEST(ClusterHistory, DepthBoundsTheSize) {
+  EXPECT_THROW(ClusterHistory(0), InvalidArgument);
+  ClusterHistory history(4);
+  EXPECT_EQ(history.depth(), 4u);
+  EXPECT_TRUE(history.empty());
+  for (int t = 0; t < 50; ++t) record(history, t % 3);
+  EXPECT_EQ(history.size(), 4u);
+  EXPECT_EQ(history.depth(), 4u);
+}
+
+TEST(ClusterHistory, AtBeyondSizeThrows) {
+  ClusterHistory history(3);
+  EXPECT_THROW(history.at(0), InvalidArgument);
+  record(history, 0);
+  EXPECT_NO_THROW(history.at(0));
+  EXPECT_THROW(history.at(1), InvalidArgument);
+  const ClusterHistory& read_only = history;
+  EXPECT_THROW(read_only.at(3), InvalidArgument);
+}
+
+// -- the tracker -------------------------------------------------------------
+
 TEST(DynamicCluster, ValidatesOptions) {
   EXPECT_THROW(DynamicClusterTracker({.k = 0}, 1), InvalidArgument);
   EXPECT_THROW(DynamicClusterTracker({.k = 2, .history_m = 0}, 1),
                InvalidArgument);
+  // The history must hold the M clusterings re-indexing reads plus the
+  // newest step.
+  DynamicClusterTracker tracker({.k = 2, .history_m = 2}, 1);
+  ClusterHistory shallow(2);
+  Rng rng(1);
+  shallow.advance().values = two_groups(0.2, 0.8, 5, rng);
+  EXPECT_THROW(tracker.update(shallow), InvalidArgument);
+  EXPECT_EQ(tracker.steps(), 0u);
 }
 
 TEST(DynamicCluster, FirstUpdateProducesKClusters) {
-  DynamicClusterTracker tracker({.k = 2}, 1);
+  Tracked tracker({.k = 2}, 1);
   Rng rng(1);
   const Clustering& c = tracker.update(two_groups(0.2, 0.8, 10, rng));
   EXPECT_EQ(c.assignment.size(), 20u);
@@ -42,7 +132,7 @@ TEST(DynamicCluster, FirstUpdateProducesKClusters) {
 TEST(DynamicCluster, LabelsStayStableAcrossSteps) {
   // The same two groups drift slightly each step; the re-indexing must keep
   // each group under the same label for the whole run.
-  DynamicClusterTracker tracker({.k = 2, .history_m = 1}, 2);
+  Tracked tracker({.k = 2, .history_m = 1}, 2);
   Rng rng(2);
   const Clustering& first = tracker.update(two_groups(0.2, 0.8, 10, rng));
   const std::size_t lo_label = first.assignment[0];
@@ -63,12 +153,12 @@ TEST(DynamicCluster, LabelsStayStableAcrossSteps) {
 TEST(DynamicCluster, CentroidSeriesTracksGroupMeans) {
   // Each step's newest clustering reports the group means as centroids,
   // under the labels of the first step.
-  DynamicClusterTracker tracker({.k = 2}, 3);
+  Tracked tracker({.k = 2}, 3);
   Rng rng(3);
   std::size_t lo_label = 0;
   for (std::size_t t = 0; t < 10; ++t) {
     tracker.update(two_groups(0.3, 0.7, 8, rng));
-    const Clustering& c = tracker.history(0);
+    const Clustering& c = tracker.history.at(0).clustering;
     if (t == 0) lo_label = c.assignment[0];
     ASSERT_EQ(c.assignment[0], lo_label) << "t=" << t;
     EXPECT_NEAR(c.centroids(lo_label, 0), 0.3, 0.05) << "t=" << t;
@@ -79,7 +169,7 @@ TEST(DynamicCluster, CentroidSeriesTracksGroupMeans) {
 TEST(DynamicCluster, MembershipSwitchIsTracked) {
   // Move half of the low group to the high group mid-run; their labels
   // must change while the cluster labels themselves stay aligned.
-  DynamicClusterTracker tracker({.k = 2}, 4);
+  Tracked tracker({.k = 2}, 4);
   Rng rng(4);
   const Clustering& first = tracker.update(two_groups(0.2, 0.8, 10, rng));
   const std::size_t lo_label = first.assignment[0];
@@ -101,7 +191,7 @@ TEST(DynamicCluster, MembershipSwitchIsTracked) {
 }
 
 TEST(DynamicCluster, NodeCountMustStayConstant) {
-  DynamicClusterTracker tracker({.k = 2}, 7);
+  Tracked tracker({.k = 2}, 7);
   Rng rng(7);
   tracker.update(two_groups(0.2, 0.8, 5, rng));
   EXPECT_THROW(tracker.update(two_groups(0.2, 0.8, 6, rng)),
@@ -109,13 +199,13 @@ TEST(DynamicCluster, NodeCountMustStayConstant) {
 }
 
 TEST(DynamicCluster, TooFewPointsThrows) {
-  DynamicClusterTracker tracker({.k = 5}, 8);
+  Tracked tracker({.k = 5}, 8);
   EXPECT_THROW(tracker.update(Matrix(3, 1)), InvalidArgument);
 }
 
 TEST(DynamicCluster, SeparateFeatureAndValueSpaces) {
   // Cluster on a 2-step window feature but report centroids in value space.
-  DynamicClusterTracker tracker({.k = 2}, 9);
+  Tracked tracker({.k = 2}, 9);
   Rng rng(9);
   const Matrix values = two_groups(0.2, 0.8, 6, rng);
   Matrix features(12, 2);
@@ -123,15 +213,15 @@ TEST(DynamicCluster, SeparateFeatureAndValueSpaces) {
     features(i, 0) = values(i, 0);
     features(i, 1) = values(i, 0);
   }
-  const Clustering& c = tracker.update(features, values);
+  tracker.history.advance().values = values;
+  const Clustering& c = tracker.update(features, tracker.history);
   EXPECT_EQ(c.centroids.cols(), 1u);
   const std::size_t lo = c.assignment[0];
   EXPECT_NEAR(c.centroids(lo, 0), 0.2, 0.05);
 }
 
 TEST(DynamicCluster, JaccardSimilarityAlsoKeepsLabelsStable) {
-  DynamicClusterTracker tracker(
-      {.k = 2, .similarity = SimilarityKind::kJaccard}, 10);
+  Tracked tracker({.k = 2, .similarity = SimilarityKind::kJaccard}, 10);
   Rng rng(10);
   const Clustering& first = tracker.update(two_groups(0.2, 0.8, 10, rng));
   const std::size_t lo_label = first.assignment[0];
@@ -147,7 +237,7 @@ class LookbackTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(LookbackTest, StableUnderLookbackM) {
   const std::size_t m = GetParam();
-  DynamicClusterTracker tracker({.k = 3, .history_m = m}, 11);
+  Tracked tracker({.k = 3, .history_m = m}, 11);
   Rng rng(11 + m);
   auto three_groups = [&]() {
     Matrix points(15, 1);
@@ -166,11 +256,13 @@ TEST_P(LookbackTest, StableUnderLookbackM) {
     EXPECT_EQ(c.assignment[0], labels[0]);
     EXPECT_EQ(c.assignment[5], labels[1]);
     EXPECT_EQ(c.assignment[10], labels[2]);
-    // The ring keeps the M clusterings re-indexing reads plus the newest.
+    // The caller's M + 1 deep history keeps the M clusterings re-indexing
+    // reads plus the newest.
     const std::size_t steps = t + 1;
     EXPECT_EQ(tracker.steps(), steps);
-    EXPECT_EQ(tracker.history_size(), std::min(steps, m + 1)) << "t=" << t;
-    EXPECT_THROW(tracker.history(tracker.history_size()), InvalidArgument);
+    const ClusterHistory& history = tracker.history;
+    EXPECT_EQ(history.size(), std::min(steps, m + 1)) << "t=" << t;
+    EXPECT_THROW(history.at(history.size()), InvalidArgument);
   }
 }
 
@@ -180,8 +272,7 @@ INSTANTIATE_TEST_SUITE_P(Ms, LookbackTest, ::testing::Values(1, 2, 5, 12));
 
 TEST(DynamicClusterMetrics, KEqualToNodeCountYieldsSingletons) {
   obs::MetricsRegistry reg;
-  DynamicClusterTracker tracker({.k = 3, .metrics = &reg, .metrics_view = "a"},
-                                12);
+  Tracked tracker({.k = 3, .metrics = &reg, .metrics_view = "a"}, 12);
   Matrix points(3, 1);
   points(0, 0) = 0.0;
   points(1, 0) = 0.5;
@@ -198,8 +289,7 @@ TEST(DynamicClusterMetrics, KEqualToNodeCountYieldsSingletons) {
 
 TEST(DynamicClusterMetrics, KLargerThanNodesThrowsWithoutCountingUpdate) {
   obs::MetricsRegistry reg;
-  DynamicClusterTracker tracker({.k = 5, .metrics = &reg, .metrics_view = "a"},
-                                13);
+  Tracked tracker({.k = 5, .metrics = &reg, .metrics_view = "a"}, 13);
   EXPECT_THROW(tracker.update(Matrix(3, 1)), InvalidArgument);
   // The failed update must not leak into the series.
   EXPECT_EQ(reg.value("resmon_cluster_updates_total", {{"view", "a"}}), 0.0);
@@ -210,8 +300,7 @@ TEST(DynamicClusterMetrics, RepairedEmptyClusterReadsZeroOnTheGauge) {
   // leave a centroid memberless, but the empty-cluster repair must not —
   // and the gauge is how that invariant is monitored in production.
   obs::MetricsRegistry reg;
-  DynamicClusterTracker tracker({.k = 3, .metrics = &reg, .metrics_view = "a"},
-                                14);
+  Tracked tracker({.k = 3, .metrics = &reg, .metrics_view = "a"}, 14);
   Matrix points(3, 1);
   points(0, 0) = 0.0;
   points(1, 0) = 0.0;
@@ -230,7 +319,7 @@ TEST(DynamicClusterMetrics, DegenerateHungarianAllEqualWeights) {
   // tracker must still produce a valid one-to-one re-indexing and report
   // the degenerate total weight of 2 on the gauge.
   obs::MetricsRegistry reg;
-  DynamicClusterTracker tracker(
+  Tracked tracker(
       {.k = 2, .history_m = 1, .metrics = &reg, .metrics_view = "a"}, 15);
   Matrix step1(4, 1);
   step1(0, 0) = 0.0;

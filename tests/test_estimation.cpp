@@ -23,11 +23,13 @@ cluster::Clustering make_clustering(std::vector<std::size_t> assignment,
   return c;
 }
 
-/// One modal_offsets call: the modal clusters, and the offsets in `offsets`.
-std::vector<std::size_t> modal_offsets(const OffsetTracker& tracker,
-                                       std::size_t n, Matrix& offsets) {
-  std::vector<std::size_t> modal(n);
-  tracker.modal_offsets(modal, &offsets);
+/// One modal_offsets call over the newest M' + 1 steps of `history`: the
+/// modal clusters, and the offsets in `offsets`.
+std::vector<std::size_t> estimate(const cluster::ClusterHistory& history,
+                                  std::size_t m_prime, Matrix& offsets,
+                                  bool use_alpha = true) {
+  std::vector<std::size_t> modal(history.at(0).values.rows());
+  modal_offsets(history, m_prime + 1, use_alpha, modal, &offsets);
   return modal;
 }
 
@@ -100,80 +102,98 @@ TEST(AlphaScale, ScaledPointIsStillNearestToOwnCentroid) {
   }
 }
 
-// ---- OffsetTracker -------------------------------------------------------
+// ---- offset tracking: modal_offsets over a history ------------------------
 
 TEST(OffsetTracker, RejectsZeroClusters) {
-  EXPECT_THROW(OffsetTracker(5, 0), InvalidArgument);
+  cluster::ClusterHistory history(6);
+  EXPECT_THROW(history.push(Matrix(1, 1), make_clustering({0}, Matrix(0, 1))),
+               InvalidArgument);
+  history.push(Matrix(0, 1), make_clustering({}, Matrix(0, 1)));
+  EXPECT_THROW(modal_offsets(history, 6, true, {}, nullptr), InvalidArgument);
 }
 
 TEST(OffsetTracker, QueriesBeforePushThrow) {
-  OffsetTracker tracker(5, 2);
-  EXPECT_TRUE(tracker.empty());
+  const cluster::ClusterHistory history(6);
   std::vector<std::size_t> modal(1);
   Matrix offsets;
-  EXPECT_THROW(tracker.modal_offsets(modal, &offsets), InvalidState);
-  EXPECT_THROW(tracker.modal_offsets(modal, nullptr), InvalidState);
+  EXPECT_THROW(modal_offsets(history, 6, true, modal, &offsets),
+               InvalidState);
+  EXPECT_THROW(modal_offsets(history, 6, true, modal, nullptr), InvalidState);
 }
 
 TEST(OffsetTracker, PushValidatesShapes) {
-  OffsetTracker tracker(5, 2);
+  cluster::ClusterHistory history(6);
   Matrix snapshot(3, 1);
-  // Wrong cluster count.
-  EXPECT_THROW(
-      tracker.push(make_clustering({0, 0, 0}, Matrix(3, 1)), snapshot),
-      InvalidArgument);
   // Assignment size mismatch.
-  EXPECT_THROW(tracker.push(make_clustering({0, 0}, Matrix(2, 1)), snapshot),
+  EXPECT_THROW(history.push(snapshot, make_clustering({0, 0}, Matrix(2, 1))),
                InvalidArgument);
   // Dimension mismatch between snapshot and centroids.
   EXPECT_THROW(
-      tracker.push(make_clustering({0, 0, 0}, Matrix(2, 2)), snapshot),
+      history.push(snapshot, make_clustering({0, 0, 0}, Matrix(2, 2))),
       InvalidArgument);
+  EXPECT_TRUE(history.empty());
+  // Cluster count changed from the newest step's.
+  history.push(snapshot, make_clustering({0, 1, 0}, Matrix(2, 1)));
+  EXPECT_THROW(
+      history.push(snapshot, make_clustering({0, 0, 0}, Matrix(3, 1))),
+      InvalidArgument);
+  EXPECT_EQ(history.size(), 1u);
 }
 
 TEST(OffsetTracker, ModalClusterPicksMostFrequent) {
-  OffsetTracker tracker(2, 2);  // M' = 2 -> window of 3
+  cluster::ClusterHistory history(3);  // M' = 2 -> window of 3
   Matrix snapshot(1, 1);
   Matrix centroids{{0.2}, {0.8}};
-  tracker.push(make_clustering({0}, centroids), snapshot);
-  tracker.push(make_clustering({1}, centroids), snapshot);
-  tracker.push(make_clustering({1}, centroids), snapshot);
+  history.push(snapshot, make_clustering({0}, centroids));
+  history.push(snapshot, make_clustering({1}, centroids));
+  history.push(snapshot, make_clustering({1}, centroids));
   Matrix offsets;
-  EXPECT_EQ(modal_offsets(tracker, 1, offsets)[0], 1u);
+  EXPECT_EQ(estimate(history, 2, offsets)[0], 1u);
 }
 
 TEST(OffsetTracker, ModalClusterTiesBreakLow) {
-  OffsetTracker tracker(1, 3);  // window of 2
+  cluster::ClusterHistory history(2);  // window of 2
   Matrix snapshot(1, 1);
   Matrix centroids{{0.1}, {0.5}, {0.9}};
-  tracker.push(make_clustering({2}, centroids), snapshot);
-  tracker.push(make_clustering({1}, centroids), snapshot);
+  history.push(snapshot, make_clustering({2}, centroids));
+  history.push(snapshot, make_clustering({1}, centroids));
   Matrix offsets;
   // 1 and 2 tie; lower wins.
-  EXPECT_EQ(modal_offsets(tracker, 1, offsets)[0], 1u);
+  EXPECT_EQ(estimate(history, 1, offsets)[0], 1u);
 }
 
 TEST(OffsetTracker, WindowIsBounded) {
-  OffsetTracker tracker(1, 2);  // keeps at most M' + 1 = 2 entries
+  // A pipeline history is often deeper than M' + 1 (it also serves the
+  // temporal window); the query still reads only the newest M' + 1 steps,
+  // and never more than the history holds.
+  cluster::ClusterHistory history(6);
   Matrix snapshot(1, 1);
   Matrix centroids{{0.2}, {0.8}};
   for (int i = 0; i < 10; ++i) {
-    tracker.push(make_clustering({0}, centroids), snapshot);
+    history.push(snapshot, make_clustering({i < 8 ? 0u : 1u}, centroids));
   }
-  EXPECT_EQ(tracker.steps(), 2u);
+  EXPECT_EQ(history.size(), 6u);
+  Matrix offsets;
+  EXPECT_EQ(estimate(history, 1, offsets)[0], 1u);  // newest two: 1, 1
+  EXPECT_EQ(estimate(history, 5, offsets)[0], 0u);  // four 0s, two 1s
+  std::vector<std::size_t> modal(1);
+  EXPECT_THROW(modal_offsets(history, 7, true, modal, nullptr),
+               InvalidArgument);
+  EXPECT_THROW(modal_offsets(history, 0, true, modal, nullptr),
+               InvalidArgument);
 }
 
 TEST(OffsetTracker, OffsetIsAverageOfInClusterDeviations) {
   // Node sits 0.05 above its centroid on every step -> offset = 0.05.
-  OffsetTracker tracker(2, 2);
+  cluster::ClusterHistory history(3);
   Matrix centroids{{0.2}, {0.8}};
   Matrix snapshot(1, 1);
   snapshot(0, 0) = 0.25;
   for (int i = 0; i < 3; ++i) {
-    tracker.push(make_clustering({0}, centroids), snapshot);
+    history.push(snapshot, make_clustering({0}, centroids));
   }
   Matrix offsets;
-  ASSERT_EQ(modal_offsets(tracker, 1, offsets)[0], 0u);
+  ASSERT_EQ(estimate(history, 2, offsets)[0], 0u);
   EXPECT_NEAR(offsets(0, 0), 0.05, 1e-12);
 }
 
@@ -181,46 +201,47 @@ TEST(OffsetTracker, OffsetClampedWhenDeviationCrossesBisector) {
   // Node at 0.7 relative to centroid 0.2 with the other centroid at 0.8:
   // the bisector is 0.5, so alpha = 0.3/0.5 and the contribution per step
   // is 0.3 (point pinned at the bisector).
-  OffsetTracker tracker(0, 2);
+  cluster::ClusterHistory history(1);
   Matrix centroids{{0.2}, {0.8}};
   Matrix snapshot(1, 1);
   snapshot(0, 0) = 0.7;
-  tracker.push(make_clustering({0}, centroids), snapshot);
+  history.push(snapshot, make_clustering({0}, centroids));
   Matrix offsets;
-  ASSERT_EQ(modal_offsets(tracker, 1, offsets)[0], 0u);
+  ASSERT_EQ(estimate(history, 0, offsets)[0], 0u);
   EXPECT_NEAR(offsets(0, 0), 0.3, 1e-12);
 }
 
 TEST(OffsetTracker, OffsetRelativeToRequestedCluster) {
   // The offset is taken relative to the modal cluster the query uses.
-  OffsetTracker tracker(0, 2);
+  cluster::ClusterHistory history(1);
   Matrix centroids{{0.2}, {0.8}};
   Matrix snapshot(1, 1);
   snapshot(0, 0) = 0.75;
-  tracker.push(make_clustering({1}, centroids), snapshot);
+  history.push(snapshot, make_clustering({1}, centroids));
   Matrix offsets;
-  ASSERT_EQ(modal_offsets(tracker, 1, offsets)[0], 1u);
+  ASSERT_EQ(estimate(history, 0, offsets)[0], 1u);
   // Relative to cluster 1 the deviation is -0.05 (in-cluster, alpha = 1).
   EXPECT_NEAR(offsets(0, 0), -0.05, 1e-12);
 }
 
 TEST(OffsetTracker, NodeCountMustStayConstant) {
-  OffsetTracker tracker(3, 2);
+  cluster::ClusterHistory history(4);
   Matrix centroids{{0.2}, {0.8}};
-  tracker.push(make_clustering({0, 1}, centroids), Matrix(2, 1));
+  history.push(Matrix(2, 1), make_clustering({0, 1}, centroids));
   EXPECT_THROW(
-      tracker.push(make_clustering({0, 1, 0}, centroids), Matrix(3, 1)),
+      history.push(Matrix(3, 1), make_clustering({0, 1, 0}, centroids)),
       InvalidArgument);
   std::vector<std::size_t> too_few(1);
-  EXPECT_THROW(tracker.modal_offsets(too_few, nullptr), InvalidArgument);
+  EXPECT_THROW(modal_offsets(history, 4, true, too_few, nullptr),
+               InvalidArgument);
 }
 
 TEST(OffsetTracker, ClusterIndexValidated) {
-  OffsetTracker tracker(3, 2);
+  cluster::ClusterHistory history(4);
   Matrix centroids{{0.2}, {0.8}};
-  EXPECT_THROW(tracker.push(make_clustering({7}, centroids), Matrix(1, 1)),
+  EXPECT_THROW(history.push(Matrix(1, 1), make_clustering({7}, centroids)),
                InvalidArgument);
-  EXPECT_TRUE(tracker.empty());
+  EXPECT_TRUE(history.empty());
 }
 
 // ---- modal_offsets against the textbook per-node loop ----------------------
@@ -290,19 +311,22 @@ void expect_matches_oracle(std::size_t d, std::size_t k,
   for (const kern::Path path : kernel_paths()) {
     SCOPED_TRACE(::testing::Message() << "path " << static_cast<int>(path));
     kern::set_path(path);
-    OffsetTracker tracker(m_prime, k, sweep.use_alpha);
+    // Two steps deeper than the window, as when the temporal window or M
+    // sets a pipeline history's depth.
+    cluster::ClusterHistory history(m_prime + 3);
     oracle::ReferenceOffsets reference(m_prime, k, sweep.use_alpha);
     Rng rng(1000 * d + 10 * k + m_prime);
     for (std::size_t step = 0; step < sweep.steps; ++step) {
       const auto [clustering, snapshot] =
           random_step(sweep.n, d, k, step, sweep.ties, rng);
-      tracker.push(clustering, snapshot);
+      history.push(snapshot, clustering);
       reference.push(clustering, snapshot);
       Matrix offsets;
       const std::vector<std::size_t> modal =
-          modal_offsets(tracker, sweep.n, offsets);
+          estimate(history, m_prime, offsets, sweep.use_alpha);
       std::vector<std::size_t> modal_only(sweep.n);
-      tracker.modal_offsets(modal_only, nullptr);
+      modal_offsets(history, m_prime + 1, sweep.use_alpha, modal_only,
+                    nullptr);
       EXPECT_EQ(modal_only, modal);
       ASSERT_EQ(offsets.rows(), sweep.n);
       ASSERT_EQ(offsets.cols(), d);
@@ -359,11 +383,11 @@ TEST(OffsetOracle, SingleNodeAndOneFullLaneGroup) {
 
 TEST(OffsetOracle, ModalOnlyCallLeavesOffsetsAlone) {
   // use_offset off: the pipeline asks for modal clusters alone.
-  OffsetTracker tracker(1, 2);
-  tracker.push(make_clustering({1, 0}, Matrix{{0.2}, {0.8}}),
-               Matrix{{0.9}, {0.1}});
+  cluster::ClusterHistory history(2);
+  history.push(Matrix{{0.9}, {0.1}},
+               make_clustering({1, 0}, Matrix{{0.2}, {0.8}}));
   std::vector<std::size_t> modal(2);
-  tracker.modal_offsets(modal, nullptr);
+  modal_offsets(history, 2, true, modal, nullptr);
   EXPECT_EQ(modal, (std::vector<std::size_t>{1, 0}));
 }
 

@@ -61,7 +61,7 @@ RunRecord run_pipeline(core::PipelineOptions options, std::size_t threads) {
   rec.forecast_h1 = flatten(p.forecast_all(1));
   rec.forecast_h4 = flatten(p.forecast_all(4));
   for (std::size_t v = 0; v < p.num_views(); ++v) {
-    rec.memberships.push_back(p.tracker(v).history(0).assignment);
+    rec.memberships.push_back(p.history(v).at(0).clustering.assignment);
   }
   rec.messages_sent = p.collector().messages_sent();
   rec.bytes_sent = p.collector().bytes_sent();

@@ -1,5 +1,6 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -160,7 +161,7 @@ TEST(Pipeline, ModelHistoryIsTheTrackersCentroidSeries) {
       if (!p.central_store().complete()) continue;
       ++clustered;
       for (std::size_t v = 0; v < p.num_views(); ++v) {
-        const cluster::Clustering& newest = p.tracker(v).history(0);
+        const cluster::Clustering& newest = p.history(v).at(0).clustering;
         for (std::size_t j = 0; j < o.num_clusters; ++j) {
           for (std::size_t dim = 0; dim < dims; ++dim) {
             const std::span<const double> series =
@@ -258,6 +259,75 @@ TEST(Pipeline, TemporalWindowFeaturesPadWarmupAndHaveWindowedDims) {
   MonitoringPipeline pj(t, joint);
   pj.run(3);
   EXPECT_EQ(pj.view_features(0).cols(), t.num_resources() * 4);
+}
+
+TEST(Pipeline, ViewFeaturesThrowBeforeTheFirstClusteredSlot) {
+  // No snapshot is recorded until the central store is complete: before
+  // any step, and while a late node keeps the store incomplete, there are
+  // no features to read.
+  const trace::InMemoryTrace t = small_trace(4, 10);
+  PipelineOptions o = fast_options();
+  o.temporal_window = 3;
+  MonitoringPipeline p(t, o, ExternalCollection{});
+  EXPECT_THROW(p.view_features(0), InvalidArgument);
+  EXPECT_THROW(p.view_features(t.num_resources()), InvalidArgument);
+
+  const auto message = [&](std::size_t node, std::size_t step) {
+    return transport::MeasurementMessage{
+        .node = node, .step = step, .values = t.measurement(node, step)};
+  };
+  // Node 0's slot-0 measurement is late: it arrives with slot 2.
+  for (std::size_t slot = 0; slot < 2; ++slot) {
+    std::vector<transport::MeasurementMessage> messages;
+    for (std::size_t node = 1; node < t.num_nodes(); ++node) {
+      messages.push_back(message(node, slot));
+    }
+    p.step_external(messages);
+    ASSERT_FALSE(p.central_store().complete());
+    EXPECT_THROW(p.view_features(0), InvalidArgument) << "slot " << slot;
+    EXPECT_TRUE(p.history(0).empty());
+  }
+  const std::vector<transport::MeasurementMessage> late{message(0, 0)};
+  p.step_external(late);
+  const Matrix f = p.view_features(0);
+  EXPECT_EQ(f.cols(), 3u);
+  EXPECT_EQ(f(0, 0), t.value(0, 0, 0));
+  EXPECT_EQ(p.history(0).size(), 1u);
+}
+
+TEST(Pipeline, HistoryDepthCoversWindowAndLookbacks) {
+  // One history per view serves the temporal window (ages 0..W-1), the
+  // re-indexing (ages 1..M) and the estimation (ages 0..M'), so it is
+  // max(W, M + 1, M' + 1) deep.
+  struct Depths {
+    std::size_t w, m, m_prime;
+  };
+  const trace::InMemoryTrace t = small_trace(12, 60);
+  for (const Depths c : {Depths{1, 1, 5}, Depths{30, 1, 5}, Depths{1, 7, 0},
+                         Depths{4, 3, 2}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "W " << c.w << " M " << c.m << " M' " << c.m_prime);
+    PipelineOptions o = fast_options();
+    o.temporal_window = c.w;
+    o.similarity_lookback = c.m;
+    o.offset_lookback = c.m_prime;
+    MonitoringPipeline p(t, o);
+    const std::size_t depth = std::max({c.w, c.m + 1, c.m_prime + 1});
+    for (std::size_t v = 0; v < p.num_views(); ++v) {
+      EXPECT_EQ(p.history(v).depth(), depth);
+    }
+    p.run(depth + 20);
+    for (std::size_t v = 0; v < p.num_views(); ++v) {
+      EXPECT_EQ(p.history(v).size(), depth);
+      EXPECT_EQ(p.tracker(v).steps(), depth + 20);
+    }
+    EXPECT_EQ(p.view_features(0).cols(), c.w);
+    const Matrix f = p.forecast_all(1);
+    for (const double x : f.data()) EXPECT_TRUE(std::isfinite(x));
+    EXPECT_TRUE(std::isfinite(p.intermediate_rmse()));
+  }
+  EXPECT_THROW(MonitoringPipeline(t, fast_options()).history(9),
+               InvalidArgument);
 }
 
 TEST(Pipeline, TemporalWindowRunsAndClusters) {
