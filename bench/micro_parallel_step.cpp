@@ -12,9 +12,10 @@
 //
 // It also measures the zero-allocation contract: a steady-state window of
 // step_external() slots (between two scheduled retrains) must perform ZERO
-// heap allocations — counted by this TU's operator new replacement — both
-// for the benchmarked options and for one joint view clustered on a
-// temporal window of 4 stored snapshots (the windowed feature path). After
+// heap allocations — counted by alloc_counter.cpp's operator new
+// replacement — both for the benchmarked options and for one joint view
+// clustered on a temporal window of 4 stored snapshots (the windowed
+// feature path). After
 // that window it times the query, forecast_all(1), and counts its heap
 // allocations per call, which must stay within a small constant per view
 // (call-local buffers, never per node). See docs/PERFORMANCE.md for how to
@@ -26,53 +27,15 @@
 // --json PATH / --json-run LABEL select the JSON sink and append a
 // timestamped history entry for this run.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "bench_util.hpp"
 
 #include "core/pipeline.hpp"
-
-// -- allocation counter -------------------------------------------------
-// Replaces global operator new/delete for this binary so the steady-state
-// phase below can assert that the per-slot pipeline path allocates nothing.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size > 0 ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  const std::size_t rounded = (size + a - 1) / a * a;
-  if (void* p = std::aligned_alloc(a, rounded > 0 ? rounded : a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return ::operator new(size, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -143,11 +106,11 @@ SteadyStats measure_steady_allocs(const trace::Trace& t,
 
   SteadyStats stats;
   for (std::size_t s = 0; s < window_end; ++s) {
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = bench::allocations();
     p.step_external(slots[s]);
     if (s >= warm_until) {
       stats.total_allocs +=
-          g_allocs.load(std::memory_order_relaxed) - before;
+          bench::allocations() - before;
       ++stats.window_steps;
     }
   }
@@ -157,12 +120,12 @@ SteadyStats measure_steady_allocs(const trace::Trace& t,
   query_ms.reserve(kQueryCalls);
   std::uint64_t query_allocs = 0;
   for (std::size_t c = 0; c < kQueryCalls; ++c) {
-    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t before = bench::allocations();
     const auto start = std::chrono::steady_clock::now();
     const Matrix forecast = p.forecast_all(1);
     const std::chrono::duration<double, std::milli> took =
         std::chrono::steady_clock::now() - start;
-    query_allocs += g_allocs.load(std::memory_order_relaxed) - before;
+    query_allocs += bench::allocations() - before;
     query_ms.push_back(took.count());
   }
   std::nth_element(query_ms.begin(), query_ms.begin() + kQueryCalls / 2,

@@ -30,7 +30,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <set>
@@ -108,6 +107,42 @@ struct ControllerOptions {
   /// dropped for wire errors). Empty = silent. The binaries route this to
   /// stderr; the library never writes to std streams on its own.
   std::function<void(const std::string&)> log_sink;
+};
+
+/// The measurements a controller has received but not yet surfaced: one
+/// FIFO per node (local index), in arrival order, all threaded through one
+/// pool of entries. A taken or dropped entry goes on a free list and the
+/// next push reuses it, so once the pool has grown to the most
+/// measurements ever queued at once, pushing and taking allocate nothing
+/// beyond take()'s result.
+class SlotInbox {
+ public:
+  explicit SlotInbox(std::size_t num_nodes);
+
+  /// Append `m` to the back of `node`'s FIFO.
+  void push(std::size_t node, transport::MeasurementMessage&& m);
+
+  /// Slot `t` in node order. Each FIFO first drops its queued prefix with
+  /// step < t, then yields its head if the head's step == t; later steps
+  /// stay queued. So of two measurements for one (node, step) the first to
+  /// arrive is taken. The result is sized from what is queued for `t`, and
+  /// nothing is scanned when nothing is queued.
+  std::vector<transport::MeasurementMessage> take(std::size_t t);
+
+ private:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  struct Entry {
+    transport::MeasurementMessage message;
+    std::uint32_t next = kNone;  ///< next entry of the same FIFO or free list
+  };
+  /// Unlink `node`'s head entry onto the free list.
+  void pop(std::size_t node);
+
+  std::vector<Entry> pool_;
+  std::uint32_t free_ = kNone;  ///< head of the free list
+  std::size_t queued_ = 0;           ///< entries on all FIFOs
+  std::vector<std::uint32_t> head_;  ///< per node: oldest entry or kNone
+  std::vector<std::uint32_t> tail_;  ///< per node: newest entry or kNone
 };
 
 /// Hello rejection vocabulary — shared with agents/aggregators, so it lives
@@ -226,8 +261,8 @@ class Controller {
   void pump(int timeout_ms);
   void accept_pending();
   void accept_metrics_pending();
-  /// Read every available byte from `conn`; returns false if the
-  /// connection should be dropped.
+  /// Read every available byte from `conn`, up to kReadChunk per read;
+  /// returns false if the connection should be dropped.
   bool service(Connection& conn);
   /// Returns false once the scrape is finished (response sent or peer
   /// gone) and the connection should be closed.
@@ -244,10 +279,11 @@ class Controller {
   /// Now according to the staleness clock (injectable; see
   /// ControllerOptions::staleness_clock).
   std::chrono::steady_clock::time_point staleness_now() const;
-  /// Record evidence of life from a node and rejoin it if it was not LIVE.
-  /// Takes a *local* index (global id minus first_node), like every private
-  /// per-node helper; the public API and metric labels speak global ids.
-  void touch(std::size_t node);
+  /// Record evidence of life from a node at `now` (one staleness_now()
+  /// read per frame) and rejoin it if it was not LIVE. Takes a *local*
+  /// index (global id minus first_node), like every private per-node
+  /// helper; the public API and metric labels speak global ids.
+  void touch(std::size_t node, std::chrono::steady_clock::time_point now);
   /// Apply the stale_after/dead_after policy to every node's silence timer;
   /// evicts connections of nodes that just became DEAD. Called once per
   /// pump(). No-op when stale_after_ms is 0.
@@ -267,9 +303,11 @@ class Controller {
   /// Highest slot each node has reported (measurement or heartbeat); -1
   /// until the first frame. Survives reconnects.
   std::vector<long long> progress_;
-  /// Received measurements not yet surfaced by collect_slot, per node,
-  /// in increasing step order (TCP preserves per-connection order).
-  std::vector<std::deque<transport::MeasurementMessage>> inbox_;
+  /// Received measurements not yet surfaced by collect_slot, per node in
+  /// arrival order (TCP preserves per-connection order).
+  SlotInbox inbox_;
+  /// Bytes of one read_some() from any connection.
+  std::vector<std::uint8_t> read_buffer_;
   /// Staleness state machine (all vectors indexed by node).
   std::vector<NodeState> states_;
   /// Last evidence of life; starts at construction, so a node that never

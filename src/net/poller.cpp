@@ -1,7 +1,5 @@
 #include "net/poller.hpp"
 
-#include <poll.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
@@ -21,27 +19,26 @@ void Poller::unwatch(int fd) {
   fds_.erase(std::remove(fds_.begin(), fds_.end(), fd), fds_.end());
 }
 
-std::vector<PollEvent> Poller::wait(int timeout_ms) {
-  std::vector<pollfd> pfds;
-  pfds.reserve(fds_.size());
+const std::vector<PollEvent>& Poller::wait(int timeout_ms) {
+  pollfds_.clear();
   for (int fd : fds_) {
-    pfds.push_back({.fd = fd, .events = POLLIN, .revents = 0});
+    pollfds_.push_back({.fd = fd, .events = POLLIN, .revents = 0});
   }
-  std::vector<PollEvent> events;
-  if (pfds.empty()) return events;
-  const int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
+  events_.clear();
+  if (pollfds_.empty()) return events_;
+  const int rc = ::poll(pollfds_.data(), pollfds_.size(), timeout_ms);
   if (rc < 0) {
-    if (errno == EINTR) return events;
+    if (errno == EINTR) return events_;
     throw Error(std::string("poll: ") + std::strerror(errno));
   }
-  for (const pollfd& pfd : pfds) {
+  for (const pollfd& pfd : pollfds_) {
     if (pfd.revents == 0) continue;
-    events.push_back(
+    events_.push_back(
         {.fd = pfd.fd,
          .readable = (pfd.revents & POLLIN) != 0,
          .hangup = (pfd.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0});
   }
-  return events;
+  return events_;
 }
 
 }  // namespace resmon::net

@@ -7,6 +7,8 @@
 // epoll backend later behind the same interface.
 #pragma once
 
+#include <poll.h>
+
 #include <cstdint>
 #include <vector>
 
@@ -30,11 +32,14 @@ class Poller {
   std::size_t watched() const { return fds_.size(); }
 
   /// Block up to `timeout_ms` (0 = return immediately, negative = forever)
-  /// and return the fds with pending events.
-  std::vector<PollEvent> wait(int timeout_ms);
+  /// and return the fds with pending events. The result is the poller's
+  /// own buffer, reused by the next wait(); watch()/unwatch() leave it be.
+  const std::vector<PollEvent>& wait(int timeout_ms);
 
  private:
   std::vector<int> fds_;
+  std::vector<pollfd> pollfds_;  ///< wait()'s scratch, reused
+  std::vector<PollEvent> events_;
 };
 
 }  // namespace resmon::net

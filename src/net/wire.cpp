@@ -1,5 +1,6 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -8,85 +9,122 @@ namespace resmon::net::wire {
 
 namespace {
 
-// -- little-endian primitives -----------------------------------------------
+// -- little-endian words ----------------------------------------------------
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+static_assert(std::endian::native == std::endian::little,
+              "net::wire copies integers and doubles to and from the "
+              "little-endian wire format with memcpy, and crc32() reads "
+              "8-byte little-endian words; a big-endian host needs byte "
+              "swaps in store(), load() and crc32()");
+
+template <typename T>
+void store(std::uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
+template <typename T>
+T load(const std::uint8_t* p) {
+  T v{};
+  std::memcpy(&v, p, sizeof(T));
   return v;
 }
 
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+std::uint32_t get_u32(const std::uint8_t* p) { return load<std::uint32_t>(p); }
+std::uint64_t get_u64(const std::uint8_t* p) { return load<std::uint64_t>(p); }
+
+/// Doubles travel as their IEEE-754 bit patterns, which are their bytes in
+/// memory on a little-endian host: a block copy is the exact identity.
+void load_f64s(const std::uint8_t* p, std::vector<double>& out,
+               std::size_t count) {
+  out.resize(count);
+  if (count > 0) std::memcpy(out.data(), p, 8 * count);
 }
 
-double get_f64(const std::uint8_t* p) {
-  return std::bit_cast<double>(get_u64(p));
-}
+// -- CRC-32, sliced by 8 ----------------------------------------------------
 
-// -- CRC-32 -----------------------------------------------------------------
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// tables[0] is the bytewise table of the reflected polynomial 0xEDB88320;
+/// tables[k][i] is the register after byte i is followed by k zero bytes,
+/// so eight bytes fold into the register with eight independent lookups.
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 // -- frame assembly ---------------------------------------------------------
 
-/// Write the 16-byte header in front of an already-encoded payload.
-std::vector<std::uint8_t> frame(FrameType type,
-                                std::vector<std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + payload.size());
-  put_u32(out, kMagic);
-  out.push_back(kProtocolVersion);
-  out.push_back(static_cast<std::uint8_t>(type));
-  put_u16(out, 0);  // reserved
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
+/// One frame written in place into a buffer of its exact size: the header
+/// first, then the payload field by field, then finish() stamps the CRC of
+/// the payload bytes where they lie.
+class FrameWriter {
+ public:
+  FrameWriter(FrameType type, std::size_t payload_size)
+      : out_(frame_size(payload_size)), at_(out_.data() + kHeaderSize) {
+    std::uint8_t* h = out_.data();
+    store(h, kMagic);
+    h[4] = kProtocolVersion;
+    h[5] = static_cast<std::uint8_t>(type);
+    // h[6..7]: reserved, already zero.
+    store(h + 8, static_cast<std::uint32_t>(payload_size));
+  }
+
+  void u8(std::uint8_t v) { *at_++ = v; }
+  void u32(std::uint32_t v) {
+    store(at_, v);
+    at_ += 4;
+  }
+  void u64(std::uint64_t v) {
+    store(at_, v);
+    at_ += 8;
+  }
+  void f64s(const std::vector<double>& values) {
+    if (values.empty()) return;
+    std::memcpy(at_, values.data(), 8 * values.size());
+    at_ += 8 * values.size();
+  }
+
+  std::vector<std::uint8_t> finish() {
+    const std::span<const std::uint8_t> payload(out_.data() + kHeaderSize,
+                                                out_.size() - kHeaderSize);
+    store(out_.data() + 12, crc32(payload));
+    return std::move(out_);
+  }
+
+ private:
+  std::vector<std::uint8_t> out_;
+  std::uint8_t* at_;
+};
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
+  const auto& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::uint8_t b : bytes) {
-    c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint64_t w = load<std::uint64_t>(p) ^ c;
+    c = t[7][w & 0xFFu] ^ t[6][(w >> 8) & 0xFFu] ^ t[5][(w >> 16) & 0xFFu] ^
+        t[4][(w >> 24) & 0xFFu] ^ t[3][(w >> 32) & 0xFFu] ^
+        t[2][(w >> 40) & 0xFFu] ^ t[1][(w >> 48) & 0xFFu] ^ t[0][w >> 56];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -113,9 +151,14 @@ std::string describe_hello_reject(std::uint8_t reason,
     out += " (we speak wire protocol v" +
            std::to_string(static_cast<int>(kProtocolVersion)) +
            ", peer speaks ";
-    out += speaker_version == 0
-               ? std::string("an unreported version")
-               : "v" + std::to_string(static_cast<int>(speaker_version));
+    // Appended piecewise: GCC 12 reports a false -Wrestrict on the
+    // inlined `"v" + std::string` of a Release build.
+    if (speaker_version == 0) {
+      out += "an unreported version";
+    } else {
+      out += 'v';
+      out += std::to_string(static_cast<int>(speaker_version));
+    }
     out += ")";
   }
   return out;
@@ -136,94 +179,117 @@ const char* wire_error_name(WireError error) {
 }
 
 std::vector<std::uint8_t> encode(const transport::MeasurementMessage& m) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(measurement_payload_size(m.values.size()));
-  put_u32(payload, static_cast<std::uint32_t>(m.node));
-  put_u64(payload, static_cast<std::uint64_t>(m.step));
-  put_u32(payload, static_cast<std::uint32_t>(m.values.size()));
-  for (double v : m.values) put_f64(payload, v);
-  return frame(FrameType::kMeasurement, std::move(payload));
+  FrameWriter w(FrameType::kMeasurement,
+                measurement_payload_size(m.values.size()));
+  w.u32(static_cast<std::uint32_t>(m.node));
+  w.u64(static_cast<std::uint64_t>(m.step));
+  w.u32(static_cast<std::uint32_t>(m.values.size()));
+  w.f64s(m.values);
+  return w.finish();
 }
 
 std::vector<std::uint8_t> encode(const HelloFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(kHelloPayloadSize);
-  put_u32(payload, f.node);
-  put_u32(payload, f.num_resources);
-  return frame(FrameType::kHello, std::move(payload));
+  FrameWriter w(FrameType::kHello, kHelloPayloadSize);
+  w.u32(f.node);
+  w.u32(f.num_resources);
+  return w.finish();
 }
 
 std::vector<std::uint8_t> encode(const HelloAckFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(kHelloAckPayloadSize);
-  put_u32(payload, f.node);
-  payload.push_back(f.accepted ? 1 : 0);
-  payload.push_back(f.reason);
-  payload.push_back(f.speaker_version);
-  payload.push_back(0);  // reserved
-  return frame(FrameType::kHelloAck, std::move(payload));
+  FrameWriter w(FrameType::kHelloAck, kHelloAckPayloadSize);
+  w.u32(f.node);
+  w.u8(f.accepted ? 1 : 0);
+  w.u8(f.reason);
+  w.u8(f.speaker_version);
+  w.u8(0);  // reserved
+  return w.finish();
 }
 
 std::vector<std::uint8_t> encode(const HeartbeatFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(kHeartbeatPayloadSize);
-  put_u32(payload, f.node);
-  put_u64(payload, f.step);
-  return frame(FrameType::kHeartbeat, std::move(payload));
+  FrameWriter w(FrameType::kHeartbeat, kHeartbeatPayloadSize);
+  w.u32(f.node);
+  w.u64(f.step);
+  return w.finish();
 }
 
 std::vector<std::uint8_t> encode(const ShardHelloFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(kShardHelloPayloadSize);
-  put_u32(payload, f.shard);
-  put_u32(payload, f.first_node);
-  put_u32(payload, f.num_nodes);
-  put_u32(payload, f.num_resources);
-  put_u32(payload, f.protocol);
-  return frame(FrameType::kShardHello, std::move(payload));
+  FrameWriter w(FrameType::kShardHello, kShardHelloPayloadSize);
+  w.u32(f.shard);
+  w.u32(f.first_node);
+  w.u32(f.num_nodes);
+  w.u32(f.num_resources);
+  w.u32(f.protocol);
+  return w.finish();
 }
 
 std::vector<std::uint8_t> encode(const SlotSummaryFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(slot_summary_payload_size(f.measurements.size(),
-                                            f.num_resources));
-  put_u32(payload, f.shard);
-  put_u64(payload, f.step);
-  put_u32(payload, f.degraded);
-  put_u32(payload, f.num_resources);
-  put_u32(payload, static_cast<std::uint32_t>(f.measurements.size()));
+  // Sized from the entries as they are, so a measurement whose dimension
+  // disagrees with num_resources encodes to the same (decoder-rejected)
+  // bytes as before rather than overrunning the buffer.
+  std::size_t payload_size = kSlotSummaryHeaderSize;
   for (const transport::MeasurementMessage& m : f.measurements) {
-    put_u32(payload, static_cast<std::uint32_t>(m.node));
-    for (double v : m.values) put_f64(payload, v);
+    payload_size += 4 + 8 * m.values.size();
   }
-  return frame(FrameType::kSlotSummary, std::move(payload));
+  FrameWriter w(FrameType::kSlotSummary, payload_size);
+  w.u32(f.shard);
+  w.u64(f.step);
+  w.u32(f.degraded);
+  w.u32(f.num_resources);
+  w.u32(static_cast<std::uint32_t>(f.measurements.size()));
+  for (const transport::MeasurementMessage& m : f.measurements) {
+    w.u32(static_cast<std::uint32_t>(m.node));
+    w.f64s(m.values);
+  }
+  return w.finish();
 }
 
 std::vector<std::uint8_t> encode(const ShardStatusFrame& f) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(kShardStatusPayloadSize);
-  put_u32(payload, f.shard);
-  put_u32(payload, f.live);
-  put_u32(payload, f.stale);
-  put_u32(payload, f.dead);
-  return frame(FrameType::kShardStatus, std::move(payload));
+  FrameWriter w(FrameType::kShardStatus, kShardStatusPayloadSize);
+  w.u32(f.shard);
+  w.u32(f.live);
+  w.u32(f.stale);
+  w.u32(f.dead);
+  return w.finish();
 }
 
 FrameDecoder::FrameDecoder(std::size_t max_payload)
     : max_payload_(max_payload) {}
 
 bool FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
+  // A partial frame left by an earlier feed takes only the bytes it still
+  // misses: the header's first, then, once decode_frames has validated the
+  // header, its payload's.
+  while (error_ == WireError::kNone && !buffer_.empty() && !bytes.empty()) {
+    const std::size_t need =
+        buffer_.size() < kHeaderSize
+            ? kHeaderSize
+            : kHeaderSize + std::size_t{get_u32(buffer_.data() + 8)};
+    const std::size_t take = std::min(need - buffer_.size(), bytes.size());
+    buffer_.insert(buffer_.end(), bytes.begin(),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(take));
+    bytes = bytes.subspan(take);
+    if (decode_frames(buffer_) == buffer_.size()) buffer_.clear();
+  }
   if (error_ != WireError::kNone) return false;
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  while (try_decode_one()) {
+  if (buffer_.empty()) {
+    // Every other frame decodes straight from the caller's bytes; only an
+    // incomplete tail is copied, so the buffer never outgrows one frame.
+    const std::size_t used = decode_frames(bytes);
+    if (error_ == WireError::kNone) {
+      buffer_.assign(bytes.begin() + static_cast<std::ptrdiff_t>(used),
+                     bytes.end());
+    }
   }
   return error_ == WireError::kNone;
 }
 
 std::optional<Frame> FrameDecoder::next() {
-  if (ready_.empty()) return std::nullopt;
-  Frame f = std::move(ready_.front());
-  ready_.pop_front();
+  if (ready_head_ == ready_.size()) return std::nullopt;
+  Frame f = std::move(ready_[ready_head_++]);
+  if (ready_head_ == ready_.size()) {
+    ready_.clear();  // keeps its capacity for the next feed
+    ready_head_ = 0;
+  }
   return f;
 }
 
@@ -236,46 +302,54 @@ bool FrameDecoder::finish() {
   return true;
 }
 
-bool FrameDecoder::try_decode_one() {
-  if (error_ != WireError::kNone) return false;
-  if (buffer_.size() < kHeaderSize) return false;
-  const std::uint8_t* h = buffer_.data();
+std::size_t FrameDecoder::decode_frames(std::span<const std::uint8_t> bytes) {
+  std::size_t used = 0;
+  while (const std::size_t n =
+             decode_one(bytes.data() + used, bytes.size() - used)) {
+    used += n;
+  }
+  return used;
+}
+
+std::size_t FrameDecoder::decode_one(const std::uint8_t* h,
+                                     std::size_t available) {
+  if (available < kHeaderSize) return 0;
 
   // Validate the header before waiting for (or buffering) any payload, so
   // a hostile length field cannot drive allocation.
   if (get_u32(h) != kMagic) {
     error_ = WireError::kBadMagic;
-    return false;
+    return 0;
   }
   if (h[4] != kProtocolVersion) {
     error_ = WireError::kUnsupportedVersion;
-    return false;
+    return 0;
   }
   const std::uint8_t type = h[5];
   if (type < static_cast<std::uint8_t>(FrameType::kHello) ||
       type > static_cast<std::uint8_t>(FrameType::kShardStatus)) {
     error_ = WireError::kUnknownFrameType;
-    return false;
+    return 0;
   }
   const std::size_t payload_len = get_u32(h + 8);
   if (payload_len > max_payload_) {
     error_ = WireError::kOversizedPayload;
-    return false;
+    return 0;
   }
   const std::size_t total = kHeaderSize + payload_len;
-  if (buffer_.size() < total) return false;  // wait for more bytes
+  if (available < total) return 0;  // wait for more bytes
 
   const std::uint8_t* p = h + kHeaderSize;
   if (crc32({p, payload_len}) != get_u32(h + 12)) {
     error_ = WireError::kCrcMismatch;
-    return false;
+    return 0;
   }
 
   switch (static_cast<FrameType>(type)) {
     case FrameType::kHello: {
       if (payload_len != kHelloPayloadSize) {
         error_ = WireError::kMalformedPayload;
-        return false;
+        return 0;
       }
       ready_.push_back(HelloFrame{.node = get_u32(p),
                                   .num_resources = get_u32(p + 4)});
@@ -284,7 +358,7 @@ bool FrameDecoder::try_decode_one() {
     case FrameType::kHelloAck: {
       if (payload_len != kHelloAckPayloadSize) {
         error_ = WireError::kMalformedPayload;
-        return false;
+        return 0;
       }
       ready_.push_back(HelloAckFrame{.node = get_u32(p),
                                      .accepted = p[4] != 0,
@@ -295,27 +369,24 @@ bool FrameDecoder::try_decode_one() {
     case FrameType::kMeasurement: {
       if (payload_len < 16) {
         error_ = WireError::kMalformedPayload;
-        return false;
+        return 0;
       }
       const std::size_t count = get_u32(p + 12);
       if (payload_len != measurement_payload_size(count)) {
         error_ = WireError::kMalformedPayload;
-        return false;
+        return 0;
       }
       transport::MeasurementMessage m;
       m.node = get_u32(p);
       m.step = static_cast<std::size_t>(get_u64(p + 4));
-      m.values.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        m.values[i] = get_f64(p + 16 + 8 * i);
-      }
+      load_f64s(p + 16, m.values, count);
       ready_.push_back(std::move(m));
       break;
     }
     case FrameType::kHeartbeat: {
       if (payload_len != kHeartbeatPayloadSize) {
         error_ = WireError::kMalformedPayload;
-        return false;
+        return 0;
       }
       ready_.push_back(
           HeartbeatFrame{.node = get_u32(p), .step = get_u64(p + 4)});
@@ -324,7 +395,7 @@ bool FrameDecoder::try_decode_one() {
     case FrameType::kShardHello: {
       if (payload_len != kShardHelloPayloadSize) {
         error_ = WireError::kMalformedPayload;
-        return false;
+        return 0;
       }
       ready_.push_back(ShardHelloFrame{.shard = get_u32(p),
                                        .first_node = get_u32(p + 4),
@@ -336,7 +407,7 @@ bool FrameDecoder::try_decode_one() {
     case FrameType::kSlotSummary: {
       if (payload_len < kSlotSummaryHeaderSize) {
         error_ = WireError::kMalformedPayload;
-        return false;
+        return 0;
       }
       const std::size_t dim = get_u32(p + 16);
       const std::size_t count = get_u32(p + 20);
@@ -348,25 +419,20 @@ bool FrameDecoder::try_decode_one() {
       if ((count > 0 && dim > payload_len / 8) || count > payload_len / 4 ||
           payload_len != slot_summary_payload_size(count, dim)) {
         error_ = WireError::kMalformedPayload;
-        return false;
+        return 0;
       }
       SlotSummaryFrame s;
       s.shard = get_u32(p);
       s.step = get_u64(p + 4);
       s.degraded = get_u32(p + 12);
       s.num_resources = static_cast<std::uint32_t>(dim);
-      s.measurements.reserve(count);
+      s.measurements.resize(count);
       const std::uint8_t* entry = p + kSlotSummaryHeaderSize;
-      for (std::size_t i = 0; i < count; ++i) {
-        transport::MeasurementMessage m;
+      for (transport::MeasurementMessage& m : s.measurements) {
         m.node = get_u32(entry);
         m.step = static_cast<std::size_t>(s.step);
-        m.values.resize(dim);
-        for (std::size_t r = 0; r < dim; ++r) {
-          m.values[r] = get_f64(entry + 4 + 8 * r);
-        }
+        load_f64s(entry + 4, m.values, dim);
         entry += 4 + 8 * dim;
-        s.measurements.push_back(std::move(m));
       }
       ready_.push_back(std::move(s));
       break;
@@ -374,7 +440,7 @@ bool FrameDecoder::try_decode_one() {
     case FrameType::kShardStatus: {
       if (payload_len != kShardStatusPayloadSize) {
         error_ = WireError::kMalformedPayload;
-        return false;
+        return 0;
       }
       ready_.push_back(ShardStatusFrame{.shard = get_u32(p),
                                         .live = get_u32(p + 4),
@@ -384,11 +450,9 @@ bool FrameDecoder::try_decode_one() {
     }
   }
 
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(total));
   ++frames_decoded_;
   bytes_consumed_ += total;
-  return true;
+  return total;
 }
 
 }  // namespace resmon::net::wire

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <string>
@@ -137,11 +136,14 @@ enum class WireError : std::uint8_t {
 /// Human-readable name of a WireError (stable, for logs and tests).
 const char* wire_error_name(WireError error);
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`,
+/// computed eight bytes per step with sliced tables; the value is the
+/// bytewise algorithm's.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 
 /// Encode one frame. The returned buffer is a complete frame: header
-/// (including CRC over the payload) followed by the payload.
+/// (including CRC over the payload) followed by the payload, written in
+/// place into one allocation of the frame's exact size.
 std::vector<std::uint8_t> encode(const transport::MeasurementMessage& m);
 std::vector<std::uint8_t> encode(const HelloFrame& f);
 std::vector<std::uint8_t> encode(const HelloAckFrame& f);
@@ -190,13 +192,22 @@ class FrameDecoder {
   std::uint64_t bytes_consumed() const { return bytes_consumed_; }
 
  private:
-  /// Try to decode one frame from the front of buffer_. Returns true if a
-  /// frame was consumed; false if more bytes are needed or error_ was set.
-  bool try_decode_one();
+  /// Decode every complete frame at the front of `bytes` into ready_;
+  /// returns how many bytes they took. Stops at an incomplete frame or on
+  /// an error (error_ set).
+  std::size_t decode_frames(std::span<const std::uint8_t> bytes);
+  /// Decode one frame starting at `h`, with `available` bytes readable.
+  /// Returns the frame's size, or 0 if more bytes are needed or error_ was
+  /// set.
+  std::size_t decode_one(const std::uint8_t* h, std::size_t available);
 
   std::size_t max_payload_;
+  /// Bytes of the one incomplete frame at the end of the stream so far.
   std::vector<std::uint8_t> buffer_;
-  std::deque<Frame> ready_;
+  /// Decoded frames; next() pops from ready_head_ and clears the vector
+  /// (keeping its capacity) once every frame has been popped.
+  std::vector<Frame> ready_;
+  std::size_t ready_head_ = 0;
   WireError error_ = WireError::kNone;
   std::uint64_t frames_decoded_ = 0;
   std::uint64_t bytes_consumed_ = 0;

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
+#include "reference_inbox.hpp"
 #include "trace/synthetic.hpp"
 #include "transport/channel.hpp"
 
@@ -372,6 +374,224 @@ TEST(NetSocket, AgentReconnectsAfterTheControllerRestarts) {
   ASSERT_TRUE(messages.has_value());
   ASSERT_EQ(messages->size(), 1u);
   EXPECT_EQ((*messages)[0].step, 9u);
+}
+
+// -- the pooled inbox against per-node deques --------------------------------
+
+transport::MeasurementMessage random_message(std::size_t node,
+                                             std::size_t step,
+                                             std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> value(0.0, 1.0);
+  transport::MeasurementMessage m;
+  m.node = node;
+  m.step = step;
+  m.values = {value(rng), value(rng)};
+  return m;
+}
+
+TEST(InboxOracle, SlotInboxTakesWhatPerNodeDequesTake) {
+  // Steps land around the slot being taken: late ones, duplicates, and
+  // later steps queued ahead of earlier ones; slots advance by 0 (taken
+  // again), 1 or 2 (one skipped).
+  constexpr std::size_t kNodes = 16;
+  std::mt19937_64 rng(11);
+  SlotInbox inbox(kNodes);
+  oracle::ReferenceInbox reference(kNodes, 0);
+  std::size_t t = 0;
+  std::size_t taken = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const std::size_t pushes = rng() % 24;
+    for (std::size_t i = 0; i < pushes; ++i) {
+      const std::size_t step = t + rng() % 4 - std::min<std::size_t>(t, 1);
+      const transport::MeasurementMessage m =
+          random_message(rng() % kNodes, step, rng);
+      reference.push(m);
+      inbox.push(m.node, transport::MeasurementMessage(m));
+    }
+    const std::vector<transport::MeasurementMessage> expected =
+        reference.take(t);
+    ASSERT_EQ(inbox.take(t), expected) << "round " << round << ", slot " << t;
+    taken += expected.size();
+    t += rng() % 3;
+  }
+  EXPECT_GT(taken, 5000u);
+}
+
+TEST(InboxOracle, CollectSlotMatchesPerNodeDequesOverRandomArrivals) {
+  // Four direct agents and two four-node shards send random arrival
+  // streams over real sockets: resend duplicates, heartbeats, a later step
+  // ahead of an earlier one, late frames, empty and degraded summaries, and
+  // one stretch of silence each for an agent and a shard, long enough on
+  // the injected clock to turn them STALE. Before each collect the test
+  // pumps until every written byte is read, so a zero-timeout collect_slot
+  // sees exactly what the oracle saw.
+  constexpr std::size_t kAgents = 4;
+  constexpr std::size_t kShardNodes = 4;
+  constexpr std::size_t kShards = 2;
+  constexpr std::size_t kNodes = kAgents + kShards * kShardNodes;
+  constexpr long long kStaleAfterMs = 100;
+  constexpr std::size_t kBatches = 300;
+
+  long long now_ms = 0;
+  const auto origin = std::chrono::steady_clock::now();
+  ControllerOptions copts;
+  copts.num_nodes = kNodes;
+  copts.num_resources = 2;
+  copts.num_shards = kShards;
+  copts.stale_after_ms = kStaleAfterMs;
+  copts.staleness_clock = [&] {
+    return origin + std::chrono::milliseconds(now_ms);
+  };
+  Controller controller(Socket::listen_tcp("127.0.0.1", 0), copts);
+  oracle::ReferenceInbox reference(kNodes, kStaleAfterMs);
+
+  std::uint64_t written = 0;
+  const auto send = [&](Socket& sock, const std::vector<std::uint8_t>& bytes) {
+    ASSERT_TRUE(sock.write_all(bytes, 2000));
+    written += bytes.size();
+  };
+  const auto settle = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (controller.bytes_received() < written &&
+           std::chrono::steady_clock::now() < deadline) {
+      controller.pump_idle(2);
+    }
+    ASSERT_EQ(controller.bytes_received(), written);
+    reference.update_states(now_ms);
+  };
+
+  std::vector<Socket> agents;
+  for (std::size_t node = 0; node < kAgents; ++node) {
+    agents.push_back(Socket::connect_tcp("127.0.0.1", controller.port(), 2000));
+    send(agents.back(),
+         wire::encode(wire::HelloFrame{
+             .node = static_cast<std::uint32_t>(node), .num_resources = 2}));
+    reference.hello(node, now_ms);
+  }
+  std::vector<Socket> shards;
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    const std::size_t first = kAgents + shard * kShardNodes;
+    shards.push_back(Socket::connect_tcp("127.0.0.1", controller.port(), 2000));
+    send(shards.back(),
+         wire::encode(wire::ShardHelloFrame{
+             .shard = static_cast<std::uint32_t>(shard),
+             .first_node = static_cast<std::uint32_t>(first),
+             .num_nodes = kShardNodes,
+             .num_resources = 2}));
+    for (std::size_t node = first; node < first + kShardNodes; ++node) {
+      reference.hello(node, now_ms);
+    }
+  }
+  settle();
+  ASSERT_EQ(controller.nodes_seen(), kNodes);
+  ASSERT_EQ(controller.shards_seen(), kShards);
+
+  std::mt19937_64 rng(5);
+  std::size_t next_t = 0;
+  std::size_t collected = 0;
+  std::size_t measurements = 0;
+  for (std::size_t s = 0; s < kBatches; ++s) {
+    now_ms += static_cast<long long>(rng() % 40);
+    for (std::size_t node = 0; node < kAgents; ++node) {
+      const auto measure = [&](std::size_t step) {
+        const transport::MeasurementMessage m = random_message(node, step, rng);
+        send(agents[node], wire::encode(m));
+        reference.measurement(m, now_ms);
+      };
+      const auto beat = [&](std::size_t step) {
+        send(agents[node], wire::encode(wire::HeartbeatFrame{
+                               .node = static_cast<std::uint32_t>(node),
+                               .step = step}));
+        reference.heartbeat(node, step, now_ms);
+      };
+      if (node == 0 && s >= 100 && s < 130) continue;  // goes STALE
+      switch (rng() % 10) {
+        case 0:  // silent this slot
+          break;
+        case 1:
+          beat(s);
+          break;
+        case 2:  // resend duplicate: the first to arrive wins
+          measure(s);
+          measure(s);
+          break;
+        case 3:  // a later step ahead of the earlier one
+          measure(s + 1);
+          measure(s);
+          break;
+        case 4:
+          beat(s);
+          measure(s);
+          break;
+        case 5:  // a late frame from the slot before
+          if (s > 0) measure(s - 1);
+          measure(s);
+          break;
+        default:
+          measure(s);
+          break;
+      }
+    }
+    for (std::size_t shard = 0; shard < kShards; ++shard) {
+      const std::size_t first = kAgents + shard * kShardNodes;
+      const auto summarize = [&](std::size_t step, bool empty) {
+        wire::SlotSummaryFrame summary{
+            .shard = static_cast<std::uint32_t>(shard),
+            .step = step,
+            .degraded = static_cast<std::uint32_t>(empty || rng() % 5 == 0),
+            .num_resources = 2};
+        for (std::size_t node = first; !empty && node < first + kShardNodes;
+             ++node) {
+          if (rng() % 10 < 7) {
+            summary.measurements.push_back(random_message(node, step, rng));
+          }
+        }
+        send(shards[shard], wire::encode(summary));
+        reference.summary(first, kShardNodes, step, summary.degraded,
+                          summary.measurements, now_ms);
+      };
+      if (shard == 1 && s >= 200 && s < 230) continue;  // goes STALE
+      switch (rng() % 8) {
+        case 0:  // silent this slot
+          break;
+        case 1:  // every node skipped: empty and degraded
+          summarize(s, true);
+          break;
+        case 2:  // resend duplicate
+          summarize(s, false);
+          summarize(s, false);
+          break;
+        case 3:  // a later step ahead of the earlier one
+          summarize(s + 1, false);
+          summarize(s, false);
+          break;
+        default:
+          summarize(s, false);
+          break;
+      }
+    }
+    settle();
+    // Usually the next slot; sometimes a slot is taken again or skipped.
+    for (int k = 0; k < 3 && next_t <= s; ++k) {
+      const auto expected = reference.collect(next_t);
+      const auto actual = controller.collect_slot(next_t, 0);
+      ASSERT_EQ(actual.has_value(), expected.has_value())
+          << "batch " << s << ", slot " << next_t;
+      ASSERT_EQ(controller.degraded_slots(), reference.degraded_slots())
+          << "batch " << s << ", slot " << next_t;
+      if (!expected) break;
+      ASSERT_EQ(*actual, *expected) << "batch " << s << ", slot " << next_t;
+      ++collected;
+      measurements += expected->size();
+      const std::size_t r = rng() % 10;
+      next_t += r == 0 ? 0 : (r == 1 ? 2 : 1);
+    }
+  }
+  EXPECT_GT(collected, kBatches / 2);
+  EXPECT_GT(measurements, 1000u);
+  EXPECT_GT(reference.degraded_slots(), 10u);
+  EXPECT_GT(controller.stale_transitions(), 0u);
 }
 
 }  // namespace

@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "net/wire.hpp"
+#include "reference_crc32.hpp"
 
 namespace resmon::net::wire {
 namespace {
@@ -491,6 +493,178 @@ TEST(Wire, Crc32MatchesTheIeeeCheckValue) {
   const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(check), 0xCBF43926u);
   EXPECT_EQ(crc32({}), 0x00000000u);
+}
+
+TEST(Wire, SlicedCrc32MatchesTheBytewiseOracleAtEveryLengthAndAlignment) {
+  // The sliced loop takes eight bytes per step and finishes bytewise, so
+  // every length mod 8 and every start alignment takes a different split.
+  std::mt19937_64 rng(7);
+  std::vector<std::uint8_t> bytes(1024 + 8);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::span<const std::uint8_t> view(bytes.data() + offset, len);
+      ASSERT_EQ(crc32(view), oracle::reference_crc32(view))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+// -- golden bytes ------------------------------------------------------------
+// One frame of each type, pinned to the bytes the bytewise encoder produced,
+// so an encoder rewrite cannot drift on both sides of a round trip unseen.
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+/// Encode `frame`, compare with the pinned hex, and decode the pinned bytes
+/// back to the same frame.
+void expect_golden(const Frame& frame, const std::string& golden) {
+  const std::vector<std::uint8_t> bytes =
+      std::visit([](const auto& f) { return encode(f); }, frame);
+  EXPECT_EQ(hex(bytes), golden);
+  const Frame back = decode_one(bytes);
+  EXPECT_EQ(back.index(), frame.index());
+  EXPECT_EQ(hex(std::visit([](const auto& f) { return encode(f); }, back)),
+            golden);
+}
+
+TEST(Wire, GoldenBytesOfEveryFrameType) {
+  expect_golden(HelloFrame{.node = 7, .num_resources = 4},
+                "524d4f4e0101000008000000274185e00700000004000000");
+  expect_golden(HelloAckFrame{.node = 7,
+                              .accepted = false,
+                              .reason = 6,
+                              .speaker_version = 1},
+                "524d4f4e0102000008000000839b71720700000000060100");
+  expect_golden(sample_message(3, 0x0102030405ull, {0.5, -1.25, 1e-300}),
+                "524d4f4e01030000280000003b2688b603000000050403020100000003000000"
+                "000000000000e03f000000000000f4bf59f3f8c21f6ea501");
+  expect_golden(HeartbeatFrame{.node = 9, .step = (1ull << 40) + 9},
+                "524d4f4e010400000c000000e28df1f8090000000900000000010000");
+  expect_golden(ShardHelloFrame{.shard = 2,
+                                .first_node = 100,
+                                .num_nodes = 50,
+                                .num_resources = 2,
+                                .protocol = 1},
+                "524d4f4e010500001400000082e4e02a02000000640000003200000002000000"
+                "01000000");
+  expect_golden(
+      SlotSummaryFrame{.shard = 1,
+                       .step = 77,
+                       .degraded = 3,
+                       .num_resources = 2,
+                       .measurements = {sample_message(100, 77, {0.25, 0.75}),
+                                        sample_message(149, 77, {-0.0, 3.0})}},
+      "524d4f4e0106000040000000a8d4d03a010000004d0000000000000003000000"
+      "020000000200000064000000000000000000d03f000000000000e83f95000000"
+      "00000000000000800000000000000840");
+  expect_golden(
+      ShardStatusFrame{.shard = 1, .live = 40, .stale = 7, .dead = 3},
+      "524d4f4e010700001000000035d19e4401000000280000000700000003000000");
+}
+
+TEST(Wire, TenThousandFramesInOneFeedDecodeAsByteAtATime) {
+  // One large feed decodes straight from the caller's bytes; a byte-at-a-
+  // time feed and uneven chunks go through the decoder's own buffer. All
+  // three must yield the same frames, which re-encode to the same stream.
+  std::mt19937_64 rng(25);
+  std::uniform_real_distribution<double> value(-1.0, 1.0);
+  std::vector<std::uint8_t> stream;
+  const auto append = [&](const std::vector<std::uint8_t>& bytes) {
+    stream.insert(stream.end(), bytes.begin(), bytes.end());
+  };
+  constexpr std::size_t kFrames = 10000;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const auto u32 = [&] { return static_cast<std::uint32_t>(rng()); };
+    switch (rng() % 7) {
+      case 0:
+        append(encode(HelloFrame{.node = u32(), .num_resources = u32()}));
+        break;
+      case 1:
+        append(encode(HelloAckFrame{.node = u32(),
+                                    .accepted = (rng() & 1) != 0,
+                                    .reason = static_cast<std::uint8_t>(rng()),
+                                    .speaker_version = 1}));
+        break;
+      case 2: {
+        std::vector<double> values(rng() % 9);
+        for (double& v : values) v = value(rng);
+        append(encode(sample_message(u32(), rng(), std::move(values))));
+        break;
+      }
+      case 3:
+        append(encode(HeartbeatFrame{.node = u32(), .step = rng()}));
+        break;
+      case 4:
+        append(encode(ShardHelloFrame{.shard = u32(),
+                                      .first_node = u32(),
+                                      .num_nodes = u32(),
+                                      .num_resources = u32(),
+                                      .protocol = u32()}));
+        break;
+      case 5: {
+        SlotSummaryFrame s{.shard = u32(),
+                           .step = rng(),
+                           .degraded = u32(),
+                           .num_resources = static_cast<std::uint32_t>(
+                               rng() % 5)};
+        s.measurements.resize(rng() % 6);
+        for (transport::MeasurementMessage& m : s.measurements) {
+          m.node = u32();
+          m.step = s.step;
+          m.values.resize(s.num_resources);
+          for (double& v : m.values) v = value(rng);
+        }
+        append(encode(s));
+        break;
+      }
+      default:
+        append(encode(ShardStatusFrame{
+            .shard = u32(), .live = u32(), .stale = u32(), .dead = u32()}));
+        break;
+    }
+  }
+
+  // Every decoded frame, re-encoded back to back.
+  const auto decode_in_chunks = [&](auto next_chunk) {
+    FrameDecoder dec;
+    std::vector<std::uint8_t> out;
+    std::size_t frames = 0;
+    for (std::size_t off = 0; off < stream.size();) {
+      const std::size_t n = std::min(next_chunk(), stream.size() - off);
+      EXPECT_TRUE(dec.feed({stream.data() + off, n}));
+      off += n;
+      while (std::optional<Frame> f = dec.next()) {
+        const std::vector<std::uint8_t> bytes =
+            std::visit([](const auto& x) { return encode(x); }, *f);
+        out.insert(out.end(), bytes.begin(), bytes.end());
+        ++frames;
+      }
+    }
+    EXPECT_TRUE(dec.finish());
+    EXPECT_EQ(frames, kFrames);
+    EXPECT_EQ(dec.frames_decoded(), kFrames);
+    EXPECT_EQ(dec.bytes_consumed(), stream.size());
+    return out;
+  };
+  const std::vector<std::uint8_t> one_call =
+      decode_in_chunks([&] { return stream.size(); });
+  const std::vector<std::uint8_t> bytewise =
+      decode_in_chunks([] { return std::size_t{1}; });
+  std::mt19937_64 chunk_rng(3);
+  const std::vector<std::uint8_t> uneven = decode_in_chunks(
+      [&] { return static_cast<std::size_t>(1 + chunk_rng() % 700); });
+  EXPECT_TRUE(one_call == stream);
+  EXPECT_TRUE(bytewise == stream);
+  EXPECT_TRUE(uneven == stream);
 }
 
 }  // namespace
