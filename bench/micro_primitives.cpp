@@ -1,11 +1,14 @@
 // Micro-benchmarks for the primitives the pipeline leans on: K-means,
-// Hungarian matching, ARIMA/LSTM fitting, Gaussian conditional variance and
-// one full pipeline step. Engineering hygiene, not a paper artifact.
+// Hungarian matching, a view's modal offsets, one cluster-tracker update,
+// ARIMA/LSTM fitting, Gaussian conditional variance and one full pipeline
+// step. Engineering hygiene, not a paper artifact.
 #include <benchmark/benchmark.h>
 
+#include "cluster/dynamic_cluster.hpp"
 #include "cluster/hungarian.hpp"
 #include "cluster/kmeans.hpp"
 #include "common/kernels.hpp"
+#include "core/estimation.hpp"
 #include "core/pipeline.hpp"
 #include "forecast/arima.hpp"
 #include "forecast/lstm.hpp"
@@ -133,6 +136,78 @@ void BM_GaussianConditionalVariance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GaussianConditionalVariance)->Arg(5)->Arg(10)->Arg(25);
+
+// One view's modal clusters and eq. (12) offsets over the paper's M' + 1 =
+// 6 window (core::modal_offsets, one kern::offset_lanes pass), at
+// (N, d, K) = (range 0, range 1, range 2). Nodes keep their cluster with
+// probability 0.8 per step, so most have a clear mode and some tie.
+void BM_ModalOffsets(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t d = static_cast<std::size_t>(state.range(1));
+  const std::size_t k = static_cast<std::size_t>(state.range(2));
+  constexpr std::size_t kWindow = 6;
+  Rng rng(8);
+  cluster::ClusterHistory history(kWindow);
+  cluster::Clustering clustering;
+  clustering.assignment.resize(n);
+  for (std::size_t& j : clustering.assignment) j = rng.index(k);
+  for (std::size_t step = 0; step < kWindow; ++step) {
+    clustering.centroids = Matrix(k, d);
+    for (double& v : clustering.centroids.data()) v = rng.uniform();
+    Matrix snapshot(n, d);
+    for (double& v : snapshot.data()) v = rng.uniform();
+    for (std::size_t& j : clustering.assignment) {
+      if (rng.uniform() >= 0.8) j = rng.index(k);
+    }
+    history.push(snapshot, clustering);
+  }
+  std::vector<std::size_t> modal(n);
+  Matrix offsets;
+  for (auto _ : state) {
+    core::modal_offsets(history, kWindow, true, modal, &offsets);
+    benchmark::DoNotOptimize(modal.data());
+    benchmark::DoNotOptimize(offsets.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ModalOffsets)
+    ->Args({12478, 1, 3})
+    ->Args({12478, 4, 3})
+    ->Args({1000, 1, 10})
+    ->Unit(benchmark::kMicrosecond);
+
+// One DynamicClusterTracker::update (K-means with two restarts, eq. (10)
+// weights, Hungarian re-index, centroids) per slot of a synthetic `google`
+// trace at the paper's fleet size, K = 3, M = 1: range 0 = 1 clusters one
+// resource's view, range 0 = 4 the joint view of four resources.
+void BM_ClusterTrackerUpdate(benchmark::State& state) {
+  const std::size_t d = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kNodes = 12478;
+  constexpr std::size_t kSteps = 64;
+  trace::SyntheticProfile profile = trace::profile_by_name("google");
+  profile.num_nodes = kNodes;
+  profile.num_resources = d;
+  profile.num_steps = kSteps;
+  const trace::InMemoryTrace t = trace::generate(profile, 1);
+  cluster::DynamicClusterTracker tracker({.k = 3, .history_m = 1}, 9);
+  cluster::ClusterHistory history(2);
+  std::size_t step = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Matrix& values = history.advance().values;
+    values.resize(kNodes, d);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      for (std::size_t r = 0; r < d; ++r) values(i, r) = t.value(i, step, r);
+    }
+    step = (step + 1) % kSteps;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(tracker.update(history).assignment.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kNodes);
+}
+BENCHMARK(BM_ClusterTrackerUpdate)->Arg(1)->Arg(4)->Unit(
+    benchmark::kMicrosecond);
 
 void BM_PipelineStep(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

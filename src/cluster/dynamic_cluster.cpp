@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/kernels.hpp"
 
 namespace resmon::cluster {
 
@@ -41,6 +40,51 @@ std::size_t ClusterHistory::index(std::size_t age) const {
   return (head_ + age) % depth();
 }
 
+void reindex_weights_into(const std::vector<std::size_t>& fresh,
+                          const ClusterHistory& history, std::size_t lookback,
+                          std::size_t k, SimilarityKind kind,
+                          ReindexScratch& scratch, Matrix& w) {
+  RESMON_REQUIRE(lookback >= 1 && lookback < history.size(),
+                 "reindex weights need 1 <= lookback < history size");
+  const std::vector<std::size_t>& last = history.at(1).clustering.assignment;
+  RESMON_REQUIRE(fresh.size() == last.size(),
+                 "reindex weights: node count changed between steps");
+  const std::size_t n = fresh.size();
+  // Nodes that stayed in cluster j throughout the lookback: the
+  // intersection term of eq. (10). K marks a node that moved; no past
+  // assignment equals it, so it stays K.
+  std::vector<std::size_t>& stayed = scratch.stayed;
+  stayed.assign(last.begin(), last.end());
+  for (std::size_t age = 2; age <= lookback; ++age) {
+    const std::size_t* past = history.at(age).clustering.assignment.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      stayed[i] = past[i] == stayed[i] ? stayed[i] : k;
+    }
+  }
+
+  w.resize(k, k);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (stayed[i] < k) w(fresh[i], stayed[i]) += 1.0;
+  }
+  if (kind == SimilarityKind::kJaccard) {
+    // |C'_k intersect I_j| / |C'_k union I_j|.
+    scratch.fresh_size.assign(k, 0.0);
+    scratch.stayed_size.assign(k, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      scratch.fresh_size[fresh[i]] += 1.0;
+      if (stayed[i] < k) scratch.stayed_size[stayed[i]] += 1.0;
+    }
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      for (std::size_t j = 0; j < k; ++j) {
+        const double inter = w(kk, j);
+        const double uni =
+            scratch.fresh_size[kk] + scratch.stayed_size[j] - inter;
+        w(kk, j) = uni > 0.0 ? inter / uni : 0.0;
+      }
+    }
+  }
+}
+
 DynamicClusterTracker::DynamicClusterTracker(
     const DynamicClusterOptions& options, std::uint64_t seed)
     : options_(options), rng_(seed) {
@@ -67,53 +111,6 @@ DynamicClusterTracker::DynamicClusterTracker(
         "Clusters with no members after the last update (0 unless the "
         "K-means empty-cluster repair is defeated)",
         labels);
-  }
-}
-
-void DynamicClusterTracker::similarity_into(
-    const std::vector<std::size_t>& fresh_assignment,
-    const ClusterHistory& history) {
-  const std::size_t k = options_.k;
-  const std::size_t n = fresh_assignment.size();
-  // Nodes that stayed in cluster j throughout the last min(M, t-1) steps:
-  // the intersection term of eq. (10).
-  const std::size_t lookback =
-      std::min(options_.history_m, history.size() - 1);
-  in_all_.assign(n * k, 1);
-  for (std::size_t age = 1; age <= lookback; ++age) {
-    kern::history_mask(history.at(age).clustering.assignment.data(), k, 0, n,
-                       in_all_.data());
-  }
-
-  w_.resize(k, k);
-  if (options_.similarity == SimilarityKind::kIntersection) {
-    // Adds mask-as-0.0/1.0 unconditionally; bitwise identical to the old
-    // branchy `if (in_all_[...]) w_ += 1.0` because counts + 0.0 == counts.
-    kern::similarity_accumulate(fresh_assignment.data(), in_all_.data(), k, 0,
-                                n, w_.data().data());
-  } else {
-    // Jaccard: |C'_k intersect I_j| / |C'_k union I_j|.
-    Matrix& inter = jaccard_inter_;
-    inter.resize(k, k);
-    jaccard_fresh_size_.assign(k, 0.0);
-    jaccard_hist_size_.assign(k, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t kk = fresh_assignment[i];
-      jaccard_fresh_size_[kk] += 1.0;
-      for (std::size_t j = 0; j < k; ++j) {
-        if (in_all_[i * k + j]) {
-          jaccard_hist_size_[j] += 1.0;
-          inter(kk, j) += 1.0;
-        }
-      }
-    }
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      for (std::size_t j = 0; j < k; ++j) {
-        const double uni =
-            jaccard_fresh_size_[kk] + jaccard_hist_size_[j] - inter(kk, j);
-        w_(kk, j) = uni > 0.0 ? inter(kk, j) / uni : 0.0;
-      }
-    }
   }
 }
 
@@ -146,7 +143,9 @@ const Clustering& DynamicClusterTracker::update(const Matrix& features,
     for (std::size_t j = 0; j < k; ++j) phi_[j] = j;
     if (match_weight_ != nullptr) match_weight_->set(0.0);
   } else {
-    similarity_into(raw_.assignment, history);
+    reindex_weights_into(raw_.assignment, history,
+                         std::min(options_.history_m, history.size() - 1), k,
+                         options_.similarity, reindex_scratch_, w_);
     max_weight_assignment_into(w_, assign_scratch_, phi_);
     if (match_weight_ != nullptr) {
       match_weight_->set(assignment_value(w_, phi_));

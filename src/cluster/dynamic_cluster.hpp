@@ -81,6 +81,29 @@ enum class SimilarityKind {
   kJaccard,       ///< normalized variant used in [20] (Fig. 11 baseline)
 };
 
+/// Buffers of reindex_weights_into, reused across calls so a steady-state
+/// step allocates nothing.
+struct ReindexScratch {
+  /// Per node: the cluster it held at every past step read, or K if it
+  /// moved.
+  std::vector<std::size_t> stayed;
+  std::vector<double> fresh_size;   ///< Jaccard: |C'_k|
+  std::vector<double> stayed_size;  ///< Jaccard: nodes that stayed in j
+};
+
+/// Eq. (10) weights of a fresh K-means assignment (one cluster index below
+/// k per node) against the clusterings at ages 1..lookback of `history`:
+/// w(kk, j) counts the nodes in fresh cluster kk that were in cluster j at
+/// every one of those steps; kJaccard divides that count by the size of
+/// the union of the two sets (0 for an empty union). Each node adds 1.0 to
+/// one cell at most, and the counts are exact integers, so the weights do
+/// not depend on the order nodes are counted in. Requires
+/// 1 <= lookback < history.size(); w is resized to k x k.
+void reindex_weights_into(const std::vector<std::size_t>& fresh,
+                          const ClusterHistory& history, std::size_t lookback,
+                          std::size_t k, SimilarityKind kind,
+                          ReindexScratch& scratch, Matrix& w);
+
 struct DynamicClusterOptions {
   std::size_t k = 3;          ///< number of clusters / forecasting models
   std::size_t history_m = 1;  ///< M: how far back the similarity looks
@@ -121,11 +144,6 @@ class DynamicClusterTracker {
   std::size_t steps() const { return steps_; }
 
  private:
-  /// Fill `w_` with the eq. (10) similarity of the fresh assignment
-  /// against the M clusterings before the newest step.
-  void similarity_into(const std::vector<std::size_t>& fresh_assignment,
-                       const ClusterHistory& history);
-
   DynamicClusterOptions options_;
   Rng rng_;
   std::size_t steps_ = 0;
@@ -134,13 +152,8 @@ class DynamicClusterTracker {
   KMeansResult raw_;
   AssignmentScratch assign_scratch_;
   std::vector<std::size_t> phi_;
-  // uint8_t (not vector<bool>) so the history/accumulate passes can run
-  // through the kern:: SIMD dispatch on contiguous rows.
-  std::vector<std::uint8_t> in_all_;
+  ReindexScratch reindex_scratch_;
   Matrix w_;
-  Matrix jaccard_inter_;
-  std::vector<double> jaccard_fresh_size_;
-  std::vector<double> jaccard_hist_size_;
   std::vector<std::size_t> counts_scratch_;
   std::vector<bool> empty_scratch_;
   // Optional metrics (all nullptr when no registry was given).

@@ -1,7 +1,9 @@
 #include "cluster/kmeans.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/kernels.hpp"
@@ -120,8 +122,15 @@ void run_once_into(const Matrix& points, std::size_t k, Rng& rng,
         sums.data()[e] += chunk_sums[e];
       }
     }
+    // Whether this pass left every centroid bitwise as it found them and
+    // repaired no empty cluster. A pass, repairs included, reads nothing
+    // but its input centroids and the points, so the repair test is not
+    // needed for bit-identity today; it keeps the exit from depending on
+    // how a repair picks its point.
+    bool fixed_point = true;
     for (std::size_t j = 0; j < k; ++j) {
       if (counts[j] == 0) {
+        fixed_point = false;
         // Empty cluster: seize the point farthest from its own centroid.
         std::size_t worst = 0;
         double worst_d2 = -1.0;
@@ -140,8 +149,11 @@ void run_once_into(const Matrix& points, std::size_t k, Rng& rng,
         continue;
       }
       for (std::size_t c = 0; c < d; ++c) {
-        result.centroids(j, c) =
-            sums(j, c) / static_cast<double>(counts[j]);
+        const double mean = sums(j, c) / static_cast<double>(counts[j]);
+        fixed_point = fixed_point && std::bit_cast<std::uint64_t>(mean) ==
+                                         std::bit_cast<std::uint64_t>(
+                                             result.centroids(j, c));
+        result.centroids(j, c) = mean;
       }
     }
 
@@ -151,6 +163,16 @@ void run_once_into(const Matrix& points, std::size_t k, Rng& rng,
     }
     prev_inertia = inertia;
     result.inertia = inertia;
+    if (fixed_point) {
+      // The next pass would start from the same centroids, so it would
+      // repeat this one bit for bit, then stop on the tolerance test, or,
+      // when that test cannot pass (a tolerance <= 0 or NaN), repeat until
+      // max_iterations. Record what that loop would record.
+      result.iterations = inertia - inertia < options.tolerance
+                              ? std::min(iter + 2, options.max_iterations)
+                              : options.max_iterations;
+      break;
+    }
   }
 }
 

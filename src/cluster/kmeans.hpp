@@ -14,10 +14,12 @@
 // side, one per lane of an AVX2 vector; every lane, the scalar and SIMD
 // paths and every thread count keep the serial loop's operation order, so
 // results are bit-identical to a textbook Lloyd loop (DESIGN.md "Memory
-// layout & SIMD kernels"). k-means++
-// seeding runs on the same SoA copy. Callers on the per-slot hot path pass
-// a KMeansScratch via kmeans_into() so repeated runs perform no
-// steady-state allocations.
+// layout & SIMD kernels"). A run stops early once a pass leaves every
+// centroid bitwise unchanged without repairing an empty cluster: from
+// there the textbook loop only repeats that pass, and the result records
+// what it would have (iterations included). k-means++ seeding runs on the
+// same SoA copy. Callers on the per-slot hot path pass a KMeansScratch via
+// kmeans_into() so repeated runs perform no steady-state allocations.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +53,9 @@ struct KMeansResult {
   std::vector<std::size_t> assignment;  ///< point index -> cluster in [0,k)
   Matrix centroids;                     ///< k x d
   double inertia = 0.0;                 ///< sum of squared distances
-  std::size_t iterations = 0;           ///< Lloyd iterations of best restart
+  /// Lloyd iterations of the best restart, as the textbook loop counts
+  /// them: past a fixed point the passes it would repeat count too.
+  std::size_t iterations = 0;
 };
 
 /// Reusable buffers for kmeans_into(): the SoA mirror of the points, the

@@ -96,23 +96,4 @@ void offset_lanes(const OffsetEntry* ring, std::size_t ages, std::size_t n,
   }
 }
 
-void history_mask(const std::size_t* past, std::size_t k, std::size_t begin,
-                  std::size_t end, std::uint8_t* mask) {
-  if (use_simd()) {
-    simd::history_mask(past, k, begin, end, mask);
-  } else {
-    scalar::history_mask(past, k, begin, end, mask);
-  }
-}
-
-void similarity_accumulate(const std::size_t* fresh, const std::uint8_t* mask,
-                           std::size_t k, std::size_t begin, std::size_t end,
-                           double* w) {
-  if (use_simd()) {
-    simd::similarity_accumulate(fresh, mask, k, begin, end, w);
-  } else {
-    scalar::similarity_accumulate(fresh, mask, k, begin, end, w);
-  }
-}
-
 }  // namespace resmon::kern

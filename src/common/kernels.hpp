@@ -119,30 +119,15 @@ struct OffsetEntry {
 /// textbook loop: per other centroid l in index order, dot = delta . g and
 /// gap2 = g . g with g = c_l - c_j, each summed from 0.0 in dimension
 /// order; alpha = min(alpha, gap2 / (2 dot)) when both are positive; then
-/// clamped to [0, 1]. Nodes with one modal cluster run four side by side,
-/// one per lane, with compile-time (d, k) instances for d <= 4 and k <= 10
-/// and a one-node loop for other shapes; every node's result is bitwise
-/// the textbook loop's on both instances. The call allocates its own
-/// scratch (counts, buckets, gaps): a few buffers, none per node.
+/// clamped to [0, 1]. The modal clusters of four consecutive nodes are
+/// counted side by side, one per lane, with compile-time k instances for
+/// k <= 10; nodes with one modal cluster then run four side by side, with
+/// compile-time (d, k) instances for d <= 4 and k <= 10. Other shapes and
+/// the last n % 4 modal counts run one node at a time. Every node's result
+/// is bitwise the textbook loop's on both instances. The call allocates
+/// its own scratch (counts, buckets, gaps): a few buffers, none per node.
 void offset_lanes(const OffsetEntry* ring, std::size_t ages, std::size_t n,
                   std::size_t d, std::size_t k, bool use_alpha,
                   std::size_t* modal, double* offset);
-
-/// Hungarian re-indexing history pass: clear mask[i*k + j] (i in
-/// [begin, end), j in [0, k)) wherever past[i] != j. Starting from an
-/// all-ones mask and applying one pass per retained clustering leaves
-/// mask[i*k + j] == 1 exactly for the nodes that stayed in cluster j
-/// throughout — the intersection term of eq. (10).
-void history_mask(const std::size_t* past, std::size_t k, std::size_t begin,
-                  std::size_t end, std::uint8_t* mask);
-
-/// Intersection-weight accumulation of the re-indexing pass:
-/// w[fresh[i]*k + j] += mask[i*k + j] (as 0.0 / 1.0) for i in [begin, end).
-/// Unconditionally adding 0.0 where the mask is clear is bitwise identical
-/// to the branchy scalar accumulation it replaces: w entries are
-/// nonnegative counts, and x + 0.0 == x for every such x.
-void similarity_accumulate(const std::size_t* fresh, const std::uint8_t* mask,
-                           std::size_t k, std::size_t begin, std::size_t end,
-                           double* w);
 
 }  // namespace resmon::kern

@@ -94,13 +94,19 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
     models_[v].reserve(options.num_clusters * dims);
     for (std::size_t j = 0; j < options.num_clusters; ++j) {
       for (std::size_t dim = 0; dim < dims; ++dim) {
+        // Appended piecewise: GCC 12 reports a false -Wrestrict on the
+        // inlined `"v" + std::string` of a Release build.
+        std::string label = "v";
+        label += std::to_string(v);
+        label += ".c";
+        label += std::to_string(j);
+        label += ".d";
+        label += std::to_string(dim);
         models_[v].push_back(std::make_unique<forecast::ManagedForecaster>(
             forecast::make_forecaster(
                 options.forecaster,
                 options.seed + 7919 * (v + 1) + 31 * j + dim),
-            options.schedule, registry_,
-            "v" + std::to_string(v) + ".c" + std::to_string(j) + ".d" +
-                std::to_string(dim)));
+            options.schedule, registry_, label));
       }
     }
   }

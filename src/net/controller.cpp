@@ -9,9 +9,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Whole milliseconds left before `deadline`, rounded up: a sub-millisecond
+/// remainder still buys one 1 ms pump.
 int remaining_ms(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
   return static_cast<int>(std::max<long long>(0, left.count()));
 }
 

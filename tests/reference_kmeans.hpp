@@ -4,11 +4,13 @@
 // or pool: each 256-point chunk sums its squared distances, counts and
 // coordinates in point order, the chunk partials merge in chunk order, and
 // an empty cluster takes the point farthest from its own centroid. It
-// counts the repairs it made, so tests can check that a case forces one.
+// counts the repairs it made and the passes that left every centroid
+// bitwise unchanged, so tests can check that a case forces one.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -20,7 +22,12 @@ namespace resmon::oracle {
 
 struct ReferenceKMeans {
   cluster::KMeansResult result;
-  std::size_t repairs = 0;  ///< empty clusters repaired, over all restarts
+  // Over all restarts:
+  std::size_t repairs = 0;  ///< empty clusters repaired
+  /// Passes that left every centroid bitwise unchanged, with no repair.
+  std::size_t fixed_points = 0;
+  /// Passes that left every centroid bitwise unchanged after a repair.
+  std::size_t repaired_fixed_points = 0;
 };
 
 /// Squared distance of row i of `points` to row j of `centroids`, summed in
@@ -71,7 +78,7 @@ inline void reference_seed(const Matrix& points, std::size_t k, Rng& rng,
 inline cluster::KMeansResult reference_lloyd(const Matrix& points,
                                              std::size_t k, Rng& rng,
                                              const cluster::KMeansOptions& o,
-                                             std::size_t& repairs) {
+                                             ReferenceKMeans& tally) {
   constexpr std::size_t kChunk = 256;
   const std::size_t n = points.rows();
   const std::size_t d = points.cols();
@@ -111,9 +118,11 @@ inline cluster::KMeansResult reference_lloyd(const Matrix& points,
         for (std::size_t c = 0; c < d; ++c) sums(j, c) += chunk_sums(j, c);
       }
     }
+    const Matrix before = r.centroids;
+    std::size_t pass_repairs = 0;
     for (std::size_t j = 0; j < k; ++j) {
       if (counts[j] == 0) {
-        ++repairs;
+        ++pass_repairs;
         std::size_t worst = 0;
         double worst_d2 = -1.0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -134,6 +143,12 @@ inline cluster::KMeansResult reference_lloyd(const Matrix& points,
         r.centroids(j, c) = sums(j, c) / static_cast<double>(counts[j]);
       }
     }
+    tally.repairs += pass_repairs;
+    if (std::memcmp(before.data().data(), r.centroids.data().data(),
+                    before.data().size() * sizeof(double)) == 0) {
+      ++(pass_repairs == 0 ? tally.fixed_points
+                           : tally.repaired_fixed_points);
+    }
     r.inertia = inertia;
     if (prev_inertia - inertia < o.tolerance) break;
     prev_inertia = inertia;
@@ -147,10 +162,10 @@ inline ReferenceKMeans reference_kmeans(const Matrix& points, std::size_t k,
                                         Rng& rng,
                                         const cluster::KMeansOptions& o) {
   ReferenceKMeans ref;
-  ref.result = reference_lloyd(points, k, rng, o, ref.repairs);
+  ref.result = reference_lloyd(points, k, rng, o, ref);
   for (std::size_t r = 1; r < std::max<std::size_t>(1, o.restarts); ++r) {
     cluster::KMeansResult candidate =
-        reference_lloyd(points, k, rng, o, ref.repairs);
+        reference_lloyd(points, k, rng, o, ref);
     if (candidate.inertia < ref.result.inertia) ref.result = candidate;
   }
   return ref;

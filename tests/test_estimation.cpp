@@ -381,6 +381,58 @@ TEST(OffsetOracle, SingleNodeAndOneFullLaneGroup) {
   }
 }
 
+TEST(OffsetOracle, ModalSweepBreaksEveryTieToTheLowerCluster) {
+  // Every K up to one past the lane instances, every window up to 6, and
+  // node counts around the four-node lane groups. Half the nodes alternate
+  // between two random clusters, so an even window ties them; a node's
+  // lower cluster comes second as often as first.
+  const kern::Path saved = kern::active_path();
+  for (const kern::Path path : kernel_paths()) {
+    kern::set_path(path);
+    for (std::size_t k = 1; k <= 11; ++k) {
+      for (std::size_t window = 1; window <= 6; ++window) {
+        for (const std::size_t n : {1, 3, 4, 5, 1001}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "path " << static_cast<int>(path) << " K " << k
+                       << " window " << window << " n " << n);
+          Rng rng(100 * k + 10 * window + n);
+          std::vector<std::size_t> first(n), second(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            first[i] = rng.index(k);
+            second[i] = rng.index(k);
+          }
+          cluster::ClusterHistory history(window);
+          oracle::ReferenceOffsets reference(window - 1, k, true);
+          std::size_t ties = 0;
+          for (std::size_t step = 0; step < window; ++step) {
+            cluster::Clustering clustering;
+            clustering.centroids = Matrix(k, 1);
+            clustering.assignment.resize(n);
+            for (std::size_t i = 0; i < n; ++i) {
+              clustering.assignment[i] =
+                  i % 2 == 0 ? (step % 2 == 0 ? first[i] : second[i])
+                             : rng.index(k);
+            }
+            const Matrix snapshot(n, 1);
+            history.push(snapshot, clustering);
+            reference.push(clustering, snapshot);
+          }
+          std::vector<std::size_t> modal(n);
+          modal_offsets(history, window, true, modal, nullptr);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(modal[i], reference.modal_cluster(i)) << "node " << i;
+            ties += i % 2 == 0 && window % 2 == 0 && first[i] != second[i];
+          }
+          if (k > 1 && window % 2 == 0 && n == 1001) {
+            EXPECT_GT(ties, 0u) << "no tie was forced";
+          }
+        }
+      }
+    }
+  }
+  kern::set_path(saved);
+}
+
 TEST(OffsetOracle, ModalOnlyCallLeavesOffsetsAlone) {
   // use_offset off: the pipeline asks for modal clusters alone.
   cluster::ClusterHistory history(2);

@@ -16,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/dynamic_cluster.hpp"
 #include "cluster/kmeans.hpp"
 #include "common/rng.hpp"
 #include "common/soa.hpp"
+#include "reference_reindex.hpp"
 
 namespace resmon {
 namespace {
@@ -365,62 +367,78 @@ TEST(Kernels, CssLanesMatchScalarRecursionBitwise) {
   }
 }
 
+/// `steps` assignments of n nodes to k clusters, oldest first. Sticky
+/// nodes keep their cluster from one step to the next with probability
+/// 0.9, so many stay put through the whole lookback; random ones redraw.
+std::vector<std::vector<std::size_t>> random_assignments(
+    std::size_t steps, std::size_t n, std::size_t k, bool sticky, Rng& rng) {
+  std::vector<std::vector<std::size_t>> out(steps,
+                                            std::vector<std::size_t>(n));
+  for (std::size_t s = 0; s < steps; ++s) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool keep = sticky && s > 0 && rng.uniform() < 0.9;
+      out[s][i] = keep ? out[s - 1][i] : rng.index(k);
+    }
+  }
+  return out;
+}
+
+// The re-indexing weights once ran through two mask kernels; they are
+// now per-node pair counts, checked here against the mask algorithm
+// (tests/reference_reindex.hpp) on every kernel path.
 TEST(Kernels, ReindexKernelsMatchScalarBitwise) {
-  if (!kern::simd_supported()) GTEST_SKIP() << "no AVX2 on this host";
   PathGuard guard;
   Rng rng(47);
   const std::size_t n = 211;
-  const std::size_t k = 7;
-  const std::size_t lookbacks = 3;
-  std::vector<std::vector<std::size_t>> past(lookbacks,
-                                             std::vector<std::size_t>(n));
-  for (auto& pass : past) {
-    for (std::size_t i = 0; i < n; ++i) {
-      pass[i] = static_cast<std::size_t>(rng.uniform() * k) % k;
-    }
-  }
-  std::vector<std::size_t> fresh(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    fresh[i] = static_cast<std::size_t>(rng.uniform() * k) % k;
-  }
-
-  std::vector<std::uint8_t> mask_scalar(n * k, 1), mask_simd(n * k, 1);
-  std::vector<double> w_scalar(k * k, 0.0), w_simd(k * k, 0.0);
-  kern::set_path(kern::Path::kScalar);
-  for (const auto& pass : past) {
-    kern::history_mask(pass.data(), k, 0, n, mask_scalar.data());
-  }
-  kern::similarity_accumulate(fresh.data(), mask_scalar.data(), k, 0, n,
-                              w_scalar.data());
-  kern::set_path(kern::Path::kSimd);
-  for (const auto& pass : past) {
-    kern::history_mask(pass.data(), k, 0, n, mask_simd.data());
-  }
-  kern::similarity_accumulate(fresh.data(), mask_simd.data(), k, 0, n,
-                              w_simd.data());
-
-  EXPECT_EQ(mask_scalar, mask_simd);
-  for (std::size_t c = 0; c < k * k; ++c) {
-    EXPECT_TRUE(bitwise_equal(w_scalar[c], w_simd[c])) << "cell " << c;
-  }
-  // And against the branchy reference loops the kernels replaced.
-  std::vector<std::uint8_t> mask_ref(n * k, 1);
-  for (const auto& pass : past) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < k; ++j) {
-        if (pass[i] != j) mask_ref[i * k + j] = 0;
+  for (const kern::Path path : {kern::Path::kScalar, kern::Path::kSimd}) {
+    if (path == kern::Path::kSimd && !kern::simd_supported()) continue;
+    kern::set_path(path);
+    cluster::ReindexScratch scratch;
+    Matrix w;
+    for (const auto kind : {cluster::SimilarityKind::kIntersection,
+                            cluster::SimilarityKind::kJaccard}) {
+      for (const std::size_t m : {1, 2, 5}) {
+        for (const std::size_t k : {1, 2, 3, 7, 10}) {
+          for (const bool sticky : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "path " << static_cast<int>(path) << " kind "
+                         << static_cast<int>(kind) << " M " << m << " K "
+                         << k << (sticky ? " sticky" : " random"));
+            // m past steps plus the fresh one; the history holds one more
+            // step than is read, as when the temporal window deepens it.
+            const auto steps = random_assignments(m + 2, n, k, sticky, rng);
+            cluster::ClusterHistory history(m + 2);
+            for (const std::vector<std::size_t>& assignment : steps) {
+              cluster::Clustering clustering;
+              clustering.assignment = assignment;
+              clustering.centroids = Matrix(k, 1);
+              history.push(Matrix(n, 1), clustering);
+            }
+            const std::vector<std::size_t>& fresh = steps.back();
+            std::vector<std::vector<std::size_t>> past;
+            for (std::size_t age = 1; age <= m; ++age) {
+              past.push_back(steps[steps.size() - 1 - age]);
+            }
+            cluster::reindex_weights_into(fresh, history, m, k, kind, scratch,
+                                          w);
+            const Matrix want =
+                oracle::reference_reindex_weights(fresh, past, k, kind);
+            ASSERT_EQ(w.rows(), k);
+            ASSERT_EQ(w.cols(), k);
+            double total = 0.0;
+            for (std::size_t c = 0; c < k * k; ++c) {
+              total += w.data()[c];
+              EXPECT_TRUE(bitwise_equal(w.data()[c], want.data()[c]))
+                  << "cell " << c << ": " << w.data()[c] << " vs "
+                  << want.data()[c];
+            }
+            if (sticky || m == 1) {
+              EXPECT_GT(total, 0.0) << "no node stayed";
+            }
+          }
+        }
       }
     }
-  }
-  EXPECT_EQ(mask_ref, mask_scalar);
-  std::vector<double> w_ref(k * k, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      if (mask_ref[i * k + j] != 0) w_ref[fresh[i] * k + j] += 1.0;
-    }
-  }
-  for (std::size_t c = 0; c < k * k; ++c) {
-    EXPECT_TRUE(bitwise_equal(w_ref[c], w_scalar[c])) << "cell " << c;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -221,14 +222,15 @@ std::vector<kern::Path> kernel_paths() {
 
 /// kmeans_into on every kernel path, with one scratch per path reused
 /// across calls, must equal the oracle bit for bit and leave the Rng where
-/// the oracle left it. Returns the oracle's repair count.
-std::size_t expect_matches_oracle(const Matrix& points, std::size_t k,
-                                  std::size_t restarts, std::uint64_t seed,
-                                  std::vector<KMeansScratch>& scratch) {
+/// the oracle left it. Returns the oracle's run, with its pass counts.
+oracle::ReferenceKMeans expect_matches_oracle(
+    const Matrix& points, std::size_t k, const KMeansOptions& options,
+    std::uint64_t seed, std::vector<KMeansScratch>& scratch) {
   SCOPED_TRACE(::testing::Message()
                << "n " << points.rows() << " d " << points.cols() << " k "
-               << k << " restarts " << restarts);
-  const KMeansOptions options{.restarts = restarts};
+               << k << " restarts " << options.restarts << " max_iterations "
+               << options.max_iterations << " tolerance "
+               << options.tolerance);
   Rng oracle_rng(seed);
   const oracle::ReferenceKMeans want =
       oracle::reference_kmeans(points, k, oracle_rng, options);
@@ -259,7 +261,7 @@ std::size_t expect_matches_oracle(const Matrix& points, std::size_t k,
     }
   }
   kern::set_path(saved);
-  return want.repairs;
+  return want;
 }
 
 /// Every K in {1, 2, 3, 5, 10} (K <= n), with one and two restarts, at point
@@ -277,7 +279,8 @@ void sweep_oracle(std::size_t d) {
         Rng data_rng(seed);
         const double quantum = seed % 2 == 0 ? 1.0 / 16.0 : 0.0;
         const Matrix points = mixture(n, d, k, quantum, data_rng);
-        expect_matches_oracle(points, k, restarts, seed, scratch);
+        expect_matches_oracle(points, k, {.restarts = restarts}, seed,
+                              scratch);
       }
     }
   }
@@ -306,11 +309,94 @@ TEST(KMeansOracle, ForcedEmptyClusterRepair) {
       }
       for (const std::size_t restarts : {1, 2}) {
         const std::size_t repairs =
-            expect_matches_oracle(points, k, restarts, 31 * k + d, scratch);
+            expect_matches_oracle(points, k, {.restarts = restarts},
+                                  31 * k + d, scratch)
+                .repairs;
         EXPECT_GT(repairs, 0u) << "d " << d << " k " << k << ": no repair";
       }
     }
   }
+}
+
+/// Points on a 1/16 grid around k centres: Lloyd reaches a bitwise fixed
+/// point within a few passes.
+Matrix grid_mixture(std::size_t n, std::size_t d, std::size_t k,
+                    std::uint64_t seed) {
+  Rng data_rng(seed);
+  return mixture(n, d, k, 1.0 / 16.0, data_rng);
+}
+
+TEST(KMeansOracle, ToleranceThatCannotPassRunsToMaxIterations) {
+  // Past the fixed point the textbook loop's test reads 0 < tolerance,
+  // which fails for a tolerance <= 0 or NaN: it repeats the fixed pass
+  // until max_iterations, and the result must say so.
+  std::vector<KMeansScratch> scratch;
+  for (const double tolerance :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    for (const std::size_t d : {1, 4}) {
+      const Matrix points = grid_mixture(1025, d, 3, 5 + d);
+      const KMeansOptions options{
+          .max_iterations = 40, .restarts = 2, .tolerance = tolerance};
+      const oracle::ReferenceKMeans want =
+          expect_matches_oracle(points, 3, options, 17 + d, scratch);
+      EXPECT_EQ(want.result.iterations, 40u);
+      EXPECT_GT(want.fixed_points, 0u) << "no fixed point reached";
+    }
+  }
+}
+
+TEST(KMeansOracle, MaxIterationsAroundTheFixedPoint) {
+  // The default run stops at iteration T: its pass T - 1 was the fixed
+  // point and pass T repeated it. Capping max_iterations at T - 2, T - 1
+  // (the fixed point is the last pass), T (the repeat is) and T + 1 must
+  // each record what the textbook loop records.
+  std::vector<KMeansScratch> scratch;
+  for (const std::size_t d : {1, 2, 4}) {
+    for (const std::size_t k : {2, 3, 5}) {
+      const Matrix points = grid_mixture(1023, d, k, 40 + 10 * d + k);
+      const std::uint64_t seed = 90 + 10 * d + k;
+      const oracle::ReferenceKMeans full =
+          expect_matches_oracle(points, k, {.restarts = 1}, seed, scratch);
+      ASSERT_GT(full.fixed_points, 0u) << "d " << d << " k " << k;
+      const std::size_t stop = full.result.iterations;
+      for (std::size_t cap = stop > 2 ? stop - 2 : 1; cap <= stop + 1;
+           ++cap) {
+        expect_matches_oracle(
+            points, k, {.max_iterations = cap, .restarts = 1}, seed,
+            scratch);
+      }
+    }
+  }
+}
+
+TEST(KMeansOracle, RepairOnAPassWhoseCentroidsCompareEqual) {
+  // Two exact values and K = 3: k-means++ seeds both, then a duplicate of
+  // one of them, which comes out of the pass empty. The repair moves it to
+  // point 0; when point 0 holds the duplicated value, the centroids come
+  // out bitwise as they went in although the pass repaired a cluster and
+  // reassigned a point. The next pass repeats that repair exactly, so an
+  // exit here would match too; the case pins that the result is the
+  // oracle's either way.
+  std::vector<KMeansScratch> scratch;
+  std::size_t equal_repairs = 0;
+  for (const std::size_t d : {1, 4}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      Rng data_rng(seed);
+      Matrix points(300, d);
+      for (std::size_t i = 0; i < points.rows(); ++i) {
+        const double v = data_rng.uniform() < 0.5 ? 0.25 : 0.75;
+        for (std::size_t c = 0; c < d; ++c) points(i, c) = v;
+      }
+      for (const double tolerance : {1e-10, 0.0}) {
+        const KMeansOptions options{
+            .max_iterations = 12, .restarts = 1, .tolerance = tolerance};
+        equal_repairs +=
+            expect_matches_oracle(points, 3, options, seed, scratch)
+                .repaired_fixed_points;
+      }
+    }
+  }
+  EXPECT_GT(equal_repairs, 0u) << "no repair left the centroids unchanged";
 }
 
 }  // namespace

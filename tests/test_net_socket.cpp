@@ -140,6 +140,27 @@ TEST(NetSocket, WaitForAgentsCountsNodesWhoseSocketAlreadyClosed) {
   }
 }
 
+TEST(NetSocket, OneMillisecondPumpIdleLoopAcceptsAConnectingAgent) {
+  // A 1 ms pump_idle leaves a sub-millisecond remainder once its deadline
+  // is set; rounding that down to 0 returned before the first pump, so a
+  // loop of them never accepted anyone.
+  ControllerOptions copts;
+  copts.num_nodes = 1;
+  copts.num_resources = 1;
+  Controller controller(Socket::listen_tcp("127.0.0.1", 0), copts);
+  Socket sock = Socket::connect_tcp("127.0.0.1", controller.port(), 2000);
+  ASSERT_TRUE(sock.write_all(
+      wire::encode(wire::HelloFrame{.node = 0, .num_resources = 1}), 2000));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (controller.nodes_seen() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    controller.pump_idle(1);
+  }
+  EXPECT_EQ(controller.nodes_seen(), 1u);
+  EXPECT_EQ(controller.connected_agents(), 1u);
+}
+
 TEST(NetSocket, ConnectGivesUpAfterBoundedBackoffAttempts) {
   // Grab an ephemeral port, then close the listener so nothing serves it.
   std::uint16_t dead_port = 0;

@@ -224,8 +224,11 @@ TEST(TraceBuffer, RingOverwritesOldestAndCountsDrops) {
   obs::TraceBuffer buf(4);
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < 10; ++i) {
-    buf.record("e" + std::to_string(i), t0,
-               t0 + std::chrono::microseconds(i));
+    // Appended piecewise: GCC 12 reports a false -Wrestrict on the
+    // inlined `"e" + std::string` of a Release build.
+    std::string name = "e";
+    name += std::to_string(i);
+    buf.record(name, t0, t0 + std::chrono::microseconds(i));
   }
   EXPECT_EQ(buf.size(), 4u);
   EXPECT_EQ(buf.recorded(), 10u);
