@@ -21,11 +21,14 @@
 // (call-local buffers, never per node). See docs/PERFORMANCE.md for how to
 // read and enforce these properties.
 //
-// Flags: --nodes --steps --clusters --model --dataset --seed --threads
-// (run only {1, <threads>} instead of the default {1, 2, 4, 8} sweep);
-// --strict turns the speedup / allocation WARNings into exit 1;
-// --json PATH / --json-run LABEL select the JSON sink and append a
-// timestamped history entry for this run.
+// Flags: --nodes --steps --clusters --model --dataset --seed --full
+// --threads (run only {1, <threads>} instead of the default {1, 2, 4, 8}
+// sweep); --strict turns the speedup / allocation WARNings into exit 1;
+// --json PATH merges the result rows into PATH (nothing is written
+// without it), and --json-run LABEL also appends a timestamped history
+// entry for this run; --csv, --metrics-out and --trace-out as in every
+// harness. --help prints the usage and exits 0 without running; an
+// unknown flag, or --json-run without --json, prints it and exits 2.
 #include <algorithm>
 #include <chrono>
 #include <string>
@@ -139,8 +142,29 @@ SteadyStats measure_steady_allocs(const trace::Trace& t,
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: micro_parallel_step [--nodes N] [--steps N] [--clusters K]\n"
+    "         [--model NAME] [--dataset NAME] [--seed S] [--full]\n"
+    "         [--threads T] [--strict] [--json PATH [--json-run LABEL]]\n"
+    "         [--csv PATH] [--metrics-out PATH] [--trace-out PATH]\n";
+
 int main(int argc, char** argv) {
   const Args args(argc, argv);
+  if (args.has("help")) {
+    std::cout << kUsage;
+    return 0;
+  }
+  const std::string unknown = args.first_unknown(
+      {"nodes", "steps", "clusters", "model", "dataset", "seed", "full",
+       "threads", "strict", "json", "json-run", "csv", "metrics-out",
+       "trace-out"});
+  if (!unknown.empty() || (args.has("json-run") && !args.has("json"))) {
+    std::cerr << (unknown.empty() ? "--json-run needs --json"
+                                  : "unknown flag --" + unknown)
+              << "\n"
+              << kUsage;
+    return 2;
+  }
   bench::banner("micro_parallel_step",
                 "Per-stage wall time of MonitoringPipeline::step() vs "
                 "thread count (bit-identical results at every count)");
@@ -283,7 +307,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  sink.write(args.get("json", "BENCH_micro.json"), args.get("json-run", ""));
+  if (args.has("json")) {
+    sink.write(args.get("json", ""), args.get("json-run", ""));
+  }
   bench::emit_observability(args, registry, &trace_events);
   std::cout << "\nspeedup = (cluster_s + forecast_s) at 1 thread / same at "
                "N threads; identical = h=1 forecasts bitwise equal to the "

@@ -1,13 +1,17 @@
-// Micro-benchmarks for the primitives the pipeline leans on: K-means,
-// Hungarian matching, a view's modal offsets, one cluster-tracker update,
-// ARIMA/LSTM fitting, Gaussian conditional variance and one full pipeline
-// step. Engineering hygiene, not a paper artifact.
+// Micro-benchmarks for the primitives the pipeline leans on: K-means and
+// one Lloyd pass, Hungarian matching, a view's modal offsets, one
+// cluster-tracker update, ARIMA/LSTM fitting, Gaussian conditional variance
+// and one full pipeline step. Engineering hygiene, not a paper artifact.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "cluster/dynamic_cluster.hpp"
 #include "cluster/hungarian.hpp"
 #include "cluster/kmeans.hpp"
 #include "common/kernels.hpp"
+#include "common/soa.hpp"
 #include "core/estimation.hpp"
 #include "core/pipeline.hpp"
 #include "forecast/arima.hpp"
@@ -208,6 +212,56 @@ void BM_ClusterTrackerUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterTrackerUpdate)->Arg(1)->Arg(4)->Unit(
     benchmark::kMicrosecond);
+
+// One Lloyd pass (kern::lloyd_lanes over every four-chunk group, serial)
+// at the paper's fleet size, (d, K) = (range 0, range 1): points uniform in
+// [0, 1]^d, centroids drawn from them. The interleaved copy and the
+// scatter to point order happen once per K-means restart, not per pass,
+// so they are outside the timed loop.
+void BM_LloydPass(benchmark::State& state) {
+  const std::size_t d = static_cast<std::size_t>(state.range(0));
+  const std::size_t k = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t kNodes = 12478;
+  constexpr std::size_t kGroup = kern::kLloydChunk * kern::kLloydLanes;
+  Rng rng(10);
+  Matrix points(kNodes, d);
+  for (double& v : points.data()) v = rng.uniform();
+  Matrix centroids(k, d);
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::size_t i = rng.index(kNodes);
+    for (std::size_t c = 0; c < d; ++c) centroids(j, c) = points(i, c);
+  }
+  SoaMatrix soa;
+  soa.assign_from(points);
+  std::vector<double> lanes(kNodes * d);
+  kern::lloyd_interleave(soa.col_ptrs(), kNodes, d, k, lanes.data());
+  std::vector<std::size_t> assignment(kNodes);
+  std::vector<std::size_t> lane_assignment(kNodes);
+  const std::size_t chunks =
+      (kNodes + kern::kLloydChunk - 1) / kern::kLloydChunk;
+  std::vector<double> inertia(chunks);
+  std::vector<std::size_t> counts(chunks * k);
+  std::vector<double> sums(chunks * k * d);
+  for (auto _ : state) {
+    for (std::size_t begin = 0; begin < kNodes; begin += kGroup) {
+      const std::size_t c = begin / kern::kLloydChunk;
+      kern::lloyd_lanes({soa.col_ptrs(), lanes.data()}, d,
+                        centroids.data().data(), k, begin,
+                        std::min(kNodes, begin + kGroup),
+                        {assignment.data(), lane_assignment.data()},
+                        {inertia.data() + c, counts.data() + c * k,
+                         sums.data() + c * k * d});
+    }
+    benchmark::DoNotOptimize(inertia.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kNodes);
+}
+BENCHMARK(BM_LloydPass)
+    ->Args({1, 3})
+    ->Args({4, 3})
+    ->Args({1, 10})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_PipelineStep(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

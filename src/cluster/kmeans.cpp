@@ -33,21 +33,23 @@ ThreadPool* effective_pool(const KMeansOptions& options, std::size_t n,
 }
 
 /// k-means++ seeding: first centroid uniform, then proportional to squared
-/// distance from the nearest chosen centroid. Distances run on the SoA
-/// kernel; the RNG scan stays sequential on the calling thread.
-void seed_centroids_into(const SoaMatrix& soa, std::size_t k, Rng& rng,
-                         std::vector<double>& dist2, Matrix& centroids) {
-  const std::size_t n = soa.rows();
-  const std::size_t d = soa.cols();
+/// distance from the nearest chosen centroid. Distances run on the
+/// dimension-major kernel; the RNG scan stays sequential on the calling
+/// thread.
+void seed_centroids_into(const Matrix& points, const double* const* cols,
+                         std::size_t k, Rng& rng, std::vector<double>& dist2,
+                         Matrix& centroids) {
+  const std::size_t n = points.rows();
+  const std::size_t d = points.cols();
   centroids.resize(k, d);
 
   dist2.assign(n, std::numeric_limits<double>::max());
   std::size_t first = rng.index(n);
-  for (std::size_t c = 0; c < d; ++c) centroids(0, c) = soa(first, c);
+  for (std::size_t c = 0; c < d; ++c) centroids(0, c) = points(first, c);
 
   for (std::size_t j = 1; j < k; ++j) {
-    kern::min_distance_update(soa.col_ptrs(), d, centroids.row(j - 1).data(),
-                              0, n, dist2.data());
+    kern::min_distance_update(cols, d, centroids.row(j - 1).data(), 0, n,
+                              dist2.data());
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) total += dist2[i];
     std::size_t chosen = 0;
@@ -63,21 +65,24 @@ void seed_centroids_into(const SoaMatrix& soa, std::size_t k, Rng& rng,
     } else {
       chosen = rng.index(n);  // all points coincide with chosen centroids
     }
-    for (std::size_t c = 0; c < d; ++c) centroids(j, c) = soa(chosen, c);
+    for (std::size_t c = 0; c < d; ++c) centroids(j, c) = points(chosen, c);
   }
 }
 
-void run_once_into(const Matrix& points, std::size_t k, Rng& rng,
-                   const KMeansOptions& options, KMeansScratch& scratch,
-                   KMeansResult& result) {
+void run_once_into(const Matrix& points, kern::LloydPoints lloyd_points,
+                   std::size_t k, Rng& rng, const KMeansOptions& options,
+                   KMeansScratch& scratch, KMeansResult& result) {
   const std::size_t n = points.rows();
   const std::size_t d = points.cols();
   ThreadPool* pool = effective_pool(options, n, k, d);
-  const SoaMatrix& soa = scratch.soa;
 
   result.iterations = 0;
-  seed_centroids_into(soa, k, rng, scratch.dist2, result.centroids);
+  seed_centroids_into(points, lloyd_points.cols, k, rng, scratch.dist2,
+                      result.centroids);
   result.assignment.assign(n, 0);
+  scratch.lane_assignment.resize(n);
+  const kern::LloydAssignment assignment{result.assignment.data(),
+                                         scratch.lane_assignment.data()};
 
   double prev_inertia = std::numeric_limits<double>::max();
   scratch.counts.assign(k, 0);
@@ -91,6 +96,14 @@ void run_once_into(const Matrix& points, std::size_t k, Rng& rng,
   scratch.chunk_counts.resize(chunks * k);
   scratch.chunk_sums.resize(chunks * k * d);
 
+  // The lanes leave their points' clusters in lane order. Only the last
+  // pass's assignment is read, by an empty-cluster repair or the caller,
+  // so it moves to point order once, when first read.
+  bool scattered = true;
+  const auto scatter = [&] {
+    if (!scattered) kern::lloyd_scatter(assignment, n, d, k);
+    scattered = true;
+  };
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
 
@@ -101,12 +114,13 @@ void run_once_into(const Matrix& points, std::size_t k, Rng& rng,
                 [&](std::size_t g, std::size_t begin, std::size_t end) {
                   const std::size_t c = g * kern::kLloydLanes;
                   kern::lloyd_lanes(
-                      soa.col_ptrs(), d, result.centroids.data().data(), k,
-                      begin, end, result.assignment.data(),
+                      lloyd_points, d, result.centroids.data().data(), k,
+                      begin, end, assignment,
                       {scratch.chunk_inertia.data() + c,
                        scratch.chunk_counts.data() + c * k,
                        scratch.chunk_sums.data() + c * k * d});
                 });
+    scattered = false;
     double inertia = 0.0;
     Matrix& sums = scratch.sums;
     sums.resize(k, d);
@@ -131,6 +145,7 @@ void run_once_into(const Matrix& points, std::size_t k, Rng& rng,
     for (std::size_t j = 0; j < k; ++j) {
       if (counts[j] == 0) {
         fixed_point = false;
+        scatter();
         // Empty cluster: seize the point farthest from its own centroid.
         std::size_t worst = 0;
         double worst_d2 = -1.0;
@@ -174,6 +189,7 @@ void run_once_into(const Matrix& points, std::size_t k, Rng& rng,
       break;
     }
   }
+  scatter();
 }
 
 }  // namespace
@@ -185,12 +201,27 @@ void kmeans_into(const Matrix& points, std::size_t k, Rng& rng,
   RESMON_REQUIRE(k >= 1 && k <= points.rows(),
                  "kmeans: k must be in [1, #points]");
 
-  scratch.soa.assign_from(points);
+  // One copy of the points per call. At d = 1 they are their own column,
+  // and the lanes read the interleaved copy; wider points are transposed
+  // to columns, from which the lanes gather.
+  const std::size_t n = points.rows();
+  const std::size_t d = points.cols();
+  const double* column = points.data().data();
+  kern::LloydPoints lloyd_points{&column, nullptr};
+  if (d > 1) {
+    scratch.soa.assign_from(points);
+    lloyd_points.cols = scratch.soa.col_ptrs();
+  }
+  if (kern::lloyd_interleaves(d)) {
+    scratch.lanes.resize(n * d);
+    kern::lloyd_interleave(lloyd_points.cols, n, d, k, scratch.lanes.data());
+    lloyd_points.lanes = scratch.lanes.data();
+  }
   const std::size_t restarts = std::max<std::size_t>(1, options.restarts);
-  run_once_into(points, k, rng, options, scratch, out);
+  run_once_into(points, lloyd_points, k, rng, options, scratch, out);
   for (std::size_t r = 1; r < restarts; ++r) {
     KMeansResult& candidate = scratch.candidate;
-    run_once_into(points, k, rng, options, scratch, candidate);
+    run_once_into(points, lloyd_points, k, rng, options, scratch, candidate);
     // Same winner the old `candidate.inertia < best.inertia` pick kept;
     // swapping (not copying) recycles the loser's buffers.
     if (candidate.inertia < out.inertia) std::swap(out, candidate);
@@ -211,20 +242,22 @@ void centroids_of_into(const Matrix& points,
                        Matrix& centroids, std::vector<bool>* empty_out) {
   RESMON_REQUIRE(assignment.size() == points.rows(),
                  "centroids_of: assignment size mismatch");
-  centroids.resize(k, points.cols());
-  counts.assign(k, 0);
-  for (std::size_t i = 0; i < points.rows(); ++i) {
-    RESMON_REQUIRE(assignment[i] < k, "centroids_of: cluster out of range");
-    ++counts[assignment[i]];
-    axpy(1.0, points.row(i), centroids.row(assignment[i]));
-  }
+  RESMON_REQUIRE(std::all_of(assignment.begin(), assignment.end(),
+                             [k](std::size_t j) { return j < k; }),
+                 "centroids_of: cluster out of range");
+  const std::size_t n = points.rows();
+  const std::size_t d = points.cols();
+  centroids.resize(k, d);
+  counts.resize(k);
+  kern::member_sums(points.data().data(), assignment.data(), n, d, k,
+                    counts.data(), centroids.data().data());
   if (empty_out != nullptr) empty_out->assign(k, false);
   for (std::size_t j = 0; j < k; ++j) {
     if (counts[j] == 0) {
       if (empty_out != nullptr) (*empty_out)[j] = true;
       continue;
     }
-    for (std::size_t c = 0; c < points.cols(); ++c) {
+    for (std::size_t c = 0; c < d; ++c) {
       centroids(j, c) /= static_cast<double>(counts[j]);
     }
   }

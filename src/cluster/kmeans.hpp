@@ -6,20 +6,22 @@
 // full-vector clustering, temporal-window clustering (Fig. 5) and the
 // offline whole-series baseline.
 //
-// Each Lloyd iteration is one fused pass over a dimension-major (SoA) copy
-// of the points (kern::lloyd_lanes): it assigns every point to its nearest
-// centroid and adds its squared distance, count and coordinates to its
-// 256-point chunk's partials, which merge in chunk order. Points with
-// d <= 4 and K <= 10 (per-resource and joint views) run four chunks side by
-// side, one per lane of an AVX2 vector; every lane, the scalar and SIMD
-// paths and every thread count keep the serial loop's operation order, so
-// results are bit-identical to a textbook Lloyd loop (DESIGN.md "Memory
+// Each Lloyd iteration is one fused pass over the points
+// (kern::lloyd_lanes): it assigns every point to its nearest centroid and
+// adds its squared distance, count and coordinates to its 256-point
+// chunk's partials, which merge in chunk order. Points with d <= 4 and
+// K <= 10 (per-resource and joint views) run four chunks side by side, one
+// per lane of an AVX2 vector, d = 1 points from a copy interleaved by lane
+// and wider ones from a dimension-major copy; every lane, the scalar and
+// SIMD paths and every thread count keep the serial loop's operation order,
+// so results are bit-identical to a textbook Lloyd loop (DESIGN.md "Memory
 // layout & SIMD kernels"). A run stops early once a pass leaves every
 // centroid bitwise unchanged without repairing an empty cluster: from
 // there the textbook loop only repeats that pass, and the result records
-// what it would have (iterations included). k-means++ seeding runs on the
-// same SoA copy. Callers on the per-slot hot path pass a KMeansScratch via
-// kmeans_into() so repeated runs perform no steady-state allocations.
+// what it would have (iterations included). k-means++ seeding reads the
+// points by dimension, as the pass's one-chunk loop does. Callers on the
+// per-slot hot path pass a KMeansScratch via kmeans_into() so repeated
+// runs perform no steady-state allocations.
 #pragma once
 
 #include <cstddef>
@@ -58,14 +60,18 @@ struct KMeansResult {
   std::size_t iterations = 0;
 };
 
-/// Reusable buffers for kmeans_into(): the SoA mirror of the points, the
-/// seeding distances, the per-chunk partials of the Lloyd pass and their
-/// merge, and the runner-up restart result. Owned by long-lived callers
-/// (DynamicClusterTracker) so the per-step path allocates nothing once
-/// warm.
+/// Reusable buffers for kmeans_into(): the one copy of the points it makes
+/// (columns for d > 1, kern::lloyd_interleave's layout for d = 1), the
+/// seeding distances, the lanes' assignment, the per-chunk partials of the
+/// Lloyd pass and their merge, and the runner-up restart result. Owned by
+/// long-lived callers (DynamicClusterTracker) so the per-step path
+/// allocates nothing once warm.
 struct KMeansScratch {
   SoaMatrix soa;
+  std::vector<double> lanes;
   std::vector<double> dist2;  ///< k-means++ seeding distances
+  /// kern::LloydAssignment::lanes of the last pass, in lane order.
+  std::vector<std::size_t> lane_assignment;
   /// kern::LloydPartials of every chunk: inertia[c], counts[c*k + j],
   /// sums[(c*k + j)*d + dim].
   std::vector<double> chunk_inertia;

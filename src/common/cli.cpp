@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <string_view>
 
 #include "common/error.hpp"
@@ -84,6 +85,16 @@ bool Args::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+std::string Args::first_unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return name;
+    }
+  }
+  return "";
 }
 
 }  // namespace resmon

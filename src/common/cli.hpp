@@ -6,8 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace resmon {
 
@@ -27,6 +29,11 @@ class Args {
   /// serial. The default fallback keeps binaries serial when the flag is
   /// absent. Results never depend on the value (see PipelineOptions).
   std::size_t get_threads(std::size_t fallback = 1) const;
+
+  /// The first flag given (in name order) that `known` does not list, or
+  /// "" when `known` lists every flag given.
+  std::string first_unknown(
+      std::initializer_list<std::string_view> known) const;
 
   const std::string& program() const { return program_; }
 

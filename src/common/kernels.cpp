@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <utility>
@@ -14,23 +15,29 @@
 // equality with the scalar instance; this TU is additionally built with
 // -ffp-contract=off as insurance). The `#pragma omp simd` annotations are
 // enabled project-wide by -fopenmp-simd, which implies no OpenMP runtime.
+// RESMON_KERNEL_AVX2 lets a body give one instance its own operation
+// sequence, such as an AVX2 builtin, when both produce the same bits.
 
 namespace resmon::kern {
 
 namespace scalar {
 #define RESMON_KERNEL_FN
 #define RESMON_KERNEL_LOOP
+#define RESMON_KERNEL_AVX2 0
 #include "common/kernels_impl.inc"  // NOLINT(bugprone-suspicious-include)
 #undef RESMON_KERNEL_FN
 #undef RESMON_KERNEL_LOOP
+#undef RESMON_KERNEL_AVX2
 }  // namespace scalar
 
 namespace simd {
 #define RESMON_KERNEL_FN __attribute__((target("avx2")))
 #define RESMON_KERNEL_LOOP _Pragma("omp simd")
+#define RESMON_KERNEL_AVX2 1
 #include "common/kernels_impl.inc"  // NOLINT(bugprone-suspicious-include)
 #undef RESMON_KERNEL_FN
 #undef RESMON_KERNEL_LOOP
+#undef RESMON_KERNEL_AVX2
 }  // namespace simd
 
 namespace {
@@ -56,13 +63,56 @@ Path active_path() {
   return resolve(g_path.load(std::memory_order_relaxed));
 }
 
-void lloyd_lanes(const double* const* xcols, std::size_t d,
-                 const double* centroids, std::size_t k, std::size_t begin,
-                 std::size_t end, std::size_t* assignment, LloydPartials out) {
+void lloyd_interleave(const double* const* cols, std::size_t n,
+                      std::size_t d, std::size_t k, double* lanes) {
+  constexpr std::size_t kGroup = kLloydChunk * kLloydLanes;
+  for (std::size_t begin = 0; begin < n; begin += kGroup) {
+    const std::size_t steps =
+        lloyd_lane_steps(std::min(kGroup, n - begin), d, k);
+    double* out = lanes + begin * d;
+    for (std::size_t t = 0; t < steps; ++t) {
+      for (std::size_t dim = 0; dim < d; ++dim) {
+        for (std::size_t l = 0; l < kLloydLanes; ++l) {
+          *out++ = cols[dim][begin + l * kLloydChunk + t];
+        }
+      }
+    }
+  }
+}
+
+void lloyd_scatter(LloydAssignment assignment, std::size_t n, std::size_t d,
+                   std::size_t k) {
+  constexpr std::size_t kGroup = kLloydChunk * kLloydLanes;
+  for (std::size_t begin = 0; begin < n; begin += kGroup) {
+    const std::size_t steps =
+        lloyd_lane_steps(std::min(kGroup, n - begin), d, k);
+    const std::size_t* in = assignment.lanes + begin;
+    for (std::size_t l = 0; l < kLloydLanes; ++l) {
+      std::size_t* out = assignment.points + begin + l * kLloydChunk;
+      for (std::size_t t = 0; t < steps; ++t) {
+        out[t] = in[t * kLloydLanes + l];
+      }
+    }
+  }
+}
+
+void lloyd_lanes(LloydPoints points, std::size_t d, const double* centroids,
+                 std::size_t k, std::size_t begin, std::size_t end,
+                 LloydAssignment assignment, LloydPartials out) {
   if (use_simd()) {
-    simd::lloyd_lanes(xcols, d, centroids, k, begin, end, assignment, out);
+    simd::lloyd_lanes(points, d, centroids, k, begin, end, assignment, out);
   } else {
-    scalar::lloyd_lanes(xcols, d, centroids, k, begin, end, assignment, out);
+    scalar::lloyd_lanes(points, d, centroids, k, begin, end, assignment, out);
+  }
+}
+
+void member_sums(const double* x, const std::size_t* assignment,
+                 std::size_t n, std::size_t d, std::size_t k,
+                 std::size_t* counts, double* sums) {
+  if (use_simd()) {
+    simd::member_sums(x, assignment, n, d, k, counts, sums);
+  } else {
+    scalar::member_sums(x, assignment, n, d, k, counts, sums);
   }
 }
 

@@ -42,6 +42,47 @@ Path active_path();
 inline constexpr std::size_t kLloydChunk = 256;
 inline constexpr std::size_t kLloydLanes = 4;
 
+/// The largest point dimension and cluster count with compile-time lane
+/// instances (lloyd_lanes, member_sums).
+inline constexpr std::size_t kLloydLaneMaxD = 4;
+inline constexpr std::size_t kLloydLaneMaxK = 10;
+
+/// Steps lloyd_lanes runs a group of `count` points in lanes: when the
+/// group has kLloydLanes chunks and (d, k) has a lane instance, the length
+/// of its last, shortest chunk; else 0. At step t lane l holds the group's
+/// point l * kLloydChunk + t.
+constexpr std::size_t lloyd_lane_steps(std::size_t count, std::size_t d,
+                                       std::size_t k) {
+  constexpr std::size_t kLaned = (kLloydLanes - 1) * kLloydChunk;
+  return count > kLaned && d >= 1 && d <= kLloydLaneMaxD &&
+                 k <= kLloydLaneMaxK
+             ? count - kLaned
+             : 0;
+}
+
+/// Whether the lane instances for dimension d load a step's points from
+/// an interleaved copy (lloyd_interleave) rather than gathering them from
+/// the columns. Only d = 1 does: there the points are their own column,
+/// so the interleaved copy is the only one made; at d = 4 the copy
+/// measured slower than the gather (docs/PERFORMANCE.md).
+constexpr bool lloyd_interleaves(std::size_t d) { return d == 1; }
+
+/// The points of a Lloyd pass: cols[dim][i] is coordinate `dim` of point
+/// i, and, when lloyd_interleaves(d), `lanes` holds lloyd_interleave's
+/// copy of the same points.
+struct LloydPoints {
+  const double* const* cols = nullptr;
+  const double* lanes = nullptr;
+};
+
+/// Where a Lloyd pass writes point i's cluster: lanes[begin + t * 4 + l]
+/// for the point at step t, lane l of the group at `begin`, and points[i]
+/// for every other point. lloyd_scatter moves the lane entries to points.
+struct LloydAssignment {
+  std::size_t* points = nullptr;
+  std::size_t* lanes = nullptr;
+};
+
 /// Per-chunk partials of a Lloyd pass, indexed from the pass's first
 /// chunk c: inertia[c], counts[c * k + j] and sums[(c * k + j) * d + dim].
 struct LloydPartials {
@@ -50,20 +91,41 @@ struct LloydPartials {
   double* sums = nullptr;
 };
 
-/// One fused Lloyd pass over the points [begin, end), stored
-/// dimension-major (xcols[dim][i] is coordinate `dim` of point i): at most
-/// kLloydLanes chunks of kLloydChunk points, `begin` on a chunk boundary,
-/// only the last chunk short. For each point i it writes the nearest of the
-/// k row-major centroids to assignment[i] (squared distances summed in
-/// dimension order, a strict-`<` argmin in centroid order) and adds the
-/// squared distance, a count and the coordinates to its chunk's partials,
-/// in point order from zero. Four chunks of d = 1 points with small k run
-/// side by side, one per lane of a four-double vector, each lane repeating
-/// the one-chunk loop's operations; so every partial is bitwise that loop's
-/// on both instances, whichever way (k, d) routes the pass.
-void lloyd_lanes(const double* const* xcols, std::size_t d,
-                 const double* centroids, std::size_t k, std::size_t begin,
-                 std::size_t end, std::size_t* assignment, LloydPartials out);
+/// Copies the laned points of a pass over n points at (d, k) into the
+/// layout the lane instances load: coordinate dim of the point at step t,
+/// lane l of the group at `begin` goes to
+/// lanes[begin * d + (t * d + dim) * 4 + l]. `lanes` holds n * d doubles.
+void lloyd_interleave(const double* const* cols, std::size_t n,
+                      std::size_t d, std::size_t k, double* lanes);
+
+/// Copies every laned point's cluster from assignment.lanes to
+/// assignment.points, for a pass over n points at (d, k).
+void lloyd_scatter(LloydAssignment assignment, std::size_t n, std::size_t d,
+                   std::size_t k);
+
+/// One fused Lloyd pass over the points [begin, end): at most kLloydLanes
+/// chunks of kLloydChunk points, `begin` on a chunk boundary, only the last
+/// chunk short. For each point i it writes the nearest of the k row-major
+/// centroids to `assignment` (squared distances summed in dimension order,
+/// a strict-`<` argmin in centroid order) and adds the squared distance, a
+/// count and the coordinates to its chunk's partials, in point order from
+/// zero. The lloyd_lane_steps(end - begin, d, k) steps run the chunks side
+/// by side, one per lane of a four-double vector, each lane repeating the
+/// one-chunk loop's operations; so every partial is bitwise that loop's on
+/// both instances, whichever way (d, k) routes the pass.
+void lloyd_lanes(LloydPoints points, std::size_t d, const double* centroids,
+                 std::size_t k, std::size_t begin, std::size_t end,
+                 LloydAssignment assignment, LloydPartials out);
+
+/// Each cluster's member count and coordinate sums over the row-major
+/// points x (n x d) under `assignment` (every entry < k): counts[j] and
+/// sums[j * d + dim], summed from 0.0 in point order. Compile-time (d, k)
+/// instances for d <= 4 and k <= 10 keep every sum in a register, adding
+/// +0.0 for the clusters a point does not join; other shapes sum through
+/// memory. Both are bitwise the one-point-at-a-time loop.
+void member_sums(const double* x, const std::size_t* assignment,
+                 std::size_t n, std::size_t d, std::size_t k,
+                 std::size_t* counts, double* sums);
 
 /// k-means++ seeding distance pass over one new centroid `c` (length d):
 /// dist2[i] = min(dist2[i], ||x_i - c||^2) for i in [begin, end).

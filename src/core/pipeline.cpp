@@ -121,16 +121,15 @@ StageTimers MonitoringPipeline::stage_timers() const {
 void MonitoringPipeline::view_snapshot_into(std::size_t view,
                                             Matrix& snap) const {
   const std::size_t n = trace_.num_nodes();
+  const std::size_t d = trace_.num_resources();
+  const std::span<const double> z = store_.values();
   if (options_.cluster_per_resource) {
     snap.resize(n, 1);
-    for (std::size_t i = 0; i < n; ++i) snap(i, 0) = store_.stored(i)[view];
+    for (std::size_t i = 0; i < n; ++i) snap(i, 0) = z[i * d + view];
     return;
   }
-  snap.resize(n, trace_.num_resources());
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<double>& z = store_.stored(i);
-    for (std::size_t r = 0; r < z.size(); ++r) snap(i, r) = z[r];
-  }
+  snap.resize(n, d);
+  std::copy(z.begin(), z.end(), snap.data().begin());
 }
 
 Matrix MonitoringPipeline::view_truth(std::size_t view, std::size_t t) const {
@@ -296,7 +295,7 @@ Matrix MonitoringPipeline::forecast_all(std::size_t h) const {
 
   if (h == 0) {
     for (std::size_t i = 0; i < n; ++i) {
-      const std::vector<double>& z = store_.stored(i);
+      const std::span<const double> z = store_.stored(i);
       for (std::size_t r = 0; r < d; ++r) out(i, r) = z[r];
     }
     return out;

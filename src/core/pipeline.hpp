@@ -210,7 +210,8 @@ class MonitoringPipeline {
     return options_.cluster_per_resource ? 1 : trace_.num_resources();
   }
   /// Stored-measurement snapshot for a view, written into `snap`
-  /// (N x view_dims(), capacity reused across steps).
+  /// (N x view_dims(), capacity reused across steps). Requires a complete
+  /// store: it copies the store's block without per-node checks.
   void view_snapshot_into(std::size_t view, Matrix& snap) const;
   /// Allocation-free core of view_features().
   void view_features_into(std::size_t view, Matrix& features) const;

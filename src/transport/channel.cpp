@@ -1,11 +1,13 @@
 #include "transport/channel.hpp"
 
+#include <algorithm>
+
 namespace resmon::transport {
 
 CentralStore::CentralStore(std::size_t num_nodes, std::size_t num_resources)
     : num_nodes_(num_nodes),
       num_resources_(num_resources),
-      values_(num_nodes),
+      values_(num_nodes * num_resources, 0.0),
       last_step_(num_nodes, -1) {
   RESMON_REQUIRE(num_nodes > 0, "CentralStore needs at least one node");
   RESMON_REQUIRE(num_resources > 0,
@@ -21,7 +23,9 @@ void CentralStore::apply(const MeasurementMessage& message) {
       has(message.node)) {
     return;  // out-of-order duplicate; keep the fresher measurement
   }
-  values_[message.node] = message.values;
+  std::copy(message.values.begin(), message.values.end(),
+            values_.begin() +
+                static_cast<std::ptrdiff_t>(message.node * num_resources_));
   last_step_[message.node] = static_cast<long long>(message.step);
 }
 
@@ -32,13 +36,14 @@ bool CentralStore::complete() const {
   return true;
 }
 
-const std::vector<double>& CentralStore::stored(std::size_t node) const {
+std::span<const double> CentralStore::stored(std::size_t node) const {
   RESMON_REQUIRE(node < num_nodes_, "CentralStore: node index out of range");
   if (!has(node)) {
     throw InvalidState("CentralStore: no measurement received from node " +
                        std::to_string(node));
   }
-  return values_[node];
+  return std::span<const double>(values_).subspan(node * num_resources_,
+                                                  num_resources_);
 }
 
 std::size_t CentralStore::last_update_step(std::size_t node) const {

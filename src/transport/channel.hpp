@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -53,7 +54,12 @@ class CentralStore {
   bool complete() const;
 
   /// z_{i,t}: the stored measurement for `node`. Requires has(node).
-  const std::vector<double>& stored(std::size_t node) const;
+  std::span<const double> stored(std::size_t node) const;
+
+  /// z_t of every node, one row-major num_nodes() x num_resources() block.
+  /// A node's row reads 0.0 until has(node); once complete() holds, row i
+  /// is stored(i).
+  std::span<const double> values() const { return values_; }
 
   /// Time step of the stored measurement. Requires has(node).
   std::size_t last_update_step(std::size_t node) const;
@@ -68,7 +74,7 @@ class CentralStore {
  private:
   std::size_t num_nodes_;
   std::size_t num_resources_;
-  std::vector<std::vector<double>> values_;
+  std::vector<double> values_;         // row i = node i's measurement
   std::vector<long long> last_step_;  // -1 = nothing received yet
 };
 

@@ -92,7 +92,8 @@ LloydPass reference_lloyd_pass(const Matrix& points, const Matrix& centroids) {
 }
 
 /// Runs lloyd_lanes over every group of kLloydLanes chunks, into buffers
-/// pre-filled with NaN (the kernel must zero its partials itself).
+/// pre-filled with NaN (the kernel must zero its partials itself), then
+/// scatters the lanes' assignment to point order.
 LloydPass run_lloyd_pass(const Matrix& points, const Matrix& centroids) {
   const std::size_t n = points.rows();
   const std::size_t d = points.cols();
@@ -105,14 +106,21 @@ LloydPass run_lloyd_pass(const Matrix& points, const Matrix& centroids) {
                 std::vector<double>(chunks * k * d, nan)};
   SoaMatrix soa;
   soa.assign_from(points);
+  std::vector<double> lanes(n * d, nan);
+  kern::lloyd_interleave(soa.col_ptrs(), n, d, k, lanes.data());
+  std::vector<std::size_t> lane_assignment(n, n + 2);
+  const kern::LloydAssignment assignment{got.assignment.data(),
+                                         lane_assignment.data()};
   constexpr std::size_t kGroup = kern::kLloydChunk * kern::kLloydLanes;
   for (std::size_t begin = 0; begin < n; begin += kGroup) {
     const std::size_t c = begin / kern::kLloydChunk;
-    kern::lloyd_lanes(soa.col_ptrs(), d, centroids.data().data(), k, begin,
-                      std::min(n, begin + kGroup), got.assignment.data(),
+    kern::lloyd_lanes({soa.col_ptrs(), lanes.data()}, d,
+                      centroids.data().data(), k, begin,
+                      std::min(n, begin + kGroup), assignment,
                       {got.inertia.data() + c, got.counts.data() + c * k,
                        got.sums.data() + c * k * d});
   }
+  kern::lloyd_scatter(assignment, n, d, k);
   return got;
 }
 
@@ -125,13 +133,20 @@ void expect_same_bits(const std::vector<double>& got,
   }
 }
 
+/// NaN coordinates check_lloyd_pass plants: none, in one point of every
+/// 97 (all that point's distances are NaN), in centroid 0 (every point's
+/// first distance is NaN) or in the last centroid (every point's last
+/// distance is NaN).
+enum class NanAt { kNowhere, kPoints, kFirstCentroid, kLastCentroid };
+
 /// Runs lloyd_lanes on every path and asserts it matches the one-point-at-
 /// a-time pass bit for bit. A positive `quantum` rounds points and
 /// centroids to multiples of it, which makes exact distance ties common.
 void check_lloyd_pass(std::size_t n, std::size_t d, std::size_t k,
-                      double quantum = 0.0) {
-  SCOPED_TRACE(::testing::Message() << "n " << n << " d " << d << " k " << k
-                                    << " quantum " << quantum);
+                      double quantum = 0.0, NanAt nan_at = NanAt::kNowhere) {
+  SCOPED_TRACE(::testing::Message()
+               << "n " << n << " d " << d << " k " << k << " quantum "
+               << quantum << " nan " << static_cast<int>(nan_at));
   PathGuard guard;
   Rng rng(17 + n + 10 * d + 100 * k);
   Matrix points = random_points(n, d, rng);
@@ -139,6 +154,20 @@ void check_lloyd_pass(std::size_t n, std::size_t d, std::size_t k,
   if (quantum > 0.0) {
     for (double& v : points.data()) v = quantum * std::round(v / quantum);
     for (double& v : centroids.data()) v = quantum * std::round(v / quantum);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  switch (nan_at) {
+    case NanAt::kNowhere:
+      break;
+    case NanAt::kPoints:
+      for (std::size_t i = 5; i < n; i += 97) points(i, i % d) = nan;
+      break;
+    case NanAt::kFirstCentroid:
+      centroids(0, d - 1) = nan;
+      break;
+    case NanAt::kLastCentroid:
+      centroids(k - 1, 0) = nan;
+      break;
   }
   const LloydPass want = reference_lloyd_pass(points, centroids);
   std::vector<kern::Path> paths{kern::Path::kScalar};
@@ -173,11 +202,13 @@ TEST(Kernels, NearestCentroidsOneClusterPerPoint) {
 }
 
 TEST(Kernels, LloydLanesMatchPointLoopBitwise) {
-  // d <= 4 with K <= 10 takes the chunk lanes on a group of four chunks;
-  // d = 5, K = 11 and groups of fewer chunks take the one-chunk loop. The
-  // point counts give groups of fewer than four chunks (1, 255, 256), a
-  // group whose last chunk is short (1000, 1023), whole groups (1024, 2048)
-  // and a short tail chunk after them (1025, 2065).
+  // d <= 4 with K <= 10 takes the chunk lanes on a group of four chunks,
+  // d = 1 from the interleaved copy; d = 5, K = 11 and groups of fewer
+  // chunks take the one-chunk loop. The point counts give groups of fewer
+  // than four chunks (1, 255, 256), a group whose last chunk is short
+  // (1000, 1023), whole groups (1024, 2048) and a short tail chunk after
+  // them (1025, 2065). Quantized points tie exactly; a NaN distance never
+  // wins, and a NaN first distance keeps centroid 0.
   for (const std::size_t n : {1, 255, 256, 1000, 1023, 1024, 1025, 2048,
                               2065}) {
     for (const std::size_t d : {1, 2, 3, 4, 5}) {
@@ -185,6 +216,56 @@ TEST(Kernels, LloydLanesMatchPointLoopBitwise) {
         if (k > n) continue;
         check_lloyd_pass(n, d, k);
         check_lloyd_pass(n, d, k, 0.5);
+        for (const NanAt nan_at : {NanAt::kPoints, NanAt::kFirstCentroid,
+                                   NanAt::kLastCentroid}) {
+          check_lloyd_pass(n, d, k, 0.5, nan_at);
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, MemberSumsMatchPointLoopBitwise) {
+  // d <= 4 with K <= 10 keeps the sums in registers; d = 5 and K = 11 sum
+  // through memory. Coordinates of -0.0 and NaN check that the +0.0 added
+  // for non-members changes no bit and that a NaN stays in its cluster.
+  PathGuard guard;
+  std::vector<kern::Path> paths{kern::Path::kScalar};
+  if (kern::simd_supported()) paths.push_back(kern::Path::kSimd);
+  for (const std::size_t n : {0, 1, 7, 1000}) {
+    for (const std::size_t d : {1, 2, 4, 5}) {
+      for (const std::size_t k : {1, 2, 3, 4, 5, 10, 11}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n " << n << " d " << d << " k " << k);
+        Rng rng(5 + n + 10 * d + 100 * k);
+        Matrix points = random_points(n, d, rng);
+        std::vector<std::size_t> assignment(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          assignment[i] = rng.index(k);
+          if (i % 5 == 1) points(i, i % d) = -0.0;
+          if (i % 97 == 3) {
+            points(i, 0) = std::numeric_limits<double>::quiet_NaN();
+          }
+        }
+        std::vector<std::size_t> want_counts(k, 0);
+        std::vector<double> want_sums(k * d, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          ++want_counts[assignment[i]];
+          for (std::size_t dim = 0; dim < d; ++dim) {
+            want_sums[assignment[i] * d + dim] += points(i, dim);
+          }
+        }
+        for (const kern::Path path : paths) {
+          SCOPED_TRACE(::testing::Message()
+                       << "path " << static_cast<int>(path));
+          kern::set_path(path);
+          std::vector<std::size_t> counts(k, n + 1);
+          std::vector<double> sums(k * d, -1.0);
+          kern::member_sums(points.data().data(), assignment.data(), n, d, k,
+                            counts.data(), sums.data());
+          EXPECT_EQ(counts, want_counts);
+          expect_same_bits(sums, want_sums, "sums");
+        }
       }
     }
   }

@@ -294,25 +294,52 @@ TEST(KMeansOracle, FourDimensionalPoints) { sweep_oracle(4); }
 
 TEST(KMeansOracle, FiveDimensionalPoints) { sweep_oracle(5); }
 
+TEST(KMeansOracle, FleetSizedViews) {
+  // The paper's 12,478 machines and a count whose last group is three
+  // whole groups plus a short one: d = 1 views run in lanes from the
+  // interleaved copy, d = 4 views gather from columns.
+  std::vector<KMeansScratch> scratch;
+  std::uint64_t seed = 700;
+  for (const std::size_t n : {12478, 3 * 1024 + 190}) {
+    for (const std::size_t d : {1, 4}) {
+      for (const std::size_t k : {3, 10}) {
+        for (const std::size_t restarts : {1, 2}) {
+          ++seed;
+          Rng data_rng(seed);
+          const double quantum = seed % 2 == 0 ? 1.0 / 64.0 : 0.0;
+          const Matrix points = mixture(n, d, k, quantum, data_rng);
+          expect_matches_oracle(points, k, {.restarts = restarts}, seed,
+                                scratch);
+        }
+      }
+    }
+  }
+}
+
 TEST(KMeansOracle, ForcedEmptyClusterRepair) {
   // Two distinct rows and K > 2: after both are seeded every distance is
   // zero, so k-means++ draws a duplicate centroid, which loses every tie
-  // to its lower-index twin and comes out of the pass empty.
+  // to its lower-index twin and comes out of the pass empty. The repair
+  // reads the pass's assignment, which for laned points must first move
+  // from lane order to point order; 3262 points span three whole groups.
   std::vector<KMeansScratch> scratch;
-  for (const std::size_t d : {1, 4}) {
-    for (const std::size_t k : {3, 5}) {
-      Rng data_rng(7 * d + k);
-      Matrix points(1025, d);
-      for (std::size_t i = 0; i < points.rows(); ++i) {
-        const double v = data_rng.uniform() < 0.5 ? 0.2 : 0.8;
-        for (std::size_t c = 0; c < d; ++c) points(i, c) = v;
-      }
-      for (const std::size_t restarts : {1, 2}) {
-        const std::size_t repairs =
-            expect_matches_oracle(points, k, {.restarts = restarts},
-                                  31 * k + d, scratch)
-                .repairs;
-        EXPECT_GT(repairs, 0u) << "d " << d << " k " << k << ": no repair";
+  for (const std::size_t n : {1025, 3 * 1024 + 190}) {
+    for (const std::size_t d : {1, 4}) {
+      for (const std::size_t k : {3, 5}) {
+        Rng data_rng(7 * d + k);
+        Matrix points(n, d);
+        for (std::size_t i = 0; i < points.rows(); ++i) {
+          const double v = data_rng.uniform() < 0.5 ? 0.2 : 0.8;
+          for (std::size_t c = 0; c < d; ++c) points(i, c) = v;
+        }
+        for (const std::size_t restarts : {1, 2}) {
+          const std::size_t repairs =
+              expect_matches_oracle(points, k, {.restarts = restarts},
+                                    31 * k + d, scratch)
+                  .repairs;
+          EXPECT_GT(repairs, 0u)
+              << "n " << n << " d " << d << " k " << k << ": no repair";
+        }
       }
     }
   }

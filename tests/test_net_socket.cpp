@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -41,7 +42,8 @@ struct StoreSnapshot {
     StoreSnapshot snap;
     for (std::size_t node = 0; node < store.num_nodes(); ++node) {
       if (store.has(node)) {
-        snap.values.push_back(store.stored(node));
+        const std::span<const double> z = store.stored(node);
+        snap.values.emplace_back(z.begin(), z.end());
         snap.steps.push_back(
             static_cast<long long>(store.last_update_step(node)));
       } else {

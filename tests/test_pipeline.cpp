@@ -555,7 +555,9 @@ TEST(Pipeline, StepExternalRejectsMessagesFromLaterSlots) {
   EXPECT_EQ(p.current_step(), 3u);
   EXPECT_TRUE(p.central_store().complete());
   EXPECT_EQ(p.central_store().last_update_step(0), 0u);
-  EXPECT_EQ(p.central_store().stored(0), t.measurement(0, 0));
+  const std::span<const double> stored = p.central_store().stored(0);
+  EXPECT_EQ(std::vector<double>(stored.begin(), stored.end()),
+            t.measurement(0, 0));
   EXPECT_EQ(p.metrics().value("resmon_pipeline_warmup_slots_total"), 2.0);
   EXPECT_EQ(p.metrics().value("resmon_collect_store_complete"), 1.0);
 }
