@@ -248,9 +248,14 @@ void centroids_of_into(const Matrix& points,
   const std::size_t n = points.rows();
   const std::size_t d = points.cols();
   centroids.resize(k, d);
-  counts.resize(k);
-  kern::member_sums(points.data().data(), assignment.data(), n, d, k,
-                    counts.data(), centroids.data().data());
+  counts.assign(k, 0);
+  const double* x = points.data().data();
+  double* sums = centroids.data().data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = assignment[i];
+    ++counts[j];
+    for (std::size_t c = 0; c < d; ++c) sums[j * d + c] += x[i * d + c];
+  }
   if (empty_out != nullptr) empty_out->assign(k, false);
   for (std::size_t j = 0; j < k; ++j) {
     if (counts[j] == 0) {

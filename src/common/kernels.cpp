@@ -106,16 +106,6 @@ void lloyd_lanes(LloydPoints points, std::size_t d, const double* centroids,
   }
 }
 
-void member_sums(const double* x, const std::size_t* assignment,
-                 std::size_t n, std::size_t d, std::size_t k,
-                 std::size_t* counts, double* sums) {
-  if (use_simd()) {
-    simd::member_sums(x, assignment, n, d, k, counts, sums);
-  } else {
-    scalar::member_sums(x, assignment, n, d, k, counts, sums);
-  }
-}
-
 void min_distance_update(const double* const* xcols, std::size_t d,
                          const double* c, std::size_t begin, std::size_t end,
                          double* dist2) {

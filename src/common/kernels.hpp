@@ -43,7 +43,7 @@ inline constexpr std::size_t kLloydChunk = 256;
 inline constexpr std::size_t kLloydLanes = 4;
 
 /// The largest point dimension and cluster count with compile-time lane
-/// instances (lloyd_lanes, member_sums).
+/// instances of lloyd_lanes.
 inline constexpr std::size_t kLloydLaneMaxD = 4;
 inline constexpr std::size_t kLloydLaneMaxK = 10;
 
@@ -64,7 +64,9 @@ constexpr std::size_t lloyd_lane_steps(std::size_t count, std::size_t d,
 /// an interleaved copy (lloyd_interleave) rather than gathering them from
 /// the columns. Only d = 1 does: there the points are their own column,
 /// so the interleaved copy is the only one made; at d = 4 the copy
-/// measured slower than the gather (docs/PERFORMANCE.md).
+/// measured slower than the gather (docs/PERFORMANCE.md). d = 2 and 3 were
+/// not measured; they gather so that d > 1 keeps one copy of the points,
+/// the SoA columns.
 constexpr bool lloyd_interleaves(std::size_t d) { return d == 1; }
 
 /// The points of a Lloyd pass: cols[dim][i] is coordinate `dim` of point
@@ -116,16 +118,6 @@ void lloyd_scatter(LloydAssignment assignment, std::size_t n, std::size_t d,
 void lloyd_lanes(LloydPoints points, std::size_t d, const double* centroids,
                  std::size_t k, std::size_t begin, std::size_t end,
                  LloydAssignment assignment, LloydPartials out);
-
-/// Each cluster's member count and coordinate sums over the row-major
-/// points x (n x d) under `assignment` (every entry < k): counts[j] and
-/// sums[j * d + dim], summed from 0.0 in point order. Compile-time (d, k)
-/// instances for d <= 4 and k <= 10 keep every sum in a register, adding
-/// +0.0 for the clusters a point does not join; other shapes sum through
-/// memory. Both are bitwise the one-point-at-a-time loop.
-void member_sums(const double* x, const std::size_t* assignment,
-                 std::size_t n, std::size_t d, std::size_t k,
-                 std::size_t* counts, double* sums);
 
 /// k-means++ seeding distance pass over one new centroid `c` (length d):
 /// dist2[i] = min(dist2[i], ||x_i - c||^2) for i in [begin, end).

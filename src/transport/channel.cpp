@@ -23,17 +23,19 @@ void CentralStore::apply(const MeasurementMessage& message) {
       has(message.node)) {
     return;  // out-of-order duplicate; keep the fresher measurement
   }
+  const bool had = has(message.node);
   std::copy(message.values.begin(), message.values.end(),
             values_.begin() +
                 static_cast<std::ptrdiff_t>(message.node * num_resources_));
   last_step_[message.node] = static_cast<long long>(message.step);
+  if (!had && has(message.node)) ++heard_;  // a stored node never loses has()
 }
 
-bool CentralStore::complete() const {
-  for (std::size_t i = 0; i < num_nodes_; ++i) {
-    if (!has(i)) return false;
+std::span<const double> CentralStore::values() const {
+  if (!complete()) {
+    throw InvalidState("CentralStore: values() before every node reported");
   }
-  return true;
+  return values_;
 }
 
 std::span<const double> CentralStore::stored(std::size_t node) const {

@@ -51,15 +51,14 @@ class CentralStore {
   bool has(std::size_t node) const { return last_step_[node] >= 0; }
 
   /// True once every node has reported at least once.
-  bool complete() const;
+  bool complete() const { return heard_ == num_nodes_; }
 
   /// z_{i,t}: the stored measurement for `node`. Requires has(node).
   std::span<const double> stored(std::size_t node) const;
 
-  /// z_t of every node, one row-major num_nodes() x num_resources() block.
-  /// A node's row reads 0.0 until has(node); once complete() holds, row i
-  /// is stored(i).
-  std::span<const double> values() const { return values_; }
+  /// z_t of every node, one row-major num_nodes() x num_resources() block:
+  /// row i is stored(i). Requires complete().
+  std::span<const double> values() const;
 
   /// Time step of the stored measurement. Requires has(node).
   std::size_t last_update_step(std::size_t node) const;
@@ -76,6 +75,7 @@ class CentralStore {
   std::size_t num_resources_;
   std::vector<double> values_;         // row i = node i's measurement
   std::vector<long long> last_step_;  // -1 = nothing received yet
+  std::size_t heard_ = 0;             // nodes with has(node)
 };
 
 }  // namespace resmon::transport

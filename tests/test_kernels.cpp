@@ -225,52 +225,6 @@ TEST(Kernels, LloydLanesMatchPointLoopBitwise) {
   }
 }
 
-TEST(Kernels, MemberSumsMatchPointLoopBitwise) {
-  // d <= 4 with K <= 10 keeps the sums in registers; d = 5 and K = 11 sum
-  // through memory. Coordinates of -0.0 and NaN check that the +0.0 added
-  // for non-members changes no bit and that a NaN stays in its cluster.
-  PathGuard guard;
-  std::vector<kern::Path> paths{kern::Path::kScalar};
-  if (kern::simd_supported()) paths.push_back(kern::Path::kSimd);
-  for (const std::size_t n : {0, 1, 7, 1000}) {
-    for (const std::size_t d : {1, 2, 4, 5}) {
-      for (const std::size_t k : {1, 2, 3, 4, 5, 10, 11}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "n " << n << " d " << d << " k " << k);
-        Rng rng(5 + n + 10 * d + 100 * k);
-        Matrix points = random_points(n, d, rng);
-        std::vector<std::size_t> assignment(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          assignment[i] = rng.index(k);
-          if (i % 5 == 1) points(i, i % d) = -0.0;
-          if (i % 97 == 3) {
-            points(i, 0) = std::numeric_limits<double>::quiet_NaN();
-          }
-        }
-        std::vector<std::size_t> want_counts(k, 0);
-        std::vector<double> want_sums(k * d, 0.0);
-        for (std::size_t i = 0; i < n; ++i) {
-          ++want_counts[assignment[i]];
-          for (std::size_t dim = 0; dim < d; ++dim) {
-            want_sums[assignment[i] * d + dim] += points(i, dim);
-          }
-        }
-        for (const kern::Path path : paths) {
-          SCOPED_TRACE(::testing::Message()
-                       << "path " << static_cast<int>(path));
-          kern::set_path(path);
-          std::vector<std::size_t> counts(k, n + 1);
-          std::vector<double> sums(k * d, -1.0);
-          kern::member_sums(points.data().data(), assignment.data(), n, d, k,
-                            counts.data(), sums.data());
-          EXPECT_EQ(counts, want_counts);
-          expect_same_bits(sums, want_sums, "sums");
-        }
-      }
-    }
-  }
-}
-
 TEST(Kernels, MinDistanceUpdateMatchesScalarBitwise) {
   if (!kern::simd_supported()) GTEST_SKIP() << "no AVX2 on this host";
   PathGuard guard;

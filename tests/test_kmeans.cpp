@@ -195,6 +195,49 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+TEST(CentroidsOf, MatchesPointLoopBitwise) {
+  // Coordinates of -0.0 and NaN: a member mean is its members' sum from
+  // 0.0 in point order over the count, and a NaN stays in its cluster.
+  for (const std::size_t d : {1, 4, 5}) {
+    for (const std::size_t k : {1, 3, 10, 11}) {
+      SCOPED_TRACE(::testing::Message() << "d " << d << " k " << k);
+      Rng rng(5 + 10 * d + 100 * k);
+      const std::size_t n = 1000;
+      Matrix points(n, d);
+      std::vector<std::size_t> assignment(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t c = 0; c < d; ++c) points(i, c) = rng.uniform();
+        assignment[i] = rng.index(k);
+        if (i % 5 == 1) points(i, i % d) = -0.0;
+        if (i % 97 == 3) {
+          points(i, 0) = std::numeric_limits<double>::quiet_NaN();
+        }
+      }
+      std::vector<std::size_t> want_counts(k, 0);
+      Matrix want(k, d);
+      for (std::size_t i = 0; i < n; ++i) {
+        ++want_counts[assignment[i]];
+        for (std::size_t c = 0; c < d; ++c) {
+          want(assignment[i], c) += points(i, c);
+        }
+      }
+      std::vector<std::size_t> counts;
+      Matrix got;
+      centroids_of_into(points, assignment, k, counts, got, nullptr);
+      EXPECT_EQ(counts, want_counts);
+      for (std::size_t j = 0; j < k; ++j) {
+        for (std::size_t c = 0; c < d; ++c) {
+          if (want_counts[j] != 0) {
+            want(j, c) /= static_cast<double>(want_counts[j]);
+          }
+          EXPECT_TRUE(same_bits(got(j, c), want(j, c)))
+              << "cluster " << j << " dim " << c;
+        }
+      }
+    }
+  }
+}
+
 /// n points around `centres` random centres in [0, 1]^d. A positive
 /// `quantum` rounds every coordinate to a multiple of it, so seeded
 /// centroids (which are points) put many points at exactly equal distances.

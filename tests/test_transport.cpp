@@ -110,6 +110,19 @@ TEST(CentralStore, CompleteOnceAllNodesReport) {
   EXPECT_TRUE(store.complete());
 }
 
+TEST(CentralStore, ValuesRequireEveryNodeAndMatchStored) {
+  // A node that has not reported must never read as a 0.0 measurement.
+  CentralStore store(2, 2);
+  store.apply({.node = 1, .step = 0, .values = {0.3, 0.4}});
+  store.apply({.node = 1, .step = 1, .values = {0.5, 0.6}});
+  EXPECT_FALSE(store.complete());
+  EXPECT_THROW(store.values(), InvalidState);
+  store.apply({.node = 0, .step = 1, .values = {0.1, 0.2}});
+  ASSERT_TRUE(store.complete());
+  const std::vector<double> z(store.values().begin(), store.values().end());
+  EXPECT_EQ(z, (std::vector<double>{0.1, 0.2, 0.5, 0.6}));
+}
+
 TEST(CentralStore, ResourceSnapshotExtractsColumn) {
   CentralStore store(2, 2);
   store.apply({.node = 0, .step = 0, .values = {0.1, 0.9}});
