@@ -12,7 +12,8 @@
 
 #include "bench_util.hpp"
 
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 
 namespace {
 
@@ -25,13 +26,14 @@ double run_model(const trace::Trace& t, forecast::ForecasterKind kind,
   o.forecaster = kind;
   o.schedule = {.initial_steps = 400, .retrain_interval = 288};
   o.num_threads = threads;
-  core::MonitoringPipeline pipeline(t, o);
+  sim::Driver driver(t, o);
+  const core::MonitoringPipeline& pipeline = driver.pipeline();
   core::RmseAccumulator acc;
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    pipeline.step();
+    driver.step();
     if (step < 400 || step % 20 != 0) continue;
     if (step + h >= t.num_steps()) continue;
-    acc.add(pipeline.rmse_at(h));
+    acc.add(sim::rmse_at(pipeline, t, h));
   }
   return acc.value();
 }

@@ -12,7 +12,8 @@
 
 #include "bench_util.hpp"
 
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 
 namespace {
 
@@ -30,13 +31,14 @@ Result run_config(const trace::Trace& t, bool reindex,
   o.reindex_clusters = reindex;
   o.schedule = {.initial_steps = 100, .retrain_interval = 288};
   o.num_threads = threads;
-  core::MonitoringPipeline pipeline(t, o);
+  sim::Driver driver(t, o);
+  const core::MonitoringPipeline& pipeline = driver.pipeline();
   core::RmseAccumulator acc;
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    pipeline.step();
+    driver.step();
     if (step < 150 || step % 10 != 0) continue;
     if (step + 5 >= t.num_steps()) continue;
-    acc.add(pipeline.rmse_at(5));
+    acc.add(sim::rmse_at(pipeline, t, 5));
   }
 
   Result r;

@@ -6,7 +6,8 @@
 // best on every dataset — the clustering should adapt to the newest data.
 #include "bench_util.hpp"
 
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 
 int main(int argc, char** argv) {
   using namespace resmon;
@@ -26,13 +27,13 @@ int main(int argc, char** argv) {
       o.num_clusters = static_cast<std::size_t>(args.get_int("k", 3));
       o.temporal_window = w;
       o.num_threads = args.get_threads();
-      core::MonitoringPipeline pipeline(t, o);
+      sim::Driver driver(t, o);
 
       std::vector<core::RmseAccumulator> acc(t.num_resources());
-      while (!pipeline.done()) {
-        pipeline.step();
+      while (!driver.done()) {
+        driver.step();
         for (std::size_t r = 0; r < t.num_resources(); ++r) {
-          acc[r].add(pipeline.intermediate_rmse(r, 0));
+          acc[r].add(sim::intermediate_rmse(driver.pipeline(), t, r, 0));
         }
       }
       for (std::size_t r = 0; r < t.num_resources(); ++r) {

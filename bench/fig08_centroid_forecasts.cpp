@@ -7,7 +7,7 @@
 
 #include "bench_util.hpp"
 
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
 
 int main(int argc, char** argv) {
   using namespace resmon;
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("stride", 25));
   const std::size_t k = 3;
 
-  auto make_pipeline = [&](forecast::ForecasterKind kind) {
+  auto make_driver = [&](forecast::ForecasterKind kind) {
     core::PipelineOptions o;
     o.max_frequency = 0.3;
     o.num_clusters = k;
@@ -37,14 +37,11 @@ int main(int argc, char** argv) {
     o.schedule = {.initial_steps = t0, .retrain_interval = 288};
     o.seed = 1;  // identical seeds -> identical clustering across pipelines
     o.num_threads = args.get_threads();
-    return core::MonitoringPipeline(t, o);
+    return sim::Driver(t, o);
   };
-  core::MonitoringPipeline hold = make_pipeline(
-      forecast::ForecasterKind::kSampleHold);
-  core::MonitoringPipeline arima =
-      make_pipeline(forecast::ForecasterKind::kArima);
-  core::MonitoringPipeline lstm =
-      make_pipeline(forecast::ForecasterKind::kLstm);
+  sim::Driver hold = make_driver(forecast::ForecasterKind::kSampleHold);
+  sim::Driver arima = make_driver(forecast::ForecasterKind::kArima);
+  sim::Driver lstm = make_driver(forecast::ForecasterKind::kLstm);
 
   struct Row {
     double arima[3];
@@ -61,9 +58,9 @@ int main(int argc, char** argv) {
         step + h < t.num_steps()) {
       Row row;
       for (std::size_t j = 0; j < k; ++j) {
-        row.arima[j] = arima.model(0, j).forecast(h);
-        row.hold[j] = hold.model(0, j).forecast(h);
-        row.lstm[j] = lstm.model(0, j).forecast(h);
+        row.arima[j] = arima.pipeline().model(0, j).forecast(h);
+        row.hold[j] = hold.pipeline().model(0, j).forecast(h);
+        row.lstm[j] = lstm.pipeline().model(0, j).forecast(h);
       }
       pending[step + h] = row;
     }
@@ -78,7 +75,7 @@ int main(int argc, char** argv) {
     for (std::size_t j = 0; j < k; ++j) {
       // True centroid at the target step: the series the pipeline's own
       // model observed (all three pipelines share the clustering).
-      cells.push_back(hold.model(0, j).history()[target]);
+      cells.push_back(hold.pipeline().model(0, j).history()[target]);
       cells.push_back(row.arima[j]);
       cells.push_back(row.hold[j]);
       cells.push_back(row.lstm[j]);

@@ -13,7 +13,8 @@
 
 #include "bench_util.hpp"
 
-#include "core/pipeline.hpp"
+#include "core/metrics.hpp"
+#include "sim/driver.hpp"
 
 namespace {
 
@@ -78,7 +79,7 @@ int main(int argc, char** argv) {
   const std::size_t eval_stride =
       static_cast<std::size_t>(args.get_int("eval-stride", 20));
 
-  auto make_pipeline = [&](forecast::ForecasterKind kind) {
+  auto make_driver = [&](forecast::ForecasterKind kind) {
     core::PipelineOptions o;
     o.max_frequency = 0.3;
     o.num_clusters = 3;
@@ -86,14 +87,11 @@ int main(int argc, char** argv) {
     o.schedule = {.initial_steps = warmup, .retrain_interval = 288};
     o.seed = 1;
     o.num_threads = args.get_threads();
-    return core::MonitoringPipeline(t, o);
+    return sim::Driver(t, o);
   };
-  core::MonitoringPipeline arima =
-      make_pipeline(forecast::ForecasterKind::kArima);
-  core::MonitoringPipeline lstm =
-      make_pipeline(forecast::ForecasterKind::kLstm);
-  core::MonitoringPipeline hold =
-      make_pipeline(forecast::ForecasterKind::kSampleHold);
+  sim::Driver arima = make_driver(forecast::ForecasterKind::kArima);
+  sim::Driver lstm = make_driver(forecast::ForecasterKind::kLstm);
+  sim::Driver hold = make_driver(forecast::ForecasterKind::kSampleHold);
 
   const std::size_t d = t.num_resources();
   const std::vector<std::size_t> hs = horizons();
@@ -110,10 +108,11 @@ int main(int argc, char** argv) {
     for (std::size_t hi = 0; hi < hs.size(); ++hi) {
       const std::size_t h = hs[hi];
       if (step + h >= t.num_steps()) continue;
-      const Matrix fa = arima.forecast_all(h);
-      const Matrix fl = lstm.forecast_all(h);
-      const Matrix fh = hold.forecast_all(h);
-      const Matrix fz = hold.forecast_all(0);  // K=N sample-and-hold = z_t
+      const Matrix fa = arima.pipeline().forecast_all(h);
+      const Matrix fl = lstm.pipeline().forecast_all(h);
+      const Matrix fh = hold.pipeline().forecast_all(h);
+      // K = N sample-and-hold = z_t
+      const Matrix fz = hold.pipeline().forecast_all(0);
       for (std::size_t r = 0; r < d; ++r) {
         acc[0][r][hi].add(resource_rmse(t, step + h, r, fa));
         acc[1][r][hi].add(resource_rmse(t, step + h, r, fl));

@@ -9,7 +9,8 @@
 
 #include "bench_util.hpp"
 
-#include "core/pipeline.hpp"
+#include "core/metrics.hpp"
+#include "sim/driver.hpp"
 
 namespace {
 
@@ -43,21 +44,20 @@ int main(int argc, char** argv) {
     const trace::InMemoryTrace t =
         trace::generate(profile, args.get_int("seed", 1));
 
-    auto make_pipeline = [&](cluster::SimilarityKind sim) {
+    auto make_driver = [&](cluster::SimilarityKind similarity) {
       core::PipelineOptions o;
       o.max_frequency = 0.3;
       o.num_clusters = 3;
-      o.similarity = sim;
+      o.similarity = similarity;
       o.forecaster = forecast::ForecasterKind::kSampleHold;
       o.schedule = {.initial_steps = 100, .retrain_interval = 288};
       o.seed = 1;
       o.num_threads = args.get_threads();
-      return core::MonitoringPipeline(t, o);
+      return sim::Driver(t, o);
     };
-    core::MonitoringPipeline proposed =
-        make_pipeline(cluster::SimilarityKind::kIntersection);
-    core::MonitoringPipeline jaccard =
-        make_pipeline(cluster::SimilarityKind::kJaccard);
+    sim::Driver proposed =
+        make_driver(cluster::SimilarityKind::kIntersection);
+    sim::Driver jaccard = make_driver(cluster::SimilarityKind::kJaccard);
 
     const std::size_t d = t.num_resources();
     std::vector<std::vector<core::RmseAccumulator>> acc_p(
@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
       if (step < 100 || step % eval_stride != 0) continue;
       for (std::size_t hi = 0; hi < hs.size(); ++hi) {
         if (step + hs[hi] >= t.num_steps()) continue;
-        const Matrix fp = proposed.forecast_all(hs[hi]);
-        const Matrix fj = jaccard.forecast_all(hs[hi]);
+        const Matrix fp = proposed.pipeline().forecast_all(hs[hi]);
+        const Matrix fj = jaccard.pipeline().forecast_all(hs[hi]);
         for (std::size_t r = 0; r < d; ++r) {
           acc_p[r][hi].add(resource_rmse(t, step + hs[hi], r, fp));
           acc_j[r][hi].add(resource_rmse(t, step + hs[hi], r, fj));

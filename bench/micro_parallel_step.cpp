@@ -1,6 +1,7 @@
-// Parallel-step microbenchmark: per-stage wall time of
-// MonitoringPipeline::step() (collect / cluster / forecast, via
-// StageTimers) at several thread counts on one seeded synthetic trace.
+// Parallel-step microbenchmark: per-stage wall time of one in-process run,
+// sim::Driver::step() feeding MonitoringPipeline::step_external()
+// (collect / cluster / forecast, via StageTimers), at several thread
+// counts on one seeded synthetic trace.
 //
 // The determinism contract makes the sweep directly comparable: every
 // thread count computes bit-identical results (verified here against the
@@ -38,7 +39,7 @@
 #include "alloc_counter.hpp"
 #include "bench_util.hpp"
 
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
 
 namespace {
 
@@ -57,9 +58,17 @@ StageRun run_once(const trace::Trace& t, const core::PipelineOptions& base,
   o.num_threads = threads;
   o.metrics = metrics;
   o.trace_events = trace_events;
-  core::MonitoringPipeline p(t, o);
-  p.run(steps);
-  return {p.stage_timers(), p.forecast_all(1)};
+  sim::Driver driver(t, o);
+  // The sweep shares one registry, so the stage gauges already hold the
+  // earlier rows: this run's split is the difference of two reads.
+  const core::StageTimers before = driver.pipeline().stage_timers();
+  driver.run(steps);
+  const core::StageTimers after = driver.pipeline().stage_timers();
+  return {{.collect_seconds = after.collect_seconds - before.collect_seconds,
+           .cluster_seconds = after.cluster_seconds - before.cluster_seconds,
+           .forecast_seconds =
+               after.forecast_seconds - before.forecast_seconds},
+          driver.pipeline().forecast_all(1)};
 }
 
 /// Heap allocations one forecast_all call may make per view: the call's
@@ -74,7 +83,7 @@ struct SteadyStats {
   std::size_t views = 0;
 };
 
-/// Drives an external-collection pipeline through the first retrain, then
+/// Drives a hand-fed pipeline through the first retrain, then
 /// counts heap allocations over the steady slots strictly between retrains
 /// (prebuilt messages, serial execution): the contract is zero. Then times
 /// forecast_all(1) on the same pipeline and counts its allocations.
@@ -84,7 +93,7 @@ SteadyStats measure_steady_allocs(const trace::Trace& t,
   o.num_threads = 1;
   o.metrics = nullptr;
   o.trace_events = nullptr;
-  core::MonitoringPipeline p(t, o, core::ExternalCollection{});
+  core::MonitoringPipeline p(t.num_nodes(), t.num_resources(), o);
 
   // Warm through the initial fit plus one post-fit slot (first update()
   // after a fit takes its scratch-slab reservations), then measure up to
@@ -166,8 +175,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   bench::banner("micro_parallel_step",
-                "Per-stage wall time of MonitoringPipeline::step() vs "
-                "thread count (bit-identical results at every count)");
+                "Per-stage wall time of an in-process slot vs thread "
+                "count (bit-identical results at every count)");
 
   trace::SyntheticProfile profile =
       bench::profile_from_args(args, args.get("dataset", "alibaba"));
@@ -195,7 +204,7 @@ int main(int argc, char** argv) {
   }
 
   // Sinks for --metrics-out / --trace-out; series accumulate across the
-  // whole thread sweep (stage gauges are per-run: run() resets them).
+  // whole thread sweep (each row's stage split is its own run's).
   obs::MetricsRegistry registry;
   obs::TraceBuffer trace_events;
 

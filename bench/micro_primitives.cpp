@@ -13,7 +13,7 @@
 #include "common/kernels.hpp"
 #include "common/soa.hpp"
 #include "core/estimation.hpp"
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
 #include "forecast/arima.hpp"
 #include "forecast/lstm.hpp"
 #include "gaussian/gaussian_model.hpp"
@@ -271,14 +271,14 @@ void BM_PipelineStep(benchmark::State& state) {
   const trace::InMemoryTrace t = trace::generate(profile, 1);
   core::PipelineOptions o;
   o.schedule = {.initial_steps = 1000000, .retrain_interval = 1000000};
-  auto pipeline = std::make_unique<core::MonitoringPipeline>(t, o);
+  auto driver = std::make_unique<sim::Driver>(t, o);
   for (auto _ : state) {
-    if (pipeline->done()) {
+    if (driver->done()) {
       state.PauseTiming();
-      pipeline = std::make_unique<core::MonitoringPipeline>(t, o);
+      driver = std::make_unique<sim::Driver>(t, o);
       state.ResumeTiming();
     }
-    pipeline->step();
+    driver->step();
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

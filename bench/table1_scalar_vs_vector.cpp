@@ -6,7 +6,8 @@
 // dataset/resource, because CPU and memory are only weakly correlated.
 #include "bench_util.hpp"
 
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 
 namespace {
 
@@ -20,16 +21,17 @@ std::vector<double> run_mode(const trace::Trace& t, bool per_resource,
   o.num_clusters = static_cast<std::size_t>(args.get_int("k", 3));
   o.cluster_per_resource = per_resource;
   o.num_threads = args.get_threads();
-  core::MonitoringPipeline pipeline(t, o);
+  sim::Driver driver(t, o);
+  const core::MonitoringPipeline& pipeline = driver.pipeline();
 
   std::vector<core::RmseAccumulator> acc(t.num_resources());
-  while (!pipeline.done()) {
-    pipeline.step();
+  while (!driver.done()) {
+    driver.step();
     for (std::size_t r = 0; r < t.num_resources(); ++r) {
       // Scalar mode: view = resource, dim = 0. Joint mode: view = 0,
       // dim = resource.
-      acc[r].add(per_resource ? pipeline.intermediate_rmse(r, 0)
-                              : pipeline.intermediate_rmse(0, r));
+      acc[r].add(per_resource ? sim::intermediate_rmse(pipeline, t, r, 0)
+                              : sim::intermediate_rmse(pipeline, t, 0, r));
     }
   }
   std::vector<double> out;

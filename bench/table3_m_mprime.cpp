@@ -9,7 +9,8 @@
 
 #include "bench_util.hpp"
 
-#include "core/pipeline.hpp"
+#include "core/metrics.hpp"
+#include "sim/driver.hpp"
 
 namespace {
 
@@ -59,14 +60,15 @@ int main(int argc, char** argv) {
         o.schedule = {.initial_steps = 100, .retrain_interval = 288};
         o.seed = 1;
         o.num_threads = args.get_threads();
-        core::MonitoringPipeline pipeline(t, o);
+        sim::Driver driver(t, o);
 
         core::RmseAccumulator acc;
         for (std::size_t step = 0; step < t.num_steps(); ++step) {
-          pipeline.step();
+          driver.step();
           if (step < 150 || step % eval_stride != 0) continue;
           if (step + h >= t.num_steps()) continue;
-          acc.add(resource_rmse(t, step + h, 0, pipeline.forecast_all(h)));
+          acc.add(resource_rmse(t, step + h, 0,
+                                driver.pipeline().forecast_all(h)));
         }
         table.add_row({static_cast<double>(h), static_cast<double>(m),
                        static_cast<double>(mp), acc.value()});

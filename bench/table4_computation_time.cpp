@@ -11,7 +11,7 @@
 // (collect/cluster/forecast) from MonitoringPipeline::stage_timers().
 #include <benchmark/benchmark.h>
 
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
 #include "gaussian/monitor_experiment.hpp"
 #include "trace/synthetic.hpp"
 
@@ -100,10 +100,10 @@ void BM_PipelineStep(benchmark::State& state) {
   const std::size_t steps = 96;
   core::StageTimers timers;
   for (auto _ : state) {
-    core::MonitoringPipeline p(t, opts);
-    p.run(steps);
-    benchmark::DoNotOptimize(p.forecast_all(1));
-    timers = p.stage_timers();
+    sim::Driver driver(t, opts);  // a private registry: gauges start at 0
+    driver.run(steps);
+    benchmark::DoNotOptimize(driver.pipeline().forecast_all(1));
+    timers = driver.pipeline().stage_timers();
   }
   state.counters["collect_s"] = timers.collect_seconds;
   state.counters["cluster_s"] = timers.cluster_seconds;

@@ -16,7 +16,7 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
 #include "trace/synthetic.hpp"
 
 namespace {
@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
   options.forecaster = forecast::ForecasterKind::kSampleHold;
   options.schedule = {.initial_steps = 300, .retrain_interval = 288};
   options.num_threads = args.get_threads();
-  core::MonitoringPipeline pipeline(fleet, options);
+  sim::Driver driver(fleet, options);
+  const core::MonitoringPipeline& pipeline = driver.pipeline();
 
   // Detection rule: flag a node when its distance to its own cluster
   // centroid (summed over resources) exceeds a fleet-relative threshold
@@ -78,7 +79,7 @@ int main(int argc, char** argv) {
   std::vector<double> peak_distance(n, 0.0);
 
   for (std::size_t t = 0; t < fleet.num_steps(); ++t) {
-    pipeline.step();
+    driver.step();
     if (t < kScoreStart) continue;
 
     // Distance of each node's stored measurement to the nearest centroid,

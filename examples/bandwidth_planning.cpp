@@ -10,7 +10,8 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/synthetic.hpp"
 
 int main(int argc, char** argv) {
@@ -31,19 +32,19 @@ int main(int argc, char** argv) {
     options.forecaster = forecast::ForecasterKind::kSampleHold;
     options.schedule = {.initial_steps = 200, .retrain_interval = 288};
     options.num_threads = args.get_threads();
-    core::MonitoringPipeline pipeline(fleet, options);
+    sim::Driver driver(fleet, options);
+    const core::MonitoringPipeline& pipeline = driver.pipeline();
 
     core::RmseAccumulator now, ahead;
-    while (!pipeline.done()) {
-      pipeline.step();
-      now.add(pipeline.rmse_at(0));
+    while (!driver.done()) {
+      driver.step();
+      now.add(sim::rmse_at(pipeline, fleet, 0));
       if (pipeline.current_step() - 1 + 5 < fleet.num_steps()) {
-        ahead.add(pipeline.rmse_at(5));
+        ahead.add(sim::rmse_at(pipeline, fleet, 5));
       }
     }
-    table.add_row({b, pipeline.collector().average_actual_frequency(),
-                   static_cast<double>(
-                       pipeline.collector().bytes_sent()) /
+    table.add_row({b, driver.collector().average_actual_frequency(),
+                   static_cast<double>(driver.collector().bytes_sent()) /
                        (1024.0 * 1024.0),
                    now.value(), ahead.value()});
   }

@@ -14,8 +14,9 @@
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "core/pipeline.hpp"
-#include "core/report.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
+#include "sim/report.hpp"
 #include "trace/synthetic.hpp"
 
 namespace {
@@ -53,15 +54,16 @@ int main(int argc, char** argv) {
   options.forecaster = forecast::ForecasterKind::kArima;
   options.schedule = {.initial_steps = 300, .retrain_interval = 288};
   options.num_threads = args.get_threads();
-  core::MonitoringPipeline pipeline(fleet, options);
+  sim::Driver driver(fleet, options);
+  const core::MonitoringPipeline& pipeline = driver.pipeline();
 
   // Warm up through the initial data-collection phase.
-  pipeline.run(400);
+  driver.run(400);
 
   Table report({"hour", "avg CPU", "avg Mem", "RMSE(h=0)", "RMSE(h=6)",
                 "top placement targets"});
   for (std::size_t hour = 0; hour < hours; ++hour) {
-    pipeline.run(kStepsPerHour);
+    driver.run(kStepsPerHour);
     const std::size_t t = pipeline.current_step() - 1;
 
     // Current cluster-wide utilization from the controller's stored view.
@@ -84,20 +86,20 @@ int main(int argc, char** argv) {
     }
 
     const double rmse6 =
-        t + 6 < fleet.num_steps() ? pipeline.rmse_at(6) : 0.0;
+        t + 6 < fleet.num_steps() ? sim::rmse_at(pipeline, fleet, 6) : 0.0;
     report.add_row({static_cast<double>(hour + 1), cpu, mem,
-                    pipeline.rmse_at(0), rmse6, targets});
+                    sim::rmse_at(pipeline, fleet, 0), rmse6, targets});
   }
 
   std::cout << "=== datacenter monitoring report ===\n";
   std::cout << "fleet: " << fleet.num_nodes() << " machines, budget B = "
             << options.max_frequency << " (actual "
             << std::setprecision(3)
-            << pipeline.collector().average_actual_frequency() << ")\n\n";
+            << driver.collector().average_actual_frequency() << ")\n\n";
   report.print(std::cout);
   std::cout << "\nA scheduler would place new tasks on the listed machines:"
                " they are forecast to have the most CPU headroom in 30"
                " minutes.\n\n";
-  core::make_report(pipeline).print(std::cout);
+  sim::make_report(driver).print(std::cout);
   return 0;
 }

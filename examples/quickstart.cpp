@@ -10,7 +10,8 @@
 #include <iostream>
 
 #include "common/cli.hpp"
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/synthetic.hpp"
 
 int main(int argc, char** argv) {
@@ -35,17 +36,24 @@ int main(int argc, char** argv) {
   options.schedule = {.initial_steps = 400, .retrain_interval = 288};
   options.num_threads = args.get_threads();
 
-  core::MonitoringPipeline pipeline(workload, options);
+  // The driver runs the local nodes' policies over the trace and feeds
+  // every slot they send to the central node's pipeline.
+  sim::Driver driver(workload, options);
+  const core::MonitoringPipeline& pipeline = driver.pipeline();
 
-  // 3. Feed the whole trace through the pipeline, accumulating the
-  //    time-averaged RMSE (eq. (4)) for a few forecast horizons.
+  // 3. Feed the whole trace through the pipeline, scoring the forecasts
+  //    against the trace: time-averaged RMSE (eq. (4)) for a few horizons.
   core::RmseAccumulator now, short_term, long_term;
-  while (!pipeline.done()) {
-    pipeline.step();
+  while (!driver.done()) {
+    driver.step();
     const std::size_t t = pipeline.current_step() - 1;
-    now.add(pipeline.rmse_at(0));
-    if (t + 5 < workload.num_steps()) short_term.add(pipeline.rmse_at(5));
-    if (t + 50 < workload.num_steps()) long_term.add(pipeline.rmse_at(50));
+    now.add(sim::rmse_at(pipeline, workload, 0));
+    if (t + 5 < workload.num_steps()) {
+      short_term.add(sim::rmse_at(pipeline, workload, 5));
+    }
+    if (t + 50 < workload.num_steps()) {
+      long_term.add(sim::rmse_at(pipeline, workload, 50));
+    }
   }
 
   // 4. Report.
@@ -53,10 +61,10 @@ int main(int argc, char** argv) {
             << ", steps: " << workload.num_steps() << "\n";
   std::cout << "transmission budget B: " << options.max_frequency
             << ", actual frequency: "
-            << pipeline.collector().average_actual_frequency() << "\n";
-  std::cout << "bytes on the wire: "
-            << pipeline.collector().bytes_sent() << " ("
-            << 100.0 * pipeline.collector().average_actual_frequency()
+            << driver.collector().average_actual_frequency() << "\n";
+  std::cout << "bytes on the wire: " << driver.collector().bytes_sent()
+            << " ("
+            << 100.0 * driver.collector().average_actual_frequency()
             << "% of always-send)\n";
   std::cout << "RMSE  h=0  (collection only): " << now.value() << "\n";
   std::cout << "RMSE  h=5  (25 min ahead):    " << short_term.value() << "\n";

@@ -22,7 +22,7 @@
 #include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
 #include "trace/synthetic.hpp"
 
 namespace {
@@ -82,7 +82,8 @@ int main(int argc, char** argv) {
   options.forecaster = forecast::ForecasterKind::kArima;
   options.schedule = {.initial_steps = 400, .retrain_interval = 288};
   options.num_threads = args.get_threads();
-  core::MonitoringPipeline pipeline(fleet, options);
+  sim::Driver driver(fleet, options);
+  const core::MonitoringPipeline& pipeline = driver.pipeline();
 
   Rng arrivals(99);
   PolicyState random_policy("random", fleet.num_nodes());
@@ -96,7 +97,7 @@ int main(int argc, char** argv) {
 
   std::size_t placed = 0;
   for (std::size_t t = 0; t < fleet.num_steps(); ++t) {
-    pipeline.step();
+    driver.step();
     if (t < warmup) continue;
 
     if (arrivals.bernoulli(std::min(1.0, arrival_rate)) &&

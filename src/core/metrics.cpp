@@ -37,30 +37,4 @@ double intermediate_rmse_step(const Matrix& truth,
   return std::sqrt(s / static_cast<double>(truth.rows()));
 }
 
-double mae_step(const Matrix& truth, const Matrix& estimate) {
-  RESMON_REQUIRE(truth.rows() == estimate.rows() &&
-                     truth.cols() == estimate.cols(),
-                 "mae_step shape mismatch");
-  RESMON_REQUIRE(truth.rows() > 0, "mae_step on empty matrices");
-  double s = 0.0;
-  for (std::size_t i = 0; i < truth.rows(); ++i) {
-    for (std::size_t c = 0; c < truth.cols(); ++c) {
-      s += std::fabs(estimate(i, c) - truth(i, c));
-    }
-  }
-  return s / static_cast<double>(truth.rows() * truth.cols());
-}
-
-std::vector<double> per_node_error(const Matrix& truth,
-                                   const Matrix& estimate) {
-  RESMON_REQUIRE(truth.rows() == estimate.rows() &&
-                     truth.cols() == estimate.cols(),
-                 "per_node_error shape mismatch");
-  std::vector<double> out(truth.rows());
-  for (std::size_t i = 0; i < truth.rows(); ++i) {
-    out[i] = std::sqrt(squared_distance(truth.row(i), estimate.row(i)));
-  }
-  return out;
-}
-
 }  // namespace resmon::core

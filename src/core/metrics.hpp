@@ -39,15 +39,4 @@ class RmseAccumulator {
 double intermediate_rmse_step(const Matrix& truth,
                               const cluster::Clustering& clustering);
 
-/// Mean absolute error at one step: mean over nodes and resource
-/// dimensions of |estimate - truth|. More robust than RMSE to the
-/// occasional utilization spike; useful for operator-facing reports.
-double mae_step(const Matrix& truth, const Matrix& estimate);
-
-/// Per-node error magnitudes ||estimate_i - truth_i|| (the Euclidean norm
-/// over resource dimensions), for hot-spot analysis: which machines does
-/// the monitoring system track worst?
-std::vector<double> per_node_error(const Matrix& truth,
-                                   const Matrix& estimate);
-
 }  // namespace resmon::core

@@ -1,39 +1,17 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
+#include <thread>
 
-#include "collect/adaptive_transmitter.hpp"
 #include "core/estimation.hpp"
 
 namespace resmon::core {
 
-MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
+MonitoringPipeline::MonitoringPipeline(std::size_t nodes,
+                                       std::size_t resources,
                                        const PipelineOptions& options)
-    : MonitoringPipeline(trace, options, ExternalCollection{}) {
-  // Built before the collector so the fault series register first.
-  if (!options_.faults.empty()) {
-    faults_ = std::make_unique<faultnet::FaultyLink>(options_.faults,
-                                                     registry_);
-  }
-  const collect::AdaptiveOptions adaptive;
-  collector_ = std::make_unique<collect::FleetCollector>(
-      trace,
-      collect::make_policy_factory(options.policy, options.max_frequency,
-                                   adaptive.v0, adaptive.gamma,
-                                   adaptive.clamp_queue, registry_),
-      pool_.get(), registry_);
-}
-
-MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
-                                       const PipelineOptions& options,
-                                       ExternalCollection)
-    : trace_(trace),
-      options_(options),
-      store_(trace.num_nodes(), trace.num_resources()) {
-  RESMON_REQUIRE(options.num_clusters >= 1 &&
-                     options.num_clusters <= trace.num_nodes(),
+    : options_(options), store_(nodes, resources) {
+  RESMON_REQUIRE(options.num_clusters >= 1 && options.num_clusters <= nodes,
                  "K must be in [1, N]");
   RESMON_REQUIRE(options.temporal_window >= 1,
                  "temporal window must be >= 1");
@@ -52,7 +30,7 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
     registry_ = owned_registry_.get();
   }
   const char* stage_help =
-      "Wall-clock seconds spent in this stage since the last run() began";
+      "Wall-clock seconds spent in this stage since the pipeline was built";
   stage_collect_ = &registry_->gauge("resmon_pipeline_stage_seconds",
                                      stage_help, {{"stage", "collect"}});
   stage_cluster_ = &registry_->gauge("resmon_pipeline_stage_seconds",
@@ -68,8 +46,7 @@ MonitoringPipeline::MonitoringPipeline(const trace::Trace& trace,
       "resmon_collect_store_complete",
       "1 once the central store has heard from every node, else 0");
 
-  const std::size_t views =
-      options.cluster_per_resource ? trace.num_resources() : 1;
+  const std::size_t views = options.cluster_per_resource ? resources : 1;
   const std::size_t depth =
       std::max({options.temporal_window, options.similarity_lookback + 1,
                 options.offset_lookback + 1});
@@ -120,8 +97,8 @@ StageTimers MonitoringPipeline::stage_timers() const {
 
 void MonitoringPipeline::view_snapshot_into(std::size_t view,
                                             Matrix& snap) const {
-  const std::size_t n = trace_.num_nodes();
-  const std::size_t d = trace_.num_resources();
+  const std::size_t n = store_.num_nodes();
+  const std::size_t d = store_.num_resources();
   const std::span<const double> z = store_.values();
   if (options_.cluster_per_resource) {
     snap.resize(n, 1);
@@ -132,28 +109,10 @@ void MonitoringPipeline::view_snapshot_into(std::size_t view,
   std::copy(z.begin(), z.end(), snap.data().begin());
 }
 
-Matrix MonitoringPipeline::view_truth(std::size_t view, std::size_t t) const {
-  const std::size_t n = trace_.num_nodes();
-  if (options_.cluster_per_resource) {
-    Matrix truth(n, 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      truth(i, 0) = trace_.value(i, t, view);
-    }
-    return truth;
-  }
-  Matrix truth(n, trace_.num_resources());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r = 0; r < trace_.num_resources(); ++r) {
-      truth(i, r) = trace_.value(i, t, r);
-    }
-  }
-  return truth;
-}
-
 void MonitoringPipeline::view_features_into(std::size_t view,
                                             Matrix& features) const {
   const std::size_t w = options_.temporal_window;
-  const std::size_t n = trace_.num_nodes();
+  const std::size_t n = store_.num_nodes();
   const std::size_t vd = view_dims();
   const cluster::ClusterHistory& history = histories_[view];
   features.resize(n, vd * w);
@@ -190,25 +149,8 @@ void MonitoringPipeline::update_view(std::size_t view) {
   }
 }
 
-void MonitoringPipeline::step() {
-  RESMON_REQUIRE(collector_ != nullptr,
-                 "step() needs in-process collection; use step_external()");
-  RESMON_REQUIRE(!done(), "pipeline already consumed the whole trace");
-  obs::ScopedSpan collect(options_.trace_events, "pipeline.collect",
-                          stage_collect_);
-  const std::span<const transport::MeasurementMessage> slot =
-      collector_->step(step_count_);
-  if (faults_ == nullptr) {
-    consume_slot(slot, collect);
-    return;
-  }
-  for (const transport::MeasurementMessage& m : slot) faults_->send(m);
-  consume_slot(faults_->drain(), collect);
-}
-
 void MonitoringPipeline::step_external(
     std::span<const transport::MeasurementMessage> messages) {
-  RESMON_REQUIRE(!done(), "pipeline already consumed the whole trace");
   obs::ScopedSpan collect(options_.trace_events, "pipeline.collect",
                           stage_collect_);
   consume_slot(messages, collect);
@@ -280,17 +222,10 @@ void MonitoringPipeline::consume_slot(
   ++step_count_;
 }
 
-void MonitoringPipeline::run(std::size_t count) {
-  stage_collect_->set(0.0);
-  stage_cluster_->set(0.0);
-  stage_forecast_->set(0.0);
-  for (std::size_t i = 0; i < count && !done(); ++i) step();
-}
-
 Matrix MonitoringPipeline::forecast_all(std::size_t h) const {
   RESMON_REQUIRE(step_count_ >= 1, "forecast_all before any step");
-  const std::size_t n = trace_.num_nodes();
-  const std::size_t d = trace_.num_resources();
+  const std::size_t n = store_.num_nodes();
+  const std::size_t d = store_.num_resources();
   Matrix out(n, d);
 
   if (h == 0) {
@@ -325,66 +260,6 @@ Matrix MonitoringPipeline::forecast_all(std::size_t h) const {
     }
   }
   return out;
-}
-
-double MonitoringPipeline::rmse_at(std::size_t h) const {
-  RESMON_REQUIRE(step_count_ >= 1, "rmse_at before any step");
-  const std::size_t t_last = step_count_ - 1;
-  RESMON_REQUIRE(t_last + h < trace_.num_steps(),
-                 "rmse_at: t + h beyond end of trace");
-  const std::size_t n = trace_.num_nodes();
-  const std::size_t d = trace_.num_resources();
-  Matrix truth(n, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r = 0; r < d; ++r) {
-      truth(i, r) = trace_.value(i, t_last + h, r);
-    }
-  }
-  return rmse_step(truth, forecast_all(h));
-}
-
-double MonitoringPipeline::intermediate_rmse() const {
-  RESMON_REQUIRE(step_count_ >= 1, "intermediate_rmse before any step");
-  const std::size_t t_last = step_count_ - 1;
-  const std::size_t n = trace_.num_nodes();
-  double total = 0.0;
-  for (std::size_t v = 0; v < trackers_.size(); ++v) {
-    const Matrix truth = view_truth(v, t_last);
-    const cluster::Clustering& clustering = histories_[v].at(0).clustering;
-    for (std::size_t i = 0; i < n; ++i) {
-      total += squared_distance(
-          truth.row(i), clustering.centroids.row(clustering.assignment[i]));
-    }
-  }
-  return std::sqrt(total / static_cast<double>(n));
-}
-
-double MonitoringPipeline::intermediate_rmse(std::size_t view,
-                                             std::size_t dim) const {
-  RESMON_REQUIRE(step_count_ >= 1, "intermediate_rmse before any step");
-  RESMON_REQUIRE(view < trackers_.size(), "view index out of range");
-  RESMON_REQUIRE(dim < view_dims(), "dimension index out of range");
-  const std::size_t t_last = step_count_ - 1;
-  const std::size_t n = trace_.num_nodes();
-  const cluster::Clustering& clustering = histories_[view].at(0).clustering;
-  const std::size_t resource = options_.cluster_per_resource ? view : dim;
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double err =
-        trace_.value(i, t_last, resource) -
-        clustering.centroids(clustering.assignment[i], dim);
-    total += err * err;
-  }
-  return std::sqrt(total / static_cast<double>(n));
-}
-
-const collect::FleetCollector& MonitoringPipeline::collector() const {
-  if (collector_ == nullptr) {
-    throw InvalidState(
-        "MonitoringPipeline: no in-process collector in "
-        "external-collection mode");
-  }
-  return *collector_;
 }
 
 const cluster::DynamicClusterTracker& MonitoringPipeline::tracker(

@@ -1,10 +1,10 @@
-// MonitoringPipeline: the paper's complete system (Fig. 2).
+// MonitoringPipeline: the central node of the paper's system (Fig. 2).
 //
 // Per time step:
-//   1. every local node's transmission policy decides whether to push its
-//      measurement (§V-A); the slot's messages, from the in-process
-//      FleetCollector or from outside via step_external(), update the
-//      pipeline's central store, which holds z_t;
+//   1. the slot's messages arrive through step_external() — from TCP agents
+//      (net::Controller) or from the in-process fleet of sim::Driver, whose
+//      local nodes decide whether to push each measurement (§V-A) — and
+//      update the pipeline's central store, which holds z_t;
 //   2. the central node clusters z_t with the dynamic cluster tracker
 //      (§V-B) — by default one tracker per resource on scalar values;
 //   3. each cluster's centroid extends that cluster's time series and is
@@ -24,27 +24,23 @@
 #include "collect/fleet_collector.hpp"
 #include "common/matrix.hpp"
 #include "common/thread_pool.hpp"
-#include "core/metrics.hpp"
-#include "faultnet/faulty_link.hpp"
 #include "forecast/managed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_log.hpp"
 #include "trace/trace.hpp"
+#include "transport/channel.hpp"
 
 namespace resmon::core {
 
 struct PipelineOptions {
   // -- collection (§V-A) ----------------------------------------------------
-  /// The adaptive policy runs with collect::AdaptiveOptions' paper defaults
-  /// for V_0, gamma and the queue clamp.
+  /// Read only by sim::Driver's in-process fleet, never by the pipeline:
+  /// the remote agents own their policies. Pinned here until the benchmark
+  /// (slotbench/) spells them elsewhere. The adaptive policy runs with
+  /// collect::AdaptiveOptions' paper defaults for V_0, gamma and the queue
+  /// clamp.
   collect::PolicyKind policy = collect::PolicyKind::kAdaptive;
   double max_frequency = 0.3;  ///< B (paper default 0.3)
-  /// Uplink fault schedule: when non-empty, step() passes each collected
-  /// slot through a faultnet::FaultyLink applying this spec
-  /// (drop/dup/corrupt/delay/reorder/stall/partition); default = reliable
-  /// uplink. Unused in external-collection mode — the remote agents own
-  /// their fault hooks.
-  faultnet::FaultSpec faults;
 
   // -- clustering (§V-B) ----------------------------------------------------
   std::size_t num_clusters = 3;        ///< K (paper default 3)
@@ -85,19 +81,20 @@ struct PipelineOptions {
   obs::TraceBuffer* trace_events = nullptr;
 
   // -- execution -------------------------------------------------------------
-  /// Worker threads for the hot stages of step() (policy stepping, K-means,
-  /// forecaster retraining). 0 = hardware concurrency, 1 = the exact serial
-  /// path (no pool). Results are bit-identical at every value — see the
-  /// "Threading model" section of DESIGN.md.
+  /// Worker threads for the hot stages of a slot (K-means, forecaster
+  /// retraining; sim::Driver's policy stepping shares the pool). 0 =
+  /// hardware concurrency, 1 = the exact serial path (no pool). Results are
+  /// bit-identical at every value — see the "Threading model" section of
+  /// DESIGN.md.
   std::size_t num_threads = 1;
 };
 
-/// Wall-clock seconds spent in each stage of step() since the last run()
-/// began (the breakdown bench/micro_parallel_step and
-/// table4_computation_time report). A value-type adapter over the
-/// resmon_pipeline_stage_seconds{stage=...} gauges in the registry.
+/// Wall-clock seconds spent in each stage of a slot since construction (the
+/// breakdown bench/micro_parallel_step and table4_computation_time report;
+/// one run's split is the difference of two reads). A value-type adapter
+/// over the resmon_pipeline_stage_seconds{stage=...} gauges in the registry.
 struct StageTimers {
-  double collect_seconds = 0.0;   ///< policy stepping + fault stage + store
+  double collect_seconds = 0.0;   ///< store apply (+ sim::Driver's produce)
   double cluster_seconds = 0.0;   ///< snapshots, K-means, re-indexing
   double forecast_seconds = 0.0;  ///< feeding/retraining managed forecasters
   double total_seconds() const {
@@ -105,67 +102,42 @@ struct StageTimers {
   }
 };
 
-/// Tag selecting external collection: measurements arrive from outside the
-/// process (e.g. a net::Controller draining TCP agents) via
-/// step_external(); no in-process FleetCollector is built.
+/// Tag of the trace constructor. Pinned, with that constructor, until the
+/// benchmark (slotbench/) builds its pipeline from (nodes, resources).
 struct ExternalCollection {};
 
+/// The central node: it consumes each slot's received measurements, and
+/// holds no collector and no ground truth. sim::Driver feeds it from an
+/// in-process fleet; sim::rmse_at and sim::intermediate_rmse score it
+/// against a trace.
 class MonitoringPipeline {
  public:
-  MonitoringPipeline(const trace::Trace& trace,
+  /// A pipeline for `nodes` machines reporting `resources` values each.
+  MonitoringPipeline(std::size_t nodes, std::size_t resources,
                      const PipelineOptions& options);
 
-  /// External-collection variant: no FleetCollector is built; the caller
-  /// feeds each slot's received measurements through step_external().
-  /// PipelineOptions' collection knobs (policy, max_frequency, faults) are
-  /// unused — the remote agents own them.
+  /// Same, shaped like `trace` (which is not kept). Pinned spelling.
   MonitoringPipeline(const trace::Trace& trace,
-                     const PipelineOptions& options, ExternalCollection);
+                     const PipelineOptions& options, ExternalCollection)
+      : MonitoringPipeline(trace.num_nodes(), trace.num_resources(),
+                           options) {}
 
-  /// Advance one time step: the in-process collector produces the slot,
-  /// the fault stage (if PipelineOptions::faults is set) sends it and
-  /// drains once, and what arrives is consumed exactly like
-  /// step_external()'s. Throws without a collector, and after any
-  /// step_external() (the collector needs consecutive slots).
-  void step();
-
-  /// Advance one time step on measurements received from outside: apply
-  /// them to the central store, then run the clustering + forecasting
-  /// stages. Slots must be fed in order. Late messages (from earlier
-  /// slots) are applied when fresher than the stored one; a message from a
-  /// later slot than current_step() throws InvalidArgument.
+  /// Advance one time step on the slot's received measurements: apply them
+  /// to the central store, then run the clustering + forecasting stages.
+  /// Slots must be fed in order. Late messages (from earlier slots) are
+  /// applied when fresher than the stored one; a message from a later slot
+  /// than current_step() throws InvalidArgument.
   void step_external(
       std::span<const transport::MeasurementMessage> messages);
-
-  /// Run `count` steps (convenience). Resets the per-stage timers first so
-  /// each run() reports its own breakdown rather than silently accumulating
-  /// across repeated runs on one pipeline object.
-  void run(std::size_t count);
 
   /// Steps processed so far; the last processed step index is
   /// current_step() - 1.
   std::size_t current_step() const { return step_count_; }
-  bool done() const { return step_count_ >= trace_.num_steps(); }
 
   /// x-hat_{i,t+h} for all nodes (N x d). h = 0 returns the stored z_t
   /// (matching the paper's convention in eq. (3)); h >= 1 combines centroid
-  /// forecasts with per-node offsets. Requires at least one step().
+  /// forecasts with per-node offsets. Requires at least one step.
   Matrix forecast_all(std::size_t h) const;
-
-  /// RMSE(t, h) of eq. (3) against the trace's ground truth at step
-  /// t + h, where t is the last processed step. Requires t + h to lie
-  /// within the trace.
-  double rmse_at(std::size_t h) const;
-
-  /// Intermediate RMSE of the current clustering against the ground truth
-  /// at the last processed step (aggregated over all views/dimensions).
-  double intermediate_rmse() const;
-
-  /// Intermediate RMSE restricted to one dimension of one view. With the
-  /// default per-resource clustering, `view` selects the resource and `dim`
-  /// must be 0; with joint clustering, `view` is 0 and `dim` selects the
-  /// resource. This is what the per-resource panels of Figs. 5-7 report.
-  double intermediate_rmse(std::size_t view, std::size_t dim) const;
 
   // -- component access -------------------------------------------------
   /// Number of clustering views: num_resources when clustering per
@@ -177,22 +149,17 @@ class MonitoringPipeline {
   /// age 0. The tracker re-indexes against it, forecast_all() reads modal
   /// membership and offsets from it, and view_features() concatenates it.
   const cluster::ClusterHistory& history(std::size_t view) const;
-  /// The in-process collector. Throws InvalidState in external-collection
-  /// mode (there is none; the agents live in other processes).
-  const collect::FleetCollector& collector() const;
-  /// The in-process uplink's fault stage; nullptr without
-  /// PipelineOptions::faults (and in external-collection mode).
-  const faultnet::FaultyLink* faults() const { return faults_.get(); }
-  /// The central node's current view z_t, in either collection mode.
+  /// The central node's current view z_t.
   const transport::CentralStore& central_store() const { return store_; }
   /// Managed forecaster of cluster j, dimension `dim` within `view`.
   const forecast::ManagedForecaster& model(std::size_t view, std::size_t j,
                                            std::size_t dim = 0) const;
   const PipelineOptions& options() const { return options_; }
-  const trace::Trace& trace() const { return trace_; }
+  /// The worker pool of PipelineOptions::num_threads; nullptr when serial.
+  ThreadPool* pool() const { return pool_.get(); }
 
-  /// Per-stage wall-clock breakdown accumulated across step() calls since
-  /// the last run() started (reads the stage gauges in metrics()).
+  /// Per-stage wall-clock breakdown accumulated since construction (reads
+  /// the stage gauges in metrics()).
   StageTimers stage_timers() const;
 
   /// The registry all pipeline series are registered in: the one from
@@ -207,7 +174,7 @@ class MonitoringPipeline {
 
  private:
   std::size_t view_dims() const {
-    return options_.cluster_per_resource ? 1 : trace_.num_resources();
+    return options_.cluster_per_resource ? 1 : store_.num_resources();
   }
   /// Stored-measurement snapshot for a view, written into `snap`
   /// (N x view_dims(), capacity reused across steps). Requires a complete
@@ -215,21 +182,16 @@ class MonitoringPipeline {
   void view_snapshot_into(std::size_t view, Matrix& snap) const;
   /// Allocation-free core of view_features().
   void view_features_into(std::size_t view, Matrix& features) const;
-  /// Ground-truth snapshot for a view at a given step.
-  Matrix view_truth(std::size_t view, std::size_t t) const;
   /// One view's share of a step: record the snapshot, then cluster it.
   void update_view(std::size_t view);
-  /// The one consume path of step() and step_external(): apply the slot's
-  /// messages to store_, close the caller's collect span, then run the
-  /// clustering + forecasting stages; returns after bumping step_count_.
+  /// The consume path of step_external(): apply the slot's messages to
+  /// store_, close the caller's collect span, then run the clustering +
+  /// forecasting stages; returns after bumping step_count_.
   void consume_slot(std::span<const transport::MeasurementMessage> messages,
                     obs::ScopedSpan& collect_span);
 
-  const trace::Trace& trace_;
   PipelineOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // present only when num_threads > 1
-  std::unique_ptr<faultnet::FaultyLink> faults_;  // null without faults
-  std::unique_ptr<collect::FleetCollector> collector_;  // null if external
   /// z_t of §IV: the central node's view, written only by consume_slot().
   transport::CentralStore store_;
   std::vector<cluster::DynamicClusterTracker> trackers_;

@@ -15,7 +15,6 @@
 
 #include "agg/aggregator.hpp"
 #include "common/error.hpp"
-#include "core/metrics.hpp"
 #include "core/pipeline.hpp"
 #include "host/procfs.hpp"
 #include "host/recording.hpp"
@@ -25,6 +24,8 @@
 #include "net/controller.hpp"
 #include "net/socket.hpp"
 #include "scenario/manual_clock.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/synthetic.hpp"
 
 namespace resmon::scenario {
@@ -171,7 +172,6 @@ core::PipelineOptions pipeline_options(const ScenarioSpec& spec,
                   .retrain_interval = spec.retrain_interval};
   opt.seed = spec.pipeline_seed;
   opt.num_threads = spec.threads;
-  opt.faults = spec.faults;
   opt.metrics = registry;
   return opt;
 }
@@ -192,9 +192,10 @@ struct Traffic {
   double bytes = 0.0;     ///< total uplink bytes
 };
 
-/// Export the resmon_scenario_* result gauges.
+/// Export the resmon_scenario_* result gauges, scoring against `truth`.
 void publish(const ScenarioSpec& spec, obs::MetricsRegistry& registry,
-             const core::MonitoringPipeline& pipeline, std::size_t steps_run,
+             const core::MonitoringPipeline& pipeline,
+             const trace::Trace& truth, std::size_t steps_run,
              const Traffic& traffic,
              const std::vector<core::RmseAccumulator>& rmse,
              double divergence) {
@@ -206,7 +207,7 @@ void publish(const ScenarioSpec& spec, obs::MetricsRegistry& registry,
   registry.gauge("resmon_scenario_bytes_sent", "").set(traffic.bytes);
   registry.gauge("resmon_scenario_forecast_divergence", "").set(divergence);
   const std::size_t last = pipeline.current_step() - 1;
-  const std::size_t limit = pipeline.trace().num_steps();
+  const std::size_t limit = truth.num_steps();
   for (std::size_t i = 0; i < spec.horizons.size(); ++i) {
     const std::size_t h = spec.horizons[i];
     const obs::Labels labels = {{"h", std::to_string(h)}};
@@ -220,7 +221,7 @@ void publish(const ScenarioSpec& spec, obs::MetricsRegistry& registry,
       for (std::size_t n = 0; n < forecast.rows(); ++n) {
         for (std::size_t r = 0; r < forecast.cols(); ++r) {
           fsum += forecast(n, r);
-          tsum += pipeline.trace().value(n, last + h, r);
+          tsum += truth.value(n, last + h, r);
         }
       }
       const double cells =
@@ -246,10 +247,12 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
 }
 
 /// What differs between the scenario modes, as the lockstep driver sees
-/// it: the pipeline it scores, an optional twin for the divergence gauge,
-/// how one slot advances both, and the fleet's traffic once the loop ends.
+/// it: the pipeline it scores and the trace it scores against, an optional
+/// twin for the divergence gauge, how one slot advances both, and the
+/// fleet's traffic once the loop ends.
 struct Lockstep {
   const core::MonitoringPipeline* pipeline = nullptr;
+  const trace::Trace* truth = nullptr;
   const core::MonitoringPipeline* twin = nullptr;  ///< nullptr = no twin
   std::function<void(std::size_t)> advance;
   std::function<Traffic()> traffic;
@@ -263,7 +266,8 @@ ScenarioResult run_lockstep(const ScenarioSpec& spec,
                             obs::MetricsRegistry& registry, std::size_t steps,
                             const Lockstep& mode) {
   const core::MonitoringPipeline& pipeline = *mode.pipeline;
-  const std::size_t limit = pipeline.trace().num_steps();
+  const trace::Trace& truth = *mode.truth;
+  const std::size_t limit = truth.num_steps();
   std::vector<core::RmseAccumulator> rmse(spec.horizons.size());
   std::map<std::string, std::vector<double>> series;
   const auto sample = [&] {
@@ -282,7 +286,7 @@ ScenarioResult run_lockstep(const ScenarioSpec& spec,
     if (t + 1 >= spec.initial_steps) {  // models past their warm-up
       for (std::size_t i = 0; i < spec.horizons.size(); ++i) {
         const std::size_t h = spec.horizons[i];
-        if (t + h < limit) rmse[i].add(pipeline.rmse_at(h));
+        if (t + h < limit) rmse[i].add(sim::rmse_at(pipeline, truth, h));
       }
     }
     if ((t + 1) % spec.sample_every != 0 && t + 1 != steps) continue;
@@ -295,7 +299,8 @@ ScenarioResult run_lockstep(const ScenarioSpec& spec,
     }
   }
 
-  publish(spec, registry, pipeline, steps, mode.traffic(), rmse, divergence);
+  publish(spec, registry, pipeline, truth, steps, mode.traffic(), rmse,
+          divergence);
   ScenarioResult result;
   result.name = spec.name;
   result.steps_run = steps;
@@ -305,37 +310,35 @@ ScenarioResult run_lockstep(const ScenarioSpec& spec,
   return result;
 }
 
-/// In-process and host modes: one pipeline over `trace` and, when
-/// `twin_trace` is set, a fault-free twin over it (same options, no
-/// faultnet spec, metrics kept out of the shared registry).
+/// In-process and host modes: one in-process fleet over `trace` with the
+/// spec's faults and, when `twin_trace` is set, a fault-free twin over it
+/// (same options, metrics kept out of the shared registry).
 ScenarioResult run_pipelines(const ScenarioSpec& spec,
                              obs::MetricsRegistry& registry,
                              const trace::Trace& trace,
                              const trace::Trace* twin_trace) {
   const std::size_t steps = resolve_run_steps(spec, trace);
-  core::MonitoringPipeline pipeline(trace, pipeline_options(spec, &registry));
+  sim::Driver driver(trace, pipeline_options(spec, &registry), spec.faults);
   obs::MetricsRegistry twin_registry;
-  std::unique_ptr<core::MonitoringPipeline> twin;
+  std::unique_ptr<sim::Driver> twin;
   if (twin_trace != nullptr) {
-    core::PipelineOptions twin_options =
-        pipeline_options(spec, &twin_registry);
-    twin_options.faults = {};
-    twin = std::make_unique<core::MonitoringPipeline>(*twin_trace,
-                                                      twin_options);
+    twin = std::make_unique<sim::Driver>(
+        *twin_trace, pipeline_options(spec, &twin_registry));
   }
   return run_lockstep(
       spec, registry, steps,
-      {.pipeline = &pipeline,
-       .twin = twin.get(),
+      {.pipeline = &driver.pipeline(),
+       .truth = &trace,
+       .twin = twin != nullptr ? &twin->pipeline() : nullptr,
        .advance =
            [&](std::size_t) {
-             pipeline.step();
+             driver.step();
              if (twin != nullptr) twin->step();
            },
        .traffic =
            [&] {
              return Traffic{
-                 .fraction = pipeline.collector().average_actual_frequency(),
+                 .fraction = driver.collector().average_actual_frequency(),
                  .bytes = registry.value("resmon_collect_link_bytes_sent")
                               .value_or(0.0)};
            }});
@@ -558,7 +561,7 @@ std::unique_ptr<SocketFleet> make_socket_fleet(const ScenarioSpec& spec,
 
   core::PipelineOptions popt = pipeline_options(spec, &registry);
   fleet->pipeline = std::make_unique<core::MonitoringPipeline>(
-      trace, popt, core::ExternalCollection{});
+      n, trace.num_resources(), popt);
 
   // Connect the whole fleet: agents block on their hello/ack handshake in
   // helper threads while the main thread pumps their collectors.
@@ -722,6 +725,7 @@ ScenarioResult run_socket(const ScenarioSpec& spec,
   return run_lockstep(
       spec, registry, steps,
       {.pipeline = fleet->pipeline.get(),
+       .truth = &trace,
        .twin = twin != nullptr ? twin->pipeline.get() : nullptr,
        .advance = advance,
        .traffic = traffic});

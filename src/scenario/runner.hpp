@@ -2,9 +2,9 @@
 // its [assert] section against the metrics registry.
 //
 // Two execution modes, selected by the spec:
-//   - in-process (default): trace -> MonitoringPipeline::step(), with the
-//     optional faultnet spec on the loopback uplink and an optional
-//     fault-free twin run for bit-identity divergence checks;
+//   - in-process (default): trace -> sim::Driver, with the optional
+//     faultnet spec on the in-process uplink and an optional fault-free
+//     twin run for bit-identity divergence checks;
 //   - socket mode ([controller] present): a real net::Controller over TCP
 //     with one net::Agent per node, driven in deterministic lock-step from
 //     the calling thread, the staleness machine aged by a ManualClock so

@@ -1,23 +1,23 @@
-#include "core/report.hpp"
+#include "sim/report.hpp"
 
 #include <ostream>
 
 #include "common/table.hpp"
 #include "trace/trace.hpp"
 
-namespace resmon::core {
+namespace resmon::sim {
 
-MonitoringReport make_report(const MonitoringPipeline& pipeline) {
+MonitoringReport make_report(const Driver& driver) {
+  const core::MonitoringPipeline& pipeline = driver.pipeline();
   RESMON_REQUIRE(pipeline.current_step() >= 1,
                  "make_report before any pipeline step");
   MonitoringReport report;
   report.step = pipeline.current_step() - 1;
-  report.num_nodes = pipeline.trace().num_nodes();
-  report.average_frequency =
-      pipeline.collector().average_actual_frequency();
-  report.bytes_sent = pipeline.collector().bytes_sent();
-  if (pipeline.faults() != nullptr) {
-    report.messages_dropped = pipeline.faults()->messages_dropped();
+  report.num_nodes = driver.trace().num_nodes();
+  report.average_frequency = driver.collector().average_actual_frequency();
+  report.bytes_sent = driver.collector().bytes_sent();
+  if (driver.faults() != nullptr) {
+    report.messages_dropped = driver.faults()->messages_dropped();
   }
 
   const std::size_t k = pipeline.options().num_clusters;
@@ -62,4 +62,4 @@ void MonitoringReport::print(std::ostream& os) const {
   table.print(os);
 }
 
-}  // namespace resmon::core
+}  // namespace resmon::sim

@@ -1,6 +1,6 @@
-// Operator-facing snapshot of a running MonitoringPipeline: what the
-// controller currently believes about the fleet, what it costs, and how
-// its models are doing. This is the structure a dashboard or an alerting
+// Operator-facing snapshot of a running sim::Driver: what the controller
+// currently believes about the fleet, what the fleet's uplink costs, and
+// how its models are doing. This is the structure a dashboard or an alerting
 // rule would consume.
 #pragma once
 
@@ -8,9 +8,9 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.hpp"
+#include "sim/driver.hpp"
 
-namespace resmon::core {
+namespace resmon::sim {
 
 /// State of one cluster in one clustering view.
 struct ClusterSummary {
@@ -36,8 +36,8 @@ struct MonitoringReport {
   void print(std::ostream& os) const;
 };
 
-/// Build a report from the pipeline's current state. Requires at least one
+/// Build a report from the driver's current state. Requires at least one
 /// completed step (clustering available).
-MonitoringReport make_report(const MonitoringPipeline& pipeline);
+MonitoringReport make_report(const Driver& driver);
 
-}  // namespace resmon::core
+}  // namespace resmon::sim

@@ -27,6 +27,7 @@
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/manual_clock.hpp"
+#include "sim/evaluate.hpp"
 
 namespace resmon::agg {
 namespace {
@@ -119,7 +120,7 @@ std::unique_ptr<core::MonitoringPipeline> run_single_tier(
   connect_all(root, handles);
 
   auto pipeline = std::make_unique<core::MonitoringPipeline>(
-      trace, pipeline_options(), core::ExternalCollection{});
+      trace.num_nodes(), trace.num_resources(), pipeline_options());
   for (std::size_t t = 0; t < slots; ++t) {
     for (std::uint32_t node = 0; node < trace.num_nodes(); ++node) {
       agents[node]->observe(t, trace.measurement(node, t));
@@ -180,7 +181,7 @@ std::unique_ptr<core::MonitoringPipeline> run_two_tier(
   }
 
   auto pipeline = std::make_unique<core::MonitoringPipeline>(
-      trace, pipeline_options(), core::ExternalCollection{});
+      trace.num_nodes(), trace.num_resources(), pipeline_options());
   for (std::size_t t = 0; t < slots; ++t) {
     for (std::uint32_t node = 0; node < trace.num_nodes(); ++node) {
       agents[node]->observe(t, trace.measurement(node, t));
@@ -222,8 +223,8 @@ TEST(Agg, TwoTierGoldenTraceIsBitIdenticalToSingleTier) {
   // so the pipelines saw literally the same inputs.
   for (std::size_t h : {1u, 4u, 8u}) {
     expect_bit_identical(single->forecast_all(h), two_tier->forecast_all(h));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(single->rmse_at(h)),
-              std::bit_cast<std::uint64_t>(two_tier->rmse_at(h)))
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sim::rmse_at(*single, trace, h)),
+              std::bit_cast<std::uint64_t>(sim::rmse_at(*two_tier, trace, h)))
         << "h=" << h;
   }
   EXPECT_TRUE(single->central_store().complete());

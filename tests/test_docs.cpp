@@ -1,8 +1,8 @@
 // Documentation drift tests: docs/METRICS.md must catalogue exactly the
 // metric families the code can register — no undocumented metric, no
 // documented ghost. The registry is populated the honest way, by
-// constructing every metrics-emitting component (pipeline with a fault
-// schedule, socket controller with the staleness policy, agent), then the
+// constructing every metrics-emitting component (in-process fleet with a
+// fault schedule, socket controller with the staleness policy, agent), then the
 // exposition's `# TYPE` lines are diffed against the catalogue's table.
 #include <filesystem>
 #include <fstream>
@@ -21,6 +21,7 @@
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/runner.hpp"
+#include "sim/driver.hpp"
 #include "trace/synthetic.hpp"
 
 namespace resmon {
@@ -41,14 +42,14 @@ obs::MetricsRegistry& populated_registry() {
   profile.num_steps = 16;
   static const trace::InMemoryTrace trace = trace::generate(profile, 1);
 
-  // Pipeline (collect + cluster + forecast + pipeline families), with a
-  // non-empty fault schedule so the faultnet families register too.
+  // In-process fleet (collect + cluster + forecast + pipeline families),
+  // with a non-empty fault schedule so the faultnet families register too.
   core::PipelineOptions popts;
   popts.num_clusters = 2;
   popts.schedule = {.initial_steps = 4, .retrain_interval = 8};
   popts.metrics = &registry;
-  popts.faults = faultnet::FaultSpec::parse("drop=0.01;seed=1");
-  static core::MonitoringPipeline pipeline(trace, popts);
+  static sim::Driver driver(trace, popts,
+                            faultnet::FaultSpec::parse("drop=0.01;seed=1"));
 
   // Socket controller with the staleness policy on (resmon_net_*), in
   // shard mode so the two-tier root families register too.

@@ -11,6 +11,8 @@
 #include "core/pipeline.hpp"
 #include "faultnet/fault_spec.hpp"
 #include "golden_fixture.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/synthetic.hpp"
 #include "transport/channel.hpp"
 
@@ -76,29 +78,33 @@ TEST(Deadband, FleetFactorySupportsIt) {
 
 // ---- pipeline under failure ------------------------------------------------
 
-/// An unreliable uplink: each frame is lost with probability `drop`, and
-/// delayed by a uniform 0..`delay` slots (delay=K/(K+1):K).
-core::PipelineOptions lossy_options(double drop, std::size_t delay) {
+core::PipelineOptions failure_options() {
   core::PipelineOptions o;
   o.num_clusters = 3;
   o.schedule = {.initial_steps = 50, .retrain_interval = 100};
-  o.faults.drop = drop;
-  if (delay > 0) {
-    o.faults.delay =
-        static_cast<double>(delay) / static_cast<double>(delay + 1);
-    o.faults.max_delay_slots = delay;
-  }
-  o.faults.seed = 9;
   return o;
+}
+
+/// An unreliable uplink: each frame is lost with probability `drop`, and
+/// delayed by a uniform 0..`delay` slots (delay=K/(K+1):K).
+faultnet::FaultSpec lossy(double drop, std::size_t delay) {
+  faultnet::FaultSpec faults;
+  faults.drop = drop;
+  if (delay > 0) {
+    faults.delay = static_cast<double>(delay) / static_cast<double>(delay + 1);
+    faults.max_delay_slots = delay;
+  }
+  faults.seed = 9;
+  return faults;
 }
 
 TEST(PipelineFailures, SurvivesDropsAndDelays) {
   const trace::InMemoryTrace t =
       testing::make_golden_trace("google", 20, 300, 6);
-  core::MonitoringPipeline pipeline(t, lossy_options(0.2, 2));
-  pipeline.run(300);
-  EXPECT_TRUE(pipeline.done());
-  const Matrix f = pipeline.forecast_all(1);
+  sim::Driver driver(t, failure_options(), lossy(0.2, 2));
+  driver.run(300);
+  EXPECT_TRUE(driver.done());
+  const Matrix f = driver.pipeline().forecast_all(1);
   for (std::size_t i = 0; i < t.num_nodes(); ++i) {
     for (std::size_t r = 0; r < t.num_resources(); ++r) {
       EXPECT_TRUE(std::isfinite(f(i, r)));
@@ -111,12 +117,13 @@ TEST(PipelineFailures, LossRaisesCollectionError) {
       testing::make_golden_trace("google", 25, 400, 7);
 
   auto run_rmse = [&](double drop) {
-    core::MonitoringPipeline pipeline(t, lossy_options(drop, 0));
+    sim::Driver driver(t, failure_options(), lossy(drop, 0));
+    const core::MonitoringPipeline& pipeline = driver.pipeline();
     core::RmseAccumulator acc;
-    while (!pipeline.done()) {
-      pipeline.step();
+    while (!driver.done()) {
+      driver.step();
       if (!pipeline.central_store().complete()) continue;  // warm-up
-      acc.add(pipeline.rmse_at(0));
+      acc.add(sim::rmse_at(pipeline, t, 0));
     }
     return acc.value();
   };
@@ -136,14 +143,14 @@ TEST(PipelineChaos, DuplicationAndReorderMatchTheGoldenRunBitForBit) {
 
   // Stop one slot short so rmse_at(1) still has ground truth to score
   // against.
-  core::PipelineOptions clean = lossy_options(0.0, 0);
-  core::MonitoringPipeline golden(t, clean);
-  golden.run(249);
+  sim::Driver clean(t, failure_options(), lossy(0.0, 0));
+  clean.run(249);
+  const core::MonitoringPipeline& golden = clean.pipeline();
 
-  core::PipelineOptions chaos = lossy_options(0.0, 0);
-  chaos.faults = faultnet::FaultSpec::parse("dup=0.4;reorder=0.6;seed=13");
-  core::MonitoringPipeline noisy(t, chaos);
-  noisy.run(249);
+  sim::Driver chaos(t, failure_options(),
+                    faultnet::FaultSpec::parse("dup=0.4;reorder=0.6;seed=13"));
+  chaos.run(249);
+  const core::MonitoringPipeline& noisy = chaos.pipeline();
 
   // The faults really fired...
   const auto injected = [&](const char* kind) {
@@ -162,18 +169,18 @@ TEST(PipelineChaos, DuplicationAndReorderMatchTheGoldenRunBitForBit) {
       EXPECT_EQ(expected(i, r), actual(i, r)) << "node " << i;
     }
   }
-  EXPECT_DOUBLE_EQ(golden.rmse_at(1), noisy.rmse_at(1));
+  EXPECT_DOUBLE_EQ(sim::rmse_at(golden, t, 1), sim::rmse_at(noisy, t, 1));
 }
 
 TEST(PipelineChaos, CorruptedFramesAreCrcRejectedNeverFatal) {
   const trace::InMemoryTrace t =
       testing::make_golden_trace("google", 12, 200, 12);
 
-  core::PipelineOptions o = lossy_options(0.0, 0);
-  o.faults = faultnet::FaultSpec::parse("corrupt=0.05;seed=7");
-  core::MonitoringPipeline pipeline(t, o);
-  pipeline.run(200);
-  EXPECT_TRUE(pipeline.done());
+  sim::Driver driver(t, failure_options(),
+                     faultnet::FaultSpec::parse("corrupt=0.05;seed=7"));
+  driver.run(200);
+  EXPECT_TRUE(driver.done());
+  const core::MonitoringPipeline& pipeline = driver.pipeline();
 
   // Every corrupted frame was caught by the decoder's CRC check and
   // surfaced as a counted reject, not a crash or a poisoned sample.
@@ -200,13 +207,12 @@ TEST(PipelineChaos, StallAndPartitionWindowsDegradeToSampleAndHold) {
   const trace::InMemoryTrace t =
       testing::make_golden_trace("google", 10, 150, 13);
 
-  core::PipelineOptions o = lossy_options(0.0, 0);
-  o.faults =
-      faultnet::FaultSpec::parse("stall=60-80;partition=100-120;nodes=2,5");
-  core::MonitoringPipeline pipeline(t, o);
-  pipeline.run(150);
-  EXPECT_TRUE(pipeline.done());
-  const Matrix f = pipeline.forecast_all(1);
+  sim::Driver driver(
+      t, failure_options(),
+      faultnet::FaultSpec::parse("stall=60-80;partition=100-120;nodes=2,5"));
+  driver.run(150);
+  EXPECT_TRUE(driver.done());
+  const Matrix f = driver.pipeline().forecast_all(1);
   for (std::size_t i = 0; i < t.num_nodes(); ++i) {
     for (std::size_t r = 0; r < t.num_resources(); ++r) {
       EXPECT_TRUE(std::isfinite(f(i, r)));
@@ -219,9 +225,9 @@ TEST(PipelineFailures, DroppedInitialMeasurementsDelayClusteringSafely) {
   // pipeline must keep collecting without throwing and eventually cluster.
   const trace::InMemoryTrace t =
       testing::make_golden_trace("google", 10, 200, 8);
-  core::MonitoringPipeline pipeline(t, lossy_options(0.9, 0));
-  pipeline.run(200);
-  EXPECT_TRUE(pipeline.done());
+  sim::Driver driver(t, failure_options(), lossy(0.9, 0));
+  driver.run(200);
+  EXPECT_TRUE(driver.done());
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
+#include "sim/driver.hpp"
 #include "host/parsers.hpp"
 #include "host/procfs.hpp"
 #include "host/recording.hpp"
@@ -742,14 +743,14 @@ TEST(RecordReplay, PipelinesOverRecordAndReplayAreBitIdentical) {
   core::PipelineOptions popt;
   popt.num_clusters = 1;
   popt.schedule = {.initial_steps = 4, .retrain_interval = 8};
-  core::MonitoringPipeline a(live, popt);
-  core::MonitoringPipeline b(replay, popt);
+  sim::Driver a(live, popt);
+  sim::Driver b(replay, popt);
   for (std::size_t t = 0; t < kSteps; ++t) {
     a.step();
     b.step();
     for (const std::size_t h : {std::size_t{0}, std::size_t{1}}) {
-      const Matrix fa = a.forecast_all(h);
-      const Matrix fb = b.forecast_all(h);
+      const Matrix fa = a.pipeline().forecast_all(h);
+      const Matrix fb = b.pipeline().forecast_all(h);
       ASSERT_EQ(fa.rows(), fb.rows());
       for (std::size_t n = 0; n < fa.rows(); ++n) {
         for (std::size_t r = 0; r < fa.cols(); ++r) {

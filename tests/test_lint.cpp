@@ -539,20 +539,48 @@ TEST(Layering, IncludeCycleDetection) {
                   .empty());
 }
 
+#ifdef RESMON_SOURCE_DIR
+LayerGraph shipped_layers() {
+  std::ifstream in(std::string(RESMON_SOURCE_DIR) + "/tools/lint_layers.txt");
+  EXPECT_TRUE(in.good());
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return parse_layers(ss.str());
+}
+#endif
+
 // The shipped layer graph must itself parse cleanly.
 TEST(Layering, ShippedLayerGraphParses) {
 #ifdef RESMON_SOURCE_DIR
-  std::ifstream in(std::string(RESMON_SOURCE_DIR) + "/tools/lint_layers.txt");
-  ASSERT_TRUE(in.good());
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const LayerGraph g = parse_layers(ss.str());
+  const LayerGraph g = shipped_layers();
   for (const auto& e : g.errors) ADD_FAILURE() << e;
   EXPECT_FALSE(g.deps.empty());
   // Every module must be reachable from the leaf layer: common exists and
   // depends on nothing.
   ASSERT_TRUE(g.deps.count("common"));
   EXPECT_TRUE(g.deps.at("common").empty());
+#else
+  GTEST_SKIP() << "RESMON_SOURCE_DIR not defined";
+#endif
+}
+
+// The central node consumes slots; the in-process fleet and its fault
+// stage live above it (src/sim), so the shipped graph must keep core from
+// reaching into faultnet.
+TEST(Layering, ShippedLayerGraphKeepsCoreOutOfFaultnet) {
+#ifdef RESMON_SOURCE_DIR
+  const LayerGraph g = shipped_layers();
+  ASSERT_TRUE(g.errors.empty() && !g.deps.empty());
+  const auto fs = run_rules("src/core/pipeline.hpp",
+                            lex("#include \"core/metrics.hpp\"\n"
+                                "#include \"faultnet/faulty_link.hpp\"\n"),
+                            &g);
+  ASSERT_TRUE(fires(fs, "layering"));
+  EXPECT_EQ(line_of(fs, "layering"), 2);
+  EXPECT_FALSE(fires(run_rules("src/sim/driver.hpp",
+                               lex("#include \"faultnet/faulty_link.hpp\"\n"),
+                               &g),
+                     "layering"));
 #else
   GTEST_SKIP() << "RESMON_SOURCE_DIR not defined";
 #endif

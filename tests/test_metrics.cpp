@@ -81,41 +81,5 @@ TEST(IntermediateRmse, ValidatesShapes) {
   EXPECT_THROW(intermediate_rmse_step(Matrix(1, 1), c), InvalidArgument);
 }
 
-TEST(MaeStep, KnownValue) {
-  Matrix truth{{0.0, 0.0}, {1.0, 1.0}};
-  Matrix est{{0.1, 0.3}, {1.0, 0.6}};
-  // |errors| = 0.1, 0.3, 0, 0.4 -> mean 0.2
-  EXPECT_NEAR(mae_step(truth, est), 0.2, 1e-12);
-}
-
-TEST(MaeStep, LessSpikeSensitiveThanRmse) {
-  Matrix truth(10, 1);
-  Matrix est(10, 1);
-  est(0, 0) = 1.0;  // one large error among nine zeros
-  const double mae = mae_step(truth, est);
-  const double rmse = rmse_step(truth, est);
-  EXPECT_LT(mae, rmse);
-}
-
-TEST(MaeStep, Validates) {
-  EXPECT_THROW(mae_step(Matrix(1, 1), Matrix(2, 1)), InvalidArgument);
-  EXPECT_THROW(mae_step(Matrix(), Matrix()), InvalidArgument);
-}
-
-TEST(PerNodeError, IdentifiesWorstTrackedNode) {
-  Matrix truth{{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}};
-  Matrix est{{0.01, 0.0}, {0.3, 0.4}, {0.05, 0.0}};
-  const std::vector<double> err = per_node_error(truth, est);
-  ASSERT_EQ(err.size(), 3u);
-  EXPECT_NEAR(err[1], 0.5, 1e-12);  // 3-4-5 triangle
-  EXPECT_GT(err[1], err[0]);
-  EXPECT_GT(err[1], err[2]);
-}
-
-TEST(PerNodeError, Validates) {
-  EXPECT_THROW(per_node_error(Matrix(2, 1), Matrix(1, 1)),
-               InvalidArgument);
-}
-
 }  // namespace
 }  // namespace resmon::core

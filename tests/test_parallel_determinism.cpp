@@ -17,6 +17,8 @@
 #include "common/thread_pool.hpp"
 #include "core/pipeline.hpp"
 #include "golden_fixture.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/synthetic.hpp"
 
 namespace resmon {
@@ -45,17 +47,19 @@ std::vector<double> flatten(const Matrix& m) {
   return m.data();
 }
 
-RunRecord run_pipeline(core::PipelineOptions options, std::size_t threads) {
+RunRecord run_pipeline(core::PipelineOptions options, std::size_t threads,
+                       const faultnet::FaultSpec& faults = {}) {
   options.num_threads = threads;
   const trace::Trace& t = shared_trace();
-  core::MonitoringPipeline p(t, options);
+  sim::Driver driver(t, options, faults);
+  const core::MonitoringPipeline& p = driver.pipeline();
   RunRecord rec;
   for (std::size_t step = 0; step < kSteps; ++step) {
-    p.step();
+    driver.step();
     if (!p.central_store().complete()) continue;
     if (step % 25 == 0 && step + 1 < kSteps) {
-      rec.sampled_rmse0.push_back(p.rmse_at(0));
-      rec.sampled_intermediate_rmse.push_back(p.intermediate_rmse());
+      rec.sampled_rmse0.push_back(sim::rmse_at(p, t, 0));
+      rec.sampled_intermediate_rmse.push_back(sim::intermediate_rmse(p, t));
     }
   }
   rec.forecast_h1 = flatten(p.forecast_all(1));
@@ -63,11 +67,11 @@ RunRecord run_pipeline(core::PipelineOptions options, std::size_t threads) {
   for (std::size_t v = 0; v < p.num_views(); ++v) {
     rec.memberships.push_back(p.history(v).at(0).clustering.assignment);
   }
-  rec.messages_sent = p.collector().messages_sent();
-  rec.bytes_sent = p.collector().bytes_sent();
+  rec.messages_sent = driver.collector().messages_sent();
+  rec.bytes_sent = driver.collector().bytes_sent();
   rec.messages_dropped =
-      p.faults() != nullptr ? p.faults()->messages_dropped() : 0;
-  rec.avg_frequency = p.collector().average_actual_frequency();
+      driver.faults() != nullptr ? driver.faults()->messages_dropped() : 0;
+  rec.avg_frequency = driver.collector().average_actual_frequency();
   return rec;
 }
 
@@ -120,12 +124,14 @@ TEST(ParallelDeterminism, RepeatedRunsAreStable) {
 }
 
 TEST(ParallelDeterminism, LossyDelayedUplinkBitIdenticalAcrossThreadCounts) {
-  core::PipelineOptions o = base_options();
-  o.faults = faultnet::FaultSpec::parse("drop=0.15;delay=0.6667:2;seed=7");
-  const RunRecord serial = run_pipeline(o, 1);
+  const faultnet::FaultSpec faults =
+      faultnet::FaultSpec::parse("drop=0.15;delay=0.6667:2;seed=7");
+  const RunRecord serial = run_pipeline(base_options(), 1, faults);
   EXPECT_GT(serial.messages_dropped, 0u);
-  expect_identical(serial, run_pipeline(o, 2), "lossy threads=2");
-  expect_identical(serial, run_pipeline(o, 8), "lossy threads=8");
+  expect_identical(serial, run_pipeline(base_options(), 2, faults),
+                   "lossy threads=2");
+  expect_identical(serial, run_pipeline(base_options(), 8, faults),
+                   "lossy threads=8");
 }
 
 TEST(ParallelDeterminism, TemporalWindowPathBitIdentical) {
@@ -147,8 +153,9 @@ TEST(ParallelDeterminism, TwoForecastAllReadersMatchSerial) {
   // values. ARIMA horizons past 64 also take its heap forecast buffer.
   core::PipelineOptions o = base_options();
   o.forecaster = forecast::ForecasterKind::kArima;
-  core::MonitoringPipeline p(shared_trace(), o);
-  for (std::size_t step = 0; step < 200; ++step) p.step();
+  sim::Driver driver(shared_trace(), o);
+  driver.run(200);
+  const core::MonitoringPipeline& p = driver.pipeline();
   ASSERT_TRUE(p.central_store().complete());
   const std::vector<std::size_t> horizons{1, 4, 64, 65, 70};
   std::vector<std::vector<double>> serial;

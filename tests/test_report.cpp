@@ -1,4 +1,4 @@
-#include "core/report.hpp"
+#include "sim/report.hpp"
 
 #include <sstream>
 
@@ -6,14 +6,14 @@
 
 #include "trace/synthetic.hpp"
 
-namespace resmon::core {
+namespace resmon::sim {
 namespace {
 
-MonitoringPipeline make_pipeline(const trace::Trace& t) {
-  PipelineOptions o;
+Driver make_driver(const trace::Trace& t) {
+  core::PipelineOptions o;
   o.num_clusters = 3;
   o.schedule = {.initial_steps = 30, .retrain_interval = 50};
-  return MonitoringPipeline(t, o);
+  return Driver(t, o);
 }
 
 TEST(Report, RequiresAtLeastOneStep) {
@@ -21,8 +21,8 @@ TEST(Report, RequiresAtLeastOneStep) {
   p.num_nodes = 10;
   p.num_steps = 50;
   const trace::InMemoryTrace t = trace::generate(p, 1);
-  MonitoringPipeline pipeline = make_pipeline(t);
-  EXPECT_THROW(make_report(pipeline), InvalidArgument);
+  const Driver driver = make_driver(t);
+  EXPECT_THROW(make_report(driver), InvalidArgument);
 }
 
 TEST(Report, SummarizesEveryClusterOfEveryView) {
@@ -30,9 +30,9 @@ TEST(Report, SummarizesEveryClusterOfEveryView) {
   p.num_nodes = 12;
   p.num_steps = 60;
   const trace::InMemoryTrace t = trace::generate(p, 2);
-  MonitoringPipeline pipeline = make_pipeline(t);
-  pipeline.run(60);
-  const MonitoringReport report = make_report(pipeline);
+  Driver driver = make_driver(t);
+  driver.run(60);
+  const MonitoringReport report = make_report(driver);
 
   EXPECT_EQ(report.step, 59u);
   EXPECT_EQ(report.num_nodes, 12u);
@@ -59,19 +59,19 @@ TEST(Report, ModelNamesReflectTrainingState) {
   p.num_nodes = 10;
   p.num_steps = 100;
   const trace::InMemoryTrace t = trace::generate(p, 3);
-  PipelineOptions o;
+  core::PipelineOptions o;
   o.num_clusters = 2;
   o.forecaster = forecast::ForecasterKind::kArima;
   o.schedule = {.initial_steps = 50, .retrain_interval = 200};
-  MonitoringPipeline pipeline(t, o);
+  Driver driver(t, o);
 
-  pipeline.run(10);  // before the initial fit
-  for (const ClusterSummary& c : make_report(pipeline).clusters) {
+  driver.run(10);  // before the initial fit
+  for (const ClusterSummary& c : make_report(driver).clusters) {
     EXPECT_EQ(c.model, "(collecting)");
     EXPECT_EQ(c.fits, 0u);
   }
-  pipeline.run(60);  // past the initial fit
-  for (const ClusterSummary& c : make_report(pipeline).clusters) {
+  driver.run(60);  // past the initial fit
+  for (const ClusterSummary& c : make_report(driver).clusters) {
     EXPECT_NE(c.model, "(collecting)");
     EXPECT_GE(c.fits, 1u);
   }
@@ -82,10 +82,10 @@ TEST(Report, PrintsAllClusters) {
   p.num_nodes = 10;
   p.num_steps = 40;
   const trace::InMemoryTrace t = trace::generate(p, 4);
-  MonitoringPipeline pipeline = make_pipeline(t);
-  pipeline.run(40);
+  Driver driver = make_driver(t);
+  driver.run(40);
   std::ostringstream os;
-  make_report(pipeline).print(os);
+  make_report(driver).print(os);
   const std::string out = os.str();
   EXPECT_NE(out.find("monitoring report @ step 39"), std::string::npos);
   EXPECT_NE(out.find("CPU"), std::string::npos);
@@ -97,15 +97,14 @@ TEST(Report, CountsDroppedMessages) {
   p.num_nodes = 10;
   p.num_steps = 80;
   const trace::InMemoryTrace t = trace::generate(p, 5);
-  PipelineOptions o;
+  core::PipelineOptions o;
   o.num_clusters = 2;
   o.schedule = {.initial_steps = 30, .retrain_interval = 50};
-  MonitoringPipeline reliable(t, o);
+  Driver reliable(t, o);
   reliable.run(80);
-  o.faults = faultnet::FaultSpec::parse("drop=0.3;seed=6");
-  MonitoringPipeline pipeline(t, o);
-  pipeline.run(80);
-  const MonitoringReport report = make_report(pipeline);
+  Driver driver(t, o, faultnet::FaultSpec::parse("drop=0.3;seed=6"));
+  driver.run(80);
+  const MonitoringReport report = make_report(driver);
   EXPECT_GT(report.messages_dropped, 0u);
   // Senders pay for dropped messages: policies never see delivery, so the
   // fleet sends exactly what it sends over a reliable uplink.
@@ -113,4 +112,4 @@ TEST(Report, CountsDroppedMessages) {
 }
 
 }  // namespace
-}  // namespace resmon::core
+}  // namespace resmon::sim

@@ -15,6 +15,8 @@
 #include "golden_fixture.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/scenario_spec.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/synthetic.hpp"
 
 namespace resmon::scenario {
@@ -424,12 +426,12 @@ TEST(ScenarioRunner, MatchesAHandRolledPipelineOnTheGoldenTrace) {
   options.forecaster = forecast::ForecasterKind::kSampleHold;
   options.schedule = {.initial_steps = 20, .retrain_interval = 48};
   options.seed = 5;
-  core::MonitoringPipeline pipeline(trace, options);
+  sim::Driver driver(trace, options);
   core::RmseAccumulator rmse;
   for (std::size_t t = 0; t < 120; ++t) {
-    pipeline.step();
+    driver.step();
     if (t + 1 < 20 || t + 1 >= 120) continue;  // warm-up / no truth at h=1
-    rmse.add(pipeline.rmse_at(1));
+    rmse.add(sim::rmse_at(driver.pipeline(), trace, 1));
   }
 
   EXPECT_DOUBLE_EQ(
@@ -437,10 +439,10 @@ TEST(ScenarioRunner, MatchesAHandRolledPipelineOnTheGoldenTrace) {
       rmse.value());
   EXPECT_DOUBLE_EQ(
       registry.value("resmon_scenario_bytes_sent").value_or(-1.0),
-      static_cast<double>(pipeline.collector().bytes_sent()));
+      static_cast<double>(driver.collector().bytes_sent()));
   EXPECT_DOUBLE_EQ(
       registry.value("resmon_scenario_traffic_fraction").value_or(-1.0),
-      pipeline.collector().average_actual_frequency());
+      driver.collector().average_actual_frequency());
 }
 
 // ---- shipped packs: the regression gate ------------------------------------

@@ -42,6 +42,8 @@
 #include "host/source.hpp"
 #include "obs/export.hpp"
 #include "scenario/runner.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/loader.hpp"
 #include "trace/synthetic.hpp"
 
@@ -235,21 +237,22 @@ int cmd_monitor(const Args& args) {
   const std::size_t h = static_cast<std::size_t>(args.get_int("h", 5));
   obs::TraceBuffer trace_events;
   if (args.has("trace-out")) options.trace_events = &trace_events;
-  core::MonitoringPipeline pipeline(t, options);
+  sim::Driver driver(t, options);
+  const core::MonitoringPipeline& pipeline = driver.pipeline();
 
   Table report({"step", "RMSE h=0", std::string("RMSE h=") +
                                         std::to_string(h)});
   core::RmseAccumulator now, ahead;
   const std::size_t report_stride = std::max<std::size_t>(
       1, t.num_steps() / 50);
-  while (!pipeline.done()) {
-    pipeline.step();
+  while (!driver.done()) {
+    driver.step();
     const std::size_t step = pipeline.current_step() - 1;
-    const double r0 = pipeline.rmse_at(0);
+    const double r0 = sim::rmse_at(pipeline, t, 0);
     now.add(r0);
     double rh = 0.0;
     if (step + h < t.num_steps()) {
-      rh = pipeline.rmse_at(h);
+      rh = sim::rmse_at(pipeline, t, h);
       ahead.add(rh);
     }
     if (step % report_stride == 0) {
@@ -260,9 +263,9 @@ int cmd_monitor(const Args& args) {
   std::cout << "trace: " << t.num_nodes() << " nodes x " << t.num_steps()
             << " steps, " << t.num_resources() << " resources\n"
             << "budget B = " << options.max_frequency << ", actual "
-            << pipeline.collector().average_actual_frequency() << "\n"
-            << "bytes on the wire: "
-            << pipeline.collector().bytes_sent() << "\n"
+            << driver.collector().average_actual_frequency() << "\n"
+            << "bytes on the wire: " << driver.collector().bytes_sent()
+            << "\n"
             << "time-averaged RMSE h=0: " << now.value() << "\n"
             << "time-averaged RMSE h=" << h << ": " << ahead.value()
             << "\n";

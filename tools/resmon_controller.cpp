@@ -2,7 +2,7 @@
 //
 // Listens for N resmon_agent connections, then runs the paper's slot loop:
 // each slot it drains the agents' measurement frames into the monitoring
-// pipeline (external-collection mode) and advances clustering + forecasting.
+// pipeline and advances clustering + forecasting.
 // Exits 0 iff the central store became complete and the forecast RMSE is
 // finite — the localhost smoke test in CI keys off that.
 //
@@ -23,9 +23,10 @@
 // With --port 0 the kernel picks a free port; the chosen one is printed as
 //   resmon_controller listening on 127.0.0.1:PORT
 // so wrapper scripts can pass it to the agents. --resources N sizes the
-// wire dimension for agents that sample live hosts instead of the shared
-// trace (resmon_agent --source procfs is d = 4); accuracy is then scored
-// against a zero trace, so only RMSE finiteness is meaningful.
+// pipeline and the wire dimension for agents that sample live hosts
+// instead of the shared trace (resmon_agent --source procfs is d = 4); no
+// trace is built, and the h=1 forecasts are scored against an N x d zero
+// matrix, so only RMSE finiteness is meaningful.
 // --metrics-port opens a
 // second listener serving the live Prometheus exposition (printed as
 //   resmon_controller metrics endpoint on 127.0.0.1:PORT
@@ -38,14 +39,17 @@
 // collection").
 #include <cmath>
 #include <iostream>
+#include <optional>
 
 #include "common/cli.hpp"
+#include "core/metrics.hpp"
 #include "core/pipeline.hpp"
 #include "faultnet/agent_hook.hpp"
 #include "net/controller.hpp"
 #include "net/socket.hpp"
 #include "net_common.hpp"
 #include "obs/export.hpp"
+#include "sim/evaluate.hpp"
 
 using namespace resmon;
 
@@ -57,25 +61,28 @@ int main(int argc, char** argv) {
               << std::flush;
     const std::size_t slots = tools::run_slots(args);
     const std::string host = args.get("host", "127.0.0.1");
-    // --resources N overrides the wire dimension for agents that do not
-    // read the shared synthetic trace (resmon_agent --source procfs is
-    // d = 4). Forecast accuracy is then measured against an all-zeros
-    // ground truth — RMSE stays finite, which is all the RESULT line
-    // asserts — because the controller has no oracle for live hosts.
-    const trace::InMemoryTrace trace =
+    // --resources N sizes the pipeline for agents that do not read the
+    // shared synthetic trace (resmon_agent --source procfs is d = 4). The
+    // controller has no oracle for live hosts, so it builds no trace and
+    // scores against a zero matrix — RMSE stays finite, which is all the
+    // RESULT line asserts.
+    const std::optional<trace::InMemoryTrace> truth =
         args.has("resources")
-            ? trace::InMemoryTrace(
-                  static_cast<std::size_t>(args.get_int("nodes", 1)),
-                  slots + tools::kForecastLookahead,
-                  static_cast<std::size_t>(args.get_int("resources", 4)))
-            : tools::build_trace(args);
+            ? std::nullopt
+            : std::optional<trace::InMemoryTrace>(tools::build_trace(args));
+    const std::size_t nodes =
+        truth ? truth->num_nodes()
+              : static_cast<std::size_t>(args.get_int("nodes", 1));
+    const std::size_t resources =
+        truth ? truth->num_resources()
+              : static_cast<std::size_t>(args.get_int("resources", 4));
 
     obs::MetricsRegistry registry;
     obs::TraceBuffer trace_events;
 
     net::ControllerOptions copts;
-    copts.num_nodes = trace.num_nodes();
-    copts.num_resources = trace.num_resources();
+    copts.num_nodes = nodes;
+    copts.num_resources = resources;
     copts.metrics = &registry;
     copts.stale_after_ms =
         static_cast<int>(args.get_int("stale-after-ms", 0));
@@ -114,18 +121,18 @@ int main(int argc, char** argv) {
                 << wait_ms << " ms\n";
       return 1;
     }
-    if (!controller.wait_for_agents(trace.num_nodes(), wait_ms)) {
+    if (!controller.wait_for_agents(nodes, wait_ms)) {
       std::cerr << "resmon_controller: only " << controller.nodes_seen()
-                << "/" << trace.num_nodes() << " agents connected within "
+                << "/" << nodes << " agents connected within "
                 << wait_ms << " ms\n";
       return 1;
     }
     if (copts.num_shards > 0) {
       std::cout << "all " << copts.num_shards << " shards connected ("
-                << trace.num_nodes() << " nodes fronted)\n"
+                << nodes << " nodes fronted)\n"
                 << std::flush;
     } else {
-      std::cout << "all " << trace.num_nodes() << " agents connected\n"
+      std::cout << "all " << nodes << " agents connected\n"
                 << std::flush;
     }
 
@@ -142,8 +149,7 @@ int main(int argc, char** argv) {
     popts.num_threads = args.get_threads();
     popts.metrics = &registry;
     popts.trace_events = &trace_events;
-    core::MonitoringPipeline pipeline(trace, popts,
-                                      core::ExternalCollection{});
+    core::MonitoringPipeline pipeline(nodes, resources, popts);
 
     const int slot_timeout_ms =
         static_cast<int>(args.get_int("slot-timeout-ms", 10000));
@@ -173,10 +179,13 @@ int main(int argc, char** argv) {
     }
 
     const bool complete = pipeline.central_store().complete();
-    const double rmse = pipeline.rmse_at(1);
+    const double rmse =
+        truth ? sim::rmse_at(pipeline, *truth, 1)
+              : core::rmse_step(Matrix(nodes, resources),
+                                pipeline.forecast_all(1));
     const double freq =
         static_cast<double>(controller.frames_received()) /
-        (static_cast<double>(slots) * static_cast<double>(trace.num_nodes()));
+        (static_cast<double>(slots) * static_cast<double>(nodes));
     std::cout << "slots processed:   " << slots << "\n"
               << "frames received:   " << controller.frames_received()
               << " (" << controller.bytes_received() << " bytes, "
@@ -195,7 +204,7 @@ int main(int argc, char** argv) {
                 << controller.degraded_slots() << " degraded slots, "
                 << controller.blocked_frames() << " blocked frames\n"
                 << "node states:      ";
-      for (std::size_t n = 0; n < trace.num_nodes(); ++n) {
+      for (std::size_t n = 0; n < nodes; ++n) {
         std::cout << " " << n << "="
                   << net::node_state_name(controller.node_state(n));
       }
