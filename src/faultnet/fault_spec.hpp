@@ -4,7 +4,7 @@
 // uplink — per-frame probabilistic faults (drop, duplicate, corrupt-bytes,
 // delay, reorder) and slot-window faults (stall = half-open silence,
 // partition = connection severed and unreachable). The same spec drives
-// every injection point: FaultyLink for in-process pipelines,
+// every injection point: FaultyLink for the in-process sim::Driver,
 // AgentFaultHook for the real TCP agent, and controller_block_hook for
 // controller-side partitions. All randomness is derived by hashing
 // (seed, node, step, fault-kind), never from shared RNG state, so a given

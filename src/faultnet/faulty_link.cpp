@@ -69,7 +69,7 @@ void FaultyLink::send(transport::MeasurementMessage message) {
 }
 
 std::vector<transport::MeasurementMessage> FaultyLink::drain() {
-  // drain() is the slot clock: the pipeline drains exactly once per step,
+  // drain() is the slot clock: the driver drains exactly once per step,
   // so drain index == current slot.
   const std::size_t now = drain_count_++;
   for (std::size_t i = 0; i < held_.size();) {

@@ -1,6 +1,6 @@
 // FaultyLink: the in-process uplink's fault stage.
 //
-// The pipeline sends each slot's messages through it and drains it once per
+// sim::Driver sends each slot's messages through it and drains it once per
 // slot; it applies a FaultSpec's schedule on the way through:
 //
 //   drop        message vanishes (sender still pays bandwidth)
@@ -14,7 +14,7 @@
 //   partition   messages inside the window are lost
 //   reorder     a delivered batch is deterministically shuffled
 //
-// drain() is the slot clock (the pipeline drains once per step). This is the
+// drain() is the slot clock (the driver drains once per step). This is the
 // uplink's only fault injector; without it the slot's messages go straight
 // to the central store. All decisions come from the order-independent
 // FaultInjector, so a seeded spec yields one exact fault realization per
