@@ -31,7 +31,7 @@ using namespace resmon;
 double proposed_h0(const trace::Trace& t, double b) {
   collect::FleetCollector fleet(
       t, collect::make_policy_factory(collect::PolicyKind::kAdaptive, b,
-                                      0.5, 0.65, false));
+                                      {.v0 = 0.5}));
   transport::CentralStore store(t.num_nodes(), t.num_resources());
   core::RmseAccumulator acc;
   for (std::size_t step = 0; step < t.num_steps(); ++step) {

@@ -27,7 +27,8 @@ struct Result {
 Result run_policy(const trace::Trace& t, collect::PolicyKind kind, double b,
                   double v0, bool clamp) {
   collect::FleetCollector fleet(
-      t, collect::make_policy_factory(kind, b, v0, 0.65, clamp));
+      t, collect::make_policy_factory(kind, b,
+                                      {.v0 = v0, .clamp_queue = clamp}));
   transport::CentralStore store(t.num_nodes(), t.num_resources());
   core::RmseAccumulator acc;
   for (std::size_t step = 0; step < t.num_steps(); ++step) {

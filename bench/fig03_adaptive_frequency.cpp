@@ -31,9 +31,9 @@ int main(int argc, char** argv) {
          {0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5}) {
       collect::FleetCollector fleet(
           t,
-          collect::make_policy_factory(collect::PolicyKind::kAdaptive, b, v0,
-                                       gamma, /*clamp_queue=*/false,
-                                       &registry),
+          collect::make_policy_factory(
+              collect::PolicyKind::kAdaptive, b,
+              {.v0 = v0, .gamma = gamma, .metrics = &registry}),
           nullptr, &registry);
       for (std::size_t step = 0; step < t.num_steps(); ++step) {
         fleet.step(step);

@@ -18,6 +18,9 @@
 # --metrics-port) and fails unless the Prometheus exposition reports
 # nonzero resmon_net_frames_total and resmon_net_slots_total — proving the
 # observability path works end to end, not just that the run completed.
+# Both the 1- and 2-tier legs then require the controller's --metrics-out
+# file to hold exactly the frame and byte counts its "frames received:"
+# line prints: the accessors and /metrics read one count per event.
 #
 # Real-host leg (--source procfs): one agent samples its own process tree
 # from the live kernel while recording, then the recording is replayed
@@ -146,7 +149,7 @@ SHARD_FLAGS=()
 if [ "$TIERS" = 2 ]; then SHARD_FLAGS=(--shards "$SHARDS"); fi
 "$CONTROLLER" --port 0 --nodes "$NODES" --steps "$STEPS" --seed "$SEED" \
   --metrics-port 0 --metrics-linger-ms 8000 "${SHARD_FLAGS[@]}" \
-  > "$WORK/controller.log" 2>&1 &
+  --metrics-out "$WORK/controller.prom" > "$WORK/controller.log" 2>&1 &
 CONTROLLER_PID=$!
 
 PORT=$(wait_for_port "$WORK/controller.log" \
@@ -315,4 +318,22 @@ fi
 FRAMES=$(grep -E '^resmon_net_frames_total' "$WORK/scrape.txt" | awk '{print $2}')
 SLOTS=$(grep -E '^resmon_net_slots_total' "$WORK/scrape.txt" | awk '{print $2}')
 echo "metrics scrape OK (frames_total=$FRAMES slots_total=$SLOTS)"
+
+# "frames received:   F (B bytes, ...)" must match the written exposition.
+PRINTED=$(grep -oE 'frames received: +[0-9]+ \([0-9]+ bytes' \
+            "$WORK/controller.log" || true)
+PRINTED_FRAMES=$(echo "$PRINTED" | awk '{print $3}')
+PRINTED_BYTES=$(echo "$PRINTED" | awk '{print $4}' | tr -d '(')
+OUT_FRAMES=$(grep -E '^resmon_net_frames_total ' "$WORK/controller.prom" \
+               | awk '{print $2}')
+OUT_BYTES=$(grep -E '^resmon_net_bytes_total ' "$WORK/controller.prom" \
+              | awk '{print $2}')
+if [ -z "$PRINTED_FRAMES" ] || [ "$PRINTED_FRAMES" != "$OUT_FRAMES" ] ||
+   [ "$PRINTED_BYTES" != "$OUT_BYTES" ]; then
+  echo "controller accessors and --metrics-out disagree:" >&2
+  echo "  printed: frames=$PRINTED_FRAMES bytes=$PRINTED_BYTES" >&2
+  echo "  written: frames=$OUT_FRAMES bytes=$OUT_BYTES" >&2
+  exit 1
+fi
+echo "accessors match --metrics-out (frames=$OUT_FRAMES bytes=$OUT_BYTES)"
 echo "net smoke test OK ($NODES agents, $STEPS slots, $TIERS tier(s))"

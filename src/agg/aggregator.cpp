@@ -26,6 +26,10 @@ net::ControllerOptions downstream_options(const AggregatorOptions& o) {
   return copt;
 }
 
+obs::Labels shard_labels(const AggregatorOptions& o) {
+  return {{"shard", std::to_string(o.shard)}};
+}
+
 std::vector<std::uint8_t> shard_hello(const AggregatorOptions& o) {
   return wire::encode(wire::ShardHelloFrame{
       .shard = static_cast<std::uint32_t>(o.shard),
@@ -50,52 +54,52 @@ ShardRange shard_range(std::size_t num_nodes, std::size_t num_shards,
 
 Aggregator::Aggregator(net::Socket listener, const AggregatorOptions& options)
     : options_(options),
+      registry_(options.metrics, "resmon_agg_forwarded_slots_total",
+                shard_labels(options)),
       downstream_(std::move(listener), downstream_options(options)),
       upstream_(options.upstream, shard_hello(options),
                 static_cast<std::uint32_t>(options.shard),
-                "aggregator shard " + std::to_string(options.shard), "root") {
+                "aggregator shard " + std::to_string(options.shard), "root",
+                registry_->gauge("resmon_agg_upstream_connected",
+                                 "1 while the upstream link is up, else 0",
+                                 shard_labels(options)),
+                registry_->counter(
+                    "resmon_agg_upstream_reconnects_total",
+                    "Successful upstream re-handshakes after a connection "
+                    "loss",
+                    shard_labels(options))) {
   RESMON_REQUIRE(options_.upstream.port != 0,
                  "Aggregator needs an upstream port");
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *options_.metrics;
-    const obs::Labels labels = {{"shard", std::to_string(options_.shard)}};
-    m_forwarded_slots_total_ =
-        &reg.counter("resmon_agg_forwarded_slots_total",
-                     "Slot summaries forwarded to the root", labels);
-    m_forwarded_measurements_total_ = &reg.counter(
-        "resmon_agg_forwarded_measurements_total",
-        "Measurements carried inside forwarded slot summaries", labels);
-    m_forwarded_bytes_total_ =
-        &reg.counter("resmon_agg_forwarded_bytes_total",
-                     "Encoded bytes written to the upstream link", labels);
-    m_degraded_slots_total_ = &reg.counter(
-        "resmon_agg_degraded_slots_total",
-        "Forwarded slots whose shard barrier skipped a non-LIVE node",
-        labels);
-    m_status_frames_total_ =
-        &reg.counter("resmon_agg_status_frames_total",
-                     "Shard-status censuses sent upstream", labels);
-    obs::Counter& reconnects = reg.counter(
-        "resmon_agg_upstream_reconnects_total",
-        "Successful upstream re-handshakes after a connection loss", labels);
-    upstream_.instrument(
-        &reg.gauge("resmon_agg_upstream_connected",
-                   "1 while the upstream link is up, else 0", labels),
-        &reconnects);
-    m_compaction_ratio_ = &reg.gauge(
-        "resmon_agg_compaction_ratio",
-        "Agent frames received downstream per frame sent upstream", labels);
-    m_shard_nodes_ = &reg.gauge("resmon_agg_shard_nodes",
-                                "Nodes this shard fronts", labels);
-    m_live_nodes_ = &reg.gauge("resmon_agg_live_nodes",
-                               "Owned nodes currently LIVE", labels);
-    m_stale_nodes_ = &reg.gauge("resmon_agg_stale_nodes",
-                                "Owned nodes currently STALE", labels);
-    m_dead_nodes_ = &reg.gauge("resmon_agg_dead_nodes",
-                               "Owned nodes currently DEAD", labels);
-    m_shard_nodes_->set(static_cast<double>(options_.num_nodes));
-    m_live_nodes_->set(static_cast<double>(options_.num_nodes));
-  }
+  obs::MetricsRegistry& reg = *registry_;
+  const obs::Labels labels = shard_labels(options_);
+  m_forwarded_slots_total_ =
+      &reg.counter("resmon_agg_forwarded_slots_total",
+                   "Slot summaries forwarded to the root", labels);
+  m_forwarded_measurements_total_ = &reg.counter(
+      "resmon_agg_forwarded_measurements_total",
+      "Measurements carried inside forwarded slot summaries", labels);
+  m_forwarded_bytes_total_ =
+      &reg.counter("resmon_agg_forwarded_bytes_total",
+                   "Encoded bytes written to the upstream link", labels);
+  m_degraded_slots_total_ = &reg.counter(
+      "resmon_agg_degraded_slots_total",
+      "Forwarded slots whose shard barrier skipped a non-LIVE node", labels);
+  m_status_frames_total_ =
+      &reg.counter("resmon_agg_status_frames_total",
+                   "Shard-status censuses sent upstream", labels);
+  m_compaction_ratio_ = &reg.gauge(
+      "resmon_agg_compaction_ratio",
+      "Agent frames received downstream per frame sent upstream", labels);
+  m_shard_nodes_ =
+      &reg.gauge("resmon_agg_shard_nodes", "Nodes this shard fronts", labels);
+  m_live_nodes_ =
+      &reg.gauge("resmon_agg_live_nodes", "Owned nodes currently LIVE", labels);
+  m_stale_nodes_ = &reg.gauge("resmon_agg_stale_nodes",
+                              "Owned nodes currently STALE", labels);
+  m_dead_nodes_ =
+      &reg.gauge("resmon_agg_dead_nodes", "Owned nodes currently DEAD", labels);
+  m_shard_nodes_->set(static_cast<double>(options_.num_nodes));
+  m_live_nodes_->set(static_cast<double>(options_.num_nodes));
 }
 
 void Aggregator::log(const std::string& line) const {
@@ -112,10 +116,7 @@ void Aggregator::connect_upstream() {
 
 void Aggregator::forward(const std::vector<std::uint8_t>& bytes) {
   if (upstream_.deliver(bytes)) log("upstream link re-established");
-  forwarded_bytes_ += bytes.size();
-  if (m_forwarded_bytes_total_ != nullptr) {
-    m_forwarded_bytes_total_->inc(bytes.size());
-  }
+  m_forwarded_bytes_total_->inc(bytes.size());
 }
 
 void Aggregator::count_states(std::size_t& live, std::size_t& stale,
@@ -138,7 +139,6 @@ void Aggregator::count_states(std::size_t& live, std::size_t& stale,
 }
 
 void Aggregator::update_gauges() {
-  if (options_.metrics == nullptr) return;
   std::size_t live = 0, stale = 0, dead = 0;
   count_states(live, stale, dead);
   m_live_nodes_->set(static_cast<double>(live));
@@ -147,7 +147,7 @@ void Aggregator::update_gauges() {
   // Frames in (agent hellos, measurements, heartbeats) per frame out
   // (summaries + censuses): the tier's fan-in leverage. 0 until the first
   // upstream frame.
-  const std::uint64_t out = forwarded_slots_ + status_frames_;
+  const std::uint64_t out = forwarded_slots() + status_frames();
   if (out > 0) {
     m_compaction_ratio_->set(
         static_cast<double>(downstream_.frames_received()) /
@@ -175,16 +175,11 @@ bool Aggregator::forward_slot(std::size_t t, int timeout_ms) {
       .num_resources = static_cast<std::uint32_t>(options_.num_resources),
       .measurements = std::move(*slot)};
   forward(wire::encode(summary));
-  ++forwarded_slots_;
-  forwarded_measurements_ += summary.measurements.size();
-  if (degraded > 0) ++degraded_slots_forwarded_;
-  if (m_forwarded_slots_total_ != nullptr) {
-    m_forwarded_slots_total_->inc();
-    m_forwarded_measurements_total_->inc(summary.measurements.size());
-    if (degraded > 0) m_degraded_slots_total_->inc();
-  }
+  m_forwarded_slots_total_->inc();
+  m_forwarded_measurements_total_->inc(summary.measurements.size());
+  if (degraded > 0) m_degraded_slots_total_->inc();
   if (options_.status_every_slots > 0 &&
-      forwarded_slots_ % options_.status_every_slots == 0) {
+      forwarded_slots() % options_.status_every_slots == 0) {
     send_status();
   }
   update_gauges();
@@ -200,8 +195,7 @@ void Aggregator::send_status() {
       .stale = static_cast<std::uint32_t>(stale),
       .dead = static_cast<std::uint32_t>(dead)};
   forward(wire::encode(status));
-  ++status_frames_;
-  if (m_status_frames_total_ != nullptr) m_status_frames_total_->inc();
+  m_status_frames_total_->inc();
   update_gauges();
 }
 

@@ -65,12 +65,15 @@ struct AggregatorOptions {
   /// (0 = only on explicit send_status calls).
   std::size_t status_every_slots = 8;
 
-  /// Sink for the resmon_agg_* families (nullptr = no instrumentation).
+  /// Where operators read the resmon_agg_* families, labeled by shard
+  /// (nullptr = the aggregator counts into a private registry). A registry
+  /// that already holds this shard's resmon_agg_forwarded_slots_total is
+  /// rejected.
   obs::MetricsRegistry* metrics = nullptr;
   /// Registry for the internal Controller's resmon_net_* families and the
-  /// metrics endpoint. Binaries pass the same registry as `metrics`; tests
-  /// running several aggregators in one process keep them separate so the
-  /// per-node series of different shards cannot collide.
+  /// metrics endpoint (ControllerOptions::metrics). Binaries pass the same
+  /// registry as `metrics`; several aggregators in one process need one
+  /// each, since one registry serves one controller.
   obs::MetricsRegistry* net_metrics = nullptr;
 
   /// Optional operator log sink (one line per noteworthy event), shared
@@ -138,21 +141,27 @@ class Aggregator {
   const net::Controller& downstream() const { return downstream_; }
   net::Controller& downstream() { return downstream_; }
 
-  std::uint64_t forwarded_slots() const { return forwarded_slots_; }
-  std::uint64_t forwarded_measurements() const {
-    return forwarded_measurements_;
+  std::uint64_t forwarded_slots() const {
+    return m_forwarded_slots_total_->value();
   }
-  std::uint64_t forwarded_bytes() const { return forwarded_bytes_; }
+  std::uint64_t forwarded_measurements() const {
+    return m_forwarded_measurements_total_->value();
+  }
+  std::uint64_t forwarded_bytes() const {
+    return m_forwarded_bytes_total_->value();
+  }
   /// Successful upstream re-handshakes after a connection loss.
   std::uint64_t upstream_reconnects() const {
     return upstream_.reconnects();
   }
   /// Forwarded slots whose shard barrier skipped >= 1 non-LIVE node.
   std::uint64_t degraded_slots_forwarded() const {
-    return degraded_slots_forwarded_;
+    return m_degraded_slots_total_->value();
   }
   /// kShardStatus frames sent upstream.
-  std::uint64_t status_frames() const { return status_frames_; }
+  std::uint64_t status_frames() const {
+    return m_status_frames_total_->value();
+  }
 
  private:
   /// Write one encoded frame upstream (see UpstreamClient::deliver) and
@@ -166,17 +175,13 @@ class Aggregator {
   void log(const std::string& line) const;
 
   AggregatorOptions options_;
+  obs::RegistryRef registry_;  ///< options_.metrics, else a private one
   net::Controller downstream_;
   net::UpstreamClient upstream_;
-  std::uint64_t forwarded_slots_ = 0;
-  std::uint64_t forwarded_measurements_ = 0;
-  std::uint64_t forwarded_bytes_ = 0;
-  std::uint64_t degraded_slots_forwarded_ = 0;
-  std::uint64_t status_frames_ = 0;
   /// downstream_.degraded_slots() at the last forward, so each slot's
   /// degraded verdict is the delta (0 or 1) across its collect_slot call.
   std::uint64_t degraded_slots_baseline_ = 0;
-  // Optional metrics (all nullptr when options_.metrics is null).
+  // Series in registry_, registered by the constructor (never nullptr).
   obs::Counter* m_forwarded_slots_total_ = nullptr;
   obs::Counter* m_forwarded_measurements_total_ = nullptr;
   obs::Counter* m_forwarded_bytes_total_ = nullptr;

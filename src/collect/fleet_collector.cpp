@@ -1,8 +1,7 @@
 #include "collect/fleet_collector.hpp"
 
-#include <algorithm>
+#include <utility>
 
-#include "collect/adaptive_transmitter.hpp"
 #include "collect/deadband_transmitter.hpp"
 #include "common/thread_pool.hpp"
 
@@ -32,82 +31,50 @@ class AlwaysTransmitter final : public TransmitPolicy {
   std::uint64_t decisions_ = 0;
 };
 
-std::vector<std::unique_ptr<MeasurementSource>> sources_over_trace(
-    const trace::Trace& trace) {
-  std::vector<std::unique_ptr<MeasurementSource>> sources;
-  sources.reserve(trace.num_nodes());
-  for (std::size_t i = 0; i < trace.num_nodes(); ++i) {
-    sources.push_back(std::make_unique<TraceSource>(trace, i));
-  }
-  return sources;
-}
-
 }  // namespace
 
 FleetCollector::FleetCollector(
     const trace::Trace& trace,
     const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
     ThreadPool* pool, obs::MetricsRegistry* metrics)
-    : FleetCollector(sources_over_trace(trace), make_policy, pool, metrics) {}
-
-FleetCollector::FleetCollector(
-    std::vector<std::unique_ptr<MeasurementSource>> sources,
-    const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-    ThreadPool* pool, obs::MetricsRegistry* metrics)
-    : sources_(std::move(sources)), pool_(pool) {
-  RESMON_REQUIRE(!sources_.empty(), "FleetCollector needs >= 1 source");
-  for (const auto& source : sources_) {
-    RESMON_REQUIRE(source != nullptr, "null MeasurementSource");
-    RESMON_REQUIRE(
-        source->num_resources() == sources_.front()->num_resources(),
-        "MeasurementSources disagree on num_resources");
-  }
-  num_steps_ = MeasurementSource::unbounded();
-  for (const auto& source : sources_) {
-    num_steps_ = std::min(num_steps_, source->num_steps());
-  }
-  policies_.reserve(sources_.size());
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    : trace_(trace), pool_(pool), registry_(metrics) {
+  RESMON_REQUIRE(trace.num_nodes() > 0, "FleetCollector needs >= 1 node");
+  policies_.reserve(trace.num_nodes());
+  for (std::size_t i = 0; i < trace.num_nodes(); ++i) {
     policies_.push_back(make_policy());
     RESMON_REQUIRE(policies_.back() != nullptr,
                    "policy factory returned nullptr");
   }
-  if (metrics != nullptr) {
-    decisions_total_ = &metrics->counter(
-        "resmon_collect_decisions_total",
-        "Per-node transmission decisions evaluated (N per step)");
-    sends_total_ =
-        &metrics->counter("resmon_collect_sends_total",
+  decisions_total_ = &registry_->counter(
+      "resmon_collect_decisions_total",
+      "Per-node transmission decisions evaluated (N per step)");
+  sends_total_ =
+      &registry_->counter("resmon_collect_sends_total",
                           "Measurements pushed to the uplink (beta = 1)");
-    link_bytes_ = &metrics->gauge(
-        "resmon_collect_link_bytes_sent",
-        "Cumulative wire bytes the uplink has carried (exact frame sizes)");
-  }
+  link_bytes_ = &registry_->gauge(
+      "resmon_collect_link_bytes_sent",
+      "Cumulative wire bytes the uplink has carried (exact frame sizes)");
 }
 
 std::span<const transport::MeasurementMessage> FleetCollector::step(
     std::size_t t) {
   RESMON_REQUIRE(t == next_step_,
                  "FleetCollector::step must be called with consecutive t");
-  RESMON_REQUIRE(t < num_steps_, "step beyond end of the shortest source");
+  RESMON_REQUIRE(t < trace_.num_steps(), "step beyond end of the trace");
   ++next_step_;
 
   // Every node's policy decision is independent, so the decide() calls run
   // in parallel; per-node results land in disjoint slots (std::vector<bool>
   // packs bits, hence the byte-wide scratch vector). The slot's messages are
   // then gathered on this thread in node order, so the slot and its traffic
-  // accounting are identical to the serial path. A fleet holding any
-  // unbounded (live-sampling) source stays serial: such sources pace
-  // themselves on the wall clock inside measurement().
+  // accounting are identical to the serial path.
   const std::size_t n = policies_.size();
   std::vector<std::uint8_t> transmit(n, 0);
   std::vector<std::vector<double>> measurements(n);
-  ThreadPool* pool =
-      num_steps_ == MeasurementSource::unbounded() ? nullptr : pool_;
-  run_chunked(pool, n, kNodeGrain,
+  run_chunked(pool_, n, kNodeGrain,
               [&](std::size_t, std::size_t begin, std::size_t end) {
                 for (std::size_t i = begin; i < end; ++i) {
-                  measurements[i] = sources_[i]->measurement(t);
+                  measurements[i] = trace_.measurement(i, t);
                   if (policies_[i]->decide(t, measurements[i])) {
                     transmit[i] = 1;
                   }
@@ -121,12 +88,9 @@ std::span<const transport::MeasurementMessage> FleetCollector::step(
         {.node = i, .step = t, .values = std::move(measurements[i])});
     bytes_sent_ += sent_.back().wire_size();
   }
-  messages_sent_ += sent_.size();
-  if (decisions_total_ != nullptr) {
-    decisions_total_->inc(n);
-    sends_total_->inc(sent_.size());
-    link_bytes_->set(static_cast<double>(bytes_sent_));
-  }
+  decisions_total_->inc(n);
+  sends_total_->inc(sent_.size());
+  link_bytes_->set(static_cast<double>(bytes_sent_));
   return sent_;
 }
 
@@ -137,18 +101,12 @@ double FleetCollector::average_actual_frequency() const {
 }
 
 std::function<std::unique_ptr<TransmitPolicy>()> make_policy_factory(
-    PolicyKind kind, double max_frequency, double v0, double gamma,
-    bool clamp_queue, obs::MetricsRegistry* metrics) {
+    PolicyKind kind, double max_frequency, AdaptiveOptions adaptive) {
   switch (kind) {
     case PolicyKind::kAdaptive: {
-      AdaptiveOptions opts;
-      opts.max_frequency = max_frequency;
-      opts.v0 = v0;
-      opts.gamma = gamma;
-      opts.clamp_queue = clamp_queue;
-      opts.metrics = metrics;
-      return [opts]() -> std::unique_ptr<TransmitPolicy> {
-        return std::make_unique<AdaptiveTransmitter>(opts);
+      adaptive.max_frequency = max_frequency;
+      return [adaptive]() -> std::unique_ptr<TransmitPolicy> {
+        return std::make_unique<AdaptiveTransmitter>(adaptive);
       };
     }
     case PolicyKind::kUniform:

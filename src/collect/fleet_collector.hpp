@@ -11,7 +11,7 @@
 #include <span>
 #include <vector>
 
-#include "collect/measurement_source.hpp"
+#include "collect/adaptive_transmitter.hpp"
 #include "collect/transmit_policy.hpp"
 #include "obs/metrics.hpp"
 #include "trace/trace.hpp"
@@ -41,21 +41,13 @@ class FleetCollector {
   /// stepping; each policy is only ever touched by one thread per step and
   /// the slot's messages are gathered in node order on the calling thread,
   /// so results are identical at every thread count.
-  /// `metrics` (non-owning, may be nullptr) receives fleet-level collection
-  /// series (resmon_collect_*; see DESIGN.md "Observability").
+  /// `metrics` (non-owning) receives fleet-level collection series
+  /// (resmon_collect_*; see DESIGN.md "Observability"); nullptr = a private
+  /// registry. messages_sent() reads resmon_collect_sends_total, so two
+  /// collectors sharing one registry read their sum. `trace` must outlive
+  /// the collector.
   FleetCollector(
       const trace::Trace& trace,
-      const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-      ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr);
-
-  /// Same, but over arbitrary MeasurementSources (one per node) instead of
-  /// a trace — the host-collection path (procfs sampling, recorded-series
-  /// replay). All sources must agree on num_resources(). Live sources may
-  /// block inside measurement(), so the per-node loop stays serial in node
-  /// order whenever any source is unbounded; `pool` still parallelizes the
-  /// policy decisions for bounded (trace-like) sources.
-  FleetCollector(
-      std::vector<std::unique_ptr<MeasurementSource>> sources,
       const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
       ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr);
 
@@ -67,7 +59,7 @@ class FleetCollector {
   /// Sender-side traffic so far: every transmitted message and its exact
   /// wire-frame bytes (what the fleet paid for, whatever the uplink then
   /// loses).
-  std::uint64_t messages_sent() const { return messages_sent_; }
+  std::uint64_t messages_sent() const { return sends_total_->value(); }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
 
   const TransmitPolicy& policy(std::size_t node) const {
@@ -80,27 +72,24 @@ class FleetCollector {
   std::size_t num_nodes() const { return policies_.size(); }
 
  private:
-  std::vector<std::unique_ptr<MeasurementSource>> sources_;
-  std::size_t num_steps_ = 0;  ///< min over sources (cached)
+  const trace::Trace& trace_;
   std::vector<std::unique_ptr<TransmitPolicy>> policies_;
   std::vector<transport::MeasurementMessage> sent_;  ///< by last step()
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
+  std::uint64_t bytes_sent_ = 0;  ///< published by link_bytes_
   ThreadPool* pool_ = nullptr;
   std::size_t next_step_ = 0;
-  // Optional metrics (all nullptr when no registry was given).
+  obs::RegistryRef registry_;  ///< the caller's registry or a private one
   obs::Counter* decisions_total_ = nullptr;
   obs::Counter* sends_total_ = nullptr;
   obs::Gauge* link_bytes_ = nullptr;
 };
 
-/// Convenience: a policy factory for the given kind and budget B.
-/// `metrics` (non-owning) flows into AdaptiveOptions::metrics so the
-/// adaptive transmitters emit their queue-backlog series; the other policy
-/// kinds are covered by the FleetCollector-level counters.
+/// Convenience: a policy factory for the given kind and budget B. The
+/// adaptive kind takes V_0, gamma, the queue clamp and the metrics sink
+/// from `adaptive` (its max_frequency is replaced by B), so the paper's
+/// defaults live in AdaptiveOptions alone; the other kinds ignore it and
+/// are covered by the FleetCollector-level counters.
 std::function<std::unique_ptr<TransmitPolicy>()> make_policy_factory(
-    PolicyKind kind, double max_frequency, double v0 = 1e-12,
-    double gamma = 0.65, bool clamp_queue = false,
-    obs::MetricsRegistry* metrics = nullptr);
+    PolicyKind kind, double max_frequency, AdaptiveOptions adaptive = {});
 
 }  // namespace resmon::collect

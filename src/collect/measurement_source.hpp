@@ -3,11 +3,11 @@
 //
 // The pipeline has historically read measurements straight out of a
 // trace::Trace; the host-collection backend (src/host) produces them by
-// sampling procfs instead. This interface is the seam between the two: a
-// FleetCollector (and the resmon_agent slot loop) drives any source the
-// same way, so synthetic traces, live procfs sampling and recorded-series
-// replay all feed the identical adaptive-transmission -> clustering ->
-// forecasting path (DESIGN.md "Host collection").
+// sampling procfs instead. This interface is the seam between the two: the
+// resmon_agent slot loop drives any source the same way, so synthetic
+// traces, live procfs sampling and recorded-series replay all feed the
+// identical adaptive-transmission -> clustering -> forecasting path
+// (DESIGN.md "Host collection").
 #pragma once
 
 #include <cstddef>

@@ -10,7 +10,9 @@ namespace resmon::core {
 MonitoringPipeline::MonitoringPipeline(std::size_t nodes,
                                        std::size_t resources,
                                        const PipelineOptions& options)
-    : options_(options), store_(nodes, resources) {
+    : options_(options),
+      store_(nodes, resources),
+      registry_(options.metrics) {
   RESMON_REQUIRE(options.num_clusters >= 1 && options.num_clusters <= nodes,
                  "K must be in [1, N]");
   RESMON_REQUIRE(options.temporal_window >= 1,
@@ -23,12 +25,6 @@ MonitoringPipeline::MonitoringPipeline(std::size_t nodes,
           : options_.num_threads;
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 
-  if (options_.metrics != nullptr) {
-    registry_ = options_.metrics;
-  } else {
-    owned_registry_ = std::make_unique<obs::MetricsRegistry>();
-    registry_ = owned_registry_.get();
-  }
   const char* stage_help =
       "Wall-clock seconds spent in this stage since the pipeline was built";
   stage_collect_ = &registry_->gauge("resmon_pipeline_stage_seconds",
@@ -57,7 +53,7 @@ MonitoringPipeline::MonitoringPipeline(std::size_t nodes,
   copts.similarity = options.similarity;
   copts.reindex = options.reindex_clusters;
   copts.kmeans.pool = pool_.get();
-  copts.metrics = registry_;
+  copts.metrics = registry_.get();
 
   trackers_.reserve(views);
   histories_.assign(views, cluster::ClusterHistory(depth));
@@ -83,7 +79,7 @@ MonitoringPipeline::MonitoringPipeline(std::size_t nodes,
             forecast::make_forecaster(
                 options.forecaster,
                 options.seed + 7919 * (v + 1) + 31 * j + dim),
-            options.schedule, registry_, label));
+            options.schedule, registry_.get(), label));
       }
     }
   }

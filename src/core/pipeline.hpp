@@ -202,9 +202,8 @@ class MonitoringPipeline {
   // Per-view clustering-feature scratch for the temporal window path.
   std::vector<Matrix> features_scratch_;
   std::size_t step_count_ = 0;
-  /// Fallback registry, owned only when PipelineOptions::metrics is null.
-  std::unique_ptr<obs::MetricsRegistry> owned_registry_;
-  obs::MetricsRegistry* registry_ = nullptr;  ///< always valid
+  /// PipelineOptions::metrics, else a registry the pipeline owns.
+  obs::RegistryRef registry_;
   obs::Gauge* stage_collect_ = nullptr;
   obs::Gauge* stage_cluster_ = nullptr;
   obs::Gauge* stage_forecast_ = nullptr;

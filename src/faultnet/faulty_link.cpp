@@ -18,13 +18,11 @@ constexpr std::uint64_t kSaltShuffle = 0x12;
 }  // namespace
 
 FaultyLink::FaultyLink(const FaultSpec& spec, obs::MetricsRegistry* metrics)
-    : injector_(spec, metrics) {
-  if (metrics != nullptr) {
-    m_crc_rejects_ = &metrics->counter(
-        "resmon_faultnet_crc_rejects_total",
-        "Corrupted frames rejected by the wire decoder's CRC check");
-  }
-}
+    : registry_(metrics),
+      injector_(spec, registry_.get()),
+      crc_rejects_(&registry_->counter(
+          "resmon_faultnet_crc_rejects_total",
+          "Corrupted frames rejected by the wire decoder's CRC check")) {}
 
 void FaultyLink::send(transport::MeasurementMessage message) {
   const FaultDecision d = injector_.decide(message.node, message.step);
@@ -114,8 +112,7 @@ void FaultyLink::corrupt_and_reject(
   decoder.feed(frame);
   RESMON_REQUIRE(decoder.error() == net::wire::WireError::kCrcMismatch,
                  "corrupted payload must fail the CRC check");
-  ++crc_rejects_;
-  if (m_crc_rejects_ != nullptr) m_crc_rejects_->inc();
+  crc_rejects_->inc();
 }
 
 }  // namespace resmon::faultnet

@@ -32,9 +32,11 @@ namespace resmon::faultnet {
 
 class FaultyLink {
  public:
-  /// `metrics` (non-owning, may be nullptr) receives
+  /// `metrics` (non-owning) receives
   /// resmon_faultnet_injected_total{fault=...} and
-  /// resmon_faultnet_crc_rejects_total.
+  /// resmon_faultnet_crc_rejects_total; nullptr = a private registry.
+  /// crc_rejects() reads that counter, so two links sharing one registry
+  /// read their sum.
   explicit FaultyLink(const FaultSpec& spec,
                       obs::MetricsRegistry* metrics = nullptr);
 
@@ -50,7 +52,7 @@ class FaultyLink {
   std::uint64_t messages_dropped() const { return messages_dropped_; }
 
   /// Corrupted frames rejected by the wire decoder's CRC check.
-  std::uint64_t crc_rejects() const { return crc_rejects_; }
+  std::uint64_t crc_rejects() const { return crc_rejects_->value(); }
 
  private:
   struct Held {
@@ -61,13 +63,13 @@ class FaultyLink {
   /// Encode, flip one payload byte, and require the decoder to reject it.
   void corrupt_and_reject(const transport::MeasurementMessage& message);
 
+  obs::RegistryRef registry_;  ///< the caller's registry or a private one
   FaultInjector injector_;
   std::vector<transport::MeasurementMessage> ready_;  ///< due next drain()
   std::deque<Held> held_;
   std::size_t drain_count_ = 0;
   std::uint64_t messages_dropped_ = 0;
-  std::uint64_t crc_rejects_ = 0;
-  obs::Counter* m_crc_rejects_ = nullptr;
+  obs::Counter* crc_rejects_;
 };
 
 }  // namespace resmon::faultnet

@@ -54,12 +54,13 @@ std::string HostSampler::resource_name(std::size_t resource) {
 
 HostSampler::HostSampler(const ProcfsSource& procfs,
                          HostSamplerOptions options)
-    : procfs_(procfs), options_(std::move(options)) {
+    : procfs_(procfs),
+      options_(std::move(options)),
+      registry_(options_.metrics) {
   RESMON_REQUIRE(options_.page_size > 0, "page_size must be positive");
   RESMON_REQUIRE(options_.io_full_scale > 0 && options_.net_full_scale > 0,
                  "full-scale rates must be positive");
-  if (options_.metrics == nullptr) return;
-  obs::MetricsRegistry& m = *options_.metrics;
+  obs::MetricsRegistry& m = *registry_;
   samples_total_ = &m.counter("resmon_host_samples_total",
                               "Host measurement vectors produced");
   parse_errors_total_ =
@@ -99,7 +100,7 @@ std::string HostSampler::must_read(const std::string& path) const {
 std::uint64_t HostSampler::counter_delta(std::uint64_t prev,
                                          std::uint64_t cur) {
   if (cur < prev) {
-    if (counter_wraps_total_ != nullptr) counter_wraps_total_->inc();
+    counter_wraps_total_->inc();
     return 0;
   }
   return cur - prev;
@@ -108,22 +109,19 @@ std::uint64_t HostSampler::counter_delta(std::uint64_t prev,
 std::vector<double> HostSampler::sample(std::uint64_t now_ms) {
   try {
     std::vector<double> x = sample_impl(now_ms);
-    ++samples_taken_;
-    if (samples_total_ != nullptr) {
-      samples_total_->inc();
-      for (std::size_t r = 0; r < kNumResources; ++r) {
-        utilization_[r]->set(x[r]);
-      }
+    samples_total_->inc();
+    for (std::size_t r = 0; r < kNumResources; ++r) {
+      utilization_[r]->set(x[r]);
     }
     return x;
   } catch (const Error&) {
-    if (parse_errors_total_ != nullptr) parse_errors_total_->inc();
+    parse_errors_total_->inc();
     throw;
   }
 }
 
 void HostSampler::observe_latency_ms(double ms) {
-  if (sample_latency_ms_ != nullptr) sample_latency_ms_->observe(ms);
+  sample_latency_ms_->observe(ms);
 }
 
 std::vector<double> HostSampler::sample_impl(std::uint64_t now_ms) {
@@ -284,10 +282,8 @@ std::vector<double> HostSampler::sample_impl(std::uint64_t now_ms) {
   prev_net_bytes_ = net_bytes;
   prev_cgroup_usec_ = cgroup_usec;
 
-  if (watched_processes_ != nullptr) {
-    watched_processes_->set(static_cast<double>(tree_size));
-    cgroup_active_->set(cgroup_active ? 1.0 : 0.0);
-  }
+  watched_processes_->set(static_cast<double>(tree_size));
+  cgroup_active_->set(cgroup_active ? 1.0 : 0.0);
   return x;
 }
 

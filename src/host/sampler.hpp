@@ -55,8 +55,9 @@ struct HostSamplerOptions {
   /// resmon_host_cgroup_active gauge reads 0.
   const ProcfsSource* cgroup = nullptr;
 
-  /// Metric families (resmon_host_*) are registered eagerly at
-  /// construction. May be nullptr (bench runs without a registry).
+  /// Where operators read the resmon_host_* families, registered eagerly
+  /// at construction. nullptr = the sampler counts into a private registry
+  /// (samples_taken() reads resmon_host_samples_total either way).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -83,7 +84,7 @@ class HostSampler {
   /// wrapper; replay never does).
   void observe_latency_ms(double ms);
 
-  std::uint64_t samples_taken() const { return samples_taken_; }
+  std::uint64_t samples_taken() const { return samples_total_->value(); }
 
  private:
   std::vector<double> sample_impl(std::uint64_t now_ms);
@@ -92,7 +93,7 @@ class HostSampler {
 
   const ProcfsSource& procfs_;
   HostSamplerOptions options_;
-  std::uint64_t samples_taken_ = 0;
+  obs::RegistryRef registry_;  ///< options_.metrics, else a private one
 
   // Previous-sample counter baselines (valid once have_prev_).
   bool have_prev_ = false;
@@ -105,7 +106,7 @@ class HostSampler {
   std::uint64_t prev_net_bytes_ = 0;
   std::uint64_t prev_cgroup_usec_ = 0;
 
-  // Metrics (all nullptr when no registry was given).
+  // Series in registry_, registered by the constructor (never nullptr).
   obs::Counter* samples_total_ = nullptr;
   obs::Counter* parse_errors_total_ = nullptr;
   obs::Counter* counter_wraps_total_ = nullptr;

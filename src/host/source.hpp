@@ -1,5 +1,5 @@
 // The host-collection MeasurementSources: how HostSampler and recordings
-// plug into the unchanged FleetCollector / resmon_agent slot loop.
+// plug into the unchanged resmon_agent slot loop.
 //
 //   ProcfsSamplerSource  live sampling, paced to a fixed interval on the
 //                        monotonic clock, optionally teeing every sample

@@ -4,54 +4,56 @@
 
 namespace resmon::net {
 
+namespace {
+
+obs::Labels node_labels(const AgentOptions& options) {
+  return {{"node", std::to_string(options.node)}};
+}
+
+}  // namespace
+
 Agent::Agent(const AgentOptions& options,
              std::unique_ptr<collect::TransmitPolicy> policy)
     : options_(options),
       policy_(std::move(policy)),
+      registry_(options.metrics, "resmon_agent_frames_sent_total",
+                node_labels(options)),
       upstream_(options.upstream,
                 wire::encode(wire::HelloFrame{
                     .node = options.node,
                     .num_resources = options.num_resources}),
                 options.node, "agent " + std::to_string(options.node),
-                "controller") {
+                "controller",
+                registry_->gauge("resmon_agent_connected",
+                                 "1 while the connection is up, else 0",
+                                 node_labels(options)),
+                registry_->counter(
+                    "resmon_agent_reconnects_total",
+                    "Successful re-handshakes after a connection loss",
+                    node_labels(options))) {
   RESMON_REQUIRE(policy_ != nullptr, "Agent needs a transmit policy");
   RESMON_REQUIRE(options.num_resources > 0,
                  "Agent needs at least one resource");
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *options_.metrics;
-    const obs::Labels labels = {{"node", std::to_string(options_.node)}};
-    m_frames_total_ = &reg.counter("resmon_agent_frames_sent_total",
-                                   "Frames delivered to the controller",
-                                   labels);
-    m_measurements_total_ =
-        &reg.counter("resmon_agent_measurements_sent_total",
-                     "Measurement frames delivered (beta = 1)", labels);
-    m_heartbeats_total_ =
-        &reg.counter("resmon_agent_heartbeats_sent_total",
-                     "Heartbeat frames delivered (silent slots)", labels);
-    m_bytes_total_ = &reg.counter("resmon_agent_bytes_sent_total",
-                                  "Encoded frame bytes delivered", labels);
-    obs::Counter& reconnects =
-        reg.counter("resmon_agent_reconnects_total",
-                    "Successful re-handshakes after a connection loss",
-                    labels);
-    upstream_.instrument(
-        &reg.gauge("resmon_agent_connected",
-                   "1 while the connection is up, else 0", labels),
-        &reconnects);
-  }
+  obs::MetricsRegistry& reg = *registry_;
+  const obs::Labels labels = node_labels(options_);
+  m_frames_total_ = &reg.counter("resmon_agent_frames_sent_total",
+                                 "Frames delivered to the controller", labels);
+  m_measurements_total_ =
+      &reg.counter("resmon_agent_measurements_sent_total",
+                   "Measurement frames delivered (beta = 1)", labels);
+  m_heartbeats_total_ =
+      &reg.counter("resmon_agent_heartbeats_sent_total",
+                   "Heartbeat frames delivered (silent slots)", labels);
+  m_bytes_total_ = &reg.counter("resmon_agent_bytes_sent_total",
+                                "Encoded frame bytes delivered", labels);
 }
 
 void Agent::connect() { upstream_.connect(); }
 
 void Agent::deliver(const std::vector<std::uint8_t>& bytes) {
   upstream_.deliver(bytes);
-  ++frames_sent_;
-  bytes_sent_ += bytes.size();
-  if (m_frames_total_ != nullptr) {
-    m_frames_total_->inc();
-    m_bytes_total_->inc(bytes.size());
-  }
+  m_frames_total_->inc();
+  m_bytes_total_->inc(bytes.size());
 }
 
 void Agent::dispatch(std::size_t t, std::vector<std::uint8_t> bytes) {
@@ -81,13 +83,12 @@ bool Agent::observe(std::size_t t, std::span<const double> x) {
     m.step = t;
     m.values.assign(x.begin(), x.end());
     dispatch(t, wire::encode(m));
-    ++measurements_sent_;
-    if (m_measurements_total_ != nullptr) m_measurements_total_->inc();
+    m_measurements_total_->inc();
   } else {
     dispatch(t, wire::encode(wire::HeartbeatFrame{
                     .node = options_.node,
                     .step = static_cast<std::uint64_t>(t)}));
-    if (m_heartbeats_total_ != nullptr) m_heartbeats_total_->inc();
+    m_heartbeats_total_->inc();
   }
   return beta;
 }

@@ -46,8 +46,10 @@ struct AgentOptions {
   std::uint32_t node = 0;
   std::uint32_t num_resources = 1;
 
-  /// Optional metrics sink (non-owning): the resmon_agent_* series,
-  /// labeled {node="<id>"}. nullptr = no instrumentation.
+  /// Where operators read the resmon_agent_* series (non-owning), labeled
+  /// {node="<id>"}. nullptr = the agent counts into a private registry.
+  /// One registry serves one agent per node id: a registry that already
+  /// holds this node's resmon_agent_frames_sent_total is rejected.
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Optional outbound-frame interception (fault injection, tracing).
@@ -75,11 +77,13 @@ class Agent {
   const collect::TransmitPolicy& policy() const { return *policy_; }
 
   /// Frames and encoded bytes actually written to the controller.
-  std::uint64_t frames_sent() const { return frames_sent_; }
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
+  std::uint64_t frames_sent() const { return m_frames_total_->value(); }
+  std::uint64_t bytes_sent() const { return m_bytes_total_->value(); }
   /// Per-slot policy decisions to transmit (beta = 1), whether or not a
   /// fault hook delivered the frame.
-  std::uint64_t measurements_sent() const { return measurements_sent_; }
+  std::uint64_t measurements_sent() const {
+    return m_measurements_total_->value();
+  }
   /// Successful re-handshakes after a connection loss.
   std::uint64_t reconnects() const { return upstream_.reconnects(); }
 
@@ -92,11 +96,9 @@ class Agent {
 
   AgentOptions options_;
   std::unique_ptr<collect::TransmitPolicy> policy_;
+  obs::RegistryRef registry_;  ///< options_.metrics, else a private one
   UpstreamClient upstream_;
-  std::uint64_t frames_sent_ = 0;
-  std::uint64_t measurements_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  // Optional metrics (all nullptr when no registry was given).
+  // Series in registry_, registered by the constructor (never nullptr).
   obs::Counter* m_frames_total_ = nullptr;
   obs::Counter* m_measurements_total_ = nullptr;
   obs::Counter* m_heartbeats_total_ = nullptr;

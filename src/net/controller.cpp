@@ -95,6 +95,7 @@ const char* node_state_name(NodeState state) {
 
 Controller::Controller(Socket listener, const ControllerOptions& options)
     : options_(options),
+      registry_(options.metrics, "resmon_net_frames_total"),
       listener_(std::move(listener)),
       seen_(options.num_nodes, 0),
       progress_(options.num_nodes, -1),
@@ -113,117 +114,112 @@ Controller::Controller(Socket listener, const ControllerOptions& options)
       "dead_after_ms must be >= stale_after_ms");
   shards_.resize(options_.num_shards);
   poller_.watch(listener_.fd());
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *options_.metrics;
-    m_frames_total_ = &reg.counter("resmon_net_frames_total",
-                                   "Frames decoded from agent streams");
-    m_measurements_total_ = &reg.counter(
-        "resmon_net_measurements_total", "Measurement frames accepted");
-    m_heartbeats_total_ = &reg.counter("resmon_net_heartbeats_total",
-                                       "Heartbeat frames accepted");
-    m_bytes_total_ =
-        &reg.counter("resmon_net_bytes_total", "Raw bytes read from agents");
-    m_connections_total_ = &reg.counter("resmon_net_connections_total",
-                                        "Agent connections accepted");
-    m_rejected_total_ = &reg.counter(
-        "resmon_net_connections_rejected_total",
-        "Connections dropped for wire-protocol or semantic violations");
-    m_stale_dropped_total_ = &reg.counter(
-        "resmon_net_stale_connections_dropped_total",
-        "Half-open connections displaced by a newer hello (newest-wins)");
-    m_slots_total_ = &reg.counter("resmon_net_slots_total",
-                                  "Slots fully collected across all nodes");
-    m_slot_timeouts_total_ = &reg.counter(
-        "resmon_net_slot_timeouts_total",
-        "collect_slot calls that gave up before the barrier completed");
-    m_scrapes_total_ = &reg.counter("resmon_net_metrics_scrapes_total",
-                                    "Completed metrics-endpoint scrapes");
-    m_connected_agents_ = &reg.gauge(
-        "resmon_net_connected_agents",
-        "Nodes with a live, hello-completed connection right now");
-    m_slot_wait_ms_ = &reg.histogram(
-        "resmon_net_slot_wait_ms",
-        "Wall-clock milliseconds collect_slot waited at the slot barrier",
-        obs::duration_ms_buckets());
-    // Eagerly register every wire-error label value so the family is
-    // complete (and visible to the docs drift test) before any error
-    // happens; count_wire_error then only looks existing series up.
-    for (int e = static_cast<int>(wire::WireError::kBadMagic);
-         e <= static_cast<int>(wire::WireError::kTruncated); ++e) {
-      reg.counter("resmon_net_wire_errors_total",
-                  "Byte streams rejected by the frame decoder, by error",
-                  {{"error",
-                    wire::wire_error_name(static_cast<wire::WireError>(e))}});
-    }
-    // Degradation observability.
-    m_stale_transitions_total_ =
-        &reg.counter("resmon_net_stale_transitions_total",
-                     "LIVE -> STALE transitions of the staleness policy");
-    m_dead_transitions_total_ =
-        &reg.counter("resmon_net_dead_transitions_total",
-                     "Transitions to DEAD (node evicted after silence)");
-    m_rejoins_total_ =
-        &reg.counter("resmon_net_rejoins_total",
-                     "STALE/DEAD -> LIVE transitions (node reported again)");
-    m_degraded_slots_total_ = &reg.counter(
-        "resmon_net_degraded_slots_total",
-        "Slots completed while skipping at least one non-LIVE node "
-        "(sample-and-hold degradation)");
-    m_blocked_frames_total_ = &reg.counter(
-        "resmon_net_blocked_frames_total",
-        "Inbound frames discarded by the controller's block hook");
-    m_stale_nodes_ =
-        &reg.gauge("resmon_net_stale_nodes", "Nodes currently STALE");
-    m_dead_nodes_ =
-        &reg.gauge("resmon_net_dead_nodes", "Nodes currently DEAD");
-    m_node_state_.resize(options_.num_nodes, nullptr);
-    m_node_staleness_ms_.resize(options_.num_nodes, nullptr);
-    for (std::size_t node = 0; node < options_.num_nodes; ++node) {
-      // Labels carry the *global* node id, so an aggregator fronting a
-      // mid-fleet shard exports the same series names the root would.
-      const obs::Labels labels = {
-          {"node", std::to_string(options_.first_node + node)}};
-      m_node_state_[node] = &reg.gauge(
-          "resmon_net_node_state",
-          "Liveness verdict per node: 0 = live, 1 = stale, 2 = dead",
-          labels);
-      m_node_staleness_ms_[node] = &reg.gauge(
-          "resmon_net_node_staleness_ms",
-          "Milliseconds since the node last showed evidence of life",
-          labels);
-    }
-    if (options_.num_shards > 0) {
-      m_summaries_total_ =
-          &reg.counter("resmon_net_summaries_total",
-                       "Slot-summary frames accepted from aggregator shards");
-      m_summary_measurements_total_ = &reg.counter(
-          "resmon_net_summary_measurements_total",
-          "Measurements carried inside accepted slot summaries");
-      m_shard_status_total_ =
-          &reg.counter("resmon_net_shard_status_total",
-                       "Shard-status census frames accepted from aggregators");
-      m_shards_connected_ = &reg.gauge(
-          "resmon_net_shards_connected",
-          "Aggregator shards with a live, hello-completed connection");
-      m_shard_live_.resize(options_.num_shards, nullptr);
-      m_shard_stale_.resize(options_.num_shards, nullptr);
-      m_shard_dead_.resize(options_.num_shards, nullptr);
-      for (std::size_t shard = 0; shard < options_.num_shards; ++shard) {
-        const obs::Labels labels = {{"shard", std::to_string(shard)}};
-        m_shard_live_[shard] = &reg.gauge(
-            "resmon_net_shard_live_nodes",
-            "LIVE nodes per shard, from the latest shard-status census",
-            labels);
-        m_shard_stale_[shard] = &reg.gauge(
-            "resmon_net_shard_stale_nodes",
-            "STALE nodes per shard, from the latest shard-status census",
-            labels);
-        m_shard_dead_[shard] = &reg.gauge(
-            "resmon_net_shard_dead_nodes",
-            "DEAD nodes per shard, from the latest shard-status census",
-            labels);
-      }
-    }
+  obs::MetricsRegistry& reg = *registry_;
+  m_frames_total_ = &reg.counter("resmon_net_frames_total",
+                                 "Frames decoded from agent streams");
+  m_measurements_total_ = &reg.counter("resmon_net_measurements_total",
+                                       "Measurement frames accepted");
+  m_heartbeats_total_ = &reg.counter("resmon_net_heartbeats_total",
+                                     "Heartbeat frames accepted");
+  m_bytes_total_ =
+      &reg.counter("resmon_net_bytes_total", "Raw bytes read from agents");
+  m_connections_total_ = &reg.counter("resmon_net_connections_total",
+                                      "Agent connections accepted");
+  m_rejected_total_ = &reg.counter(
+      "resmon_net_connections_rejected_total",
+      "Connections dropped for wire-protocol or semantic violations");
+  m_stale_dropped_total_ = &reg.counter(
+      "resmon_net_stale_connections_dropped_total",
+      "Half-open connections displaced by a newer hello (newest-wins)");
+  m_slots_total_ = &reg.counter("resmon_net_slots_total",
+                                "Slots fully collected across all nodes");
+  m_slot_timeouts_total_ = &reg.counter(
+      "resmon_net_slot_timeouts_total",
+      "collect_slot calls that gave up before the barrier completed");
+  m_scrapes_total_ = &reg.counter("resmon_net_metrics_scrapes_total",
+                                  "Completed metrics-endpoint scrapes");
+  m_connected_agents_ = &reg.gauge(
+      "resmon_net_connected_agents",
+      "Nodes with a live, hello-completed connection right now");
+  m_slot_wait_ms_ = &reg.histogram(
+      "resmon_net_slot_wait_ms",
+      "Wall-clock milliseconds collect_slot waited at the slot barrier",
+      obs::duration_ms_buckets());
+  // Eagerly register every wire-error label value so the family is
+  // complete (and visible to the docs drift test) before any error
+  // happens; count_wire_error then only looks existing series up.
+  for (int e = static_cast<int>(wire::WireError::kBadMagic);
+       e <= static_cast<int>(wire::WireError::kTruncated); ++e) {
+    reg.counter("resmon_net_wire_errors_total",
+                "Byte streams rejected by the frame decoder, by error",
+                {{"error",
+                  wire::wire_error_name(static_cast<wire::WireError>(e))}});
+  }
+  // Degradation observability.
+  m_stale_transitions_total_ =
+      &reg.counter("resmon_net_stale_transitions_total",
+                   "LIVE -> STALE transitions of the staleness policy");
+  m_dead_transitions_total_ =
+      &reg.counter("resmon_net_dead_transitions_total",
+                   "Transitions to DEAD (node evicted after silence)");
+  m_rejoins_total_ =
+      &reg.counter("resmon_net_rejoins_total",
+                   "STALE/DEAD -> LIVE transitions (node reported again)");
+  m_degraded_slots_total_ = &reg.counter(
+      "resmon_net_degraded_slots_total",
+      "Slots completed while skipping at least one non-LIVE node "
+      "(sample-and-hold degradation)");
+  m_blocked_frames_total_ = &reg.counter(
+      "resmon_net_blocked_frames_total",
+      "Inbound frames discarded by the controller's block hook");
+  m_stale_nodes_ =
+      &reg.gauge("resmon_net_stale_nodes", "Nodes currently STALE");
+  m_dead_nodes_ = &reg.gauge("resmon_net_dead_nodes", "Nodes currently DEAD");
+  // Two-tier root totals (zero unless num_shards > 0 lets shards in).
+  m_summaries_total_ =
+      &reg.counter("resmon_net_summaries_total",
+                   "Slot-summary frames accepted from aggregator shards");
+  m_summary_measurements_total_ = &reg.counter(
+      "resmon_net_summary_measurements_total",
+      "Measurements carried inside accepted slot summaries");
+  m_shard_status_total_ =
+      &reg.counter("resmon_net_shard_status_total",
+                   "Shard-status census frames accepted from aggregators");
+  m_shards_connected_ = &reg.gauge(
+      "resmon_net_shards_connected",
+      "Aggregator shards with a live, hello-completed connection");
+  // The label families below cost ~3 MB and a per-slot pass at N = 12,478;
+  // nobody can read them from a private registry, so only a caller's gets
+  // them.
+  if (!registry_.shared()) return;
+  m_node_state_.resize(options_.num_nodes, nullptr);
+  m_node_staleness_ms_.resize(options_.num_nodes, nullptr);
+  for (std::size_t node = 0; node < options_.num_nodes; ++node) {
+    // Labels carry the *global* node id, so an aggregator fronting a
+    // mid-fleet shard exports the same series names the root would.
+    const obs::Labels labels = {
+        {"node", std::to_string(options_.first_node + node)}};
+    m_node_state_[node] = &reg.gauge(
+        "resmon_net_node_state",
+        "Liveness verdict per node: 0 = live, 1 = stale, 2 = dead", labels);
+    m_node_staleness_ms_[node] = &reg.gauge(
+        "resmon_net_node_staleness_ms",
+        "Milliseconds since the node last showed evidence of life", labels);
+  }
+  m_shard_live_.resize(options_.num_shards, nullptr);
+  m_shard_stale_.resize(options_.num_shards, nullptr);
+  m_shard_dead_.resize(options_.num_shards, nullptr);
+  for (std::size_t shard = 0; shard < options_.num_shards; ++shard) {
+    const obs::Labels labels = {{"shard", std::to_string(shard)}};
+    m_shard_live_[shard] = &reg.gauge(
+        "resmon_net_shard_live_nodes",
+        "LIVE nodes per shard, from the latest shard-status census", labels);
+    m_shard_stale_[shard] = &reg.gauge(
+        "resmon_net_shard_stale_nodes",
+        "STALE nodes per shard, from the latest shard-status census", labels);
+    m_shard_dead_[shard] = &reg.gauge(
+        "resmon_net_shard_dead_nodes",
+        "DEAD nodes per shard, from the latest shard-status census", labels);
   }
 }
 
@@ -245,7 +241,7 @@ void Controller::pump_idle(int duration_ms, std::uint64_t until_scrapes) {
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(duration_ms);
   for (;;) {
-    if (until_scrapes != 0 && metrics_scrapes_ >= until_scrapes) return;
+    if (until_scrapes != 0 && metrics_scrapes() >= until_scrapes) return;
     const int left = remaining_ms(deadline);
     if (left == 0) return;
     pump(std::min(left, kPumpSliceMs));
@@ -292,7 +288,7 @@ Controller::collect_slot(std::size_t t, int timeout_ms) {
   while (!slot_complete()) {
     const int left = remaining_ms(deadline);
     if (left == 0) {
-      if (m_slot_timeouts_total_ != nullptr) m_slot_timeouts_total_->inc();
+      m_slot_timeouts_total_->inc();
       return std::nullopt;
     }
     pump(std::min(left, kPumpSliceMs));
@@ -308,16 +304,11 @@ Controller::collect_slot(std::size_t t, int timeout_ms) {
   if (degraded_marks_.count(t) != 0) degraded = true;
   degraded_marks_.erase(degraded_marks_.begin(),
                         degraded_marks_.upper_bound(t));
-  if (degraded) {
-    ++degraded_slots_;
-    if (m_degraded_slots_total_ != nullptr) m_degraded_slots_total_->inc();
-  }
-  if (m_slots_total_ != nullptr) {
-    m_slots_total_->inc();
-    m_slot_wait_ms_->observe(
-        std::chrono::duration<double, std::milli>(Clock::now() - wait_start)
-            .count());
-  }
+  if (degraded) m_degraded_slots_total_->inc();
+  m_slots_total_->inc();
+  m_slot_wait_ms_->observe(
+      std::chrono::duration<double, std::milli>(Clock::now() - wait_start)
+          .count());
 
   return inbox_.take(t);
 }
@@ -342,7 +333,7 @@ void Controller::pump(int timeout_ms) {
     auto it = connections_.find(ev.fd);
     if (it == connections_.end()) continue;  // dropped earlier this round
     if (ev.readable || ev.hangup) {
-      if (!service(it->second)) drop(ev.fd, /*rejected=*/false);
+      if (!service(it->second)) drop(ev.fd);
     }
   }
   update_node_states();
@@ -353,7 +344,7 @@ void Controller::accept_pending() {
     const int fd = sock->fd();
     connections_.emplace(fd, Connection(std::move(*sock)));
     poller_.watch(fd);
-    if (m_connections_total_ != nullptr) m_connections_total_->inc();
+    m_connections_total_->inc();
   }
 }
 
@@ -405,10 +396,7 @@ bool Controller::service_metrics(MetricsConnection& conn) {
       {reinterpret_cast<const std::uint8_t*>(response.data()),
        response.size()},
       1000);
-  if (wrote) {
-    ++metrics_scrapes_;
-    if (m_scrapes_total_ != nullptr) m_scrapes_total_->inc();
-  }
+  if (wrote) m_scrapes_total_->inc();
   return false;  // one response per connection; close either way
 }
 
@@ -420,10 +408,9 @@ void Controller::drop_metrics(int fd) {
 }
 
 void Controller::count_wire_error(wire::WireError error) {
-  if (options_.metrics == nullptr) return;
   // Every label value was pre-registered in the constructor, so this is a
   // pure lookup of the existing series.
-  options_.metrics
+  registry_
       ->counter("resmon_net_wire_errors_total",
                 "Byte streams rejected by the frame decoder, by error",
                 {{"error", wire::wire_error_name(error)}})
@@ -434,26 +421,19 @@ void Controller::set_node_state(std::size_t node, NodeState state) {
   const NodeState previous = states_[node];
   if (previous == state) return;
   states_[node] = state;
+  if (previous == NodeState::kStale) m_stale_nodes_->add(-1.0);
+  if (previous == NodeState::kDead) m_dead_nodes_->add(-1.0);
   if (state == NodeState::kStale) {
-    ++stale_transitions_;
-    if (m_stale_transitions_total_ != nullptr) {
-      m_stale_transitions_total_->inc();
-    }
+    m_stale_transitions_total_->inc();
+    m_stale_nodes_->add(1.0);
   } else if (state == NodeState::kDead) {
-    ++dead_transitions_;
-    if (m_dead_transitions_total_ != nullptr) m_dead_transitions_total_->inc();
+    m_dead_transitions_total_->inc();
+    m_dead_nodes_->add(1.0);
   } else {
-    ++rejoins_;
-    if (m_rejoins_total_ != nullptr) m_rejoins_total_->inc();
+    m_rejoins_total_->inc();
   }
-  if (options_.metrics != nullptr) {
+  if (!m_node_state_.empty()) {
     m_node_state_[node]->set(static_cast<double>(state));
-    const auto count_in = [&](NodeState s) {
-      return static_cast<double>(
-          std::count(states_.begin(), states_.end(), s));
-    };
-    m_stale_nodes_->set(count_in(NodeState::kStale));
-    m_dead_nodes_->set(count_in(NodeState::kDead));
   }
 }
 
@@ -463,10 +443,7 @@ Clock::time_point Controller::staleness_now() const {
 
 void Controller::touch(std::size_t node, Clock::time_point now) {
   last_seen_[node] = now;
-  if (m_node_staleness_ms_.size() > node &&
-      m_node_staleness_ms_[node] != nullptr) {
-    m_node_staleness_ms_[node]->set(0.0);
-  }
+  if (!m_node_staleness_ms_.empty()) m_node_staleness_ms_[node]->set(0.0);
   if (states_[node] != NodeState::kLive) {
     set_node_state(node, NodeState::kLive);
   }
@@ -493,7 +470,7 @@ void Controller::update_node_states() {
         const auto it = std::find_if(
             connections_.begin(), connections_.end(),
             [&](const auto& kv) { return kv.second.node == global; });
-        if (it != connections_.end()) drop(it->first, /*rejected=*/false);
+        if (it != connections_.end()) drop(it->first);
       }
     } else if (silence_ms >= options_.stale_after_ms) {
       if (states_[node] == NodeState::kLive) {
@@ -508,20 +485,16 @@ bool Controller::service(Connection& conn) {
     std::size_t n = 0;
     const IoStatus status = conn.sock.read_some(read_buffer_, n);
     if (status == IoStatus::kOk) {
-      bytes_received_ += n;
-      if (m_bytes_total_ != nullptr) m_bytes_total_->inc(n);
+      m_bytes_total_->inc(n);
       if (!conn.decoder.feed({read_buffer_.data(), n})) {
-        ++connections_rejected_;
-        if (m_rejected_total_ != nullptr) m_rejected_total_->inc();
+        m_rejected_total_->inc();
         count_wire_error(conn.decoder.error());
         return false;  // poisoned stream: drop the connection
       }
       while (std::optional<wire::Frame> frame = conn.decoder.next()) {
-        ++frames_received_;
-        if (m_frames_total_ != nullptr) m_frames_total_->inc();
+        m_frames_total_->inc();
         if (!handle_frame(conn, std::move(*frame))) {
-          ++connections_rejected_;
-          if (m_rejected_total_ != nullptr) m_rejected_total_->inc();
+          m_rejected_total_->inc();
           return false;
         }
       }
@@ -558,8 +531,7 @@ bool Controller::handle_frame(Connection& conn, wire::Frame&& frame) {
     }
     if (options_.block_hook &&
         options_.block_hook(static_cast<std::uint32_t>(m.node), m.step)) {
-      ++blocked_frames_;
-      if (m_blocked_frames_total_ != nullptr) m_blocked_frames_total_->inc();
+      m_blocked_frames_total_->inc();
       return true;  // frame eaten by the simulated partition; stream is fine
     }
     const std::size_t local = m.node - options_.first_node;
@@ -567,7 +539,7 @@ bool Controller::handle_frame(Connection& conn, wire::Frame&& frame) {
         std::max(progress_[local], static_cast<long long>(m.step));
     touch(local, staleness_now());
     inbox_.push(local, std::move(m));
-    if (m_measurements_total_ != nullptr) m_measurements_total_->inc();
+    m_measurements_total_->inc();
     return true;
   }
   if (std::holds_alternative<wire::HeartbeatFrame>(frame)) {
@@ -576,15 +548,14 @@ bool Controller::handle_frame(Connection& conn, wire::Frame&& frame) {
       return false;
     }
     if (options_.block_hook && options_.block_hook(hb.node, hb.step)) {
-      ++blocked_frames_;
-      if (m_blocked_frames_total_ != nullptr) m_blocked_frames_total_->inc();
+      m_blocked_frames_total_->inc();
       return true;
     }
     const std::size_t local = hb.node - options_.first_node;
     progress_[local] =
         std::max(progress_[local], static_cast<long long>(hb.step));
     touch(local, staleness_now());
-    if (m_heartbeats_total_ != nullptr) m_heartbeats_total_->inc();
+    m_heartbeats_total_->inc();
     return true;
   }
   // HelloAck is controller -> agent only.
@@ -611,8 +582,8 @@ bool Controller::handle_hello(Connection& conn, const wire::HelloFrame& hello) {
           return kv.second.node == static_cast<long long>(hello.node);
         });
     if (stale != connections_.end()) {
-      drop(stale->first, /*rejected=*/false);
-      if (m_stale_dropped_total_ != nullptr) m_stale_dropped_total_->inc();
+      drop(stale->first);
+      m_stale_dropped_total_->inc();
     }
   }
   const wire::HelloAckFrame ack{
@@ -630,9 +601,7 @@ bool Controller::handle_hello(Connection& conn, const wire::HelloFrame& hello) {
   conn.node = static_cast<long long>(hello.node);
   const std::size_t local = hello.node - options_.first_node;
   ++connected_nodes_;
-  if (m_connected_agents_ != nullptr) {
-    m_connected_agents_->set(static_cast<double>(connected_nodes_));
-  }
+  m_connected_agents_->set(static_cast<double>(connected_nodes_));
   if (!seen_[local]) {
     seen_[local] = 1;
     ++nodes_seen_;
@@ -666,8 +635,8 @@ bool Controller::handle_shard_hello(Connection& conn,
           return kv.second.shard == static_cast<long long>(sh.shard);
         });
     if (stale != connections_.end()) {
-      drop(stale->first, /*rejected=*/false);
-      if (m_stale_dropped_total_ != nullptr) m_stale_dropped_total_->inc();
+      drop(stale->first);
+      m_stale_dropped_total_->inc();
     }
   }
   // The ack echoes the shard id in the node field.
@@ -693,9 +662,7 @@ bool Controller::handle_shard_hello(Connection& conn,
     ++shards_seen_;
   }
   ++connected_shards_;
-  if (m_shards_connected_ != nullptr) {
-    m_shards_connected_->set(static_cast<double>(connected_shards_));
-  }
+  m_shards_connected_->set(static_cast<double>(connected_shards_));
   // The shard speaks for every node it fronts: mark them seen (so
   // wait_for_agents counts fronted nodes too) and alive.
   const Clock::time_point now = staleness_now();
@@ -741,16 +708,10 @@ bool Controller::handle_slot_summary(Connection& conn,
   for (transport::MeasurementMessage& m : s.measurements) {
     inbox_.push(m.node - options_.first_node, std::move(m));
   }
-  if (m_measurements_total_ != nullptr) {
-    m_measurements_total_->inc(s.measurements.size());
-  }
+  m_measurements_total_->inc(s.measurements.size());
   if (s.degraded > 0) degraded_marks_.insert(s.step);
-  ++summaries_received_;
-  summary_measurements_ += s.measurements.size();
-  if (m_summaries_total_ != nullptr) m_summaries_total_->inc();
-  if (m_summary_measurements_total_ != nullptr) {
-    m_summary_measurements_total_->inc(s.measurements.size());
-  }
+  m_summaries_total_->inc();
+  m_summary_measurements_total_->inc(s.measurements.size());
   return true;
 }
 
@@ -759,8 +720,8 @@ bool Controller::handle_shard_status(Connection& conn,
   if (conn.shard < 0 || s.shard != static_cast<std::uint32_t>(conn.shard)) {
     return false;
   }
-  if (m_shard_status_total_ != nullptr) {
-    m_shard_status_total_->inc();
+  m_shard_status_total_->inc();
+  if (!m_shard_live_.empty()) {
     m_shard_live_[s.shard]->set(static_cast<double>(s.live));
     m_shard_stale_[s.shard]->set(static_cast<double>(s.stale));
     m_shard_dead_[s.shard]->set(static_cast<double>(s.dead));
@@ -768,22 +729,14 @@ bool Controller::handle_shard_status(Connection& conn,
   return true;
 }
 
-void Controller::drop(int fd, bool rejected) {
+void Controller::drop(int fd) {
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
-  if (rejected) {
-    ++connections_rejected_;
-    if (m_rejected_total_ != nullptr) m_rejected_total_->inc();
-  }
   if (it->second.node >= 0) --connected_nodes_;
-  if (m_connected_agents_ != nullptr) {
-    m_connected_agents_->set(static_cast<double>(connected_nodes_));
-  }
+  m_connected_agents_->set(static_cast<double>(connected_nodes_));
   if (it->second.shard >= 0) {
     --connected_shards_;
-    if (m_shards_connected_ != nullptr) {
-      m_shards_connected_->set(static_cast<double>(connected_shards_));
-    }
+    m_shards_connected_->set(static_cast<double>(connected_shards_));
     log("shard " + std::to_string(it->second.shard) +
         " connection dropped");
   }

@@ -78,9 +78,12 @@ struct ControllerOptions {
   /// exports per-shard staleness gauges; direct agent connections keep
   /// working, so a fleet can migrate tier by tier.
   std::size_t num_shards = 0;
-  /// Optional metrics sink (non-owning): the resmon_net_* series, and the
-  /// registry the metrics endpoint (serve_metrics) exposes. nullptr = no
-  /// instrumentation and no endpoint.
+  /// Where operators read the resmon_net_* series (non-owning), and the
+  /// registry the metrics endpoint (serve_metrics) exposes. nullptr = the
+  /// controller counts into a private registry: the accessors still work,
+  /// but there is no endpoint and the per-node and per-shard label families
+  /// are not registered at all. One registry serves one controller: a
+  /// registry that already holds resmon_net_frames_total is rejected.
   obs::MetricsRegistry* metrics = nullptr;
 
   /// Graceful-degradation policy. A node silent for stale_after_ms becomes
@@ -169,7 +172,7 @@ class Controller {
   std::uint16_t metrics_port() const { return metrics_listener_.local_port(); }
 
   /// Completed metrics scrapes (responses fully written).
-  std::uint64_t metrics_scrapes() const { return metrics_scrapes_; }
+  std::uint64_t metrics_scrapes() const { return m_scrapes_total_->value(); }
 
   /// Pump the event loop for `duration_ms` without waiting on any slot:
   /// lets the metrics endpoint answer scrapes after the run loop finished.
@@ -206,32 +209,44 @@ class Controller {
   /// Shards with a live, handshake-completed connection right now.
   std::size_t connected_shards() const { return connected_shards_; }
   /// Slot-summary frames accepted from shards.
-  std::uint64_t summaries_received() const { return summaries_received_; }
+  std::uint64_t summaries_received() const {
+    return m_summaries_total_->value();
+  }
   /// Measurements carried inside accepted slot summaries.
   std::uint64_t summary_measurements() const {
-    return summary_measurements_;
+    return m_summary_measurements_total_->value();
   }
 
-  std::uint64_t frames_received() const { return frames_received_; }
-  std::uint64_t bytes_received() const { return bytes_received_; }
+  std::uint64_t frames_received() const { return m_frames_total_->value(); }
+  std::uint64_t bytes_received() const { return m_bytes_total_->value(); }
   /// Connections dropped for wire-protocol or semantic violations.
-  std::uint64_t connections_rejected() const { return connections_rejected_; }
+  std::uint64_t connections_rejected() const {
+    return m_rejected_total_->value();
+  }
 
   /// Current liveness verdict for one node (global node id).
   NodeState node_state(std::size_t node) const {
     return states_.at(node - options_.first_node);
   }
   /// LIVE -> STALE transitions (a node may contribute several).
-  std::uint64_t stale_transitions() const { return stale_transitions_; }
+  std::uint64_t stale_transitions() const {
+    return m_stale_transitions_total_->value();
+  }
   /// -> DEAD transitions.
-  std::uint64_t dead_transitions() const { return dead_transitions_; }
+  std::uint64_t dead_transitions() const {
+    return m_dead_transitions_total_->value();
+  }
   /// STALE/DEAD -> LIVE transitions (the node reported again).
-  std::uint64_t rejoins() const { return rejoins_; }
+  std::uint64_t rejoins() const { return m_rejoins_total_->value(); }
   /// Slots the barrier completed while skipping at least one non-LIVE node
   /// (i.e. slots that ran on sample-and-hold data for some node).
-  std::uint64_t degraded_slots() const { return degraded_slots_; }
+  std::uint64_t degraded_slots() const {
+    return m_degraded_slots_total_->value();
+  }
   /// Inbound frames discarded by ControllerOptions::block_hook.
-  std::uint64_t blocked_frames() const { return blocked_frames_; }
+  std::uint64_t blocked_frames() const {
+    return m_blocked_frames_total_->value();
+  }
 
  private:
   struct Connection {
@@ -272,7 +287,7 @@ class Controller {
   bool handle_shard_hello(Connection& conn, const wire::ShardHelloFrame& sh);
   bool handle_slot_summary(Connection& conn, wire::SlotSummaryFrame&& s);
   bool handle_shard_status(Connection& conn, const wire::ShardStatusFrame& s);
-  void drop(int fd, bool rejected);
+  void drop(int fd);
   void drop_metrics(int fd);
   /// Count a poisoned stream against resmon_net_wire_errors_total.
   void count_wire_error(wire::WireError error);
@@ -292,6 +307,7 @@ class Controller {
   void set_node_state(std::size_t node, NodeState state);
 
   ControllerOptions options_;
+  obs::RegistryRef registry_;  ///< options_.metrics, else a private one
   Socket listener_;
   Socket metrics_listener_;  ///< invalid until serve_metrics
   Poller poller_;
@@ -313,26 +329,15 @@ class Controller {
   /// Last evidence of life; starts at construction, so a node that never
   /// connects still ages into STALE/DEAD instead of blocking forever.
   std::vector<std::chrono::steady_clock::time_point> last_seen_;
-  std::uint64_t stale_transitions_ = 0;
-  std::uint64_t dead_transitions_ = 0;
-  std::uint64_t rejoins_ = 0;
-  std::uint64_t degraded_slots_ = 0;
-  std::uint64_t blocked_frames_ = 0;
-  std::uint64_t frames_received_ = 0;
-  std::uint64_t bytes_received_ = 0;
-  std::uint64_t connections_rejected_ = 0;
-  std::uint64_t metrics_scrapes_ = 0;
   /// Two-tier root bookkeeping (empty/zero in single-tier mode).
   std::vector<ShardInfo> shards_;  ///< size num_shards
   std::size_t shards_seen_ = 0;
   std::size_t connected_shards_ = 0;
-  std::uint64_t summaries_received_ = 0;
-  std::uint64_t summary_measurements_ = 0;
   /// Slots some shard summary flagged degraded, pending consumption by
   /// collect_slot's own degradation accounting (so a two-tier root counts
   /// exactly the slots a single-tier controller would).
   std::set<std::uint64_t> degraded_marks_;
-  // Optional metrics (all nullptr when no registry was given).
+  // Series in registry_, registered by the constructor (never nullptr).
   obs::Counter* m_frames_total_ = nullptr;
   obs::Counter* m_measurements_total_ = nullptr;
   obs::Counter* m_heartbeats_total_ = nullptr;
@@ -345,7 +350,6 @@ class Controller {
   obs::Counter* m_scrapes_total_ = nullptr;
   obs::Gauge* m_connected_agents_ = nullptr;
   obs::Histogram* m_slot_wait_ms_ = nullptr;
-  // Degradation metrics (nullptr without a registry).
   obs::Counter* m_stale_transitions_total_ = nullptr;
   obs::Counter* m_dead_transitions_total_ = nullptr;
   obs::Counter* m_rejoins_total_ = nullptr;
@@ -353,13 +357,15 @@ class Controller {
   obs::Counter* m_blocked_frames_total_ = nullptr;
   obs::Gauge* m_stale_nodes_ = nullptr;
   obs::Gauge* m_dead_nodes_ = nullptr;
-  std::vector<obs::Gauge*> m_node_state_;         ///< per node
-  std::vector<obs::Gauge*> m_node_staleness_ms_;  ///< per node
-  // Two-tier root metrics (nullptr/empty unless num_shards > 0).
   obs::Counter* m_summaries_total_ = nullptr;
   obs::Counter* m_summary_measurements_total_ = nullptr;
   obs::Counter* m_shard_status_total_ = nullptr;
   obs::Gauge* m_shards_connected_ = nullptr;
+  // Per-node and per-shard label families: registered only in a registry
+  // the caller supplied (empty otherwise), since nobody can read them from
+  // a private one.
+  std::vector<obs::Gauge*> m_node_state_;         ///< per node
+  std::vector<obs::Gauge*> m_node_staleness_ms_;  ///< per node
   std::vector<obs::Gauge*> m_shard_live_;   ///< per shard
   std::vector<obs::Gauge*> m_shard_stale_;  ///< per shard
   std::vector<obs::Gauge*> m_shard_dead_;   ///< per shard

@@ -13,18 +13,15 @@ namespace resmon::net {
 UpstreamClient::UpstreamClient(const UpstreamOptions& options,
                                std::vector<std::uint8_t> hello,
                                std::uint32_t ack_id, std::string who,
-                               std::string peer)
+                               std::string peer, obs::Gauge& connected,
+                               obs::Counter& reconnects)
     : options_(options),
       hello_(std::move(hello)),
       ack_id_(ack_id),
       who_(std::move(who)),
-      peer_(std::move(peer)) {}
-
-void UpstreamClient::instrument(obs::Gauge* connected,
-                                obs::Counter* reconnects) {
-  m_connected_ = connected;
-  m_reconnects_total_ = reconnects;
-}
+      peer_(std::move(peer)),
+      connected_(connected),
+      reconnects_(reconnects) {}
 
 bool UpstreamClient::try_connect_once() {
   Socket sock;
@@ -64,7 +61,7 @@ bool UpstreamClient::try_connect_once() {
         }
         sock_ = std::move(sock);
         ever_connected_ = true;
-        if (m_connected_ != nullptr) m_connected_->set(1.0);
+        connected_.set(1.0);
         return true;
       }
       if (std::chrono::steady_clock::now() >= deadline) return false;
@@ -114,8 +111,7 @@ bool UpstreamClient::deliver(std::span<const std::uint8_t> bytes) {
       connect_with_backoff();
       if (outage) {
         reconnected = true;
-        ++reconnects_;
-        if (m_reconnects_total_ != nullptr) m_reconnects_total_->inc();
+        reconnects_.inc();
       }
     }
     if (sock_.write_all(bytes, kIoTimeoutMs)) return reconnected;
@@ -127,7 +123,7 @@ bool UpstreamClient::deliver(std::span<const std::uint8_t> bytes) {
 
 void UpstreamClient::close() {
   sock_.close();
-  if (m_connected_ != nullptr) m_connected_->set(0.0);
+  connected_.set(0.0);
 }
 
 }  // namespace resmon::net

@@ -39,15 +39,13 @@ class UpstreamClient {
   /// `hello` is the encoded hello frame; the peer's HelloAckFrame must echo
   /// `ack_id` (the node id, or the shard id for a shard hello). Errors read
   /// "<who>: <peer> rejected hello (...)", "<who>: could not reach <peer>
-  /// at host:port after N attempts", and so on.
+  /// at host:port after N attempts", and so on. The owner's series
+  /// (non-owning): `connected` is set to 1 while the link is up and 0
+  /// otherwise; `reconnects` counts re-handshakes after a connection loss.
   UpstreamClient(const UpstreamOptions& options,
                  std::vector<std::uint8_t> hello, std::uint32_t ack_id,
-                 std::string who, std::string peer);
-
-  /// Optional metrics (non-owning, nullable): `connected` is set to 1 while
-  /// the link is up and 0 otherwise; `reconnects` counts re-handshakes
-  /// after a connection loss.
-  void instrument(obs::Gauge* connected, obs::Counter* reconnects);
+                 std::string who, std::string peer, obs::Gauge& connected,
+                 obs::Counter& reconnects);
 
   /// Connect and complete the handshake with bounded retries. No-op when
   /// already connected. Throws SocketError when the attempts are exhausted
@@ -66,7 +64,7 @@ class UpstreamClient {
 
   bool connected() const { return sock_.valid(); }
   /// Successful re-handshakes after a connection loss.
-  std::uint64_t reconnects() const { return reconnects_; }
+  std::uint64_t reconnects() const { return reconnects_.value(); }
 
  private:
   /// One connect + handshake attempt. Returns false on transient failure;
@@ -82,9 +80,8 @@ class UpstreamClient {
   std::string peer_;
   Socket sock_;
   bool ever_connected_ = false;
-  std::uint64_t reconnects_ = 0;
-  obs::Gauge* m_connected_ = nullptr;
-  obs::Counter* m_reconnects_total_ = nullptr;
+  obs::Gauge& connected_;
+  obs::Counter& reconnects_;
 };
 
 }  // namespace resmon::net

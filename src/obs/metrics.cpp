@@ -247,4 +247,15 @@ std::string MetricsRegistry::render_text() const {
   return out.str();
 }
 
+RegistryRef::RegistryRef(MetricsRegistry* given, const std::string& exclusive,
+                         const Labels& labels)
+    : owned_(given == nullptr ? std::make_unique<MetricsRegistry>() : nullptr),
+      registry_(given == nullptr ? owned_.get() : given) {
+  RESMON_REQUIRE(exclusive.empty() ||
+                     !registry_->value(exclusive, labels).has_value(),
+                 "metrics registry already holds " + exclusive +
+                     MetricsRegistry::render_labels(labels) +
+                     " of another instance; give each its own registry");
+}
+
 }  // namespace resmon::obs

@@ -153,4 +153,29 @@ class MetricsRegistry {
   std::map<std::string, Family> families_ RESMON_GUARDED_BY(mutex_);
 };
 
+/// The registry a component counts into: the caller's when one is given,
+/// else a private one the component owns. Either way every series the
+/// component registers exists, so its accessors read their counters'
+/// values and a scrape of the caller's registry reads the same numbers.
+class RegistryRef {
+ public:
+  /// A nonempty `exclusive` names a series (with `labels`) that one
+  /// component instance registers: a given registry that already holds it
+  /// is rejected with InvalidArgument, since a second instance counting
+  /// into it would merge its tallies into the first one's accessors.
+  explicit RegistryRef(MetricsRegistry* given,
+                       const std::string& exclusive = {},
+                       const Labels& labels = {});
+
+  MetricsRegistry& operator*() const { return *registry_; }
+  MetricsRegistry* operator->() const { return registry_; }
+  MetricsRegistry* get() const { return registry_; }
+  /// True when the caller supplied the registry (operators can read it).
+  bool shared() const { return owned_ == nullptr; }
+
+ private:
+  std::unique_ptr<MetricsRegistry> owned_;
+  MetricsRegistry* registry_;
+};
+
 }  // namespace resmon::obs

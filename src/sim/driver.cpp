@@ -11,10 +11,8 @@ namespace {
 
 std::function<std::unique_ptr<collect::TransmitPolicy>()> make_policies(
     const core::PipelineOptions& options, obs::MetricsRegistry& metrics) {
-  const collect::AdaptiveOptions paper;  // V_0, gamma and the queue clamp
   return collect::make_policy_factory(options.policy, options.max_frequency,
-                                      paper.v0, paper.gamma,
-                                      paper.clamp_queue, &metrics);
+                                      {.metrics = &metrics});
 }
 
 }  // namespace

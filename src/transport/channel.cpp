@@ -65,15 +65,4 @@ std::size_t CentralStore::staleness(std::size_t node,
   return current_step - last;
 }
 
-std::vector<double> CentralStore::resource_snapshot(
-    std::size_t resource) const {
-  RESMON_REQUIRE(resource < num_resources_,
-                 "CentralStore: resource index out of range");
-  std::vector<double> snap(num_nodes_);
-  for (std::size_t i = 0; i < num_nodes_; ++i) {
-    snap[i] = stored(i)[resource];
-  }
-  return snap;
-}
-
 }  // namespace resmon::transport

@@ -66,10 +66,6 @@ class CentralStore {
   /// Age of the stored measurement at `current_step` (p in §IV).
   std::size_t staleness(std::size_t node, std::size_t current_step) const;
 
-  /// Scalar view: stored value of one resource for every node (the
-  /// clustering input when clustering per-resource scalars).
-  std::vector<double> resource_snapshot(std::size_t resource) const;
-
  private:
   std::size_t num_nodes_;
   std::size_t num_resources_;

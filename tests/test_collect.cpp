@@ -1,13 +1,16 @@
 #include "collect/adaptive_transmitter.hpp"
 #include "collect/fleet_collector.hpp"
+#include "collect/measurement_source.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "trace/trace.hpp"
 #include "trace/synthetic.hpp"
 
@@ -204,13 +207,20 @@ TEST(FleetCollector, AccountsForTraffic) {
   p.num_nodes = 5;
   p.num_steps = 40;
   const trace::InMemoryTrace t = trace::generate(p, 7);
-  FleetCollector fleet(t, make_policy_factory(PolicyKind::kUniform, 0.5));
+  obs::MetricsRegistry registry;
+  FleetCollector fleet(t, make_policy_factory(PolicyKind::kUniform, 0.5),
+                       nullptr, &registry);
   for (std::size_t step = 0; step < t.num_steps(); ++step) fleet.step(step);
   std::uint64_t transmissions = 0;
   for (std::size_t i = 0; i < t.num_nodes(); ++i) {
     transmissions += fleet.policy(i).transmissions();
   }
   EXPECT_EQ(fleet.messages_sent(), transmissions);
+  // The accessors read what the registry exposes.
+  EXPECT_EQ(registry.value("resmon_collect_sends_total"),
+            static_cast<double>(fleet.messages_sent()));
+  EXPECT_EQ(registry.value("resmon_collect_link_bytes_sent"),
+            static_cast<double>(fleet.bytes_sent()));
   // Every message is one wire frame; wire_size() is the encoder's exact
   // byte count (see transport/wire_format.hpp).
   EXPECT_EQ(fleet.bytes_sent(),
@@ -232,48 +242,48 @@ TEST(MeasurementSource, TraceSourceViewsOneNode) {
   EXPECT_THROW(TraceSource(t, 3), Error);
 }
 
-TEST(MeasurementSource, SourceFleetMatchesTraceFleetBitForBit) {
-  // The source-based ctor is the host-collection seam; over TraceSources
-  // it must reproduce the classic trace-mode collector exactly.
+TEST(FleetCollector, AdaptiveFactoryTakesThePaperDefaultsFromAdaptiveOptions) {
+  // make_policy_factory's adaptive policy must be AdaptiveOptions' paper
+  // configuration at budget B, decision for decision.
   trace::SyntheticProfile p = trace::alibaba_profile();
-  p.num_nodes = 5;
-  p.num_steps = 40;
-  const trace::InMemoryTrace t = trace::generate(p, 9);
-  std::vector<std::unique_ptr<MeasurementSource>> sources;
-  for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-    sources.push_back(std::make_unique<TraceSource>(t, i));
-  }
-  FleetCollector classic(t, make_policy_factory(PolicyKind::kAdaptive, 0.3));
-  FleetCollector seam(std::move(sources),
-                      make_policy_factory(PolicyKind::kAdaptive, 0.3));
-  EXPECT_EQ(seam.num_nodes(), t.num_nodes());
-  for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    ASSERT_TRUE(std::ranges::equal(classic.step(step), seam.step(step)))
-        << "step " << step;
+  p.num_nodes = 3;
+  p.num_steps = 300;
+  const trace::InMemoryTrace t = trace::generate(p, 17);
+  for (const double b : {0.1, 0.3}) {
+    for (std::size_t node = 0; node < t.num_nodes(); ++node) {
+      const std::unique_ptr<TransmitPolicy> factory =
+          make_policy_factory(PolicyKind::kAdaptive, b)();
+      AdaptiveTransmitter direct(AdaptiveOptions{.max_frequency = b});
+      std::size_t sends = 0;
+      for (std::size_t step = 0; step < t.num_steps(); ++step) {
+        const std::vector<double> x = t.measurement(node, step);
+        const bool beta = direct.decide(step, x);
+        ASSERT_EQ(factory->decide(step, x), beta)
+            << "B = " << b << ", node " << node << ", step " << step;
+        sends += beta ? 1 : 0;
+      }
+      // Both silent and transmitting slots were compared.
+      EXPECT_GT(sends, 0u);
+      EXPECT_LT(sends, t.num_steps());
+    }
   }
 }
 
-TEST(MeasurementSource, FleetRejectsDisagreeingDimensions) {
-  trace::SyntheticProfile p = trace::alibaba_profile();
-  p.num_nodes = 1;
-  p.num_steps = 4;
-  const trace::InMemoryTrace a = trace::generate(p, 1);
-  p.num_resources = a.num_resources() + 1;
-  const trace::InMemoryTrace b = trace::generate(p, 1);
-  std::vector<std::unique_ptr<MeasurementSource>> sources;
-  sources.push_back(std::make_unique<TraceSource>(a, 0));
-  sources.push_back(std::make_unique<TraceSource>(b, 0));
+TEST(FleetCollector, RejectsAnEmptyTrace) {
+  // A Trace implementation may report zero nodes; a fleet of none has no
+  // average frequency to report.
+  struct NoNodes final : trace::Trace {
+    std::size_t num_nodes() const override { return 0; }
+    std::size_t num_steps() const override { return 4; }
+    std::size_t num_resources() const override { return 1; }
+    double value(std::size_t, std::size_t, std::size_t) const override {
+      return 0.0;
+    }
+  };
+  const NoNodes none;
   EXPECT_THROW(
-      FleetCollector(std::move(sources),
-                     make_policy_factory(PolicyKind::kAlways, 1.0)),
-      Error);
-}
-
-TEST(MeasurementSource, FleetRejectsEmptySourceList) {
-  std::vector<std::unique_ptr<MeasurementSource>> none;
-  EXPECT_THROW(FleetCollector(std::move(none),
-                              make_policy_factory(PolicyKind::kAlways, 1.0)),
-               Error);
+      FleetCollector(none, make_policy_factory(PolicyKind::kAlways, 1.0)),
+      InvalidArgument);
 }
 
 // Property sweep: fleet-average adaptive frequency tracks B on real-ish

@@ -10,10 +10,15 @@
 
 #include <atomic>
 #include <cstddef>
+#include <array>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "agg/aggregator.hpp"
@@ -310,6 +315,240 @@ TEST(Degradation, BlockHookDiscardsPartitionWindowFrames) {
         << "slot " << t;
   }
   EXPECT_EQ(controller.blocked_frames(), 3u);
+}
+
+/// Run `work` on a helper thread while this thread pumps `controller`
+/// (which must answer the work's hello handshakes); rethrows its failure.
+void run_pumping(Controller& controller, const std::function<void()>& work) {
+  std::atomic<bool> done{false};
+  std::exception_ptr failure;
+  std::thread worker([&] {
+    try {
+      work();
+      // resmon-lint-allow(catch-all-swallow): rethrown after the join
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    done.store(true, std::memory_order_release);
+  });
+  while (!done.load(std::memory_order_acquire)) controller.pump_idle(10);
+  worker.join();
+  if (failure != nullptr) std::rethrow_exception(failure);
+}
+
+/// Every Controller accessor equals its series in the registry it counts
+/// into.
+void expect_controller_reads_registry(const Controller& c,
+                                      const obs::MetricsRegistry& registry) {
+  const std::pair<std::uint64_t, const char*> rows[] = {
+      {c.frames_received(), "resmon_net_frames_total"},
+      {c.bytes_received(), "resmon_net_bytes_total"},
+      {c.connections_rejected(), "resmon_net_connections_rejected_total"},
+      {c.stale_transitions(), "resmon_net_stale_transitions_total"},
+      {c.dead_transitions(), "resmon_net_dead_transitions_total"},
+      {c.rejoins(), "resmon_net_rejoins_total"},
+      {c.degraded_slots(), "resmon_net_degraded_slots_total"},
+      {c.blocked_frames(), "resmon_net_blocked_frames_total"},
+      {c.summaries_received(), "resmon_net_summaries_total"},
+      {c.summary_measurements(), "resmon_net_summary_measurements_total"},
+      {c.metrics_scrapes(), "resmon_net_metrics_scrapes_total"},
+  };
+  for (const auto& [value, name] : rows) {
+    EXPECT_EQ(registry.value(name), static_cast<double>(value)) << name;
+  }
+}
+
+void expect_agent_reads_registry(const Agent& agent, std::uint32_t node,
+                                 const obs::MetricsRegistry& registry) {
+  const obs::Labels labels = {{"node", std::to_string(node)}};
+  const std::pair<std::uint64_t, const char*> rows[] = {
+      {agent.frames_sent(), "resmon_agent_frames_sent_total"},
+      {agent.bytes_sent(), "resmon_agent_bytes_sent_total"},
+      {agent.measurements_sent(), "resmon_agent_measurements_sent_total"},
+      {agent.reconnects(), "resmon_agent_reconnects_total"},
+  };
+  for (const auto& [value, name] : rows) {
+    EXPECT_EQ(registry.value(name, labels), static_cast<double>(value))
+        << name << " of node " << node;
+  }
+}
+
+TEST(OneCount, AccessorsReadTheSeriesTheRegistryExposes) {
+  // Two tiers with every counted event: nodes 0-1 behind shard 0, node 2
+  // direct to the root. Node 1 goes STALE -> DEAD and a restarted agent
+  // rejoins it; node 0's link is cut with its slot-kSever frame, so node 0
+  // goes STALE until its agent reconnects on the next frame; the root eats
+  // one of node 2's frames, rejects a garbage stream and answers one
+  // scrape. Each component counts only into its registry, so whatever its
+  // accessors report is exactly what /metrics exposes.
+  constexpr std::size_t kSlots = 12;
+  constexpr std::size_t kQuit = 3;     // node 1's agent is gone from here
+  constexpr std::size_t kRejoin = 8;   // a restarted node-1 agent from here
+  constexpr std::size_t kSever = 10;   // node 0's link is cut on this frame
+  constexpr std::uint64_t kBlocked = 5;  // the root eats node 2's frame
+  const trace::InMemoryTrace trace =
+      resmon::testing::make_golden_trace("alibaba", 3, kSlots, 21);
+  const std::size_t d = trace.num_resources();
+
+  obs::MetricsRegistry root_registry;
+  ControllerOptions copts;
+  copts.num_nodes = 3;
+  copts.num_resources = d;
+  copts.num_shards = 1;
+  copts.metrics = &root_registry;
+  copts.block_hook = [](std::uint32_t node, std::uint64_t step) {
+    return node == 2 && step == kBlocked;
+  };
+  Controller root(Socket::listen_tcp("127.0.0.1", 0), copts);
+  root.serve_metrics(Socket::listen_tcp("127.0.0.1", 0));
+
+  scenario::ManualClock clock;
+  obs::MetricsRegistry agg_registry;
+  obs::MetricsRegistry shard_registry;
+  agg::AggregatorOptions aopts;
+  aopts.num_nodes = 2;
+  aopts.num_resources = d;
+  aopts.upstream.port = root.port();
+  aopts.stale_after_ms = kMsPerSlot + kMsPerSlot / 2;
+  aopts.dead_after_ms = 3 * kMsPerSlot + kMsPerSlot / 2;
+  aopts.staleness_clock = clock.now_fn();
+  aopts.status_every_slots = 4;
+  aopts.metrics = &agg_registry;
+  aopts.net_metrics = &shard_registry;
+  agg::Aggregator aggregator(Socket::listen_tcp("127.0.0.1", 0), aopts);
+  run_pumping(root, [&] { aggregator.connect_upstream(); });
+  Controller& shard = aggregator.downstream();
+
+  // Agent registries: nodes 0, 1, 2, and the restarted node 1.
+  std::array<obs::MetricsRegistry, 4> agent_registry;
+  const auto agent_opts = [&](std::uint32_t node, std::uint16_t port,
+                              obs::MetricsRegistry& registry) {
+    AgentOptions opts;
+    opts.upstream.port = port;
+    opts.node = node;
+    opts.num_resources = static_cast<std::uint32_t>(d);
+    opts.metrics = &registry;
+    return opts;
+  };
+  AgentOptions cut = agent_opts(0, aggregator.port(), agent_registry[0]);
+  cut.frame_hook = [](std::size_t step, const std::vector<std::uint8_t>& f) {
+    FrameAction action;
+    if (step == kSever) {
+      action.sever = true;
+    } else {
+      action.frames.push_back(f);
+    }
+    return action;
+  };
+  Agent agent0(cut, kAlways());
+  auto agent1 = std::make_unique<Agent>(
+      agent_opts(1, aggregator.port(), agent_registry[1]), kAlways());
+  Agent agent2(agent_opts(2, root.port(), agent_registry[2]), kAlways());
+  run_pumping(shard, [&] {
+    agent0.connect();
+    agent1->connect();
+  });
+  run_pumping(root, [&] { agent2.connect(); });
+  // Node 2 writes its whole run up front; the root reads it while it
+  // waits on the slot barriers.
+  for (std::size_t t = 0; t < kSlots; ++t) {
+    agent2.observe(t, trace.measurement(2, t));
+  }
+
+  Socket garbage = Socket::connect_tcp("127.0.0.1", root.port(), 5000);
+  ASSERT_TRUE(garbage.write_all(
+      std::vector<std::uint8_t>(wire::kHeaderSize, 0xAB), 5000));
+  Socket scraper =
+      Socket::connect_tcp("127.0.0.1", root.metrics_port(), 5000);
+  const std::string get = "GET /metrics HTTP/1.0\r\n\r\n";
+  ASSERT_TRUE(scraper.write_all(
+      {reinterpret_cast<const std::uint8_t*>(get.data()), get.size()}, 5000));
+
+  for (std::size_t t = 0; t < kSlots; ++t) {
+    if (t == kQuit) {
+      expect_agent_reads_registry(*agent1, 1, agent_registry[1]);
+      agent1.reset();
+    }
+    if (t == kRejoin) {
+      agent1 = std::make_unique<Agent>(
+          agent_opts(1, aggregator.port(), agent_registry[3]), kAlways());
+      run_pumping(shard, [&] { agent1->connect(); });
+    }
+    if (t == kSever + 1) {
+      // The link was cut on the last frame, so this one reconnects first
+      // and the shard must answer its hello.
+      run_pumping(shard, [&] { agent0.observe(t, trace.measurement(0, t)); });
+    } else {
+      agent0.observe(t, trace.measurement(0, t));
+    }
+    if (agent1) agent1->observe(t, trace.measurement(1, t));
+    clock.advance_ms(kMsPerSlot);
+    bool forwarded = false;
+    for (int attempt = 0; attempt < 16 && !forwarded; ++attempt) {
+      forwarded = aggregator.forward_slot(t, 200);
+      if (!forwarded) clock.advance_ms(kMsPerSlot);
+    }
+    ASSERT_TRUE(forwarded) << "shard slot " << t << " timed out";
+    ASSERT_TRUE(root.collect_slot(t, 5000).has_value())
+        << "root slot " << t << " timed out";
+  }
+  root.pump_idle(5000, 1);  // answer the scrape
+
+  // Every event happened...
+  EXPECT_EQ(root.connections_rejected(), 1u);
+  EXPECT_EQ(root.blocked_frames(), 1u);
+  EXPECT_EQ(root.summaries_received(), kSlots);
+  EXPECT_EQ(root.metrics_scrapes(), 1u);
+  EXPECT_EQ(shard.stale_transitions(), 2u);
+  EXPECT_EQ(shard.dead_transitions(), 1u);
+  EXPECT_EQ(shard.rejoins(), 2u);
+  EXPECT_EQ(aggregator.degraded_slots_forwarded(), kRejoin - kQuit + 1);
+  EXPECT_EQ(root.degraded_slots(), aggregator.degraded_slots_forwarded());
+  EXPECT_GT(aggregator.status_frames(), 0u);
+  EXPECT_EQ(agent0.reconnects(), 1u);
+
+  // ...and each accessor reads the series its registry exposes.
+  expect_controller_reads_registry(root, root_registry);
+  expect_controller_reads_registry(shard, shard_registry);
+  const obs::Labels shard0 = {{"shard", "0"}};
+  const std::pair<std::uint64_t, const char*> agg_rows[] = {
+      {aggregator.forwarded_slots(), "resmon_agg_forwarded_slots_total"},
+      {aggregator.forwarded_measurements(),
+       "resmon_agg_forwarded_measurements_total"},
+      {aggregator.forwarded_bytes(), "resmon_agg_forwarded_bytes_total"},
+      {aggregator.degraded_slots_forwarded(),
+       "resmon_agg_degraded_slots_total"},
+      {aggregator.status_frames(), "resmon_agg_status_frames_total"},
+      {aggregator.upstream_reconnects(),
+       "resmon_agg_upstream_reconnects_total"},
+  };
+  for (const auto& [value, name] : agg_rows) {
+    EXPECT_EQ(agg_registry.value(name, shard0), static_cast<double>(value))
+        << name;
+  }
+  expect_agent_reads_registry(agent0, 0, agent_registry[0]);
+  expect_agent_reads_registry(*agent1, 1, agent_registry[3]);
+  expect_agent_reads_registry(agent2, 2, agent_registry[2]);
+
+  // A registry backs the accessors, so it serves one controller, and one
+  // agent (or aggregator) per node (shard) id.
+  ControllerOptions twin = copts;
+  twin.block_hook = {};
+  EXPECT_THROW(Controller(Socket::listen_tcp("127.0.0.1", 0), twin),
+               InvalidArgument);
+  EXPECT_THROW(
+      Agent(agent_opts(0, aggregator.port(), agent_registry[0]), kAlways()),
+      InvalidArgument);
+  EXPECT_THROW(
+      Agent(agent_opts(1, aggregator.port(), agent_registry[1]), kAlways()),
+      InvalidArgument);
+  EXPECT_NO_THROW(
+      Agent(agent_opts(2, aggregator.port(), agent_registry[0]), kAlways()));
+  obs::MetricsRegistry fresh;
+  agg::AggregatorOptions second = aopts;
+  second.net_metrics = &fresh;
+  EXPECT_THROW(agg::Aggregator(Socket::listen_tcp("127.0.0.1", 0), second),
+               InvalidArgument);
 }
 
 }  // namespace

@@ -123,18 +123,6 @@ TEST(CentralStore, ValuesRequireEveryNodeAndMatchStored) {
   EXPECT_EQ(z, (std::vector<double>{0.1, 0.2, 0.5, 0.6}));
 }
 
-TEST(CentralStore, ResourceSnapshotExtractsColumn) {
-  CentralStore store(2, 2);
-  store.apply({.node = 0, .step = 0, .values = {0.1, 0.9}});
-  store.apply({.node = 1, .step = 0, .values = {0.2, 0.8}});
-  const std::vector<double> cpu = store.resource_snapshot(0);
-  const std::vector<double> mem = store.resource_snapshot(1);
-  EXPECT_DOUBLE_EQ(cpu[0], 0.1);
-  EXPECT_DOUBLE_EQ(cpu[1], 0.2);
-  EXPECT_DOUBLE_EQ(mem[0], 0.9);
-  EXPECT_DOUBLE_EQ(mem[1], 0.8);
-}
-
 TEST(CentralStore, OutOfOrderDeliveryUnderDelayIgnoresStaleMessages) {
   // End-to-end lossy-link path: a delaying link reorders messages, and
   // the store must keep the freshest measurement while staleness() tracks
@@ -182,7 +170,6 @@ TEST(CentralStore, ValidatesIndicesAndDimensions) {
                InvalidArgument);
   EXPECT_THROW(store.apply({.node = 0, .step = 0, .values = {0.1, 0.2}}),
                InvalidArgument);
-  EXPECT_THROW(store.resource_snapshot(3), InvalidArgument);
   EXPECT_THROW(CentralStore(0, 1), InvalidArgument);
 }
 

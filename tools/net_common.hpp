@@ -42,6 +42,11 @@ inline std::size_t run_slots(const Args& args) {
   return static_cast<std::size_t>(args.get_int("steps", 200));
 }
 
+/// Fleet size N (--nodes, default 8), with or without a shared trace.
+inline std::size_t run_nodes(const Args& args) {
+  return static_cast<std::size_t>(args.get_int("nodes", 8));
+}
+
 /// Extra trace steps beyond the processed slots so h-step-ahead forecasts
 /// always have ground truth.
 inline constexpr std::size_t kForecastLookahead = 8;
@@ -50,7 +55,7 @@ inline constexpr std::size_t kForecastLookahead = 8;
 inline trace::InMemoryTrace build_trace(const Args& args) {
   trace::SyntheticProfile profile =
       trace::profile_by_name(args.get("dataset", "alibaba"));
-  profile.num_nodes = static_cast<std::size_t>(args.get_int("nodes", 8));
+  profile.num_nodes = run_nodes(args);
   profile.num_steps = run_slots(args) + kForecastLookahead;
   return trace::generate(profile,
                          static_cast<std::uint64_t>(args.get_int("seed", 1)));
@@ -65,12 +70,15 @@ inline collect::PolicyKind policy_kind(const Args& args) {
   throw InvalidArgument("unknown --policy: " + name);
 }
 
-/// One policy instance configured from the shared flags.
+/// One policy instance configured from the shared flags; unset flags take
+/// AdaptiveOptions' paper defaults.
 inline std::unique_ptr<collect::TransmitPolicy> make_policy(const Args& args) {
+  const collect::AdaptiveOptions paper;
   return collect::make_policy_factory(
-      policy_kind(args), args.get_double("b", 0.3),
-      args.get_double("v0", 1e-12), args.get_double("gamma", 0.65),
-      args.get_bool("clamp-queue"))();
+      policy_kind(args), args.get_double("b", paper.max_frequency),
+      {.v0 = args.get_double("v0", paper.v0),
+       .gamma = args.get_double("gamma", paper.gamma),
+       .clamp_queue = args.get_bool("clamp-queue")})();
 }
 
 }  // namespace resmon::tools

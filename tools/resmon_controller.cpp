@@ -26,7 +26,8 @@
 // pipeline and the wire dimension for agents that sample live hosts
 // instead of the shared trace (resmon_agent --source procfs is d = 4); no
 // trace is built, and the h=1 forecasts are scored against an N x d zero
-// matrix, so only RMSE finiteness is meaningful.
+// matrix, so only RMSE finiteness is meaningful. --nodes defaults to 8
+// either way (a single live-host agent passes --nodes 1).
 // --metrics-port opens a
 // second listener serving the live Prometheus exposition (printed as
 //   resmon_controller metrics endpoint on 127.0.0.1:PORT
@@ -70,9 +71,7 @@ int main(int argc, char** argv) {
         args.has("resources")
             ? std::nullopt
             : std::optional<trace::InMemoryTrace>(tools::build_trace(args));
-    const std::size_t nodes =
-        truth ? truth->num_nodes()
-              : static_cast<std::size_t>(args.get_int("nodes", 1));
+    const std::size_t nodes = tools::run_nodes(args);
     const std::size_t resources =
         truth ? truth->num_resources()
               : static_cast<std::size_t>(args.get_int("resources", 4));
