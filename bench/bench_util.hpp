@@ -6,11 +6,14 @@
 // `--steps`, `--seed` override individual knobs.
 #pragma once
 
+#include <cstring>
 #include <ctime>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -151,6 +154,59 @@ class BenchJson {
   std::string harness_;
   std::vector<std::string> rows_;
 };
+
+/// A harness's --json PATH / --json-run LABEL pair: the sink is written
+/// only when --json names a file, so a plain run never rewrites the
+/// tracked BENCH_*.json.
+struct JsonFlags {
+  std::string path;  ///< --json; "" = write nothing
+  std::string run;   ///< --json-run; "" = append no history entry
+
+  /// --json-run without --json is a usage error.
+  bool valid() const { return !path.empty() || run.empty(); }
+  void write(const BenchJson& sink) const {
+    if (!path.empty()) sink.write(path, run);
+  }
+};
+
+/// The JSON flags of an Args-parsed harness.
+inline JsonFlags json_flags(const Args& args) {
+  return {args.get("json", ""), args.get("json-run", "")};
+}
+
+/// Take --json PATH and --json-run LABEL out of argv, so a
+/// google-benchmark main can hand the rest to benchmark::Initialize.
+inline JsonFlags take_json_flags(int& argc, char** argv) {
+  JsonFlags flags;
+  for (int i = 1; i + 1 < argc;) {
+    std::string* dest = nullptr;
+    if (std::strcmp(argv[i], "--json") == 0) dest = &flags.path;
+    if (std::strcmp(argv[i], "--json-run") == 0) dest = &flags.run;
+    if (dest == nullptr) {
+      ++i;
+      continue;
+    }
+    *dest = argv[i + 1];
+    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
+    argc -= 2;
+  }
+  return flags;
+}
+
+/// Check an Args-parsed harness's flags against the `known` ones: an
+/// unknown flag, or --json-run without --json, prints the problem and
+/// `usage` to stderr and returns false (the harness then exits 2).
+inline bool flags_ok(const Args& args,
+                     std::initializer_list<std::string_view> known,
+                     const char* usage) {
+  const std::string unknown = args.first_unknown(known);
+  if (unknown.empty() && json_flags(args).valid()) return true;
+  std::cerr << (unknown.empty() ? "--json-run needs --json"
+                                : "unknown flag --" + unknown)
+            << "\n"
+            << usage;
+  return false;
+}
 
 /// Resolve a synthetic profile from CLI flags.
 inline trace::SyntheticProfile profile_from_args(const Args& args,

@@ -6,7 +6,7 @@
 // Engineering hygiene, not a paper artifact.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
+#include <iostream>
 #include <sstream>
 #include <string>
 
@@ -193,30 +193,26 @@ class CapturingReporter : public benchmark::ConsoleReporter {
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): identical benchmark runs, but
-// the results also persist into BENCH_micro.json (merged with the other
-// micro harnesses' rows; --json PATH overrides the destination, and
-// --json-run LABEL appends a history entry for this run).
+constexpr const char* kUsage =
+    "usage: micro_host_sampler [--json PATH [--json-run LABEL]]\n"
+    "         [--benchmark_filter=REGEX] [--benchmark_* ...]\n";
+
+// Custom main instead of BENCHMARK_MAIN(): identical benchmark runs, and
+// --json PATH merges the rows into PATH (e.g. the tracked BENCH_micro.json,
+// next to the other micro harnesses' rows; nothing is written without it);
+// --json-run LABEL also appends a history entry. An unknown flag exits 2.
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_micro.json";
-  std::string json_run;
-  for (int i = 1; i + 1 < argc;) {
-    std::string* dest = nullptr;
-    if (std::strcmp(argv[i], "--json") == 0) dest = &json_path;
-    if (std::strcmp(argv[i], "--json-run") == 0) dest = &json_run;
-    if (dest == nullptr) {
-      ++i;
-      continue;
-    }
-    *dest = argv[i + 1];
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-  }
+  const resmon::bench::JsonFlags json =
+      resmon::bench::take_json_flags(argc, argv);
   benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv) || !json.valid()) {
+    std::cerr << kUsage;
+    return 2;
+  }
   resmon::bench::BenchJson sink("resmon-micro", "micro_host_sampler");
   CapturingReporter reporter(&sink);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  sink.write(json_path, json_run);
+  json.write(sink);
   return 0;
 }

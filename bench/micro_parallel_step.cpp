@@ -163,15 +163,11 @@ int main(int argc, char** argv) {
     std::cout << kUsage;
     return 0;
   }
-  const std::string unknown = args.first_unknown(
-      {"nodes", "steps", "clusters", "model", "dataset", "seed", "full",
-       "threads", "strict", "json", "json-run", "csv", "metrics-out",
-       "trace-out"});
-  if (!unknown.empty() || (args.has("json-run") && !args.has("json"))) {
-    std::cerr << (unknown.empty() ? "--json-run needs --json"
-                                  : "unknown flag --" + unknown)
-              << "\n"
-              << kUsage;
+  if (!bench::flags_ok(args,
+                       {"nodes", "steps", "clusters", "model", "dataset",
+                        "seed", "full", "threads", "strict", "json",
+                        "json-run", "csv", "metrics-out", "trace-out"},
+                       kUsage)) {
     return 2;
   }
   bench::banner("micro_parallel_step",
@@ -316,9 +312,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.has("json")) {
-    sink.write(args.get("json", ""), args.get("json-run", ""));
-  }
+  bench::json_flags(args).write(sink);
   bench::emit_observability(args, registry, &trace_events);
   std::cout << "\nspeedup = (cluster_s + forecast_s) at 1 thread / same at "
                "N threads; identical = h=1 forecasts bitwise equal to the "

@@ -11,7 +11,8 @@
 // needs) plus kCollectAllocSlack. Only the collecting thread's allocations
 // count (alloc_counter.cpp), so the summary writer's encodes stay out.
 // --strict turns a breach into exit 1; --json PATH / --json-run LABEL
-// select the JSON sink and append a history entry for this run.
+// write the JSON sink and append a history entry for this run; an unknown
+// flag exits 2.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -283,13 +284,15 @@ class CapturingReporter : public benchmark::ConsoleReporter {
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): identical benchmark runs, but
-// the results also persist into BENCH_micro.json (merged with the other
-// micro harnesses' rows; --json PATH overrides the destination, and
-// --json-run LABEL appends a history entry for this run).
+constexpr const char* kUsage =
+    "usage: micro_wire [--strict] [--json PATH [--json-run LABEL]]\n"
+    "         [--benchmark_filter=REGEX] [--benchmark_* ...]\n";
+
+// Custom main instead of BENCHMARK_MAIN(): identical benchmark runs, plus
+// the collect_slot allocation gate, and --json PATH merges the rows into
+// PATH (e.g. the tracked BENCH_micro.json, next to the other micro
+// harnesses' rows; nothing is written without it).
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_micro.json";
-  std::string json_run;
   bool strict = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--strict") != 0) continue;
@@ -298,19 +301,13 @@ int main(int argc, char** argv) {
     --argc;
     break;
   }
-  for (int i = 1; i + 1 < argc;) {
-    std::string* dest = nullptr;
-    if (std::strcmp(argv[i], "--json") == 0) dest = &json_path;
-    if (std::strcmp(argv[i], "--json-run") == 0) dest = &json_run;
-    if (dest == nullptr) {
-      ++i;
-      continue;
-    }
-    *dest = argv[i + 1];
-    for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-    argc -= 2;
-  }
+  const resmon::bench::JsonFlags json =
+      resmon::bench::take_json_flags(argc, argv);
   benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv) || !json.valid()) {
+    std::cerr << kUsage;
+    return 2;
+  }
   resmon::bench::BenchJson sink("resmon-micro", "micro_wire");
   CapturingReporter reporter(&sink);
   benchmark::RunSpecifiedBenchmarks(&reporter);
@@ -332,6 +329,6 @@ int main(int argc, char** argv) {
                  "message plus "
               << kCollectAllocSlack << " (see docs/PERFORMANCE.md)\n";
   }
-  sink.write(json_path, json_run);
+  json.write(sink);
   return strict && !allocs_ok ? 1 : 0;
 }

@@ -119,31 +119,10 @@ void Aggregator::forward(const std::vector<std::uint8_t>& bytes) {
   m_forwarded_bytes_total_->inc(bytes.size());
 }
 
-void Aggregator::count_states(std::size_t& live, std::size_t& stale,
-                              std::size_t& dead) const {
-  live = stale = dead = 0;
-  for (std::size_t node = options_.first_node;
-       node < options_.first_node + options_.num_nodes; ++node) {
-    switch (downstream_.node_state(node)) {
-      case net::NodeState::kLive:
-        ++live;
-        break;
-      case net::NodeState::kStale:
-        ++stale;
-        break;
-      case net::NodeState::kDead:
-        ++dead;
-        break;
-    }
-  }
-}
-
 void Aggregator::update_gauges() {
-  std::size_t live = 0, stale = 0, dead = 0;
-  count_states(live, stale, dead);
-  m_live_nodes_->set(static_cast<double>(live));
-  m_stale_nodes_->set(static_cast<double>(stale));
-  m_dead_nodes_->set(static_cast<double>(dead));
+  m_live_nodes_->set(static_cast<double>(live_nodes()));
+  m_stale_nodes_->set(static_cast<double>(downstream_.stale_nodes()));
+  m_dead_nodes_->set(static_cast<double>(downstream_.dead_nodes()));
   // Frames in (agent hellos, measurements, heartbeats) per frame out
   // (summaries + censuses): the tier's fan-in leverage. 0 until the first
   // upstream frame.
@@ -187,13 +166,11 @@ bool Aggregator::forward_slot(std::size_t t, int timeout_ms) {
 }
 
 void Aggregator::send_status() {
-  std::size_t live = 0, stale = 0, dead = 0;
-  count_states(live, stale, dead);
   const wire::ShardStatusFrame status{
       .shard = static_cast<std::uint32_t>(options_.shard),
-      .live = static_cast<std::uint32_t>(live),
-      .stale = static_cast<std::uint32_t>(stale),
-      .dead = static_cast<std::uint32_t>(dead)};
+      .live = static_cast<std::uint32_t>(live_nodes()),
+      .stale = static_cast<std::uint32_t>(downstream_.stale_nodes()),
+      .dead = static_cast<std::uint32_t>(downstream_.dead_nodes())};
   forward(wire::encode(status));
   m_status_frames_total_->inc();
   update_gauges();

@@ -167,9 +167,11 @@ class Aggregator {
   /// Write one encoded frame upstream (see UpstreamClient::deliver) and
   /// count its bytes.
   void forward(const std::vector<std::uint8_t>& bytes);
-  /// Census of owned-node staleness verdicts.
-  void count_states(std::size_t& live, std::size_t& stale,
-                    std::size_t& dead) const;
+  /// Owned nodes currently LIVE: the rest are STALE or DEAD.
+  std::size_t live_nodes() const {
+    return options_.num_nodes - downstream_.stale_nodes() -
+           downstream_.dead_nodes();
+  }
   /// Refresh the resmon_agg_* gauges that mirror downstream state.
   void update_gauges();
   void log(const std::string& line) const;

@@ -149,12 +149,6 @@ void MonitoringPipeline::step_external(
     std::span<const transport::MeasurementMessage> messages) {
   obs::ScopedSpan collect(options_.trace_events, "pipeline.collect",
                           stage_collect_);
-  consume_slot(messages, collect);
-}
-
-void MonitoringPipeline::consume_slot(
-    std::span<const transport::MeasurementMessage> messages,
-    obs::ScopedSpan& collect_span) {
   for (const transport::MeasurementMessage& m : messages) {
     // z_t may only hold what was measured by slot t; a future measurement
     // would also shadow the real one when it arrives ("not fresher").
@@ -164,7 +158,7 @@ void MonitoringPipeline::consume_slot(
   }
   const bool complete = store_.complete();
   store_complete_->set(complete ? 1.0 : 0.0);
-  collect_span.stop();
+  collect.stop();
 
   if (!complete) {
     // Warm-up: with a lossy/delayed uplink the central node may not have

@@ -184,15 +184,10 @@ class MonitoringPipeline {
   void view_features_into(std::size_t view, Matrix& features) const;
   /// One view's share of a step: record the snapshot, then cluster it.
   void update_view(std::size_t view);
-  /// The consume path of step_external(): apply the slot's messages to
-  /// store_, close the caller's collect span, then run the clustering +
-  /// forecasting stages; returns after bumping step_count_.
-  void consume_slot(std::span<const transport::MeasurementMessage> messages,
-                    obs::ScopedSpan& collect_span);
 
   PipelineOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // present only when num_threads > 1
-  /// z_t of §IV: the central node's view, written only by consume_slot().
+  /// z_t of §IV: the central node's view, written only by step_external().
   transport::CentralStore store_;
   std::vector<cluster::DynamicClusterTracker> trackers_;
   std::vector<cluster::ClusterHistory> histories_;  // see history()

@@ -1,7 +1,10 @@
 #include "net/controller.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <exception>
+#include <thread>
 
 namespace resmon::net {
 
@@ -742,6 +745,41 @@ void Controller::drop(int fd) {
   }
   poller_.unwatch(fd);
   connections_.erase(it);  // Socket destructor closes the fd
+}
+
+void connect_pumping(Controller& collector,
+                     std::span<const std::function<void()>> connects) {
+  std::vector<std::exception_ptr> failures(connects.size());
+  std::atomic<std::size_t> done{0};
+  std::vector<std::thread> helpers;
+  helpers.reserve(connects.size());
+  // A helper that cannot start still lets the started ones finish and join.
+  std::exception_ptr spawn_failure;
+  try {
+    for (std::size_t i = 0; i < connects.size(); ++i) {
+      helpers.emplace_back([&, i] {
+        try {
+          connects[i]();
+          // Captured for the deferred std::rethrow_exception after the joins.
+          // resmon-lint-allow(catch-all-swallow): rethrown on the caller
+        } catch (...) {
+          failures[i] = std::current_exception();
+        }
+        done.fetch_add(1, std::memory_order_release);
+      });
+    }
+    // resmon-lint-allow(catch-all-swallow): rethrown after the joins
+  } catch (...) {
+    spawn_failure = std::current_exception();
+  }
+  while (done.load(std::memory_order_acquire) < helpers.size()) {
+    collector.pump_idle(10);
+  }
+  for (std::thread& helper : helpers) helper.join();
+  if (spawn_failure != nullptr) std::rethrow_exception(spawn_failure);
+  for (const std::exception_ptr& failure : failures) {
+    if (failure != nullptr) std::rethrow_exception(failure);
+  }
 }
 
 }  // namespace resmon::net

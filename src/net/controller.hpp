@@ -33,6 +33,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -228,6 +229,14 @@ class Controller {
   NodeState node_state(std::size_t node) const {
     return states_.at(node - options_.first_node);
   }
+  /// Nodes currently STALE and currently DEAD: the resmon_net_stale_nodes
+  /// and resmon_net_dead_nodes gauges, kept by +-1 per transition.
+  std::size_t stale_nodes() const {
+    return static_cast<std::size_t>(m_stale_nodes_->value());
+  }
+  std::size_t dead_nodes() const {
+    return static_cast<std::size_t>(m_dead_nodes_->value());
+  }
   /// LIVE -> STALE transitions (a node may contribute several).
   std::uint64_t stale_transitions() const {
     return m_stale_transitions_total_->value();
@@ -373,5 +382,23 @@ class Controller {
   /// Emit one line to ControllerOptions::log_sink (no-op when unset).
   void log(const std::string& line) const;
 };
+
+/// Complete blocking handshakes against an in-process `collector`.
+/// Agent::connect() and Aggregator::connect_upstream() block until the
+/// collector acks their hello, so each `connects[i]` runs on its own helper
+/// thread while the calling thread pumps `collector` until every helper is
+/// done. The loop polls only the helpers' done count, never the connecting
+/// objects, which their helpers are still writing. Every helper is joined
+/// before the first failure (in `connects` order) is rethrown. A connect
+/// may be any blocking work that needs `collector` pumped, such as an
+/// observe() that reconnects first.
+void connect_pumping(Controller& collector,
+                     std::span<const std::function<void()>> connects);
+
+/// A span of one: a shard hello or a single agent's (re)join.
+inline void connect_pumping(Controller& collector,
+                            const std::function<void()>& connect) {
+  connect_pumping(collector, {&connect, 1});
+}
 
 }  // namespace resmon::net

@@ -1,29 +1,24 @@
 #include "scenario/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
-#include "agg/aggregator.hpp"
+#include "collect/fleet_collector.hpp"
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
 #include "host/procfs.hpp"
 #include "host/recording.hpp"
 #include "host/sampler.hpp"
 #include "host/source.hpp"
-#include "net/agent.hpp"
-#include "net/controller.hpp"
-#include "net/socket.hpp"
-#include "scenario/manual_clock.hpp"
+#include "scenario/socket_fleet.hpp"
 #include "sim/driver.hpp"
 #include "sim/evaluate.hpp"
 #include "trace/synthetic.hpp"
@@ -418,315 +413,68 @@ ScenarioResult run_host(const ScenarioSpec& spec,
 
 // ---------------------------------------------------------------- socket mode
 
-/// One churn-driven agent slot: the Agent object (absent while killed) and
-/// the scheduled events for this node.
-struct AgentSlot {
-  std::unique_ptr<net::Agent> agent;
-};
-
-std::unique_ptr<net::Agent> make_agent(const ScenarioSpec& spec,
-                                       std::uint16_t port, std::size_t node,
-                                       std::size_t num_resources) {
-  net::AgentOptions opt;
-  opt.upstream.port = port;
-  opt.node = static_cast<std::uint32_t>(node);
-  opt.num_resources = static_cast<std::uint32_t>(num_resources);
-  return std::make_unique<net::Agent>(
-      opt, collect::make_policy_factory(spec.policy, spec.max_frequency)());
-}
-
-/// Run a blocking `connect` on a helper thread while this thread pumps the
-/// `controller` that must ack its hello; rethrows any connect failure on the
-/// caller. The loop polls only the connector's done flag — never the
-/// connecting object's own state, which the helper thread is still writing.
-void connect_pumping(net::Controller& controller,
-                     const std::function<void()>& connect) {
-  std::exception_ptr failure;
-  std::atomic<bool> done{false};
-  std::thread connector([&] {
-    try {
-      connect();
-      // Captured for the deferred std::rethrow_exception after join().
-      // resmon-lint-allow(catch-all-swallow): rethrown on the caller
-    } catch (...) {
-      failure = std::current_exception();
-    }
-    done.store(true, std::memory_order_release);
-  });
-  while (!done.load(std::memory_order_acquire)) controller.pump_idle(10);
-  connector.join();
-  if (failure != nullptr) std::rethrow_exception(failure);
-}
-
-/// One socket-mode fleet: agents -> controller (single tier) or agents ->
-/// aggregators -> root (two tiers). baseline_compare in two-tier mode runs
-/// a second, single-tier fleet of these in lock-step over the same trace —
-/// the bit-identity twin. Not movable: the ManualClock's now_fn closures
-/// capture `this`-adjacent state, so the fleet is built in place.
-struct SocketFleet {
-  ManualClock clock;
-  std::unique_ptr<net::Controller> root;
-  /// Private registries for the aggregators' *internal* controllers: their
-  /// per-node resmon_net_* series would collide with the root's otherwise.
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> agg_net_registries;
-  std::vector<std::unique_ptr<agg::Aggregator>> aggs;
-  std::vector<std::size_t> owner;  ///< node -> shard index (two-tier)
-  std::vector<AgentSlot> agents;
-  std::unique_ptr<core::MonitoringPipeline> pipeline;
-  std::uint64_t agent_bytes = 0;
-  std::uint64_t agent_measurements = 0;
-
-  bool two_tier() const { return !aggs.empty(); }
-  /// The controller a node's agent speaks to: its shard's downstream side
-  /// in two-tier mode, the root otherwise.
-  net::Controller& downstream_of(std::size_t node) {
-    return two_tier() ? aggs[owner[node]]->downstream() : *root;
-  }
-
-  /// Keep traffic totals across kills: the Agent object dies with them.
-  void retire(AgentSlot& slot) {
-    agent_bytes += slot.agent->bytes_sent();
-    agent_measurements += slot.agent->measurements_sent();
-    slot.agent.reset();
-  }
-};
-
-/// Build one fleet over `trace` and complete every handshake: shard hellos
-/// first (two-tier), then the whole agent fleet in parallel.
-std::unique_ptr<SocketFleet> make_socket_fleet(const ScenarioSpec& spec,
-                                               const trace::InMemoryTrace& trace,
-                                               obs::MetricsRegistry& registry,
-                                               bool two_tier) {
-  const std::size_t n = trace.num_nodes();
-  const int msps = static_cast<int>(spec.ms_per_slot);
-  auto fleet = std::make_unique<SocketFleet>();
-
-  // The +msps/2 offset keeps thresholds off exact slot multiples: a live
-  // node's silence peaks at whole slots, so it can never tie the limit.
-  const int stale_after_ms =
-      static_cast<int>(spec.stale_after_slots) * msps + msps / 2;
-  const int dead_after_ms =
-      spec.dead_after_slots == 0
-          ? 0
-          : static_cast<int>(spec.dead_after_slots) * msps + msps / 2;
-
-  net::ControllerOptions copt;
-  copt.num_nodes = n;
-  copt.num_resources = trace.num_resources();
-  copt.metrics = &registry;
-  if (two_tier) {
-    // The shard tier owns per-node staleness; the root's degraded-slot
-    // accounting comes from the summaries' degraded counts alone.
-    copt.num_shards = spec.shards;
-  } else {
-    copt.stale_after_ms = stale_after_ms;
-    copt.dead_after_ms = dead_after_ms;
-    copt.staleness_clock = fleet->clock.now_fn();
-  }
-  fleet->root = std::make_unique<net::Controller>(
-      net::Socket::listen_tcp("127.0.0.1", 0), copt);
-
-  if (two_tier) {
-    RESMON_REQUIRE(spec.shards <= n,
-                   "scenario: more shards than nodes in [topology]");
-    fleet->owner.resize(n);
-    for (std::size_t shard = 0; shard < spec.shards; ++shard) {
-      const agg::ShardRange range = agg::shard_range(n, spec.shards, shard);
-      agg::AggregatorOptions aopt;
-      aopt.shard = shard;
-      aopt.first_node = range.first_node;
-      aopt.num_nodes = range.num_nodes;
-      aopt.num_resources = trace.num_resources();
-      aopt.upstream.port = fleet->root->port();
-      aopt.stale_after_ms = stale_after_ms;
-      aopt.dead_after_ms = dead_after_ms;
-      aopt.staleness_clock = fleet->clock.now_fn();
-      aopt.metrics = &registry;  // resmon_agg_* series are shard-labeled
-      fleet->agg_net_registries.push_back(
-          std::make_unique<obs::MetricsRegistry>());
-      aopt.net_metrics = fleet->agg_net_registries.back().get();
-      fleet->aggs.push_back(std::make_unique<agg::Aggregator>(
-          net::Socket::listen_tcp("127.0.0.1", 0), aopt));
-      for (std::size_t node = range.first_node;
-           node < range.first_node + range.num_nodes; ++node) {
-        fleet->owner[node] = shard;
-      }
-      // The shard hello blocks until the root pumps the ack.
-      agg::Aggregator& aggregator = *fleet->aggs.back();
-      connect_pumping(*fleet->root, [&] { aggregator.connect_upstream(); });
-    }
-    RESMON_REQUIRE(fleet->root->wait_for_shards(spec.shards, 10000),
-                   "scenario: shard hellos did not finish");
-  }
-
-  core::PipelineOptions popt = pipeline_options(spec, &registry);
-  fleet->pipeline = std::make_unique<core::MonitoringPipeline>(
-      n, trace.num_resources(), popt);
-
-  // Connect the whole fleet: agents block on their hello/ack handshake in
-  // helper threads while the main thread pumps their collectors.
-  fleet->agents.resize(n);
-  {
-    std::vector<std::exception_ptr> failures(n);
-    std::vector<std::thread> connectors;
-    connectors.reserve(n);
-    for (std::size_t node = 0; node < n; ++node) {
-      fleet->agents[node].agent = make_agent(
-          spec, fleet->downstream_of(node).port(), node,
-          trace.num_resources());
-      connectors.emplace_back([&fleet, &failures, node] {
-        try {
-          fleet->agents[node].agent->connect();
-          // resmon-lint-allow(catch-all-swallow): rethrown after the joins
-        } catch (...) {
-          failures[node] = std::current_exception();
-        }
-      });
-    }
-    bool all_in = true;
-    if (two_tier) {
-      for (std::size_t shard = 0; shard < spec.shards; ++shard) {
-        const agg::ShardRange range =
-            agg::shard_range(n, spec.shards, shard);
-        all_in = fleet->aggs[shard]->wait_for_agents(range.num_nodes, 10000)
-                 && all_in;
-      }
-    } else {
-      all_in = fleet->root->wait_for_agents(n, 10000);
-    }
-    for (std::thread& th : connectors) th.join();
-    for (const std::exception_ptr& failure : failures) {
-      if (failure != nullptr) std::rethrow_exception(failure);
-    }
-    RESMON_REQUIRE(all_in, "scenario: fleet did not finish its handshakes");
-  }
-  return fleet;
-}
-
-/// Apply one slot's churn events to a fleet. A restarted agent reconnects
-/// to its original collector (the shard's downstream side in two-tier
-/// mode), pumping it until the handshake completes and the node is LIVE.
-void apply_churn(const ScenarioSpec& spec, SocketFleet& fleet,
-                 const std::vector<ChurnEvent>& events,
-                 std::size_t num_resources) {
-  for (const ChurnEvent& ev : events) {
-    RESMON_REQUIRE(ev.node < fleet.agents.size(),
-                   "scenario: churn node out of range");
-    AgentSlot& slot = fleet.agents[ev.node];
-    if (!ev.restart) {
-      RESMON_REQUIRE(slot.agent != nullptr,
-                     "scenario: kill of an already-dead node");
-      fleet.retire(slot);
-    } else {
-      RESMON_REQUIRE(slot.agent == nullptr,
-                     "scenario: restart of a live node");
-      net::Controller& downstream = fleet.downstream_of(ev.node);
-      slot.agent =
-          make_agent(spec, downstream.port(), ev.node, num_resources);
-      connect_pumping(downstream, [&] { slot.agent->connect(); });
-      RESMON_REQUIRE(downstream.node_state(ev.node) == net::NodeState::kLive,
-                     "scenario: node did not rejoin after restart");
-    }
-  }
-}
-
-/// Complete the fleet's slot-t barrier. The barrier waits for LIVE nodes
-/// only: while a freshly-killed node is still LIVE it cannot complete, so
-/// each timed-out attempt advances the manual clock one slot until the
-/// staleness machine notices the silence and degrades the node. In
-/// two-tier mode the aging happens per shard; the root then consumes one
-/// summary per shard without a staleness machine of its own.
-std::vector<transport::MeasurementMessage> collect_fleet_slot(
-    const ScenarioSpec& spec, SocketFleet& fleet, std::size_t t) {
-  const int msps = static_cast<int>(spec.ms_per_slot);
-  const std::size_t max_attempts = spec.stale_after_slots + 8;
-  if (fleet.two_tier()) {
-    for (auto& aggregator : fleet.aggs) {
-      bool forwarded = false;
-      for (std::size_t attempt = 0; attempt < max_attempts && !forwarded;
-           ++attempt) {
-        forwarded = aggregator->forward_slot(t, 200);
-        if (!forwarded) fleet.clock.advance_ms(msps);
-      }
-      RESMON_REQUIRE(forwarded,
-                     "scenario: shard barrier stuck past the staleness "
-                     "policy");
-    }
-    auto messages = fleet.root->collect_slot(t, 10000);
-    RESMON_REQUIRE(messages.has_value(),
-                   "scenario: root did not receive every shard summary");
-    return *messages;
-  }
-  std::optional<std::vector<transport::MeasurementMessage>> messages;
-  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    messages = fleet.root->collect_slot(t, 200);
-    if (messages.has_value()) break;
-    fleet.clock.advance_ms(msps);
-  }
-  RESMON_REQUIRE(messages.has_value(),
-                 "scenario: slot barrier stuck past the staleness policy");
-  return *messages;
-}
-
 ScenarioResult run_socket(const ScenarioSpec& spec,
                           obs::MetricsRegistry& registry) {
   const trace::InMemoryTrace trace =
       trace::generate(profile_for(spec), spec.trace_seed);
   const std::size_t steps = resolve_run_steps(spec, trace);
   const std::size_t n = trace.num_nodes();
-  const int msps = static_cast<int>(spec.ms_per_slot);
+  const std::size_t d = trace.num_resources();
 
-  auto fleet = make_socket_fleet(spec, trace, registry, spec.tiers == 2);
+  SocketFleetOptions options{
+      .shards = spec.tiers == 2 ? spec.shards : 0,
+      .policy = collect::make_policy_factory(spec.policy, spec.max_frequency),
+      .stale_after_slots = spec.stale_after_slots,
+      .dead_after_slots = spec.dead_after_slots,
+      .ms_per_slot = spec.ms_per_slot,
+      .metrics = &registry};
+  SocketFleet fleet(n, d, options);
+  core::MonitoringPipeline pipeline(n, d, pipeline_options(spec, &registry));
 
   // The bit-identity twin (two-tier scenarios only, validated at parse
   // time): a single-tier fleet over the same trace, same churn, its own
   // clock and registry, driven in lock-step so the divergence gauge
   // compares the two topologies sample by sample.
   obs::MetricsRegistry twin_registry;
-  std::unique_ptr<SocketFleet> twin;
+  std::optional<SocketFleet> twin;
+  std::optional<core::MonitoringPipeline> twin_pipeline;
   if (spec.baseline_compare) {
-    twin = make_socket_fleet(spec, trace, twin_registry, /*two_tier=*/false);
+    options.shards = 0;
+    options.metrics = &twin_registry;
+    twin.emplace(n, d, options);
+    twin_pipeline.emplace(n, d, pipeline_options(spec, &twin_registry));
   }
 
-  // Index churn events by slot for the lock-step loop.
-  std::map<std::size_t, std::vector<ChurnEvent>> churn_at;
-  for (const ChurnEvent& ev : spec.churn) churn_at[ev.slot].push_back(ev);
-
   const auto advance = [&](std::size_t t) {
-    const auto churn = churn_at.find(t);
-    for (SocketFleet* f : {fleet.get(), twin.get()}) {
-      if (f == nullptr) continue;
-      if (churn != churn_at.end()) {
-        apply_churn(spec, *f, churn->second, trace.num_resources());
+    const auto step = [&](SocketFleet& f, core::MonitoringPipeline& p) {
+      for (const ChurnEvent& ev : spec.churn) {  // in spec order
+        if (ev.slot != t) continue;
+        if (ev.restart) {
+          f.restart(ev.node);
+        } else {
+          f.kill(ev.node);
+        }
       }
       // Lock-step: every live agent writes its slot-t frame (measurement or
-      // heartbeat) before the collector starts, so the first pump below
-      // touches every live node at the *current* manual time.
-      for (std::size_t node = 0; node < n; ++node) {
-        if (f->agents[node].agent == nullptr) continue;
-        f->agents[node].agent->observe(t, trace.measurement(node, t));
-      }
-      f->clock.advance_ms(msps);
-      f->pipeline->step_external(collect_fleet_slot(spec, *f, t));
-    }
+      // heartbeat) before the collector starts, so the first pump touches
+      // every live node at the *current* manual time.
+      f.observe(t, trace);
+      p.step_external(f.collect(t));
+    };
+    step(fleet, pipeline);
+    if (twin.has_value()) step(*twin, *twin_pipeline);
   };
   const auto traffic = [&] {
-    for (SocketFleet* f : {fleet.get(), twin.get()}) {
-      if (f == nullptr) continue;
-      for (AgentSlot& slot : f->agents) {
-        if (slot.agent != nullptr) f->retire(slot);
-      }
-    }
-    return Traffic{.fraction = static_cast<double>(fleet->agent_measurements) /
-                               (static_cast<double>(n) *
-                                static_cast<double>(steps)),
-                   .bytes = static_cast<double>(fleet->agent_bytes)};
+    return Traffic{
+        .fraction = static_cast<double>(fleet.measurements_sent()) /
+                    (static_cast<double>(n) * static_cast<double>(steps)),
+        .bytes = static_cast<double>(fleet.bytes_sent())};
   };
   return run_lockstep(
       spec, registry, steps,
-      {.pipeline = fleet->pipeline.get(),
+      {.pipeline = &pipeline,
        .truth = &trace,
-       .twin = twin != nullptr ? twin->pipeline.get() : nullptr,
+       .twin = twin_pipeline.has_value() ? &*twin_pipeline : nullptr,
        .advance = advance,
        .traffic = traffic});
 }

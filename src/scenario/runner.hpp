@@ -1,14 +1,20 @@
 // Scenario runner: executes one parsed ScenarioSpec end to end and grades
 // its [assert] section against the metrics registry.
 //
-// Two execution modes, selected by the spec:
+// Three execution modes, selected by the spec, all driven slot by slot
+// through one lock-step loop:
 //   - in-process (default): trace -> sim::Driver, with the optional
 //     faultnet spec on the in-process uplink and an optional fault-free
 //     twin run for bit-identity divergence checks;
-//   - socket mode ([controller] present): a real net::Controller over TCP
-//     with one net::Agent per node, driven in deterministic lock-step from
-//     the calling thread, the staleness machine aged by a ManualClock so
-//     LIVE -> STALE -> DEAD churn replays identically on any machine.
+//   - host mode ([host] present): this process sampled live through the
+//     procfs backend while recording, then the recording replayed through
+//     a twin pipeline whose forecasts must not diverge;
+//   - socket mode ([controller] present): a scenario::SocketFleet over
+//     loopback TCP, one net::Agent per node in front of a net::Controller
+//     (or of [topology] aggregators and a root), driven in deterministic
+//     lock-step from the calling thread, the staleness machine aged by a
+//     ManualClock so LIVE -> STALE -> DEAD churn replays identically on any
+//     machine; a two-tier pack may run a single-tier twin fleet too.
 //
 // Derived results are exported as resmon_scenario_* gauges into the same
 // registry, so assertions address pipeline, net, collect and scenario

@@ -9,13 +9,12 @@
 // are ManualClocks, so nothing here depends on wall time.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "agg/aggregator.hpp"
@@ -26,7 +25,7 @@
 #include "net/controller.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
-#include "scenario/manual_clock.hpp"
+#include "scenario/socket_fleet.hpp"
 #include "sim/evaluate.hpp"
 
 namespace resmon::agg {
@@ -68,135 +67,6 @@ core::PipelineOptions pipeline_options() {
   return popts;
 }
 
-/// Complete every agent's hello against `collector`: connects block in
-/// helper threads while the main thread (which owns the collector) pumps.
-/// The loop waits on collector-side state only — agent objects are touched
-/// again strictly after the joins.
-void connect_all(net::Controller& collector,
-                 const std::vector<net::Agent*>& agents) {
-  std::vector<std::thread> connectors;
-  connectors.reserve(agents.size());
-  for (net::Agent* agent : agents) {
-    connectors.emplace_back([agent] { agent->connect(); });
-  }
-  EXPECT_TRUE(collector.wait_for_agents(agents.size(), 10000));
-  for (std::thread& th : connectors) th.join();
-}
-
-/// Complete a shard hello: connect_upstream blocks until the root pumps
-/// the ack, so it runs on a helper thread and the root pumps until the
-/// thread's done flag (not the aggregator's own state, which would race).
-void connect_upstream_pumped(Aggregator& agg, net::Controller& root) {
-  std::atomic<bool> done{false};
-  std::thread connector([&] {
-    agg.connect_upstream();
-    done.store(true, std::memory_order_release);
-  });
-  while (!done.load(std::memory_order_acquire)) root.pump_idle(10);
-  connector.join();
-  EXPECT_TRUE(agg.upstream_connected());
-}
-
-/// Drive a single-tier socket fleet over `trace` and return the pipeline.
-std::unique_ptr<core::MonitoringPipeline> run_single_tier(
-    const trace::InMemoryTrace& trace, std::size_t slots) {
-  net::ControllerOptions copts;
-  copts.num_nodes = trace.num_nodes();
-  copts.num_resources = trace.num_resources();
-  net::Controller root(net::Socket::listen_tcp("127.0.0.1", 0), copts);
-
-  const auto policy =
-      collect::make_policy_factory(collect::PolicyKind::kAdaptive, 0.3);
-  std::vector<std::unique_ptr<net::Agent>> agents;
-  std::vector<net::Agent*> handles;
-  for (std::uint32_t node = 0; node < trace.num_nodes(); ++node) {
-    net::AgentOptions aopts;
-    aopts.upstream.port = root.port();
-    aopts.node = node;
-    aopts.num_resources = static_cast<std::uint32_t>(trace.num_resources());
-    agents.push_back(std::make_unique<net::Agent>(aopts, policy()));
-    handles.push_back(agents.back().get());
-  }
-  connect_all(root, handles);
-
-  auto pipeline = std::make_unique<core::MonitoringPipeline>(
-      trace.num_nodes(), trace.num_resources(), pipeline_options());
-  for (std::size_t t = 0; t < slots; ++t) {
-    for (std::uint32_t node = 0; node < trace.num_nodes(); ++node) {
-      agents[node]->observe(t, trace.measurement(node, t));
-    }
-    auto messages = root.collect_slot(t, 10000);
-    EXPECT_TRUE(messages.has_value()) << "single-tier slot " << t;
-    pipeline->step_external(*messages);
-  }
-  return pipeline;
-}
-
-/// Drive the same fleet through a root + `num_shards` aggregators.
-std::unique_ptr<core::MonitoringPipeline> run_two_tier(
-    const trace::InMemoryTrace& trace, std::size_t slots,
-    std::size_t num_shards, std::uint64_t* summaries_out = nullptr) {
-  net::ControllerOptions copts;
-  copts.num_nodes = trace.num_nodes();
-  copts.num_resources = trace.num_resources();
-  copts.num_shards = num_shards;
-  net::Controller root(net::Socket::listen_tcp("127.0.0.1", 0), copts);
-
-  std::vector<std::unique_ptr<Aggregator>> aggs;
-  for (std::size_t shard = 0; shard < num_shards; ++shard) {
-    const ShardRange range =
-        shard_range(trace.num_nodes(), num_shards, shard);
-    AggregatorOptions aopts;
-    aopts.shard = shard;
-    aopts.first_node = range.first_node;
-    aopts.num_nodes = range.num_nodes;
-    aopts.num_resources = trace.num_resources();
-    aopts.upstream.port = root.port();
-    aggs.push_back(std::make_unique<Aggregator>(
-        net::Socket::listen_tcp("127.0.0.1", 0), aopts));
-    connect_upstream_pumped(*aggs.back(), root);
-  }
-  EXPECT_TRUE(root.wait_for_shards(num_shards, 10000));
-
-  const auto policy =
-      collect::make_policy_factory(collect::PolicyKind::kAdaptive, 0.3);
-  std::vector<std::unique_ptr<net::Agent>> agents;
-  std::vector<std::vector<net::Agent*>> shard_handles(num_shards);
-  for (std::uint32_t node = 0; node < trace.num_nodes(); ++node) {
-    std::size_t shard = 0;
-    while (true) {
-      const ShardRange r = shard_range(trace.num_nodes(), num_shards, shard);
-      if (node >= r.first_node && node < r.first_node + r.num_nodes) break;
-      ++shard;
-    }
-    net::AgentOptions aopts;
-    aopts.upstream.port = aggs[shard]->port();
-    aopts.node = node;
-    aopts.num_resources = static_cast<std::uint32_t>(trace.num_resources());
-    agents.push_back(std::make_unique<net::Agent>(aopts, policy()));
-    shard_handles[shard].push_back(agents.back().get());
-  }
-  for (std::size_t shard = 0; shard < num_shards; ++shard) {
-    connect_all(aggs[shard]->downstream(), shard_handles[shard]);
-  }
-
-  auto pipeline = std::make_unique<core::MonitoringPipeline>(
-      trace.num_nodes(), trace.num_resources(), pipeline_options());
-  for (std::size_t t = 0; t < slots; ++t) {
-    for (std::uint32_t node = 0; node < trace.num_nodes(); ++node) {
-      agents[node]->observe(t, trace.measurement(node, t));
-    }
-    for (auto& agg : aggs) {
-      EXPECT_TRUE(agg->forward_slot(t, 10000)) << "shard slot " << t;
-    }
-    auto messages = root.collect_slot(t, 10000);
-    EXPECT_TRUE(messages.has_value()) << "two-tier slot " << t;
-    pipeline->step_external(*messages);
-  }
-  if (summaries_out != nullptr) *summaries_out = root.summaries_received();
-  return pipeline;
-}
-
 void expect_bit_identical(const Matrix& a, const Matrix& b) {
   ASSERT_EQ(a.data().size(), b.data().size());
   for (std::size_t i = 0; i < a.data().size(); ++i) {
@@ -211,24 +81,39 @@ TEST(Agg, TwoTierGoldenTraceIsBitIdenticalToSingleTier) {
   const trace::InMemoryTrace trace =
       resmon::testing::make_golden_trace("alibaba", 6, kSlots + 8, 21);
 
-  auto single = run_single_tier(trace, kSlots);
-  std::uint64_t summaries = 0;
-  auto two_tier = run_two_tier(trace, kSlots, 2, &summaries);
+  // The same agents in front of a single-tier controller and of a root +
+  // 2 aggregators, driven in lock-step.
+  const auto policy =
+      collect::make_policy_factory(collect::PolicyKind::kAdaptive, 0.3);
+  scenario::SocketFleet one_tier(trace.num_nodes(), trace.num_resources(),
+                                 {.policy = policy});
+  scenario::SocketFleet two_tiers(trace.num_nodes(), trace.num_resources(),
+                                  {.shards = 2, .policy = policy});
+  core::MonitoringPipeline single(trace.num_nodes(), trace.num_resources(),
+                                  pipeline_options());
+  core::MonitoringPipeline two_tier(trace.num_nodes(), trace.num_resources(),
+                                    pipeline_options());
+  for (std::size_t t = 0; t < kSlots; ++t) {
+    one_tier.observe(t, trace);
+    single.step_external(one_tier.collect(t));
+    two_tiers.observe(t, trace);
+    two_tier.step_external(two_tiers.collect(t));
+  }
 
   // The root consumed one summary per shard per slot, never a direct frame.
-  EXPECT_EQ(summaries, 2 * kSlots);
+  EXPECT_EQ(two_tiers.root().summaries_received(), 2 * kSlots);
 
   // Byte-identical forecasts at several horizons, and bit-identical RMSE:
   // the summaries carried every measurement bit-exactly and in node order,
   // so the pipelines saw literally the same inputs.
   for (std::size_t h : {1u, 4u, 8u}) {
-    expect_bit_identical(single->forecast_all(h), two_tier->forecast_all(h));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(sim::rmse_at(*single, trace, h)),
-              std::bit_cast<std::uint64_t>(sim::rmse_at(*two_tier, trace, h)))
+    expect_bit_identical(single.forecast_all(h), two_tier.forecast_all(h));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sim::rmse_at(single, trace, h)),
+              std::bit_cast<std::uint64_t>(sim::rmse_at(two_tier, trace, h)))
         << "h=" << h;
   }
-  EXPECT_TRUE(single->central_store().complete());
-  EXPECT_TRUE(two_tier->central_store().complete());
+  EXPECT_TRUE(single.central_store().complete());
+  EXPECT_TRUE(two_tier.central_store().complete());
 }
 
 TEST(Agg, ShardHelloToSingleTierRootIsTerminallyRejected) {
@@ -246,23 +131,11 @@ TEST(Agg, ShardHelloToSingleTierRootIsTerminallyRejected) {
   Aggregator agg(net::Socket::listen_tcp("127.0.0.1", 0), aopts);
 
   std::string error;
-  std::atomic<bool> done{false};
-  std::thread connector([&] {
-    try {
-      agg.connect_upstream();
-    } catch (const net::SocketError& e) {
-      error = e.what();
-    }
-    done.store(true, std::memory_order_release);
-  });
-  // Pump the root until the rejection propagated (the done flag, not the
-  // error string the connector thread is writing); the handshake needs
-  // only a few round-trips.
-  for (int rounds = 0;
-       rounds < 1000 && !done.load(std::memory_order_acquire); ++rounds) {
-    root.pump_idle(10);
+  try {
+    net::connect_pumping(root, [&] { agg.connect_upstream(); });
+  } catch (const net::SocketError& e) {
+    error = e.what();
   }
-  connector.join();
   EXPECT_FALSE(agg.upstream_connected());
   EXPECT_NE(error.find("single-tier"), std::string::npos) << error;
   EXPECT_EQ(root.connected_shards(), 0u);
@@ -319,31 +192,29 @@ TEST(Agg, AggregatorReconnectsAfterTheRootRestarts) {
   aopts.status_every_slots = 0;
   aopts.metrics = &registry;
   Aggregator agg(net::Socket::listen_tcp("127.0.0.1", 0), aopts);
-  connect_upstream_pumped(agg, *root);
+  net::connect_pumping(*root, [&] { agg.connect_upstream(); });
+  ASSERT_TRUE(agg.upstream_connected());
 
   net::AgentOptions agent_opts;
   agent_opts.upstream.port = agg.port();
   net::Agent agent(agent_opts, collect::make_policy_factory(
                                    collect::PolicyKind::kAlways, 1.0)());
-  connect_all(agg.downstream(), {&agent});
+  net::connect_pumping(agg.downstream(), [&] { agent.connect(); });
 
   // Kill the root (closes listener + shard connection), restart it on the
   // same port (SO_REUSEADDR), and keep forwarding: the aggregator must
   // notice the dead link, re-handshake, and deliver the later summaries to
-  // the new root, which a helper thread pumps until the shard hello lands.
+  // the new root, which answers the shard hello while it is pumped.
   root.reset();
   root = std::make_unique<net::Controller>(
       net::Socket::listen_tcp("127.0.0.1", port), copts);
-  {
-    net::Controller& restarted = *root;
-    std::thread pump([&restarted] { restarted.wait_for_shards(1, 10000); });
+  net::connect_pumping(*root, [&] {
     const std::vector<double> x = {0.5};
     for (std::size_t t = 0; t < 10; ++t) {
       agent.observe(t, x);
       EXPECT_TRUE(agg.forward_slot(t, 10000)) << "slot " << t;
     }
-    pump.join();
-  }
+  });
   EXPECT_GE(agg.upstream_reconnects(), 1u);
   EXPECT_EQ(registry.value("resmon_agg_upstream_reconnects_total",
                            {{"shard", "0"}}),
@@ -417,21 +288,21 @@ TEST(Agg, CompactionAccountingCountsFramesInPerFrameOut) {
   aopts.status_every_slots = 4;
   aopts.metrics = &agg_registry;
   Aggregator agg(net::Socket::listen_tcp("127.0.0.1", 0), aopts);
-  connect_upstream_pumped(agg, root);
+  net::connect_pumping(root, [&] { agg.connect_upstream(); });
 
   const auto policy =
       collect::make_policy_factory(collect::PolicyKind::kAlways, 1.0);
   std::vector<std::unique_ptr<net::Agent>> agents;
-  std::vector<net::Agent*> handles;
+  std::vector<std::function<void()>> connects;
   for (std::uint32_t node = 0; node < trace.num_nodes(); ++node) {
     net::AgentOptions opts;
     opts.upstream.port = agg.port();
     opts.node = node;
     opts.num_resources = static_cast<std::uint32_t>(trace.num_resources());
     agents.push_back(std::make_unique<net::Agent>(opts, policy()));
-    handles.push_back(agents.back().get());
+    connects.emplace_back([agent = agents.back().get()] { agent->connect(); });
   }
-  connect_all(agg.downstream(), handles);
+  net::connect_pumping(agg.downstream(), connects);
 
   for (std::size_t t = 0; t < kSlots; ++t) {
     for (std::uint32_t node = 0; node < trace.num_nodes(); ++node) {

@@ -8,16 +8,12 @@
 // no sleeps, no wall-clock deadlines, no flakes.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstddef>
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -30,6 +26,7 @@
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/manual_clock.hpp"
+#include "scenario/socket_fleet.hpp"
 #include "transport/channel.hpp"
 
 namespace resmon::net {
@@ -37,47 +34,23 @@ namespace {
 
 constexpr int kMsPerSlot = 100;
 
-AgentOptions agent_options(const Controller& controller, std::uint32_t node,
-                           std::size_t num_resources) {
-  AgentOptions opts;
-  opts.upstream.port = controller.port();
-  opts.node = node;
-  opts.num_resources = static_cast<std::uint32_t>(num_resources);
-  return opts;
-}
-
 const auto kAlways =
     collect::make_policy_factory(collect::PolicyKind::kAlways, 1.0);
 
-/// Connect a fleet of agents whose hello/ack handshakes block until the
-/// controller pumps: each connect runs on a helper thread while the main
-/// thread drives wait_for_agents.
-std::vector<std::unique_ptr<Agent>> connect_fleet(
-    Controller& controller, std::size_t count, std::size_t num_resources) {
-  std::vector<std::unique_ptr<Agent>> agents(count);
-  std::vector<std::thread> connectors;
-  connectors.reserve(count);
-  for (std::uint32_t node = 0; node < count; ++node) {
-    agents[node] = std::make_unique<Agent>(
-        agent_options(controller, node, num_resources), kAlways());
-    connectors.emplace_back([&, node] { agents[node]->connect(); });
-  }
-  EXPECT_TRUE(controller.wait_for_agents(count, 10000));
-  for (std::thread& th : connectors) th.join();
-  return agents;
-}
-
-/// One lock-step slot: frames are already written, the manual clock has
-/// advanced, and the barrier may need extra pumps (each aging the clock one
-/// more slot) before staleness lets a silent node be skipped.
-std::optional<std::vector<transport::MeasurementMessage>> collect_aging(
-    Controller& controller, scenario::ManualClock& clock, std::size_t t) {
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    auto messages = controller.collect_slot(t, 200);
-    if (messages.has_value()) return messages;
-    clock.advance_ms(kMsPerSlot);
-  }
-  return std::nullopt;
+/// A lock-step fleet of always-transmitting agents (behind `shards`
+/// aggregators; 0 = one tier) whose collectors turn a node STALE after 1.5
+/// slots of silence and DEAD after `dead_after_slots` + 0.5: the half-slot
+/// offset keeps the thresholds off exact multiples, so a live node (whose
+/// silence peaks at whole slots) can never tie the limit.
+scenario::SocketFleetOptions fleet_options(std::size_t shards,
+                                           std::size_t dead_after_slots,
+                                           obs::MetricsRegistry* metrics) {
+  return {.shards = shards,
+          .policy = kAlways,
+          .stale_after_slots = 1,
+          .dead_after_slots = dead_after_slots,
+          .ms_per_slot = kMsPerSlot,
+          .metrics = metrics};
 }
 
 TEST(Degradation, SilentNodeGoesStaleThenDeadWhileTheBarrierCompletes) {
@@ -86,37 +59,21 @@ TEST(Degradation, SilentNodeGoesStaleThenDeadWhileTheBarrierCompletes) {
   const trace::InMemoryTrace trace =
       resmon::testing::make_golden_trace("alibaba", 2, kSlots, 21);
 
-  scenario::ManualClock clock;
   obs::MetricsRegistry registry;
-  ControllerOptions copts;
-  copts.num_nodes = 2;
-  copts.num_resources = trace.num_resources();
-  copts.metrics = &registry;
-  // 1.5 / 4.5 slots of silence: the half-slot offset keeps the thresholds
-  // off exact multiples, so a live node (whose silence peaks at whole
-  // slots) can never tie the limit.
-  copts.stale_after_ms = kMsPerSlot + kMsPerSlot / 2;
-  copts.dead_after_ms = 4 * kMsPerSlot + kMsPerSlot / 2;
-  copts.staleness_clock = clock.now_fn();
-  Controller controller(Socket::listen_tcp("127.0.0.1", 0), copts);
-
-  auto agents = connect_fleet(controller, 2, trace.num_resources());
+  scenario::SocketFleet fleet(2, trace.num_resources(),
+                              fleet_options(0, 4, &registry));
   transport::CentralStore store(2, trace.num_resources());
   for (std::size_t t = 0; t < kSlots; ++t) {
-    if (t == kQuitAfter) agents[1].reset();  // the quiet death
-    for (std::size_t node = 0; node < 2; ++node) {
-      if (agents[node]) agents[node]->observe(t, trace.measurement(node, t));
-    }
-    clock.advance_ms(kMsPerSlot);
-    auto messages = collect_aging(controller, clock, t);
-    ASSERT_TRUE(messages.has_value()) << "slot " << t << " timed out";
-    for (const auto& m : *messages) store.apply(m);
+    if (t == kQuitAfter) fleet.kill(1);  // the quiet death
+    fleet.observe(t, trace);
+    for (const auto& m : fleet.collect(t)) store.apply(m);
   }
 
   // Node 1 fell silent after slot 4. Its frame for slot 4 landed at manual
   // time 500ms, so it crossed stale_after during slot 5's barrier wait
   // (whose retry ages the clock one extra slot) and dead_after during slot
   // 8's — every count below is exact.
+  const Controller& controller = fleet.root();
   EXPECT_EQ(controller.stale_transitions(), 1u);
   EXPECT_EQ(controller.dead_transitions(), 1u);
   EXPECT_EQ(controller.degraded_slots(), kSlots - kQuitAfter);
@@ -148,9 +105,13 @@ TEST(Degradation, RejoiningNodeIsPromotedBackToLive) {
   copts.staleness_clock = clock.now_fn();
   Controller controller(Socket::listen_tcp("127.0.0.1", 0), copts);
 
+  AgentOptions aopts;
+  aopts.upstream.port = controller.port();
+  aopts.num_resources = static_cast<std::uint32_t>(trace.num_resources());
   {
-    auto agents = connect_fleet(controller, 1, trace.num_resources());
-    agents[0]->observe(0, trace.measurement(0, 0));
+    Agent agent(aopts, kAlways());
+    connect_pumping(controller, [&] { agent.connect(); });
+    agent.observe(0, trace.measurement(0, 0));
     ASSERT_TRUE(controller.collect_slot(0, 5000).has_value());
   }  // agent gone afterwards: node 0 falls silent
 
@@ -164,15 +125,9 @@ TEST(Degradation, RejoiningNodeIsPromotedBackToLive) {
   // node, and its progress picks up where the new process starts. With
   // every node DEAD the slot barrier is trivially complete, so the rejoin
   // handshake must be pumped explicitly before collecting the slot.
-  Agent restarted(agent_options(controller, 0, trace.num_resources()),
-                  kAlways());
-  std::thread connector([&] { restarted.connect(); });
-  for (int rounds = 0;
-       rounds < 1000 && controller.node_state(0) != NodeState::kLive;
-       ++rounds) {
-    controller.pump_idle(10);
-  }
-  connector.join();
+  Agent restarted(aopts, kAlways());
+  connect_pumping(controller, [&] { restarted.connect(); });
+  EXPECT_EQ(controller.node_state(0), NodeState::kLive);
   restarted.observe(5, trace.measurement(0, 5));
   auto messages = controller.collect_slot(5, 5000);
   ASSERT_TRUE(messages.has_value());
@@ -188,70 +143,27 @@ TEST(Degradation, AggregatorShardStalenessPropagatesToRootAccounting) {
   // the shard barrier locally and (b) propagate the verdict upstream so
   // the root's degraded-slot accounting matches the single-tier run
   // exactly — 1 stale transition, 1 dead transition, kSlots - kQuitAfter
-  // degraded slots.
+  // degraded slots. The root runs no staleness machine: in a two-tier
+  // topology the shard owns per-node silence.
   constexpr std::size_t kSlots = 10;
   constexpr std::size_t kQuitAfter = 5;
   const trace::InMemoryTrace trace =
       resmon::testing::make_golden_trace("alibaba", 2, kSlots, 21);
 
-  // Root: staleness disabled — in a two-tier topology the shard owns
-  // per-node silence; the root only consumes summary degraded counts.
-  obs::MetricsRegistry root_registry;
-  ControllerOptions copts;
-  copts.num_nodes = 2;
-  copts.num_resources = trace.num_resources();
-  copts.num_shards = 1;
-  copts.metrics = &root_registry;
-  Controller root(Socket::listen_tcp("127.0.0.1", 0), copts);
-
-  scenario::ManualClock clock;
-  agg::AggregatorOptions aopts;
-  aopts.shard = 0;
-  aopts.first_node = 0;
-  aopts.num_nodes = 2;
-  aopts.num_resources = trace.num_resources();
-  aopts.upstream.port = root.port();
-  aopts.stale_after_ms = kMsPerSlot + kMsPerSlot / 2;
-  aopts.dead_after_ms = 4 * kMsPerSlot + kMsPerSlot / 2;
-  aopts.staleness_clock = clock.now_fn();
-  aopts.status_every_slots = 0;  // censuses only when asked below
-  agg::Aggregator aggregator(Socket::listen_tcp("127.0.0.1", 0), aopts);
-
-  // Pump the root until the connector thread reports the handshake done —
-  // polling the aggregator's own state here would race its writer thread.
-  std::atomic<bool> hello_done{false};
-  std::thread connector([&] {
-    aggregator.connect_upstream();
-    hello_done.store(true, std::memory_order_release);
-  });
-  while (!hello_done.load(std::memory_order_acquire)) root.pump_idle(10);
-  connector.join();
-  ASSERT_TRUE(aggregator.upstream_connected());
-
-  auto agents =
-      connect_fleet(aggregator.downstream(), 2, trace.num_resources());
+  obs::MetricsRegistry registry;
+  scenario::SocketFleet fleet(2, trace.num_resources(),
+                              fleet_options(1, 4, &registry));
+  agg::Aggregator& aggregator = fleet.aggregator(0);
+  const Controller& root = fleet.root();
   transport::CentralStore store(2, trace.num_resources());
   for (std::size_t t = 0; t < kSlots; ++t) {
-    if (t == kQuitAfter) agents[1].reset();  // the quiet death
-    for (std::size_t node = 0; node < 2; ++node) {
-      if (agents[node]) agents[node]->observe(t, trace.measurement(node, t));
-    }
-    clock.advance_ms(kMsPerSlot);
-    // Shard-side barrier with the same aging retries as the single-tier
-    // collect_aging: a timed-out attempt forwards nothing, the clock ages
-    // one slot, and the retry lets staleness unblock the barrier.
-    bool forwarded = false;
-    for (int attempt = 0; attempt < 16 && !forwarded; ++attempt) {
-      forwarded = aggregator.forward_slot(t, 200);
-      if (!forwarded) clock.advance_ms(kMsPerSlot);
-    }
-    ASSERT_TRUE(forwarded) << "shard slot " << t << " timed out";
-    auto messages = root.collect_slot(t, 5000);
-    ASSERT_TRUE(messages.has_value()) << "root slot " << t << " timed out";
+    if (t == kQuitAfter) fleet.kill(1);  // the quiet death
+    fleet.observe(t, trace);
+    const auto messages = fleet.collect(t);
     // Post-death slots deliver exactly the surviving node's measurement,
     // the same as the single-tier barrier skipping the silent node.
-    EXPECT_EQ(messages->size(), t >= kQuitAfter ? 1u : 2u) << "slot " << t;
-    for (const auto& m : *messages) store.apply(m);
+    EXPECT_EQ(messages.size(), t >= kQuitAfter ? 1u : 2u) << "slot " << t;
+    for (const auto& m : messages) store.apply(m);
   }
 
   // The shard saw the same transition timeline as the single-tier twin...
@@ -277,8 +189,8 @@ TEST(Degradation, AggregatorShardStalenessPropagatesToRootAccounting) {
 
   // A census reports the shard's verdicts on the root's exposition.
   aggregator.send_status();
-  root.pump_idle(50);
-  const std::string text = root_registry.render_text();
+  fleet.root().pump_idle(50);
+  const std::string text = registry.render_text();
   EXPECT_NE(text.find("resmon_net_shard_dead_nodes{shard=\"0\"} 1"),
             std::string::npos)
       << text;
@@ -300,9 +212,13 @@ TEST(Degradation, BlockHookDiscardsPartitionWindowFrames) {
       faultnet::FaultSpec::parse("partition=3-5;nodes=0"));
   Controller controller(Socket::listen_tcp("127.0.0.1", 0), copts);
 
-  auto agents = connect_fleet(controller, 1, trace.num_resources());
+  AgentOptions aopts;
+  aopts.upstream.port = controller.port();
+  aopts.num_resources = static_cast<std::uint32_t>(trace.num_resources());
+  Agent agent(aopts, kAlways());
+  connect_pumping(controller, [&] { agent.connect(); });
   for (std::size_t t = 0; t < kSlots; ++t) {
-    agents[0]->observe(t, trace.measurement(0, t));
+    agent.observe(t, trace.measurement(0, t));
   }
 
   // Slots outside the window deliver; in-window frames were eaten before
@@ -315,25 +231,6 @@ TEST(Degradation, BlockHookDiscardsPartitionWindowFrames) {
         << "slot " << t;
   }
   EXPECT_EQ(controller.blocked_frames(), 3u);
-}
-
-/// Run `work` on a helper thread while this thread pumps `controller`
-/// (which must answer the work's hello handshakes); rethrows its failure.
-void run_pumping(Controller& controller, const std::function<void()>& work) {
-  std::atomic<bool> done{false};
-  std::exception_ptr failure;
-  std::thread worker([&] {
-    try {
-      work();
-      // resmon-lint-allow(catch-all-swallow): rethrown after the join
-    } catch (...) {
-      failure = std::current_exception();
-    }
-    done.store(true, std::memory_order_release);
-  });
-  while (!done.load(std::memory_order_acquire)) controller.pump_idle(10);
-  worker.join();
-  if (failure != nullptr) std::rethrow_exception(failure);
 }
 
 /// Every Controller accessor equals its series in the registry it counts
@@ -352,6 +249,8 @@ void expect_controller_reads_registry(const Controller& c,
       {c.summaries_received(), "resmon_net_summaries_total"},
       {c.summary_measurements(), "resmon_net_summary_measurements_total"},
       {c.metrics_scrapes(), "resmon_net_metrics_scrapes_total"},
+      {c.stale_nodes(), "resmon_net_stale_nodes"},
+      {c.dead_nodes(), "resmon_net_dead_nodes"},
   };
   for (const auto& [value, name] : rows) {
     EXPECT_EQ(registry.value(name), static_cast<double>(value)) << name;
@@ -416,7 +315,7 @@ TEST(OneCount, AccessorsReadTheSeriesTheRegistryExposes) {
   aopts.metrics = &agg_registry;
   aopts.net_metrics = &shard_registry;
   agg::Aggregator aggregator(Socket::listen_tcp("127.0.0.1", 0), aopts);
-  run_pumping(root, [&] { aggregator.connect_upstream(); });
+  connect_pumping(root, [&] { aggregator.connect_upstream(); });
   Controller& shard = aggregator.downstream();
 
   // Agent registries: nodes 0, 1, 2, and the restarted node 1.
@@ -444,11 +343,10 @@ TEST(OneCount, AccessorsReadTheSeriesTheRegistryExposes) {
   auto agent1 = std::make_unique<Agent>(
       agent_opts(1, aggregator.port(), agent_registry[1]), kAlways());
   Agent agent2(agent_opts(2, root.port(), agent_registry[2]), kAlways());
-  run_pumping(shard, [&] {
-    agent0.connect();
-    agent1->connect();
-  });
-  run_pumping(root, [&] { agent2.connect(); });
+  const std::function<void()> shard_agents[] = {[&] { agent0.connect(); },
+                                                [&] { agent1->connect(); }};
+  connect_pumping(shard, shard_agents);
+  connect_pumping(root, [&] { agent2.connect(); });
   // Node 2 writes its whole run up front; the root reads it while it
   // waits on the slot barriers.
   for (std::size_t t = 0; t < kSlots; ++t) {
@@ -472,12 +370,13 @@ TEST(OneCount, AccessorsReadTheSeriesTheRegistryExposes) {
     if (t == kRejoin) {
       agent1 = std::make_unique<Agent>(
           agent_opts(1, aggregator.port(), agent_registry[3]), kAlways());
-      run_pumping(shard, [&] { agent1->connect(); });
+      connect_pumping(shard, [&] { agent1->connect(); });
     }
     if (t == kSever + 1) {
       // The link was cut on the last frame, so this one reconnects first
       // and the shard must answer its hello.
-      run_pumping(shard, [&] { agent0.observe(t, trace.measurement(0, t)); });
+      connect_pumping(shard,
+                      [&] { agent0.observe(t, trace.measurement(0, t)); });
     } else {
       agent0.observe(t, trace.measurement(0, t));
     }
@@ -491,6 +390,24 @@ TEST(OneCount, AccessorsReadTheSeriesTheRegistryExposes) {
     ASSERT_TRUE(forwarded) << "shard slot " << t << " timed out";
     ASSERT_TRUE(root.collect_slot(t, 5000).has_value())
         << "root slot " << t << " timed out";
+    // The shard's node gauges, its controller's node gauges and a census
+    // of its node states agree slot by slot.
+    std::array<std::size_t, 3> census{};
+    for (std::size_t node = 0; node < 2; ++node) {
+      ++census[static_cast<std::size_t>(shard.node_state(node))];
+    }
+    EXPECT_EQ(shard.stale_nodes(), census[1]) << "slot " << t;
+    EXPECT_EQ(shard.dead_nodes(), census[2]) << "slot " << t;
+    const std::pair<std::size_t, const char*> node_gauges[] = {
+        {census[0], "resmon_agg_live_nodes"},
+        {census[1], "resmon_agg_stale_nodes"},
+        {census[2], "resmon_agg_dead_nodes"},
+    };
+    for (const auto& [count, name] : node_gauges) {
+      EXPECT_EQ(agg_registry.value(name, {{"shard", "0"}}),
+                static_cast<double>(count))
+          << name << " at slot " << t;
+    }
   }
   root.pump_idle(5000, 1);  // answer the scrape
 

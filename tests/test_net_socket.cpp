@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <random>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -184,20 +186,6 @@ TEST(NetSocket, ConnectGivesUpAfterBoundedBackoffAttempts) {
   EXPECT_EQ(agent.reconnects(), 0u);
 }
 
-/// Pump the controller's loop from a second thread while the agent under
-/// test runs its blocking handshake on this one.
-class PumpThread {
- public:
-  PumpThread(Controller& controller, std::size_t count, int timeout_ms)
-      : thread_([&controller, count, timeout_ms] {
-          controller.wait_for_agents(count, timeout_ms);
-        }) {}
-  ~PumpThread() { thread_.join(); }
-
- private:
-  std::thread thread_;
-};
-
 TEST(NetSocket, HelloRejectionIsTerminalNotRetried) {
   ControllerOptions copts;
   copts.num_nodes = 2;
@@ -211,10 +199,8 @@ TEST(NetSocket, HelloRejectionIsTerminalNotRetried) {
   aopts.upstream.initial_backoff_ms = 1;
   Agent agent(aopts, collect::make_policy_factory(
                          collect::PolicyKind::kAlways, 1.0)());
-  {
-    PumpThread pump(controller, 1, 1500);
-    EXPECT_THROW(agent.connect(), SocketError);
-  }
+  EXPECT_THROW(connect_pumping(controller, [&] { agent.connect(); }),
+               SocketError);
   EXPECT_EQ(controller.nodes_seen(), 0u);
   EXPECT_GE(controller.connections_rejected(), 1u);
 }
@@ -232,10 +218,8 @@ TEST(NetSocket, DimensionMismatchIsRejected) {
   aopts.upstream.initial_backoff_ms = 1;
   Agent agent(aopts, collect::make_policy_factory(
                          collect::PolicyKind::kAlways, 1.0)());
-  {
-    PumpThread pump(controller, 1, 1500);
-    EXPECT_THROW(agent.connect(), SocketError);
-  }
+  EXPECT_THROW(connect_pumping(controller, [&] { agent.connect(); }),
+               SocketError);
   EXPECT_EQ(controller.nodes_seen(), 0u);
 }
 
@@ -258,10 +242,7 @@ TEST(NetSocket, NewerConnectionForTheSameNodeWinsOverTheStaleOne) {
       collect::make_policy_factory(collect::PolicyKind::kAlways, 1.0);
 
   Agent first(aopts, factory());
-  {
-    PumpThread pump(controller, 1, 5000);
-    first.connect();
-  }
+  connect_pumping(controller, [&] { first.connect(); });
   ASSERT_TRUE(first.connected());
 
   // wait_for_agents(1) would return without pumping (node 0 was already
@@ -333,10 +314,7 @@ TEST(NetSocket, SendCountersSplitPolicyDecisionsFromDeliveries) {
   };
   Agent agent(aopts, collect::make_policy_factory(
                          collect::PolicyKind::kAlways, 1.0)());
-  {
-    PumpThread pump(controller, 1, 5000);
-    agent.connect();
-  }
+  connect_pumping(controller, [&] { agent.connect(); });
   const std::vector<double> x = {0.25, 0.75};
   for (std::size_t t = 0; t < 10; ++t) agent.observe(t, x);
 
@@ -370,24 +348,20 @@ TEST(NetSocket, AgentReconnectsAfterTheControllerRestarts) {
   aopts.upstream.max_reconnect_attempts = 20;
   Agent agent(aopts, collect::make_policy_factory(
                          collect::PolicyKind::kAlways, 1.0)());
-  {
-    PumpThread pump(*controller, 1, 5000);
-    agent.connect();
-  }
+  connect_pumping(*controller, [&] { agent.connect(); });
   ASSERT_TRUE(agent.connected());
 
   // Kill the controller (closes listener + connection), restart on the same
   // port (SO_REUSEADDR), and keep observing: the agent must notice the dead
   // connection, re-handshake, and deliver the later slots to the new
-  // controller.
+  // controller, which answers the hello while it is pumped.
   controller.reset();
   controller = std::make_unique<Controller>(
       Socket::listen_tcp("127.0.0.1", port), copts);
-  {
-    PumpThread pump(*controller, 1, 10000);
+  connect_pumping(*controller, [&] {
     const std::vector<double> x = {0.5};
     for (std::size_t t = 0; t < 10; ++t) agent.observe(t, x);
-  }
+  });
   EXPECT_GE(agent.reconnects(), 1u);
   EXPECT_EQ(controller->nodes_seen(), 1u);
 
@@ -397,6 +371,43 @@ TEST(NetSocket, AgentReconnectsAfterTheControllerRestarts) {
   ASSERT_TRUE(messages.has_value());
   ASSERT_EQ(messages->size(), 1u);
   EXPECT_EQ((*messages)[0].step, 9u);
+}
+
+TEST(ConnectPumping, RethrowsTheFirstRejectionAfterJoiningEveryHelper) {
+  // Two agents handshake with a 2-node controller at once; node 1 declares
+  // the wrong dimensionality. The good handshake still completes, and the
+  // rejection surfaces on the pumping thread once both helpers are joined.
+  ControllerOptions copts;
+  copts.num_nodes = 2;
+  copts.num_resources = 3;
+  Controller controller(Socket::listen_tcp("127.0.0.1", 0), copts);
+
+  AgentOptions good_opts;
+  good_opts.upstream.port = controller.port();
+  good_opts.node = 0;
+  good_opts.num_resources = 3;
+  good_opts.upstream.initial_backoff_ms = 1;
+  AgentOptions bad_opts = good_opts;
+  bad_opts.node = 1;
+  bad_opts.num_resources = 2;  // controller expects 3
+  const auto factory =
+      collect::make_policy_factory(collect::PolicyKind::kAlways, 1.0);
+  Agent good(good_opts, factory());
+  Agent bad(bad_opts, factory());
+
+  const std::function<void()> connects[] = {[&] { good.connect(); },
+                                            [&] { bad.connect(); }};
+  std::string error;
+  try {
+    connect_pumping(controller, connects);
+  } catch (const SocketError& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("dimension mismatch"), std::string::npos) << error;
+  EXPECT_TRUE(good.connected());
+  EXPECT_FALSE(bad.connected());
+  EXPECT_EQ(controller.nodes_seen(), 1u);
+  EXPECT_EQ(controller.connected_agents(), 1u);
 }
 
 // -- the pooled inbox against per-node deques --------------------------------
