@@ -25,6 +25,7 @@
 
 #include "alloc_counter.hpp"
 #include "bench_util.hpp"
+#include "capturing_reporter.hpp"
 #include "common/rng.hpp"
 #include "net/controller.hpp"
 #include "net/socket.hpp"
@@ -253,35 +254,6 @@ CollectAllocs measure_collect_allocs() {
   return result;
 }
 
-/// Console output as usual, plus every iteration row captured for the
-/// persistent BENCH_micro.json sink.
-class CapturingReporter : public benchmark::ConsoleReporter {
- public:
-  explicit CapturingReporter(resmon::bench::BenchJson* sink) : sink_(sink) {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    benchmark::ConsoleReporter::ReportRuns(runs);
-    for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      std::vector<std::pair<std::string, double>> fields = {
-          {"ns_per_op", run.GetAdjustedRealTime()},
-          {"iterations", static_cast<double>(run.iterations)}};
-      const auto bytes = run.counters.find("bytes_per_second");
-      if (bytes != run.counters.end()) {
-        fields.emplace_back("bytes_per_second", bytes->second.value);
-      }
-      const auto items = run.counters.find("items_per_second");
-      if (items != run.counters.end()) {
-        fields.emplace_back("items_per_second", items->second.value);
-      }
-      sink_->add(run.benchmark_name(), fields);
-    }
-  }
-
- private:
-  resmon::bench::BenchJson* sink_;
-};
-
 }  // namespace
 
 constexpr const char* kUsage =
@@ -309,7 +281,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   resmon::bench::BenchJson sink("resmon-micro", "micro_wire");
-  CapturingReporter reporter(&sink);
+  resmon::bench::CapturingReporter reporter(&sink);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
 

@@ -108,17 +108,19 @@ InMemoryTrace load_csv(std::istream& in) {
   }
   InMemoryTrace trace(n, steps, num_resources);
 
-  // Track which cells were provided so gaps can be sample-and-held.
+  // Track which cells were provided so gaps can be sample-and-held. The
+  // fill runs in the trace's storage order, steps outer: (i, t-1) is final
+  // before step t is filled.
   std::vector<bool> seen(n * steps, false);
   for (const Row& row : rows) {
     for (std::size_t r = 0; r < num_resources; ++r) {
       trace.set_value(row.node, row.step, r, row.values[r]);
     }
-    seen[row.node * steps + row.step] = true;
+    seen[row.step * n + row.node] = true;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t t = 0; t < steps; ++t) {
-      if (seen[i * steps + t]) continue;
+  for (std::size_t t = 0; t < steps; ++t) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (seen[t * n + i]) continue;
       // Hold the previous observed value; leading gaps stay at zero.
       if (t > 0) {
         for (std::size_t r = 0; r < num_resources; ++r) {

@@ -47,7 +47,10 @@ class Trace {
   std::vector<double> series(std::size_t node, std::size_t resource) const;
 };
 
-/// Trace held densely in memory, row-major by (node, step, resource).
+/// Trace held densely in memory, row-major by (step, node, resource): the
+/// measurements of one time step across the whole fleet, x_{0,t} ..
+/// x_{N-1,t}, are one contiguous N x d block, in the order every slot of
+/// the pipeline reads them. `series()` is the strided read.
 class InMemoryTrace final : public Trace {
  public:
   InMemoryTrace(std::size_t num_nodes, std::size_t num_steps,
@@ -70,7 +73,7 @@ class InMemoryTrace final : public Trace {
  private:
   std::size_t offset(std::size_t node, std::size_t t,
                      std::size_t resource) const {
-    return (node * num_steps_ + t) * num_resources_ + resource;
+    return (t * num_nodes_ + node) * num_resources_ + resource;
   }
 
   std::size_t num_nodes_;

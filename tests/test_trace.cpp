@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -40,6 +42,57 @@ TEST(InMemoryTrace, MeasurementAndSeriesViews) {
   const std::vector<double> s = t.series(0, 0);
   EXPECT_EQ(s.size(), 3u);
   EXPECT_DOUBLE_EQ(s[2], 0.3);
+}
+
+TEST(InMemoryTrace, EveryCellRoundTripsAtUnequalShape) {
+  // A distinct value per cell, at two shapes with num_nodes != num_steps.
+  // An offset that swaps the node and step extents maps two cells to one
+  // element at one of the shapes, so a read-back below differs.
+  for (const auto& [nodes, steps] :
+       {std::pair<std::size_t, std::size_t>{3, 5}, {5, 3}}) {
+    const std::size_t resources = 2;
+    auto code = [](std::size_t i, std::size_t t, std::size_t r) {
+      return static_cast<double>(100 * i + 10 * t + r) / 1000.0;
+    };
+    auto trace = std::make_shared<InMemoryTrace>(nodes, steps, resources);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      for (std::size_t t = 0; t < steps; ++t) {
+        for (std::size_t r = 0; r < resources; ++r) {
+          trace->set_value(i, t, r, code(i, t, r));
+        }
+      }
+    }
+    for (std::size_t i = 0; i < nodes; ++i) {
+      for (std::size_t t = 0; t < steps; ++t) {
+        const std::vector<double> m = trace->measurement(i, t);
+        ASSERT_EQ(m.size(), resources);
+        for (std::size_t r = 0; r < resources; ++r) {
+          EXPECT_EQ(trace->value(i, t, r), code(i, t, r))
+              << nodes << "x" << steps << " cell " << i << "," << t << ","
+              << r;
+          EXPECT_EQ(m[r], code(i, t, r));
+        }
+      }
+      for (std::size_t r = 0; r < resources; ++r) {
+        const std::vector<double> s = trace->series(i, r);
+        ASSERT_EQ(s.size(), steps);
+        for (std::size_t t = 0; t < steps; ++t) {
+          EXPECT_EQ(s[t], code(i, t, r));
+        }
+      }
+    }
+    // Reversed node order over a step prefix.
+    std::vector<std::size_t> picked;
+    for (std::size_t i = nodes; i-- > 0;) picked.push_back(i);
+    const SubTrace sub(trace, picked, steps - 1);
+    for (std::size_t k = 0; k < picked.size(); ++k) {
+      for (std::size_t t = 0; t + 1 < steps; ++t) {
+        for (std::size_t r = 0; r < resources; ++r) {
+          EXPECT_EQ(sub.value(k, t, r), code(picked[k], t, r));
+        }
+      }
+    }
+  }
 }
 
 TEST(SubTrace, RestrictsNodesAndSteps) {
@@ -117,6 +170,30 @@ TEST(Synthetic, QuantizationRoundsValues) {
     const double v = t.value(0, s, 0);
     EXPECT_NEAR(v, std::round(v * 100.0) / 100.0, 1e-9);
   }
+}
+
+TEST(Synthetic, GeneratedValuesArePinned) {
+  // FNV-1a over the bit patterns of every value in (node, step, resource)
+  // order. The constant pins the generator's output; a change to how a
+  // trace is stored or emitted must leave it alone. It holds for
+  // libstdc++, whose std::normal_distribution draws fix every value.
+  SyntheticProfile p = google_profile();
+  p.num_nodes = 97;
+  p.num_steps = 41;
+  const InMemoryTrace t = generate(p, 5);
+  std::uint64_t hash = 14695981039346656037ull;
+  for (std::size_t i = 0; i < t.num_nodes(); ++i) {
+    for (std::size_t s = 0; s < t.num_steps(); ++s) {
+      for (std::size_t r = 0; r < t.num_resources(); ++r) {
+        const auto bits = std::bit_cast<std::uint64_t>(t.value(i, s, r));
+        for (int byte = 0; byte < 8; ++byte) {
+          hash ^= (bits >> (8 * byte)) & 0xffu;
+          hash *= 1099511628211ull;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0x49cc2349e1368fdeull);
 }
 
 TEST(Synthetic, UnknownProfileThrows) {
@@ -235,6 +312,38 @@ TEST(Loader, FillsGapsWithPreviousValue) {
   EXPECT_DOUBLE_EQ(t.value(0, 0, 0), 0.5);
   EXPECT_DOUBLE_EQ(t.value(0, 1, 0), 0.5);  // held
   EXPECT_DOUBLE_EQ(t.value(0, 2, 0), 0.9);
+
+  // Several nodes, two resources, multi-step gaps, rows out of order.
+  std::stringstream many;
+  many << "node,step,cpu,mem\n"
+       << "2,4,0.24,0.34\n"
+       << "0,0,0.10,0.20\n"
+       << "1,2,0.12,0.22\n"
+       << "0,3,0.13,0.23\n"
+       << "2,0,0.20,0.30\n"
+       << "1,5,0.15,0.25\n";
+  const InMemoryTrace m = load_csv(many);
+  ASSERT_EQ(m.num_nodes(), 3u);
+  ASSERT_EQ(m.num_steps(), 6u);
+  const double want[3][6][2] = {
+      // node 0: steps 1-2 hold step 0, steps 4-5 hold step 3.
+      {{0.10, 0.20}, {0.10, 0.20}, {0.10, 0.20},
+       {0.13, 0.23}, {0.13, 0.23}, {0.13, 0.23}},
+      // node 1: leading gap stays zero, steps 3-4 hold step 2.
+      {{0.0, 0.0}, {0.0, 0.0}, {0.12, 0.22},
+       {0.12, 0.22}, {0.12, 0.22}, {0.15, 0.25}},
+      // node 2: steps 1-3 hold step 0, step 5 holds step 4.
+      {{0.20, 0.30}, {0.20, 0.30}, {0.20, 0.30},
+       {0.20, 0.30}, {0.24, 0.34}, {0.24, 0.34}},
+  };
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t s = 0; s < 6; ++s) {
+      for (std::size_t r = 0; r < 2; ++r) {
+        EXPECT_DOUBLE_EQ(m.value(i, s, r), want[i][s][r])
+            << "node " << i << " step " << s << " resource " << r;
+      }
+    }
+  }
 }
 
 TEST(Loader, SkipsCommentLinesAnywhere) {
