@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
           collect::make_policy_factory(
               collect::PolicyKind::kAdaptive, b,
               {.v0 = v0, .gamma = gamma, .metrics = &registry}),
-          nullptr, &registry);
+          &registry);
       for (std::size_t step = 0; step < t.num_steps(); ++step) {
         fleet.step(step);
       }

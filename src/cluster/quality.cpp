@@ -47,49 +47,6 @@ double silhouette(const Matrix& points,
   return total / static_cast<double>(n);
 }
 
-double davies_bouldin(const Matrix& points,
-                      const std::vector<std::size_t>& assignment,
-                      std::size_t k) {
-  RESMON_REQUIRE(assignment.size() == points.rows(),
-                 "davies_bouldin: assignment size mismatch");
-  RESMON_REQUIRE(k >= 2, "davies_bouldin needs at least 2 clusters");
-
-  const Matrix centroids = centroids_of(points, assignment, k);
-  std::vector<double> scatter(k, 0.0);
-  std::vector<std::size_t> counts(k, 0);
-  for (std::size_t i = 0; i < points.rows(); ++i) {
-    const std::size_t j = assignment[i];
-    scatter[j] +=
-        std::sqrt(squared_distance(points.row(i), centroids.row(j)));
-    ++counts[j];
-  }
-  std::size_t populated = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    if (counts[j] > 0) {
-      scatter[j] /= static_cast<double>(counts[j]);
-      ++populated;
-    }
-  }
-  RESMON_REQUIRE(populated >= 2,
-                 "davies_bouldin needs at least 2 populated clusters");
-
-  double total = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (counts[i] == 0) continue;
-    double worst = 0.0;
-    for (std::size_t j = 0; j < k; ++j) {
-      if (j == i || counts[j] == 0) continue;
-      const double gap =
-          std::sqrt(squared_distance(centroids.row(i), centroids.row(j)));
-      if (gap > 0.0) {
-        worst = std::max(worst, (scatter[i] + scatter[j]) / gap);
-      }
-    }
-    total += worst;
-  }
-  return total / static_cast<double>(populated);
-}
-
 KSelection choose_k(const Matrix& points, std::size_t k_min,
                     std::size_t k_max, Rng& rng,
                     const KMeansOptions& options) {

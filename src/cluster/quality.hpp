@@ -1,10 +1,10 @@
 // Clustering quality metrics and cluster-count selection.
 //
 // The paper fixes K = 3 after the sweep of Fig. 7; a deployment needs to
-// pick K without ground truth. This module provides the standard internal
-// quality metrics (mean silhouette, Davies-Bouldin) and an elbow-style
-// chooser over the K-means inertia curve, so operators can size the number
-// of forecasting models from data.
+// pick K without ground truth. This module provides the mean silhouette
+// and a chooser that also reports the K-means inertia curve for elbow
+// inspection, so operators can size the number of forecasting models from
+// data.
 #pragma once
 
 #include <cstdint>
@@ -21,12 +21,6 @@ namespace resmon::cluster {
 /// Requires at least 2 clusters with members.
 double silhouette(const Matrix& points,
                   const std::vector<std::size_t>& assignment, std::size_t k);
-
-/// Davies-Bouldin index (>= 0); lower is better. Average over clusters of
-/// the worst-case ratio (scatter_i + scatter_j) / centroid_distance_ij.
-double davies_bouldin(const Matrix& points,
-                      const std::vector<std::size_t>& assignment,
-                      std::size_t k);
 
 /// Result of a K sweep.
 struct KSelection {

@@ -3,16 +3,10 @@
 #include <utility>
 
 #include "collect/deadband_transmitter.hpp"
-#include "common/thread_pool.hpp"
 
 namespace resmon::collect {
 
 namespace {
-
-/// Chunk grain of the parallel per-node policy loop. Policy decisions write
-/// disjoint per-node state, so the grain only balances task overhead against
-/// load spread; it does not affect results.
-constexpr std::size_t kNodeGrain = 64;
 
 /// Trivial policy that transmits every step; used as the B = 1 reference.
 class AlwaysTransmitter final : public TransmitPolicy {
@@ -36,8 +30,8 @@ class AlwaysTransmitter final : public TransmitPolicy {
 FleetCollector::FleetCollector(
     const trace::Trace& trace,
     const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-    ThreadPool* pool, obs::MetricsRegistry* metrics)
-    : trace_(trace), pool_(pool), registry_(metrics) {
+    obs::MetricsRegistry* metrics)
+    : trace_(trace), registry_(metrics) {
   RESMON_REQUIRE(trace.num_nodes() > 0, "FleetCollector needs >= 1 node");
   policies_.reserve(trace.num_nodes());
   for (std::size_t i = 0; i < trace.num_nodes(); ++i) {
@@ -63,29 +57,12 @@ std::span<const transport::MeasurementMessage> FleetCollector::step(
   RESMON_REQUIRE(t < trace_.num_steps(), "step beyond end of the trace");
   ++next_step_;
 
-  // Every node's policy decision is independent, so the decide() calls run
-  // in parallel; per-node results land in disjoint slots (std::vector<bool>
-  // packs bits, hence the byte-wide scratch vector). The slot's messages are
-  // then gathered on this thread in node order, so the slot and its traffic
-  // accounting are identical to the serial path.
   const std::size_t n = policies_.size();
-  std::vector<std::uint8_t> transmit(n, 0);
-  std::vector<std::vector<double>> measurements(n);
-  run_chunked(pool_, n, kNodeGrain,
-              [&](std::size_t, std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                  measurements[i] = trace_.measurement(i, t);
-                  if (policies_[i]->decide(t, measurements[i])) {
-                    transmit[i] = 1;
-                  }
-                }
-              });
-
   sent_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (transmit[i] == 0) continue;
-    sent_.push_back(
-        {.node = i, .step = t, .values = std::move(measurements[i])});
+    std::vector<double> x = trace_.measurement(i, t);
+    if (!policies_[i]->decide(t, x)) continue;
+    sent_.push_back({.node = i, .step = t, .values = std::move(x)});
     bytes_sent_ += sent_.back().wire_size();
   }
   decisions_total_->inc(n);
@@ -126,6 +103,16 @@ std::function<std::unique_ptr<TransmitPolicy>()> make_policy_factory(
     }
   }
   throw InvalidArgument("unknown policy kind");
+}
+
+PolicyKind policy_kind_from_string(const std::string& name,
+                                   const std::string& context) {
+  if (name == "adaptive") return PolicyKind::kAdaptive;
+  if (name == "uniform") return PolicyKind::kUniform;
+  if (name == "always") return PolicyKind::kAlways;
+  if (name == "deadband") return PolicyKind::kDeadband;
+  throw InvalidArgument(context + ": unknown policy '" + name +
+                        "' (want adaptive|uniform|always|deadband)");
 }
 
 }  // namespace resmon::collect

@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "collect/adaptive_transmitter.hpp"
@@ -16,10 +17,6 @@
 #include "obs/metrics.hpp"
 #include "trace/trace.hpp"
 #include "transport/channel.hpp"
-
-namespace resmon {
-class ThreadPool;
-}
 
 namespace resmon::collect {
 
@@ -37,10 +34,6 @@ enum class PolicyKind {
 class FleetCollector {
  public:
   /// Builds a fleet with one policy per node from the given factory.
-  /// `pool` (non-owning, may be nullptr) parallelizes the per-node policy
-  /// stepping; each policy is only ever touched by one thread per step and
-  /// the slot's messages are gathered in node order on the calling thread,
-  /// so results are identical at every thread count.
   /// `metrics` (non-owning) receives fleet-level collection series
   /// (resmon_collect_*; see DESIGN.md "Observability"); nullptr = a private
   /// registry. messages_sent() reads resmon_collect_sends_total, so two
@@ -49,11 +42,12 @@ class FleetCollector {
   FleetCollector(
       const trace::Trace& trace,
       const std::function<std::unique_ptr<TransmitPolicy>()>& make_policy,
-      ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr);
+      obs::MetricsRegistry* metrics = nullptr);
 
   /// Advance one time step. Must be called with consecutive t starting at 0.
-  /// Returns the slot's transmitted messages: exactly the nodes with
-  /// beta_t = 1, in node order; valid until the next step().
+  /// Every node decides in node order on the calling thread. Returns the
+  /// slot's transmitted messages: exactly the nodes with beta_t = 1, in
+  /// node order; valid until the next step().
   std::span<const transport::MeasurementMessage> step(std::size_t t);
 
   /// Sender-side traffic so far: every transmitted message and its exact
@@ -76,7 +70,6 @@ class FleetCollector {
   std::vector<std::unique_ptr<TransmitPolicy>> policies_;
   std::vector<transport::MeasurementMessage> sent_;  ///< by last step()
   std::uint64_t bytes_sent_ = 0;  ///< published by link_bytes_
-  ThreadPool* pool_ = nullptr;
   std::size_t next_step_ = 0;
   obs::RegistryRef registry_;  ///< the caller's registry or a private one
   obs::Counter* decisions_total_ = nullptr;
@@ -91,5 +84,10 @@ class FleetCollector {
 /// are covered by the FleetCollector-level counters.
 std::function<std::unique_ptr<TransmitPolicy>()> make_policy_factory(
     PolicyKind kind, double max_frequency, AdaptiveOptions adaptive = {});
+
+/// The kind spelled `name`: adaptive, uniform, always or deadband. Throws
+/// InvalidArgument("<context>: unknown policy ...") for any other name.
+PolicyKind policy_kind_from_string(const std::string& name,
+                                   const std::string& context);
 
 }  // namespace resmon::collect

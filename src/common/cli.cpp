@@ -1,9 +1,11 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string_view>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace resmon {
 
@@ -55,36 +57,29 @@ std::int64_t Args::get_int(const std::string& name,
                            std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw InvalidArgument("flag --" + name + " expects an integer, got '" +
+  const std::size_t v = parse_size("flag --" + name, it->second);
+  if (v > static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max())) {
+    throw InvalidArgument("flag --" + name + ": integer out of range: '" +
                           it->second + "'");
   }
+  return static_cast<std::int64_t>(v);
 }
 
 double Args::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw InvalidArgument("flag --" + name + " expects a number, got '" +
-                          it->second + "'");
-  }
+  return it == values_.end() ? fallback
+                             : parse_double("flag --" + name, it->second);
 }
 
 std::size_t Args::get_threads(std::size_t fallback) const {
-  const std::int64_t v =
-      get_int("threads", static_cast<std::int64_t>(fallback));
-  if (v < 0) throw InvalidArgument("flag --threads must be >= 0");
-  return static_cast<std::size_t>(v);
+  return static_cast<std::size_t>(
+      get_int("threads", static_cast<std::int64_t>(fallback)));
 }
 
 bool Args::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  return it == values_.end() ? fallback
+                             : parse_bool("flag --" + name, it->second);
 }
 
 std::string Args::first_unknown(

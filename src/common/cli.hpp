@@ -20,9 +20,14 @@ class Args {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// The typed getters parse the whole value through common/parse.hpp and
+  /// throw InvalidArgument naming the flag on anything else.
+  /// A non-negative integer (no sign, no trailing characters).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// A finite number.
   double get_double(const std::string& name, double fallback) const;
-  /// A flag present with no value (or "true"/"1") reads as true.
+  /// A flag present with no value reads as true; a value must be one of
+  /// true/1/yes/on or false/0/no/off.
   bool get_bool(const std::string& name, bool fallback = false) const;
 
   /// Worker-thread count from --threads: 0 = hardware concurrency, 1 =

@@ -133,38 +133,6 @@ Matrix solve_spd(const Matrix& a, const Matrix& b) {
   return x;
 }
 
-std::vector<double> solve_lu(Matrix a, std::vector<double> b) {
-  RESMON_REQUIRE(a.rows() == a.cols(), "solve_lu requires a square matrix");
-  RESMON_REQUIRE(a.rows() == b.size(), "solve_lu shape mismatch");
-  const std::size_t n = a.rows();
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t pivot = col;
-    for (std::size_t r = col + 1; r < n; ++r) {
-      if (std::fabs(a(r, col)) > std::fabs(a(pivot, col))) pivot = r;
-    }
-    if (std::fabs(a(pivot, col)) < 1e-12) {
-      throw NumericalError("solve_lu: singular matrix");
-    }
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(a(col, c), a(pivot, c));
-      std::swap(b[col], b[pivot]);
-    }
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double f = a(r, col) / a(col, col);
-      if (f == 0.0) continue;
-      for (std::size_t c = col; c < n; ++c) a(r, c) -= f * a(col, c);
-      b[r] -= f * b[col];
-    }
-  }
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = b[ii];
-    for (std::size_t c = ii + 1; c < n; ++c) s -= a(ii, c) * x[c];
-    x[ii] = s / a(ii, ii);
-  }
-  return x;
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   assert(a.size() == b.size());
   double s = 0.0;
@@ -182,11 +150,6 @@ double squared_distance(std::span<const double> a, std::span<const double> b) {
     s += d * d;
   }
   return s;
-}
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  assert(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 }  // namespace resmon

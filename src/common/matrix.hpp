@@ -83,15 +83,10 @@ std::vector<double> solve_spd(const Matrix& a, std::span<const double> b);
 /// Solve A X = B for SPD A, returning X (B may have multiple columns).
 Matrix solve_spd(const Matrix& a, const Matrix& b);
 
-/// Solve a general square system A x = b via partial-pivoting LU.
-/// Throws NumericalError on a (numerically) singular matrix.
-std::vector<double> solve_lu(Matrix a, std::vector<double> b);
-
 // -- small vector helpers (free functions over std::vector<double>) ---------
 
 double dot(std::span<const double> a, std::span<const double> b);
 double norm2(std::span<const double> a);           ///< Euclidean norm.
 double squared_distance(std::span<const double> a, std::span<const double> b);
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
 
 }  // namespace resmon

@@ -174,18 +174,20 @@ Adam::Adam(std::size_t dimension, const Options& options)
 }
 
 void Adam::step(std::span<double> params, std::span<const double> grad) {
+  constexpr double kBeta1 = 0.9;
+  constexpr double kBeta2 = 0.999;
+  constexpr double kEpsilon = 1e-8;
   RESMON_REQUIRE(params.size() == m_.size() && grad.size() == m_.size(),
                  "Adam dimension mismatch");
   ++t_;
-  const double bias1 = 1.0 - std::pow(opts_.beta1, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(opts_.beta2, static_cast<double>(t_));
+  const double bias1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  const double bias2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
   for (std::size_t i = 0; i < params.size(); ++i) {
-    m_[i] = opts_.beta1 * m_[i] + (1.0 - opts_.beta1) * grad[i];
-    v_[i] = opts_.beta2 * v_[i] + (1.0 - opts_.beta2) * grad[i] * grad[i];
+    m_[i] = kBeta1 * m_[i] + (1.0 - kBeta1) * grad[i];
+    v_[i] = kBeta2 * v_[i] + (1.0 - kBeta2) * grad[i] * grad[i];
     const double m_hat = m_[i] / bias1;
     const double v_hat = v_[i] / bias2;
-    params[i] -= opts_.learning_rate * m_hat /
-                 (std::sqrt(v_hat) + opts_.epsilon);
+    params[i] -= opts_.learning_rate * m_hat / (std::sqrt(v_hat) + kEpsilon);
   }
 }
 

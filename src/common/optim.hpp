@@ -51,12 +51,11 @@ OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
 OptimResult nelder_mead(const BatchObjective& f, std::vector<double> x0,
                         const NelderMeadOptions& options = {});
 
-/// Tunables for the Adam optimizer.
+/// Tunables for the Adam optimizer. The moment decay rates (0.9, 0.999)
+/// and the denominator guard (1e-8) are Kingma & Ba's defaults, fixed in
+/// Adam::step.
 struct AdamOptions {
   double learning_rate = 1e-2;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double epsilon = 1e-8;
 };
 
 /// Adam first-order optimizer state for a flat parameter vector.

@@ -1,5 +1,6 @@
 // Strict numeric/boolean parsing shared by every textual input surface
-// (the CSV trace loader, the scenario-pack parser, config-ish grammars).
+// (the CSV trace loader, the scenario-pack parser, the FaultSpec grammar,
+// command-line flags).
 //
 // std::stoul/std::stod silently accept trailing garbage ("3x" -> 3) and
 // std::stoul wraps negative input into a huge unsigned value — both of

@@ -68,50 +68,6 @@ double pearson(std::span<const double> x, std::span<const double> y) {
   return sample_covariance(x, y) / (sx * sy);
 }
 
-std::vector<double> acf(std::span<const double> x, std::size_t max_lag) {
-  RESMON_REQUIRE(!x.empty(), "acf of empty series");
-  const std::size_t n = x.size();
-  const double m = mean(x);
-  double denom = 0.0;
-  for (double v : x) denom += (v - m) * (v - m);
-  std::vector<double> out(max_lag + 1, 0.0);
-  out[0] = 1.0;
-  if (denom == 0.0) return out;
-  for (std::size_t lag = 1; lag <= max_lag && lag < n; ++lag) {
-    double s = 0.0;
-    for (std::size_t t = lag; t < n; ++t) {
-      s += (x[t] - m) * (x[t - lag] - m);
-    }
-    out[lag] = s / denom;
-  }
-  return out;
-}
-
-std::vector<double> pacf(std::span<const double> x, std::size_t max_lag) {
-  // Durbin-Levinson recursion on the sample ACF.
-  const std::vector<double> rho = acf(x, max_lag);
-  std::vector<double> out(max_lag + 1, 0.0);
-  out[0] = 1.0;
-  if (max_lag == 0) return out;
-
-  std::vector<double> phi_prev(max_lag + 1, 0.0);
-  std::vector<double> phi(max_lag + 1, 0.0);
-  double v = 1.0;
-  for (std::size_t k = 1; k <= max_lag; ++k) {
-    double num = rho[k];
-    for (std::size_t j = 1; j < k; ++j) num -= phi_prev[j] * rho[k - j];
-    const double a = v != 0.0 ? num / v : 0.0;
-    phi[k] = a;
-    for (std::size_t j = 1; j < k; ++j) {
-      phi[j] = phi_prev[j] - a * phi_prev[k - j];
-    }
-    v *= (1.0 - a * a);
-    out[k] = a;
-    phi_prev = phi;
-  }
-  return out;
-}
-
 double quantile(std::vector<double> x, double q) {
   RESMON_REQUIRE(!x.empty(), "quantile of empty range");
   RESMON_REQUIRE(q >= 0.0 && q <= 1.0, "quantile level must be in [0,1]");
@@ -177,78 +133,6 @@ double normal_quantile(double p) {
                    std::exp(x * x / 2.0);
   x = x - u / (1.0 + x * u / 2.0);
   return x;
-}
-
-namespace {
-
-/// Regularized lower incomplete gamma P(a, x), via the series expansion for
-/// x < a + 1 and the Lentz continued fraction otherwise (Numerical Recipes
-/// style).
-double regularized_gamma_p(double a, double x) {
-  if (x <= 0.0) return 0.0;
-  const double log_gamma_a = std::lgamma(a);
-  if (x < a + 1.0) {
-    // Series: P(a,x) = e^{-x} x^a / Gamma(a) * sum x^n / (a)_{n+1}.
-    double term = 1.0 / a;
-    double sum = term;
-    double ap = a;
-    for (int n = 0; n < 500; ++n) {
-      ap += 1.0;
-      term *= x / ap;
-      sum += term;
-      if (std::fabs(term) < std::fabs(sum) * 1e-14) break;
-    }
-    return sum * std::exp(-x + a * std::log(x) - log_gamma_a);
-  }
-  // Continued fraction for Q(a,x); P = 1 - Q.
-  constexpr double kTiny = 1e-300;
-  double b = x + 1.0 - a;
-  double c = 1.0 / kTiny;
-  double d = 1.0 / b;
-  double h = d;
-  for (int i = 1; i < 500; ++i) {
-    const double an = -static_cast<double>(i) * (static_cast<double>(i) - a);
-    b += 2.0;
-    d = an * d + b;
-    if (std::fabs(d) < kTiny) d = kTiny;
-    c = b + an / c;
-    if (std::fabs(c) < kTiny) c = kTiny;
-    d = 1.0 / d;
-    const double delta = d * c;
-    h *= delta;
-    if (std::fabs(delta - 1.0) < 1e-14) break;
-  }
-  const double q = std::exp(-x + a * std::log(x) - log_gamma_a) * h;
-  return 1.0 - q;
-}
-
-}  // namespace
-
-double chi_square_cdf(double x, double k) {
-  RESMON_REQUIRE(k > 0.0, "chi_square_cdf: dof must be positive");
-  if (x <= 0.0) return 0.0;
-  return regularized_gamma_p(k / 2.0, x / 2.0);
-}
-
-LjungBoxResult ljung_box(std::span<const double> residuals,
-                         std::size_t lags, std::size_t fitted_parameters) {
-  RESMON_REQUIRE(lags >= 1, "ljung_box: need at least one lag");
-  RESMON_REQUIRE(residuals.size() > lags + 1,
-                 "ljung_box: series too short for the requested lags");
-  const double n = static_cast<double>(residuals.size());
-  const std::vector<double> rho = acf(residuals, lags);
-
-  LjungBoxResult out;
-  for (std::size_t k = 1; k <= lags; ++k) {
-    out.statistic += rho[k] * rho[k] / (n - static_cast<double>(k));
-  }
-  out.statistic *= n * (n + 2.0);
-
-  const double dof = lags > fitted_parameters
-                         ? static_cast<double>(lags - fitted_parameters)
-                         : 1.0;
-  out.p_value = 1.0 - chi_square_cdf(out.statistic, dof);
-  return out;
 }
 
 double rmse(std::span<const double> truth, std::span<const double> estimate) {

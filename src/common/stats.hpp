@@ -1,6 +1,6 @@
 // Descriptive statistics used across the library: moments, Pearson
 // correlation (the paper's spatial-correlation metric, §III), empirical CDFs
-// (Fig. 1), and autocorrelation functions (ARIMA diagnostics).
+// (Fig. 1), and the normal quantile behind forecast intervals.
 #pragma once
 
 #include <span>
@@ -31,13 +31,6 @@ double pearson(std::span<const double> x, std::span<const double> y);
 /// Sample covariance between two equally long series (divide by n-1).
 double sample_covariance(std::span<const double> x, std::span<const double> y);
 
-/// Autocorrelation function up to max_lag (inclusive); acf[0] == 1.
-std::vector<double> acf(std::span<const double> x, std::size_t max_lag);
-
-/// Partial autocorrelation function up to max_lag via Durbin-Levinson;
-/// pacf[0] == 1 by convention.
-std::vector<double> pacf(std::span<const double> x, std::size_t max_lag);
-
 /// Quantile of the empirical distribution (linear interpolation), q in [0,1].
 double quantile(std::vector<double> x, double q);
 
@@ -51,7 +44,6 @@ class EmpiricalCdf {
   double operator()(double x) const;
 
   std::size_t size() const { return sorted_.size(); }
-  const std::vector<double>& sorted_samples() const { return sorted_; }
 
  private:
   std::vector<double> sorted_;
@@ -64,23 +56,5 @@ double rmse(std::span<const double> truth, std::span<const double> estimate);
 /// p in (0, 1). Accurate to ~1e-9 (Acklam's rational approximation with a
 /// Halley refinement step). Used for forecast prediction intervals.
 double normal_quantile(double p);
-
-/// CDF of the chi-square distribution with k > 0 degrees of freedom,
-/// evaluated at x >= 0 (regularized lower incomplete gamma P(k/2, x/2)).
-double chi_square_cdf(double x, double k);
-
-/// Ljung-Box portmanteau test for residual autocorrelation.
-struct LjungBoxResult {
-  double statistic = 0.0;  ///< Q = n(n+2) sum rho_k^2 / (n-k)
-  double p_value = 1.0;    ///< under chi-square with (lags - fitted) dof
-};
-
-/// Test whether `residuals` are white noise using `lags` autocorrelation
-/// terms; `fitted_parameters` reduces the degrees of freedom when the
-/// residuals come from a fitted ARMA model. Small p-values reject
-/// whiteness (the model left structure on the table).
-LjungBoxResult ljung_box(std::span<const double> residuals,
-                         std::size_t lags,
-                         std::size_t fitted_parameters = 0);
 
 }  // namespace resmon::stats

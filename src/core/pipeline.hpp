@@ -82,8 +82,8 @@ struct PipelineOptions {
 
   // -- execution -------------------------------------------------------------
   /// Worker threads for the hot stages of a slot (K-means, forecaster
-  /// retraining; sim::Driver's policy stepping shares the pool). 0 =
-  /// hardware concurrency, 1 = the exact serial path (no pool). Results are
+  /// retraining; sim::Driver's policy stepping stays serial). 0 = hardware
+  /// concurrency, 1 = the exact serial path (no pool). Results are
   /// bit-identical at every value — see the "Threading model" section of
   /// DESIGN.md.
   std::size_t num_threads = 1;
@@ -155,8 +155,6 @@ class MonitoringPipeline {
   const forecast::ManagedForecaster& model(std::size_t view, std::size_t j,
                                            std::size_t dim = 0) const;
   const PipelineOptions& options() const { return options_; }
-  /// The worker pool of PipelineOptions::num_threads; nullptr when serial.
-  ThreadPool* pool() const { return pool_.get(); }
 
   /// Per-stage wall-clock breakdown accumulated since construction (reads
   /// the stage gauges in metrics()).

@@ -4,39 +4,29 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace resmon::faultnet {
 
 namespace {
 
+std::string context(const std::string& clause) {
+  return "fault-spec clause '" + clause + "'";
+}
+
 [[noreturn]] void bad_clause(const std::string& clause,
                              const std::string& why) {
-  throw InvalidArgument("fault-spec clause '" + clause + "': " + why);
+  throw InvalidArgument(context(clause) + ": " + why);
 }
 
 double parse_probability(const std::string& clause, const std::string& text) {
-  std::size_t consumed = 0;
-  double p = 0.0;
-  try {
-    p = std::stod(text, &consumed);
-  } catch (const std::exception&) {
-    bad_clause(clause, "expected a probability");
-  }
-  if (consumed != text.size()) bad_clause(clause, "trailing characters");
+  const double p = parse_double(context(clause), text);
   if (p < 0.0 || p > 1.0) bad_clause(clause, "probability must be in [0,1]");
   return p;
 }
 
 std::size_t parse_count(const std::string& clause, const std::string& text) {
-  std::size_t consumed = 0;
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(text, &consumed);
-  } catch (const std::exception&) {
-    bad_clause(clause, "expected a non-negative integer");
-  }
-  if (consumed != text.size()) bad_clause(clause, "trailing characters");
-  return static_cast<std::size_t>(v);
+  return parse_size(context(clause), text);
 }
 
 SlotWindow parse_window(const std::string& clause, const std::string& text) {

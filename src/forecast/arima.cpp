@@ -453,18 +453,6 @@ ArimaForecaster::Interval ArimaForecaster::forecast_interval(
   return {point - z * se, point, point + z * se};
 }
 
-stats::LjungBoxResult ArimaForecaster::residual_diagnostics(
-    std::span<const double> series, std::size_t lags) const {
-  if (!fitted_) throw InvalidState("ARIMA: diagnostics before fit");
-  std::vector<double> w(series.begin(), series.end());
-  difference_chain(order_, w, [](std::span<const double>, std::size_t) {});
-  const std::span<const double> fitted[] = {params_};
-  std::vector<double> residuals(w.size());
-  double css = 0.0;
-  CssBatch(order_, w).run(fitted, &css, residuals.data());
-  return stats::ljung_box(residuals, lags, order_.num_params());
-}
-
 double ArimaForecaster::css() const {
   if (!fitted_) throw InvalidState("ARIMA: css before fit");
   return css_;

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/optim.hpp"
-#include "common/stats.hpp"
 #include "forecast/forecaster.hpp"
 
 namespace resmon::forecast {
@@ -83,14 +82,6 @@ class ArimaForecaster final : public Forecaster {
   /// Point forecast with a normal prediction interval at the given
   /// confidence level (default 95%).
   Interval forecast_interval(std::size_t h, double confidence = 0.95) const;
-
-  /// Ljung-Box whiteness test on the fitted model's residuals over
-  /// `series`, normally the series fit() saw (the model keeps only the
-  /// newest residuals its forecasts read). A small p-value means the model
-  /// left autocorrelated structure unexplained and a richer order should be
-  /// considered.
-  stats::LjungBoxResult residual_diagnostics(std::span<const double> series,
-                                             std::size_t lags = 20) const;
 
   /// Estimated coefficients in the layout [phi, theta, PHI, THETA, (mean)].
   const std::vector<double>& coefficients() const { return params_; }

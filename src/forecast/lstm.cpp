@@ -9,6 +9,9 @@ namespace resmon::forecast {
 
 namespace {
 
+/// Global gradient-norm clip applied before every Adam step.
+constexpr double kGradClip = 1.0;
+
 double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
 }  // namespace
@@ -340,14 +343,12 @@ void LstmForecaster::fit(std::span<const double> series) {
 
       std::fill(grad_.begin(), grad_.end(), 0.0);
       backward(cache, d_predictions);
-      if (options_.grad_clip > 0.0) {
-        double norm2 = 0.0;
-        for (const double g : grad_) norm2 += g * g;
-        const double gnorm = std::sqrt(norm2);
-        if (gnorm > options_.grad_clip) {
-          const double scale = options_.grad_clip / gnorm;
-          for (double& g : grad_) g *= scale;
-        }
+      double norm2 = 0.0;
+      for (const double g : grad_) norm2 += g * g;
+      const double gnorm = std::sqrt(norm2);
+      if (gnorm > kGradClip) {
+        const double scale = kGradClip / gnorm;
+        for (double& g : grad_) g *= scale;
       }
       adam.step(params_, grad_);
     }

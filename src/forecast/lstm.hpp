@@ -30,7 +30,6 @@ struct LstmOptions {
   std::size_t epochs = 12;        ///< passes over the training windows
   std::size_t stride = 1;         ///< sample every `stride`-th window
   double learning_rate = 1e-2;    ///< Adam step size
-  double grad_clip = 1.0;         ///< global gradient-norm clip (0 = off)
   /// Direct-forecast horizon buckets (strictly increasing, must start at
   /// 1). forecast(h) interpolates between the bracketing buckets and holds
   /// the last bucket beyond the end.

@@ -257,27 +257,4 @@ DiskTotals parse_diskstats(const std::string& contents,
   return totals;
 }
 
-std::uint64_t parse_cgroup_cpu_usec(const std::string& contents,
-                                    const std::string& file) {
-  const std::vector<std::string> lines = split_lines(contents);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::vector<std::string> tok = split_ws(lines[i]);
-    if (tok.size() >= 2 && tok[0] == "usage_usec") {
-      return parse_u64_field(file, i + 1, "usage_usec", tok[1]);
-    }
-  }
-  throw HostParseError(file, lines.size(), "usage_usec", "line missing");
-}
-
-std::uint64_t parse_cgroup_scalar(const std::string& contents,
-                                  const std::string& file) {
-  const std::vector<std::string> tok = split_ws(contents);
-  if (tok.size() != 1) {
-    throw HostParseError(file, 1, "value",
-                         "expected exactly one value, got " +
-                             std::to_string(tok.size()) + " tokens");
-  }
-  return parse_u64_field(file, 1, "value", tok[0]);
-}
-
 }  // namespace resmon::host

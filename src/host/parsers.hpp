@@ -1,4 +1,4 @@
-// Strict parsers for the procfs/cgroup file formats the HostSampler reads.
+// Strict parsers for the procfs file formats the HostSampler reads.
 //
 // Every parser takes the file's full contents plus its name and throws
 // HostParseError naming the file, 1-based line and offending field on any
@@ -14,7 +14,7 @@
 
 namespace resmon::host {
 
-/// Malformed procfs/cgroup/recording content. The message always reads
+/// Malformed procfs/recording content. The message always reads
 /// `<file>:<line>: field '<field>': <detail>`.
 class HostParseError final : public Error {
  public:
@@ -103,21 +103,12 @@ NetDevTotals parse_net_dev(const std::string& contents,
 /// Cumulative sectors read/written summed over block devices from
 /// /proc/diskstats. loop/ram pseudo-devices are skipped; partitions are
 /// counted alongside their disks (the full-scale normalization absorbs the
-/// constant factor — see HostSamplerOptions::io_full_scale).
+/// constant factor — see kIoFullScale in sampler.cpp).
 struct DiskTotals {
   std::uint64_t sectors_read = 0;
   std::uint64_t sectors_written = 0;
 };
 DiskTotals parse_diskstats(const std::string& contents,
                            const std::string& file);
-
-/// usage_usec out of a cgroup v2 cpu.stat file.
-std::uint64_t parse_cgroup_cpu_usec(const std::string& contents,
-                                    const std::string& file);
-
-/// A single-value cgroup v2 file (memory.current); "max" is rejected —
-/// callers only read current-usage files, never limits.
-std::uint64_t parse_cgroup_scalar(const std::string& contents,
-                                  const std::string& file);
 
 }  // namespace resmon::host

@@ -64,8 +64,6 @@ class RecordingWriter {
   void append(std::span<const double> values, std::uint64_t ts_ms);
   void finish();
 
-  std::size_t rows_written() const { return rows_; }
-
  private:
   std::ostream& out_;
   std::size_t num_resources_;

@@ -16,24 +16,13 @@ constexpr std::size_t kNet = 3;
 
 constexpr std::uint64_t kSectorBytes = 512;
 
-double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
+/// Byte rates map to utilization 1.0 at these full-scale values (~200 MB/s
+/// of disk IO, one saturated GbE link). Anything beyond full scale clamps
+/// to 1.
+constexpr double kIoFullScale = 200e6;
+constexpr double kNetFullScale = 125e6;
 
-/// Count the per-core "cpuN" lines of /proc/stat (>= 1 even on degenerate
-/// input, so cgroup cpu normalization never divides by zero).
-std::size_t count_cpus(const std::string& stat_contents) {
-  std::size_t cpus = 0;
-  std::size_t pos = 0;
-  while (pos < stat_contents.size()) {
-    std::size_t eol = stat_contents.find('\n', pos);
-    if (eol == std::string::npos) eol = stat_contents.size();
-    if (stat_contents.compare(pos, 3, "cpu") == 0 && pos + 3 < eol &&
-        stat_contents[pos + 3] >= '0' && stat_contents[pos + 3] <= '9') {
-      ++cpus;
-    }
-    pos = eol + 1;
-  }
-  return std::max<std::size_t>(cpus, 1);
-}
+double clamp01(double v) { return std::clamp(v, 0.0, 1.0); }
 
 }  // namespace
 
@@ -58,8 +47,6 @@ HostSampler::HostSampler(const ProcfsSource& procfs,
       options_(std::move(options)),
       registry_(options_.metrics) {
   RESMON_REQUIRE(options_.page_size > 0, "page_size must be positive");
-  RESMON_REQUIRE(options_.io_full_scale > 0 && options_.net_full_scale > 0,
-                 "full-scale rates must be positive");
   obs::MetricsRegistry& m = *registry_;
   samples_total_ = &m.counter("resmon_host_samples_total",
                               "Host measurement vectors produced");
@@ -84,9 +71,6 @@ HostSampler::HostSampler(const ProcfsSource& procfs,
   watched_processes_ = &m.gauge(
       "resmon_host_watched_processes",
       "Processes in the watched tree at the last sample (0 = whole host)");
-  cgroup_active_ = &m.gauge(
-      "resmon_host_cgroup_active",
-      "1 when cpu/memory came from cgroup v2 files at the last sample");
 }
 
 std::string HostSampler::must_read(const std::string& path) const {
@@ -127,8 +111,7 @@ void HostSampler::observe_latency_ms(double ms) {
 std::vector<double> HostSampler::sample_impl(std::uint64_t now_ms) {
   const bool whole_host = options_.watch_pids.empty();
 
-  const std::string stat_contents = must_read("stat");
-  const CpuJiffies cpu = parse_proc_stat(stat_contents, "stat");
+  const CpuJiffies cpu = parse_proc_stat(must_read("stat"), "stat");
   const MemInfo mem = parse_meminfo(must_read("meminfo"), "meminfo");
   const NetDevTotals net = parse_net_dev(must_read("net/dev"), "net/dev");
 
@@ -164,7 +147,6 @@ std::vector<double> HostSampler::sample_impl(std::uint64_t now_ms) {
         continue;
       }
       members.push_back(pid);
-      if (!options_.include_descendants) continue;
       const auto kids = children.find(pid);
       if (kids == children.end()) continue;
       frontier.insert(frontier.end(), kids->second.begin(),
@@ -186,24 +168,6 @@ std::vector<double> HostSampler::sample_impl(std::uint64_t now_ms) {
     }
   }
 
-  // Optional cgroup v2 view (whole-host mode only: a watched tree already
-  // has exact per-pid accounting).
-  bool cgroup_active = false;
-  std::uint64_t cgroup_usec = 0;
-  std::uint64_t cgroup_mem_bytes = 0;
-  if (whole_host && options_.cgroup != nullptr) {
-    const std::optional<std::string> cpu_stat =
-        options_.cgroup->read("cpu.stat");
-    const std::optional<std::string> mem_current =
-        options_.cgroup->read("memory.current");
-    if (cpu_stat.has_value() && mem_current.has_value()) {
-      cgroup_usec = parse_cgroup_cpu_usec(*cpu_stat, "cpu.stat");
-      cgroup_mem_bytes =
-          parse_cgroup_scalar(*mem_current, "memory.current");
-      cgroup_active = true;
-    }
-  }
-
   // Whole-host IO needs diskstats; a watched tree uses per-pid io files.
   std::uint64_t disk_sectors = 0;
   if (whole_host) {
@@ -219,9 +183,6 @@ std::vector<double> HostSampler::sample_impl(std::uint64_t now_ms) {
   // Memory is a level, not a rate: real from the very first sample.
   if (!whole_host) {
     x[kMemory] = clamp01(static_cast<double>(tree_rss_bytes) /
-                         static_cast<double>(mem_total_bytes));
-  } else if (cgroup_active) {
-    x[kMemory] = clamp01(static_cast<double>(cgroup_mem_bytes) /
                          static_cast<double>(mem_total_bytes));
   } else {
     x[kMemory] = clamp01(
@@ -242,15 +203,6 @@ std::vector<double> HostSampler::sample_impl(std::uint64_t now_ms) {
             counter_delta(prev_tree_jiffies_, tree_jiffies);
         x[kCpu] = clamp01(static_cast<double>(tree_delta) /
                           static_cast<double>(cpu_total_delta));
-      } else if (cgroup_active) {
-        const std::uint64_t usec_delta =
-            counter_delta(prev_cgroup_usec_, cgroup_usec);
-        if (dt_ms > 0) {
-          const double cpus =
-              static_cast<double>(count_cpus(stat_contents));
-          x[kCpu] = clamp01(static_cast<double>(usec_delta) /
-                            (static_cast<double>(dt_ms) * 1000.0 * cpus));
-        }
       } else {
         x[kCpu] = clamp01(static_cast<double>(cpu_busy_delta) /
                           static_cast<double>(cpu_total_delta));
@@ -264,11 +216,11 @@ std::vector<double> HostSampler::sample_impl(std::uint64_t now_ms) {
                     kSectorBytes
               : counter_delta(prev_io_bytes_, tree_io_bytes);
       x[kIo] = clamp01(static_cast<double>(io_delta) / dt_s /
-                       options_.io_full_scale);
+                       kIoFullScale);
       const std::uint64_t net_delta =
           counter_delta(prev_net_bytes_, net_bytes);
       x[kNet] = clamp01(static_cast<double>(net_delta) / dt_s /
-                        options_.net_full_scale);
+                        kNetFullScale);
     }
   }
 
@@ -280,10 +232,8 @@ std::vector<double> HostSampler::sample_impl(std::uint64_t now_ms) {
   prev_io_bytes_ = tree_io_bytes;
   prev_disk_sectors_ = disk_sectors;
   prev_net_bytes_ = net_bytes;
-  prev_cgroup_usec_ = cgroup_usec;
 
   watched_processes_->set(static_cast<double>(tree_size));
-  cgroup_active_->set(cgroup_active ? 1.0 : 0.0);
   return x;
 }
 

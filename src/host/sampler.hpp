@@ -1,5 +1,5 @@
 // HostSampler: per-interval resource-utilization measurements for a real
-// host (or one watched process tree), read from procfs/cgroups.
+// host (or one watched process tree), read from procfs.
 //
 // Each sample() produces the same d = 4 normalized vector the synthetic
 // traces produce — [cpu, memory, io, net], every component in [0, 1] — so
@@ -32,28 +32,14 @@
 namespace resmon::host {
 
 struct HostSamplerOptions {
-  /// Root PIDs to watch; empty = whole-host sampling. With
-  /// include_descendants every live descendant of a root is included, so
-  /// `--pid self` covers a whole bench fleet forked from one process.
+  /// Root PIDs to watch; empty = whole-host sampling. Every live
+  /// descendant of a root is included, so `--pid self` covers a whole
+  /// bench fleet forked from one process.
   std::vector<std::uint64_t> watch_pids;
-  bool include_descendants = true;
 
   /// Bytes per page for statm RSS accounting (sysconf(_SC_PAGESIZE) in
   /// production; fixed in tests for determinism).
   std::uint64_t page_size = 4096;
-
-  /// Byte rates map to utilization 1.0 at these full-scale values
-  /// (defaults: ~200 MB/s of disk IO, one saturated GbE link). Anything
-  /// beyond full scale clamps to 1.
-  double io_full_scale = 200e6;
-  double net_full_scale = 125e6;
-
-  /// Optional cgroup v2 directory (e.g. /sys/fs/cgroup/<slice>). When the
-  /// expected files are present, cpu and memory come from cpu.stat
-  /// usage_usec and memory.current instead of the whole-host procfs view;
-  /// when absent or unreadable the sampler falls back to procfs and the
-  /// resmon_host_cgroup_active gauge reads 0.
-  const ProcfsSource* cgroup = nullptr;
 
   /// Where operators read the resmon_host_* families, registered eagerly
   /// at construction. nullptr = the sampler counts into a private registry
@@ -104,7 +90,6 @@ class HostSampler {
   std::uint64_t prev_io_bytes_ = 0;
   std::uint64_t prev_disk_sectors_ = 0;
   std::uint64_t prev_net_bytes_ = 0;
-  std::uint64_t prev_cgroup_usec_ = 0;
 
   // Series in registry_, registered by the constructor (never nullptr).
   obs::Counter* samples_total_ = nullptr;
@@ -113,7 +98,6 @@ class HostSampler {
   obs::Histogram* sample_latency_ms_ = nullptr;
   std::vector<obs::Gauge*> utilization_;  ///< one per resource
   obs::Gauge* watched_processes_ = nullptr;
-  obs::Gauge* cgroup_active_ = nullptr;
 };
 
 }  // namespace resmon::host

@@ -182,9 +182,6 @@ class FrameDecoder {
 
   WireError error() const { return error_; }
 
-  /// True when no partial frame is buffered.
-  bool at_frame_boundary() const { return buffer_.empty(); }
-
   /// Bytes currently buffered while waiting for the rest of a frame.
   std::size_t buffered_bytes() const { return buffer_.size(); }
 

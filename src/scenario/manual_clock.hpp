@@ -31,11 +31,6 @@ class ManualClock {
     elapsed_ms_.fetch_add(ms, std::memory_order_acq_rel);
   }
 
-  /// Milliseconds advanced since construction.
-  std::int64_t elapsed_ms() const {
-    return elapsed_ms_.load(std::memory_order_acquire);
-  }
-
   /// Adapter for ControllerOptions::staleness_clock. The controller must
   /// not outlive this clock.
   std::function<std::chrono::steady_clock::time_point()> now_fn() {

@@ -33,16 +33,6 @@ std::string strip_comment(const std::string& line) {
   return line;
 }
 
-collect::PolicyKind policy_from_string(const std::string& name,
-                                       const std::string& context) {
-  if (name == "adaptive") return collect::PolicyKind::kAdaptive;
-  if (name == "uniform") return collect::PolicyKind::kUniform;
-  if (name == "always") return collect::PolicyKind::kAlways;
-  if (name == "deadband") return collect::PolicyKind::kDeadband;
-  throw InvalidArgument(context + ": unknown policy '" + name +
-                        "' (want adaptive|uniform|always|deadband)");
-}
-
 /// Parse "NODE:SLOT" for churn events.
 ChurnEvent parse_churn(const std::string& value, bool restart,
                        const std::string& context) {
@@ -276,7 +266,7 @@ ScenarioSpec ScenarioSpec::parse(std::istream& in, const std::string& origin) {
       }
     } else if (section == "pipeline") {
       if (key == "policy") {
-        spec.policy = policy_from_string(value, context);
+        spec.policy = collect::policy_kind_from_string(value, context);
       } else if (key == "b") {
         spec.max_frequency = parse_double(context, value);
       } else if (key == "k") {

@@ -26,7 +26,7 @@ Driver::Driver(const trace::Trace& trace,
                              : std::make_unique<faultnet::FaultyLink>(
                                    faults, &pipeline_.metrics())),
       collector_(trace, make_policies(options, pipeline_.metrics()),
-                 pipeline_.pool(), &pipeline_.metrics()),
+                 &pipeline_.metrics()),
       // Registered by the pipeline; the registry returns the same series.
       stage_collect_(&pipeline_.metrics().gauge(
           "resmon_pipeline_stage_seconds", "", {{"stage", "collect"}})) {}

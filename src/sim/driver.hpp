@@ -22,7 +22,7 @@ class Driver {
   /// The fleet runs PipelineOptions::policy at budget max_frequency over
   /// `trace` (non-owning), through a FaultyLink applying `faults` when it
   /// is non-empty. Series register in the pipeline's registry in the order
-  /// pipeline, fault stage, collector; policy stepping uses its pool.
+  /// pipeline, fault stage, collector; policy stepping is serial.
   Driver(const trace::Trace& trace, const core::PipelineOptions& options,
          const faultnet::FaultSpec& faults = {});
 

@@ -41,16 +41,4 @@ InMemoryTrace::InMemoryTrace(std::size_t num_nodes, std::size_t num_steps,
   RESMON_REQUIRE(num_resources > 0, "trace needs at least one resource");
 }
 
-SubTrace::SubTrace(std::shared_ptr<const Trace> base,
-                   std::vector<std::size_t> nodes, std::size_t num_steps)
-    : base_(std::move(base)), nodes_(std::move(nodes)), num_steps_(num_steps) {
-  RESMON_REQUIRE(base_ != nullptr, "SubTrace requires a base trace");
-  RESMON_REQUIRE(!nodes_.empty(), "SubTrace requires at least one node");
-  RESMON_REQUIRE(num_steps_ > 0 && num_steps_ <= base_->num_steps(),
-                 "SubTrace step count out of range");
-  for (const std::size_t n : nodes_) {
-    RESMON_REQUIRE(n < base_->num_nodes(), "SubTrace node index out of range");
-  }
-}
-
 }  // namespace resmon::trace

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,31 +79,6 @@ class InMemoryTrace final : public Trace {
   std::size_t num_steps_;
   std::size_t num_resources_;
   std::vector<double> data_;
-};
-
-/// A trace restricted to a subset of nodes and/or a prefix of time steps.
-/// Used by experiments that sample machines (e.g. the 100-node comparison of
-/// §VI-E) without copying the underlying data.
-class SubTrace final : public Trace {
- public:
-  SubTrace(std::shared_ptr<const Trace> base, std::vector<std::size_t> nodes,
-           std::size_t num_steps);
-
-  std::size_t num_nodes() const override { return nodes_.size(); }
-  std::size_t num_steps() const override { return num_steps_; }
-  std::size_t num_resources() const override {
-    return base_->num_resources();
-  }
-
-  double value(std::size_t node, std::size_t t,
-               std::size_t resource) const override {
-    return base_->value(nodes_[node], t, resource);
-  }
-
- private:
-  std::shared_ptr<const Trace> base_;
-  std::vector<std::size_t> nodes_;
-  std::size_t num_steps_;
 };
 
 }  // namespace resmon::trace

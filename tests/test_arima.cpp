@@ -173,27 +173,6 @@ TEST(Arima, ConstantSeriesIsHandled) {
   EXPECT_NEAR(f.forecast(10), 0.42, 1e-6);
 }
 
-TEST(ArimaDiagnostics, CorrectModelLeavesWhiteResiduals) {
-  const std::vector<double> x = ar1_series(0.7, 0.5, 3000, 0.05, 18);
-  ArimaForecaster f(ArimaOrder{.p = 1});
-  f.fit(x);
-  EXPECT_GT(f.residual_diagnostics(x, 20).p_value, 0.01);
-}
-
-TEST(ArimaDiagnostics, UnderfitModelIsRejected) {
-  // White-noise model on strongly autocorrelated data.
-  const std::vector<double> x = ar1_series(0.9, 0.5, 3000, 0.05, 19);
-  ArimaForecaster f(ArimaOrder{.p = 0, .d = 0, .q = 0});
-  f.fit(x);
-  EXPECT_LT(f.residual_diagnostics(x, 20).p_value, 1e-6);
-}
-
-TEST(ArimaDiagnostics, BeforeFitThrows) {
-  ArimaForecaster f(ArimaOrder{.p = 1});
-  EXPECT_THROW(f.residual_diagnostics(ar1_series(0.5, 0.5, 100, 0.05, 20)),
-               InvalidState);
-}
-
 // ---- AutoArima ----------------------------------------------------------
 
 TEST(AutoArima, SelectsSomeModelAndForecasts) {
@@ -484,16 +463,6 @@ TEST(ArimaOracle, BoundedStateMatchesUnboundedRecursion) {
       }
     }
   }
-}
-
-TEST(ArimaDiagnostics, ResidualsOfTheFitSeriesAfterUpdates) {
-  // Updates do not change what the diagnostics report for the fit series.
-  const std::vector<double> x = ar1_series(0.7, 0.5, 600, 0.05, 21);
-  ArimaForecaster f(ArimaOrder{.p = 1});
-  f.fit(x);
-  const double before = f.residual_diagnostics(x, 10).statistic;
-  for (int i = 0; i < 50; ++i) f.update(0.5);
-  EXPECT_TRUE(same_bits(f.residual_diagnostics(x, 10).statistic, before));
 }
 
 TEST(ArimaIntervals, Ar1VarianceMatchesTheory) {

@@ -209,7 +209,7 @@ TEST(FleetCollector, AccountsForTraffic) {
   const trace::InMemoryTrace t = trace::generate(p, 7);
   obs::MetricsRegistry registry;
   FleetCollector fleet(t, make_policy_factory(PolicyKind::kUniform, 0.5),
-                       nullptr, &registry);
+                       &registry);
   for (std::size_t step = 0; step < t.num_steps(); ++step) fleet.step(step);
   std::uint64_t transmissions = 0;
   for (std::size_t i = 0; i < t.num_nodes(); ++i) {

@@ -67,6 +67,12 @@ TEST(FaultSpec, RejectsMalformedClauses) {
   EXPECT_THROW(FaultSpec::parse("delay=0.5"), InvalidArgument);
   EXPECT_THROW(FaultSpec::parse("delay=0.5:0"), InvalidArgument);
   EXPECT_THROW(FaultSpec::parse("nodes="), InvalidArgument);
+  // NaN compares false against both bounds, and a signed count would wrap
+  // to 2^64 - 1.
+  EXPECT_THROW(FaultSpec::parse("drop=nan"), InvalidArgument);
+  EXPECT_THROW(FaultSpec::parse("delay=0.5:-1"), InvalidArgument);
+  EXPECT_THROW(FaultSpec::parse("seed=-1"), InvalidArgument);
+  EXPECT_THROW(FaultSpec::parse("nodes=1,-2"), InvalidArgument);
 }
 
 TEST(FaultSpec, NodeFilterDefaultsToEveryNode) {

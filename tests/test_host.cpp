@@ -243,20 +243,6 @@ TEST(Parsers, DiskstatsSkipsPseudoDevicesAndDiagnosesShortRows) {
                HostParseError);
 }
 
-TEST(Parsers, CgroupFiles) {
-  EXPECT_EQ(host::parse_cgroup_cpu_usec(
-                "usage_usec 123456\nuser_usec 100\nsystem_usec 23\n",
-                "cpu.stat"),
-            123456u);
-  EXPECT_THROW(host::parse_cgroup_cpu_usec("user_usec 100\n", "cpu.stat"),
-               HostParseError);
-  EXPECT_EQ(host::parse_cgroup_scalar("512000\n", "memory.current"), 512000u);
-  EXPECT_THROW(host::parse_cgroup_scalar("max\n", "memory.current"),
-               HostParseError);
-  EXPECT_THROW(host::parse_cgroup_scalar("1 2\n", "memory.current"),
-               HostParseError);
-}
-
 // ------------------------------------------------------------ FakeProcfs
 
 TEST(FakeProcfsTest, PidsAreNumericallySortedAndDeduped) {
@@ -275,8 +261,6 @@ TEST(FakeProcfsTest, PidsAreNumericallySortedAndDeduped) {
 
 HostSamplerOptions metered_options(obs::MetricsRegistry* registry) {
   HostSamplerOptions o;
-  o.io_full_scale = 512e3;  // 1000 sectors/s = full scale
-  o.net_full_scale = 1e6;
   o.metrics = registry;
   return o;
 }
@@ -301,13 +285,14 @@ TEST(HostSamplerTest, SecondSampleComputesRatesFromCounterDeltas) {
   obs::MetricsRegistry registry;
   HostSampler sampler(fs, metered_options(&registry));
   sampler.sample(1000);
-  // +100 busy jiffies of +400 total; +500 sectors; +500000 net bytes; 1 s.
-  set_host_files(fs, 200, 1200, 600, 700, 502000);
-  const std::vector<double> x = sampler.sample(2000);
+  // +100 busy jiffies of +400 total; +390625 sectors; +125e6 net bytes;
+  // 2 s (the shortest whole-second interval with a whole sector count).
+  set_host_files(fs, 200, 1200, 600, 390825, 125002000);
+  const std::vector<double> x = sampler.sample(3000);
   EXPECT_DOUBLE_EQ(x[0], 0.25);  // 100 / 400 jiffies
   EXPECT_DOUBLE_EQ(x[1], 0.4);   // (1000-600)/1000
-  EXPECT_DOUBLE_EQ(x[2], 0.5);   // 500 sectors * 512 B / 1 s / 512e3
-  EXPECT_DOUBLE_EQ(x[3], 0.5);   // 500000 B / 1 s / 1e6
+  EXPECT_DOUBLE_EQ(x[2], 0.5);   // 390625 sectors * 512 B / 2 s / 200e6
+  EXPECT_DOUBLE_EQ(x[3], 0.5);   // 125e6 B / 2 s / 125e6
   EXPECT_EQ(registry.value("resmon_host_utilization",
                            {{"resource", "cpu"}}).value_or(-1),
             0.25);
@@ -318,7 +303,7 @@ TEST(HostSamplerTest, RatesClampAtFullScale) {
   set_host_files(fs, 100, 900, 750, 0, 0);
   HostSampler sampler(fs, metered_options(nullptr));
   sampler.sample(1000);
-  set_host_files(fs, 5000, 900, 750, 1000000, 100000000);
+  set_host_files(fs, 5000, 900, 750, 1000000, 1000000000);
   const std::vector<double> x = sampler.sample(2000);
   EXPECT_EQ(x[0], 1.0);
   EXPECT_EQ(x[2], 1.0);
@@ -339,8 +324,8 @@ TEST(HostSamplerTest, CounterWrapYieldsZeroRateNotSpike) {
   EXPECT_EQ(registry.value("resmon_host_counter_wraps_total").value_or(0),
             1.0);
   // The next interval re-baselines off the post-wrap value.
-  set_host_files(fs, 300, 1500, 750, 1200, 501000);
-  EXPECT_DOUBLE_EQ(sampler.sample(3000)[3], 0.5);
+  set_host_files(fs, 300, 1500, 750, 1200, 62501000);
+  EXPECT_DOUBLE_EQ(sampler.sample(3000)[3], 0.5);  // 62.5e6 B / 1 s
 }
 
 TEST(HostSamplerTest, CpuJiffyWrapYieldsZeroCpu) {
@@ -424,8 +409,6 @@ HostSamplerOptions tree_options(obs::MetricsRegistry* registry) {
   HostSamplerOptions o;
   o.watch_pids = {100};
   o.page_size = 1024;
-  o.io_full_scale = 10e3;  // 10 kB/s = full scale
-  o.net_full_scale = 1e6;
   o.metrics = registry;
   return o;
 }
@@ -433,7 +416,7 @@ HostSamplerOptions tree_options(obs::MetricsRegistry* registry) {
 TEST(HostSamplerTest, WatchedTreeAggregatesDescendantsOnly) {
   FakeProcfs fs;
   set_host_files(fs, 100, 900, 750, 0, 0);
-  set_tree_files(fs, 1, 1);
+  set_tree_files(fs, 1, 20000);
   obs::MetricsRegistry registry;
   HostSampler sampler(fs, tree_options(&registry));
   const std::vector<double> x = sampler.sample(1000);
@@ -445,25 +428,11 @@ TEST(HostSamplerTest, WatchedTreeAggregatesDescendantsOnly) {
 
   // Tree jiffies double (+30) while the host total advances +400.
   set_host_files(fs, 200, 1200, 750, 0, 0);
-  set_tree_files(fs, 2, 2);
+  set_tree_files(fs, 2, 40000);
   const std::vector<double> y = sampler.sample(2000);
   EXPECT_DOUBLE_EQ(y[0], 30.0 / 400.0);
-  // Tree IO doubled: +3000 B over 1 s at 10 kB/s full scale.
+  // Tree IO doubled: +6e7 B over 1 s at 200 MB/s full scale.
   EXPECT_DOUBLE_EQ(y[2], 0.3);
-}
-
-TEST(HostSamplerTest, DescendantsExcludedWhenDisabled) {
-  FakeProcfs fs;
-  set_host_files(fs, 100, 900, 750, 0, 0);
-  set_tree_files(fs, 1, 1);
-  obs::MetricsRegistry registry;
-  HostSamplerOptions o = tree_options(&registry);
-  o.include_descendants = false;
-  HostSampler sampler(fs, o);
-  const std::vector<double> x = sampler.sample(1000);
-  EXPECT_DOUBLE_EQ(x[1], 200.0 * 1024 / 1024000);  // root's RSS only
-  EXPECT_EQ(registry.value("resmon_host_watched_processes").value_or(0),
-            1.0);
 }
 
 TEST(HostSamplerTest, VanishedPidFilesAreExitRacesNotErrors) {
@@ -487,42 +456,6 @@ TEST(HostSamplerTest, WatchedRootGoneMeansEmptyTree) {
   EXPECT_EQ(x[1], 0.0);
   EXPECT_EQ(registry.value("resmon_host_watched_processes").value_or(-1),
             0.0);
-}
-
-// ------------------------------------------------------------ cgroup mode
-
-TEST(HostSamplerTest, CgroupV2OverridesCpuAndMemory) {
-  FakeProcfs fs;
-  set_host_files(fs, 100, 900, 750, 0, 0);
-  FakeProcfs cgroup;
-  cgroup.set("cpu.stat", "usage_usec 1000000\nuser_usec 600000\n");
-  cgroup.set("memory.current", "512000\n");
-  obs::MetricsRegistry registry;
-  HostSamplerOptions o = metered_options(&registry);
-  o.cgroup = &cgroup;
-  HostSampler sampler(fs, o);
-  const std::vector<double> x = sampler.sample(1000);
-  EXPECT_DOUBLE_EQ(x[1], 0.5);  // 512000 B / 1024000 B
-  EXPECT_EQ(registry.value("resmon_host_cgroup_active").value_or(0), 1.0);
-
-  // +1 s of usage over 1 s wall on the fixture's 2 cpus = 0.5 utilization.
-  set_host_files(fs, 200, 1200, 750, 0, 0);
-  cgroup.set("cpu.stat", "usage_usec 2000000\nuser_usec 900000\n");
-  EXPECT_DOUBLE_EQ(sampler.sample(2000)[0], 0.5);
-}
-
-TEST(HostSamplerTest, PartialCgroupFallsBackToProcfs) {
-  FakeProcfs fs;
-  set_host_files(fs, 100, 900, 750, 0, 0);
-  FakeProcfs cgroup;
-  cgroup.set("cpu.stat", "usage_usec 1000000\n");  // memory.current missing
-  obs::MetricsRegistry registry;
-  HostSamplerOptions o = metered_options(&registry);
-  o.cgroup = &cgroup;
-  HostSampler sampler(fs, o);
-  const std::vector<double> x = sampler.sample(1000);
-  EXPECT_DOUBLE_EQ(x[1], 0.25);  // procfs meminfo view
-  EXPECT_EQ(registry.value("resmon_host_cgroup_active").value_or(-1), 0.0);
 }
 
 // -------------------------------------------------------------- recording

@@ -125,33 +125,12 @@ TEST(SolveSpd, MultipleRightHandSides) {
   EXPECT_NEAR(x(1, 1), 2.0, 1e-12);
 }
 
-TEST(SolveLu, HandlesNonSymmetricSystems) {
-  Matrix a{{0.0, 1.0}, {2.0, 1.0}};  // needs pivoting
-  const std::vector<double> b{3.0, 7.0};
-  const std::vector<double> x = solve_lu(a, b);
-  EXPECT_NEAR(x[0], 2.0, 1e-10);
-  EXPECT_NEAR(x[1], 3.0, 1e-10);
-}
-
-TEST(SolveLu, SingularMatrixThrows) {
-  Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_THROW(solve_lu(a, {1.0, 2.0}), NumericalError);
-}
-
 TEST(VectorOps, DotNormDistance) {
   const std::vector<double> a{3.0, 4.0};
   const std::vector<double> b{1.0, 0.0};
   EXPECT_DOUBLE_EQ(dot(a, b), 3.0);
   EXPECT_DOUBLE_EQ(norm2(a), 5.0);
   EXPECT_DOUBLE_EQ(squared_distance(a, b), 4.0 + 16.0);
-}
-
-TEST(VectorOps, AxpyAccumulates) {
-  const std::vector<double> x{1.0, 2.0};
-  std::vector<double> y{10.0, 20.0};
-  axpy(2.0, x, y);
-  EXPECT_DOUBLE_EQ(y[0], 12.0);
-  EXPECT_DOUBLE_EQ(y[1], 24.0);
 }
 
 // Property: solve_spd(A, A x) == x for random SPD A = B B^T + n I.

@@ -56,32 +56,6 @@ TEST(Silhouette, Validates) {
   EXPECT_THROW(silhouette(points, {0, 0, 0, 5}, 2), InvalidArgument);
 }
 
-TEST(DaviesBouldin, LowerForBetterClustering) {
-  Rng rng(4);
-  const Matrix points = two_blobs(rng);
-  std::vector<std::size_t> noisy = two_blob_labels();
-  std::swap(noisy[0], noisy[10]);  // mislabel one pair across the blobs
-  EXPECT_LT(davies_bouldin(points, two_blob_labels(), 2),
-            davies_bouldin(points, noisy, 2));
-}
-
-TEST(DaviesBouldin, NonNegative) {
-  Rng rng(5);
-  Matrix points(30, 2);
-  for (std::size_t i = 0; i < 30; ++i) {
-    points(i, 0) = rng.uniform();
-    points(i, 1) = rng.uniform();
-  }
-  std::vector<std::size_t> labels(30);
-  for (std::size_t i = 0; i < 30; ++i) labels[i] = i % 3;
-  EXPECT_GE(davies_bouldin(points, labels, 3), 0.0);
-}
-
-TEST(DaviesBouldin, NeedsTwoPopulatedClusters) {
-  Matrix points(4, 1);
-  EXPECT_THROW(davies_bouldin(points, {0, 0, 0, 0}, 2), InvalidArgument);
-}
-
 TEST(ChooseK, FindsTheTrueBlobCount) {
   Rng rng(6);
   // Three well-separated blobs.

@@ -90,43 +90,6 @@ TEST(Stats, SampleCovarianceMatchesManual) {
   EXPECT_NEAR(sample_covariance(x, y), 1.5, 1e-12);
 }
 
-TEST(Stats, AcfLagZeroIsOne) {
-  Rng rng(1);
-  std::vector<double> x(200);
-  for (double& v : x) v = rng.normal();
-  const std::vector<double> a = acf(x, 5);
-  EXPECT_DOUBLE_EQ(a[0], 1.0);
-  ASSERT_EQ(a.size(), 6u);
-}
-
-TEST(Stats, AcfOfAr1IsPositiveAndDecaying) {
-  Rng rng(2);
-  std::vector<double> x(4000);
-  double state = 0.0;
-  for (double& v : x) {
-    state = 0.8 * state + rng.normal();
-    v = state;
-  }
-  const std::vector<double> a = acf(x, 3);
-  EXPECT_NEAR(a[1], 0.8, 0.1);
-  EXPECT_GT(a[1], a[2]);
-  EXPECT_GT(a[2], a[3]);
-}
-
-TEST(Stats, PacfOfAr1CutsOffAfterLagOne) {
-  Rng rng(3);
-  std::vector<double> x(6000);
-  double state = 0.0;
-  for (double& v : x) {
-    state = 0.7 * state + rng.normal();
-    v = state;
-  }
-  const std::vector<double> p = pacf(x, 4);
-  EXPECT_NEAR(p[1], 0.7, 0.1);
-  EXPECT_NEAR(p[2], 0.0, 0.08);
-  EXPECT_NEAR(p[3], 0.0, 0.08);
-}
-
 TEST(Stats, QuantileEndpointsAndMedian) {
   const std::vector<double> x{3.0, 1.0, 2.0};
   EXPECT_DOUBLE_EQ(quantile(x, 0.0), 1.0);
@@ -193,44 +156,6 @@ TEST(Stats, NormalQuantileTails) {
 TEST(Stats, NormalQuantileValidates) {
   EXPECT_THROW(normal_quantile(0.0), InvalidArgument);
   EXPECT_THROW(normal_quantile(1.0), InvalidArgument);
-}
-
-TEST(Stats, ChiSquareCdfKnownValues) {
-  // k = 2: CDF(x) = 1 - exp(-x/2).
-  EXPECT_NEAR(chi_square_cdf(2.0, 2.0), 1.0 - std::exp(-1.0), 1e-10);
-  EXPECT_NEAR(chi_square_cdf(5.991, 2.0), 0.95, 1e-3);  // 95% quantile
-  // k = 10: 95% quantile is ~18.307.
-  EXPECT_NEAR(chi_square_cdf(18.307, 10.0), 0.95, 1e-3);
-  EXPECT_DOUBLE_EQ(chi_square_cdf(0.0, 5.0), 0.0);
-  EXPECT_NEAR(chi_square_cdf(1000.0, 3.0), 1.0, 1e-12);
-  EXPECT_THROW(chi_square_cdf(1.0, 0.0), InvalidArgument);
-}
-
-TEST(Stats, LjungBoxAcceptsWhiteNoise) {
-  Rng rng(8);
-  std::vector<double> e(2000);
-  for (double& v : e) v = rng.normal();
-  const LjungBoxResult r = ljung_box(e, 20);
-  EXPECT_GT(r.p_value, 0.01);  // whiteness not rejected
-}
-
-TEST(Stats, LjungBoxRejectsAutocorrelatedSeries) {
-  Rng rng(9);
-  std::vector<double> x(2000);
-  double s = 0.0;
-  for (double& v : x) {
-    s = 0.8 * s + rng.normal();
-    v = s;
-  }
-  const LjungBoxResult r = ljung_box(x, 20);
-  EXPECT_LT(r.p_value, 1e-6);
-  EXPECT_GT(r.statistic, 100.0);
-}
-
-TEST(Stats, LjungBoxValidates) {
-  const std::vector<double> tiny{0.1, 0.2, 0.3};
-  EXPECT_THROW(ljung_box(tiny, 5), InvalidArgument);
-  EXPECT_THROW(ljung_box(tiny, 0), InvalidArgument);
 }
 
 // Property sweep: pearson of a series with a scaled/shifted copy is +/-1.

@@ -99,13 +99,39 @@ TEST(Args, PositionalArgumentThrows) {
 }
 
 TEST(Args, NonNumericIntThrows) {
-  const Args a = make_args({"--n", "abc"});
+  const Args a = make_args({"--n", "abc", "--nodes", "3x", "--port=-1",
+                            "--seed", "+4", "--big", "9223372036854775808"});
   EXPECT_THROW(a.get_int("n", 0), InvalidArgument);
+  EXPECT_THROW(a.get_int("port", 0), InvalidArgument);
+  EXPECT_THROW(a.get_int("seed", 0), InvalidArgument);
+  EXPECT_THROW(a.get_int("big", 0), InvalidArgument);
+  EXPECT_THROW(make_args({"--threads=-2"}).get_threads(), InvalidArgument);
+  EXPECT_EQ(make_args({"--big=9223372036854775807"}).get_int("big", 0),
+            9223372036854775807);
+  try {
+    a.get_int("nodes", 0);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("--nodes"), std::string::npos);
+  }
 }
 
 TEST(Args, NonNumericDoubleThrows) {
-  const Args a = make_args({"--x", "abc"});
-  EXPECT_THROW(a.get_double("x", 0.0), InvalidArgument);
+  for (const char* bad : {"abc", "0.3x", "nan", "inf"}) {
+    EXPECT_THROW(make_args({"--x", bad}).get_double("x", 0.0),
+                 InvalidArgument)
+        << bad;
+  }
+}
+
+TEST(Args, BoolValuesAreStrict) {
+  const Args a = make_args({"--on=on", "--yes=yes", "--off=off", "--zero=0",
+                            "--typo=ture"});
+  EXPECT_TRUE(a.get_bool("on"));
+  EXPECT_TRUE(a.get_bool("yes"));
+  EXPECT_FALSE(a.get_bool("off", true));
+  EXPECT_FALSE(a.get_bool("zero", true));
+  EXPECT_THROW(a.get_bool("typo"), InvalidArgument);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -54,62 +53,34 @@ TEST(InMemoryTrace, EveryCellRoundTripsAtUnequalShape) {
     auto code = [](std::size_t i, std::size_t t, std::size_t r) {
       return static_cast<double>(100 * i + 10 * t + r) / 1000.0;
     };
-    auto trace = std::make_shared<InMemoryTrace>(nodes, steps, resources);
+    InMemoryTrace trace(nodes, steps, resources);
     for (std::size_t i = 0; i < nodes; ++i) {
       for (std::size_t t = 0; t < steps; ++t) {
         for (std::size_t r = 0; r < resources; ++r) {
-          trace->set_value(i, t, r, code(i, t, r));
+          trace.set_value(i, t, r, code(i, t, r));
         }
       }
     }
     for (std::size_t i = 0; i < nodes; ++i) {
       for (std::size_t t = 0; t < steps; ++t) {
-        const std::vector<double> m = trace->measurement(i, t);
+        const std::vector<double> m = trace.measurement(i, t);
         ASSERT_EQ(m.size(), resources);
         for (std::size_t r = 0; r < resources; ++r) {
-          EXPECT_EQ(trace->value(i, t, r), code(i, t, r))
+          EXPECT_EQ(trace.value(i, t, r), code(i, t, r))
               << nodes << "x" << steps << " cell " << i << "," << t << ","
               << r;
           EXPECT_EQ(m[r], code(i, t, r));
         }
       }
       for (std::size_t r = 0; r < resources; ++r) {
-        const std::vector<double> s = trace->series(i, r);
+        const std::vector<double> s = trace.series(i, r);
         ASSERT_EQ(s.size(), steps);
         for (std::size_t t = 0; t < steps; ++t) {
           EXPECT_EQ(s[t], code(i, t, r));
         }
       }
     }
-    // Reversed node order over a step prefix.
-    std::vector<std::size_t> picked;
-    for (std::size_t i = nodes; i-- > 0;) picked.push_back(i);
-    const SubTrace sub(trace, picked, steps - 1);
-    for (std::size_t k = 0; k < picked.size(); ++k) {
-      for (std::size_t t = 0; t + 1 < steps; ++t) {
-        for (std::size_t r = 0; r < resources; ++r) {
-          EXPECT_EQ(sub.value(k, t, r), code(picked[k], t, r));
-        }
-      }
-    }
   }
-}
-
-TEST(SubTrace, RestrictsNodesAndSteps) {
-  auto base = std::make_shared<InMemoryTrace>(4, 10, 1);
-  base->set_value(2, 5, 0, 0.7);
-  SubTrace sub(base, {2, 3}, 8);
-  EXPECT_EQ(sub.num_nodes(), 2u);
-  EXPECT_EQ(sub.num_steps(), 8u);
-  EXPECT_DOUBLE_EQ(sub.value(0, 5, 0), 0.7);
-}
-
-TEST(SubTrace, ValidatesArguments) {
-  auto base = std::make_shared<InMemoryTrace>(4, 10, 1);
-  EXPECT_THROW(SubTrace(base, {5}, 8), InvalidArgument);
-  EXPECT_THROW(SubTrace(base, {0}, 11), InvalidArgument);
-  EXPECT_THROW(SubTrace(base, {}, 8), InvalidArgument);
-  EXPECT_THROW(SubTrace(nullptr, {0}, 8), InvalidArgument);
 }
 
 TEST(ResourceNames, CpuAndMemory) {

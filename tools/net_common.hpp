@@ -61,13 +61,15 @@ inline trace::InMemoryTrace build_trace(const Args& args) {
                          static_cast<std::uint64_t>(args.get_int("seed", 1)));
 }
 
-inline collect::PolicyKind policy_kind(const Args& args) {
-  const std::string name = args.get("policy", "adaptive");
-  if (name == "adaptive") return collect::PolicyKind::kAdaptive;
-  if (name == "uniform") return collect::PolicyKind::kUniform;
-  if (name == "always") return collect::PolicyKind::kAlways;
-  if (name == "deadband") return collect::PolicyKind::kDeadband;
-  throw InvalidArgument("unknown --policy: " + name);
+/// A TCP port flag (0 = ephemeral). Values above 65535 are rejected
+/// rather than wrapped by the std::uint16_t cast.
+inline std::uint16_t port_flag(const Args& args, const std::string& name) {
+  const std::int64_t port = args.get_int(name, 0);
+  if (port > 65535) {
+    throw InvalidArgument("flag --" + name + ": port out of range: '" +
+                          std::to_string(port) + "' (want 0-65535)");
+  }
+  return static_cast<std::uint16_t>(port);
 }
 
 /// One policy instance configured from the shared flags; unset flags take
@@ -75,7 +77,9 @@ inline collect::PolicyKind policy_kind(const Args& args) {
 inline std::unique_ptr<collect::TransmitPolicy> make_policy(const Args& args) {
   const collect::AdaptiveOptions paper;
   return collect::make_policy_factory(
-      policy_kind(args), args.get_double("b", paper.max_frequency),
+      collect::policy_kind_from_string(args.get("policy", "adaptive"),
+                                       "flag --policy"),
+      args.get_double("b", paper.max_frequency),
       {.v0 = args.get_double("v0", paper.v0),
        .gamma = args.get_double("gamma", paper.gamma),
        .clamp_queue = args.get_bool("clamp-queue")})();

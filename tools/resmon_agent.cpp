@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
 
     net::AgentOptions opts;
     opts.upstream.host = args.get("host", "127.0.0.1");
-    opts.upstream.port = static_cast<std::uint16_t>(args.get_int("port", 0));
+    opts.upstream.port = tools::port_flag(args, "port");
     opts.node = static_cast<std::uint32_t>(node);
     opts.num_resources = static_cast<std::uint32_t>(num_resources);
     opts.upstream.max_reconnect_attempts =

@@ -64,8 +64,7 @@ int main(int argc, char** argv) {
     opts.num_nodes = range.num_nodes;
     opts.num_resources = trace.num_resources();
     opts.upstream.host = args.get("upstream-host", host);
-    opts.upstream.port =
-        static_cast<std::uint16_t>(args.get_int("upstream-port", 0));
+    opts.upstream.port = tools::port_flag(args, "upstream-port");
     opts.stale_after_ms =
         static_cast<int>(args.get_int("stale-after-ms", 0));
     opts.dead_after_ms = static_cast<int>(args.get_int("dead-after-ms", 0));
@@ -82,7 +81,7 @@ int main(int argc, char** argv) {
 
     agg::Aggregator aggregator(
         net::Socket::listen_tcp(
-            host, static_cast<std::uint16_t>(args.get_int("port", 0))),
+            host, tools::port_flag(args, "port")),
         opts);
     std::cout << "resmon_aggregator listening on " << host << ":"
               << aggregator.port() << '\n'
@@ -90,7 +89,7 @@ int main(int argc, char** argv) {
 
     if (args.has("metrics-port")) {
       aggregator.serve_metrics(net::Socket::listen_tcp(
-          host, static_cast<std::uint16_t>(args.get_int("metrics-port", 0))));
+          host, tools::port_flag(args, "metrics-port")));
       std::cout << "resmon_aggregator metrics endpoint on " << host << ":"
                 << aggregator.metrics_port() << '\n'
                 << std::flush;

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
     }
     net::Controller controller(
         net::Socket::listen_tcp(
-            host, static_cast<std::uint16_t>(args.get_int("port", 0))),
+            host, tools::port_flag(args, "port")),
         copts);
     std::cout << "resmon_controller listening on " << host << ":"
               << controller.port() << '\n'
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
 
     if (args.has("metrics-port")) {
       controller.serve_metrics(net::Socket::listen_tcp(
-          host, static_cast<std::uint16_t>(args.get_int("metrics-port", 0))));
+          host, tools::port_flag(args, "metrics-port")));
       std::cout << "resmon_controller metrics endpoint on " << host << ":"
                 << controller.metrics_port() << '\n'
                 << std::flush;
