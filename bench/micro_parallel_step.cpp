@@ -8,8 +8,10 @@
 // serial run), so the only thing that changes is speed. The headline
 // column is the speedup of the cluster + forecast stages — the two loops
 // the paper's central node spends its time in — relative to the serial
-// run. On a multi-core machine expect >= 2x at 4 threads for the default
-// N = 2000, K = 10, ARIMA configuration.
+// run. Each thread count runs three times and keeps the run whose cluster +
+// forecast time is least, since timer noise only ever adds time; every run
+// is checked against the serial forecasts. On a multi-core machine expect
+// >= 2x at 4 threads for the default N = 2000, K = 10, ARIMA configuration.
 //
 // It also measures the zero-allocation contract: a steady-state window of
 // step_external() slots (between two scheduled retrains) must perform ZERO
@@ -208,32 +210,36 @@ int main(int argc, char** argv) {
                "cluster+forecast_s", "speedup", "identical"},
               4);
   bench::BenchJson sink("resmon-micro", "micro_parallel_step");
-  StageRun serial;
+  constexpr std::size_t kRuns = 3;  // per thread count; the best one counts
+  std::vector<double> serial_forecast;  // the first run's, bit for bit
   double serial_hot = 0.0;
   std::vector<std::pair<std::size_t, double>> speedups;
   for (const std::size_t threads : thread_counts) {
-    const StageRun run =
-        run_once(t, base, threads, steps, &registry, &trace_events);
-    const double hot =
-        run.timers.cluster_seconds + run.timers.forecast_seconds;
+    core::StageTimers best;
+    double hot = 0.0;
     bool identical = true;
-    if (threads == thread_counts.front()) {
-      serial = run;
-      serial_hot = hot;
-    } else {
-      identical = run.forecast.data() == serial.forecast.data();
+    for (std::size_t r = 0; r < kRuns; ++r) {
+      const StageRun run =
+          run_once(t, base, threads, steps, &registry, &trace_events);
+      if (serial_forecast.empty()) serial_forecast = run.forecast.data();
+      identical = identical && run.forecast.data() == serial_forecast;
+      const double run_hot =
+          run.timers.cluster_seconds + run.timers.forecast_seconds;
+      if (r == 0 || run_hot < hot) {
+        best = run.timers;
+        hot = run_hot;
+      }
     }
-    table.add_row({static_cast<double>(threads),
-                   run.timers.collect_seconds, run.timers.cluster_seconds,
-                   run.timers.forecast_seconds, hot,
-                   serial_hot > 0.0 ? serial_hot / hot : 1.0,
-                   identical ? 1.0 : 0.0});
+    if (threads == thread_counts.front()) serial_hot = hot;
     const double speedup = serial_hot > 0.0 ? serial_hot / hot : 1.0;
+    table.add_row({static_cast<double>(threads), best.collect_seconds,
+                   best.cluster_seconds, best.forecast_seconds, hot, speedup,
+                   identical ? 1.0 : 0.0});
     speedups.emplace_back(threads, speedup);
     sink.add("threads=" + std::to_string(threads),
-             {{"collect_s", run.timers.collect_seconds},
-              {"cluster_s", run.timers.cluster_seconds},
-              {"forecast_s", run.timers.forecast_seconds},
+             {{"collect_s", best.collect_seconds},
+              {"cluster_s", best.cluster_seconds},
+              {"forecast_s", best.forecast_seconds},
               {"cluster_forecast_speedup", speedup},
               {"identical", identical ? 1.0 : 0.0}});
   }
@@ -299,8 +305,9 @@ int main(int argc, char** argv) {
   }
 
   // -- anti-scaling guard ------------------------------------------------
-  // The sweep must never be slower with more threads; 0.95 absorbs timer
-  // jitter on loaded CI hosts (policy in docs/PERFORMANCE.md).
+  // The sweep must never be slower with more threads; best-of-kRuns and
+  // the 0.95 margin absorb timer jitter on loaded CI hosts (policy in
+  // docs/PERFORMANCE.md).
   bool speedup_ok = true;
   for (std::size_t row = 1; row < speedups.size(); ++row) {
     if (speedups[row].second < 0.95) {
@@ -315,8 +322,10 @@ int main(int argc, char** argv) {
   bench::json_flags(args).write(sink);
   bench::emit_observability(args, registry, &trace_events);
   std::cout << "\nspeedup = (cluster_s + forecast_s) at 1 thread / same at "
-               "N threads; identical = h=1 forecasts bitwise equal to the "
-               "serial run (must always be 1).\n";
+               "N threads, each the best of "
+            << kRuns
+            << " runs; identical = every run's h=1 forecasts bitwise equal "
+               "to the serial run's (must always be 1).\n";
   if (args.has("strict") && (!steady_ok || !speedup_ok)) return 1;
   return 0;
 }

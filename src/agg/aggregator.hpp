@@ -7,8 +7,8 @@
 // completes per shard. Upstream it speaks three shard frames to the root:
 // a kShardHello announcing its node range, one kSlotSummary per completed
 // slot (every measurement the shard's agents transmitted for that slot,
-// heartbeats compacted away, plus how many owned nodes the barrier skipped
-// as non-LIVE), and periodic kShardStatus staleness censuses.
+// heartbeats compacted away, plus a 0/1 mark set when the shard's barrier
+// skipped a non-LIVE node), and periodic kShardStatus staleness censuses.
 //
 // Bit-identity invariant (asserted by test_agg and the two_tier_fleet
 // scenario): measurements travel through the summary byte-exactly and in
@@ -87,18 +87,6 @@ class Aggregator {
   /// here) from Socket::listen_tcp.
   Aggregator(net::Socket listener, const AggregatorOptions& options);
 
-  /// Downstream port agents should connect to.
-  std::uint16_t port() const { return downstream_.port(); }
-
-  /// Attach a metrics endpoint (see Controller::serve_metrics). Requires
-  /// AggregatorOptions::net_metrics; the exposition renders that registry,
-  /// so binaries that want resmon_agg_* visible pass one registry as both
-  /// `metrics` and `net_metrics`.
-  void serve_metrics(net::Socket listener) {
-    downstream_.serve_metrics(std::move(listener));
-  }
-  std::uint16_t metrics_port() const { return downstream_.metrics_port(); }
-
   /// Connect-and-handshake upstream with bounded exponential backoff.
   /// Throws net::SocketError if the root stays unreachable past the
   /// attempt budget, or immediately if it rejects the shard hello
@@ -106,12 +94,6 @@ class Aggregator {
   void connect_upstream();
 
   bool upstream_connected() const { return upstream_.connected(); }
-
-  /// Pump the downstream event loop until `count` distinct shard nodes
-  /// completed a hello, or `timeout_ms` elapses.
-  bool wait_for_agents(std::size_t count, int timeout_ms) {
-    return downstream_.wait_for_agents(count, timeout_ms);
-  }
 
   /// Complete the shard's slot-t barrier (Controller::collect_slot
   /// semantics, including staleness-based degradation) and forward the
@@ -126,18 +108,12 @@ class Aggregator {
   /// status_every_slots slots.
   void send_status();
 
-  /// Pump the downstream loop without waiting on a slot (metrics scrapes,
-  /// late frames). See Controller::pump_idle.
-  void pump_idle(int duration_ms, std::uint64_t until_scrapes = 0) {
-    downstream_.pump_idle(duration_ms, until_scrapes);
-  }
-
-  /// Staleness verdict for one owned node (global node id).
-  net::NodeState node_state(std::size_t node) const {
-    return downstream_.node_state(node);
-  }
-
-  /// The shard-local Controller (staleness counters, frame totals, ...).
+  /// The shard-local Controller: the port agents connect to, their
+  /// handshakes (wait_for_agents), idle pumping, per-node staleness
+  /// verdicts and frame totals. Its metrics endpoint (serve_metrics)
+  /// renders AggregatorOptions::net_metrics, so binaries that want
+  /// resmon_agg_* visible pass one registry as both `metrics` and
+  /// `net_metrics`.
   const net::Controller& downstream() const { return downstream_; }
   net::Controller& downstream() { return downstream_; }
 
@@ -162,6 +138,10 @@ class Aggregator {
   std::uint64_t status_frames() const {
     return m_status_frames_total_->value();
   }
+  /// Agent frames received downstream per frame sent upstream, as of the
+  /// last forward_slot or send_status (0 before the first): the
+  /// resmon_agg_compaction_ratio gauge.
+  double compaction_ratio() const { return m_compaction_ratio_->value(); }
 
  private:
   /// Write one encoded frame upstream (see UpstreamClient::deliver) and

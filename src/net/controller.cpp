@@ -240,40 +240,33 @@ void Controller::serve_metrics(Socket listener) {
   poller_.watch(metrics_listener_.fd());
 }
 
-void Controller::pump_idle(int duration_ms, std::uint64_t until_scrapes) {
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(duration_ms);
-  for (;;) {
-    if (until_scrapes != 0 && metrics_scrapes() >= until_scrapes) return;
+template <typename Done>
+bool Controller::pump_until(int timeout_ms, Done done) {
+  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  while (!done()) {
     const int left = remaining_ms(deadline);
-    if (left == 0) return;
+    if (left == 0) return false;
     pump(std::min(left, kPumpSliceMs));
   }
+  return true;
+}
+
+void Controller::pump_idle(int duration_ms, std::uint64_t until_scrapes) {
+  pump_until(duration_ms, [&] {
+    return until_scrapes != 0 && metrics_scrapes() >= until_scrapes;
+  });
 }
 
 bool Controller::wait_for_agents(std::size_t count, int timeout_ms) {
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (nodes_seen_ < count) {
-    const int left = remaining_ms(deadline);
-    if (left == 0) return false;
-    pump(std::min(left, kPumpSliceMs));
-  }
-  return true;
+  return pump_until(timeout_ms, [&] { return nodes_seen_ >= count; });
 }
 
 bool Controller::wait_for_shards(std::size_t count, int timeout_ms) {
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (shards_seen_ < count) {
-    const int left = remaining_ms(deadline);
-    if (left == 0) return false;
-    pump(std::min(left, kPumpSliceMs));
-  }
-  return true;
+  return pump_until(timeout_ms, [&] { return shards_seen_ >= count; });
 }
 
 std::optional<std::vector<transport::MeasurementMessage>>
 Controller::collect_slot(std::size_t t, int timeout_ms) {
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   // The barrier waits for LIVE nodes only: a STALE or DEAD node's slot is
   // given up on, and the pipeline degrades to its last stored sample. The
   // node's progress still counts if its frames do arrive (e.g. right before
@@ -288,13 +281,9 @@ Controller::collect_slot(std::size_t t, int timeout_ms) {
     return true;
   };
   const auto wait_start = Clock::now();
-  while (!slot_complete()) {
-    const int left = remaining_ms(deadline);
-    if (left == 0) {
-      m_slot_timeouts_total_->inc();
-      return std::nullopt;
-    }
-    pump(std::min(left, kPumpSliceMs));
+  if (!pump_until(timeout_ms, slot_complete)) {
+    m_slot_timeouts_total_->inc();
+    return std::nullopt;
   }
   bool degraded = false;
   for (std::size_t node = 0; node < options_.num_nodes; ++node) {
@@ -509,60 +498,104 @@ bool Controller::service(Connection& conn) {
 }
 
 bool Controller::handle_frame(Connection& conn, wire::Frame&& frame) {
-  if (std::holds_alternative<wire::HelloFrame>(frame)) {
-    return handle_hello(conn, std::get<wire::HelloFrame>(frame));
+  if (const auto* hello = std::get_if<wire::HelloFrame>(&frame)) {
+    return handle_hello(conn, *hello);
   }
-  if (std::holds_alternative<wire::ShardHelloFrame>(frame)) {
-    return handle_shard_hello(conn, std::get<wire::ShardHelloFrame>(frame));
+  if (const auto* sh = std::get_if<wire::ShardHelloFrame>(&frame)) {
+    return handle_shard_hello(conn, *sh);
   }
-  if (std::holds_alternative<wire::SlotSummaryFrame>(frame)) {
-    return handle_slot_summary(
-        conn, std::move(std::get<wire::SlotSummaryFrame>(frame)));
+  if (auto* summary = std::get_if<wire::SlotSummaryFrame>(&frame)) {
+    return handle_slot_summary(conn, std::move(*summary));
   }
-  if (std::holds_alternative<wire::ShardStatusFrame>(frame)) {
-    return handle_shard_status(conn, std::get<wire::ShardStatusFrame>(frame));
+  if (const auto* status = std::get_if<wire::ShardStatusFrame>(&frame)) {
+    return handle_shard_status(conn, *status);
   }
-
   // Every other agent frame requires a completed handshake, and its node id
   // must match the handshake (one stream speaks for one node).
-  if (std::holds_alternative<transport::MeasurementMessage>(frame)) {
-    transport::MeasurementMessage& m =
-        std::get<transport::MeasurementMessage>(frame);
-    if (conn.node < 0 || m.node != static_cast<std::size_t>(conn.node) ||
-        m.values.size() != options_.num_resources) {
-      return false;
-    }
-    if (options_.block_hook &&
-        options_.block_hook(static_cast<std::uint32_t>(m.node), m.step)) {
-      m_blocked_frames_total_->inc();
-      return true;  // frame eaten by the simulated partition; stream is fine
-    }
-    const std::size_t local = m.node - options_.first_node;
-    progress_[local] =
-        std::max(progress_[local], static_cast<long long>(m.step));
-    touch(local, staleness_now());
-    inbox_.push(local, std::move(m));
-    m_measurements_total_->inc();
-    return true;
+  if (auto* m = std::get_if<transport::MeasurementMessage>(&frame)) {
+    return m->values.size() == options_.num_resources &&
+           advance(conn, m->node, m->step, *m_measurements_total_, m);
   }
-  if (std::holds_alternative<wire::HeartbeatFrame>(frame)) {
-    const wire::HeartbeatFrame hb = std::get<wire::HeartbeatFrame>(frame);
-    if (conn.node < 0 || hb.node != static_cast<std::uint32_t>(conn.node)) {
-      return false;
-    }
-    if (options_.block_hook && options_.block_hook(hb.node, hb.step)) {
-      m_blocked_frames_total_->inc();
-      return true;
-    }
-    const std::size_t local = hb.node - options_.first_node;
-    progress_[local] =
-        std::max(progress_[local], static_cast<long long>(hb.step));
-    touch(local, staleness_now());
-    m_heartbeats_total_->inc();
-    return true;
+  if (const auto* hb = std::get_if<wire::HeartbeatFrame>(&frame)) {
+    return advance(conn, hb->node, hb->step, *m_heartbeats_total_, nullptr);
   }
   // HelloAck is controller -> agent only.
   return false;
+}
+
+bool Controller::advance(const Connection& conn, std::size_t node,
+                         std::uint64_t step, obs::Counter& accepted,
+                         transport::MeasurementMessage* m) {
+  if (conn.node < 0 || node != static_cast<std::size_t>(conn.node)) {
+    return false;
+  }
+  if (options_.block_hook &&
+      options_.block_hook(static_cast<std::uint32_t>(node), step)) {
+    m_blocked_frames_total_->inc();
+    return true;  // frame eaten by the simulated partition; stream is fine
+  }
+  const std::size_t local = node - options_.first_node;
+  progress_[local] = std::max(progress_[local], static_cast<long long>(step));
+  touch(local, staleness_now());
+  if (m != nullptr) inbox_.push(local, std::move(*m));
+  accepted.inc();
+  return true;
+}
+
+bool Controller::accept_hello(Connection& conn, long long Connection::*role,
+                              std::uint32_t id, HelloReject reject,
+                              std::uint8_t peer_protocol,
+                              std::size_t first_node, std::size_t num_nodes) {
+  if (reject == HelloReject::kNone && (conn.node >= 0 || conn.shard >= 0)) {
+    reject = HelloReject::kDuplicateNode;  // second hello on one stream
+  }
+  if (reject == HelloReject::kNone) {
+    // Newest-wins: a reconnecting peer can beat the controller to noticing
+    // its old connection died (lost RST, partition). The fresh hello is
+    // authoritative — drop the stale socket instead of locking the id out
+    // with kDuplicateNode. `conn` stays valid: erasing a different
+    // unordered_map element does not invalidate it.
+    const auto stale = std::find_if(
+        connections_.begin(), connections_.end(), [&](const auto& kv) {
+          return kv.second.*role == static_cast<long long>(id);
+        });
+    if (stale != connections_.end()) {
+      drop(stale->first);
+      m_stale_dropped_total_->inc();
+    }
+  }
+  // The ack echoes the node (or shard) id. Best-effort: a failed write
+  // surfaces as a drop either way.
+  const wire::HelloAckFrame ack{
+      .node = id,
+      .accepted = reject == HelloReject::kNone,
+      .reason = static_cast<std::uint8_t>(reject)};
+  const bool wrote = conn.sock.write_all(wire::encode(ack), 1000);
+  if (reject != HelloReject::kNone) {
+    const auto reason = static_cast<std::uint8_t>(reject);
+    log(role == &Connection::node
+            ? "rejected hello from node " + std::to_string(id) + " (" +
+                  wire::hello_reject_name(reason) + ")"
+            : "rejected shard hello from shard " + std::to_string(id) +
+                  " (" + wire::describe_hello_reject(reason, peer_protocol) +
+                  ")");
+    return false;
+  }
+  if (!wrote) return false;
+  conn.*role = static_cast<long long>(id);
+  // The stream speaks for every node in its range: mark them seen (so
+  // wait_for_agents counts a shard's nodes too) and alive, since a fresh
+  // handshake is evidence of life.
+  const Clock::time_point now = staleness_now();
+  const std::size_t begin = first_node - options_.first_node;
+  for (std::size_t local = begin; local < begin + num_nodes; ++local) {
+    if (!seen_[local]) {
+      seen_[local] = 1;
+      ++nodes_seen_;
+    }
+    touch(local, now);
+  }
+  return true;
 }
 
 bool Controller::handle_hello(Connection& conn, const wire::HelloFrame& hello) {
@@ -572,44 +605,12 @@ bool Controller::handle_hello(Connection& conn, const wire::HelloFrame& hello) {
     reject = HelloReject::kNodeOutOfRange;
   } else if (hello.num_resources != options_.num_resources) {
     reject = HelloReject::kDimensionMismatch;
-  } else if (conn.node >= 0 || conn.shard >= 0) {
-    reject = HelloReject::kDuplicateNode;  // second hello on one stream
-  } else {
-    // Newest-wins: a reconnecting agent can beat the controller to
-    // noticing its old connection died (lost RST, partition). The fresh
-    // hello is authoritative — drop the stale socket instead of locking
-    // the node out with kDuplicateNode. `conn` stays valid: erasing a
-    // different unordered_map element does not invalidate it.
-    const auto stale = std::find_if(
-        connections_.begin(), connections_.end(), [&](const auto& kv) {
-          return kv.second.node == static_cast<long long>(hello.node);
-        });
-    if (stale != connections_.end()) {
-      drop(stale->first);
-      m_stale_dropped_total_->inc();
-    }
   }
-  const wire::HelloAckFrame ack{
-      .node = hello.node,
-      .accepted = reject == HelloReject::kNone,
-      .reason = static_cast<std::uint8_t>(reject)};
-  // Best-effort ack; a failed write surfaces as a drop either way.
-  const bool wrote = conn.sock.write_all(wire::encode(ack), 1000);
-  if (reject != HelloReject::kNone) {
-    log("rejected hello from node " + std::to_string(hello.node) + " (" +
-        wire::hello_reject_name(static_cast<std::uint8_t>(reject)) + ")");
+  if (!accept_hello(conn, &Connection::node, hello.node, reject,
+                    wire::kProtocolVersion, hello.node, 1)) {
     return false;
   }
-  if (!wrote) return false;
-  conn.node = static_cast<long long>(hello.node);
-  const std::size_t local = hello.node - options_.first_node;
-  ++connected_nodes_;
-  m_connected_agents_->set(static_cast<double>(connected_nodes_));
-  if (!seen_[local]) {
-    seen_[local] = 1;
-    ++nodes_seen_;
-  }
-  touch(local, staleness_now());  // a fresh handshake is evidence of life
+  m_connected_agents_->add(1.0);
   return true;
 }
 
@@ -628,35 +629,12 @@ bool Controller::handle_shard_hello(Connection& conn,
     reject = HelloReject::kBadNodeRange;
   } else if (sh.num_resources != options_.num_resources) {
     reject = HelloReject::kDimensionMismatch;
-  } else if (conn.node >= 0 || conn.shard >= 0) {
-    reject = HelloReject::kDuplicateNode;  // second hello on one stream
-  } else {
-    // Newest-wins, exactly as for agent hellos: a reconnecting aggregator's
-    // fresh shard hello displaces whatever stale socket the shard held.
-    const auto stale = std::find_if(
-        connections_.begin(), connections_.end(), [&](const auto& kv) {
-          return kv.second.shard == static_cast<long long>(sh.shard);
-        });
-    if (stale != connections_.end()) {
-      drop(stale->first);
-      m_stale_dropped_total_->inc();
-    }
   }
-  // The ack echoes the shard id in the node field.
-  const wire::HelloAckFrame ack{
-      .node = sh.shard,
-      .accepted = reject == HelloReject::kNone,
-      .reason = static_cast<std::uint8_t>(reject)};
-  const bool wrote = conn.sock.write_all(wire::encode(ack), 1000);
-  if (reject != HelloReject::kNone) {
-    log("rejected shard hello from shard " + std::to_string(sh.shard) + " (" +
-        wire::describe_hello_reject(static_cast<std::uint8_t>(reject),
-                                    static_cast<std::uint8_t>(sh.protocol)) +
-        ")");
+  if (!accept_hello(conn, &Connection::shard, sh.shard, reject,
+                    static_cast<std::uint8_t>(sh.protocol), sh.first_node,
+                    sh.num_nodes)) {
     return false;
   }
-  if (!wrote) return false;
-  conn.shard = static_cast<long long>(sh.shard);
   ShardInfo& info = shards_[sh.shard];
   info.first_node = sh.first_node;
   info.num_nodes = sh.num_nodes;
@@ -664,20 +642,7 @@ bool Controller::handle_shard_hello(Connection& conn,
     info.seen = true;
     ++shards_seen_;
   }
-  ++connected_shards_;
-  m_shards_connected_->set(static_cast<double>(connected_shards_));
-  // The shard speaks for every node it fronts: mark them seen (so
-  // wait_for_agents counts fronted nodes too) and alive.
-  const Clock::time_point now = staleness_now();
-  for (std::size_t node = sh.first_node;
-       node < std::size_t{sh.first_node} + sh.num_nodes; ++node) {
-    const std::size_t local = node - options_.first_node;
-    if (!seen_[local]) {
-      seen_[local] = 1;
-      ++nodes_seen_;
-    }
-    touch(local, now);
-  }
+  m_shards_connected_->add(1.0);
   log("shard " + std::to_string(sh.shard) + " connected (nodes [" +
       std::to_string(sh.first_node) + ", " +
       std::to_string(std::size_t{sh.first_node} + sh.num_nodes) + "))");
@@ -735,11 +700,9 @@ bool Controller::handle_shard_status(Connection& conn,
 void Controller::drop(int fd) {
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
-  if (it->second.node >= 0) --connected_nodes_;
-  m_connected_agents_->set(static_cast<double>(connected_nodes_));
+  if (it->second.node >= 0) m_connected_agents_->add(-1.0);
   if (it->second.shard >= 0) {
-    --connected_shards_;
-    m_shards_connected_->set(static_cast<double>(connected_shards_));
+    m_shards_connected_->add(-1.0);
     log("shard " + std::to_string(it->second.shard) +
         " connection dropped");
   }

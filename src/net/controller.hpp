@@ -195,9 +195,12 @@ class Controller {
   std::optional<std::vector<transport::MeasurementMessage>> collect_slot(
       std::size_t t, int timeout_ms);
 
-  /// Nodes currently connected (hello completed, socket alive). Nodes
-  /// fronted through a shard count from the shard hello on.
-  std::size_t connected_agents() const { return connected_nodes_; }
+  /// Agent streams currently connected (hello completed, socket alive):
+  /// the resmon_net_connected_agents gauge. A shard's stream counts in
+  /// connected_shards() instead.
+  std::size_t connected_agents() const {
+    return static_cast<std::size_t>(m_connected_agents_->value());
+  }
   /// Distinct nodes that have ever completed a hello handshake (directly or
   /// via a shard hello covering their range).
   std::size_t nodes_seen() const { return nodes_seen_; }
@@ -207,8 +210,11 @@ class Controller {
   bool wait_for_shards(std::size_t count, int timeout_ms);
   /// Distinct shards that ever completed a shard hello.
   std::size_t shards_seen() const { return shards_seen_; }
-  /// Shards with a live, handshake-completed connection right now.
-  std::size_t connected_shards() const { return connected_shards_; }
+  /// Shards with a live, handshake-completed connection right now: the
+  /// resmon_net_shards_connected gauge.
+  std::size_t connected_shards() const {
+    return static_cast<std::size_t>(m_shards_connected_->value());
+  }
   /// Slot-summary frames accepted from shards.
   std::uint64_t summaries_received() const {
     return m_summaries_total_->value();
@@ -283,6 +289,11 @@ class Controller {
 
   /// One event-loop iteration: accept, read, decode, dispatch.
   void pump(int timeout_ms);
+  /// Pump until `done()` holds (true) or `timeout_ms` elapses (false): the
+  /// one wait loop behind pump_idle, wait_for_agents, wait_for_shards and
+  /// collect_slot's barrier. Defined in controller.cpp, its only user.
+  template <typename Done>
+  bool pump_until(int timeout_ms, Done done);
   void accept_pending();
   void accept_metrics_pending();
   /// Read every available byte from `conn`, up to kReadChunk per read;
@@ -292,6 +303,23 @@ class Controller {
   /// gone) and the connection should be closed.
   bool service_metrics(MetricsConnection& conn);
   bool handle_frame(Connection& conn, wire::Frame&& frame);
+  /// The step a measurement `m` and a heartbeat (`m` == nullptr) share:
+  /// false unless the stream speaks for `node`; a frame the block hook eats
+  /// is counted and dropped; otherwise `node`'s progress reaches `step`, it
+  /// is touched, `m` is queued and `accepted` counts the frame.
+  bool advance(const Connection& conn, std::size_t node, std::uint64_t step,
+               obs::Counter& accepted, transport::MeasurementMessage* m);
+  /// The handshake both hello kinds share after their own checks left
+  /// `reject`: a second hello on one stream is kDuplicateNode; an accepted
+  /// `id` displaces the stream whose `role` (&Connection::node or ::shard)
+  /// holds it (newest-wins); the ack goes out; a rejection is logged (a
+  /// shard's naming `peer_protocol`). On acceptance the stream takes `id`
+  /// and the global nodes [first_node, first_node + num_nodes) are marked
+  /// seen and alive. False when the stream must be dropped.
+  bool accept_hello(Connection& conn, long long Connection::*role,
+                    std::uint32_t id, HelloReject reject,
+                    std::uint8_t peer_protocol, std::size_t first_node,
+                    std::size_t num_nodes);
   bool handle_hello(Connection& conn, const wire::HelloFrame& hello);
   bool handle_shard_hello(Connection& conn, const wire::ShardHelloFrame& sh);
   bool handle_slot_summary(Connection& conn, wire::SlotSummaryFrame&& s);
@@ -322,7 +350,6 @@ class Controller {
   Poller poller_;
   std::unordered_map<int, Connection> connections_;
   std::unordered_map<int, MetricsConnection> metrics_connections_;
-  std::size_t connected_nodes_ = 0;
   std::vector<char> seen_;  ///< per-node: hello ever completed
   std::size_t nodes_seen_ = 0;
   /// Highest slot each node has reported (measurement or heartbeat); -1
@@ -341,7 +368,6 @@ class Controller {
   /// Two-tier root bookkeeping (empty/zero in single-tier mode).
   std::vector<ShardInfo> shards_;  ///< size num_shards
   std::size_t shards_seen_ = 0;
-  std::size_t connected_shards_ = 0;
   /// Slots some shard summary flagged degraded, pending consumption by
   /// collect_slot's own degradation accounting (so a two-tier root counts
   /// exactly the slots a single-tier controller would).

@@ -92,9 +92,10 @@ struct ShardHelloFrame {
 
 /// One compacted slot of a shard: every measurement the shard's agents
 /// transmitted for `step` (heartbeats are compacted away — the summary's
-/// existence is the progress signal), plus how many owned nodes were
-/// skipped as non-LIVE (`degraded`) so the root's degradation accounting
-/// matches a single-tier run exactly.
+/// existence is the progress signal), plus the shard's degraded-slot mark
+/// (`degraded`: 1 when its barrier skipped a non-LIVE node, else 0; the
+/// root tests > 0) so the root's degradation accounting matches a
+/// single-tier run exactly.
 struct SlotSummaryFrame {
   std::uint32_t shard = 0;
   std::uint64_t step = 0;

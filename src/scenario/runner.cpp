@@ -422,11 +422,10 @@ ScenarioResult run_socket(const ScenarioSpec& spec,
   const std::size_t d = trace.num_resources();
 
   SocketFleetOptions options{
-      .shards = spec.tiers == 2 ? spec.shards : 0,
+      .shards = spec.shards,
       .policy = collect::make_policy_factory(spec.policy, spec.max_frequency),
       .stale_after_slots = spec.stale_after_slots,
       .dead_after_slots = spec.dead_after_slots,
-      .ms_per_slot = spec.ms_per_slot,
       .metrics = &registry};
   SocketFleet fleet(n, d, options);
   core::MonitoringPipeline pipeline(n, d, pipeline_options(spec, &registry));

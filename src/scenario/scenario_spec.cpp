@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -299,20 +298,16 @@ ScenarioSpec ScenarioSpec::parse(std::istream& in, const std::string& origin) {
         spec.stale_after_slots = parse_size(context, value);
       } else if (key == "dead_after_slots") {
         spec.dead_after_slots = parse_size(context, value);
-      } else if (key == "ms_per_slot") {
-        spec.ms_per_slot = parse_size(context, value);
       } else {
         throw InvalidArgument(context + ": unknown [controller] key '" + key +
                               "'");
       }
     } else if (section == "topology") {
-      if (key == "tiers") {
-        spec.tiers = parse_size(context, value);
-      } else if (key == "shards") {
+      if (key == "shards") {
         spec.shards = parse_size(context, value);
       } else {
         throw InvalidArgument(context + ": unknown [topology] key '" + key +
-                              "' (want tiers or shards)");
+                              "' (want shards)");
       }
     } else if (section == "churn") {
       if (key == "kill") {
@@ -381,45 +376,22 @@ ScenarioSpec ScenarioSpec::parse(std::istream& in, const std::string& origin) {
     throw InvalidArgument(origin +
                           ": dead_after_slots must be >= stale_after_slots");
   }
-  // The runner turns the slot thresholds into int milliseconds:
-  // max(stale, dead) * ms_per_slot + ms_per_slot / 2 must fit in an int.
-  if (spec.socket_mode) {
-    if (spec.ms_per_slot == 0) {
-      throw InvalidArgument(origin + ": ms_per_slot must be >= 1");
-    }
-    const std::size_t int_max =
-        static_cast<std::size_t>(std::numeric_limits<int>::max());
-    const std::size_t slots =
-        std::max(spec.stale_after_slots, spec.dead_after_slots);
-    if (spec.ms_per_slot > int_max ||
-        slots > (int_max - spec.ms_per_slot / 2) / spec.ms_per_slot) {
-      throw InvalidArgument(origin +
-                            ": ms_per_slot too large: the staleness "
-                            "thresholds overflow int milliseconds");
-    }
-  }
   if (spec.socket_mode && !spec.faults.empty()) {
     throw InvalidArgument(origin +
                           ": [faults] applies to the in-process link; use "
                           "[churn] in socket mode");
   }
-  if (spec.tiers != 1 && spec.tiers != 2) {
-    throw InvalidArgument(origin + ": tiers must be 1 or 2");
-  }
-  if (spec.tiers == 2 && !spec.socket_mode) {
+  if (spec.shards > 0 && !spec.socket_mode) {
     throw InvalidArgument(origin +
-                          ": tiers = 2 requires a [controller] section");
-  }
-  if (spec.tiers == 2 && spec.shards == 0) {
-    throw InvalidArgument(origin + ": shards must be >= 1");
+                          ": shards requires a [controller] section");
   }
   // In socket mode the fault-free twin only exists for two-tier scenarios,
   // where it is the single-tier fleet the bit-identity invariant compares
   // against.
-  if (spec.socket_mode && spec.baseline_compare && spec.tiers != 2) {
+  if (spec.socket_mode && spec.baseline_compare && spec.shards == 0) {
     throw InvalidArgument(origin +
                           ": baseline_compare in socket mode requires "
-                          "tiers = 2 (it runs the single-tier twin)");
+                          "shards >= 1 (it runs the single-tier twin)");
   }
   // Host mode is a self-contained record/replay loop over this process's
   // own procfs samples: every networked or fault-injecting feature refers

@@ -38,11 +38,11 @@
 //   [controller]                      # optional; presence selects the real
 //   stale_after_slots = 3             # TCP controller + staleness machine
 //   dead_after_slots = 8              # (socket mode); absent = in-process
-//   ms_per_slot = 100                 # manual-clock milliseconds per slot
+//                                     # (a slot is 100 manual-clock ms)
 //
 //   [topology]                        # optional; socket mode only
-//   tiers = 2                         # 1 = agents -> controller (default);
-//   shards = 2                        # 2 = agents -> aggregators -> root
+//   shards = 2                        # N >= 1 = agents -> N aggregators ->
+//                                     # root; 0 = agents -> root (default)
 //
 //   [churn]                           # socket mode only; repeatable keys
 //   kill = 2:20                       # node 2 dies at slot 20
@@ -154,12 +154,10 @@ struct ScenarioSpec {
   bool socket_mode = false;
   std::size_t stale_after_slots = 0;
   std::size_t dead_after_slots = 0;
-  std::size_t ms_per_slot = 100;
 
-  // [topology] — optional; tiers = 2 inserts an aggregator tier between
-  // the agents and the root (socket mode only).
-  std::size_t tiers = 1;
-  std::size_t shards = 2;  ///< aggregator count when tiers == 2
+  // [topology] — optional; shards >= 1 inserts that many aggregators
+  // between the agents and the root (socket mode only); 0 = one tier.
+  std::size_t shards = 0;
 
   // [churn]
   std::vector<ChurnEvent> churn;

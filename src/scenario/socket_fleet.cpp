@@ -1,6 +1,7 @@
 #include "scenario/socket_fleet.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -26,11 +27,14 @@ SocketFleet::SocketFleet(std::size_t num_nodes, std::size_t num_resources,
   RESMON_REQUIRE(options_.shards <= num_nodes,
                  "scenario: more shards than nodes in [topology]");
   const bool aging = options_.stale_after_slots > 0;
-  const int msps = static_cast<int>(options_.ms_per_slot);
-  // The +msps/2 offset keeps thresholds off exact slot multiples: a live
+  // The half-slot offset keeps thresholds off exact slot multiples: a live
   // node's silence peaks at whole slots, so it can never tie the limit.
-  const auto after_ms = [msps](std::size_t slots) {
-    return slots == 0 ? 0 : static_cast<int>(slots) * msps + msps / 2;
+  const auto after_ms = [](std::size_t slots) {
+    RESMON_REQUIRE(slots < std::numeric_limits<int>::max() / kMsPerSlot,
+                   "scenario: staleness threshold overflows int "
+                   "milliseconds");
+    return slots == 0 ? 0
+                      : static_cast<int>(slots) * kMsPerSlot + kMsPerSlot / 2;
   };
 
   net::ControllerOptions copt;
@@ -114,8 +118,7 @@ void SocketFleet::observe(std::size_t t, const trace::Trace& trace) {
 
 std::vector<transport::MeasurementMessage> SocketFleet::collect(
     std::size_t t) {
-  const int msps = static_cast<int>(options_.ms_per_slot);
-  clock_.advance_ms(msps);
+  clock_.advance_ms(kMsPerSlot);
   // The barriers wait for LIVE nodes only: while a freshly killed node is
   // still LIVE a barrier cannot complete, so each timed-out attempt ages
   // the clock one slot until the staleness machine degrades the node.
@@ -127,7 +130,7 @@ std::vector<transport::MeasurementMessage> SocketFleet::collect(
     for (std::size_t attempt = 0; attempt < attempts && !forwarded;
          ++attempt) {
       forwarded = aggregator->forward_slot(t, timeout_ms);
-      if (!forwarded) clock_.advance_ms(msps);
+      if (!forwarded) clock_.advance_ms(kMsPerSlot);
     }
     RESMON_REQUIRE(forwarded,
                    "scenario: shard barrier stuck past the staleness policy");
@@ -140,7 +143,7 @@ std::vector<transport::MeasurementMessage> SocketFleet::collect(
        ++attempt) {
     messages = root_->collect_slot(t, root_ages ? kAttemptMs : kWaitMs);
     if (messages.has_value()) break;
-    clock_.advance_ms(msps);
+    clock_.advance_ms(kMsPerSlot);
   }
   RESMON_REQUIRE(messages.has_value(),
                  "scenario: slot barrier stuck past the staleness policy");

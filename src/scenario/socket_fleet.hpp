@@ -41,8 +41,6 @@ struct SocketFleetOptions {
   /// the barrier waits for every node) and DEAD (0 = never).
   std::size_t stale_after_slots = 0;
   std::size_t dead_after_slots = 0;
-  /// Manual-clock milliseconds per slot.
-  std::size_t ms_per_slot = 100;
   /// Registry for the root's resmon_net_* and the aggregators' shard-labeled
   /// resmon_agg_* series (nullptr = private ones). Each aggregator's
   /// internal controller always counts into a private registry: its
@@ -52,6 +50,10 @@ struct SocketFleetOptions {
 
 class SocketFleet {
  public:
+  /// Manual-clock milliseconds per slot. A threshold of n slots sits at
+  /// n * kMsPerSlot + kMsPerSlot / 2.
+  static constexpr int kMsPerSlot = 100;
+
   /// Build the tiers and connect one agent per node. Throws resmon::Error
   /// when a handshake fails.
   SocketFleet(std::size_t num_nodes, std::size_t num_resources,

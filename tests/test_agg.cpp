@@ -1,9 +1,9 @@
 // Aggregator-tier tests: shard partition math, the golden-trace
 // bit-identity guarantee (a two-tier fleet — root + 2 aggregators — must
 // produce byte-identical forecasts and RMSE to a single-tier controller
-// fronting the same agents), shard-hello rejection semantics, the upstream
-// link's bounded backoff and reconnect-after-root-restart, and the
-// compaction accounting.
+// fronting the same agents), shard-hello rejection and newest-wins
+// semantics, wait_for_shards, the upstream link's bounded backoff and
+// reconnect-after-root-restart, and the compaction accounting.
 //
 // All fleets run over real loopback TCP in one process; staleness clocks
 // are ManualClocks, so nothing here depends on wall time.
@@ -24,6 +24,7 @@
 #include "net/agent.hpp"
 #include "net/controller.hpp"
 #include "net/socket.hpp"
+#include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/socket_fleet.hpp"
 #include "sim/evaluate.hpp"
@@ -196,7 +197,7 @@ TEST(Agg, AggregatorReconnectsAfterTheRootRestarts) {
   ASSERT_TRUE(agg.upstream_connected());
 
   net::AgentOptions agent_opts;
-  agent_opts.upstream.port = agg.port();
+  agent_opts.upstream.port = agg.downstream().port();
   net::Agent agent(agent_opts, collect::make_policy_factory(
                                    collect::PolicyKind::kAlways, 1.0)());
   net::connect_pumping(agg.downstream(), [&] { agent.connect(); });
@@ -267,6 +268,127 @@ TEST(Agg, VersionSkewedShardHelloIsRejectedNamingBothVersions) {
   EXPECT_EQ(root.connected_shards(), 0u);
 }
 
+/// A hand-rolled shard stream to a root: raw frames out, acks back.
+struct RawShard {
+  net::Socket sock;
+  net::wire::FrameDecoder decoder;
+
+  explicit RawShard(const net::Controller& root)
+      : sock(net::Socket::connect_tcp("127.0.0.1", root.port(), 5000)) {}
+
+  void send(const std::vector<std::uint8_t>& bytes) {
+    ASSERT_TRUE(sock.write_all(bytes, 5000));
+  }
+
+  /// Pump `root` until the next hello ack arrives on this stream.
+  net::wire::HelloAckFrame ack(net::Controller& root) {
+    for (int rounds = 0; rounds < 1000; ++rounds) {
+      if (std::optional<net::wire::Frame> frame = decoder.next()) {
+        return std::get<net::wire::HelloAckFrame>(*frame);
+      }
+      root.pump_idle(10);
+      if (!sock.wait_readable(10)) continue;
+      std::uint8_t buf[256];
+      std::size_t n = 0;
+      if (sock.read_some(buf, n) == net::IoStatus::kOk) {
+        EXPECT_TRUE(decoder.feed({buf, n}));
+      }
+    }
+    ADD_FAILURE() << "no hello ack from the root";
+    return {};
+  }
+};
+
+std::vector<std::uint8_t> shard_hello(std::uint32_t shard,
+                                      std::uint32_t first_node,
+                                      std::uint32_t num_nodes) {
+  return net::wire::encode(net::wire::ShardHelloFrame{.shard = shard,
+                                                      .first_node = first_node,
+                                                      .num_nodes = num_nodes,
+                                                      .num_resources = 1});
+}
+
+TEST(Agg, NewerShardHelloDisplacesTheStreamThatHeldTheShard) {
+  // Newest-wins holds for shards as for agents: a reconnecting aggregator
+  // may beat the root to noticing its old link died.
+  obs::MetricsRegistry registry;
+  net::ControllerOptions copts;
+  copts.num_nodes = 2;
+  copts.num_resources = 1;
+  copts.num_shards = 1;
+  copts.metrics = &registry;
+  net::Controller root(net::Socket::listen_tcp("127.0.0.1", 0), copts);
+
+  RawShard first(root);
+  first.send(shard_hello(0, 0, 2));
+  ASSERT_TRUE(first.ack(root).accepted);
+  EXPECT_EQ(root.connected_shards(), 1u);
+
+  RawShard second(root);
+  second.send(shard_hello(0, 0, 2));
+  ASSERT_TRUE(second.ack(root).accepted);
+  EXPECT_EQ(
+      registry.value("resmon_net_stale_connections_dropped_total"), 1.0);
+  EXPECT_EQ(root.connected_shards(), 1u);
+  EXPECT_EQ(root.shards_seen(), 1u);
+
+  // The displaced stream is closed; the new one's summaries are accepted.
+  std::uint8_t buf[16];
+  std::size_t n = 0;
+  ASSERT_TRUE(first.sock.wait_readable(5000));
+  EXPECT_EQ(first.sock.read_some(buf, n), net::IoStatus::kClosed);
+  second.send(net::wire::encode(net::wire::SlotSummaryFrame{
+      .shard = 0,
+      .step = 0,
+      .num_resources = 1,
+      .measurements = {{.node = 1, .step = 0, .values = {0.5}}}}));
+  const auto messages = root.collect_slot(0, 5000);
+  ASSERT_TRUE(messages.has_value());
+  ASSERT_EQ(messages->size(), 1u);
+  EXPECT_EQ((*messages)[0].node, 1u);
+  EXPECT_EQ(root.summaries_received(), 1u);
+  EXPECT_EQ(root.connections_rejected(), 0u);
+}
+
+TEST(Agg, SecondShardHelloOnOneStreamIsRejected) {
+  net::ControllerOptions copts;
+  copts.num_nodes = 2;
+  copts.num_resources = 1;
+  copts.num_shards = 1;
+  net::Controller root(net::Socket::listen_tcp("127.0.0.1", 0), copts);
+
+  RawShard shard(root);
+  shard.send(shard_hello(0, 0, 2));
+  shard.send(shard_hello(0, 0, 2));  // second hello, same stream
+  ASSERT_TRUE(shard.ack(root).accepted);
+  const net::wire::HelloAckFrame ack = shard.ack(root);
+  EXPECT_FALSE(ack.accepted);
+  EXPECT_EQ(ack.reason, static_cast<std::uint8_t>(
+                            net::wire::HelloReject::kDuplicateNode));
+  EXPECT_EQ(root.connections_rejected(), 1u);
+  EXPECT_EQ(root.connected_shards(), 0u);
+  EXPECT_EQ(root.shards_seen(), 1u);
+}
+
+TEST(Agg, WaitForShardsReturnsOnceEveryShardHasConnected) {
+  net::ControllerOptions copts;
+  copts.num_nodes = 4;
+  copts.num_resources = 1;
+  copts.num_shards = 2;
+  net::Controller root(net::Socket::listen_tcp("127.0.0.1", 0), copts);
+
+  EXPECT_FALSE(root.wait_for_shards(1, 50));
+  RawShard shard0(root);
+  shard0.send(shard_hello(0, 0, 2));
+  EXPECT_TRUE(root.wait_for_shards(1, 5000));
+  EXPECT_FALSE(root.wait_for_shards(2, 50));
+  RawShard shard1(root);
+  shard1.send(shard_hello(1, 2, 2));
+  EXPECT_TRUE(root.wait_for_shards(2, 5000));
+  EXPECT_EQ(root.connected_shards(), 2u);
+  EXPECT_EQ(root.nodes_seen(), 4u);
+}
+
 TEST(Agg, CompactionAccountingCountsFramesInPerFrameOut) {
   constexpr std::size_t kSlots = 12;
   const trace::InMemoryTrace trace =
@@ -296,7 +418,7 @@ TEST(Agg, CompactionAccountingCountsFramesInPerFrameOut) {
   std::vector<std::function<void()>> connects;
   for (std::uint32_t node = 0; node < trace.num_nodes(); ++node) {
     net::AgentOptions opts;
-    opts.upstream.port = agg.port();
+    opts.upstream.port = agg.downstream().port();
     opts.node = node;
     opts.num_resources = static_cast<std::uint32_t>(trace.num_resources());
     agents.push_back(std::make_unique<net::Agent>(opts, policy()));

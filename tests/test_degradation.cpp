@@ -32,7 +32,7 @@
 namespace resmon::net {
 namespace {
 
-constexpr int kMsPerSlot = 100;
+constexpr int kMsPerSlot = scenario::SocketFleet::kMsPerSlot;
 
 const auto kAlways =
     collect::make_policy_factory(collect::PolicyKind::kAlways, 1.0);
@@ -49,8 +49,17 @@ scenario::SocketFleetOptions fleet_options(std::size_t shards,
           .policy = kAlways,
           .stale_after_slots = 1,
           .dead_after_slots = dead_after_slots,
-          .ms_per_slot = kMsPerSlot,
           .metrics = metrics};
+}
+
+TEST(Degradation, StalenessThresholdPastIntMillisecondsIsRejected) {
+  // 21,474,836 slots * 100 ms + 50 ms overflows an int; one slot fewer
+  // fits.
+  EXPECT_THROW(
+      scenario::SocketFleet(1, 1, fleet_options(0, 21474836, nullptr)),
+      InvalidArgument);
+  EXPECT_NO_THROW(
+      scenario::SocketFleet(1, 1, fleet_options(0, 21474835, nullptr)));
 }
 
 TEST(Degradation, SilentNodeGoesStaleThenDeadWhileTheBarrierCompletes) {
@@ -251,6 +260,8 @@ void expect_controller_reads_registry(const Controller& c,
       {c.metrics_scrapes(), "resmon_net_metrics_scrapes_total"},
       {c.stale_nodes(), "resmon_net_stale_nodes"},
       {c.dead_nodes(), "resmon_net_dead_nodes"},
+      {c.connected_agents(), "resmon_net_connected_agents"},
+      {c.connected_shards(), "resmon_net_shards_connected"},
   };
   for (const auto& [value, name] : rows) {
     EXPECT_EQ(registry.value(name), static_cast<double>(value)) << name;
@@ -329,7 +340,7 @@ TEST(OneCount, AccessorsReadTheSeriesTheRegistryExposes) {
     opts.metrics = &registry;
     return opts;
   };
-  AgentOptions cut = agent_opts(0, aggregator.port(), agent_registry[0]);
+  AgentOptions cut = agent_opts(0, shard.port(), agent_registry[0]);
   cut.frame_hook = [](std::size_t step, const std::vector<std::uint8_t>& f) {
     FrameAction action;
     if (step == kSever) {
@@ -341,12 +352,17 @@ TEST(OneCount, AccessorsReadTheSeriesTheRegistryExposes) {
   };
   Agent agent0(cut, kAlways());
   auto agent1 = std::make_unique<Agent>(
-      agent_opts(1, aggregator.port(), agent_registry[1]), kAlways());
+      agent_opts(1, shard.port(), agent_registry[1]), kAlways());
   Agent agent2(agent_opts(2, root.port(), agent_registry[2]), kAlways());
   const std::function<void()> shard_agents[] = {[&] { agent0.connect(); },
                                                 [&] { agent1->connect(); }};
   connect_pumping(shard, shard_agents);
   connect_pumping(root, [&] { agent2.connect(); });
+  EXPECT_EQ(shard.connected_agents(), 2u);
+  EXPECT_EQ(root.connected_agents(), 1u);
+  EXPECT_EQ(root.connected_shards(), 1u);
+  expect_controller_reads_registry(root, root_registry);
+  expect_controller_reads_registry(shard, shard_registry);
   // Node 2 writes its whole run up front; the root reads it while it
   // waits on the slot barriers.
   for (std::size_t t = 0; t < kSlots; ++t) {
@@ -369,7 +385,7 @@ TEST(OneCount, AccessorsReadTheSeriesTheRegistryExposes) {
     }
     if (t == kRejoin) {
       agent1 = std::make_unique<Agent>(
-          agent_opts(1, aggregator.port(), agent_registry[3]), kAlways());
+          agent_opts(1, shard.port(), agent_registry[3]), kAlways());
       connect_pumping(shard, [&] { agent1->connect(); });
     }
     if (t == kSever + 1) {
@@ -390,6 +406,13 @@ TEST(OneCount, AccessorsReadTheSeriesTheRegistryExposes) {
     ASSERT_TRUE(forwarded) << "shard slot " << t << " timed out";
     ASSERT_TRUE(root.collect_slot(t, 5000).has_value())
         << "root slot " << t << " timed out";
+    // Node 1's stream drops at kQuit (its barrier waited past the EOF) and
+    // a restarted one connects at kRejoin: the connection counts read
+    // their gauges across both.
+    if (t == kQuit) {
+      EXPECT_EQ(shard.connected_agents(), 1u);
+    }
+    expect_controller_reads_registry(shard, shard_registry);
     // The shard's node gauges, its controller's node gauges and a census
     // of its node states agree slot by slot.
     std::array<std::size_t, 3> census{};
@@ -423,6 +446,7 @@ TEST(OneCount, AccessorsReadTheSeriesTheRegistryExposes) {
   EXPECT_EQ(root.degraded_slots(), aggregator.degraded_slots_forwarded());
   EXPECT_GT(aggregator.status_frames(), 0u);
   EXPECT_EQ(agent0.reconnects(), 1u);
+  EXPECT_EQ(shard.connected_agents(), 2u);
 
   // ...and each accessor reads the series its registry exposes.
   expect_controller_reads_registry(root, root_registry);
@@ -454,13 +478,13 @@ TEST(OneCount, AccessorsReadTheSeriesTheRegistryExposes) {
   EXPECT_THROW(Controller(Socket::listen_tcp("127.0.0.1", 0), twin),
                InvalidArgument);
   EXPECT_THROW(
-      Agent(agent_opts(0, aggregator.port(), agent_registry[0]), kAlways()),
+      Agent(agent_opts(0, shard.port(), agent_registry[0]), kAlways()),
       InvalidArgument);
   EXPECT_THROW(
-      Agent(agent_opts(1, aggregator.port(), agent_registry[1]), kAlways()),
+      Agent(agent_opts(1, shard.port(), agent_registry[1]), kAlways()),
       InvalidArgument);
   EXPECT_NO_THROW(
-      Agent(agent_opts(2, aggregator.port(), agent_registry[0]), kAlways()));
+      Agent(agent_opts(2, shard.port(), agent_registry[0]), kAlways()));
   obs::MetricsRegistry fresh;
   agg::AggregatorOptions second = aopts;
   second.net_metrics = &fresh;

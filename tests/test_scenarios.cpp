@@ -149,7 +149,6 @@ name = sock
 [controller]
 stale_after_slots = 2
 dead_after_slots = 5
-ms_per_slot = 50
 [churn]
 kill = 1:10
 restart = 1:20
@@ -157,7 +156,6 @@ restart = 1:20
   EXPECT_TRUE(spec.socket_mode);
   EXPECT_EQ(spec.stale_after_slots, 2u);
   EXPECT_EQ(spec.dead_after_slots, 5u);
-  EXPECT_EQ(spec.ms_per_slot, 50u);
   ASSERT_EQ(spec.churn.size(), 2u);
   EXPECT_FALSE(spec.churn[0].restart);
   EXPECT_EQ(spec.churn[0].node, 1u);
@@ -203,6 +201,25 @@ TEST(ScenarioSpecParse, ErrorsNameTheOffendingLine) {
       "ten");
 }
 
+TEST(ScenarioSpecParse, ShardsSelectTwoTiersInSocketModeOnly) {
+  const std::string socket = "name = x\n[controller]\nstale_after_slots = 1\n";
+  EXPECT_EQ(ScenarioSpec::parse_string(socket).shards, 0u);
+  const ScenarioSpec two_tier =
+      ScenarioSpec::parse_string(socket + "[topology]\nshards = 2\n");
+  EXPECT_EQ(two_tier.shards, 2u);
+  expect_throw_containing(
+      [] { ScenarioSpec::parse_string("name = x\n[topology]\nshards = 2\n"); },
+      "shards requires a [controller] section");
+  expect_throw_containing(
+      [&] {
+        ScenarioSpec::parse_string(socket + "[run]\nbaseline_compare = yes\n");
+      },
+      "baseline_compare in socket mode requires shards >= 1");
+  expect_throw_containing(
+      [&] { ScenarioSpec::parse_string(socket + "[topology]\ntiers = 2\n"); },
+      "unknown [topology] key 'tiers'");
+}
+
 TEST(ScenarioSpecParse, CrossFieldValidation) {
   expect_throw_containing(
       [] { ScenarioSpec::parse_string("description = anon\n"); },
@@ -211,37 +228,8 @@ TEST(ScenarioSpecParse, CrossFieldValidation) {
       [] { ScenarioSpec::parse_string("name = x\n[churn]\nkill = 0:5\n"); },
       "[churn] requires a [controller] section");
   expect_throw_containing(
-      [] {
-        ScenarioSpec::parse_string(
-            "name = x\n[controller]\nms_per_slot = 100\n");
-      },
+      [] { ScenarioSpec::parse_string("name = x\n[controller]\n"); },
       "stale_after_slots >= 1");
-  expect_throw_containing(
-      [] {
-        ScenarioSpec::parse_string(
-            "name = x\n[controller]\nstale_after_slots = 3\n"
-            "ms_per_slot = 0\n");
-      },
-      "ms_per_slot must be >= 1");
-  // 3 * 715827882 + 715827882 / 2 = 2505397587 overflows a 32-bit int;
-  // one slot fewer still fits.
-  expect_throw_containing(
-      [] {
-        ScenarioSpec::parse_string(
-            "name = x\n[controller]\nstale_after_slots = 2\n"
-            "dead_after_slots = 3\nms_per_slot = 715827882\n");
-      },
-      "ms_per_slot too large");
-  EXPECT_NO_THROW(ScenarioSpec::parse_string(
-      "name = x\n[controller]\nstale_after_slots = 2\n"
-      "ms_per_slot = 715827882\n"));
-  expect_throw_containing(
-      [] {
-        ScenarioSpec::parse_string(
-            "name = x\n[controller]\nstale_after_slots = 1\n"
-            "ms_per_slot = 99999999999\n");
-      },
-      "ms_per_slot too large");
   expect_throw_containing(
       [] {
         ScenarioSpec::parse_string(

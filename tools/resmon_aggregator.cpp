@@ -83,25 +83,25 @@ int main(int argc, char** argv) {
         net::Socket::listen_tcp(
             host, tools::port_flag(args, "port")),
         opts);
+    net::Controller& downstream = aggregator.downstream();
     std::cout << "resmon_aggregator listening on " << host << ":"
-              << aggregator.port() << '\n'
+              << downstream.port() << '\n'
               << std::flush;  // flush: scripts parse this
 
     if (args.has("metrics-port")) {
-      aggregator.serve_metrics(net::Socket::listen_tcp(
+      downstream.serve_metrics(net::Socket::listen_tcp(
           host, tools::port_flag(args, "metrics-port")));
       std::cout << "resmon_aggregator metrics endpoint on " << host << ":"
-                << aggregator.metrics_port() << '\n'
+                << downstream.metrics_port() << '\n'
                 << std::flush;
     }
 
     aggregator.connect_upstream();
 
     const int wait_ms = static_cast<int>(args.get_int("wait-ms", 30000));
-    if (!aggregator.wait_for_agents(range.num_nodes, wait_ms)) {
-      std::cerr << "resmon_aggregator: only "
-                << aggregator.downstream().nodes_seen() << "/"
-                << range.num_nodes << " shard agents connected within "
+    if (!downstream.wait_for_agents(range.num_nodes, wait_ms)) {
+      std::cerr << "resmon_aggregator: only " << downstream.nodes_seen()
+                << "/" << range.num_nodes << " shard agents connected within "
                 << wait_ms << " ms\n";
       return 1;
     }
@@ -113,8 +113,7 @@ int main(int argc, char** argv) {
     for (std::size_t t = 0; t < slots; ++t) {
       if (!aggregator.forward_slot(t, slot_timeout_ms)) {
         std::cerr << "resmon_aggregator: slot " << t << " timed out ("
-                  << aggregator.downstream().connected_agents()
-                  << " agents connected)\n";
+                  << downstream.connected_agents() << " agents connected)\n";
         return 1;
       }
     }
@@ -123,32 +122,23 @@ int main(int argc, char** argv) {
     const int linger_ms =
         static_cast<int>(args.get_int("metrics-linger-ms", 0));
     if (linger_ms > 0) {
-      aggregator.pump_idle(linger_ms,
-                           aggregator.downstream().metrics_scrapes() + 1);
+      downstream.pump_idle(linger_ms, downstream.metrics_scrapes() + 1);
     }
     if (args.has("metrics-out")) {
       obs::write_metrics_file(args.get("metrics-out", ""), registry);
     }
 
-    const double compaction =
-        aggregator.forwarded_slots() + aggregator.status_frames() > 0
-            ? static_cast<double>(aggregator.downstream().frames_received()) /
-                  static_cast<double>(aggregator.forwarded_slots() +
-                                      aggregator.status_frames())
-            : 0.0;
     std::cout << "shard " << shard << " nodes [" << range.first_node << ", "
               << range.first_node + range.num_nodes << ")\n"
               << "slots forwarded:   " << aggregator.forwarded_slots() << "/"
               << slots << " (" << aggregator.forwarded_measurements()
               << " measurements, " << aggregator.forwarded_bytes()
               << " bytes upstream)\n"
-              << "frames received:   "
-              << aggregator.downstream().frames_received() << " ("
-              << aggregator.downstream().bytes_received() << " bytes, "
-              << compaction << "x compaction)\n"
-              << "degradation:       "
-              << aggregator.downstream().stale_transitions() << " stale, "
-              << aggregator.downstream().dead_transitions() << " dead, "
+              << "frames received:   " << downstream.frames_received()
+              << " (" << downstream.bytes_received() << " bytes, "
+              << aggregator.compaction_ratio() << "x compaction)\n"
+              << "degradation:       " << downstream.stale_transitions()
+              << " stale, " << downstream.dead_transitions() << " dead, "
               << aggregator.degraded_slots_forwarded()
               << " degraded slots forwarded\n";
     const bool ok = aggregator.forwarded_slots() == slots;
