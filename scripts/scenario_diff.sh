@@ -10,13 +10,19 @@
 # base commit in its own checkout (the verify skill has the recipe) and
 # pass both build directories.
 #
-# Usage: scripts/scenario_diff.sh BASE_BUILD BUILD [SCENARIO_DIR]
+# BASE_BUILD runs the packs of BASE_SCENARIO_DIR (default: SCENARIO_DIR),
+# BUILD those of SCENARIO_DIR, paired by file name; so a change to the
+# .scn grammar is diffed by passing the base checkout's scenarios/ as
+# BASE_SCENARIO_DIR. A pack only one side has is reported by name.
+#
+# Usage: scripts/scenario_diff.sh BASE_BUILD BUILD [SCENARIO_DIR [BASE_SCENARIO_DIR]]
 set -euo pipefail
 
-USAGE="usage: scenario_diff.sh BASE_BUILD BUILD [SCENARIO_DIR]"
+USAGE="usage: scenario_diff.sh BASE_BUILD BUILD [SCENARIO_DIR [BASE_SCENARIO_DIR]]"
 BASE_BUILD=${1:?$USAGE}
 BUILD=${2:?$USAGE}
 SCENARIO_DIR=${3:-"$(dirname "$0")/../scenarios"}
+BASE_SCENARIO_DIR=${4:-$SCENARIO_DIR}
 
 for build in "$BASE_BUILD" "$BUILD"; do
   [ -x "$build/tools/resmon" ] || { echo "missing $build/tools/resmon" >&2; exit 2; }
@@ -40,15 +46,26 @@ scenario_lines() {
   }
 }
 
+is_host_pack() { grep -Eq '^[[:space:]]*\[host\]' "$1"; }
+
 shopt -s nullglob
 compared=0
+for base_pack in "$BASE_SCENARIO_DIR"/*.scn; do
+  name=$(basename "$base_pack")
+  [ -e "$SCENARIO_DIR/$name" ] || echo "only in $BASE_SCENARIO_DIR: $name"
+done
 for pack in "$SCENARIO_DIR"/*.scn; do
   name=$(basename "$pack")
-  if grep -Eq '^[[:space:]]*\[host\]' "$pack"; then
+  base_pack="$BASE_SCENARIO_DIR/$name"
+  if [ ! -e "$base_pack" ]; then
+    echo "only in $SCENARIO_DIR: $name"
+    continue
+  fi
+  if is_host_pack "$pack" || is_host_pack "$base_pack"; then
     echo "skip $name (host pack)"
     continue
   fi
-  scenario_lines "$BASE_BUILD" "$pack" "$WORK/base.txt"
+  scenario_lines "$BASE_BUILD" "$base_pack" "$WORK/base.txt"
   scenario_lines "$BUILD" "$pack" "$WORK/new.txt"
   if ! diff "$WORK/base.txt" "$WORK/new.txt" >&2; then
     echo "FAIL: $name: resmon_scenario_* lines differ" >&2

@@ -58,11 +58,16 @@ std::span<const transport::MeasurementMessage> FleetCollector::step(
   ++next_step_;
 
   const std::size_t n = policies_.size();
+  const std::size_t d = trace_.num_resources();
   sent_.clear();
+  // x_{i,t} is read into inline values (d <= kInline), so a node's step
+  // allocates nothing.
+  transport::MeasurementValues x;
+  x.resize_for_overwrite(d);
   for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> x = trace_.measurement(i, t);
+    for (std::size_t r = 0; r < d; ++r) x[r] = trace_.value(i, t, r);
     if (!policies_[i]->decide(t, x)) continue;
-    sent_.push_back({.node = i, .step = t, .values = std::move(x)});
+    sent_.push_back({.node = i, .step = t, .values = x});
     bytes_sent_ += sent_.back().wire_size();
   }
   decisions_total_->inc(n);

@@ -81,7 +81,7 @@ bool Agent::observe(std::size_t t, std::span<const double> x) {
     transport::MeasurementMessage m;
     m.node = options_.node;
     m.step = t;
-    m.values.assign(x.begin(), x.end());
+    m.values.assign(x);
     dispatch(t, wire::encode(m));
     m_measurements_total_->inc();
   } else {

@@ -635,6 +635,12 @@ bool Controller::handle_shard_hello(Connection& conn,
                     sh.num_nodes)) {
     return false;
   }
+  // A summary of every node the shard fronts must fit this stream's frame
+  // bound. The range was checked against the root's own fleet above, so a
+  // hostile length field still cannot ask for more than that fleet needs.
+  conn.decoder.set_max_payload(std::max(
+      wire::kMaxPayloadSize,
+      wire::slot_summary_payload_size(sh.num_nodes, options_.num_resources)));
   ShardInfo& info = shards_[sh.shard];
   info.first_node = sh.first_node;
   info.num_nodes = sh.num_nodes;

@@ -5,6 +5,12 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "common/kernels.hpp"
+
 namespace resmon::net::wire {
 
 namespace {
@@ -34,9 +40,9 @@ std::uint64_t get_u64(const std::uint8_t* p) { return load<std::uint64_t>(p); }
 
 /// Doubles travel as their IEEE-754 bit patterns, which are their bytes in
 /// memory on a little-endian host: a block copy is the exact identity.
-void load_f64s(const std::uint8_t* p, std::vector<double>& out,
+void load_f64s(const std::uint8_t* p, transport::MeasurementValues& out,
                std::size_t count) {
-  out.resize(count);
+  out.resize_for_overwrite(count);
   if (count > 0) std::memcpy(out.data(), p, 8 * count);
 }
 
@@ -67,6 +73,107 @@ constexpr CrcTables make_crc_tables() {
 
 constexpr CrcTables kCrcTables = make_crc_tables();
 
+/// The CRC register after the n bytes at p, from register c.
+std::uint32_t crc32_sliced(std::uint32_t c, const std::uint8_t* p,
+                           std::size_t n) {
+  const auto& t = kCrcTables;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint64_t w = load<std::uint64_t>(p) ^ c;
+    c = t[7][w & 0xFFu] ^ t[6][(w >> 8) & 0xFFu] ^ t[5][(w >> 16) & 0xFFu] ^
+        t[4][(w >> 24) & 0xFFu] ^ t[3][(w >> 32) & 0xFFu] ^
+        t[2][(w >> 40) & 0xFFu] ^ t[1][(w >> 48) & 0xFFu] ^ t[0][w >> 56];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  return c;
+}
+
+// -- CRC-32 by carry-less multiply ------------------------------------------
+
+#if defined(__x86_64__)
+
+/// Bytes one step of the four-lane fold consumes, and the shortest input
+/// the fold takes.
+constexpr std::size_t kFoldBlock = 64;
+
+/// The folding constants of the reflected polynomial 0xEDB88320 (bit-
+/// reflected x^k mod P(x), shifted left one), as in Gopal et al., "Fast
+/// CRC Computation for Generic Polynomials Using PCLMULQDQ" (Intel, 2009):
+/// k1, k2 fold a lane 512 bits ahead, k3, k4 fold 128 bits ahead, k5 folds
+/// 64 bits to 32; p is P(x) and mu floor(x^64 / P(x)) for the Barrett step.
+constexpr std::uint64_t kK1 = 0x154442BD4, kK2 = 0x1C6E41596;
+constexpr std::uint64_t kK3 = 0x1751997D0, kK4 = 0x0CCAA009E;
+constexpr std::uint64_t kK5 = 0x163CD6124;
+constexpr std::uint64_t kP = 0x1DB710641, kMu = 0x1F7011641;
+
+/// lane * x^(distance of k) + next: the low half of `lane` times the low
+/// half of `k`, the high half times the high half, folded onto `next`.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i fold(
+    __m128i lane, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(lane, k, 0x00),
+                                     _mm_clmulepi64_si128(lane, k, 0x11)),
+                       next);
+}
+
+__attribute__((target("pclmul,sse4.1"))) inline __m128i load128(
+    const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// The CRC register after the n bytes at p, from register c, for n >= 64
+/// and a multiple of 16: four 128-bit lanes fold 64 bytes per step, the
+/// lanes and any remaining 16-byte blocks fold into one, which reduces to
+/// 64 and then 32 bits by k4 and k5, and Barrett reduction yields the
+/// register. The sliced loop's value over the same bytes.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_folded(
+    std::uint32_t c, const std::uint8_t* p, std::size_t n) {
+  __m128i x0 =
+      _mm_xor_si128(load128(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x1 = load128(p + 16);
+  __m128i x2 = load128(p + 32);
+  __m128i x3 = load128(p + 48);
+  p += kFoldBlock;
+  n -= kFoldBlock;
+  const __m128i k12 = _mm_set_epi64x(kK2, kK1);
+  for (; n >= kFoldBlock; p += kFoldBlock, n -= kFoldBlock) {
+    x0 = fold(x0, k12, load128(p));
+    x1 = fold(x1, k12, load128(p + 16));
+    x2 = fold(x2, k12, load128(p + 32));
+    x3 = fold(x3, k12, load128(p + 48));
+  }
+  const __m128i k34 = _mm_set_epi64x(kK4, kK3);
+  x0 = fold(x0, k34, x1);
+  x0 = fold(x0, k34, x2);
+  x0 = fold(x0, k34, x3);
+  for (; n >= 16; p += 16, n -= 16) x0 = fold(x0, k34, load128(p));
+
+  // 128 -> 64 bits (appending 32 zero bits): low half times k4.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(k34, x0, 0x01));
+  // 64 -> 32 bits: low 32 bits times k5.
+  const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
+  x0 = _mm_xor_si128(
+      _mm_srli_si128(x0, 4),
+      _mm_clmulepi64_si128(_mm_and_si128(x0, mask32),
+                           _mm_set_epi64x(0, kK5), 0x00));
+  // Barrett reduction: the register is bits 32..63.
+  const __m128i pmu = _mm_set_epi64x(kMu, kP);
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, mask32), pmu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), pmu, 0x00);
+  return static_cast<std::uint32_t>(
+      _mm_extract_epi32(_mm_xor_si128(t, x0), 1));
+}
+
+/// Whether crc32 folds by carry-less multiply: the CPU has PCLMULQDQ and
+/// the kernels run their SIMD instance (kern::set_path(kScalar) selects
+/// the sliced tables everywhere).
+bool fold_enabled() {
+  static const bool cpu = __builtin_cpu_supports("pclmul") != 0 &&
+                          __builtin_cpu_supports("sse4.1") != 0;
+  return cpu && kern::active_path() == kern::Path::kSimd;
+}
+
+#endif  // __x86_64__
+
 // -- frame assembly ---------------------------------------------------------
 
 /// One frame written in place into a buffer of its exact size: the header
@@ -93,7 +200,7 @@ class FrameWriter {
     store(at_, v);
     at_ += 8;
   }
-  void f64s(const std::vector<double>& values) {
+  void f64s(std::span<const double> values) {
     if (values.empty()) return;
     std::memcpy(at_, values.data(), 8 * values.size());
     at_ += 8 * values.size();
@@ -114,18 +221,18 @@ class FrameWriter {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  const auto& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
-  for (; n >= 8; p += 8, n -= 8) {
-    const std::uint64_t w = load<std::uint64_t>(p) ^ c;
-    c = t[7][w & 0xFFu] ^ t[6][(w >> 8) & 0xFFu] ^ t[5][(w >> 16) & 0xFFu] ^
-        t[4][(w >> 24) & 0xFFu] ^ t[3][(w >> 32) & 0xFFu] ^
-        t[2][(w >> 40) & 0xFFu] ^ t[1][(w >> 48) & 0xFFu] ^ t[0][w >> 56];
+#if defined(__x86_64__)
+  if (n >= kFoldBlock && fold_enabled()) {
+    const std::size_t folded = n & ~std::size_t{15};
+    c = crc32_folded(c, p, folded);
+    p += folded;
+    n -= folded;
   }
-  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+#endif
+  return crc32_sliced(c, p, n) ^ 0xFFFFFFFFu;
 }
 
 const char* hello_reject_name(std::uint8_t reason) {

@@ -137,9 +137,11 @@ enum class WireError : std::uint8_t {
 /// Human-readable name of a WireError (stable, for logs and tests).
 const char* wire_error_name(WireError error);
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`,
-/// computed eight bytes per step with sliced tables; the value is the
-/// bytewise algorithm's.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`; the
+/// value is the bytewise algorithm's. From 64 bytes on, on a CPU with
+/// PCLMULQDQ while kern::active_path() is kSimd, 16-byte blocks fold by
+/// carry-less multiply; the rest, and everything on the scalar path, runs
+/// eight bytes per step through sliced tables.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 
 /// Encode one frame. The returned buffer is a complete frame: header
@@ -182,6 +184,11 @@ class FrameDecoder {
   bool finish();
 
   WireError error() const { return error_; }
+
+  /// Bound every later header's payload_len by `max_payload` instead: a
+  /// stream whose handshake entitles it to larger frames (a shard's slot
+  /// summaries) is widened once the handshake is accepted.
+  void set_max_payload(std::size_t max_payload) { max_payload_ = max_payload; }
 
   /// Bytes currently buffered while waiting for the rest of a frame.
   std::size_t buffered_bytes() const { return buffer_.size(); }

@@ -2,7 +2,8 @@
 // bit-identity guarantee (a two-tier fleet — root + 2 aggregators — must
 // produce byte-identical forecasts and RMSE to a single-tier controller
 // fronting the same agents), shard-hello rejection and newest-wins
-// semantics, wait_for_shards, the upstream link's bounded backoff and
+// semantics, wait_for_shards, the payload bound of a shard's stream (sized
+// from the shard's node count), the upstream link's bounded backoff and
 // reconnect-after-root-restart, and the compaction accounting.
 //
 // All fleets run over real loopback TCP in one process; staleness clocks
@@ -11,10 +12,12 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "agg/aggregator.hpp"
@@ -368,6 +371,86 @@ TEST(Agg, SecondShardHelloOnOneStreamIsRejected) {
   EXPECT_EQ(root.connections_rejected(), 1u);
   EXPECT_EQ(root.connected_shards(), 0u);
   EXPECT_EQ(root.shards_seen(), 1u);
+}
+
+/// A root fronting one shard of `nodes` nodes at d = 4, and a raw stream
+/// whose shard hello for all of them was accepted.
+struct BigShard {
+  static constexpr std::uint32_t kDim = 4;
+  obs::MetricsRegistry registry;
+  net::Controller root;
+  RawShard shard;
+
+  explicit BigShard(std::uint32_t nodes)
+      : root(net::Socket::listen_tcp("127.0.0.1", 0), options(nodes)),
+        shard(root) {
+    shard.send(net::wire::encode(net::wire::ShardHelloFrame{
+        .shard = 0, .first_node = 0, .num_nodes = nodes,
+        .num_resources = kDim}));
+    EXPECT_TRUE(shard.ack(root).accepted);
+  }
+
+  net::ControllerOptions options(std::uint32_t nodes) {
+    net::ControllerOptions copts;
+    copts.num_nodes = nodes;
+    copts.num_resources = kDim;
+    copts.num_shards = 1;
+    copts.metrics = &registry;
+    return copts;
+  }
+
+  /// The stream's payload bound: a summary of every node it fronts.
+  static std::size_t bound(std::uint32_t nodes) {
+    return net::wire::slot_summary_payload_size(nodes, kDim);
+  }
+};
+
+TEST(Agg, ShardSummaryAboveTheDefaultPayloadBoundIsCollected) {
+  // 30,000 nodes at d = 4 need a 1.08 MB payload, above the decoder's
+  // default 1 MiB bound; the accepted hello sizes the stream's bound.
+  constexpr std::uint32_t kNodes = 30000;
+  ASSERT_GT(BigShard::bound(kNodes), net::wire::kMaxPayloadSize);
+  BigShard big(kNodes);
+  net::wire::SlotSummaryFrame summary{
+      .shard = 0, .step = 0, .num_resources = BigShard::kDim};
+  summary.measurements.resize(kNodes);
+  for (std::uint32_t i = 0; i < kNodes; ++i) {
+    summary.measurements[i] = {.node = i, .step = 0,
+                               .values = {0.25, 0.5, 0.75, i * 1e-5}};
+  }
+  const std::vector<std::uint8_t> bytes = net::wire::encode(summary);
+  ASSERT_EQ(bytes.size(), net::wire::kHeaderSize + BigShard::bound(kNodes));
+  // The root reads while the stream writes: the summary outgrows the
+  // socket buffers.
+  bool wrote = false;
+  std::thread writer([&] { wrote = big.shard.sock.write_all(bytes, 10000); });
+  const auto messages = big.root.collect_slot(0, 10000);
+  writer.join();
+  EXPECT_TRUE(wrote);
+  ASSERT_TRUE(messages.has_value());
+  EXPECT_EQ(*messages, summary.measurements);
+  EXPECT_EQ(big.root.connections_rejected(), 0u);
+}
+
+TEST(Agg, HeaderOneByteOverTheShardStreamsBoundIsRejected) {
+  constexpr std::uint32_t kNodes = 30000;
+  BigShard big(kNodes);
+  // An empty summary's header, its length field raised to one byte over
+  // the bound: rejected from the header alone, before any payload.
+  std::vector<std::uint8_t> header = net::wire::encode(
+      net::wire::SlotSummaryFrame{.num_resources = BigShard::kDim});
+  header.resize(net::wire::kHeaderSize);
+  const auto over = static_cast<std::uint32_t>(BigShard::bound(kNodes) + 1);
+  std::memcpy(header.data() + 8, &over, sizeof over);
+  big.shard.send(header);
+  for (int rounds = 0; rounds < 500 && big.root.connections_rejected() == 0;
+       ++rounds) {
+    big.root.pump_idle(10);
+  }
+  EXPECT_EQ(big.root.connections_rejected(), 1u);
+  EXPECT_EQ(big.registry.value("resmon_net_wire_errors_total",
+                               {{"error", "oversized payload"}}),
+            1.0);
 }
 
 TEST(Agg, WaitForShardsReturnsOnceEveryShardHasConnected) {

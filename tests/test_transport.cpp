@@ -1,6 +1,10 @@
 #include "transport/channel.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -26,6 +30,88 @@ TEST(MeasurementMessage, WireSizeMatchesTheRealEncoder) {
                          .values = std::vector<double>(d, 0.25)};
     EXPECT_EQ(net::wire::encode(m).size(), m.wire_size()) << "d = " << d;
   }
+}
+
+/// d distinct values, so a copy that drops or reorders one is seen.
+MeasurementValues counting(std::size_t d) {
+  MeasurementValues v;
+  for (std::size_t i = 0; i < d; ++i) v.push_back(0.5 + static_cast<double>(i));
+  return v;
+}
+
+TEST(MeasurementValues, CopyMoveSelfAssignAndEqualityInlineAndOnTheHeap) {
+  for (const std::size_t d : {0, 1, 4, 5, 64}) {
+    SCOPED_TRACE("d = " + std::to_string(d));
+    const bool inline_values = d <= MeasurementValues::kInline;
+    const MeasurementValues original = counting(d);
+    ASSERT_EQ(original.size(), d);
+    EXPECT_EQ(original.capacity() == MeasurementValues::kInline,
+              inline_values);
+    for (std::size_t i = 0; i < d; ++i) {
+      EXPECT_EQ(original[i], 0.5 + static_cast<double>(i));
+    }
+
+    MeasurementValues copy = original;
+    EXPECT_EQ(copy, original);
+    EXPECT_NE(copy.data(), original.data());
+    const MeasurementValues& same = copy;
+    copy = same;  // self-assignment keeps the values
+    EXPECT_EQ(copy, original);
+
+    // A move takes heap values without copying them and leaves the source
+    // empty; inline values are copied across.
+    const double* block = copy.data();
+    MeasurementValues moved = std::move(copy);
+    EXPECT_EQ(moved, original);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(moved.data() == block, !inline_values);
+    MeasurementValues& self = moved;
+    moved = std::move(self);  // self-move keeps the values
+    EXPECT_EQ(moved, original);
+
+    MeasurementValues assigned = counting(3);
+    assigned = original;
+    EXPECT_EQ(assigned, original);
+    MeasurementValues move_assigned = counting(7);
+    move_assigned = std::move(assigned);
+    EXPECT_EQ(move_assigned, original);
+    EXPECT_TRUE(assigned.empty());  // NOLINT(bugprone-use-after-move)
+
+    // Equality is by value and length, like std::vector's.
+    if (d > 0) {
+      MeasurementValues other = original;
+      other[d - 1] += 1.0;
+      EXPECT_NE(other, original);
+      other.resize(d - 1);
+      EXPECT_NE(other, original);
+    }
+    EXPECT_EQ(original, MeasurementValues(std::vector<double>(
+                            original.begin(), original.end())));
+
+    // A wire round trip decodes into the same storage class.
+    const MeasurementMessage sent{.node = 9, .step = 11, .values = original};
+    net::wire::FrameDecoder decoder;
+    ASSERT_TRUE(decoder.feed(net::wire::encode(sent)));
+    std::optional<net::wire::Frame> frame = decoder.next();
+    ASSERT_TRUE(frame.has_value());
+    const auto& got = std::get<MeasurementMessage>(*frame);
+    EXPECT_EQ(got, sent);
+    EXPECT_EQ(got.values.capacity() == MeasurementValues::kInline,
+              inline_values);
+  }
+}
+
+TEST(MeasurementValues, ResizeZeroFillsAndPushBackGrowsOntoTheHeap) {
+  MeasurementValues v = {0.25, 0.5};
+  v.resize(4);
+  EXPECT_EQ(v, (MeasurementValues{0.25, 0.5, 0.0, 0.0}));
+  EXPECT_EQ(v.capacity(), MeasurementValues::kInline);
+  v.push_back(1.0);
+  EXPECT_GT(v.capacity(), MeasurementValues::kInline);
+  EXPECT_EQ(v, (MeasurementValues{0.25, 0.5, 0.0, 0.0, 1.0}));
+  v.assign(std::vector<double>{2.0});
+  EXPECT_EQ(v, MeasurementValues{2.0});
+  EXPECT_GT(v.capacity(), MeasurementValues::kInline);  // block kept
 }
 
 TEST(CentralStore, StartsEmpty) {

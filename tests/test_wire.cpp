@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/kernels.hpp"
 #include "net/wire.hpp"
 #include "reference_crc32.hpp"
 
@@ -499,18 +500,37 @@ TEST(Wire, Crc32MatchesTheIeeeCheckValue) {
 }
 
 TEST(Wire, SlicedCrc32MatchesTheBytewiseOracleAtEveryLengthAndAlignment) {
-  // The sliced loop takes eight bytes per step and finishes bytewise, so
-  // every length mod 8 and every start alignment takes a different split.
+  // Both CRC paths: the sliced tables (the scalar kernel path) and, where
+  // the CPU has PCLMULQDQ, the carry-less fold (the SIMD path). The sliced
+  // loop takes eight bytes per step and finishes bytewise, and the fold
+  // takes 64-byte blocks, then 16-byte blocks, then leaves the tail to the
+  // tables, so every length mod 64 and every start alignment takes a
+  // different split; the long lengths include a whole 12,478-node shard
+  // summary's payload at d = 4.
   std::mt19937_64 rng(7);
-  std::vector<std::uint8_t> bytes(1024 + 8);
+  std::vector<std::uint8_t> bytes(224644 + 8);
   for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng());
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 1024; ++len) {
-      const std::span<const std::uint8_t> view(bytes.data() + offset, len);
-      ASSERT_EQ(crc32(view), oracle::reference_crc32(view))
-          << "offset " << offset << ", length " << len;
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 1024; ++len) lengths.push_back(len);
+  for (const std::size_t len : {63, 64, 65, 79, 80, 127, 128, 129, 4096,
+                                65536, 224644}) {
+    lengths.push_back(len);
+  }
+  const kern::Path saved = kern::active_path();
+  std::vector<kern::Path> paths = {kern::Path::kScalar};
+  if (kern::simd_supported()) paths.push_back(kern::Path::kSimd);
+  for (const kern::Path path : paths) {
+    kern::set_path(path);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      for (const std::size_t len : lengths) {
+        const std::span<const std::uint8_t> view(bytes.data() + offset, len);
+        ASSERT_EQ(crc32(view), oracle::reference_crc32(view))
+            << "path " << static_cast<int>(path) << ", offset " << offset
+            << ", length " << len;
+      }
     }
   }
+  kern::set_path(saved);
 }
 
 // -- golden bytes ------------------------------------------------------------
