@@ -14,13 +14,12 @@
 // is *not* low-rank over short windows (per-node noise is full-rank), so
 // the rank-r reconstruction over-smooths — which is exactly the paper's
 // §II argument against this family.
-#include <cmath>
-
 #include "bench_util.hpp"
 
 #include "collect/fleet_collector.hpp"
 #include "completion/matrix_completion.hpp"
 #include "core/metrics.hpp"
+#include "sim/evaluate.hpp"
 
 namespace {
 
@@ -36,12 +35,8 @@ double proposed_h0(const trace::Trace& t, double b) {
   core::RmseAccumulator acc;
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
     for (const auto& m : fleet.step(step)) store.apply(m);
-    double se = 0.0;
-    for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-      const double e = store.stored(i)[0] - t.value(i, step, 0);
-      se += e * e;
-    }
-    acc.add(std::sqrt(se / static_cast<double>(t.num_nodes())));
+    acc.add(core::rmse_step(sim::truth_at(t, step, 0, t.num_resources()),
+                            store.values(), 0));
   }
   return acc.value();
 }
@@ -50,7 +45,7 @@ double proposed_h0(const trace::Trace& t, double b) {
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"window", "rank"});
   bench::banner("Ablation: compressed sensing ([6]-[10])",
                 "Random sampling + rank-r matrix completion vs the "
                 "proposed adaptive collection, same budget, CPU");

@@ -8,47 +8,45 @@
 // Expected shape: everything beats sample-and-hold at larger horizons;
 // ARIMA variants and Holt are close; AutoARIMA matches or slightly beats
 // the fixed order at the cost of fit time.
-#include <cmath>
-
 #include "bench_util.hpp"
 
 #include "sim/driver.hpp"
-#include "sim/evaluate.hpp"
 
 namespace {
 
 using namespace resmon;
+
+/// Slots before the first fit; scoring starts there.
+constexpr std::size_t kWarmup = 400;
 
 double run_model(const trace::Trace& t, forecast::ForecasterKind kind,
                  std::size_t h, std::size_t threads) {
   core::PipelineOptions o;
   o.num_clusters = 3;
   o.forecaster = kind;
-  o.schedule = {.initial_steps = 400, .retrain_interval = 288};
+  o.schedule = {.initial_steps = kWarmup, .retrain_interval = 288};
   o.num_threads = threads;
   sim::Driver driver(t, o);
-  const core::MonitoringPipeline& pipeline = driver.pipeline();
-  core::RmseAccumulator acc;
-  for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    driver.step();
-    if (step < 400 || step % 20 != 0) continue;
-    if (step + h >= t.num_steps()) continue;
-    acc.add(sim::rmse_at(pipeline, t, h));
-  }
-  return acc.value();
+  return bench::driver_rmse(driver, t, h, kWarmup, 20);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
-  bench::banner("Ablation: forecasting models",
-                "Pipeline RMSE by model family (K = 3, B = 0.3)");
-
+  const Args args = bench::harness_args(argc, argv, {"lstm"});
   trace::SyntheticProfile profile =
       bench::profile_from_args(args, args.get("dataset", "alibaba"));
   if (!args.has("steps") && !args.get_bool("full")) profile.num_steps = 2000;
+  if (profile.num_steps <= kWarmup + 25) {
+    throw InvalidArgument(
+        "--steps " + std::to_string(profile.num_steps) +
+        " scores no slot at h = 25: it must exceed the warm-up + 25 = " +
+        std::to_string(kWarmup + 25));
+  }
+
+  bench::banner("Ablation: forecasting models",
+                "Pipeline RMSE by model family (K = 3, B = 0.3)");
   const trace::InMemoryTrace t =
       trace::generate(profile, args.get_int("seed", 1));
 

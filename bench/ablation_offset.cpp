@@ -9,12 +9,9 @@
 // deviations from their centroid). The alpha clamp is a robustness guard
 // for deviations that cross into neighbouring clusters; on well-clustered
 // traces it can cost a little accuracy versus the unclamped offset.
-#include <cmath>
-
 #include "bench_util.hpp"
 
 #include "sim/driver.hpp"
-#include "sim/evaluate.hpp"
 
 namespace {
 
@@ -29,22 +26,14 @@ double run_config(const trace::Trace& t, bool use_offset, bool alpha,
   o.schedule = {.initial_steps = 100, .retrain_interval = 288};
   o.num_threads = threads;
   sim::Driver driver(t, o);
-  const core::MonitoringPipeline& pipeline = driver.pipeline();
-  core::RmseAccumulator acc;
-  for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    driver.step();
-    if (step < 150 || step % 10 != 0) continue;
-    if (step + h >= t.num_steps()) continue;
-    acc.add(sim::rmse_at(pipeline, t, h));
-  }
-  return acc.value();
+  return bench::driver_rmse(driver, t, h, 150, 10);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {});
   bench::banner("Ablation: per-node offset (eq. (12))",
                 "RMSE with the full offset, offset without alpha clamping, "
                 "and no offset at all (sample-and-hold, K = 3, B = 0.3)");
@@ -53,9 +42,7 @@ int main(int argc, char** argv) {
                "no offset"},
               4);
   for (const std::string& name : bench::datasets_from_args(args)) {
-    trace::SyntheticProfile profile = bench::profile_from_args(args, name);
-    const trace::InMemoryTrace t =
-        trace::generate(profile, args.get_int("seed", 1));
+    const trace::InMemoryTrace t = bench::trace_from_args(args, name);
     for (const std::size_t h : {1u, 5u, 25u}) {
       table.add_row({name, static_cast<double>(h),
                      run_config(t, true, true, h, args.get_threads()),

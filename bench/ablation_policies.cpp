@@ -8,12 +8,11 @@
 // Expected shape: the Lyapunov rule and the deadband both beat uniform;
 // the Lyapunov rule tracks the budget tightly, while the deadband's
 // frequency wanders with the workload (the shortcoming §II points out).
-#include <cmath>
-
 #include "bench_util.hpp"
 
 #include "collect/fleet_collector.hpp"
 #include "core/metrics.hpp"
+#include "sim/evaluate.hpp"
 
 namespace {
 
@@ -33,14 +32,8 @@ Result run_policy(const trace::Trace& t, collect::PolicyKind kind, double b,
   core::RmseAccumulator acc;
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
     for (const auto& m : fleet.step(step)) store.apply(m);
-    double se = 0.0;
-    for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-      for (std::size_t r = 0; r < t.num_resources(); ++r) {
-        const double e = store.stored(i)[r] - t.value(i, step, r);
-        se += e * e;
-      }
-    }
-    acc.add(std::sqrt(se / static_cast<double>(t.num_nodes())));
+    acc.add(core::rmse_step(sim::truth_at(t, step, 0, t.num_resources()),
+                            store.values()));
   }
   return {acc.value(), fleet.average_actual_frequency()};
 }
@@ -49,7 +42,7 @@ Result run_policy(const trace::Trace& t, collect::PolicyKind kind, double b,
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"v0"});
   bench::banner("Ablation: transmission policies",
                 "Collection error (h = 0) and achieved frequency of each "
                 "policy at the same budget");
@@ -57,9 +50,7 @@ int main(int argc, char** argv) {
   const double v0 = args.get_double("v0", 0.5);
   Table table({"dataset", "B", "policy", "RMSE h=0", "actual freq"}, 4);
   for (const std::string& name : bench::datasets_from_args(args)) {
-    trace::SyntheticProfile profile = bench::profile_from_args(args, name);
-    const trace::InMemoryTrace t =
-        trace::generate(profile, args.get_int("seed", 1));
+    const trace::InMemoryTrace t = bench::trace_from_args(args, name);
     for (const double b : {0.1, 0.3}) {
       const Result lyapunov =
           run_policy(t, collect::PolicyKind::kAdaptive, b, v0, false);

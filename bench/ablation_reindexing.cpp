@@ -13,7 +13,6 @@
 #include "bench_util.hpp"
 
 #include "sim/driver.hpp"
-#include "sim/evaluate.hpp"
 
 namespace {
 
@@ -32,17 +31,9 @@ Result run_config(const trace::Trace& t, bool reindex,
   o.schedule = {.initial_steps = 100, .retrain_interval = 288};
   o.num_threads = threads;
   sim::Driver driver(t, o);
-  const core::MonitoringPipeline& pipeline = driver.pipeline();
-  core::RmseAccumulator acc;
-  for (std::size_t step = 0; step < t.num_steps(); ++step) {
-    driver.step();
-    if (step < 150 || step % 10 != 0) continue;
-    if (step + 5 >= t.num_steps()) continue;
-    acc.add(sim::rmse_at(pipeline, t, 5));
-  }
-
   Result r;
-  r.rmse_h5 = acc.value();
+  r.rmse_h5 = bench::driver_rmse(driver, t, 5, 150, 10);
+  const core::MonitoringPipeline& pipeline = driver.pipeline();
   double jump = 0.0;
   std::size_t count = 0;
   for (std::size_t v = 0; v < pipeline.num_views(); ++v) {
@@ -62,7 +53,7 @@ Result run_config(const trace::Trace& t, bool reindex,
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {});
   bench::banner("Ablation: cluster re-indexing (eq. (10)/(11))",
                 "Centroid-series stability and forecast RMSE with and "
                 "without the Hungarian matching");
@@ -71,9 +62,7 @@ int main(int argc, char** argv) {
                "RMSE h=5"},
               4);
   for (const std::string& name : bench::datasets_from_args(args)) {
-    trace::SyntheticProfile profile = bench::profile_from_args(args, name);
-    const trace::InMemoryTrace t =
-        trace::generate(profile, args.get_int("seed", 1));
+    const trace::InMemoryTrace t = bench::trace_from_args(args, name);
     const Result with = run_config(t, true, args.get_threads());
     const Result without = run_config(t, false, args.get_threads());
     table.add_row({name, std::string("on (paper)"),

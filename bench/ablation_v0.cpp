@@ -7,16 +7,15 @@
 // This sweep shows that trade-off and why the harnesses default to
 // V0 ~ 0.5 on normalized utilizations (see DESIGN.md on the paper's
 // V0 = 1e-12).
-#include <cmath>
-
 #include "bench_util.hpp"
 
 #include "collect/fleet_collector.hpp"
 #include "core/metrics.hpp"
+#include "sim/evaluate.hpp"
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"b"});
   bench::banner("Ablation: V0 sweep",
                 "RMSE(h=0) and achieved frequency vs V0 at B = 0.3 "
                 "(uniform baseline shown for reference)");
@@ -24,9 +23,7 @@ int main(int argc, char** argv) {
   Table table({"dataset", "V0", "RMSE h=0", "actual freq"}, 4);
   const double b = args.get_double("b", 0.3);
   for (const std::string& name : bench::datasets_from_args(args)) {
-    trace::SyntheticProfile profile = bench::profile_from_args(args, name);
-    const trace::InMemoryTrace t =
-        trace::generate(profile, args.get_int("seed", 1));
+    const trace::InMemoryTrace t = bench::trace_from_args(args, name);
 
     auto measure = [&](collect::PolicyKind kind, double v0) {
       collect::FleetCollector fleet(
@@ -35,14 +32,8 @@ int main(int argc, char** argv) {
       core::RmseAccumulator acc;
       for (std::size_t step = 0; step < t.num_steps(); ++step) {
         for (const auto& m : fleet.step(step)) store.apply(m);
-        double se = 0.0;
-        for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-          for (std::size_t r = 0; r < t.num_resources(); ++r) {
-            const double e = store.stored(i)[r] - t.value(i, step, r);
-            se += e * e;
-          }
-        }
-        acc.add(std::sqrt(se / static_cast<double>(t.num_nodes())));
+        acc.add(core::rmse_step(
+            sim::truth_at(t, step, 0, t.num_resources()), store.values()));
       }
       table.add_row({name,
                      kind == collect::PolicyKind::kUniform

@@ -4,13 +4,23 @@
 // regenerates. Defaults are laptop-scale; `--full` switches the synthetic
 // profiles to the paper's node/step counts, and `--dataset`, `--nodes`,
 // `--steps`, `--seed` override individual knobs.
+//
+// Every error a harness prints is the library's: eq. (3) is core::rmse_step
+// or core::intermediate_rmse_step against sim::truth_at, and eq. (4) is
+// core::RmseAccumulator, NaN when nothing was scored. A harness refuses
+// what it cannot run: harness_args() exits 2 on an unknown flag, and a
+// size that scores no slot throws.
 #pragma once
 
+#include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <exception>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <iterator>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -18,8 +28,12 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
+#include "core/metrics.hpp"
 #include "obs/export.hpp"
+#include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/synthetic.hpp"
 
 namespace resmon::bench {
@@ -196,9 +210,8 @@ inline JsonFlags take_json_flags(int& argc, char** argv) {
 /// Check an Args-parsed harness's flags against the `known` ones: an
 /// unknown flag, or --json-run without --json, prints the problem and
 /// `usage` to stderr and returns false (the harness then exits 2).
-inline bool flags_ok(const Args& args,
-                     std::initializer_list<std::string_view> known,
-                     const char* usage) {
+inline bool flags_ok(const Args& args, std::span<const std::string_view> known,
+                     std::string_view usage) {
   const std::string unknown = args.first_unknown(known);
   if (unknown.empty() && json_flags(args).valid()) return true;
   std::cerr << (unknown.empty() ? "--json-run needs --json"
@@ -206,6 +219,58 @@ inline bool flags_ok(const Args& args,
             << "\n"
             << usage;
   return false;
+}
+
+/// The flags the helpers below read, which every experiment harness takes.
+inline constexpr std::string_view kSharedFlags[] = {
+    "dataset", "nodes", "steps", "full", "seed",
+    "csv", "threads", "metrics-out", "trace-out"};
+
+/// Parse an experiment harness's argv. A flag that neither kSharedFlags nor
+/// `own` lists, --help included, prints the usage to stderr and exits 2
+/// before any work. From then on a resmon::Error that escapes main, from a
+/// flag value or a size the harness cannot run, ends in one line on stderr
+/// and exit 2 instead of an abort.
+inline Args harness_args(int argc, char** argv,
+                         std::initializer_list<std::string_view> own) {
+  static const std::string program = argc > 0 ? argv[0] : "harness";
+  static const std::terminate_handler fallback = std::set_terminate([] {
+    try {
+      if (std::current_exception()) throw;
+    } catch (const Error& e) {
+      std::cerr << program << ": " << e.what() << "\n";
+      std::exit(2);
+    } catch (...) {
+    }
+    fallback();
+  });
+  std::vector<std::string_view> known(std::begin(kSharedFlags),
+                                      std::end(kSharedFlags));
+  known.insert(known.end(), own);
+  std::string usage = "usage: " + program;
+  for (const std::string_view flag : known) {
+    usage += " [--" + std::string(flag) + "]";
+  }
+  const Args args(argc, argv);
+  if (!flags_ok(args, known, usage + "\n")) std::exit(2);
+  return args;
+}
+
+/// Run `driver` over `t` to the end and return eq. (4) of its forecasts h
+/// steps ahead, scored by sim::rmse_at at every step from `first` on that
+/// is a multiple of `stride` and has truth h steps ahead.
+inline double driver_rmse(sim::Driver& driver, const trace::Trace& t,
+                          std::size_t h, std::size_t first,
+                          std::size_t stride) {
+  core::RmseAccumulator acc;
+  for (std::size_t step = 0; step < t.num_steps(); ++step) {
+    driver.step();
+    if (step < first || step % stride != 0 || step + h >= t.num_steps()) {
+      continue;
+    }
+    acc.add(sim::rmse_at(driver.pipeline(), t, h));
+  }
+  return acc.value();
 }
 
 /// Resolve a synthetic profile from CLI flags.
@@ -220,6 +285,13 @@ inline trace::SyntheticProfile profile_from_args(const Args& args,
     p.num_steps = static_cast<std::size_t>(args.get_int("steps", 0));
   }
   return p;
+}
+
+/// The synthetic trace of dataset `name` at the size flags and --seed.
+inline trace::InMemoryTrace trace_from_args(const Args& args,
+                                            const std::string& name) {
+  return trace::generate(profile_from_args(args, name),
+                         args.get_int("seed", 1));
 }
 
 /// Datasets an experiment sweeps over: either the one named via

@@ -4,13 +4,13 @@
 // minimum-distance baselines on the same stored measurements.
 #pragma once
 
-#include <cmath>
 #include <vector>
 
 #include "cluster/baselines.hpp"
 #include "cluster/dynamic_cluster.hpp"
 #include "collect/fleet_collector.hpp"
 #include "core/metrics.hpp"
+#include "sim/evaluate.hpp"
 #include "trace/trace.hpp"
 
 namespace resmon::bench {
@@ -21,19 +21,6 @@ struct ClusteringSweepResult {
   std::vector<double> min_distance;
   std::vector<double> statik;
 };
-
-/// Per-resource intermediate RMSE (truth vs assigned centroid) at one step.
-inline double intermediate_at(const trace::Trace& t, std::size_t step,
-                              std::size_t resource,
-                              const cluster::Clustering& c) {
-  double se = 0.0;
-  for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-    const double err =
-        t.value(i, step, resource) - c.centroids(c.assignment[i], 0);
-    se += err * err;
-  }
-  return std::sqrt(se / static_cast<double>(t.num_nodes()));
-}
 
 /// Run the three clustering methods over the whole trace with transmission
 /// budget `b` and `k` clusters. All methods see the same B-constrained
@@ -72,12 +59,13 @@ inline ClusteringSweepResult clustering_sweep(const trace::Trace& t,
       for (std::size_t i = 0; i < t.num_nodes(); ++i) {
         snapshot(i, 0) = store.stored(i)[r];
       }
-      acc_prop[r].add(
-          intermediate_at(t, step, r, trackers[r].update(histories[r])));
+      const Matrix truth = sim::truth_at(t, step, r, 1);
+      acc_prop[r].add(core::intermediate_rmse_step(
+          truth, trackers[r].update(histories[r])));
       acc_min[r].add(
-          intermediate_at(t, step, r, mindists[r].at(snapshot)));
+          core::intermediate_rmse_step(truth, mindists[r].at(snapshot)));
       acc_stat[r].add(
-          intermediate_at(t, step, r, statics[r].at(snapshot)));
+          core::intermediate_rmse_step(truth, statics[r].at(snapshot)));
     }
   }
 

@@ -36,7 +36,7 @@ std::vector<double> pairwise_correlations(const trace::Trace& t,
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {});
   bench::banner("Fig. 1",
                 "Empirical CDF of pairwise spatial correlations: sensor "
                 "modalities vs machine resources");

@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"v0", "gamma"});
   bench::banner("Fig. 3",
                 "Required vs actual transmission frequency of the adaptive "
                 "algorithm (drift-plus-penalty, eq. (6)-(9))");
@@ -24,9 +24,7 @@ int main(int argc, char** argv) {
 
   Table table({"dataset", "required B", "actual freq"}, 4);
   for (const std::string& name : bench::datasets_from_args(args)) {
-    trace::SyntheticProfile profile = bench::profile_from_args(args, name);
-    const trace::InMemoryTrace t =
-        trace::generate(profile, args.get_int("seed", 1));
+    const trace::InMemoryTrace t = bench::trace_from_args(args, name);
     for (const double b :
          {0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5}) {
       collect::FleetCollector fleet(

@@ -11,12 +11,11 @@
 // harness defaults to V0 = 0.5 (the same qualitative rule, with the penalty
 // term rescaled to the data's units); run with --v0 1e-12 for the paper's
 // literal constant. See EXPERIMENTS.md.
-#include <cmath>
-
 #include "bench_util.hpp"
 
 #include "collect/fleet_collector.hpp"
 #include "core/metrics.hpp"
+#include "sim/evaluate.hpp"
 
 namespace {
 
@@ -32,13 +31,9 @@ std::vector<double> h0_rmse(const trace::Trace& t,
   std::vector<core::RmseAccumulator> acc(t.num_resources());
   for (std::size_t step = 0; step < t.num_steps(); ++step) {
     for (const auto& m : fleet.step(step)) store.apply(m);
+    const Matrix truth = sim::truth_at(t, step, 0, t.num_resources());
     for (std::size_t r = 0; r < t.num_resources(); ++r) {
-      double se = 0.0;
-      for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-        const double e = store.stored(i)[r] - t.value(i, step, r);
-        se += e * e;
-      }
-      acc[r].add(std::sqrt(se / static_cast<double>(t.num_nodes())));
+      acc[r].add(core::rmse_step(truth, store.values(), r));
     }
   }
   std::vector<double> out;
@@ -51,7 +46,7 @@ std::vector<double> h0_rmse(const trace::Trace& t,
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"v0", "gamma"});
   bench::banner("Fig. 4",
                 "RMSE(h=0) of adaptive transmission vs uniform sampling");
 
@@ -61,9 +56,7 @@ int main(int argc, char** argv) {
   Table table({"dataset", "resource", "B", "RMSE adaptive", "RMSE uniform"},
               4);
   for (const std::string& name : bench::datasets_from_args(args)) {
-    trace::SyntheticProfile profile = bench::profile_from_args(args, name);
-    const trace::InMemoryTrace t =
-        trace::generate(profile, args.get_int("seed", 1));
+    const trace::InMemoryTrace t = bench::trace_from_args(args, name);
     for (const double b : {0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0}) {
       const std::vector<double> adaptive =
           h0_rmse(t, collect::PolicyKind::kAdaptive, b, v0, gamma);

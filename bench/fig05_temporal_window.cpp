@@ -11,16 +11,14 @@
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"b", "k"});
   bench::banner("Fig. 5",
                 "Intermediate RMSE when clustering on temporal windows of "
                 "w snapshots (B = 0.3, K = 3)");
 
   Table table({"dataset", "resource", "window w", "intermediate RMSE"}, 4);
   for (const std::string& name : bench::datasets_from_args(args)) {
-    trace::SyntheticProfile profile = bench::profile_from_args(args, name);
-    const trace::InMemoryTrace t =
-        trace::generate(profile, args.get_int("seed", 1));
+    const trace::InMemoryTrace t = bench::trace_from_args(args, name);
     for (const std::size_t w : {1u, 5u, 10u, 20u, 30u}) {
       core::PipelineOptions o;
       o.max_frequency = args.get_double("b", 0.3);

@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"k"});
   bench::banner("Fig. 6",
                 "Intermediate RMSE vs transmission frequency B (K = 3): "
                 "proposed vs minimum-distance vs static (offline)");
@@ -20,9 +20,7 @@ int main(int argc, char** argv) {
                "Static (offline)"},
               4);
   for (const std::string& name : bench::datasets_from_args(args)) {
-    trace::SyntheticProfile profile = bench::profile_from_args(args, name);
-    const trace::InMemoryTrace t =
-        trace::generate(profile, args.get_int("seed", 1));
+    const trace::InMemoryTrace t = bench::trace_from_args(args, name);
     for (const double b : {0.05, 0.1, 0.2, 0.3, 0.5, 0.8}) {
       const bench::ClusteringSweepResult r =
           bench::clustering_sweep(t, b, k, args.get_int("seed", 1));

@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"b"});
   bench::banner("Fig. 7",
                 "Intermediate RMSE vs number of clusters K (B = 0.3)");
 
@@ -18,9 +18,7 @@ int main(int argc, char** argv) {
                "Static (offline)"},
               4);
   for (const std::string& name : bench::datasets_from_args(args)) {
-    trace::SyntheticProfile profile = bench::profile_from_args(args, name);
-    const trace::InMemoryTrace t =
-        trace::generate(profile, args.get_int("seed", 1));
+    const trace::InMemoryTrace t = bench::trace_from_args(args, name);
     std::vector<std::size_t> ks{1, 2, 3, 5, 10, 20, 50};
     ks.push_back(t.num_nodes());  // K = N endpoint of the paper's sweep
     for (const std::size_t k : ks) {

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"h", "t0", "stride"});
   bench::banner("Fig. 8",
                 "True vs forecasted (h = 5) centroid trajectories, K = 3, "
                 "Alibaba-profile CPU");

@@ -15,23 +15,11 @@
 
 #include "core/metrics.hpp"
 #include "sim/driver.hpp"
+#include "sim/evaluate.hpp"
 
 namespace {
 
 using namespace resmon;
-
-std::vector<std::size_t> horizons() { return {1, 5, 10, 25, 50}; }
-
-/// Per-resource RMSE of an N x d estimate matrix against truth at `step`.
-double resource_rmse(const trace::Trace& t, std::size_t step,
-                     std::size_t resource, const Matrix& estimate) {
-  double se = 0.0;
-  for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-    const double e = estimate(i, resource) - t.value(i, step, resource);
-    se += e * e;
-  }
-  return std::sqrt(se / static_cast<double>(t.num_nodes()));
-}
 
 /// The paper's "standard deviation computed over all resource utilizations
 /// over time": the pooled standard deviation of every (node, step) value of
@@ -61,23 +49,29 @@ double stddev_bound(const trace::Trace& t, std::size_t resource) {
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
-  bench::banner("Fig. 9",
-                "Time-averaged RMSE vs forecast horizon h, all forecasting "
-                "models (K = 3 unless noted)");
-
+  const Args args = bench::harness_args(argc, argv, {"warmup", "eval-stride"});
   trace::SyntheticProfile profile =
       bench::profile_from_args(args, args.get("dataset", "alibaba"));
   if (!args.has("steps") && !args.get_bool("full")) {
     profile.num_steps = 2400;
   }
-  const trace::InMemoryTrace t =
-      trace::generate(profile, args.get_int("seed", 1));
-
   const std::size_t warmup =
       static_cast<std::size_t>(args.get_int("warmup", 1000));
   const std::size_t eval_stride =
       static_cast<std::size_t>(args.get_int("eval-stride", 20));
+  const std::vector<std::size_t> hs{1, 5, 10, 25, 50};
+  if (profile.num_steps <= warmup + hs.back()) {
+    throw InvalidArgument(
+        "--steps " + std::to_string(profile.num_steps) +
+        " scores no slot at h = 50: it must exceed --warmup + 50 = " +
+        std::to_string(warmup + hs.back()));
+  }
+
+  bench::banner("Fig. 9",
+                "Time-averaged RMSE vs forecast horizon h, all forecasting "
+                "models (K = 3 unless noted)");
+  const trace::InMemoryTrace t =
+      trace::generate(profile, args.get_int("seed", 1));
 
   auto make_driver = [&](forecast::ForecasterKind kind) {
     core::PipelineOptions o;
@@ -94,7 +88,6 @@ int main(int argc, char** argv) {
   sim::Driver hold = make_driver(forecast::ForecasterKind::kSampleHold);
 
   const std::size_t d = t.num_resources();
-  const std::vector<std::size_t> hs = horizons();
   // acc[model][resource][h-index]
   std::vector<std::vector<std::vector<core::RmseAccumulator>>> acc(
       4, std::vector<std::vector<core::RmseAccumulator>>(
@@ -108,16 +101,17 @@ int main(int argc, char** argv) {
     for (std::size_t hi = 0; hi < hs.size(); ++hi) {
       const std::size_t h = hs[hi];
       if (step + h >= t.num_steps()) continue;
+      const Matrix truth = sim::truth_at(t, step + h, 0, d);
       const Matrix fa = arima.pipeline().forecast_all(h);
       const Matrix fl = lstm.pipeline().forecast_all(h);
       const Matrix fh = hold.pipeline().forecast_all(h);
       // K = N sample-and-hold = z_t
       const Matrix fz = hold.pipeline().forecast_all(0);
       for (std::size_t r = 0; r < d; ++r) {
-        acc[0][r][hi].add(resource_rmse(t, step + h, r, fa));
-        acc[1][r][hi].add(resource_rmse(t, step + h, r, fl));
-        acc[2][r][hi].add(resource_rmse(t, step + h, r, fh));
-        acc[3][r][hi].add(resource_rmse(t, step + h, r, fz));
+        acc[0][r][hi].add(core::rmse_step(truth, fa.data(), r));
+        acc[1][r][hi].add(core::rmse_step(truth, fl.data(), r));
+        acc[2][r][hi].add(core::rmse_step(truth, fh.data(), r));
+        acc[3][r][hi].add(core::rmse_step(truth, fz.data(), r));
       }
     }
   }

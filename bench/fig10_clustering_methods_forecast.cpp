@@ -10,7 +10,7 @@
 //
 // Expected shape: proposed best at short horizons; static (offline)
 // approaches it at long horizons; minimum-distance worst.
-#include <cmath>
+#include <algorithm>
 
 #include "bench_util.hpp"
 
@@ -18,6 +18,7 @@
 #include "collect/fleet_collector.hpp"
 #include "core/estimation.hpp"
 #include "core/metrics.hpp"
+#include "sim/evaluate.hpp"
 
 namespace {
 
@@ -26,36 +27,27 @@ using namespace resmon;
 constexpr std::size_t kMPrime = 5;
 
 /// Sample-and-hold estimate for every node from one method's history: held
-/// centroid of the modal cluster + eq. (12) offset. (Scalar, one resource.)
-std::vector<double> estimate_nodes(const cluster::ClusterHistory& history) {
+/// centroid of the modal cluster + eq. (12) offset, as an N x 1 matrix.
+/// (Scalar, one resource.)
+Matrix estimate_nodes(const cluster::ClusterHistory& history) {
   const cluster::Clustering& current = history.at(0).clustering;
   const std::size_t n = current.assignment.size();
   std::vector<std::size_t> modal(n);
   Matrix offsets;
   core::modal_offsets(history, kMPrime + 1, /*use_alpha=*/true, modal,
                       &offsets);
-  std::vector<double> out(n);
+  Matrix out(n, 1);
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = current.centroids(modal[i], 0) + offsets(i, 0);
+    out(i, 0) = current.centroids(modal[i], 0) + offsets(i, 0);
   }
   return out;
-}
-
-double rmse_against(const trace::Trace& t, std::size_t step,
-                    std::size_t resource, const std::vector<double>& est) {
-  double se = 0.0;
-  for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-    const double e = est[i] - t.value(i, step, resource);
-    se += e * e;
-  }
-  return std::sqrt(se / static_cast<double>(t.num_nodes()));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"b", "eval-stride"});
   bench::banner("Fig. 10",
                 "RMSE vs horizon h with sample-and-hold forecasting on "
                 "different clustering methods (K = 3, B = 0.3)");
@@ -67,9 +59,7 @@ int main(int argc, char** argv) {
                "Static (offline)"},
               4);
   for (const std::string& name : bench::datasets_from_args(args)) {
-    trace::SyntheticProfile profile = bench::profile_from_args(args, name);
-    const trace::InMemoryTrace t =
-        trace::generate(profile, args.get_int("seed", 1));
+    const trace::InMemoryTrace t = bench::trace_from_args(args, name);
     const std::size_t n = t.num_nodes();
     const std::size_t d = t.num_resources();
 
@@ -104,7 +94,7 @@ int main(int argc, char** argv) {
       std::size_t method;
       std::size_t resource;
       std::size_t h_index;
-      std::vector<double> estimate;
+      Matrix estimate;
     };
     std::vector<Pending> pending;
 
@@ -139,7 +129,8 @@ int main(int argc, char** argv) {
       for (const Pending& p : pending) {
         if (p.target != step) continue;
         acc[p.method][p.resource][p.h_index].add(
-            rmse_against(t, step, p.resource, p.estimate));
+            core::rmse_step(sim::truth_at(t, step, p.resource, 1),
+                            p.estimate));
         ++scored;
       }
       if (scored > 0 && scored % 4096 == 0) {

@@ -5,32 +5,15 @@
 // Expected shape: the proposed (unnormalized) similarity gives equal or
 // lower RMSE at every horizon — it weights large clusters by node count,
 // matching the RMSE objective.
-#include <cmath>
-
 #include "bench_util.hpp"
 
 #include "core/metrics.hpp"
 #include "sim/driver.hpp"
-
-namespace {
-
-using namespace resmon;
-
-double resource_rmse(const trace::Trace& t, std::size_t step,
-                     std::size_t resource, const Matrix& estimate) {
-  double se = 0.0;
-  for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-    const double e = estimate(i, resource) - t.value(i, step, resource);
-    se += e * e;
-  }
-  return std::sqrt(se / static_cast<double>(t.num_nodes()));
-}
-
-}  // namespace
+#include "sim/evaluate.hpp"
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"eval-stride"});
   bench::banner("Fig. 11",
                 "RMSE vs horizon: proposed similarity (eq. (10)) vs "
                 "Jaccard index, sample-and-hold, K = 3");
@@ -40,9 +23,7 @@ int main(int argc, char** argv) {
                "Jaccard"},
               4);
   for (const std::string& name : bench::datasets_from_args(args)) {
-    trace::SyntheticProfile profile = bench::profile_from_args(args, name);
-    const trace::InMemoryTrace t =
-        trace::generate(profile, args.get_int("seed", 1));
+    const trace::InMemoryTrace t = bench::trace_from_args(args, name);
 
     auto make_driver = [&](cluster::SimilarityKind similarity) {
       core::PipelineOptions o;
@@ -72,11 +53,12 @@ int main(int argc, char** argv) {
       if (step < 100 || step % eval_stride != 0) continue;
       for (std::size_t hi = 0; hi < hs.size(); ++hi) {
         if (step + hs[hi] >= t.num_steps()) continue;
+        const Matrix truth = sim::truth_at(t, step + hs[hi], 0, d);
         const Matrix fp = proposed.pipeline().forecast_all(hs[hi]);
         const Matrix fj = jaccard.pipeline().forecast_all(hs[hi]);
         for (std::size_t r = 0; r < d; ++r) {
-          acc_p[r][hi].add(resource_rmse(t, step + hs[hi], r, fp));
-          acc_j[r][hi].add(resource_rmse(t, step + hs[hi], r, fj));
+          acc_p[r][hi].add(core::rmse_step(truth, fp.data(), r));
+          acc_j[r][hi].add(core::rmse_step(truth, fj.data(), r));
         }
       }
     }

@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"k"});
   bench::banner("Fig. 12",
                 "Estimation RMSE vs number of monitors K in the train/test "
                 "protocol of [3] (100 nodes, 500 train / 500 test)");

@@ -165,11 +165,11 @@ int main(int argc, char** argv) {
     std::cout << kUsage;
     return 0;
   }
-  if (!bench::flags_ok(args,
-                       {"nodes", "steps", "clusters", "model", "dataset",
-                        "seed", "full", "threads", "strict", "json",
-                        "json-run", "csv", "metrics-out", "trace-out"},
-                       kUsage)) {
+  constexpr std::string_view kFlags[] = {
+      "nodes", "steps", "clusters", "model", "dataset", "seed", "full",
+      "threads", "strict", "json", "json-run", "csv", "metrics-out",
+      "trace-out"};
+  if (!bench::flags_ok(args, kFlags, kUsage)) {
     return 2;
   }
   bench::banner("micro_parallel_step",

@@ -90,10 +90,9 @@ int main(int argc, char** argv) {
       std::cout << kUsage;
       return 0;
     }
-    if (!bench::flags_ok(args,
-                         {"nodes", "slots", "shards", "seed", "json",
-                          "json-run", "csv"},
-                         kUsage)) {
+    constexpr std::string_view kFlags[] = {"nodes", "slots", "shards", "seed",
+                                           "json", "json-run", "csv"};
+    if (!bench::flags_ok(args, kFlags, kUsage)) {
       return 2;
     }
     bench::banner("scaling_tiers",

@@ -43,7 +43,7 @@ std::vector<double> run_mode(const trace::Trace& t, bool per_resource,
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"b", "k"});
   bench::banner("Table I",
                 "Intermediate RMSE: independent per-resource scalar "
                 "clustering vs joint full-vector clustering (B = 0.3, "
@@ -51,9 +51,7 @@ int main(int argc, char** argv) {
 
   Table table({"resource & dataset", "Scalar", "Full"}, 3);
   for (const std::string& name : bench::datasets_from_args(args)) {
-    trace::SyntheticProfile profile = bench::profile_from_args(args, name);
-    const trace::InMemoryTrace t =
-        trace::generate(profile, args.get_int("seed", 1));
+    const trace::InMemoryTrace t = bench::trace_from_args(args, name);
     const std::vector<double> scalar = run_mode(t, true, args);
     const std::vector<double> full = run_mode(t, false, args);
     for (std::size_t r = 0; r < t.num_resources(); ++r) {

@@ -5,32 +5,13 @@
 // Expected shape: M = 1 is a good default everywhere; small M' is best at
 // h = 1 and its advantage shrinks as the horizon grows (forecast farther
 // -> rely on longer-term membership).
-#include <cmath>
-
 #include "bench_util.hpp"
 
-#include "core/metrics.hpp"
 #include "sim/driver.hpp"
-
-namespace {
-
-using namespace resmon;
-
-double resource_rmse(const trace::Trace& t, std::size_t step,
-                     std::size_t resource, const Matrix& estimate) {
-  double se = 0.0;
-  for (std::size_t i = 0; i < t.num_nodes(); ++i) {
-    const double e = estimate(i, resource) - t.value(i, step, resource);
-    se += e * e;
-  }
-  return std::sqrt(se / static_cast<double>(t.num_nodes()));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace resmon;
-  const Args args(argc, argv);
+  const Args args = bench::harness_args(argc, argv, {"eval-stride"});
   bench::banner("Table III",
                 "RMSE for different (M, M') look-backs, Google-profile "
                 "CPU, sample-and-hold, K = 3");
@@ -61,17 +42,9 @@ int main(int argc, char** argv) {
         o.seed = 1;
         o.num_threads = args.get_threads();
         sim::Driver driver(t, o);
-
-        core::RmseAccumulator acc;
-        for (std::size_t step = 0; step < t.num_steps(); ++step) {
-          driver.step();
-          if (step < 150 || step % eval_stride != 0) continue;
-          if (step + h >= t.num_steps()) continue;
-          acc.add(resource_rmse(t, step + h, 0,
-                                driver.pipeline().forecast_all(h)));
-        }
         table.add_row({static_cast<double>(h), static_cast<double>(m),
-                       static_cast<double>(mp), acc.value()});
+                       static_cast<double>(mp),
+                       bench::driver_rmse(driver, t, h, 150, eval_stride)});
       }
     }
   }

@@ -83,7 +83,7 @@ bool Args::get_bool(const std::string& name, bool fallback) const {
 }
 
 std::string Args::first_unknown(
-    std::initializer_list<std::string_view> known) const {
+    std::span<const std::string_view> known) const {
   for (const auto& [name, value] : values_) {
     if (std::find(known.begin(), known.end(), name) == known.end()) {
       return name;

@@ -6,8 +6,8 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -37,8 +37,7 @@ class Args {
 
   /// The first flag given (in name order) that `known` does not list, or
   /// "" when `known` lists every flag given.
-  std::string first_unknown(
-      std::initializer_list<std::string_view> known) const;
+  std::string first_unknown(std::span<const std::string_view> known) const;
 
   const std::string& program() const { return program_; }
 

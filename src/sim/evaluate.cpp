@@ -8,23 +8,25 @@
 namespace resmon::sim {
 namespace {
 
-/// The last processed step t, once the pipeline has one, `truth` has its
-/// shape and t + h lies within `truth`.
+/// The last processed step t, once the pipeline has one and `truth` has its
+/// shape. truth_at() checks that the scored step lies within `truth`.
 std::size_t scored_step(const core::MonitoringPipeline& pipeline,
-                        const trace::Trace& truth, std::size_t h) {
+                        const trace::Trace& truth) {
   const transport::CentralStore& store = pipeline.central_store();
   RESMON_REQUIRE(pipeline.current_step() >= 1, "scoring before any step");
   RESMON_REQUIRE(truth.num_nodes() == store.num_nodes() &&
                      truth.num_resources() == store.num_resources(),
                  "truth trace shape differs from the pipeline's");
-  RESMON_REQUIRE(pipeline.current_step() - 1 + h < truth.num_steps(),
-                 "scoring: t + h beyond end of the truth trace");
   return pipeline.current_step() - 1;
 }
 
-/// N x `count` values of `truth` at step t: resources first, first + 1, ...
+}  // namespace
+
 Matrix truth_at(const trace::Trace& truth, std::size_t t, std::size_t first,
                 std::size_t count) {
+  RESMON_REQUIRE(t < truth.num_steps() &&
+                     first + count <= truth.num_resources(),
+                 "truth_at: step or resources beyond the trace");
   Matrix out(truth.num_nodes(), count);
   for (std::size_t i = 0; i < truth.num_nodes(); ++i) {
     for (std::size_t r = 0; r < count; ++r) {
@@ -34,18 +36,16 @@ Matrix truth_at(const trace::Trace& truth, std::size_t t, std::size_t first,
   return out;
 }
 
-}  // namespace
-
 double rmse_at(const core::MonitoringPipeline& pipeline,
                const trace::Trace& truth, std::size_t h) {
-  const std::size_t t = scored_step(pipeline, truth, h);
+  const std::size_t t = scored_step(pipeline, truth);
   return core::rmse_step(truth_at(truth, t + h, 0, truth.num_resources()),
                          pipeline.forecast_all(h));
 }
 
 double intermediate_rmse(const core::MonitoringPipeline& pipeline,
                          const trace::Trace& truth) {
-  const std::size_t t = scored_step(pipeline, truth, 0);
+  const std::size_t t = scored_step(pipeline, truth);
   const bool per_resource = pipeline.options().cluster_per_resource;
   // One sum over every view's nodes, so not built from per-view
   // intermediate_rmse_step() results.
@@ -66,7 +66,7 @@ double intermediate_rmse(const core::MonitoringPipeline& pipeline,
 double intermediate_rmse(const core::MonitoringPipeline& pipeline,
                          const trace::Trace& truth, std::size_t view,
                          std::size_t dim) {
-  const std::size_t t = scored_step(pipeline, truth, 0);
+  const std::size_t t = scored_step(pipeline, truth);
   const cluster::Clustering& c = pipeline.history(view).at(0).clustering;
   RESMON_REQUIRE(dim < c.centroids.cols(), "dimension index out of range");
   // The view's clustering in dimension `dim` alone: the same terms, summed

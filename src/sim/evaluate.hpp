@@ -7,11 +7,18 @@
 
 #include <cstddef>
 
+#include "common/matrix.hpp"
 #include "core/metrics.hpp"
 #include "core/pipeline.hpp"
 #include "trace/trace.hpp"
 
 namespace resmon::sim {
+
+/// N x `count` values of `truth` at step t: column r holds resource
+/// first + r. The truth side of eq. (3) for core::rmse_step(). Requires
+/// t < num_steps() and first + count <= num_resources().
+Matrix truth_at(const trace::Trace& truth, std::size_t t, std::size_t first,
+                std::size_t count);
 
 /// RMSE(t, h) of eq. (3) against `truth` at step t + h. Requires at least
 /// one step and t + h within `truth`.

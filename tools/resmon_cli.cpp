@@ -28,6 +28,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -320,6 +321,24 @@ int cmd_choose_k(const Args& args) {
   return 0;
 }
 
+/// The --flag subcommands and the flags each reads; any other flag, --help
+/// included, is a usage error before the subcommand does any work.
+const struct {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+} kCommands[] = {
+    {"generate", cmd_generate,
+     {"profile", "nodes", "steps", "full", "seed", "out"}},
+    {"monitor", cmd_monitor,
+     {"trace", "b", "k", "model", "initial", "retrain", "seed", "threads",
+      "h", "report", "metrics-out", "trace-out"}},
+    {"choose-k", cmd_choose_k, {"trace", "kmax", "sample-step", "seed"}},
+    {"host-sample", cmd_host_sample,
+     {"samples", "interval-ms", "pid", "procfs-root", "record",
+      "metrics-out"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -328,10 +347,14 @@ int main(int argc, char** argv) {
   try {
     if (command == "scenario") return cmd_scenario(argc, argv);
     const Args args(argc - 1, argv + 1);
-    if (command == "generate") return cmd_generate(args);
-    if (command == "monitor") return cmd_monitor(args);
-    if (command == "choose-k") return cmd_choose_k(args);
-    if (command == "host-sample") return cmd_host_sample(args);
+    for (const auto& [name, run, flags] : kCommands) {
+      if (command != name) continue;
+      const std::string unknown = args.first_unknown(flags);
+      if (unknown.empty()) return run(args);
+      std::cerr << "resmon " << command << ": unknown flag --" << unknown
+                << "\n";
+      return usage();
+    }
     return usage();
   } catch (const std::exception& e) {
     std::cerr << "resmon " << command << ": " << e.what() << "\n";
