@@ -17,8 +17,8 @@
 #include "bench_util.hpp"
 
 #include "collect/fleet_collector.hpp"
-#include "completion/matrix_completion.hpp"
 #include "core/metrics.hpp"
+#include "sim/completion_experiment.hpp"
 #include "sim/evaluate.hpp"
 
 namespace {
@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
     const trace::InMemoryTrace t =
         trace::generate(profile, args.get_int("seed", 1));
     for (const double b : {0.1, 0.3, 0.5}) {
-      const completion::CompletionExperimentResult r =
-          completion::run_completion_experiment(
+      const sim::CompletionExperimentResult r =
+          sim::run_completion_experiment(
               t, 0, b, window,
               {.rank = rank, .iterations = 8,
                .seed = static_cast<std::uint64_t>(args.get_int("seed", 1))});

@@ -256,6 +256,15 @@ inline Args harness_args(int argc, char** argv,
   return args;
 }
 
+/// --eval-stride: score every stride-th slot. Every harness that takes the
+/// flag reads it here, before any work; 0 throws (it would divide by zero).
+inline std::size_t eval_stride(const Args& args, std::int64_t fallback) {
+  const auto stride =
+      static_cast<std::size_t>(args.get_int("eval-stride", fallback));
+  RESMON_REQUIRE(stride >= 1, "--eval-stride must be at least 1");
+  return stride;
+}
+
 /// Run `driver` over `t` to the end and return eq. (4) of its forecasts h
 /// steps ahead, scored by sim::rmse_at at every step from `first` on that
 /// is a multiple of `stride` and has truth h steps ahead.

@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
   }
   const std::size_t warmup =
       static_cast<std::size_t>(args.get_int("warmup", 1000));
-  const std::size_t eval_stride =
-      static_cast<std::size_t>(args.get_int("eval-stride", 20));
+  const std::size_t eval_stride = bench::eval_stride(args, 20);
   const std::vector<std::size_t> hs{1, 5, 10, 25, 50};
   if (profile.num_steps <= warmup + hs.back()) {
     throw InvalidArgument(

@@ -48,6 +48,7 @@ Matrix estimate_nodes(const cluster::ClusterHistory& history) {
 int main(int argc, char** argv) {
   using namespace resmon;
   const Args args = bench::harness_args(argc, argv, {"b", "eval-stride"});
+  const std::size_t eval_stride = bench::eval_stride(args, 10);
   bench::banner("Fig. 10",
                 "RMSE vs horizon h with sample-and-hold forecasting on "
                 "different clustering methods (K = 3, B = 0.3)");
@@ -98,8 +99,6 @@ int main(int argc, char** argv) {
     };
     std::vector<Pending> pending;
 
-    const std::size_t eval_stride =
-        static_cast<std::size_t>(args.get_int("eval-stride", 10));
     transport::CentralStore store(n, d);
     std::size_t scored = 0;
     for (std::size_t step = 0; step < t.num_steps(); ++step) {

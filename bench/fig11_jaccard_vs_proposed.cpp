@@ -14,6 +14,7 @@
 int main(int argc, char** argv) {
   using namespace resmon;
   const Args args = bench::harness_args(argc, argv, {"eval-stride"});
+  const std::size_t eval_stride = bench::eval_stride(args, 10);
   bench::banner("Fig. 11",
                 "RMSE vs horizon: proposed similarity (eq. (10)) vs "
                 "Jaccard index, sample-and-hold, K = 3");
@@ -45,8 +46,6 @@ int main(int argc, char** argv) {
         d, std::vector<core::RmseAccumulator>(hs.size()));
     std::vector<std::vector<core::RmseAccumulator>> acc_j = acc_p;
 
-    const std::size_t eval_stride =
-        static_cast<std::size_t>(args.get_int("eval-stride", 10));
     for (std::size_t step = 0; step < t.num_steps(); ++step) {
       proposed.step();
       jaccard.step();

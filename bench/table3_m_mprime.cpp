@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> ms{1, 5, 12, 100};
   const std::vector<std::size_t> mprimes{1, 5, 12, 100};
   const std::vector<std::size_t> hs{1, 5, 10};
-  const std::size_t eval_stride =
-      static_cast<std::size_t>(args.get_int("eval-stride", 10));
+  const std::size_t eval_stride = bench::eval_stride(args, 10);
 
   Table table({"h", "M", "M'", "RMSE"}, 4);
   for (const std::size_t h : hs) {

@@ -6,13 +6,15 @@
 // result (Top-W-Update re-evaluates the conditional variance of the whole
 // fleet for every candidate at every pick).
 //
-// Also includes BM_PipelineStep, which times the full monitoring pipeline
-// loop at 1/2/4 threads and reports the per-stage wall-time split
-// (collect/cluster/forecast) from MonitoringPipeline::stage_timers().
+// Each row reports the mean selection time (`selection_s`) and the test
+// phase's eq. (4) RMSE (`rmse`). Per-stage timing of the monitoring
+// pipeline itself lives in micro_parallel_step.
 #include <benchmark/benchmark.h>
 
-#include "sim/driver.hpp"
-#include "gaussian/monitor_experiment.hpp"
+#include <map>
+#include <string>
+
+#include "sim/monitor_experiment.hpp"
 #include "trace/synthetic.hpp"
 
 namespace {
@@ -32,17 +34,17 @@ const trace::InMemoryTrace& experiment_trace(const std::string& dataset) {
 }
 
 void run_method(benchmark::State& state, const std::string& dataset,
-                gaussian::MonitorMethod method) {
+                sim::MonitorMethod method) {
   const trace::InMemoryTrace& t = experiment_trace(dataset);
-  gaussian::MonitorExperimentOptions opts;
+  sim::MonitorExperimentOptions opts;
   opts.num_monitors = 25;
   opts.train_steps = 500;
   opts.test_steps = 500;
   double selection_seconds = 0.0;
   double rmse = 0.0;
   for (auto _ : state) {
-    const gaussian::MonitorExperimentResult r =
-        gaussian::run_monitor_experiment(t, method, opts);
+    const sim::MonitorExperimentResult r =
+        sim::run_monitor_experiment(t, method, opts);
     benchmark::DoNotOptimize(r.rmse);
     selection_seconds += r.selection_seconds;
     rmse = r.rmse;
@@ -56,65 +58,30 @@ void run_method(benchmark::State& state, const std::string& dataset,
   void name(benchmark::State& s) { run_method(s, dataset, method); } \
   BENCHMARK(name)->Unit(benchmark::kMillisecond)->Iterations(3)
 
-RESMON_TABLE4(BM_Proposed_Alibaba, "alibaba",
-              gaussian::MonitorMethod::kProposed);
+RESMON_TABLE4(BM_Proposed_Alibaba, "alibaba", sim::MonitorMethod::kProposed);
 RESMON_TABLE4(BM_MinDistance_Alibaba, "alibaba",
-              gaussian::MonitorMethod::kMinimumDistance);
-RESMON_TABLE4(BM_TopW_Alibaba, "alibaba", gaussian::MonitorMethod::kTopW);
+              sim::MonitorMethod::kMinimumDistance);
+RESMON_TABLE4(BM_TopW_Alibaba, "alibaba", sim::MonitorMethod::kTopW);
 RESMON_TABLE4(BM_TopWUpdate_Alibaba, "alibaba",
-              gaussian::MonitorMethod::kTopWUpdate);
-RESMON_TABLE4(BM_Batch_Alibaba, "alibaba",
-              gaussian::MonitorMethod::kBatchSelection);
+              sim::MonitorMethod::kTopWUpdate);
+RESMON_TABLE4(BM_Batch_Alibaba, "alibaba", sim::MonitorMethod::kBatchSelection);
 
 RESMON_TABLE4(BM_Proposed_Bitbrains, "bitbrains",
-              gaussian::MonitorMethod::kProposed);
+              sim::MonitorMethod::kProposed);
 RESMON_TABLE4(BM_MinDistance_Bitbrains, "bitbrains",
-              gaussian::MonitorMethod::kMinimumDistance);
-RESMON_TABLE4(BM_TopW_Bitbrains, "bitbrains",
-              gaussian::MonitorMethod::kTopW);
+              sim::MonitorMethod::kMinimumDistance);
+RESMON_TABLE4(BM_TopW_Bitbrains, "bitbrains", sim::MonitorMethod::kTopW);
 RESMON_TABLE4(BM_TopWUpdate_Bitbrains, "bitbrains",
-              gaussian::MonitorMethod::kTopWUpdate);
+              sim::MonitorMethod::kTopWUpdate);
 RESMON_TABLE4(BM_Batch_Bitbrains, "bitbrains",
-              gaussian::MonitorMethod::kBatchSelection);
+              sim::MonitorMethod::kBatchSelection);
 
-RESMON_TABLE4(BM_Proposed_Google, "google",
-              gaussian::MonitorMethod::kProposed);
+RESMON_TABLE4(BM_Proposed_Google, "google", sim::MonitorMethod::kProposed);
 RESMON_TABLE4(BM_MinDistance_Google, "google",
-              gaussian::MonitorMethod::kMinimumDistance);
-RESMON_TABLE4(BM_TopW_Google, "google", gaussian::MonitorMethod::kTopW);
-RESMON_TABLE4(BM_TopWUpdate_Google, "google",
-              gaussian::MonitorMethod::kTopWUpdate);
-RESMON_TABLE4(BM_Batch_Google, "google",
-              gaussian::MonitorMethod::kBatchSelection);
-
-// Full pipeline step loop at several thread counts; counters expose the
-// per-stage split so regressions in one stage are visible directly.
-void BM_PipelineStep(benchmark::State& state) {
-  const trace::InMemoryTrace& t = experiment_trace("alibaba");
-  core::PipelineOptions opts;
-  opts.num_clusters = 10;
-  opts.forecaster = forecast::ForecasterKind::kHoltWinters;
-  opts.schedule = {.initial_steps = 48, .retrain_interval = 24};
-  opts.seed = 1;
-  opts.num_threads = static_cast<std::size_t>(state.range(0));
-  const std::size_t steps = 96;
-  core::StageTimers timers;
-  for (auto _ : state) {
-    sim::Driver driver(t, opts);  // a private registry: gauges start at 0
-    driver.run(steps);
-    benchmark::DoNotOptimize(driver.pipeline().forecast_all(1));
-    timers = driver.pipeline().stage_timers();
-  }
-  state.counters["collect_s"] = timers.collect_seconds;
-  state.counters["cluster_s"] = timers.cluster_seconds;
-  state.counters["forecast_s"] = timers.forecast_seconds;
-}
-BENCHMARK(BM_PipelineStep)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(2)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4);
+              sim::MonitorMethod::kMinimumDistance);
+RESMON_TABLE4(BM_TopW_Google, "google", sim::MonitorMethod::kTopW);
+RESMON_TABLE4(BM_TopWUpdate_Google, "google", sim::MonitorMethod::kTopWUpdate);
+RESMON_TABLE4(BM_Batch_Google, "google", sim::MonitorMethod::kBatchSelection);
 
 }  // namespace
 

@@ -4,21 +4,27 @@
 
 namespace resmon::cluster {
 
+Matrix node_series(const trace::Trace& trace, std::size_t resource,
+                   std::size_t steps) {
+  RESMON_REQUIRE(resource < trace.num_resources() && steps <= trace.num_steps(),
+                 "node_series: resource or steps beyond the trace");
+  Matrix points(trace.num_nodes(), steps);
+  for (std::size_t i = 0; i < trace.num_nodes(); ++i) {
+    for (std::size_t t = 0; t < steps; ++t) {
+      points(i, t) = trace.value(i, t, resource);
+    }
+  }
+  return points;
+}
+
 StaticClustering::StaticClustering(const trace::Trace& trace,
                                    std::size_t resource, std::size_t k,
                                    std::uint64_t seed)
     : k_(k) {
-  RESMON_REQUIRE(resource < trace.num_resources(),
-                 "StaticClustering: resource out of range");
   RESMON_REQUIRE(k >= 1 && k <= trace.num_nodes(),
                  "StaticClustering: k out of range");
   // Each node becomes one point whose coordinates are its entire series.
-  Matrix points(trace.num_nodes(), trace.num_steps());
-  for (std::size_t i = 0; i < trace.num_nodes(); ++i) {
-    for (std::size_t t = 0; t < trace.num_steps(); ++t) {
-      points(i, t) = trace.value(i, t, resource);
-    }
-  }
+  const Matrix points = node_series(trace, resource, trace.num_steps());
   Rng rng(seed);
   assignment_ = kmeans(points, k, rng).assignment;
 }
@@ -48,12 +54,13 @@ Clustering MinimumDistanceClustering::at(const Matrix& snapshot) {
   for (std::size_t j = 0; j < k_; ++j) {
     std::swap(ids[j], ids[j + rng_.index(n - j)]);
   }
+  monitors_.assign(ids.begin(), ids.begin() + k_);
 
   Clustering c;
   c.centroids = Matrix(k_, snapshot.cols());
   for (std::size_t j = 0; j < k_; ++j) {
     for (std::size_t col = 0; col < snapshot.cols(); ++col) {
-      c.centroids(j, col) = snapshot(ids[j], col);
+      c.centroids(j, col) = snapshot(monitors_[j], col);
     }
   }
   c.assignment.resize(n);

@@ -18,6 +18,12 @@
 
 namespace resmon::cluster {
 
+/// The N x `steps` matrix of one resource: row i is node i's series over
+/// steps [0, steps). Requires resource < num_resources() and steps <=
+/// num_steps().
+Matrix node_series(const trace::Trace& trace, std::size_t resource,
+                   std::size_t steps);
+
 /// Offline baseline: nodes grouped once by K-means over their full series
 /// of one resource. `at()` re-derives the measurement-space centroids for a
 /// given snapshot while keeping the assignment fixed.
@@ -52,9 +58,13 @@ class MinimumDistanceClustering {
   /// Produce this step's random-monitor clustering of the snapshot rows.
   Clustering at(const Matrix& snapshot);
 
+  /// The K node ids the last at() picked; monitors()[j] is centroid j.
+  const std::vector<std::size_t>& monitors() const { return monitors_; }
+
  private:
   std::size_t k_;
   Rng rng_;
+  std::vector<std::size_t> monitors_;
 };
 
 }  // namespace resmon::cluster

@@ -135,15 +135,4 @@ double normal_quantile(double p) {
   return x;
 }
 
-double rmse(std::span<const double> truth, std::span<const double> estimate) {
-  RESMON_REQUIRE(truth.size() == estimate.size(), "rmse length mismatch");
-  RESMON_REQUIRE(!truth.empty(), "rmse of empty range");
-  double s = 0.0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    const double d = truth[i] - estimate[i];
-    s += d * d;
-  }
-  return std::sqrt(s / static_cast<double>(truth.size()));
-}
-
 }  // namespace resmon::stats

@@ -49,9 +49,6 @@ class EmpiricalCdf {
   std::vector<double> sorted_;
 };
 
-/// Root mean square error between two equally long series.
-double rmse(std::span<const double> truth, std::span<const double> estimate);
-
 /// Quantile function of the standard normal distribution (inverse CDF),
 /// p in (0, 1). Accurate to ~1e-9 (Acklam's rational approximation with a
 /// Halley refinement step). Used for forecast prediction intervals.

@@ -1,7 +1,5 @@
 #include "completion/matrix_completion.hpp"
 
-#include <cmath>
-
 #include "common/rng.hpp"
 
 namespace resmon::completion {
@@ -95,103 +93,6 @@ Matrix complete_matrix(const Matrix& observed,
     }
   }
   return u * v.transposed();
-}
-
-double masked_rmse(const Matrix& truth, const Matrix& estimate,
-                   const std::vector<bool>& mask) {
-  RESMON_REQUIRE(truth.rows() == estimate.rows() &&
-                     truth.cols() == estimate.cols(),
-                 "masked_rmse: shape mismatch");
-  RESMON_REQUIRE(mask.size() == truth.rows() * truth.cols(),
-                 "masked_rmse: mask size mismatch");
-  double se = 0.0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < truth.rows(); ++i) {
-    for (std::size_t j = 0; j < truth.cols(); ++j) {
-      if (!mask[i * truth.cols() + j]) continue;
-      const double e = estimate(i, j) - truth(i, j);
-      se += e * e;
-      ++count;
-    }
-  }
-  RESMON_REQUIRE(count > 0, "masked_rmse: empty mask");
-  return std::sqrt(se / static_cast<double>(count));
-}
-
-CompletionExperimentResult run_completion_experiment(
-    const trace::Trace& trace, std::size_t resource, double sample_rate,
-    std::size_t window, const CompletionOptions& options,
-    std::size_t eval_stride) {
-  RESMON_REQUIRE(resource < trace.num_resources(),
-                 "completion experiment: resource out of range");
-  RESMON_REQUIRE(sample_rate > 0.0 && sample_rate <= 1.0,
-                 "completion experiment: sample rate must be in (0,1]");
-  RESMON_REQUIRE(window >= 2 && window <= trace.num_steps(),
-                 "completion experiment: bad window");
-  RESMON_REQUIRE(eval_stride >= 1, "completion experiment: bad stride");
-
-  const std::size_t n = trace.num_nodes();
-  Rng rng(options.seed + 1);
-
-  // Random per-(node, step) sampling, as in the compressed-sensing
-  // baselines; last received value retained for the hold comparison.
-  std::vector<double> last_value(n, 0.0);
-  std::vector<bool> seen(n, false);
-
-  // Sliding window of observed entries (front of the deque semantics via
-  // ring indexing: column w-1 is the current step).
-  Matrix window_values(n, window);
-  std::vector<bool> window_mask(n * window, false);
-
-  double se_completion = 0.0;
-  double se_hold = 0.0;
-  std::size_t evaluated = 0;
-  std::uint64_t transmissions = 0;
-
-  for (std::size_t t = 0; t < trace.num_steps(); ++t) {
-    // Shift the window left by one column.
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t c = 0; c + 1 < window; ++c) {
-        window_values(i, c) = window_values(i, c + 1);
-        window_mask[i * window + c] = window_mask[i * window + c + 1];
-      }
-      window_values(i, window - 1) = 0.0;
-      window_mask[i * window + window - 1] = false;
-    }
-    // Sample.
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool sample = t == 0 || rng.bernoulli(sample_rate);
-      if (!sample) continue;
-      ++transmissions;
-      const double v = trace.value(i, t, resource);
-      window_values(i, window - 1) = v;
-      window_mask[i * window + window - 1] = true;
-      last_value[i] = v;
-      seen[i] = true;
-    }
-    if (t < window || t % eval_stride != 0) continue;
-
-    // Reconstruct the window and read off the current column.
-    const Matrix completed =
-        complete_matrix(window_values, window_mask, options);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double truth = trace.value(i, t, resource);
-      const double ec = completed(i, window - 1) - truth;
-      se_completion += ec * ec;
-      const double eh = (seen[i] ? last_value[i] : 0.0) - truth;
-      se_hold += eh * eh;
-      ++evaluated;
-    }
-  }
-  RESMON_REQUIRE(evaluated > 0, "completion experiment: nothing evaluated");
-
-  CompletionExperimentResult result;
-  result.rmse = std::sqrt(se_completion / static_cast<double>(evaluated));
-  result.hold_rmse = std::sqrt(se_hold / static_cast<double>(evaluated));
-  result.actual_sample_rate =
-      static_cast<double>(transmissions) /
-      static_cast<double>(n * trace.num_steps());
-  return result;
 }
 
 }  // namespace resmon::completion

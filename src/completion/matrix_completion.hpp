@@ -4,17 +4,17 @@
 // measurements from a random subset of (node, step) pairs and reconstructs
 // the unobserved entries by exploiting the approximate low-rank structure
 // of the fleet's utilization matrix. This module implements the standard
-// alternating-least-squares (ALS) completion with ridge regularization and
-// the §II-style monitoring experiment around it, so the paper's claim that
-// such approaches underperform the proposed mechanism can be tested
-// directly rather than proxied by the minimum-distance baseline.
+// alternating-least-squares (ALS) completion with ridge regularization;
+// sim::run_completion_experiment runs the §II-style monitoring experiment
+// around it, so the paper's claim that such approaches underperform the
+// proposed mechanism can be tested directly rather than proxied by the
+// minimum-distance baseline.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/matrix.hpp"
-#include "trace/trace.hpp"
 
 namespace resmon::completion {
 
@@ -34,27 +34,5 @@ struct CompletionOptions {
 Matrix complete_matrix(const Matrix& observed,
                        const std::vector<bool>& mask,
                        const CompletionOptions& options = {});
-
-/// Fraction of squared error explained on the observed entries (training
-/// fit of the last complete_matrix-style factorization); diagnostic helper
-/// for choosing the rank.
-double masked_rmse(const Matrix& truth, const Matrix& estimate,
-                   const std::vector<bool>& mask);
-
-/// The §II-style monitoring experiment: every step each node transmits its
-/// measurement independently with probability `sample_rate` (the same
-/// average budget B as the proposed mechanism); the controller keeps a
-/// sliding window of the last `window` steps and estimates the *current*
-/// snapshot from the rank-r completion of the windowed matrix.
-struct CompletionExperimentResult {
-  double rmse = 0.0;              ///< time-averaged RMSE of the estimates
-  double hold_rmse = 0.0;         ///< same sampling, last-value-hold instead
-  double actual_sample_rate = 0.0;
-};
-
-CompletionExperimentResult run_completion_experiment(
-    const trace::Trace& trace, std::size_t resource, double sample_rate,
-    std::size_t window, const CompletionOptions& options = {},
-    std::size_t eval_stride = 5);
 
 }  // namespace resmon::completion

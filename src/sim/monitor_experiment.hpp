@@ -2,15 +2,16 @@
 //
 // Setup: a training phase of `train_steps` during which every node reports
 // (B = 1), followed by a testing phase of `test_steps` during which only K
-// selected monitors report. Non-monitor values are estimated, and the RMSE
-// over all nodes and test steps is measured.
+// selected monitors report. Non-monitor values are estimated; each test
+// step is scored by eq. (3) over all nodes and the phase by eq. (4).
 //
 // Methods:
 //  * kProposed       — K-means on the training-phase series; the node
 //                      closest to each centroid becomes the monitor; cluster
 //                      members are estimated by their monitor's value.
-//  * kMinimumDistance — K random monitors; nodes assigned to the nearest
-//                      monitor (Euclidean distance on training series).
+//  * kMinimumDistance — cluster::MinimumDistanceClustering on the training
+//                      series: K random monitors, each node estimated by
+//                      its nearest monitor's value.
 //  * kTopW / kTopWUpdate / kBatchSelection — Gaussian model from the
 //                      training phase + the matching selection algorithm;
 //                      non-monitors inferred by conditional-Gaussian
@@ -19,10 +20,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "trace/trace.hpp"
 
-namespace resmon::gaussian {
+namespace resmon::sim {
 
 enum class MonitorMethod {
   kProposed,
@@ -43,7 +45,7 @@ struct MonitorExperimentOptions {
 };
 
 struct MonitorExperimentResult {
-  double rmse = 0.0;            ///< estimation RMSE over the test phase
+  double rmse = 0.0;            ///< eq. (4) over the test phase
   double selection_seconds = 0.0;  ///< time to build model + pick monitors
   std::vector<std::size_t> monitors;
 };
@@ -54,4 +56,4 @@ MonitorExperimentResult run_monitor_experiment(
     const trace::Trace& trace, MonitorMethod method,
     const MonitorExperimentOptions& options);
 
-}  // namespace resmon::gaussian
+}  // namespace resmon::sim

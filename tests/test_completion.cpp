@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "trace/synthetic.hpp"
 
 namespace resmon::completion {
 namespace {
@@ -56,6 +55,22 @@ double full_rmse(const Matrix& a, const Matrix& b) {
   return std::sqrt(se / static_cast<double>(a.rows() * a.cols()));
 }
 
+/// RMSE over the entries `mask` marks observed.
+double masked_rmse(const Matrix& a, const Matrix& b,
+                   const std::vector<bool>& mask) {
+  double se = 0.0;
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if (!mask[i * a.cols() + j]) continue;
+      const double e = a(i, j) - b(i, j);
+      se += e * e;
+      ++count;
+    }
+  }
+  return std::sqrt(se / static_cast<double>(count));
+}
+
 TEST(Completion, RecoversLowRankMatrixFromHalfTheEntries) {
   const LowRankCase c = make_low_rank(30, 40, 0.5, 1);
   const Matrix rec = complete_matrix(
@@ -92,41 +107,6 @@ TEST(Completion, ValidatesArguments) {
                InvalidArgument);
   EXPECT_THROW(complete_matrix(m, mask, {.ridge = 0.0}), InvalidArgument);
   EXPECT_THROW(complete_matrix(Matrix(), {}), InvalidArgument);
-}
-
-TEST(Completion, MaskedRmseIgnoresHiddenEntries) {
-  Matrix truth{{1.0, 2.0}, {3.0, 4.0}};
-  Matrix est{{1.0, 99.0}, {3.5, 4.0}};
-  const std::vector<bool> mask{true, false, true, true};
-  // Errors on observed entries: 0, 0.5, 0 -> rmse = sqrt(0.25/3).
-  EXPECT_NEAR(masked_rmse(truth, est, mask), std::sqrt(0.25 / 3.0), 1e-12);
-  EXPECT_THROW(masked_rmse(truth, est, std::vector<bool>(4, false)),
-               InvalidArgument);
-}
-
-TEST(CompletionExperiment, RunsAndBeatsNothing) {
-  trace::SyntheticProfile p = trace::google_profile();
-  p.num_nodes = 30;
-  p.num_steps = 400;
-  const trace::InMemoryTrace t = trace::generate(p, 4);
-  const CompletionExperimentResult r = run_completion_experiment(
-      t, 0, 0.3, 48, {.rank = 4, .iterations = 8});
-  EXPECT_TRUE(std::isfinite(r.rmse));
-  EXPECT_GT(r.rmse, 0.0);
-  EXPECT_LT(r.rmse, 0.6);
-  EXPECT_NEAR(r.actual_sample_rate, 0.3, 0.03);
-  EXPECT_GT(r.hold_rmse, 0.0);
-}
-
-TEST(CompletionExperiment, Validates) {
-  trace::SyntheticProfile p = trace::google_profile();
-  p.num_nodes = 5;
-  p.num_steps = 50;
-  const trace::InMemoryTrace t = trace::generate(p, 5);
-  EXPECT_THROW(run_completion_experiment(t, 9, 0.3, 10), InvalidArgument);
-  EXPECT_THROW(run_completion_experiment(t, 0, 0.0, 10), InvalidArgument);
-  EXPECT_THROW(run_completion_experiment(t, 0, 0.3, 1), InvalidArgument);
-  EXPECT_THROW(run_completion_experiment(t, 0, 0.3, 99), InvalidArgument);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include "common/rng.hpp"
 #include "gaussian/gaussian_model.hpp"
-#include "gaussian/monitor_experiment.hpp"
 #include "gaussian/selection.hpp"
 #include "trace/synthetic.hpp"
 
@@ -187,73 +186,6 @@ TEST(Selection, ValidatesK) {
   EXPECT_THROW(select_top_w(m, 3), InvalidArgument);  // K must be < N
   EXPECT_THROW(select_top_w_update(m, 0), InvalidArgument);
   EXPECT_THROW(select_batch(m, 5, rng), InvalidArgument);
-}
-
-// ---- monitor experiment ---------------------------------------------------
-
-trace::InMemoryTrace experiment_trace() {
-  trace::SyntheticProfile p = trace::alibaba_profile();
-  p.num_nodes = 30;
-  p.num_steps = 450;
-  return trace::generate(p, 11);
-}
-
-TEST(MonitorExperiment, AllMethodsProduceFiniteRmse) {
-  const trace::InMemoryTrace t = experiment_trace();
-  MonitorExperimentOptions opts;
-  opts.num_monitors = 5;
-  opts.train_steps = 200;
-  opts.test_steps = 200;
-  for (const MonitorMethod method :
-       {MonitorMethod::kProposed, MonitorMethod::kMinimumDistance,
-        MonitorMethod::kTopW, MonitorMethod::kTopWUpdate,
-        MonitorMethod::kBatchSelection}) {
-    const MonitorExperimentResult r =
-        run_monitor_experiment(t, method, opts);
-    EXPECT_TRUE(std::isfinite(r.rmse)) << to_string(method);
-    EXPECT_GT(r.rmse, 0.0) << to_string(method);
-    EXPECT_LT(r.rmse, 1.0) << to_string(method);
-    EXPECT_EQ(r.monitors.size(), 5u) << to_string(method);
-    EXPECT_GE(r.selection_seconds, 0.0);
-  }
-}
-
-TEST(MonitorExperiment, MoreMonitorsHelpProposedMethod) {
-  const trace::InMemoryTrace t = experiment_trace();
-  MonitorExperimentOptions few;
-  few.num_monitors = 2;
-  few.train_steps = 200;
-  few.test_steps = 200;
-  MonitorExperimentOptions many = few;
-  many.num_monitors = 20;
-  const double rmse_few =
-      run_monitor_experiment(t, MonitorMethod::kProposed, few).rmse;
-  const double rmse_many =
-      run_monitor_experiment(t, MonitorMethod::kProposed, many).rmse;
-  EXPECT_LT(rmse_many, rmse_few);
-}
-
-TEST(MonitorExperiment, ValidatesOptions) {
-  const trace::InMemoryTrace t = experiment_trace();
-  MonitorExperimentOptions opts;
-  opts.train_steps = 400;
-  opts.test_steps = 400;  // 800 > 450 steps
-  EXPECT_THROW(run_monitor_experiment(t, MonitorMethod::kProposed, opts),
-               InvalidArgument);
-  opts.test_steps = 50;
-  opts.resource = 9;
-  EXPECT_THROW(run_monitor_experiment(t, MonitorMethod::kProposed, opts),
-               InvalidArgument);
-  opts.resource = 0;
-  opts.num_monitors = 30;
-  EXPECT_THROW(run_monitor_experiment(t, MonitorMethod::kProposed, opts),
-               InvalidArgument);
-}
-
-TEST(MonitorExperiment, MethodNamesMatchPaper) {
-  EXPECT_EQ(to_string(MonitorMethod::kProposed), "Proposed");
-  EXPECT_EQ(to_string(MonitorMethod::kTopWUpdate), "Top-W-Update");
-  EXPECT_EQ(to_string(MonitorMethod::kBatchSelection), "Batch Selection");
 }
 
 }  // namespace

@@ -148,6 +148,26 @@ TEST(RmseAccumulator, SingleValuePassesThrough) {
   EXPECT_DOUBLE_EQ(acc.value(), 0.125);
 }
 
+TEST(RmseAccumulator, EqualSizedSlotsGiveThePooledRmse) {
+  // With N nodes in every slot, eq. (4) over eq. (3) is the RMSE pooled
+  // over every (node, slot): the form the comparator experiments replaced.
+  RmseAccumulator acc;
+  double se = 0.0;
+  std::size_t count = 0;
+  for (std::size_t slot = 0; slot < 7; ++slot) {
+    const Matrix truth = cycling(5, 2, kPool, slot);
+    const Matrix estimate = cycling(5, 2, kPool, 2 * slot + 1);
+    acc.add(rmse_step(truth, estimate));
+    for (std::size_t k = 0; k < truth.data().size(); ++k) {
+      const double e = estimate.data()[k] - truth.data()[k];
+      se += e * e;
+    }
+    count += truth.rows();
+  }
+  const double pooled = std::sqrt(se / static_cast<double>(count));
+  EXPECT_NEAR(acc.value(), pooled, 1e-12 * pooled);
+}
+
 TEST(IntermediateRmse, ZeroWhenDataEqualsCentroids) {
   cluster::Clustering c;
   c.assignment = {0, 1};

@@ -124,17 +124,6 @@ TEST(Stats, EmpiricalCdfIsMonotone) {
   }
 }
 
-TEST(Stats, RmseOfIdenticalSeriesIsZero) {
-  const std::vector<double> x{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(rmse(x, x), 0.0);
-}
-
-TEST(Stats, RmseKnownValue) {
-  const std::vector<double> a{0.0, 0.0};
-  const std::vector<double> b{3.0, 4.0};
-  EXPECT_NEAR(rmse(a, b), std::sqrt(12.5), 1e-12);
-}
-
 TEST(Stats, NormalQuantileKnownValues) {
   EXPECT_NEAR(normal_quantile(0.5), 0.0, 1e-9);
   EXPECT_NEAR(normal_quantile(0.975), 1.959963985, 1e-6);
