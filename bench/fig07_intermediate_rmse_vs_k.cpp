@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
       const bench::ClusteringSweepResult r =
           bench::clustering_sweep(t, b, k, args.get_int("seed", 1));
       for (std::size_t res = 0; res < t.num_resources(); ++res) {
-        table.add_row({name, trace::resource_name(res),
-                       static_cast<double>(k), r.proposed[res],
+        table.add_row({name, trace::resource_name(res), std::to_string(k),
+                       r.proposed[res],
                        r.min_distance[res], r.statik[res]});
       }
     }

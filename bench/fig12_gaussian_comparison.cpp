@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
         opts.seed = args.get_int("seed", 1);
 
         std::vector<Table::Cell> row{name, trace::resource_name(r),
-                                     static_cast<double>(k)};
+                                     std::to_string(k)};
         std::vector<double> rmses(methods.size());
         for (std::size_t m = 0; m < methods.size(); ++m) {
           rmses[m] = sim::run_monitor_experiment(t, methods[m], opts).rmse;

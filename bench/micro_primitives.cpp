@@ -1,7 +1,7 @@
 // Micro-benchmarks for the primitives the pipeline leans on: K-means and
 // one Lloyd pass, Hungarian matching, a view's modal offsets, one
-// cluster-tracker update, ARIMA/LSTM fitting, Gaussian conditional variance
-// and one full pipeline step. Engineering hygiene, not a paper artifact.
+// cluster-tracker update, ARIMA/LSTM fitting and Gaussian conditional
+// variance. Engineering hygiene, not a paper artifact.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include "common/kernels.hpp"
 #include "common/soa.hpp"
 #include "core/estimation.hpp"
-#include "sim/driver.hpp"
 #include "forecast/arima.hpp"
 #include "forecast/lstm.hpp"
 #include "gaussian/gaussian_model.hpp"
@@ -262,27 +261,6 @@ BENCHMARK(BM_LloydPass)
     ->Args({4, 3})
     ->Args({1, 10})
     ->Unit(benchmark::kMicrosecond);
-
-void BM_PipelineStep(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  trace::SyntheticProfile profile = trace::alibaba_profile();
-  profile.num_nodes = n;
-  profile.num_steps = 4000;
-  const trace::InMemoryTrace t = trace::generate(profile, 1);
-  core::PipelineOptions o;
-  o.schedule = {.initial_steps = 1000000, .retrain_interval = 1000000};
-  auto driver = std::make_unique<sim::Driver>(t, o);
-  for (auto _ : state) {
-    if (driver->done()) {
-      state.PauseTiming();
-      driver = std::make_unique<sim::Driver>(t, o);
-      state.ResumeTiming();
-    }
-    driver->step();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_PipelineStep)->Arg(100)->Arg(500)->Arg(2000);
 
 }  // namespace
 

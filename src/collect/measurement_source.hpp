@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -27,22 +26,13 @@ class MeasurementSource {
  public:
   virtual ~MeasurementSource() = default;
 
-  /// Dimension d of every vector measurement() returns.
-  virtual std::size_t num_resources() const = 0;
-
-  /// Number of slots this source can serve, or unbounded() for sources
-  /// that can sample forever (live procfs).
-  virtual std::size_t num_steps() const { return unbounded(); }
-
   /// The node's d-dimensional measurement x_{i,t} for slot t.
   virtual std::vector<double> measurement(std::size_t t) = 0;
-
-  static constexpr std::size_t unbounded() {
-    return std::numeric_limits<std::size_t>::max();
-  }
 };
 
-/// The classic source: node `node` of a trace::Trace.
+/// The classic source: node `node` of a trace::Trace. A host recording
+/// replays through it too, as the one-node trace host::read_recording
+/// returns.
 class TraceSource final : public MeasurementSource {
  public:
   TraceSource(const trace::Trace& trace, std::size_t node)
@@ -51,11 +41,9 @@ class TraceSource final : public MeasurementSource {
                    "TraceSource: node out of range");
   }
 
-  std::size_t num_resources() const override {
-    return trace_.num_resources();
-  }
-  std::size_t num_steps() const override { return trace_.num_steps(); }
   std::vector<double> measurement(std::size_t t) override {
+    RESMON_REQUIRE(t < trace_.num_steps(),
+                   "TraceSource: step beyond the end of the trace");
     return trace_.measurement(node_, t);
   }
 

@@ -40,8 +40,4 @@ class TransmitPolicy {
   }
 };
 
-/// Factory: produces one policy per node so a fleet can be configured from a
-/// single description.
-using PolicyFactory = std::unique_ptr<TransmitPolicy> (*)();
-
 }  // namespace resmon::collect

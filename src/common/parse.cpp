@@ -1,6 +1,7 @@
 #include "common/parse.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 
@@ -33,22 +34,12 @@ std::size_t parse_size(const std::string& context, const std::string& text) {
 }
 
 double parse_double(const std::string& context, const std::string& text) {
-  if (text.empty()) {
-    throw InvalidArgument(context + ": expected a number, got an empty field");
-  }
   double v = 0.0;
-  std::size_t consumed = 0;
-  try {
-    v = std::stod(text, &consumed);
-  } catch (const std::exception&) {
-    throw InvalidArgument(context + ": expected a number, got '" + text + "'");
-  }
-  if (consumed != text.size()) {
-    throw InvalidArgument(context + ": trailing characters in number '" +
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || !std::isfinite(v)) {
+    throw InvalidArgument(context + ": expected a finite number, got '" +
                           text + "'");
-  }
-  if (!std::isfinite(v)) {
-    throw InvalidArgument(context + ": number is not finite: '" + text + "'");
   }
   return v;
 }

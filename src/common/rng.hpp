@@ -40,10 +40,6 @@ class Rng {
   /// Bernoulli draw with success probability p.
   bool bernoulli(double p) { return unit_(engine_) < p; }
 
-  /// Derive an independent child generator (e.g. one per node) so that
-  /// changing how one consumer draws does not perturb the others.
-  Rng fork() { return Rng(engine_()); }
-
   /// In-place Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

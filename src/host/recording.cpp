@@ -1,7 +1,5 @@
 #include "host/recording.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -9,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "host/sampler.hpp"
+#include "trace/loader.hpp"
 
 namespace resmon::host {
 
@@ -20,31 +19,6 @@ std::string format_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-double parse_row_double(const std::string& file, std::size_t line,
-                        const std::string& field, const std::string& token) {
-  if (token.empty()) {
-    throw HostParseError(file, line, field, "empty value");
-  }
-  double value = 0.0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
-    throw HostParseError(file, line, field,
-                         "expected a finite number, got '" + token + "'");
-  }
-  return value;
-}
-
-std::vector<std::string> split_on(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::string field;
-  std::istringstream ss(text);
-  while (std::getline(ss, field, sep)) out.push_back(field);
-  if (!text.empty() && text.back() == sep) out.emplace_back();
-  return out;
 }
 
 }  // namespace
@@ -95,13 +69,13 @@ void RecordingWriter::finish() {
   out_.flush();
 }
 
-Recording read_recording(std::istream& in, const std::string& origin) {
+trace::InMemoryTrace read_recording(std::istream& in,
+                                    const std::string& origin) {
   std::string line;
   std::size_t line_no = 0;
   const auto next_line = [&]() -> bool {
-    if (!std::getline(in, line)) return false;
+    if (!trace::read_csv_line(in, line)) return false;
     ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
     return true;
   };
 
@@ -115,7 +89,6 @@ Recording read_recording(std::istream& in, const std::string& origin) {
                          "missing '# interval_ms=... resources=...' line");
   }
 
-  Recording rec;
   std::size_t num_resources = 0;
   {
     std::istringstream meta(line.substr(2));
@@ -131,7 +104,7 @@ Recording read_recording(std::istream& in, const std::string& origin) {
       const std::string key = token.substr(0, eq);
       const std::string value = token.substr(eq + 1);
       if (key == "interval_ms") {
-        rec.interval_ms = parse_u64_field(origin, 2, key, value);
+        parse_u64_field(origin, 2, key, value);
         saw_interval = true;
       } else if (key == "resources") {
         num_resources = parse_u64_field(origin, 2, key, value);
@@ -150,17 +123,20 @@ Recording read_recording(std::istream& in, const std::string& origin) {
   if (!next_line()) {
     throw HostParseError(origin, 3, "header", "missing CSV header");
   }
-  {
-    const std::vector<std::string> header = split_on(line, ',');
-    if (header.size() != 2 + num_resources || header[0] != "node" ||
-        header[1] != "step") {
-      throw HostParseError(origin, line_no, "header",
-                           "expected 'node,step' plus " +
-                               std::to_string(num_resources) +
-                               " resource columns, got '" + line + "'");
-    }
+  const std::vector<std::string> header = trace::split_csv_line(line);
+  // size() - 2, not 2 + num_resources: a hostile resources=2^64-1 must
+  // not wrap the expected width to 1 and index past a one-field header.
+  if (header.size() < 2 || header.size() - 2 != num_resources ||
+      header[0] != "node" || header[1] != "step") {
+    throw HostParseError(origin, line_no, "header",
+                         "expected 'node,step' plus " +
+                             std::to_string(num_resources) +
+                             " resource columns, got '" + line + "'");
   }
 
+  std::vector<double> values;  // rows x num_resources, row-major
+  std::size_t rows = 0;
+  std::size_t timestamps = 0;
   bool saw_ts = false;
   bool saw_end = false;
   while (next_line()) {
@@ -169,9 +145,9 @@ Recording read_recording(std::istream& in, const std::string& origin) {
       if (line.rfind("# ts_ms=", 0) == 0) {
         const std::string list = line.substr(std::string("# ts_ms=").size());
         if (!list.empty()) {
-          for (const std::string& t : split_on(list, ',')) {
-            rec.timestamps_ms.push_back(
-                parse_u64_field(origin, line_no, "ts_ms", t));
+          for (const std::string& t : trace::split_csv_line(list)) {
+            parse_u64_field(origin, line_no, "ts_ms", t);
+            ++timestamps;
           }
         }
         saw_ts = true;
@@ -182,13 +158,13 @@ Recording read_recording(std::istream& in, const std::string& origin) {
           throw HostParseError(origin, line_no, "end",
                                "trailer must be '# end rows=N'");
         }
-        const std::uint64_t rows =
+        const std::uint64_t trailer_rows =
             parse_u64_field(origin, line_no, "rows", tail.substr(eq + 1));
-        if (rows != rec.rows.size()) {
+        if (trailer_rows != rows) {
           throw HostParseError(
               origin, line_no, "rows",
-              "trailer says " + std::to_string(rows) + " rows but " +
-                  std::to_string(rec.rows.size()) + " were read "
+              "trailer says " + std::to_string(trailer_rows) + " rows but " +
+                  std::to_string(rows) + " were read "
                   "(recording truncated or corrupted)");
         }
         saw_end = true;
@@ -200,34 +176,24 @@ Recording read_recording(std::istream& in, const std::string& origin) {
       throw HostParseError(origin, line_no, "row",
                            "data after the '# end' trailer");
     }
-    const std::vector<std::string> fields = split_on(line, ',');
-    if (fields.size() != 2 + num_resources) {
-      throw HostParseError(origin, line_no, "row",
-                           "expected " + std::to_string(2 + num_resources) +
-                               " fields, got " +
-                               std::to_string(fields.size()));
+    trace::CsvRow row;
+    try {
+      row = trace::parse_csv_row(line, header, "row");
+    } catch (const InvalidArgument& e) {
+      throw HostParseError(origin, line_no, "row", e.what());
     }
-    const std::uint64_t node =
-        parse_u64_field(origin, line_no, "node", fields[0]);
-    if (node != 0) {
+    if (row.node != 0) {
       throw HostParseError(origin, line_no, "node",
                            "recordings are single-node (node must be 0)");
     }
-    const std::uint64_t step =
-        parse_u64_field(origin, line_no, "step", fields[1]);
-    if (step != rec.rows.size()) {
+    if (row.step != rows) {
       throw HostParseError(origin, line_no, "step",
                            "expected consecutive step " +
-                               std::to_string(rec.rows.size()) + ", got " +
-                               std::to_string(step));
+                               std::to_string(rows) + ", got " +
+                               std::to_string(row.step));
     }
-    std::vector<double> row;
-    row.reserve(num_resources);
-    for (std::size_t r = 0; r < num_resources; ++r) {
-      row.push_back(parse_row_double(origin, line_no, "column " + std::to_string(r),
-                                     fields[2 + r]));
-    }
-    rec.rows.push_back(std::move(row));
+    values.insert(values.end(), row.values.begin(), row.values.end());
+    ++rows;
   }
 
   if (!saw_end) {
@@ -235,20 +201,26 @@ Recording read_recording(std::istream& in, const std::string& origin) {
                          "missing '# end rows=N' trailer "
                          "(recording truncated?)");
   }
-  if (!saw_ts || rec.timestamps_ms.size() != rec.rows.size()) {
+  if (!saw_ts || timestamps != rows) {
     throw HostParseError(origin, line_no, "ts_ms",
-                         "timestamp list has " +
-                             std::to_string(rec.timestamps_ms.size()) +
-                             " entries for " +
-                             std::to_string(rec.rows.size()) + " rows");
+                         "timestamp list has " + std::to_string(timestamps) +
+                             " entries for " + std::to_string(rows) +
+                             " rows");
   }
-  if (rec.rows.empty()) {
+  // Checked before building the trace, which needs at least one step.
+  if (rows == 0) {
     throw HostParseError(origin, line_no, "row", "recording has no samples");
   }
-  return rec;
+  trace::InMemoryTrace recording(1, rows, num_resources);
+  for (std::size_t t = 0; t < rows; ++t) {
+    for (std::size_t r = 0; r < num_resources; ++r) {
+      recording.set_value(0, t, r, values[t * num_resources + r]);
+    }
+  }
+  return recording;
 }
 
-Recording read_recording_file(const std::string& path) {
+trace::InMemoryTrace read_recording_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     throw Error("read_recording_file: cannot open " + path);

@@ -6,6 +6,8 @@
 // --replay FILE` re-runs the identical series bit-exactly with zero clock
 // or procfs reads, so a live run is as replayable as a synthetic one
 // (test_host and scenarios/self_soak.scn assert bit-identical forecasts).
+// A recording is a trace: read_recording returns the one-node
+// trace::InMemoryTrace, and replay reads it through collect::TraceSource.
 //
 // Format — a strict superset of the src/trace CSV grammar, so recordings
 // double as ordinary traces for trace::load_csv and every offline tool:
@@ -19,11 +21,14 @@
 //   # ts_ms=83211,83311,...               <- per-row monotonic timestamps
 //   # end rows=N                          <- trailer; absence = truncation
 //
-// The reader rejects a missing/garbled magic line, malformed metadata,
-// non-consecutive steps, wrong column counts, unparseable values, a
-// timestamp list whose length disagrees with the rows, and a missing or
+// The data rows go through the trace CSV row reader (trace::parse_csv_row,
+// the finite-number rule of common/parse.hpp), so both readers accept the
+// same cells. The reader rejects a missing/garbled magic line, malformed
+// metadata, non-consecutive steps, wrong column counts, unparseable values,
+// a timestamp list whose length disagrees with the rows, and a missing or
 // mismatched end trailer — each with a HostParseError naming file, line
-// and field.
+// and field. The metadata and timestamps are validated, not returned: no
+// program reads them after loading.
 #pragma once
 
 #include <cstdint>
@@ -33,21 +38,11 @@
 #include <vector>
 
 #include "host/parsers.hpp"
+#include "trace/trace.hpp"
 
 namespace resmon::host {
 
 inline constexpr const char* kRecordingMagic = "# resmon-host-recording v1";
-
-/// A fully-loaded recording: one node's sampled series plus timestamps.
-struct Recording {
-  std::uint64_t interval_ms = 0;
-  std::vector<std::vector<double>> rows;        ///< one vector per step
-  std::vector<std::uint64_t> timestamps_ms;     ///< parallel to rows
-
-  std::size_t num_resources() const {
-    return rows.empty() ? 0 : rows.front().size();
-  }
-};
 
 /// Streams a recording to `out`. The header is written at construction;
 /// call append() once per slot in order and finish() exactly once at the
@@ -72,8 +67,10 @@ class RecordingWriter {
   std::vector<std::uint64_t> timestamps_ms_;
 };
 
-/// Parse a recording; `origin` names the input in diagnostics.
-Recording read_recording(std::istream& in, const std::string& origin);
-Recording read_recording_file(const std::string& path);
+/// Parse a recording into a trace of 1 node, one step per sample and the
+/// recorded resources; `origin` names the input in diagnostics.
+trace::InMemoryTrace read_recording(std::istream& in,
+                                    const std::string& origin);
+trace::InMemoryTrace read_recording_file(const std::string& path);
 
 }  // namespace resmon::host

@@ -1,5 +1,7 @@
 #include "host/source.hpp"
 
+#include <utility>
+
 #include "host/clock.hpp"
 
 namespace resmon::host {

@@ -1,11 +1,13 @@
-// The host-collection MeasurementSources: how HostSampler and recordings
-// plug into the unchanged resmon_agent slot loop.
+// The host-collection MeasurementSource: how HostSampler plugs into the
+// unchanged resmon_agent slot loop.
 //
 //   ProcfsSamplerSource  live sampling, paced to a fixed interval on the
 //                        monotonic clock, optionally teeing every sample
 //                        into a RecordingWriter (--record)
-//   ReplaySource         a loaded Recording, bit-exact, zero clock or
-//                        procfs reads (--replay)
+//
+// Replay (--replay) needs no source of its own: host::read_recording
+// returns the recording as a one-node trace, and collect::TraceSource
+// reads it bit-exactly with zero clock or procfs reads.
 //
 // Clock and sleep are injected std::functions (defaulting to the
 // lint-allowlisted helpers in clock.hpp), so unit tests pace a
@@ -15,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 
 #include "collect/measurement_source.hpp"
 #include "host/recording.hpp"
@@ -37,9 +38,6 @@ class ProcfsSamplerSource final : public collect::MeasurementSource {
   /// `sampler` is non-owning and must outlive the source.
   ProcfsSamplerSource(HostSampler& sampler, Options options);
 
-  std::size_t num_resources() const override {
-    return HostSampler::kNumResources;
-  }
   /// Samples the host, pacing slot t to start_time + t * interval_ms.
   std::vector<double> measurement(std::size_t t) override;
 
@@ -48,31 +46,6 @@ class ProcfsSamplerSource final : public collect::MeasurementSource {
   Options options_;
   bool started_ = false;
   std::uint64_t first_sample_ms_ = 0;
-};
-
-/// Replays a loaded Recording as a bounded source.
-class ReplaySource final : public collect::MeasurementSource {
- public:
-  explicit ReplaySource(Recording recording)
-      : recording_(std::move(recording)) {
-    RESMON_REQUIRE(!recording_.rows.empty(),
-                   "ReplaySource: recording has no samples");
-  }
-
-  std::size_t num_resources() const override {
-    return recording_.num_resources();
-  }
-  std::size_t num_steps() const override { return recording_.rows.size(); }
-  std::vector<double> measurement(std::size_t t) override {
-    RESMON_REQUIRE(t < recording_.rows.size(),
-                   "ReplaySource: step beyond the end of the recording");
-    return recording_.rows[t];
-  }
-
-  const Recording& recording() const { return recording_; }
-
- private:
-  Recording recording_;
 };
 
 }  // namespace resmon::host

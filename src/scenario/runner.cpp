@@ -358,17 +358,6 @@ void busy_spin(std::size_t iters) {
   }
 }
 
-trace::InMemoryTrace trace_from_rows(
-    const std::vector<std::vector<double>>& rows) {
-  trace::InMemoryTrace t(1, rows.size(), rows.front().size());
-  for (std::size_t step = 0; step < rows.size(); ++step) {
-    for (std::size_t r = 0; r < rows[step].size(); ++r) {
-      t.set_value(0, step, r, rows[step][r]);
-    }
-  }
-  return t;
-}
-
 /// Host mode: sample this very process through the procfs backend while
 /// recording, replay the recording through a second pipeline, and publish
 /// the max forecast divergence between the two — which must be 0 whatever
@@ -389,26 +378,25 @@ ScenarioResult run_host(const ScenarioSpec& spec,
   sopts.interval_ms = spec.host_interval_ms;
   sopts.recorder = &writer;
   host::ProcfsSamplerSource source(sampler, sopts);
-  std::vector<std::vector<double>> rows;
-  rows.reserve(spec.host_samples);
+  trace::InMemoryTrace live(1, spec.host_samples,
+                            host::HostSampler::kNumResources);
   for (std::size_t t = 0; t < spec.host_samples; ++t) {
-    rows.push_back(source.measurement(t));
+    const std::vector<double> x = source.measurement(t);
+    for (std::size_t r = 0; r < x.size(); ++r) live.set_value(0, t, r, x[r]);
     busy_spin(spec.host_busy_iters);
   }
   writer.finish();
 
   // Replay phase: parse the recording back exactly like --source replay.
   std::istringstream replayed(recorded.str());
-  const host::Recording recording =
+  const trace::InMemoryTrace replay =
       host::read_recording(replayed, "<recording>");
-  RESMON_REQUIRE(recording.rows == rows,
+  RESMON_REQUIRE(replay == live,
                  "scenario: replayed rows differ from the recorded samples");
 
   // The replay twin is fault-free like the live pipeline: [host] rejects
   // [faults] at parse time.
-  const trace::InMemoryTrace live_trace = trace_from_rows(rows);
-  const trace::InMemoryTrace replay_trace = trace_from_rows(recording.rows);
-  return run_pipelines(spec, registry, live_trace, &replay_trace);
+  return run_pipelines(spec, registry, live, &replay);
 }
 
 // ---------------------------------------------------------------- socket mode

@@ -22,6 +22,14 @@ namespace {
 constexpr std::size_t kMaxIndex = 10'000'000;
 constexpr std::size_t kMaxCells = std::size_t{1} << 29;
 
+}  // namespace
+
+bool read_csv_line(std::istream& in, std::string& line) {
+  if (!std::getline(in, line)) return false;
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return true;
+}
+
 std::vector<std::string> split_csv_line(const std::string& line) {
   std::vector<std::string> fields;
   std::string field;
@@ -31,12 +39,25 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return fields;
 }
 
-std::string strip_cr(std::string line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return line;
+CsvRow parse_csv_row(const std::string& line,
+                     const std::vector<std::string>& header,
+                     const std::string& where) {
+  const std::vector<std::string> fields = split_csv_line(line);
+  if (fields.size() != header.size()) {
+    throw InvalidArgument(where + " has wrong field count (expected " +
+                          std::to_string(header.size()) + ", got " +
+                          std::to_string(fields.size()) + ")");
+  }
+  CsvRow row;
+  row.node = parse_size(where + " node", fields[0]);
+  row.step = parse_size(where + " step", fields[1]);
+  row.values.reserve(fields.size() - 2);
+  for (std::size_t c = 2; c < fields.size(); ++c) {
+    row.values.push_back(
+        parse_double(where + " column " + header[c], fields[c]));
+  }
+  return row;
 }
-
-}  // namespace
 
 InMemoryTrace load_csv(std::istream& in) {
   // Lines starting with '#' are comments; host recordings (src/host) lead
@@ -45,9 +66,8 @@ InMemoryTrace load_csv(std::istream& in) {
   std::string line;
   std::size_t line_no = 0;
   bool have_header = false;
-  while (std::getline(in, line)) {
+  while (read_csv_line(in, line)) {
     ++line_no;
-    line = strip_cr(line);
     if (line.empty() || line.front() == '#') continue;
     have_header = true;
     break;
@@ -60,36 +80,16 @@ InMemoryTrace load_csv(std::istream& in) {
                  "trace CSV needs node,step and at least one resource column");
   const std::size_t num_resources = header.size() - 2;
 
-  struct Row {
-    std::size_t node;
-    std::size_t step;
-    std::vector<double> values;
-  };
-  std::vector<Row> rows;
+  std::vector<CsvRow> rows;
   std::size_t max_node = 0;
   std::size_t max_step = 0;
-  while (std::getline(in, line)) {
+  while (read_csv_line(in, line)) {
     ++line_no;
-    line = strip_cr(line);
     if (line.empty() || line.front() == '#') continue;
-    const std::vector<std::string> fields = split_csv_line(line);
-    if (fields.size() != header.size()) {
-      throw Error("load_csv: line " + std::to_string(line_no) +
-                  " has wrong field count (expected " +
-                  std::to_string(header.size()) + ", got " +
-                  std::to_string(fields.size()) + ")");
-    }
     const std::string where = "load_csv: line " + std::to_string(line_no);
-    Row row;
-    row.node = parse_size(where + " node", fields[0]);
-    row.step = parse_size(where + " step", fields[1]);
+    CsvRow row = parse_csv_row(line, header, where);
     if (row.node > kMaxIndex || row.step > kMaxIndex) {
       throw Error(where + ": node/step index out of range");
-    }
-    row.values.reserve(num_resources);
-    for (std::size_t r = 0; r < num_resources; ++r) {
-      row.values.push_back(parse_double(where + " column " + header[2 + r],
-                                        fields[2 + r]));
     }
     max_node = std::max(max_node, row.node);
     max_step = std::max(max_step, row.step);
@@ -112,7 +112,7 @@ InMemoryTrace load_csv(std::istream& in) {
   // fill runs in the trace's storage order, steps outer: (i, t-1) is final
   // before step t is filled.
   std::vector<bool> seen(n * steps, false);
-  for (const Row& row : rows) {
+  for (const CsvRow& row : rows) {
     for (std::size_t r = 0; r < num_resources; ++r) {
       trace.set_value(row.node, row.step, r, row.values[r]);
     }

@@ -69,6 +69,15 @@ class InMemoryTrace final : public Trace {
     data_[offset(node, t, resource)] = v;
   }
 
+  /// Same shape and every value equal by `==` (so a NaN never matches).
+  /// Written out: Trace has no members, and a defaulted == on it would let
+  /// any two Trace references compare equal.
+  bool operator==(const InMemoryTrace& other) const {
+    return num_nodes_ == other.num_nodes_ &&
+           num_steps_ == other.num_steps_ &&
+           num_resources_ == other.num_resources_ && data_ == other.data_;
+  }
+
  private:
   std::size_t offset(std::size_t node, std::size_t t,
                      std::size_t resource) const {

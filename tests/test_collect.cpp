@@ -236,9 +236,10 @@ TEST(MeasurementSource, TraceSourceViewsOneNode) {
   p.num_steps = 8;
   const trace::InMemoryTrace t = trace::generate(p, 3);
   TraceSource source(t, 1);
-  EXPECT_EQ(source.num_resources(), t.num_resources());
-  EXPECT_EQ(source.num_steps(), t.num_steps());
-  EXPECT_EQ(source.measurement(5), t.measurement(1, 5));
+  for (std::size_t step = 0; step < t.num_steps(); ++step) {
+    EXPECT_EQ(source.measurement(step), t.measurement(1, step));
+  }
+  EXPECT_THROW(source.measurement(t.num_steps()), Error);
   EXPECT_THROW(TraceSource(t, 3), Error);
 }
 

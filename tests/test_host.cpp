@@ -6,12 +6,14 @@
 // intervals and corrupted recordings must all be *diagnosed*, never
 // crash or silently misread.
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "collect/measurement_source.hpp"
 #include "core/pipeline.hpp"
 #include "sim/driver.hpp"
 #include "host/parsers.hpp"
@@ -460,14 +462,26 @@ TEST(HostSamplerTest, WatchedRootGoneMeansEmptyTree) {
 
 // -------------------------------------------------------------- recording
 
-host::Recording write_and_read(const std::vector<std::vector<double>>& rows) {
+std::string replace_once(std::string text, const std::string& from,
+                         const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos);
+  return text.replace(at, from.size(), to);
+}
+
+std::string recording_text(const std::vector<std::vector<double>>& rows) {
   std::ostringstream out;
   host::RecordingWriter writer(out, 100, rows.front().size());
   for (std::size_t t = 0; t < rows.size(); ++t) {
     writer.append(rows[t], 5000 + 100 * t);
   }
   writer.finish();
-  std::istringstream in(out.str());
+  return out.str();
+}
+
+trace::InMemoryTrace write_and_read(
+    const std::vector<std::vector<double>>& rows) {
+  std::istringstream in(recording_text(rows));
   return host::read_recording(in, "<mem>");
 }
 
@@ -476,30 +490,64 @@ TEST(RecordingTest, RoundTripsValuesBitExactly) {
       {0.1, 1.0 / 3.0, 0.0, 1e-17},
       {0.30000000000000004, 1.0, 0.9999999999999999, 2.2250738585072014e-308},
   };
-  const host::Recording rec = write_and_read(rows);
-  EXPECT_EQ(rec.interval_ms, 100u);
-  EXPECT_EQ(rec.rows, rows);  // exact double equality, not approximate
-  EXPECT_EQ(rec.timestamps_ms,
-            (std::vector<std::uint64_t>{5000, 5100}));
+  const trace::InMemoryTrace rec = write_and_read(rows);
+  ASSERT_EQ(rec.num_nodes(), 1u);
+  ASSERT_EQ(rec.num_steps(), rows.size());
+  ASSERT_EQ(rec.num_resources(), 4u);
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    // exact double equality, not approximate
+    EXPECT_EQ(rec.measurement(0, t), rows[t]) << "step " << t;
+  }
+  // The interval and timestamps stay in the file; the reader validates
+  // them without returning them.
+  const std::string text = recording_text(rows);
+  EXPECT_NE(text.find("\n# interval_ms=100 resources=4\n"), std::string::npos);
+  EXPECT_NE(text.find("\n# ts_ms=5000,5100\n"), std::string::npos);
 }
 
 TEST(RecordingTest, RecordingsDoubleAsPlainCsvTraces) {
   // The format is a strict superset of the trace CSV grammar: the magic,
   // metadata, ts and end lines are comments the loader skips.
-  std::ostringstream out;
-  host::RecordingWriter writer(out, 100, 4);
   const std::vector<double> row0 = {0.25, 0.5, 0.0, 0.125};
   const std::vector<double> row1 = {0.5, 0.75, 1.0, 0.0};
-  writer.append(row0, 1000);
-  writer.append(row1, 1100);
-  writer.finish();
-  std::istringstream in(out.str());
+  const std::vector<double> row2 = {0.1, 1.0 / 3.0, 1e-17,
+                                    2.2250738585072014e-308};
+  const std::string text = recording_text({row0, row1, row2});
+  std::istringstream in(text);
   const trace::InMemoryTrace t = trace::load_csv(in);
   EXPECT_EQ(t.num_nodes(), 1u);
-  EXPECT_EQ(t.num_steps(), 2u);
+  EXPECT_EQ(t.num_steps(), 3u);
   EXPECT_EQ(t.num_resources(), 4u);
   EXPECT_EQ(t.measurement(0, 0), row0);
   EXPECT_EQ(t.measurement(0, 1), row1);
+  EXPECT_EQ(t.measurement(0, 2), row2);
+  // One row reader: the recording reader returns the very same trace.
+  std::istringstream again(text);
+  EXPECT_TRUE(host::read_recording(again, "<mem>") == t);
+}
+
+TEST(RecordingTest, BothReadersApplyTheSameCellRule) {
+  // The finite-number rule of common/parse.hpp, for both readers: no
+  // leading whitespace, no '+', no hex, nothing non-finite or out of range,
+  // no empty cell, no trailing characters.
+  const std::string good = recording_text({{0.1, 0.2}, {0.375, 0.4}});
+  for (const std::string cell :
+       {" 0.5", "+0.5", "0x1p-2", "nan", "inf", "1e400", "", "0.5x"}) {
+    std::istringstream recording(replace_once(good, "0.375", cell));
+    EXPECT_THROW(host::read_recording(recording, "<mem>"), HostParseError)
+        << "recording cell '" << cell << "'";
+    std::istringstream csv("node,step,cpu\n0,0," + cell + "\n");
+    EXPECT_THROW(trace::load_csv(csv), InvalidArgument)
+        << "csv cell '" << cell << "'";
+  }
+  // A subnormal is finite: both readers take it, bit for bit.
+  const std::string subnormal = "4.9406564584124654e-324";
+  std::istringstream recording(replace_once(good, "0.375", subnormal));
+  EXPECT_EQ(host::read_recording(recording, "<mem>").value(0, 1, 0),
+            std::numeric_limits<double>::denorm_min());
+  std::istringstream csv("node,step,cpu\n0,0," + subnormal + "\n");
+  EXPECT_EQ(trace::load_csv(csv).value(0, 0, 0),
+            std::numeric_limits<double>::denorm_min());
 }
 
 std::string valid_recording_text() {
@@ -522,13 +570,6 @@ void expect_rejects(std::string text, const std::string& detail_substring) {
               std::string::npos)
         << "actual: " << e.what();
   }
-}
-
-std::string replace_once(std::string text, const std::string& from,
-                         const std::string& to) {
-  const std::size_t at = text.find(from);
-  EXPECT_NE(at, std::string::npos);
-  return text.replace(at, from.size(), to);
 }
 
 TEST(RecordingTest, HostileInputsAreDiagnosedNotCrashed) {
@@ -566,6 +607,12 @@ TEST(RecordingTest, HostileInputsAreDiagnosedNotCrashed) {
   host::RecordingWriter writer(empty, 100, 2);
   writer.finish();
   expect_rejects(empty.str(), "no samples");
+  // A resources count that wraps 2 + resources must not index past a
+  // one-field header.
+  expect_rejects(replace_once(replace_once(good, "resources=2",
+                                           "resources=18446744073709551615"),
+                              "node,step,r0,r1", "node"),
+                 "expected 'node,step'");
 }
 
 TEST(RecordingTest, WriterEnforcesItsProtocol) {
@@ -607,18 +654,17 @@ TEST(ProcfsSamplerSourceTest, PacesSlotsAgainstTheFirstSampleAnchor) {
   recorder.finish();
 
   EXPECT_EQ(sleeps, (std::vector<std::uint64_t>{63}));
-  std::istringstream in(out.str());
-  const host::Recording rec = host::read_recording(in, "<mem>");
-  EXPECT_EQ(rec.timestamps_ms,
-            (std::vector<std::uint64_t>{1000, 1100, 1350}));
+  EXPECT_NE(out.str().find("\n# ts_ms=1000,1100,1350\n"), std::string::npos)
+      << out.str();
   EXPECT_EQ(sampler.samples_taken(), 3u);
 }
 
-TEST(ReplaySourceTest, ReplaysRowsBoundedAndBitExact) {
+TEST(RecordReplay, TraceSourceReplaysARecordingBoundedAndBitExact) {
   const std::vector<std::vector<double>> rows = {{0.1, 0.2}, {0.3, 0.4}};
-  host::ReplaySource source(write_and_read(rows));
-  EXPECT_EQ(source.num_resources(), 2u);
-  EXPECT_EQ(source.num_steps(), 2u);
+  const trace::InMemoryTrace recording = write_and_read(rows);
+  EXPECT_EQ(recording.num_resources(), 2u);
+  EXPECT_EQ(recording.num_steps(), 2u);
+  collect::TraceSource source(recording, 0);
   EXPECT_EQ(source.measurement(0), rows[0]);
   EXPECT_EQ(source.measurement(1), rows[1]);
   EXPECT_THROW(source.measurement(2), Error);
@@ -646,9 +692,10 @@ TEST(RecordReplay, PipelinesOverRecordAndReplayAreBitIdentical) {
   host::ProcfsSamplerSource source(sampler, o);
 
   const std::size_t kSteps = 24;
-  std::vector<std::vector<double>> live_rows;
+  trace::InMemoryTrace live(1, kSteps, HostSampler::kNumResources);
   for (std::size_t t = 0; t < kSteps; ++t) {
-    live_rows.push_back(source.measurement(t));
+    const std::vector<double> x = source.measurement(t);
+    for (std::size_t r = 0; r < x.size(); ++r) live.set_value(0, t, r, x[r]);
     // Mutate the "kernel" between samples: drifting counters make every
     // slot's measurement distinct.
     set_host_files(fs, 100 + 40 * (t + 1), 900 + 360 * (t + 1),
@@ -658,20 +705,8 @@ TEST(RecordReplay, PipelinesOverRecordAndReplayAreBitIdentical) {
   recorder.finish();
 
   std::istringstream in(out.str());
-  const host::Recording rec = host::read_recording(in, "<mem>");
-  ASSERT_EQ(rec.rows, live_rows);  // the recording *is* the live series
-
-  const auto to_trace = [](const std::vector<std::vector<double>>& rows) {
-    trace::InMemoryTrace t(1, rows.size(), rows.front().size());
-    for (std::size_t step = 0; step < rows.size(); ++step) {
-      for (std::size_t r = 0; r < rows[step].size(); ++r) {
-        t.set_value(0, step, r, rows[step][r]);
-      }
-    }
-    return t;
-  };
-  const trace::InMemoryTrace live = to_trace(live_rows);
-  const trace::InMemoryTrace replay = to_trace(rec.rows);
+  const trace::InMemoryTrace replay = host::read_recording(in, "<mem>");
+  ASSERT_TRUE(replay == live);  // the recording *is* the live series
 
   core::PipelineOptions popt;
   popt.num_clusters = 1;

@@ -117,11 +117,16 @@ TEST(Args, NonNumericIntThrows) {
 }
 
 TEST(Args, NonNumericDoubleThrows) {
-  for (const char* bad : {"abc", "0.3x", "nan", "inf"}) {
+  // The one finite-number rule (std::from_chars): no leading space, no
+  // '+', no hex, nothing out of double's range.
+  for (const char* bad : {"abc", "0.3x", "nan", "inf", " 0.3", "+0.3",
+                          "0x1p-2", "1e400", ""}) {
     EXPECT_THROW(make_args({"--x", bad}).get_double("x", 0.0),
                  InvalidArgument)
         << bad;
   }
+  EXPECT_EQ(make_args({"--x", "25"}).get_double("x", 0.0), 25.0);
+  EXPECT_EQ(make_args({"--x", "-0.5e-3"}).get_double("x", 0.0), -0.5e-3);
 }
 
 TEST(Args, BoolValuesAreStrict) {

@@ -1,15 +1,19 @@
-// Shared flag handling for resmon_agent / resmon_controller.
+// Shared flag handling for resmon_agent / resmon_controller /
+// resmon_aggregator.
 //
-// Both binaries must construct the *identical* synthetic trace from the
-// shared --dataset/--nodes/--steps/--seed flags: agents read their own
-// node's measurements from it, the controller uses it as ground truth for
-// RMSE. Any asymmetry here would silently break the bit-identical
-// equivalence between the TCP path and the in-process path,
-// so the construction lives in exactly one place.
+// Agents and the controller must construct the *identical* synthetic trace
+// from the shared --dataset/--nodes/--steps/--seed flags: agents read their
+// own node's measurements from it, the controller uses it as ground truth
+// for RMSE, and aggregators size their shard from its profile. Any
+// asymmetry here would silently break the bit-identical equivalence
+// between the TCP path and the in-process path, so the construction lives
+// in exactly one place.
 #pragma once
 
 #include <iostream>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "collect/fleet_collector.hpp"
 #include "common/cli.hpp"
@@ -51,14 +55,32 @@ inline std::size_t run_nodes(const Args& args) {
 /// always have ground truth.
 inline constexpr std::size_t kForecastLookahead = 8;
 
-/// The deterministic trace both sides of the wire share.
-inline trace::InMemoryTrace build_trace(const Args& args) {
+/// The shared trace's profile: --dataset sized to --nodes and --steps (plus
+/// the lookahead). Its num_nodes and num_resources are the fleet's N and d.
+inline trace::SyntheticProfile run_profile(const Args& args) {
   trace::SyntheticProfile profile =
       trace::profile_by_name(args.get("dataset", "alibaba"));
   profile.num_nodes = run_nodes(args);
   profile.num_steps = run_slots(args) + kForecastLookahead;
-  return trace::generate(profile,
+  return profile;
+}
+
+/// The deterministic trace both sides of the wire share.
+inline trace::InMemoryTrace build_trace(const Args& args) {
+  return trace::generate(run_profile(args),
                          static_cast<std::uint64_t>(args.get_int("seed", 1)));
+}
+
+/// Refuses a flag `known` does not list, as resmon's subcommands do: prints
+/// "NAME: unknown flag --FLAG" and `usage` to stderr and returns false, and
+/// the caller exits 2 before opening a socket.
+inline bool known_flags_only(const Args& args, const std::string& name,
+                             std::span<const std::string_view> known,
+                             const char* usage) {
+  const std::string unknown = args.first_unknown(known);
+  if (unknown.empty()) return true;
+  std::cerr << name << ": unknown flag --" << unknown << '\n' << usage;
+  return false;
 }
 
 /// A TCP port flag (0 = ephemeral). Values above 65535 are rejected

@@ -9,21 +9,17 @@
 //           src/host backend: d = 4 measurements [cpu, memory, io, net]
 //           per --interval-ms, optionally persisted with --record FILE so
 //           the run is replayable;
-//   replay  re-run a --record file bit-identically: zero clock or procfs
-//           reads, slot count taken from the recording.
+//   replay  re-run a --record file bit-identically: the recording loads as
+//           a one-node trace and replays through collect::TraceSource,
+//           zero clock or procfs reads, slot count taken from the
+//           recording.
 //
 // Each slot the §V-A transmit policy decides whether to push the
 // measurement to the controller; silent slots carry a heartbeat so the
 // controller's slot barrier advances. Connection losses reconnect with
 // bounded exponential backoff.
 //
-//   resmon_agent --port PORT --node 3 --nodes 8 --steps 200
-//       --dataset alibaba --seed 1 [--policy adaptive] [--b 0.3]
-//       [--source trace|procfs|replay] [--pid P|self] [--interval-ms N]
-//       [--procfs-root DIR] [--record FILE] [--replay FILE]
-//       [--fault-spec "drop=0.05;corrupt=0.01"] [--start-step S]
-//       [--slot-delay-ms MS] [--metrics-out file.prom] [--list-sources]
-//       [--version]
+// The flags are kUsage below, printed to stderr (exit 2) on any other.
 //
 // The controller must be started with matching dimensions: the trace flags
 // for --source trace, or --resources 4 (and the same --nodes/--steps) for
@@ -40,6 +36,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <thread>
 
 #include "common/cli.hpp"
@@ -69,6 +66,22 @@ void list_sources() {
          "(--replay FILE); no clock or procfs reads\n";
 }
 
+constexpr std::string_view kFlags[] = {
+    "port", "host", "node", "nodes", "steps", "dataset", "seed", "policy",
+    "b", "v0", "gamma", "clamp-queue", "source", "pid", "interval-ms",
+    "procfs-root", "record", "replay", "fault-spec", "reconnect-attempts",
+    "start-step", "slot-delay-ms", "metrics-out", "list-sources", "version"};
+
+constexpr const char* kUsage =
+    "usage: resmon_agent --port PORT [--host 127.0.0.1] [--node 0]\n"
+    "         [--nodes 8] [--steps 200] [--dataset alibaba] [--seed 1]\n"
+    "         [--policy adaptive] [--b 0.3] [--v0 1e-12] [--gamma 0.65]\n"
+    "         [--clamp-queue] [--source trace|procfs|replay]\n"
+    "         [--pid P|self] [--interval-ms 100] [--procfs-root /proc]\n"
+    "         [--record FILE] [--replay FILE] [--fault-spec SPEC]\n"
+    "         [--reconnect-attempts 8] [--start-step S] [--slot-delay-ms MS]\n"
+    "         [--metrics-out FILE.prom] [--list-sources] [--version]\n";
+
 /// The watched-pid set from --pid ("self" = this process).
 std::vector<std::uint64_t> watch_pids(const Args& args) {
   if (!args.has("pid")) return {};
@@ -84,6 +97,9 @@ std::vector<std::uint64_t> watch_pids(const Args& args) {
 int main(int argc, char** argv) {
   try {
     const Args args(argc, argv);
+    if (!tools::known_flags_only(args, "resmon_agent", kFlags, kUsage)) {
+      return 2;
+    }
     if (tools::handle_version(args, "resmon_agent")) return 0;
     if (args.has("list-sources")) {
       list_sources();
@@ -148,11 +164,12 @@ int main(int argc, char** argv) {
         std::cerr << "resmon_agent: --source replay needs --replay FILE\n";
         return 2;
       }
-      host::Recording recording =
-          host::read_recording_file(args.get("replay", ""));
-      slots = recording.rows.size();
-      num_resources = recording.num_resources();
-      source = std::make_unique<host::ReplaySource>(std::move(recording));
+      // The recording is a one-node trace, whatever --node this agent
+      // speaks for.
+      trace.emplace(host::read_recording_file(args.get("replay", "")));
+      slots = trace->num_steps();
+      num_resources = trace->num_resources();
+      source = std::make_unique<collect::TraceSource>(*trace, 0);
     } else {
       std::cerr << "resmon_agent: unknown --source '" << source_name
                 << "' (try --list-sources)\n";

@@ -8,20 +8,18 @@
 // leave the shard — the summary itself is the progress signal — so the
 // root's connection count and frame rate stay flat as shards grow.
 //
-//   resmon_aggregator --shard 0 --shards 2 --upstream-port PORT
-//       --port 0 --nodes 6 --steps 200 --dataset alibaba --seed 1
-//       [--host 127.0.0.1] [--stale-after-ms MS] [--dead-after-ms MS]
-//       [--status-every 8] [--metrics-port 0] [--metrics-linger-ms MS]
-//       [--metrics-out file.prom] [--version]
+// The flags are kUsage below, printed to stderr (exit 2) on any other.
 //
 // The trace flags (--dataset/--nodes/--steps/--seed) must match the rest
-// of the fleet: they determine the fleet size and dimensionality the shard
-// announces upstream. The shard's node range is derived from
+// of the fleet: --nodes and --dataset determine the fleet size and
+// dimensionality the shard announces upstream (no trace is generated, so
+// --seed changes nothing here). The shard's node range is derived from
 // --shard/--shards over --nodes (contiguous partition, same formula the
 // scenario runner uses). Port announcements mirror resmon_controller:
 //   resmon_aggregator listening on HOST:PORT
 //   resmon_aggregator metrics endpoint on HOST:PORT
 #include <iostream>
+#include <string_view>
 
 #include "agg/aggregator.hpp"
 #include "common/cli.hpp"
@@ -31,13 +29,40 @@
 
 using namespace resmon;
 
+namespace {
+
+// --seed is accepted so one set of trace flags serves the whole fleet; the
+// shard's N and d do not depend on it.
+constexpr std::string_view kFlags[] = {
+    "shard", "shards", "upstream-port", "upstream-host", "port", "host",
+    "nodes", "steps", "dataset", "seed", "stale-after-ms", "dead-after-ms",
+    "status-every", "wait-ms", "slot-timeout-ms", "metrics-port",
+    "metrics-linger-ms", "metrics-out", "version"};
+
+constexpr const char* kUsage =
+    "usage: resmon_aggregator --upstream-port PORT [--upstream-host HOST]\n"
+    "         [--shard 0] [--shards 1] [--port 0] [--host 127.0.0.1]\n"
+    "         [--nodes 8] [--steps 200] [--dataset alibaba] [--seed S]\n"
+    "         [--stale-after-ms MS] [--dead-after-ms MS] [--status-every 8]\n"
+    "         [--wait-ms 30000] [--slot-timeout-ms 10000]\n"
+    "         [--metrics-port PORT] [--metrics-linger-ms MS]\n"
+    "         [--metrics-out FILE.prom] [--version]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   try {
     const Args args(argc, argv);
+    if (!tools::known_flags_only(args, "resmon_aggregator", kFlags,
+                                 kUsage)) {
+      return 2;
+    }
     if (tools::handle_version(args, "resmon_aggregator")) return 0;
     std::cout << tools::version_line("resmon_aggregator") << '\n'
               << std::flush;
-    const trace::InMemoryTrace trace = tools::build_trace(args);
+    // The fleet's N and d, as build_trace would size the trace, without
+    // generating it.
+    const trace::SyntheticProfile fleet = tools::run_profile(args);
     const std::size_t slots = tools::run_slots(args);
     const std::string host = args.get("host", "127.0.0.1");
     const std::size_t shard =
@@ -54,7 +79,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     const agg::ShardRange range =
-        agg::shard_range(trace.num_nodes(), num_shards, shard);
+        agg::shard_range(fleet.num_nodes, num_shards, shard);
 
     obs::MetricsRegistry registry;
 
@@ -62,7 +87,7 @@ int main(int argc, char** argv) {
     opts.shard = shard;
     opts.first_node = range.first_node;
     opts.num_nodes = range.num_nodes;
-    opts.num_resources = trace.num_resources();
+    opts.num_resources = fleet.num_resources;
     opts.upstream.host = args.get("upstream-host", host);
     opts.upstream.port = tools::port_flag(args, "upstream-port");
     opts.stale_after_ms =

@@ -6,12 +6,7 @@
 // Exits 0 iff the central store became complete and the forecast RMSE is
 // finite — the localhost smoke test in CI keys off that.
 //
-//   resmon_controller --port 0 --nodes 8 --steps 200 --dataset alibaba
-//       --seed 1 [--k 3] [--model hold] [--threads 1]
-//       [--resources N] [--stale-after-ms MS] [--dead-after-ms MS]
-//       [--fault-spec SPEC]
-//       [--shards M] [--metrics-port 0] [--metrics-linger-ms 2000]
-//       [--metrics-out file.prom] [--trace-out file.jsonl] [--version]
+// The flags are kUsage below, printed to stderr (exit 2) on any other.
 //
 // --stale-after-ms/--dead-after-ms enable graceful degradation: a node
 // silent that long is marked STALE (the slot barrier stops waiting for it;
@@ -41,6 +36,7 @@
 #include <cmath>
 #include <iostream>
 #include <optional>
+#include <string_view>
 
 #include "common/cli.hpp"
 #include "core/metrics.hpp"
@@ -54,9 +50,34 @@
 
 using namespace resmon;
 
+namespace {
+
+constexpr std::string_view kFlags[] = {
+    "port", "host", "nodes", "steps", "dataset", "seed", "resources", "k",
+    "model", "initial", "retrain", "threads", "stale-after-ms",
+    "dead-after-ms", "fault-spec", "shards", "wait-ms", "slot-timeout-ms",
+    "metrics-port", "metrics-linger-ms", "metrics-out", "trace-out",
+    "version"};
+
+constexpr const char* kUsage =
+    "usage: resmon_controller [--port 0] [--host 127.0.0.1] [--nodes 8]\n"
+    "         [--steps 200] [--dataset alibaba] [--seed 1] [--resources N]\n"
+    "         [--k 3] [--model hold] [--initial 50] [--retrain 288]\n"
+    "         [--threads 1] [--stale-after-ms MS] [--dead-after-ms MS]\n"
+    "         [--fault-spec SPEC] [--shards M] [--wait-ms 30000]\n"
+    "         [--slot-timeout-ms 10000] [--metrics-port PORT]\n"
+    "         [--metrics-linger-ms MS] [--metrics-out FILE.prom]\n"
+    "         [--trace-out FILE.jsonl] [--version]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   try {
     const Args args(argc, argv);
+    if (!tools::known_flags_only(args, "resmon_controller", kFlags,
+                                 kUsage)) {
+      return 2;
+    }
     if (tools::handle_version(args, "resmon_controller")) return 0;
     std::cout << tools::version_line("resmon_controller") << '\n'
               << std::flush;
