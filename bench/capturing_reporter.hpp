@@ -24,7 +24,9 @@ class CapturingReporter : public benchmark::ConsoleReporter {
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
       std::vector<std::pair<std::string, double>> fields = {
-          {"ns_per_op", run.GetAdjustedRealTime()},
+          // GetAdjustedRealTime() is in the benchmark's display unit.
+          {"ns_per_op", run.GetAdjustedRealTime() * 1e9 /
+                            benchmark::GetTimeUnitMultiplier(run.time_unit)},
           {"iterations", static_cast<double>(run.iterations)}};
       const auto bytes = run.counters.find("bytes_per_second");
       if (bytes != run.counters.end()) {

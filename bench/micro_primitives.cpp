@@ -1,12 +1,17 @@
 // Micro-benchmarks for the primitives the pipeline leans on: K-means and
 // one Lloyd pass, Hungarian matching, a view's modal offsets, one
-// cluster-tracker update, ARIMA/LSTM fitting and Gaussian conditional
+// cluster-tracker update, ARIMA fits (one model, and one retrain slot's
+// lockstep refits), LSTM fitting and Gaussian conditional
 // variance. Engineering hygiene, not a paper artifact.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iostream>
+#include <span>
 #include <vector>
 
+#include "capturing_reporter.hpp"
 #include "cluster/dynamic_cluster.hpp"
 #include "cluster/hungarian.hpp"
 #include "cluster/kmeans.hpp"
@@ -91,6 +96,49 @@ void BM_ArimaFit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ArimaFit)->Arg(1000)->Arg(3000)->Unit(benchmark::kMillisecond);
+
+// One retrain slot's refits: `models` ARIMA(2,0,1) models, each on its own
+// series of `length` values, fit together as the pipeline's forecast stage
+// fits the models due in one slot. Model m's series is the mean of four
+// nodes' CPU series from the synthetic google profile, a stand-in for a
+// cluster centroid. 6 x 3,000 and 20 x 1,600 are the retrain slots of the
+// ledger's two ARIMA workloads.
+void BM_ArimaRefitSlot(benchmark::State& state) {
+  const std::size_t models = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
+  constexpr std::size_t kNodesPerModel = 4;
+  trace::SyntheticProfile profile = trace::google_profile();
+  profile.num_nodes = models * kNodesPerModel;
+  profile.num_steps = n;
+  const trace::InMemoryTrace t = trace::generate(profile, 8);
+  std::vector<std::vector<double>> series(models, std::vector<double>(n));
+  for (std::size_t m = 0; m < models; ++m) {
+    for (std::size_t step = 0; step < n; ++step) {
+      double sum = 0.0;
+      for (std::size_t i = 0; i < kNodesPerModel; ++i) {
+        sum += t.value(m * kNodesPerModel + i, step, 0);
+      }
+      series[m][step] = sum / kNodesPerModel;
+    }
+  }
+  const std::vector<std::span<const double>> spans(series.begin(),
+                                                   series.end());
+  for (auto _ : state) {
+    std::vector<forecast::ArimaForecaster> fits(
+        models,
+        forecast::ArimaForecaster(forecast::ArimaOrder{.p = 2, .q = 1}));
+    std::vector<forecast::ArimaForecaster*> due;
+    for (forecast::ArimaForecaster& f : fits) due.push_back(&f);
+    forecast::ArimaForecaster::fit_lockstep(due, spans);
+    benchmark::DoNotOptimize(fits[0].forecast(1));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(models));
+}
+BENCHMARK(BM_ArimaRefitSlot)
+    ->Args({6, 3000})
+    ->Args({20, 1600})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LstmFit(benchmark::State& state) {
   Rng rng(5);
@@ -262,6 +310,26 @@ BENCHMARK(BM_LloydPass)
     ->Args({1, 10})
     ->Unit(benchmark::kMicrosecond);
 
+constexpr const char* kUsage =
+    "usage: micro_primitives [--json PATH [--json-run LABEL]]\n"
+    "       [google-benchmark flags, e.g. --benchmark_filter=NAME]\n";
+
 }  // namespace
 
-BENCHMARK_MAIN();
+// --json PATH merges this harness's rows into PATH (BENCH_micro.json) and
+// --json-run LABEL also appends a history entry. An unknown flag exits 2.
+int main(int argc, char** argv) {
+  const resmon::bench::JsonFlags json =
+      resmon::bench::take_json_flags(argc, argv);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv) || !json.valid()) {
+    std::cerr << kUsage;
+    return 2;
+  }
+  resmon::bench::BenchJson sink("resmon-micro", "micro_primitives");
+  resmon::bench::CapturingReporter reporter(&sink);
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  json.write(sink);
+  return 0;
+}

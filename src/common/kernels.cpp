@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
+
 // Two instances of every kernel body. The SIMD instance is compiled for
 // AVX2 via the target attribute (note: *not* "avx2,fma" — fused
 // multiply-add would contract `acc += diff * diff` and break bitwise
@@ -116,13 +118,14 @@ void min_distance_update(const double* const* xcols, std::size_t d,
   }
 }
 
-void css_lanes(const double* w, std::size_t n, const double* mean,
-               LagTerms ar, LagTerms ma, std::size_t css_from,
-               double* scratch, double* css, double* resid) {
+void css_lanes(const CssGroup* groups, std::size_t count, std::size_t n,
+               CssLags lags, std::size_t css_from) {
+  RESMON_REQUIRE(count >= 1 && count <= kCssGroups,
+                 "css_lanes scores 1..kCssGroups groups per pass");
   if (use_simd()) {
-    simd::css_lanes(w, n, mean, ar, ma, css_from, scratch, css, resid);
+    simd::css_lanes(groups, count, n, lags, css_from);
   } else {
-    scalar::css_lanes(w, n, mean, ar, ma, css_from, scratch, css, resid);
+    scalar::css_lanes(groups, count, n, lags, css_from);
   }
 }
 

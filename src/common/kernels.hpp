@@ -125,33 +125,55 @@ void min_distance_update(const double* const* xcols, std::size_t d,
                          const double* c, std::size_t begin, std::size_t end,
                          double* dist2);
 
-/// Coefficient vectors css_lanes scores in one pass, one per lane.
+/// Coefficient vectors css_lanes scores per series, one per lane of a
+/// group.
 inline constexpr std::size_t kCssLanes = 4;
 
-/// One side (AR or MA) of an ARMA lag polynomial whose lags every lane
-/// shares: term k has lag lag[k], and lane l's coefficient for it is
-/// coef[k * kCssLanes + l].
-struct LagTerms {
-  const std::size_t* lag = nullptr;
-  const double* coef = nullptr;
-  std::size_t count = 0;
+/// Series css_lanes scores side by side in one pass, one group of kCssLanes
+/// lanes each. The recursion of one group is bound by latency (e[t] needs
+/// e[t - 1]), so a second group in the same t-loop costs next to nothing;
+/// docs/PERFORMANCE.md ("ARIMA refits in lockstep") has the measurement
+/// that chose the count.
+inline constexpr std::size_t kCssGroups = 2;
+
+/// The lags of an ARMA lag polynomial's AR and MA sides, which every group
+/// and lane of a pass shares.
+struct CssLags {
+  const std::size_t* ar = nullptr;
+  std::size_t ar_count = 0;
+  const std::size_t* ma = nullptr;
+  std::size_t ma_count = 0;
 };
 
-/// Conditional sum of squares (CSS) of one series w[0, n) under
-/// kCssLanes coefficient vectors at once. Each lane l runs the
-/// zero-initialized ARMA residual recursion
+/// One series of a css_lanes pass and the kCssLanes coefficient vectors it
+/// is scored under: lane l has mean mean[l], AR coefficient
+/// ar_coef[k * kCssLanes + l] for AR lag k and MA coefficient
+/// ma_coef[k * kCssLanes + l] for MA lag k. The pass writes lane l's
+/// residual e[t] to scratch[t * kCssLanes + l] (n * kCssLanes doubles) and
+/// its CSS to css[l].
+struct CssGroup {
+  const double* w = nullptr;
+  const double* mean = nullptr;
+  const double* ar_coef = nullptr;
+  const double* ma_coef = nullptr;
+  double* scratch = nullptr;
+  double* css = nullptr;
+};
+
+/// Conditional sum of squares (CSS) of `count` (1..kCssGroups) series of
+/// length n, each under kCssLanes coefficient vectors, in one pass. Each
+/// lane l of each group runs the zero-initialized ARMA residual recursion
 ///   e[t] = (w[t] - mean[l]) - sum_ar a * (w[t - lag] - mean[l])
 ///                           - sum_ma b * e[t - lag],
 /// subtracting AR terms in list order, then MA terms in list order, and
 /// skipping (not zero-multiplying) every term with t < lag. css[l] sums
-/// e[t]^2 over t in [css_from, n) in t order. When `resid` is non-null it
-/// receives lane 0's residuals e[0, n). `scratch` holds n * kCssLanes
-/// doubles. Lanes are independent, so the scalar and SIMD instances agree
-/// bit for bit with each other and with a plain one-vector recursion in
-/// that operation order.
-void css_lanes(const double* w, std::size_t n, const double* mean,
-               LagTerms ar, LagTerms ma, std::size_t css_from,
-               double* scratch, double* css, double* resid);
+/// e[t]^2 over t in [css_from, n) in t order. Each group count has its own
+/// instances, so a pass computes exactly `count` groups; a count outside
+/// 1..kCssGroups throws InvalidArgument. Lanes and groups are independent,
+/// so every lane's results are bitwise a plain one-vector recursion's in
+/// that operation order, on both instances, whatever runs beside it.
+void css_lanes(const CssGroup* groups, std::size_t count, std::size_t n,
+               CssLags lags, std::size_t css_from);
 
 /// One step of a view's offset window: the node -> cluster assignment
 /// (n entries), the stored snapshot (n x d) and the centroids (k x d),

@@ -10,147 +10,179 @@ namespace resmon::optim {
 
 namespace {
 
-// The one Nelder-Mead loop. With batch > 1 each iteration scores its
-// reflect, expand and contract points in one call of f before deciding,
-// and vertex sets go batch points per call; with batch == 1 each point is
-// scored only when a decision reads it. The decisions, and so the result,
-// are the same either way.
-OptimResult minimize(const BatchObjective& f, std::size_t batch,
+// Standard reflection/expansion/contraction/shrink coefficients.
+constexpr double kAlpha = 1.0;
+constexpr double kGamma = 2.0;
+constexpr double kRho = 0.5;
+constexpr double kSigma = 0.5;
+
+OptimResult minimize(const BatchObjective& f,
+                     NelderMeadSearch::Requests requests,
                      std::vector<double> x0,
                      const NelderMeadOptions& options) {
-  RESMON_REQUIRE(!x0.empty(), "nelder_mead requires at least one parameter");
-  const std::size_t n = x0.size();
-
-  // Standard reflection/expansion/contraction/shrink coefficients.
-  constexpr double kAlpha = 1.0;
-  constexpr double kGamma = 2.0;
-  constexpr double kRho = 0.5;
-  constexpr double kSigma = 0.5;
-
-  std::array<std::span<const double>, kNelderMeadBatch> xs;
+  NelderMeadSearch search(std::move(x0), options, requests);
   std::array<double, kNelderMeadBatch> out{};
-  std::vector<std::vector<double>> simplex(n + 1, x0);
-  std::vector<double> fvals(n + 1);
-  // Scores every vertex but `skip`, batch vertices per call of f.
-  const auto score_vertices = [&](std::size_t skip) {
-    std::array<std::size_t, kNelderMeadBatch> idx{};
-    std::size_t m = 0;
-    const auto flush = [&] {
-      f({xs.data(), m}, {out.data(), m});
-      for (std::size_t i = 0; i < m; ++i) fvals[idx[i]] = out[i];
-      m = 0;
-    };
-    for (std::size_t i = 0; i <= n; ++i) {
-      if (i == skip) continue;
-      idx[m] = i;
-      xs[m] = simplex[i];
-      if (++m == batch) flush();
-    }
-    if (m > 0) flush();
-  };
+  for (auto xs = search.pending(); !xs.empty(); xs = search.pending()) {
+    f(xs, {out.data(), xs.size()});
+    search.tell({out.data(), xs.size()});
+  }
+  return search.result();
+}
 
-  for (std::size_t i = 0; i < n; ++i) {
-    simplex[i + 1][i] +=
+}  // namespace
+
+NelderMeadSearch::NelderMeadSearch(std::vector<double> x0,
+                                   const NelderMeadOptions& options,
+                                   Requests requests)
+    : options_(options),
+      batch_(requests == Requests::kBatched ? kNelderMeadBatch : 1),
+      n_(x0.size()) {
+  RESMON_REQUIRE(!x0.empty(), "nelder_mead requires at least one parameter");
+  static_assert(kTrials <= kNelderMeadBatch);
+  simplex_.assign(n_ + 1, x0);
+  for (std::size_t i = 0; i < n_; ++i) {
+    simplex_[i + 1][i] +=
         x0[i] != 0.0 ? options.initial_step * std::fabs(x0[i]) +
                            options.initial_step
                      : options.initial_step;
   }
-  score_vertices(n + 1);
-
-  std::vector<std::size_t> order(n + 1);
-  OptimResult result;
-  std::vector<double> centroid(n);
-  // The three candidate points of an iteration and their objective values.
-  enum Trial : std::size_t { kReflected, kExpanded, kContracted, kTrials };
-  static_assert(kTrials <= kNelderMeadBatch);
-  std::array<std::vector<double>, kTrials> trial;
-  for (auto& v : trial) v.resize(n);
-  std::array<double, kTrials> f_trial{};
-  std::array<bool, kTrials> scored{};
-  const auto value = [&](Trial c) {
-    if (!scored[c]) {
-      xs[0] = trial[c];
-      f({xs.data(), 1}, {&f_trial[c], 1});
-      scored[c] = true;
-    }
-    return f_trial[c];
-  };
-  const auto accept = [&](std::size_t worst, Trial c) {
-    simplex[worst] = trial[c];
-    fvals[worst] = f_trial[c];
-  };
-
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-    for (std::size_t i = 0; i <= n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return fvals[a] < fvals[b]; });
-
-    const std::size_t best = order[0];
-    const std::size_t worst = order[n];
-    const std::size_t second_worst = order[n - 1];
-
-    // Convergence: spread of objective values and simplex extent.
-    const double f_spread = std::fabs(fvals[worst] - fvals[best]);
-    double x_spread = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      x_spread = std::max(
-          x_spread, std::fabs(simplex[worst][i] - simplex[best][i]));
-    }
-    if (f_spread < options.f_tolerance && x_spread < options.x_tolerance) {
-      result.converged = true;
-      break;
-    }
-
-    // Centroid of all points except the worst.
-    std::fill(centroid.begin(), centroid.end(), 0.0);
-    for (std::size_t i = 0; i <= n; ++i) {
-      if (i == worst) continue;
-      for (std::size_t d = 0; d < n; ++d) centroid[d] += simplex[i][d];
-    }
-    for (double& c : centroid) c /= static_cast<double>(n);
-
-    for (std::size_t d = 0; d < n; ++d) {
-      trial[kReflected][d] =
-          centroid[d] + kAlpha * (centroid[d] - simplex[worst][d]);
-      trial[kExpanded][d] =
-          centroid[d] + kGamma * (trial[kReflected][d] - centroid[d]);
-      trial[kContracted][d] =
-          centroid[d] + kRho * (simplex[worst][d] - centroid[d]);
-    }
-    scored.fill(batch > 1);
-    if (batch > 1) {
-      for (std::size_t c = 0; c < kTrials; ++c) xs[c] = trial[c];
-      f({xs.data(), kTrials}, {f_trial.data(), kTrials});
-    }
-
-    const double f_reflected = value(kReflected);
-    if (f_reflected < fvals[best]) {
-      accept(worst, value(kExpanded) < f_reflected ? kExpanded : kReflected);
-    } else if (f_reflected < fvals[second_worst]) {
-      accept(worst, kReflected);
-    } else if (value(kContracted) < fvals[worst]) {
-      accept(worst, kContracted);
-    } else {
-      // Shrink the whole simplex towards the best vertex.
-      for (std::size_t i = 0; i <= n; ++i) {
-        if (i == best) continue;
-        for (std::size_t d = 0; d < n; ++d) {
-          simplex[i][d] = simplex[best][d] +
-                          kSigma * (simplex[i][d] - simplex[best][d]);
-        }
-      }
-      score_vertices(best);
-    }
-  }
-
-  const auto best_it = std::min_element(fvals.begin(), fvals.end());
-  result.value = *best_it;
-  result.x = simplex[static_cast<std::size_t>(best_it - fvals.begin())];
-  return result;
+  fvals_.resize(n_ + 1);
+  order_.resize(n_ + 1);
+  centroid_.resize(n_);
+  for (auto& v : trial_) v.resize(n_);
+  skip_ = n_ + 1;
+  request_vertices();
 }
 
-}  // namespace
+// Requests the next batch_ vertices still to score, in index order; once
+// none is left, the next iteration starts.
+void NelderMeadSearch::request_vertices() {
+  scoring_vertices_ = true;
+  pending_ = 0;
+  for (; next_vertex_ <= n_ && pending_ < batch_; ++next_vertex_) {
+    if (next_vertex_ == skip_) continue;
+    ids_[pending_] = next_vertex_;
+    xs_[pending_++] = simplex_[next_vertex_];
+  }
+  if (pending_ == 0) iterate();
+}
+
+void NelderMeadSearch::iterate() {
+  if (result_.iterations == options_.max_iterations) return;  // done
+  ++result_.iterations;
+  for (std::size_t i = 0; i <= n_; ++i) order_[i] = i;
+  std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+    return fvals_[a] < fvals_[b];
+  });
+  best_ = order_[0];
+  worst_ = order_[n_];
+  second_worst_ = order_[n_ - 1];
+
+  // Convergence: spread of objective values and simplex extent.
+  const double f_spread = std::fabs(fvals_[worst_] - fvals_[best_]);
+  double x_spread = 0.0;
+  for (std::size_t i = 0; i < n_; ++i) {
+    x_spread = std::max(x_spread,
+                        std::fabs(simplex_[worst_][i] - simplex_[best_][i]));
+  }
+  if (f_spread < options_.f_tolerance && x_spread < options_.x_tolerance) {
+    result_.converged = true;
+    return;  // done
+  }
+
+  // Centroid of all points except the worst.
+  std::fill(centroid_.begin(), centroid_.end(), 0.0);
+  for (std::size_t i = 0; i <= n_; ++i) {
+    if (i == worst_) continue;
+    for (std::size_t d = 0; d < n_; ++d) centroid_[d] += simplex_[i][d];
+  }
+  for (double& c : centroid_) c /= static_cast<double>(n_);
+
+  for (std::size_t d = 0; d < n_; ++d) {
+    trial_[kReflected][d] =
+        centroid_[d] + kAlpha * (centroid_[d] - simplex_[worst_][d]);
+    trial_[kExpanded][d] =
+        centroid_[d] + kGamma * (trial_[kReflected][d] - centroid_[d]);
+    trial_[kContracted][d] =
+        centroid_[d] + kRho * (simplex_[worst_][d] - centroid_[d]);
+  }
+  scored_.fill(false);
+  scoring_vertices_ = false;
+  if (batch_ == 1) {
+    decide();
+    return;
+  }
+  for (std::size_t c = 0; c < kTrials; ++c) {
+    ids_[c] = c;
+    xs_[c] = trial_[c];
+  }
+  pending_ = kTrials;
+}
+
+// Whether trial c has its value; if not, requests it alone.
+bool NelderMeadSearch::scored(Trial c) {
+  if (scored_[c]) return true;
+  ids_[0] = c;
+  xs_[0] = trial_[c];
+  pending_ = 1;
+  return false;
+}
+
+// The iteration's decision, as far as the values handed back reach.
+void NelderMeadSearch::decide() {
+  pending_ = 0;
+  if (!scored(kReflected)) return;
+  const double f_reflected = f_trial_[kReflected];
+  Trial accept = kReflected;
+  if (f_reflected < fvals_[best_]) {
+    if (!scored(kExpanded)) return;
+    if (f_trial_[kExpanded] < f_reflected) accept = kExpanded;
+  } else if (!(f_reflected < fvals_[second_worst_])) {
+    if (!scored(kContracted)) return;
+    if (!(f_trial_[kContracted] < fvals_[worst_])) {
+      // Shrink the whole simplex towards the best vertex.
+      for (std::size_t i = 0; i <= n_; ++i) {
+        if (i == best_) continue;
+        for (std::size_t d = 0; d < n_; ++d) {
+          simplex_[i][d] = simplex_[best_][d] +
+                           kSigma * (simplex_[i][d] - simplex_[best_][d]);
+        }
+      }
+      next_vertex_ = 0;
+      skip_ = best_;
+      request_vertices();
+      return;
+    }
+    accept = kContracted;
+  }
+  simplex_[worst_] = trial_[accept];
+  fvals_[worst_] = f_trial_[accept];
+  iterate();
+}
+
+void NelderMeadSearch::tell(std::span<const double> values) {
+  RESMON_REQUIRE(!done() && values.size() == pending_,
+                 "nelder_mead: one value per pending point");
+  if (scoring_vertices_) {
+    for (std::size_t i = 0; i < pending_; ++i) fvals_[ids_[i]] = values[i];
+    request_vertices();
+    return;
+  }
+  for (std::size_t i = 0; i < pending_; ++i) {
+    f_trial_[ids_[i]] = values[i];
+    scored_[ids_[i]] = true;
+  }
+  decide();
+}
+
+OptimResult NelderMeadSearch::result() const {
+  RESMON_REQUIRE(done(), "nelder_mead: result before the search is done");
+  OptimResult out = result_;
+  const auto best_it = std::min_element(fvals_.begin(), fvals_.end());
+  out.value = *best_it;
+  out.x = simplex_[static_cast<std::size_t>(best_it - fvals_.begin())];
+  return out;
+}
 
 OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
                         std::vector<double> x0,
@@ -160,12 +192,14 @@ OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
            std::span<double> out) {
         for (std::size_t i = 0; i < xs.size(); ++i) out[i] = f(xs[i]);
       };
-  return minimize(one_at_a_time, 1, std::move(x0), options);
+  return minimize(one_at_a_time, NelderMeadSearch::Requests::kOneAtATime,
+                  std::move(x0), options);
 }
 
 OptimResult nelder_mead(const BatchObjective& f, std::vector<double> x0,
                         const NelderMeadOptions& options) {
-  return minimize(f, kNelderMeadBatch, std::move(x0), options);
+  return minimize(f, NelderMeadSearch::Requests::kBatched, std::move(x0),
+                  options);
 }
 
 Adam::Adam(std::size_t dimension, const Options& options)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "common/kernels.hpp"
 #include "core/estimation.hpp"
 
 namespace resmon::core {
@@ -57,14 +58,14 @@ MonitoringPipeline::MonitoringPipeline(std::size_t nodes,
 
   trackers_.reserve(views);
   histories_.assign(views, cluster::ClusterHistory(depth));
-  models_.resize(views);
+  models_.reserve(views * options.num_clusters * view_dims());
+  centroid_values_.resize(views * options.num_clusters * view_dims());
   if (options.temporal_window > 1) features_scratch_.resize(views);
   for (std::size_t v = 0; v < views; ++v) {
     cluster::DynamicClusterOptions vopts = copts;
     vopts.metrics_view = std::to_string(v);
     trackers_.emplace_back(vopts, options.seed + 1000 * (v + 1));
     const std::size_t dims = view_dims();
-    models_[v].reserve(options.num_clusters * dims);
     for (std::size_t j = 0; j < options.num_clusters; ++j) {
       for (std::size_t dim = 0; dim < dims; ++dim) {
         // Appended piecewise: GCC 12 reports a false -Wrestrict on the
@@ -75,11 +76,11 @@ MonitoringPipeline::MonitoringPipeline(std::size_t nodes,
         label += std::to_string(j);
         label += ".d";
         label += std::to_string(dim);
-        models_[v].push_back(std::make_unique<forecast::ManagedForecaster>(
+        models_.emplace_back(
             forecast::make_forecaster(
                 options.forecaster,
                 options.seed + 7919 * (v + 1) + 31 * j + dim),
-            options.schedule, registry_.get(), label));
+            options.schedule, registry_.get(), label);
       }
     }
   }
@@ -184,28 +185,35 @@ void MonitoringPipeline::step_external(
   }
 
   // Every (view, cluster, dim) forecaster is an independent model fed from
-  // the clustering finished above; retrains run in parallel, one task per
-  // model. All models share one schedule and history length, so steps where
-  // nothing retrains (the overwhelming majority) skip the pool entirely —
-  // observe() is then just a push + transient update, far cheaper than a
-  // parallel-region launch.
+  // the clustering finished above. All models share one schedule and
+  // history length, so steps where nothing retrains (the overwhelming
+  // majority) skip the pool entirely: observing is then just a push +
+  // transient update, far cheaper than a parallel-region launch, and all
+  // models form one chunk. On a retrain step the models split into chunks
+  // of kRefitGrain, two per lockstep group: the ARIMA models of a chunk fit
+  // in lockstep, and each group refills once from its chunk. The grain was
+  // chosen by measurement ("ARIMA refits in lockstep" in
+  // docs/PERFORMANCE.md); whatever it is, every model's fit is bitwise its
+  // one-by-one fit.
   {
     obs::ScopedSpan span(options_.trace_events, "pipeline.forecast",
                          stage_forecast_);
+    constexpr std::size_t kRefitGrain = 2 * kern::kCssGroups;
     const std::size_t dims = view_dims();
     const std::size_t per_view = options_.num_clusters * dims;
-    ThreadPool* pool =
-        models_[0][0]->next_observe_retrains() ? pool_.get() : nullptr;
-    run_chunked(pool, trackers_.size() * per_view, 1,
+    const bool retrain = models_[0].next_observe_retrains();
+    run_chunked(retrain ? pool_.get() : nullptr, models_.size(),
+                retrain ? kRefitGrain : models_.size(),
                 [&](std::size_t, std::size_t begin, std::size_t end) {
                   for (std::size_t m = begin; m < end; ++m) {
-                    const std::size_t v = m / per_view;
                     const std::size_t idx = m % per_view;
-                    const cluster::Clustering& clustering =
-                        histories_[v].at(0).clustering;
-                    models_[v][idx]->observe(
-                        clustering.centroids(idx / dims, idx % dims));
+                    centroid_values_[m] =
+                        histories_[m / per_view].at(0).clustering.centroids(
+                            idx / dims, idx % dims);
                   }
+                  forecast::ManagedForecaster::observe_all(
+                      std::span(models_).subspan(begin, end - begin),
+                      std::span(centroid_values_).subspan(begin, end - begin));
                 });
   }
   steps_total_->inc();
@@ -236,7 +244,8 @@ Matrix MonitoringPipeline::forecast_all(std::size_t h) const {
     // Forecasted centroids for every cluster of this view.
     for (std::size_t j = 0; j < options_.num_clusters; ++j) {
       for (std::size_t dim = 0; dim < dims; ++dim) {
-        c_hat(j, dim) = models_[v][j * dims + dim]->forecast(h);
+        c_hat(j, dim) =
+            models_[(v * options_.num_clusters + j) * dims + dim].forecast(h);
       }
     }
     modal_offsets(histories_[v], options_.offset_lookback + 1,
@@ -266,11 +275,11 @@ const cluster::ClusterHistory& MonitoringPipeline::history(
 
 const forecast::ManagedForecaster& MonitoringPipeline::model(
     std::size_t view, std::size_t j, std::size_t dim) const {
-  RESMON_REQUIRE(view < models_.size(), "view index out of range");
+  RESMON_REQUIRE(view < trackers_.size(), "view index out of range");
   const std::size_t dims = view_dims();
   RESMON_REQUIRE(j < options_.num_clusters && dim < dims,
                  "model index out of range");
-  return *models_[view][j * dims + dim];
+  return models_[(view * options_.num_clusters + j) * dims + dim];
 }
 
 }  // namespace resmon::core

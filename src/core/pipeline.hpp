@@ -189,9 +189,10 @@ class MonitoringPipeline {
   transport::CentralStore store_;
   std::vector<cluster::DynamicClusterTracker> trackers_;
   std::vector<cluster::ClusterHistory> histories_;  // see history()
-  // models_[view][j * view_dims + dim]
-  std::vector<std::vector<std::unique_ptr<forecast::ManagedForecaster>>>
-      models_;
+  // models_[view * K * view_dims + j * view_dims + dim], and the centroid
+  // each one observes this step
+  std::vector<forecast::ManagedForecaster> models_;
+  std::vector<double> centroid_values_;
   // Per-view clustering-feature scratch for the temporal window path.
   std::vector<Matrix> features_scratch_;
   std::size_t step_count_ = 0;

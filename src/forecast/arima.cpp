@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/kernels.hpp"
@@ -77,64 +78,6 @@ void build_polys(const ArimaOrder& o, std::span<const double> params,
   }
 }
 
-/// Scores up to kern::kCssLanes parameter vectors of one order on one
-/// differenced series in a single kern::css_lanes pass. Its buffers persist
-/// across calls, so the Nelder-Mead objective allocates nothing once warm.
-class CssBatch {
- public:
-  CssBatch(const ArimaOrder& order, std::span<const double> w)
-      : order_(order), w_(w), work_(w.size() * kern::kCssLanes) {}
-
-  /// The polynomials of params[l] from the last run(), l < params.size().
-  const Polys& polys(std::size_t l) const { return polys_[l]; }
-
-  /// css[l] = the CSS of w under params[l] over t >= max_ar_lag, for each
-  /// of the 1..kCssLanes vectors in params; spare lanes repeat params[0].
-  /// `resid`, when non-null, receives params[0]'s residuals (w.size()).
-  void run(std::span<const std::span<const double>> params, double* css,
-           double* resid) {
-    constexpr std::size_t kL = kern::kCssLanes;
-    const std::size_t m = params.size();
-    for (std::size_t l = 0; l < m; ++l) {
-      build_polys(order_, params[l], polys_[l]);
-    }
-    const auto lane = [&](std::size_t l) -> const Polys& {
-      return polys_[l < m ? l : 0];
-    };
-    // Lags are the order's, so lane 0's; coefficients go lane-interleaved.
-    const auto interleave = [&](Terms Polys::*side,
-                                std::vector<std::size_t>& lag,
-                                std::vector<double>& coef) -> kern::LagTerms {
-      const Terms& terms = polys_[0].*side;
-      lag.resize(terms.size());
-      coef.resize(terms.size() * kL);
-      for (std::size_t k = 0; k < terms.size(); ++k) {
-        lag[k] = terms[k].first;
-        for (std::size_t l = 0; l < kL; ++l) {
-          coef[k * kL + l] = (lane(l).*side)[k].second;
-        }
-      }
-      return {lag.data(), coef.data(), lag.size()};
-    };
-    double mean[kL];
-    for (std::size_t l = 0; l < kL; ++l) mean[l] = lane(l).mean;
-    double lane_css[kL];
-    kern::css_lanes(w_.data(), w_.size(), mean,
-                    interleave(&Polys::ar, ar_lag_, ar_coef_),
-                    interleave(&Polys::ma, ma_lag_, ma_coef_),
-                    polys_[0].max_ar_lag, work_.data(), lane_css, resid);
-    std::copy_n(lane_css, m, css);
-  }
-
- private:
-  ArimaOrder order_;
-  std::span<const double> w_;
-  Polys polys_[kern::kCssLanes];
-  std::vector<std::size_t> ar_lag_, ma_lag_;
-  std::vector<double> ar_coef_, ma_coef_;
-  std::vector<double> work_;
-};
-
 /// Differences x in place, seasonal differences first, as the chain does:
 /// level by level, x[t] becomes x[t + lag] - x[t]. Calls on_level(x, i)
 /// with the undifferenced level i before each difference.
@@ -149,6 +92,15 @@ void difference_chain(const ArimaOrder& o, std::vector<double>& x,
   };
   for (std::size_t i = 0; i < o.sd; ++i) difference(o.season);
   for (std::size_t i = 0; i < o.d; ++i) difference(1);
+}
+
+/// The polynomials of trial coefficients (all 0.1), whose lags are the
+/// order's: the lags depend on the order alone.
+Polys order_lags(const ArimaOrder& o) {
+  const std::vector<double> trial(o.num_params(), 0.1);
+  Polys polys;
+  build_polys(o, trial, polys);
+  return polys;
 }
 
 }  // namespace
@@ -189,88 +141,226 @@ ArimaForecaster::ArimaForecaster(const ArimaOrder& order,
   }
 }
 
+/// Runs the searches of models of one order and series length in lockstep:
+/// each kern::css_lanes pass scores the pending request of every busy
+/// group, one model per group, and a group whose model is done takes the
+/// next one from the queue. A model's fit reads only its own group, so its
+/// result does not depend on what runs beside it.
+class ArimaForecaster::Lockstep {
+ public:
+  Lockstep(const ArimaOrder& order, std::size_t series_length)
+      : order_(order),
+        n_(series_length - order.d - order.sd * order.season) {
+    const Polys lags = order_lags(order);
+    for (const auto& [lag, a] : lags.ar) ar_lag_.push_back(lag);
+    for (const auto& [lag, b] : lags.ma) ma_lag_.push_back(lag);
+    max_ar_lag_ = lags.max_ar_lag;
+    // Each chain level and the residuals keep their newest values, as deep
+    // as update() and forecast() read: the deepest AR lag, MA lag or
+    // season (at least 1, as a regular difference reads two values), plus
+    // the newest.
+    depth_ = std::max<std::size_t>({max_ar_lag_, order.season, 1});
+    for (const std::size_t lag : ma_lag_) depth_ = std::max(depth_, lag);
+    ++depth_;
+  }
+
+  /// Fits *models[i] to series[i] for each i, in queue order.
+  void run(std::span<ArimaForecaster* const> models,
+           std::span<const std::span<const double>> series) {
+    std::size_t next = 0;
+    const auto refill = [&](Group& g) {
+      g.model = nullptr;
+      if (next == models.size()) return;
+      start(g, *models[next], series[next]);
+      ++next;
+    };
+    for (Group& g : groups_) refill(g);
+    const kern::CssLags lags{ar_lag_.data(), ar_lag_.size(), ma_lag_.data(),
+                             ma_lag_.size()};
+    std::array<kern::CssGroup, kern::kCssGroups> pass;
+    std::array<Group*, kern::kCssGroups> busy;
+    for (;;) {
+      std::size_t count = 0;
+      for (Group& g : groups_) {
+        if (g.model == nullptr) continue;
+        busy[count] = &g;
+        pass[count++] = load(g);
+      }
+      if (count == 0) return;
+      kern::css_lanes(pass.data(), count, n_, lags, max_ar_lag_);
+      for (std::size_t i = 0; i < count; ++i) {
+        Group& g = *busy[i];
+        if (!g.search) {
+          finish(g);
+          refill(g);
+          continue;
+        }
+        g.search->tell(penalized(g));
+        if (g.search->done()) {
+          g.model->params_ = g.search->result().x;
+          g.search.reset();
+        }
+      }
+    }
+  }
+
+ private:
+  struct Group {
+    ArimaForecaster* model = nullptr;  // nullptr: idle
+    std::vector<double> diffed;  // w, when the order differences
+    std::span<const double> w;
+    // The model's search; once it is done, the pass at the optimum.
+    std::optional<optim::NelderMeadSearch> search;
+    std::span<const double> optimum[1];
+    std::span<const std::span<const double>> points;  // this pass's
+    Polys polys[kern::kCssLanes];
+    std::vector<double> ar_coef, ma_coef;
+    double mean[kern::kCssLanes] = {};
+    double css[kern::kCssLanes] = {};
+    double values[kern::kCssLanes] = {};
+    std::vector<double> scratch;  // every lane's residuals, n * kCssLanes
+    std::vector<double> residuals;  // lane 0's, at the optimum
+  };
+
+  /// Sets `model` up in g: its differencing chain, the stationary series w
+  /// (the history itself when nothing is differenced, else the differences
+  /// of one copy) and its search from the start point.
+  void start(Group& g, ArimaForecaster& model,
+             std::span<const double> series) {
+    g.model = &model;
+    model.chain_.resize(1 + order_.sd + order_.d);
+    g.w = series;
+    if (order_.sd + order_.d > 0) {
+      g.diffed.assign(series.begin(), series.end());
+      difference_chain(order_, g.diffed,
+                       [&](std::span<const double> level, std::size_t i) {
+                         model.chain_[i].assign(depth_, level);
+                       });
+      g.w = g.diffed;
+    }
+    model.chain_.back().assign(depth_, g.w);
+    std::vector<double>& params = model.params_;
+    params.assign(order_.num_params(), 0.1);
+    if (order_.needs_mean()) {
+      double m = 0.0;
+      for (double v : g.w) m += v;
+      params.back() = m / static_cast<double>(g.w.size());
+    }
+    g.scratch.resize(n_ * kern::kCssLanes);
+    g.search.reset();
+    if (!params.empty()) g.search.emplace(params, model.options_.optimizer);
+  }
+
+  /// g's part of the next pass: the search's pending points, else the
+  /// optimum, in lanes; spare lanes repeat lane 0.
+  kern::CssGroup load(Group& g) {
+    constexpr std::size_t kL = kern::kCssLanes;
+    if (g.search) {
+      g.points = g.search->pending();
+    } else {
+      g.optimum[0] = g.model->params_;
+      g.points = g.optimum;
+    }
+    const std::size_t m = g.points.size();
+    for (std::size_t l = 0; l < m; ++l) {
+      build_polys(order_, g.points[l], g.polys[l]);
+    }
+    const auto lane = [&](std::size_t l) -> const Polys& {
+      return g.polys[l < m ? l : 0];
+    };
+    const auto interleave = [&](Terms Polys::*side,
+                                std::vector<double>& coef) {
+      const std::size_t terms = (g.polys[0].*side).size();
+      coef.resize(terms * kL);
+      for (std::size_t k = 0; k < terms; ++k) {
+        for (std::size_t l = 0; l < kL; ++l) {
+          coef[k * kL + l] = (lane(l).*side)[k].second;
+        }
+      }
+    };
+    interleave(&Polys::ar, g.ar_coef);
+    interleave(&Polys::ma, g.ma_coef);
+    for (std::size_t l = 0; l < kL; ++l) g.mean[l] = lane(l).mean;
+    return {.w = g.w.data(),
+            .mean = g.mean,
+            .ar_coef = g.ar_coef.data(),
+            .ma_coef = g.ma_coef.data(),
+            .scratch = g.scratch.data(),
+            .css = g.css};
+  }
+
+  /// The objective of g's points from the pass's CSS, with a soft
+  /// stationarity/invertibility penalty that keeps the combined lag
+  /// polynomials inside the (conservative) |coeffs| sum < 1 region.
+  std::span<const double> penalized(Group& g) const {
+    const double n = static_cast<double>(n_);
+    for (std::size_t i = 0; i < g.points.size(); ++i) {
+      const Polys& polys = g.polys[i];
+      const double excess_ar = std::max(0.0, polys.ar_abs_sum - 0.999);
+      const double excess_ma = std::max(0.0, polys.ma_abs_sum - 0.999);
+      g.values[i] = g.css[i] * (1.0 + 50.0 * (excess_ar + excess_ma)) +
+                    n * (excess_ar + excess_ma);
+    }
+    return {g.values, g.points.size()};
+  }
+
+  /// The pass at the optimum gave its residuals (lane 0), CSS and
+  /// polynomials: the fitted model.
+  void finish(Group& g) {
+    ArimaForecaster& model = *g.model;
+    g.residuals.resize(n_);
+    for (std::size_t t = 0; t < n_; ++t) {
+      g.residuals[t] = g.scratch[t * kern::kCssLanes];
+    }
+    model.residuals_.assign(depth_, g.residuals);
+    model.css_ = g.css[0];
+    const Polys& polys = g.polys[0];
+    model.ar_lags_ = polys.ar;
+    model.ma_lags_ = polys.ma;
+    model.mean_ = polys.mean;
+    model.max_ar_lag_ = polys.max_ar_lag;
+    model.n_effective_ = n_ > max_ar_lag_ ? n_ - max_ar_lag_ : 0;
+    model.fitted_ = true;
+  }
+
+  ArimaOrder order_;
+  std::size_t n_;  // length of the stationary series w
+  std::vector<std::size_t> ar_lag_, ma_lag_;
+  std::size_t max_ar_lag_ = 0;
+  std::size_t depth_ = 0;
+  std::array<Group, kern::kCssGroups> groups_;
+};
+
+std::size_t ArimaForecaster::min_series_length() const {
+  const std::size_t loss = order_.d + order_.sd * order_.season;
+  return loss + std::max<std::size_t>(order_lags(order_).max_ar_lag + 8, 16);
+}
+
 void ArimaForecaster::fit(std::span<const double> series) {
-  const std::size_t seasonal_loss = order_.sd * order_.season;
-  const std::size_t loss = order_.d + seasonal_loss;
+  ArimaForecaster* const self[] = {this};
+  const std::span<const double> one[] = {series};
+  fit_lockstep(self, one);
+}
 
-  // Trial polynomials with unit coefficients give the deepest lag the model
-  // will ever reach; the differenced series must comfortably cover it.
-  std::vector<double> ones(order_.num_params(), 0.1);
-  Polys trial;
-  build_polys(order_, ones, trial);
-  const std::size_t min_len =
-      std::max<std::size_t>(trial.max_ar_lag + 8, 16);
-  if (series.size() < loss + min_len) {
-    throw NumericalError("ARIMA" + order_.to_string() +
-                         ": series too short (" +
-                         std::to_string(series.size()) + " points)");
+void ArimaForecaster::fit_lockstep(
+    std::span<ArimaForecaster* const> models,
+    std::span<const std::span<const double>> series) {
+  RESMON_REQUIRE(models.size() == series.size(),
+                 "fit_lockstep needs one series per model");
+  if (models.empty()) return;
+  const ArimaOrder& order = models[0]->order_;
+  const std::size_t length = series[0].size();
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    const ArimaForecaster& model = *models[i];
+    RESMON_REQUIRE(model.order_ == order && series[i].size() == length,
+                   "fit_lockstep needs one order and one series length");
+    if (length < model.min_series_length()) {
+      throw NumericalError("ARIMA" + order.to_string() +
+                           ": series too short (" + std::to_string(length) +
+                           " points)");
+    }
   }
-
-  // Each chain level and the residuals keep their newest values, as deep
-  // as update() and forecast() read: the deepest AR lag, MA lag or season
-  // (at least 1, as a regular difference reads two values), plus the
-  // newest. The lags depend on the order alone, so the trial polynomials
-  // give them. The stationary series w is the history itself when nothing
-  // is differenced, else the differences of one copy.
-  std::size_t depth =
-      std::max<std::size_t>({trial.max_ar_lag, order_.season, 1});
-  for (const auto& [lag, b] : trial.ma) depth = std::max(depth, lag);
-  ++depth;
-  chain_.resize(1 + order_.sd + order_.d);
-  std::vector<double> diffed;
-  std::span<const double> w = series;
-  if (order_.sd + order_.d > 0) {
-    diffed.assign(series.begin(), series.end());
-    difference_chain(order_, diffed,
-                     [&](std::span<const double> level, std::size_t i) {
-                       chain_[i].assign(depth, level);
-                     });
-    w = diffed;
-  }
-  chain_.back().assign(depth, w);
-
-  params_.assign(order_.num_params(), 0.1);
-  if (order_.needs_mean()) {
-    double m = 0.0;
-    for (double v : w) m += v;
-    params_.back() = m / static_cast<double>(w.size());
-  }
-
-  CssBatch batch(order_, w);
-  if (!params_.empty()) {
-    const double n = static_cast<double>(w.size());
-    const optim::BatchObjective objective =
-        [&](std::span<const std::span<const double>> candidates,
-            std::span<double> out) {
-          batch.run(candidates, out.data(), nullptr);
-          for (std::size_t i = 0; i < candidates.size(); ++i) {
-            // Soft stationarity/invertibility penalty: keep the combined
-            // lag polynomials inside the (conservative) |coeffs| sum < 1
-            // region.
-            const Polys& polys = batch.polys(i);
-            const double excess_ar = std::max(0.0, polys.ar_abs_sum - 0.999);
-            const double excess_ma = std::max(0.0, polys.ma_abs_sum - 0.999);
-            out[i] = out[i] * (1.0 + 50.0 * (excess_ar + excess_ma)) +
-                     n * (excess_ar + excess_ma);
-          }
-        };
-    const optim::OptimResult opt =
-        optim::nelder_mead(objective, params_, options_.optimizer);
-    params_ = opt.x;
-  }
-
-  // One more pass at the optimum keeps its residuals, CSS and polynomials.
-  const std::span<const double> optimum[] = {params_};
-  std::vector<double> residuals(w.size());
-  batch.run(optimum, &css_, residuals.data());
-  residuals_.assign(depth, residuals);
-  const Polys& polys = batch.polys(0);
-  ar_lags_ = polys.ar;
-  ma_lags_ = polys.ma;
-  mean_ = polys.mean;
-  max_ar_lag_ = polys.max_ar_lag;
-  n_effective_ = w.size() > max_ar_lag_ ? w.size() - max_ar_lag_ : 0;
-  fitted_ = true;
+  Lockstep(order, length).run(models, series);
 }
 
 void ArimaForecaster::Ring::assign(std::size_t depth,

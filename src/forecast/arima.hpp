@@ -41,6 +41,7 @@ struct ArimaOrder {
     return p + q + sp + sq + (needs_mean() ? 1 : 0);
   }
   std::string to_string() const;
+  bool operator==(const ArimaOrder&) const = default;
 };
 
 struct ArimaOptions {
@@ -56,13 +57,28 @@ class ArimaForecaster final : public Forecaster {
   explicit ArimaForecaster(const ArimaOrder& order,
                            const ArimaOptions& options = {});
 
+  /// fit_lockstep with this model alone.
   void fit(std::span<const double> series) override;
   void update(double value) override;
   double forecast(std::size_t h) const override;
   bool is_fitted() const override { return fitted_; }
   std::string name() const override { return "ARIMA" + order_.to_string(); }
 
+  /// Fits *models[i] to series[i] for every i; all models share one order
+  /// and all series one length (else InvalidArgument). The searches run in
+  /// lockstep: kern::kCssGroups models at a time share each
+  /// kern::css_lanes pass, one Nelder-Mead request per model, and a model
+  /// whose search ends hands its group to the next. Every model's
+  /// coefficients, CSS, residuals and forecasts are bitwise those of
+  /// fitting it alone. A series too short for the order throws
+  /// NumericalError, as fit() does, before any model changes.
+  static void fit_lockstep(std::span<ArimaForecaster* const> models,
+                           std::span<const std::span<const double>> series);
+
   const ArimaOrder& order() const { return order_; }
+  /// The shortest series fit() accepts: the differenced series must
+  /// comfortably cover the deepest lag the order reaches.
+  std::size_t min_series_length() const;
   double css() const;     ///< conditional sum of squares at the optimum
   double sigma2() const;  ///< residual variance estimate
   double aicc() const;    ///< corrected AIC (model selection criterion)
@@ -104,6 +120,8 @@ class ArimaForecaster final : public Forecaster {
     std::size_t mask_ = 0;
     std::size_t size_ = 0;
   };
+
+  class Lockstep;
 
   ArimaOrder order_;
   ArimaOptions options_;

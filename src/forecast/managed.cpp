@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "forecast/arima.hpp"
 
 namespace resmon::forecast {
 
@@ -56,6 +57,10 @@ double ManagedForecaster::residual_rmse() const {
 }
 
 void ManagedForecaster::observe(double value) {
+  observe_all({this, 1}, {&value, 1});
+}
+
+bool ManagedForecaster::record(double value) {
   if (residual_gauge_ != nullptr && !history_.empty()) {
     // What would we have predicted for this step? Same fallback rule as
     // forecast(): the model once ready, else sample-and-hold.
@@ -71,34 +76,69 @@ void ManagedForecaster::observe(double value) {
     history_.reserve(std::max(history_.size() * 2, kHistoryReserveSteps));
   }
   history_.push_back(value);
+  if (!due && ready()) model_->update(value);
+  return due;
+}
 
-  if (due) {
-    const auto start = std::chrono::steady_clock::now();
-    bool fit_ok = false;
-    try {
-      model_->fit(history_);
-      ++fits_completed_;
-      fit_ok = true;
-    } catch (const NumericalError&) {
-      // Not enough usable data yet (e.g. seasonal ARIMA with a long season);
-      // stay in the fallback regime until the next scheduled fit.
-    }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    training_seconds_ += seconds;
-    if (fits_total_ != nullptr) {
-      if (fit_ok) {
-        fits_total_->inc();
-      } else {
-        fit_failures_total_->inc();
-      }
-      fit_seconds_->observe(seconds);
-    }
-  } else if (ready()) {
-    model_->update(value);
+void ManagedForecaster::refit() {
+  const auto start = std::chrono::steady_clock::now();
+  bool ok = false;
+  try {
+    model_->fit(history_);
+    ok = true;
+  } catch (const NumericalError&) {
+    // Not enough usable data yet (e.g. seasonal ARIMA with a long season);
+    // stay in the fallback regime until the next scheduled fit.
   }
+  record_fit(ok, std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+}
+
+void ManagedForecaster::record_fit(bool ok, double seconds) {
+  if (ok) ++fits_completed_;
+  training_seconds_ += seconds;
+  if (fits_total_ != nullptr) {
+    if (ok) {
+      fits_total_->inc();
+    } else {
+      fit_failures_total_->inc();
+    }
+    fit_seconds_->observe(seconds);
+  }
+}
+
+void ManagedForecaster::observe_all(std::span<ManagedForecaster> models,
+                                    std::span<const double> values) {
+  RESMON_REQUIRE(models.size() == values.size(),
+                 "observe_all needs one value per model");
+  std::vector<ManagedForecaster*> lockstep;
+  std::vector<ArimaForecaster*> arima;
+  std::vector<std::span<const double>> series;
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    ManagedForecaster& m = models[i];
+    if (!m.record(values[i])) continue;
+    auto* a = dynamic_cast<ArimaForecaster*>(m.model_.get());
+    // The lockstep batch takes the first due ARIMA model's order and
+    // history length; a model that differs fits alone.
+    if (a == nullptr || m.history_.size() < a->min_series_length() ||
+        (!arima.empty() && (a->order() != arima[0]->order() ||
+                            m.history_.size() != series[0].size()))) {
+      m.refit();
+      continue;
+    }
+    lockstep.push_back(&m);
+    arima.push_back(a);
+    series.push_back(m.history_);
+  }
+  if (arima.empty()) return;
+  const auto start = std::chrono::steady_clock::now();
+  ArimaForecaster::fit_lockstep(arima, series);
+  const double share = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count() /
+                       static_cast<double>(arima.size());
+  for (ManagedForecaster* m : lockstep) m->record_fit(true, share);
 }
 
 double ManagedForecaster::forecast(std::size_t h) const {

@@ -39,8 +39,19 @@ class ManagedForecaster {
                     obs::MetricsRegistry* metrics = nullptr,
                     const std::string& label = {});
 
-  /// Record one new observation (one per time step).
+  /// Record one new observation (one per time step): observe_all with
+  /// this model alone.
   void observe(double value);
+
+  /// Records values[i] into models[i] for every i, as observe() would one
+  /// model at a time, except that the ARIMA models due for a refit at this
+  /// observation fit together, in one ArimaForecaster::fit_lockstep call:
+  /// those of the first due one's order and history length. Other model
+  /// kinds, ARIMA models of another order or length, and an ARIMA model
+  /// whose history is still too short (it stays in the fallback regime) fit
+  /// one by one. Every model ends bitwise as observe() would leave it.
+  static void observe_all(std::span<ManagedForecaster> models,
+                          std::span<const double> values);
 
   /// True when the NEXT observe() will trigger a scheduled (re)fit. The
   /// pipeline uses this to route cheap observe-only steps around the thread
@@ -61,7 +72,10 @@ class ManagedForecaster {
   std::size_t fits_completed() const { return fits_completed_; }
   const Forecaster& model() const { return *model_; }
 
-  /// Total wall-clock seconds spent inside model->fit() so far (Table II).
+  /// Total wall-clock seconds spent fitting this model so far (Table II).
+  /// A lockstep refit charges each of its models an equal share of the
+  /// batch's wall time, which is also what each model's one
+  /// resmon_forecast_fit_seconds observation holds.
   double total_training_seconds() const { return training_seconds_; }
 
   /// RMSE of the one-step-ahead forecasts made so far (cumulative over all
@@ -70,6 +84,14 @@ class ManagedForecaster {
   double residual_rmse() const;
 
  private:
+  /// The observe() of one model up to its fit: residual tracking, the
+  /// push, and update() between fits. True when a fit is due.
+  bool record(double value);
+  /// Fits the model alone on its history and records the fit.
+  void refit();
+  /// Counts one fit attempt that took `seconds`.
+  void record_fit(bool ok, double seconds);
+
   std::unique_ptr<Forecaster> model_;
   RetrainSchedule schedule_;
   std::vector<double> history_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <numbers>
 #include <utility>
 #include <vector>
@@ -10,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/kernels.hpp"
+#include "forecast/managed.hpp"
 #include "common/rng.hpp"
 #include "reference_nelder_mead.hpp"
 
@@ -463,6 +467,223 @@ TEST(ArimaOracle, BoundedStateMatchesUnboundedRecursion) {
       }
     }
   }
+}
+
+// ---- Lockstep refits against one-by-one fits ----
+
+/// A centroid-like series: a daily cycle plus AR(1) noise, its own per seed.
+std::vector<double> centroid_series(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  const double phi = 0.5 + 0.45 * rng.uniform();
+  const double level = 0.3 + 0.4 * rng.uniform();
+  std::vector<double> x(n);
+  double state = 0.0;
+  for (std::size_t t = 0; t < n; ++t) {
+    state = phi * state + rng.normal(0.0, 0.03);
+    x[t] = level +
+           0.1 * std::sin(2.0 * std::numbers::pi * static_cast<double>(t) /
+                          48.0) +
+           state;
+  }
+  return x;
+}
+
+/// The optimizer settings the lockstep models cycle through: the default
+/// search, one capped at a few iterations (it runs to max_iterations), and
+/// one with loose tolerances (it converges early).
+ArimaOptions lockstep_options(std::size_t i) {
+  ArimaOptions o;
+  if (i % 3 == 1) o.optimizer.max_iterations = 12;
+  if (i % 3 == 2) o.optimizer.f_tolerance = o.optimizer.x_tolerance = 1e-3;
+  return o;
+}
+
+class KernelPathGuard {
+ public:
+  KernelPathGuard() : saved_(kern::active_path()) {}
+  ~KernelPathGuard() { kern::set_path(saved_); }
+
+ private:
+  kern::Path saved_;
+};
+
+std::vector<kern::Path> kernel_paths() {
+  std::vector<kern::Path> paths{kern::Path::kScalar};
+  if (kern::simd_supported()) paths.push_back(kern::Path::kSimd);
+  return paths;
+}
+
+void expect_same_fit(const ArimaForecaster& got, const ArimaForecaster& want) {
+  ASSERT_TRUE(got.is_fitted());
+  ASSERT_EQ(got.coefficients().size(), want.coefficients().size());
+  for (std::size_t i = 0; i < got.coefficients().size(); ++i) {
+    EXPECT_TRUE(same_bits(got.coefficients()[i], want.coefficients()[i]))
+        << "coefficient " << i;
+  }
+  EXPECT_TRUE(same_bits(got.css(), want.css()))
+      << got.css() << " vs " << want.css();
+  for (std::size_t h = 1; h <= 48; ++h) {
+    ASSERT_TRUE(same_bits(got.forecast(h), want.forecast(h))) << "h " << h;
+  }
+}
+
+/// Fits `count` models of `order` in lockstep and one by one, on series of
+/// one length, and compares them bitwise.
+void check_lockstep(const ArimaOrder& order, std::size_t count,
+                    std::size_t length) {
+  std::vector<std::vector<double>> series;
+  std::vector<ArimaForecaster> together, alone;
+  for (std::size_t i = 0; i < count; ++i) {
+    series.push_back(centroid_series(length, 100 + i));
+    together.emplace_back(order, lockstep_options(i));
+    alone.emplace_back(order, lockstep_options(i));
+  }
+  std::vector<ArimaForecaster*> models;
+  for (ArimaForecaster& m : together) models.push_back(&m);
+  const std::vector<std::span<const double>> spans(series.begin(),
+                                                   series.end());
+  ArimaForecaster::fit_lockstep(models, spans);
+  for (std::size_t i = 0; i < count; ++i) {
+    SCOPED_TRACE(::testing::Message() << "model " << i << " of " << count);
+    alone[i].fit(series[i]);
+    expect_same_fit(together[i], alone[i]);
+  }
+}
+
+TEST(ArimaLockstep, MatchesOneByOneFitBitwise) {
+  KernelPathGuard guard;
+  const std::vector<ArimaOrder> orders{
+      {.p = 2, .d = 0, .q = 1},
+      {.p = 1, .d = 1, .q = 1, .sp = 0, .sd = 1, .sq = 1, .season = 12},
+  };
+  for (const kern::Path path : kernel_paths()) {
+    kern::set_path(path);
+    for (const ArimaOrder& order : orders) {
+      for (const std::size_t count : {1, 2, 3, 6, 20}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "path " << static_cast<int>(path) << " "
+                     << order.to_string() << " x " << count);
+        check_lockstep(order, count, 240);
+      }
+    }
+  }
+}
+
+// The searches check_lockstep runs end every way a search can: converged,
+// at max_iterations, and after shrinking the simplex.
+TEST(ArimaLockstep, SearchesConvergeRunOutAndShrink) {
+  const ArimaOrder order{.p = 2, .d = 0, .q = 1};
+  std::size_t converged = 0, capped = 0, shrinks = 0;
+  for (std::size_t i = 0; i < 20; ++i) {
+    const std::vector<double> w = centroid_series(240, 100 + i);
+    std::vector<double> x0(order.num_params(), 0.1);
+    double m = 0.0;
+    for (const double v : w) m += v;
+    x0.back() = m / static_cast<double>(w.size());
+    const ArimaOptions options = lockstep_options(i);
+    const auto run = oracle::reference_nelder_mead(
+        [&](std::span<const double> p) {
+          return reference_objective(order, w, p);
+        },
+        x0, options.optimizer);
+    converged += run.result.converged ? 1 : 0;
+    capped += run.result.iterations == options.optimizer.max_iterations &&
+                      !run.result.converged
+                  ? 1
+                  : 0;
+    shrinks += run.shrinks;
+    ArimaForecaster model(order, options);
+    model.fit(w);
+    for (std::size_t k = 0; k < x0.size(); ++k) {
+      EXPECT_TRUE(same_bits(model.coefficients()[k], run.result.x[k]))
+          << "model " << i << " coefficient " << k;
+    }
+  }
+  EXPECT_GE(converged, 5u);
+  EXPECT_GE(capped, 5u);
+  EXPECT_GE(shrinks, 1u);
+}
+
+TEST(ArimaLockstep, MixedOrdersOrLengthsAreRefused) {
+  const ArimaOrder order{.p = 2, .d = 0, .q = 1};
+  std::vector<ArimaForecaster> models{ArimaForecaster(order),
+                                      ArimaForecaster({.p = 1, .d = 1}),
+                                      ArimaForecaster(order)};
+  const std::vector<double> w = centroid_series(200, 1);
+  const std::span<const double> whole(w);
+  std::vector<ArimaForecaster*> mixed_orders{&models[0], &models[1]};
+  EXPECT_THROW(
+      ArimaForecaster::fit_lockstep(
+          mixed_orders, std::vector<std::span<const double>>{whole, whole}),
+      InvalidArgument);
+  std::vector<ArimaForecaster*> one_order{&models[0], &models[2]};
+  EXPECT_THROW(ArimaForecaster::fit_lockstep(
+                   one_order, std::vector<std::span<const double>>{
+                                  whole, whole.first(w.size() - 1)}),
+               InvalidArgument);
+  for (const ArimaForecaster& m : models) EXPECT_FALSE(m.is_fitted());
+}
+
+TEST(ArimaLockstep, TooShortSeriesThrowsBeforeAnyModelChanges) {
+  const ArimaOrder order{.p = 2, .d = 0, .q = 1};
+  std::vector<ArimaForecaster> models(3, ArimaForecaster(order));
+  const std::vector<double> longer = centroid_series(200, 1);
+  const std::span<const double> tiny =
+      std::span<const double>(longer).first(models[0].min_series_length() -
+                                            1);
+  std::vector<ArimaForecaster*> due{&models[0], &models[1], &models[2]};
+  const std::vector<std::span<const double>> series{tiny, tiny, tiny};
+  EXPECT_THROW(ArimaForecaster::fit_lockstep(due, series), NumericalError);
+  for (const ArimaForecaster& m : models) EXPECT_FALSE(m.is_fitted());
+  EXPECT_THROW(models[1].fit(tiny), NumericalError);
+  models[1].fit(std::span<const double>(longer).first(tiny.size() + 1));
+  EXPECT_TRUE(models[1].is_fitted());
+}
+
+// ManagedForecaster::observe_all against observe() one model at a time:
+// three ARIMA(2,0,1) models refit in lockstep, an ARIMA(1,1,0) model of
+// another order fits alone, and a seasonal model whose history is still
+// too short at its first scheduled fits stays in the fallback regime, then
+// fits alone once its history is long enough.
+TEST(ArimaLockstep, ObserveAllMatchesObserveOneByOne) {
+  const RetrainSchedule schedule{.initial_steps = 40, .retrain_interval = 30};
+  const ArimaOrder seasonal{.p = 1, .sd = 1, .season = 60};
+  const auto make = [&](std::size_t i) {
+    const ArimaOrder order = i == 3   ? seasonal
+                             : i == 4 ? ArimaOrder{.p = 1, .d = 1}
+                                      : ArimaOrder{.p = 2, .q = 1};
+    return ManagedForecaster(std::make_unique<ArimaForecaster>(order),
+                             schedule);
+  };
+  constexpr std::size_t kModels = 5;
+  std::vector<ManagedForecaster> together, alone;
+  std::vector<std::vector<double>> series;
+  for (std::size_t i = 0; i < kModels; ++i) {
+    together.push_back(make(i));
+    alone.push_back(make(i));
+    series.push_back(centroid_series(200, 500 + i));
+  }
+  std::vector<double> values(kModels);
+  for (std::size_t t = 0; t < 200; ++t) {
+    for (std::size_t i = 0; i < kModels; ++i) {
+      values[i] = series[i][t];
+      alone[i].observe(values[i]);
+    }
+    ManagedForecaster::observe_all(together, values);
+    for (std::size_t i = 0; i < kModels; ++i) {
+      ASSERT_EQ(together[i].fits_completed(), alone[i].fits_completed())
+          << "t " << t << " model " << i;
+      for (const std::size_t h : {1, 5, 48}) {
+        ASSERT_TRUE(same_bits(together[i].forecast(h), alone[i].forecast(h)))
+            << "t " << t << " model " << i << " h " << h;
+      }
+    }
+  }
+  // The seasonal model missed its first fits (t = 39, 69) and fit from
+  // t = 99 on; the others fit at every scheduled step.
+  EXPECT_EQ(together[0].fits_completed(), 6u);
+  EXPECT_EQ(together[3].fits_completed(), 4u);
+  EXPECT_EQ(together[4].fits_completed(), 6u);
 }
 
 TEST(ArimaIntervals, Ar1VarianceMatchesTheory) {

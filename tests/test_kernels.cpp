@@ -18,6 +18,7 @@
 
 #include "cluster/dynamic_cluster.hpp"
 #include "cluster/kmeans.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/soa.hpp"
 #include "reference_reindex.hpp"
@@ -298,63 +299,86 @@ struct CssCase {
   std::size_t lanes;
 };
 
+// One group of a css_lanes check: its own series and lane coefficients.
+struct CssCheckGroup {
+  std::vector<double> w, ar_coef, ma_coef, scratch;
+  double mean[kern::kCssLanes];
+  double css[kern::kCssLanes];
+};
+
+// Runs the case at every group count, each group on its own series, and
+// checks every lane of every group against the one-vector recursion.
 void check_css_lanes(const CssCase& c, Rng& rng) {
   constexpr std::size_t kL = kern::kCssLanes;
-  std::vector<double> w(c.length);
-  for (double& v : w) v = rng.normal(0.5, 0.2);
-  for (std::size_t i = 0; i < c.sd; ++i) w = differenced(w, c.season);
-  for (std::size_t i = 0; i < c.d; ++i) w = differenced(w, 1);
-  const std::size_t n = w.size();
-
   const std::vector<std::size_t> ar_lag = seasonal_lags(c.p, c.sp, c.season);
   const std::vector<std::size_t> ma_lag = seasonal_lags(c.q, c.sq, c.season);
   std::size_t max_ar_lag = 0;
   for (std::size_t lag : ar_lag) max_ar_lag = std::max(max_ar_lag, lag);
 
-  // Distinct coefficients in the first c.lanes lanes; spare lanes repeat
-  // lane 0, as ARIMA's batches do.
-  std::vector<double> ar_coef(ar_lag.size() * kL), ma_coef(ma_lag.size() * kL);
-  double mean[kL];
-  for (std::size_t l = 0; l < kL; ++l) {
-    const std::size_t src = l < c.lanes ? l : 0;
-    for (std::size_t k = 0; k < ar_lag.size(); ++k) {
-      ar_coef[k * kL + l] =
-          l == src ? rng.normal(0.0, 0.4) : ar_coef[k * kL + src];
+  std::vector<CssCheckGroup> groups(kern::kCssGroups);
+  for (CssCheckGroup& g : groups) {
+    g.w.resize(c.length);
+    for (double& v : g.w) v = rng.normal(0.5, 0.2);
+    for (std::size_t i = 0; i < c.sd; ++i) g.w = differenced(g.w, c.season);
+    for (std::size_t i = 0; i < c.d; ++i) g.w = differenced(g.w, 1);
+    // Distinct coefficients in the first c.lanes lanes; spare lanes repeat
+    // lane 0, as ARIMA's batches do.
+    g.ar_coef.resize(ar_lag.size() * kL);
+    g.ma_coef.resize(ma_lag.size() * kL);
+    for (std::size_t l = 0; l < kL; ++l) {
+      const std::size_t src = l < c.lanes ? l : 0;
+      for (std::size_t k = 0; k < ar_lag.size(); ++k) {
+        g.ar_coef[k * kL + l] =
+            l == src ? rng.normal(0.0, 0.4) : g.ar_coef[k * kL + src];
+      }
+      for (std::size_t k = 0; k < ma_lag.size(); ++k) {
+        g.ma_coef[k * kL + l] =
+            l == src ? rng.normal(0.0, 0.4) : g.ma_coef[k * kL + src];
+      }
+      g.mean[l] = !c.mean ? 0.0 : l == src ? rng.normal(0.5, 0.1) : g.mean[src];
     }
-    for (std::size_t k = 0; k < ma_lag.size(); ++k) {
-      ma_coef[k * kL + l] =
-          l == src ? rng.normal(0.0, 0.4) : ma_coef[k * kL + src];
-    }
-    mean[l] = !c.mean ? 0.0 : l == src ? rng.normal(0.5, 0.1) : mean[src];
   }
+  const std::size_t n = groups[0].w.size();
 
-  std::vector<double> scratch(2 * n * kL), resid(n);
   std::vector<kern::Path> paths{kern::Path::kScalar};
   if (kern::simd_supported()) paths.push_back(kern::Path::kSimd);
   for (const kern::Path path : paths) {
     kern::set_path(path);
-    double css[kL];
-    kern::css_lanes(w.data(), n, mean,
-                    {ar_lag.data(), ar_coef.data(), ar_lag.size()},
-                    {ma_lag.data(), ma_coef.data(), ma_lag.size()},
-                    max_ar_lag, scratch.data(), css, resid.data());
-    for (std::size_t l = 0; l < c.lanes; ++l) {
-      Terms ar, ma;
-      for (std::size_t k = 0; k < ar_lag.size(); ++k) {
-        ar.emplace_back(ar_lag[k], ar_coef[k * kL + l]);
+    for (std::size_t count = 1; count <= kern::kCssGroups; ++count) {
+      std::vector<kern::CssGroup> pass;
+      for (std::size_t g = 0; g < count; ++g) {
+        CssCheckGroup& cg = groups[g];
+        cg.scratch.assign(n * kL, 0.0);
+        pass.push_back({cg.w.data(), cg.mean, cg.ar_coef.data(),
+                        cg.ma_coef.data(), cg.scratch.data(), cg.css});
       }
-      for (std::size_t k = 0; k < ma_lag.size(); ++k) {
-        ma.emplace_back(ma_lag[k], ma_coef[k * kL + l]);
-      }
-      std::vector<double> e;
-      const double want = reference_css(w, mean[l], ar, ma, max_ar_lag, e);
-      EXPECT_TRUE(bitwise_equal(css[l], want))
-          << "path " << static_cast<int>(path) << " lane " << l << ": "
-          << css[l] << " vs " << want;
-      if (l != 0) continue;
-      for (std::size_t t = 0; t < n; ++t) {
-        ASSERT_TRUE(bitwise_equal(resid[t], e[t]))
-            << "path " << static_cast<int>(path) << " t " << t;
+      kern::css_lanes(pass.data(), count, n,
+                      {ar_lag.data(), ar_lag.size(), ma_lag.data(),
+                       ma_lag.size()},
+                      max_ar_lag);
+      for (std::size_t g = 0; g < count; ++g) {
+        const CssCheckGroup& cg = groups[g];
+        for (std::size_t l = 0; l < c.lanes; ++l) {
+          Terms ar, ma;
+          for (std::size_t k = 0; k < ar_lag.size(); ++k) {
+            ar.emplace_back(ar_lag[k], cg.ar_coef[k * kL + l]);
+          }
+          for (std::size_t k = 0; k < ma_lag.size(); ++k) {
+            ma.emplace_back(ma_lag[k], cg.ma_coef[k * kL + l]);
+          }
+          std::vector<double> e;
+          const double want =
+              reference_css(cg.w, cg.mean[l], ar, ma, max_ar_lag, e);
+          EXPECT_TRUE(bitwise_equal(cg.css[l], want))
+              << "path " << static_cast<int>(path) << " groups " << count
+              << " group " << g << " lane " << l << ": " << cg.css[l]
+              << " vs " << want;
+          for (std::size_t t = 0; t < n; ++t) {
+            ASSERT_TRUE(bitwise_equal(cg.scratch[t * kL + l], e[t]))
+                << "path " << static_cast<int>(path) << " groups " << count
+                << " group " << g << " lane " << l << " t " << t;
+          }
+        }
       }
     }
   }
@@ -400,6 +424,26 @@ TEST(Kernels, CssLanesMatchScalarRecursionBitwise) {
     SCOPED_TRACE(::testing::Message() << "trial " << trial);
     check_css_lanes(c, rng);
   }
+}
+
+TEST(Kernels, CssLanesRejectsAGroupCountOutsideOneToKCssGroups) {
+  constexpr std::size_t kL = kern::kCssLanes;
+  const std::vector<double> w(40, 0.5);
+  const std::size_t lag = 1;
+  const std::vector<double> coef(kL, 0.2);
+  double mean[kL] = {};
+  std::vector<double> scratch(w.size() * kL);
+  double css[kL] = {-1.0, -1.0, -1.0, -1.0};
+  const std::vector<kern::CssGroup> groups(
+      kern::kCssGroups + 1, {w.data(), mean, coef.data(), coef.data(),
+                             scratch.data(), css});
+  const kern::CssLags lags{&lag, 1, &lag, 1};
+  EXPECT_THROW(kern::css_lanes(groups.data(), 0, w.size(), lags, 1),
+               InvalidArgument);
+  EXPECT_THROW(kern::css_lanes(groups.data(), kern::kCssGroups + 1, w.size(),
+                               lags, 1),
+               InvalidArgument);
+  EXPECT_EQ(css[0], -1.0);  // refused before any pass
 }
 
 /// `steps` assignments of n nodes to k clusters, oldest first. Sticky

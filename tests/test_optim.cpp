@@ -170,6 +170,68 @@ TEST(NelderMeadOracle, BatchedOverloadMatchesSequentialLoop) {
   EXPECT_GE(staircase_shrinks, 20u);
 }
 
+// Several resumable searches driven round-robin, one request each per
+// round as a lockstep caller drives them, batched or one point at a time:
+// every search ends bitwise where the sequential loop ends, after the same
+// evaluations when it asks for one point at a time.
+TEST(NelderMeadOracle, ResumableSearchesInLockstepMatchSequentialLoop) {
+  const NelderMeadOptions options{.max_iterations = 700};
+  const std::vector<OracleCase> cases = oracle_cases();
+  using Requests = NelderMeadSearch::Requests;
+  std::vector<NelderMeadSearch> searches;
+  std::vector<std::size_t> batches, evaluations(cases.size(), 0);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const bool batched = i % 4 < 2;  // both ways on every objective
+    batches.push_back(batched ? kNelderMeadBatch : 1);
+    searches.emplace_back(start_point(cases[i].dims), options,
+                          batched ? Requests::kBatched : Requests::kOneAtATime);
+  }
+  for (bool busy = true; busy;) {
+    busy = false;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      NelderMeadSearch& search = searches[i];
+      const auto xs = search.pending();
+      if (xs.empty()) continue;
+      busy = true;
+      ASSERT_LE(xs.size(), batches[i]);
+      std::vector<double> values;
+      for (const std::span<const double> x : xs) {
+        values.push_back(cases[i].f(x));
+      }
+      evaluations[i] += xs.size();
+      search.tell(values);
+    }
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(::testing::Message()
+                 << "case " << i << " batch " << batches[i]);
+    ASSERT_TRUE(searches[i].done());
+    const auto want = oracle::reference_nelder_mead(
+        cases[i].f, start_point(cases[i].dims), options);
+    expect_same_result(searches[i].result(), want.result);
+    if (batches[i] == 1) {
+      EXPECT_EQ(evaluations[i], want.evaluations);
+    }
+  }
+}
+
+TEST(NelderMeadOracle, ResumableSearchRejectsMisuse) {
+  EXPECT_THROW(NelderMeadSearch({}, {}), InvalidArgument);
+  NelderMeadSearch search({1.0, 2.0}, {});
+  ASSERT_EQ(search.pending().size(), 3u);
+  EXPECT_THROW(search.result(), InvalidArgument);
+  const double one = 1.0;
+  EXPECT_THROW(search.tell({&one, 1}), InvalidArgument);
+  while (!search.done()) {
+    std::vector<double> values;
+    for (const std::span<const double> x : search.pending()) {
+      values.push_back(rosenbrock(x));
+    }
+    search.tell(values);
+  }
+  EXPECT_THROW(search.tell({}), InvalidArgument);
+}
+
 // Holt-Winters hands nelder_mead a scalar objective, so batching must not
 // change how often it is evaluated. The objective is rebuilt here from the
 // public API; the fitted parameters prove it is the one fit() minimizes.

@@ -41,6 +41,7 @@ struct RunRecord {
   std::uint64_t bytes_sent = 0;
   std::uint64_t messages_dropped = 0;
   double avg_frequency = 0.0;
+  std::size_t fits = 0;  // completed model fits, all models
 };
 
 std::vector<double> flatten(const Matrix& m) {
@@ -66,6 +67,9 @@ RunRecord run_pipeline(core::PipelineOptions options, std::size_t threads,
   rec.forecast_h4 = flatten(p.forecast_all(4));
   for (std::size_t v = 0; v < p.num_views(); ++v) {
     rec.memberships.push_back(p.history(v).at(0).clustering.assignment);
+    for (std::size_t j = 0; j < options.num_clusters; ++j) {
+      rec.fits += p.model(v, j).fits_completed();
+    }
   }
   rec.messages_sent = driver.collector().messages_sent();
   rec.bytes_sent = driver.collector().bytes_sent();
@@ -98,6 +102,7 @@ void expect_identical(const RunRecord& a, const RunRecord& b,
   EXPECT_EQ(a.bytes_sent, b.bytes_sent) << label;
   EXPECT_EQ(a.messages_dropped, b.messages_dropped) << label;
   EXPECT_EQ(a.avg_frequency, b.avg_frequency) << label;
+  EXPECT_EQ(a.fits, b.fits) << label;
 }
 
 core::PipelineOptions base_options() {
@@ -115,6 +120,19 @@ TEST(ParallelDeterminism, ReliableUplinkBitIdenticalAcrossThreadCounts) {
   ASSERT_GE(serial.sampled_rmse0.size(), 10u);
   expect_identical(serial, run_pipeline(base_options(), 2), "threads=2");
   expect_identical(serial, run_pipeline(base_options(), 8), "threads=8");
+}
+
+// The other cases refit Holt-Winters models; this one refits ARIMA, whose
+// models due in a slot fit in lockstep within each pool task. Six retrain
+// slots fall inside the run.
+TEST(ParallelDeterminism, ArimaRefitsBitIdenticalAcrossThreadCounts) {
+  core::PipelineOptions o = base_options();
+  o.forecaster = forecast::ForecasterKind::kArima;
+  o.schedule = {.initial_steps = 120, .retrain_interval = 48};
+  const RunRecord serial = run_pipeline(o, 1);
+  EXPECT_GE(serial.fits, 6 * o.num_clusters);
+  expect_identical(serial, run_pipeline(o, 2), "arima threads=2");
+  expect_identical(serial, run_pipeline(o, 4), "arima threads=4");
 }
 
 TEST(ParallelDeterminism, RepeatedRunsAreStable) {

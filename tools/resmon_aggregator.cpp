@@ -80,6 +80,12 @@ int main(int argc, char** argv) {
     }
     const agg::ShardRange range =
         agg::shard_range(fleet.num_nodes, num_shards, shard);
+    if (range.num_nodes == 0) {
+      std::cerr << "resmon_aggregator: --shard " << shard << " of --shards "
+                << num_shards << " over --nodes " << fleet.num_nodes
+                << " has no nodes\n";
+      return 2;
+    }
 
     obs::MetricsRegistry registry;
 
