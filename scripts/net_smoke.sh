@@ -24,9 +24,11 @@
 #
 # Real-host leg (--source procfs): one agent samples its own process tree
 # from the live kernel while recording, then the recording is replayed
-# through a fresh controller; the leg asserts nonzero
-# resmon_host_samples_total, zero parse errors, and a bit-identical h=1
-# RMSE between the live and replayed runs.
+# through a fresh controller. The leg asserts exactly STEPS host samples
+# and STEPS sampling-latency observations, zero parse errors, a cpu
+# utilization <= 1 and a memory utilization > 0, and a bit-identical h=1
+# RMSE between the live and replayed runs. This is the test suite's only
+# read of a live procfs: ctest samples FakeProcfs fixtures alone.
 #
 # Usage: scripts/net_smoke.sh BUILD_DIR [NODES] [STEPS] [SEED]
 #        [--tiers 1|2] [--source trace|procfs]
@@ -115,15 +117,22 @@ if [ "$SOURCE" = procfs ]; then
 
   run_leg live --source procfs --pid self --interval-ms 20 \
     --record "$WORK/host.rec" || exit 1
-  grep -qE '^resmon_host_samples_total [1-9]' "$WORK/agent_live.prom" || {
-    echo "agent never produced live host samples" >&2
-    cat "$WORK/agent_live.prom" >&2
-    exit 1
+  # host_check SERIES CONDITION: the live agent's exported value of SERIES
+  # (exposition spelling) must satisfy the awk CONDITION on v.
+  host_check() {
+    local series=$1 condition=$2 v
+    v=$(awk -v s="$series" '$1 == s { print $2 }' "$WORK/agent_live.prom")
+    if [ -z "$v" ] || ! awk -v v="$v" "BEGIN { exit !($condition) }"; then
+      echo "live agent: $series = '${v:-<missing>}', want $condition" >&2
+      cat "$WORK/agent_live.prom" >&2
+      exit 1
+    fi
   }
-  grep -qE '^resmon_host_parse_errors_total 0$' "$WORK/agent_live.prom" || {
-    echo "live sampling hit procfs parse errors" >&2
-    exit 1
-  }
+  host_check resmon_host_samples_total "v == $STEPS"
+  host_check resmon_host_sample_latency_ms_count "v == $STEPS"
+  host_check resmon_host_parse_errors_total "v == 0"
+  host_check 'resmon_host_utilization{resource="cpu"}' "v <= 1"
+  host_check 'resmon_host_utilization{resource="memory"}' "v > 0"
   [ -s "$WORK/host.rec" ] || { echo "recording missing or empty" >&2; exit 1; }
 
   run_leg replay --source replay --replay "$WORK/host.rec" || exit 1
@@ -135,12 +144,10 @@ if [ "$SOURCE" = procfs ]; then
     echo "  replay: $REPLAY_RMSE" >&2
     exit 1
   }
-  SAMPLES=$(grep -E '^resmon_host_samples_total' "$WORK/agent_live.prom" \
-              | awk '{print $2}')
   echo "--- live controller ---"
   cat "$WORK/ctrl_live.log"
   echo "replay reproduced the live run ($LIVE_RMSE)"
-  echo "net smoke test OK (procfs source, $SAMPLES host samples," \
+  echo "net smoke test OK (procfs source, $STEPS host samples," \
        "$STEPS slots, record/replay RMSE identical)"
   exit 0
 fi

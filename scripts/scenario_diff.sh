@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Check that two builds score every deterministic scenario pack the same.
+# Check that two builds score every scenario pack the same.
 #
-# Each scenarios/*.scn pack without a [host] section (host packs sample the
-# live machine, so no two runs agree) runs through
+# Every scenarios/*.scn pack is deterministic and runs through
 # `resmon scenario run PACK --metrics-out` with both builds; the
 # resmon_scenario_* lines of the two exports must be byte-identical. The
 # first pack whose run fails or whose lines differ is named and the script
@@ -46,8 +45,6 @@ scenario_lines() {
   }
 }
 
-is_host_pack() { grep -Eq '^[[:space:]]*\[host\]' "$1"; }
-
 shopt -s nullglob
 compared=0
 for base_pack in "$BASE_SCENARIO_DIR"/*.scn; do
@@ -59,10 +56,6 @@ for pack in "$SCENARIO_DIR"/*.scn; do
   base_pack="$BASE_SCENARIO_DIR/$name"
   if [ ! -e "$base_pack" ]; then
     echo "only in $SCENARIO_DIR: $name"
-    continue
-  fi
-  if is_host_pack "$pack" || is_host_pack "$base_pack"; then
-    echo "skip $name (host pack)"
     continue
   fi
   scenario_lines "$BASE_BUILD" "$base_pack" "$WORK/base.txt"

@@ -53,6 +53,7 @@ KSelection choose_k(const Matrix& points, std::size_t k_min,
   RESMON_REQUIRE(k_min >= 2, "choose_k: k_min must be >= 2");
   RESMON_REQUIRE(k_max >= k_min, "choose_k: k_max must be >= k_min");
   RESMON_REQUIRE(k_max <= points.rows(), "choose_k: k_max exceeds points");
+  RESMON_REQUIRE(points.cols() >= 1, "choose_k: points have no dimension");
 
   KSelection out;
   double best_score = -2.0;

@@ -32,7 +32,7 @@ struct KSelection {
 
 /// Sweep K over [k_min, k_max] and pick the K with the best (largest) mean
 /// silhouette; inertias are reported for elbow inspection. Deterministic
-/// given the Rng state.
+/// given the Rng state. Requires points with at least one column.
 KSelection choose_k(const Matrix& points, std::size_t k_min,
                     std::size_t k_max, Rng& rng,
                     const KMeansOptions& options = {});

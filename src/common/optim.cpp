@@ -16,19 +16,6 @@ constexpr double kGamma = 2.0;
 constexpr double kRho = 0.5;
 constexpr double kSigma = 0.5;
 
-OptimResult minimize(const BatchObjective& f,
-                     NelderMeadSearch::Requests requests,
-                     std::vector<double> x0,
-                     const NelderMeadOptions& options) {
-  NelderMeadSearch search(std::move(x0), options, requests);
-  std::array<double, kNelderMeadBatch> out{};
-  for (auto xs = search.pending(); !xs.empty(); xs = search.pending()) {
-    f(xs, {out.data(), xs.size()});
-    search.tell({out.data(), xs.size()});
-  }
-  return search.result();
-}
-
 }  // namespace
 
 NelderMeadSearch::NelderMeadSearch(std::vector<double> x0,
@@ -187,19 +174,13 @@ OptimResult NelderMeadSearch::result() const {
 OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
                         std::vector<double> x0,
                         const NelderMeadOptions& options) {
-  const BatchObjective one_at_a_time =
-      [&f](std::span<const std::span<const double>> xs,
-           std::span<double> out) {
-        for (std::size_t i = 0; i < xs.size(); ++i) out[i] = f(xs[i]);
-      };
-  return minimize(one_at_a_time, NelderMeadSearch::Requests::kOneAtATime,
-                  std::move(x0), options);
-}
-
-OptimResult nelder_mead(const BatchObjective& f, std::vector<double> x0,
-                        const NelderMeadOptions& options) {
-  return minimize(f, NelderMeadSearch::Requests::kBatched, std::move(x0),
-                  options);
+  NelderMeadSearch search(std::move(x0), options,
+                          NelderMeadSearch::Requests::kOneAtATime);
+  while (!search.done()) {
+    const double value = f(search.pending()[0]);
+    search.tell({&value, 1});
+  }
+  return search.result();
 }
 
 Adam::Adam(std::size_t dimension, const Options& options)

@@ -28,18 +28,13 @@ struct OptimResult {
   bool converged = false;      ///< Tolerances reached before max_iterations.
 };
 
-/// Most points a batch objective is handed in one call.
+/// Most points a batched search requests at once.
 inline constexpr std::size_t kNelderMeadBatch = 4;
-
-/// Objective that scores several points in one call:
-/// out[i] = f(xs[i]) for every i < xs.size() <= kNelderMeadBatch.
-using BatchObjective = std::function<void(
-    std::span<const std::span<const double>> xs, std::span<double> out)>;
 
 /// Nelder-Mead as a resumable search: it hands out the points it needs
 /// scored (pending()) and takes their values back (tell()), so a caller can
-/// score the points of several searches in one pass of its objective. Both
-/// nelder_mead overloads are loops over it.
+/// score the points of several searches in one pass of its objective.
+/// nelder_mead below is a loop over it.
 class NelderMeadSearch {
  public:
   /// How the search hands out its points. Batched, an iteration requests
@@ -114,13 +109,6 @@ class NelderMeadSearch {
 /// f is evaluated only at the points the method's decisions reach.
 OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
                         std::vector<double> x0,
-                        const NelderMeadOptions& options = {});
-
-/// The same method over a batch objective: NelderMeadSearch with
-/// kNelderMeadBatch points per call of f. The decisions are the scalar
-/// overload's, so for a pure objective both return the same result bit for
-/// bit; the batch form spends more evaluations, in fewer calls.
-OptimResult nelder_mead(const BatchObjective& f, std::vector<double> x0,
                         const NelderMeadOptions& options = {});
 
 /// Tunables for the Adam optimizer. The moment decay rates (0.9, 0.999)

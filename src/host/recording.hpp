@@ -5,7 +5,8 @@
 // measurement vector plus its monotonic timestamp; `--source replay
 // --replay FILE` re-runs the identical series bit-exactly with zero clock
 // or procfs reads, so a live run is as replayable as a synthetic one
-// (test_host and scenarios/self_soak.scn assert bit-identical forecasts).
+// (test_host asserts bit-identical forecasts; scripts/net_smoke.sh
+// --source procfs replays a live recording over real TCP).
 // A recording is a trace: read_recording returns the one-node
 // trace::InMemoryTrace, and replay reads it through collect::TraceSource.
 //

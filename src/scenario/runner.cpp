@@ -5,7 +5,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -14,10 +13,6 @@
 #include "collect/fleet_collector.hpp"
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
-#include "host/procfs.hpp"
-#include "host/recording.hpp"
-#include "host/sampler.hpp"
-#include "host/source.hpp"
 #include "scenario/socket_fleet.hpp"
 #include "sim/driver.hpp"
 #include "sim/evaluate.hpp"
@@ -305,30 +300,29 @@ ScenarioResult run_lockstep(const ScenarioSpec& spec,
   return result;
 }
 
-/// In-process and host modes: one in-process fleet over `trace` with the
-/// spec's faults and, when `twin_trace` is set, a fault-free twin over it
-/// (same options, metrics kept out of the shared registry).
-ScenarioResult run_pipelines(const ScenarioSpec& spec,
-                             obs::MetricsRegistry& registry,
-                             const trace::Trace& trace,
-                             const trace::Trace* twin_trace) {
+/// In-process mode: one in-process fleet over the spec's trace with its
+/// faults and, with baseline_compare, a fault-free twin over the same
+/// trace (same options, metrics kept out of the shared registry).
+ScenarioResult run_in_process(const ScenarioSpec& spec,
+                              obs::MetricsRegistry& registry) {
+  const trace::InMemoryTrace trace =
+      trace::generate(profile_for(spec), spec.trace_seed);
   const std::size_t steps = resolve_run_steps(spec, trace);
   sim::Driver driver(trace, pipeline_options(spec, &registry), spec.faults);
   obs::MetricsRegistry twin_registry;
-  std::unique_ptr<sim::Driver> twin;
-  if (twin_trace != nullptr) {
-    twin = std::make_unique<sim::Driver>(
-        *twin_trace, pipeline_options(spec, &twin_registry));
+  std::optional<sim::Driver> twin;
+  if (spec.baseline_compare) {
+    twin.emplace(trace, pipeline_options(spec, &twin_registry));
   }
   return run_lockstep(
       spec, registry, steps,
       {.pipeline = &driver.pipeline(),
        .truth = &trace,
-       .twin = twin != nullptr ? &twin->pipeline() : nullptr,
+       .twin = twin.has_value() ? &twin->pipeline() : nullptr,
        .advance =
            [&](std::size_t) {
              driver.step();
-             if (twin != nullptr) twin->step();
+             if (twin.has_value()) twin->step();
            },
        .traffic =
            [&] {
@@ -337,66 +331,6 @@ ScenarioResult run_pipelines(const ScenarioSpec& spec,
                  .bytes = registry.value("resmon_collect_link_bytes_sent")
                               .value_or(0.0)};
            }});
-}
-
-ScenarioResult run_in_process(const ScenarioSpec& spec,
-                              obs::MetricsRegistry& registry) {
-  const trace::InMemoryTrace trace =
-      trace::generate(profile_for(spec), spec.trace_seed);
-  return run_pipelines(spec, registry, trace,
-                       spec.baseline_compare ? &trace : nullptr);
-}
-
-// ------------------------------------------------------------------ host mode
-
-/// Burn a little CPU between samples so the recorded utilization series is
-/// not identically zero; the volatile sink keeps the loop alive under -O2.
-void busy_spin(std::size_t iters) {
-  volatile double sink = 0.0;
-  for (std::size_t i = 0; i < iters; ++i) {
-    sink = sink + static_cast<double>(i % 7) * 1e-9;
-  }
-}
-
-/// Host mode: sample this very process through the procfs backend while
-/// recording, replay the recording through a second pipeline, and publish
-/// the max forecast divergence between the two — which must be 0 whatever
-/// the live host happened to be doing, because both pipelines consume the
-/// same recorded bytes. This is the determinism contract of DESIGN.md
-/// "Host collection", enforced as a scenario assertion.
-ScenarioResult run_host(const ScenarioSpec& spec,
-                        obs::MetricsRegistry& registry) {
-  // Record phase: live procfs reads, teed into an in-memory recording.
-  host::DirProcfs procfs(spec.host_procfs_root);
-  host::HostSamplerOptions hopts;
-  hopts.metrics = &registry;
-  host::HostSampler sampler(procfs, hopts);
-  std::ostringstream recorded;
-  host::RecordingWriter writer(recorded, spec.host_interval_ms,
-                               host::HostSampler::kNumResources);
-  host::ProcfsSamplerSource::Options sopts;
-  sopts.interval_ms = spec.host_interval_ms;
-  sopts.recorder = &writer;
-  host::ProcfsSamplerSource source(sampler, sopts);
-  trace::InMemoryTrace live(1, spec.host_samples,
-                            host::HostSampler::kNumResources);
-  for (std::size_t t = 0; t < spec.host_samples; ++t) {
-    const std::vector<double> x = source.measurement(t);
-    for (std::size_t r = 0; r < x.size(); ++r) live.set_value(0, t, r, x[r]);
-    busy_spin(spec.host_busy_iters);
-  }
-  writer.finish();
-
-  // Replay phase: parse the recording back exactly like --source replay.
-  std::istringstream replayed(recorded.str());
-  const trace::InMemoryTrace replay =
-      host::read_recording(replayed, "<recording>");
-  RESMON_REQUIRE(replay == live,
-                 "scenario: replayed rows differ from the recorded samples");
-
-  // The replay twin is fault-free like the live pipeline: [host] rejects
-  // [faults] at parse time.
-  return run_pipelines(spec, registry, live, &replay);
 }
 
 // ---------------------------------------------------------------- socket mode
@@ -501,7 +435,6 @@ void register_result_metrics(obs::MetricsRegistry& registry,
 }
 
 ScenarioResult run(const ScenarioSpec& spec, obs::MetricsRegistry& registry) {
-  if (spec.host_mode) return run_host(spec, registry);
   if (spec.socket_mode) return run_socket(spec, registry);
   return run_in_process(spec, registry);
 }

@@ -1,14 +1,11 @@
 // Scenario runner: executes one parsed ScenarioSpec end to end and grades
 // its [assert] section against the metrics registry.
 //
-// Three execution modes, selected by the spec, all driven slot by slot
-// through one lock-step loop:
+// Two execution modes, selected by the spec, both deterministic and both
+// driven slot by slot through one lock-step loop:
 //   - in-process (default): trace -> sim::Driver, with the optional
 //     faultnet spec on the in-process uplink and an optional fault-free
 //     twin run for bit-identity divergence checks;
-//   - host mode ([host] present): this process sampled live through the
-//     procfs backend while recording, then the recording replayed through
-//     a twin pipeline whose forecasts must not diverge;
 //   - socket mode ([controller] present): a scenario::SocketFleet over
 //     loopback TCP, one net::Agent per node in front of a net::Controller
 //     (or of [topology] aggregators and a root), driven in deterministic

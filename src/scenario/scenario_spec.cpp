@@ -209,13 +209,12 @@ ScenarioSpec ScenarioSpec::parse(std::istream& in, const std::string& origin) {
       section = line.substr(1, line.size() - 2);
       static const std::vector<std::string> kSections = {
           "trace", "pipeline", "faults", "controller", "topology", "churn",
-          "host", "run", "assert"};
+          "run", "assert"};
       if (std::find(kSections.begin(), kSections.end(), section) ==
           kSections.end()) {
         throw InvalidArgument(context + ": unknown section [" + section + "]");
       }
       if (section == "controller") saw_controller = true;
-      if (section == "host") spec.host_mode = true;
       continue;
     }
 
@@ -318,20 +317,6 @@ ScenarioSpec ScenarioSpec::parse(std::istream& in, const std::string& origin) {
         throw InvalidArgument(context + ": unknown [churn] key '" + key +
                               "' (want kill or restart)");
       }
-    } else if (section == "host") {
-      if (key == "samples") {
-        spec.host_samples = parse_size(context, value);
-      } else if (key == "interval_ms") {
-        spec.host_interval_ms = parse_size(context, value);
-      } else if (key == "procfs_root") {
-        spec.host_procfs_root = value;
-      } else if (key == "busy_iters") {
-        spec.host_busy_iters = parse_size(context, value);
-      } else {
-        throw InvalidArgument(context + ": unknown [host] key '" + key +
-                              "' (want samples, interval_ms, procfs_root "
-                              "or busy_iters)");
-      }
     } else if (section == "run") {
       if (key == "steps") {
         spec.run_steps = parse_size(context, value);
@@ -392,31 +377,6 @@ ScenarioSpec ScenarioSpec::parse(std::istream& in, const std::string& origin) {
     throw InvalidArgument(origin +
                           ": baseline_compare in socket mode requires "
                           "shards >= 1 (it runs the single-tier twin)");
-  }
-  // Host mode is a self-contained record/replay loop over this process's
-  // own procfs samples: every networked or fault-injecting feature refers
-  // to the synthetic trace and would be meaningless here.
-  if (spec.host_mode) {
-    if (spec.socket_mode) {
-      throw InvalidArgument(origin +
-                            ": [host] cannot be combined with [controller]");
-    }
-    if (!spec.faults.empty()) {
-      throw InvalidArgument(origin +
-                            ": [host] cannot be combined with [faults]");
-    }
-    if (spec.baseline_compare) {
-      throw InvalidArgument(
-          origin + ": [host] publishes its own record-vs-replay divergence; "
-                   "drop baseline_compare");
-    }
-    if (spec.host_samples < 2) {
-      throw InvalidArgument(origin + ": [host] needs samples >= 2");
-    }
-    if (spec.num_clusters != 1) {
-      throw InvalidArgument(origin +
-                            ": [host] samples a single node; set k = 1");
-    }
   }
   // A restart only makes sense after a kill of the same node.
   for (const ChurnEvent& ev : spec.churn) {

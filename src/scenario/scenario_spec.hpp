@@ -48,13 +48,6 @@
 //   kill = 2:20                       # node 2 dies at slot 20
 //   restart = 2:50                    # node 2 rejoins at slot 50
 //
-//   [host]                            # optional; live-host record/replay
-//   samples = 30                      # procfs samples to record
-//   interval_ms = 40                  # sample pacing (real wall clock)
-//   procfs_root = /proc               # procfs mount to sample
-//   busy_iters = 100000               # spin work between samples so the
-//                                     # recorded CPU series is nonzero
-//
 //   [run]
 //   steps = 300                       # slots to execute (<= trace steps)
 //   horizons = 1,6                    # forecast horizons to score
@@ -161,15 +154,6 @@ struct ScenarioSpec {
 
   // [churn]
   std::vector<ChurnEvent> churn;
-
-  // [host] — live-host record/replay mode iff present: the runner samples
-  // its own process through the procfs backend, records the series, then
-  // replays the recording and asserts the two pipelines cannot diverge.
-  bool host_mode = false;
-  std::size_t host_samples = 30;
-  std::size_t host_interval_ms = 40;
-  std::string host_procfs_root = "/proc";
-  std::size_t host_busy_iters = 100000;
 
   // [run]
   std::size_t run_steps = 0;  ///< 0 = the whole trace

@@ -68,7 +68,7 @@ TEST(NelderMead, EmptyStartThrows) {
   EXPECT_THROW(nelder_mead(f, {}), InvalidArgument);
 }
 
-// ---- Differential oracle: both overloads against the sequential loop ----
+// ---- Differential oracle: the search against the sequential loop ----
 
 void expect_same_result(const OptimResult& got, const OptimResult& want) {
   ASSERT_EQ(got.x.size(), want.x.size());
@@ -143,6 +143,10 @@ TEST(NelderMeadOracle, ScalarOverloadMatchesSequentialLoop) {
   }
 }
 
+// One search in batched request mode, driven alone to its end: it ends
+// bitwise where the sequential loop ends, never asks for more than
+// kNelderMeadBatch points at once, and needs fewer requests than the loop
+// needs evaluations.
 TEST(NelderMeadOracle, BatchedOverloadMatchesSequentialLoop) {
   const NelderMeadOptions options{.max_iterations = 700};
   std::size_t staircase_shrinks = 0;
@@ -151,20 +155,21 @@ TEST(NelderMeadOracle, BatchedOverloadMatchesSequentialLoop) {
     const auto want =
         oracle::reference_nelder_mead(c.f, start_point(c.dims), options);
     if (c.f == staircase) staircase_shrinks += want.shrinks;
-    std::size_t calls = 0;
+    NelderMeadSearch search(start_point(c.dims), options,
+                            NelderMeadSearch::Requests::kBatched);
+    std::size_t requests = 0;
     std::size_t widest = 0;
-    const BatchObjective batched =
-        [&](std::span<const std::span<const double>> xs,
-            std::span<double> out) {
-          ++calls;
-          widest = std::max(widest, xs.size());
-          ASSERT_EQ(xs.size(), out.size());
-          for (std::size_t i = 0; i < xs.size(); ++i) out[i] = c.f(xs[i]);
-        };
-    expect_same_result(nelder_mead(batched, start_point(c.dims), options),
-                       want.result);
+    while (!search.done()) {
+      const auto xs = search.pending();
+      ++requests;
+      widest = std::max(widest, xs.size());
+      std::vector<double> values;
+      for (const std::span<const double> x : xs) values.push_back(c.f(x));
+      search.tell(values);
+    }
+    expect_same_result(search.result(), want.result);
     EXPECT_LE(widest, kNelderMeadBatch);
-    EXPECT_LT(calls, want.evaluations);
+    EXPECT_LT(requests, want.evaluations);
   }
   // The shrink path (batched vertex re-scoring) really ran.
   EXPECT_GE(staircase_shrinks, 20u);
@@ -173,13 +178,15 @@ TEST(NelderMeadOracle, BatchedOverloadMatchesSequentialLoop) {
 // Several resumable searches driven round-robin, one request each per
 // round as a lockstep caller drives them, batched or one point at a time:
 // every search ends bitwise where the sequential loop ends, after the same
-// evaluations when it asks for one point at a time.
+// evaluations when it asks for one point at a time, and in fewer requests
+// than evaluations when it batches.
 TEST(NelderMeadOracle, ResumableSearchesInLockstepMatchSequentialLoop) {
   const NelderMeadOptions options{.max_iterations = 700};
   const std::vector<OracleCase> cases = oracle_cases();
   using Requests = NelderMeadSearch::Requests;
   std::vector<NelderMeadSearch> searches;
-  std::vector<std::size_t> batches, evaluations(cases.size(), 0);
+  std::vector<std::size_t> batches, evaluations(cases.size(), 0),
+      requests(cases.size(), 0);
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const bool batched = i % 4 < 2;  // both ways on every objective
     batches.push_back(batched ? kNelderMeadBatch : 1);
@@ -199,9 +206,11 @@ TEST(NelderMeadOracle, ResumableSearchesInLockstepMatchSequentialLoop) {
         values.push_back(cases[i].f(x));
       }
       evaluations[i] += xs.size();
+      ++requests[i];
       search.tell(values);
     }
   }
+  std::size_t batched_staircase_shrinks = 0;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     SCOPED_TRACE(::testing::Message()
                  << "case " << i << " batch " << batches[i]);
@@ -211,8 +220,13 @@ TEST(NelderMeadOracle, ResumableSearchesInLockstepMatchSequentialLoop) {
     expect_same_result(searches[i].result(), want.result);
     if (batches[i] == 1) {
       EXPECT_EQ(evaluations[i], want.evaluations);
+    } else {
+      EXPECT_LT(requests[i], want.evaluations);
+      if (cases[i].f == staircase) batched_staircase_shrinks += want.shrinks;
     }
   }
+  // The batched shrink path (vertex re-scoring) really ran.
+  EXPECT_GE(batched_staircase_shrinks, 20u);
 }
 
 TEST(NelderMeadOracle, ResumableSearchRejectsMisuse) {

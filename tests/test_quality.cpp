@@ -80,6 +80,9 @@ TEST(ChooseK, ValidatesRange) {
   EXPECT_THROW(choose_k(points, 1, 3, rng), InvalidArgument);
   EXPECT_THROW(choose_k(points, 3, 2, rng), InvalidArgument);
   EXPECT_THROW(choose_k(points, 2, 9, rng), InvalidArgument);
+  // Zero-dimensional points (a sample step longer than the trace) would
+  // score every K as 0.
+  EXPECT_THROW(choose_k(Matrix(5, 0), 2, 3, rng), InvalidArgument);
 }
 
 }  // namespace

@@ -255,51 +255,23 @@ TEST(ScenarioSpecParse, CrossFieldValidation) {
       "expected 'METRIC <op> VALUE'");
 }
 
+// The runner has no live-host mode, so no pack can make ctest read /proc:
+// a [host] section is refused wherever it stands, whatever it holds.
 TEST(ScenarioSpecParse, HostSectionGrammarAndValidation) {
-  const ScenarioSpec spec = ScenarioSpec::parse_string(
-      "name = x\n[host]\nsamples = 12\ninterval_ms = 5\n"
-      "procfs_root = /tmp/fake\nbusy_iters = 7\n[pipeline]\nk = 1\n");
-  EXPECT_TRUE(spec.host_mode);
-  EXPECT_EQ(spec.host_samples, 12u);
-  EXPECT_EQ(spec.host_interval_ms, 5u);
-  EXPECT_EQ(spec.host_procfs_root, "/tmp/fake");
-  EXPECT_EQ(spec.host_busy_iters, 7u);
-
   expect_throw_containing(
-      [] {
-        ScenarioSpec::parse_string("name = x\n[host]\ncadence = 5\n");
-      },
-      "unknown [host] key");
+      [] { ScenarioSpec::parse_string("name = x\n[host]\nsamples = 30\n"); },
+      "<string>:2: unknown section [host]");
   expect_throw_containing(
       [] {
         ScenarioSpec::parse_string(
-            "name = x\n[host]\n[controller]\nstale_after_slots = 1\n"
-            "[pipeline]\nk = 1\n");
+            "name = x\n[pipeline]\nk = 1\n[host]\ninterval_ms = 5\n"
+            "procfs_root = /tmp/fake\nbusy_iters = 7\n",
+            "self_soak.scn");
       },
-      "[host] cannot be combined with [controller]");
-  expect_throw_containing(
-      [] {
-        ScenarioSpec::parse_string(
-            "name = x\n[host]\n[faults]\nspec = drop=0.5\n"
-            "[pipeline]\nk = 1\n");
-      },
-      "[host] cannot be combined with [faults]");
-  expect_throw_containing(
-      [] {
-        ScenarioSpec::parse_string(
-            "name = x\n[host]\n[run]\nbaseline_compare = true\n"
-            "[pipeline]\nk = 1\n");
-      },
-      "drop baseline_compare");
-  expect_throw_containing(
-      [] {
-        ScenarioSpec::parse_string(
-            "name = x\n[host]\nsamples = 1\n[pipeline]\nk = 1\n");
-      },
-      "samples >= 2");
+      "self_soak.scn:4: unknown section [host]");
   expect_throw_containing(
       [] { ScenarioSpec::parse_string("name = x\n[host]\n"); },
-      "set k = 1");
+      "<string>:2: unknown section [host]");
 }
 
 // ---- runner & evaluator ----------------------------------------------------

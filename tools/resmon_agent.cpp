@@ -29,22 +29,16 @@
 // was down for them); --slot-delay-ms paces the slot loop so wall-clock
 // staleness policies have time to observe silence (procfs sources already
 // pace themselves to --interval-ms).
-#include <unistd.h>
-
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <thread>
 
 #include "common/cli.hpp"
 #include "faultnet/agent_hook.hpp"
-#include "host/procfs.hpp"
 #include "host/recording.hpp"
-#include "host/sampler.hpp"
-#include "host/source.hpp"
+#include "live_sampling.hpp"
 #include "net/agent.hpp"
 #include "net_common.hpp"
 #include "obs/export.hpp"
@@ -82,16 +76,6 @@ constexpr const char* kUsage =
     "         [--reconnect-attempts 8] [--start-step S] [--slot-delay-ms MS]\n"
     "         [--metrics-out FILE.prom] [--list-sources] [--version]\n";
 
-/// The watched-pid set from --pid ("self" = this process).
-std::vector<std::uint64_t> watch_pids(const Args& args) {
-  if (!args.has("pid")) return {};
-  const std::string pid = args.get("pid", "");
-  if (pid == "self") {
-    return {static_cast<std::uint64_t>(::getpid())};
-  }
-  return {static_cast<std::uint64_t>(args.get_int("pid", 0))};
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,11 +101,9 @@ int main(int argc, char** argv) {
     std::size_t slots = tools::run_slots(args);
     std::size_t num_resources = 0;
     std::optional<trace::InMemoryTrace> trace;
-    std::unique_ptr<host::DirProcfs> procfs;
-    std::unique_ptr<host::HostSampler> sampler;
-    std::ofstream record_out;
-    std::unique_ptr<host::RecordingWriter> recorder;
-    std::unique_ptr<collect::MeasurementSource> source;
+    std::optional<collect::TraceSource> trace_source;
+    std::optional<tools::LiveSampling> live;
+    collect::MeasurementSource* source = nullptr;
 
     if (source_name == "trace") {
       trace.emplace(tools::build_trace(args));
@@ -131,34 +113,16 @@ int main(int argc, char** argv) {
         return 2;
       }
       num_resources = trace->num_resources();
-      source = std::make_unique<collect::TraceSource>(*trace, node);
+      source = &trace_source.emplace(*trace, node);
     } else if (source_name == "procfs") {
-      const std::uint64_t interval_ms =
-          static_cast<std::uint64_t>(args.get_int("interval-ms", 100));
-      procfs = std::make_unique<host::DirProcfs>(
-          args.get("procfs-root", "/proc"));
-      host::HostSamplerOptions hopts;
-      hopts.watch_pids = watch_pids(args);
-      hopts.page_size =
-          static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-      hopts.metrics = &registry;
-      sampler = std::make_unique<host::HostSampler>(*procfs, hopts);
-      num_resources = host::HostSampler::kNumResources;
-      host::ProcfsSamplerSource::Options sopts;
-      sopts.interval_ms = interval_ms;
-      if (args.has("record")) {
-        record_out.open(args.get("record", ""));
-        if (!record_out) {
-          std::cerr << "resmon_agent: --record: cannot open "
-                    << args.get("record", "") << "\n";
-          return 2;
-        }
-        recorder = std::make_unique<host::RecordingWriter>(
-            record_out, interval_ms, num_resources);
-        sopts.recorder = recorder.get();
+      try {
+        live.emplace(args, /*default_interval_ms=*/100, registry);
+      } catch (const InvalidArgument& e) {
+        std::cerr << "resmon_agent: " << e.what() << "\n";
+        return 2;
       }
-      source =
-          std::make_unique<host::ProcfsSamplerSource>(*sampler, sopts);
+      num_resources = host::HostSampler::kNumResources;
+      source = &live->source();
     } else if (source_name == "replay") {
       if (!args.has("replay")) {
         std::cerr << "resmon_agent: --source replay needs --replay FILE\n";
@@ -169,7 +133,7 @@ int main(int argc, char** argv) {
       trace.emplace(host::read_recording_file(args.get("replay", "")));
       slots = trace->num_steps();
       num_resources = trace->num_resources();
-      source = std::make_unique<collect::TraceSource>(*trace, 0);
+      source = &trace_source.emplace(*trace, 0);
     } else {
       std::cerr << "resmon_agent: unknown --source '" << source_name
                 << "' (try --list-sources)\n";
@@ -207,7 +171,7 @@ int main(int argc, char** argv) {
         std::this_thread::sleep_for(std::chrono::milliseconds(slot_delay_ms));
       }
     }
-    if (recorder != nullptr) recorder->finish();
+    if (live.has_value()) live->finish();
 
     if (args.has("metrics-out")) {
       obs::write_metrics_file(args.get("metrics-out", ""), registry);
@@ -220,8 +184,8 @@ int main(int argc, char** argv) {
               << agent.policy().frequency_constraint() << "), "
               << agent.bytes_sent() << " bytes, " << agent.reconnects()
               << " reconnects";
-    if (sampler != nullptr) {
-      std::cout << ", " << sampler->samples_taken() << " host samples";
+    if (live.has_value()) {
+      std::cout << ", " << live->samples_taken() << " host samples";
     }
     std::cout << "\n";
     return 0;

@@ -26,21 +26,15 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include <unistd.h>
 
 #include "cluster/quality.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/pipeline.hpp"
-#include "host/procfs.hpp"
-#include "host/recording.hpp"
-#include "host/sampler.hpp"
-#include "host/source.hpp"
+#include "live_sampling.hpp"
 #include "obs/export.hpp"
 #include "scenario/runner.hpp"
 #include "sim/driver.hpp"
@@ -76,43 +70,13 @@ int usage() {
 // print them as one line per slot — the same numbers resmon_agent
 // --source procfs would put on the wire.
 int cmd_host_sample(const Args& args) {
-  const std::uint64_t interval_ms =
-      static_cast<std::uint64_t>(args.get_int("interval-ms", 200));
   const std::size_t samples =
       static_cast<std::size_t>(args.get_int("samples", 5));
-  host::DirProcfs procfs(args.get("procfs-root", "/proc"));
   obs::MetricsRegistry registry;
-  host::HostSamplerOptions hopts;
-  if (args.has("pid")) {
-    const std::string pid = args.get("pid", "");
-    hopts.watch_pids = {pid == "self"
-                            ? static_cast<std::uint64_t>(::getpid())
-                            : static_cast<std::uint64_t>(
-                                  args.get_int("pid", 0))};
-  }
-  hopts.page_size = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
-  hopts.metrics = &registry;
-  host::HostSampler sampler(procfs, hopts);
-
-  std::ofstream record_out;
-  std::unique_ptr<host::RecordingWriter> recorder;
-  if (args.has("record")) {
-    record_out.open(args.get("record", ""));
-    if (!record_out) {
-      std::cerr << "host-sample: cannot open " << args.get("record", "")
-                << "\n";
-      return 1;
-    }
-    recorder = std::make_unique<host::RecordingWriter>(
-        record_out, interval_ms, host::HostSampler::kNumResources);
-  }
-  host::ProcfsSamplerSource::Options sopts;
-  sopts.interval_ms = interval_ms;
-  sopts.recorder = recorder.get();
-  host::ProcfsSamplerSource source(sampler, sopts);
+  tools::LiveSampling live(args, /*default_interval_ms=*/200, registry);
 
   for (std::size_t t = 0; t < samples; ++t) {
-    const std::vector<double> m = source.measurement(t);
+    const std::vector<double> m = live.source().measurement(t);
     std::cout << "t=" << t;
     for (std::size_t r = 0; r < m.size(); ++r) {
       std::cout << ' ' << host::HostSampler::resource_name(r) << '='
@@ -120,8 +84,8 @@ int cmd_host_sample(const Args& args) {
     }
     std::cout << '\n';
   }
-  if (recorder != nullptr) {
-    recorder->finish();
+  live.finish();
+  if (args.has("record")) {
     std::cout << "recording written to " << args.get("record", "") << "\n";
   }
   if (args.has("metrics-out")) {
@@ -297,10 +261,16 @@ int cmd_choose_k(const Args& args) {
   const std::size_t kmax = std::min<std::size_t>(
       static_cast<std::size_t>(args.get_int("kmax", 12)), t.num_nodes());
   // Sample snapshots across the trace and score K on each node's sampled
-  // series of the first resource.
-  const std::size_t stride = std::max<std::size_t>(
-      1, static_cast<std::size_t>(args.get_int("sample-step", 25)));
-  const std::size_t samples = t.num_steps() / stride;
+  // series of the first resource, one column every --sample-step steps.
+  const std::size_t stride =
+      static_cast<std::size_t>(args.get_int("sample-step", 25));
+  const std::size_t samples = stride == 0 ? 0 : t.num_steps() / stride;
+  if (samples == 0) {
+    std::cerr << "choose-k: --sample-step " << stride
+              << " leaves no step to cluster on (want 1.." << t.num_steps()
+              << " for this " << t.num_steps() << "-step trace)\n";
+    return 2;
+  }
   Matrix points(t.num_nodes(), samples);
   for (std::size_t i = 0; i < t.num_nodes(); ++i) {
     for (std::size_t s = 0; s < samples; ++s) {

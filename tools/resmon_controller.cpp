@@ -36,6 +36,7 @@
 #include <cmath>
 #include <iostream>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "common/cli.hpp"
@@ -100,6 +101,43 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry registry;
     obs::TraceBuffer trace_events;
 
+    // The pipeline is built before any socket opens, so a value it would
+    // refuse is a flag error here, not a failure once every agent has
+    // connected.
+    const auto refuse = [](const std::string& flag, const std::string& why) {
+      std::cerr << "resmon_controller: flag --" << flag << ": " << why
+                << "\n";
+      return 2;
+    };
+    core::PipelineOptions popts;
+    try {
+      popts.forecaster =
+          forecast::forecaster_kind_from_string(args.get("model", "hold"));
+    } catch (const InvalidArgument& e) {
+      return refuse("model", e.what());
+    }
+    popts.num_clusters = static_cast<std::size_t>(args.get_int("k", 3));
+    if (popts.num_clusters == 0 || popts.num_clusters > nodes) {
+      return refuse("k", "K must be in [1, --nodes " +
+                             std::to_string(nodes) + "]");
+    }
+    popts.schedule = {
+        .initial_steps =
+            static_cast<std::size_t>(args.get_int("initial", 50)),
+        .retrain_interval =
+            static_cast<std::size_t>(args.get_int("retrain", 288))};
+    if (popts.schedule.initial_steps < 2) {
+      return refuse("initial", "the warm-up needs at least 2 steps");
+    }
+    if (popts.schedule.retrain_interval == 0) {
+      return refuse("retrain", "the retrain interval must be at least 1");
+    }
+    popts.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    popts.num_threads = args.get_threads();
+    popts.metrics = &registry;
+    popts.trace_events = &trace_events;
+    core::MonitoringPipeline pipeline(nodes, resources, popts);
+
     net::ControllerOptions copts;
     copts.num_nodes = nodes;
     copts.num_resources = resources;
@@ -155,21 +193,6 @@ int main(int argc, char** argv) {
       std::cout << "all " << nodes << " agents connected\n"
                 << std::flush;
     }
-
-    core::PipelineOptions popts;
-    popts.num_clusters = static_cast<std::size_t>(args.get_int("k", 3));
-    popts.forecaster =
-        forecast::forecaster_kind_from_string(args.get("model", "hold"));
-    popts.schedule = {
-        .initial_steps =
-            static_cast<std::size_t>(args.get_int("initial", 50)),
-        .retrain_interval =
-            static_cast<std::size_t>(args.get_int("retrain", 288))};
-    popts.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    popts.num_threads = args.get_threads();
-    popts.metrics = &registry;
-    popts.trace_events = &trace_events;
-    core::MonitoringPipeline pipeline(nodes, resources, popts);
 
     const int slot_timeout_ms =
         static_cast<int>(args.get_int("slot-timeout-ms", 10000));
