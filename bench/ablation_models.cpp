@@ -1,13 +1,12 @@
 // Ablation — forecasting model family on the centroid series.
 //
-// Extends the Fig. 9 comparison with Holt-Winters exponential smoothing
-// (the model most production monitoring systems use) and AICc-selected
-// ARIMA, at a few horizons on one dataset. LSTM is included behind --lstm
-// (it dominates the runtime).
+// Extends the Fig. 9 comparison with AICc-selected ARIMA (§VI-A3), at a
+// few horizons on one dataset. LSTM is included behind --lstm (it
+// dominates the runtime).
 //
 // Expected shape: everything beats sample-and-hold at larger horizons;
-// ARIMA variants and Holt are close; AutoARIMA matches or slightly beats
-// the fixed order at the cost of fit time.
+// AutoARIMA matches or slightly beats the fixed order at the cost of fit
+// time.
 #include "bench_util.hpp"
 
 #include "sim/driver.hpp"
@@ -52,7 +51,6 @@ int main(int argc, char** argv) {
 
   std::vector<std::pair<std::string, forecast::ForecasterKind>> models{
       {"SampleHold", forecast::ForecasterKind::kSampleHold},
-      {"Holt", forecast::ForecasterKind::kHoltWinters},
       {"ARIMA(2,0,1)", forecast::ForecasterKind::kArima},
       {"AutoARIMA", forecast::ForecasterKind::kAutoArima},
   };

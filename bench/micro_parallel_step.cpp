@@ -187,8 +187,8 @@ int main(int argc, char** argv) {
   core::PipelineOptions base;
   base.num_clusters =
       static_cast<std::size_t>(args.get_int("clusters", 10));
-  base.forecaster =
-      forecast::forecaster_kind_from_string(args.get("model", "arima"));
+  base.forecaster = forecast::forecaster_kind_from_string(
+      args.get("model", "arima"), "flag --model");
   // Retrain inside the benchmarked window so the forecast stage does real
   // model fitting, not just transient updates.
   base.schedule = {.initial_steps = 24, .retrain_interval = 12};

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   options.max_frequency = args.get_double("b", 0.3);
   options.num_clusters = static_cast<std::size_t>(args.get_int("k", 3));
   options.forecaster = forecast::forecaster_kind_from_string(
-      args.get("model", "arima"));
+      args.get("model", "arima"), "flag --model");
   options.schedule = {.initial_steps = 400, .retrain_interval = 288};
   options.num_threads = args.get_threads();
 

@@ -19,11 +19,8 @@ constexpr double kSigma = 0.5;
 }  // namespace
 
 NelderMeadSearch::NelderMeadSearch(std::vector<double> x0,
-                                   const NelderMeadOptions& options,
-                                   Requests requests)
-    : options_(options),
-      batch_(requests == Requests::kBatched ? kNelderMeadBatch : 1),
-      n_(x0.size()) {
+                                   const NelderMeadOptions& options)
+    : options_(options), n_(x0.size()) {
   RESMON_REQUIRE(!x0.empty(), "nelder_mead requires at least one parameter");
   static_assert(kTrials <= kNelderMeadBatch);
   simplex_.assign(n_ + 1, x0);
@@ -41,12 +38,12 @@ NelderMeadSearch::NelderMeadSearch(std::vector<double> x0,
   request_vertices();
 }
 
-// Requests the next batch_ vertices still to score, in index order; once
-// none is left, the next iteration starts.
+// Requests the next kNelderMeadBatch vertices still to score, in index
+// order; once none is left, the next iteration starts.
 void NelderMeadSearch::request_vertices() {
   scoring_vertices_ = true;
   pending_ = 0;
-  for (; next_vertex_ <= n_ && pending_ < batch_; ++next_vertex_) {
+  for (; next_vertex_ <= n_ && pending_ < kNelderMeadBatch; ++next_vertex_) {
     if (next_vertex_ == skip_) continue;
     ids_[pending_] = next_vertex_;
     xs_[pending_++] = simplex_[next_vertex_];
@@ -93,39 +90,19 @@ void NelderMeadSearch::iterate() {
     trial_[kContracted][d] =
         centroid_[d] + kRho * (simplex_[worst_][d] - centroid_[d]);
   }
-  scored_.fill(false);
   scoring_vertices_ = false;
-  if (batch_ == 1) {
-    decide();
-    return;
-  }
-  for (std::size_t c = 0; c < kTrials; ++c) {
-    ids_[c] = c;
-    xs_[c] = trial_[c];
-  }
+  for (std::size_t c = 0; c < kTrials; ++c) xs_[c] = trial_[c];
   pending_ = kTrials;
 }
 
-// Whether trial c has its value; if not, requests it alone.
-bool NelderMeadSearch::scored(Trial c) {
-  if (scored_[c]) return true;
-  ids_[0] = c;
-  xs_[0] = trial_[c];
-  pending_ = 1;
-  return false;
-}
-
-// The iteration's decision, as far as the values handed back reach.
+// The iteration's decision, from the values of its three trial points.
 void NelderMeadSearch::decide() {
   pending_ = 0;
-  if (!scored(kReflected)) return;
   const double f_reflected = f_trial_[kReflected];
   Trial accept = kReflected;
   if (f_reflected < fvals_[best_]) {
-    if (!scored(kExpanded)) return;
     if (f_trial_[kExpanded] < f_reflected) accept = kExpanded;
   } else if (!(f_reflected < fvals_[second_worst_])) {
-    if (!scored(kContracted)) return;
     if (!(f_trial_[kContracted] < fvals_[worst_])) {
       // Shrink the whole simplex towards the best vertex.
       for (std::size_t i = 0; i <= n_; ++i) {
@@ -155,10 +132,7 @@ void NelderMeadSearch::tell(std::span<const double> values) {
     request_vertices();
     return;
   }
-  for (std::size_t i = 0; i < pending_; ++i) {
-    f_trial_[ids_[i]] = values[i];
-    scored_[ids_[i]] = true;
-  }
+  std::copy(values.begin(), values.end(), f_trial_.begin());
   decide();
 }
 
@@ -169,18 +143,6 @@ OptimResult NelderMeadSearch::result() const {
   out.value = *best_it;
   out.x = simplex_[static_cast<std::size_t>(best_it - fvals_.begin())];
   return out;
-}
-
-OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
-                        std::vector<double> x0,
-                        const NelderMeadOptions& options) {
-  NelderMeadSearch search(std::move(x0), options,
-                          NelderMeadSearch::Requests::kOneAtATime);
-  while (!search.done()) {
-    const double value = f(search.pending()[0]);
-    search.tell({&value, 1});
-  }
-  return search.result();
 }
 
 Adam::Adam(std::size_t dimension, const Options& options)

@@ -5,8 +5,7 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
-#include <functional>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -28,29 +27,21 @@ struct OptimResult {
   bool converged = false;      ///< Tolerances reached before max_iterations.
 };
 
-/// Most points a batched search requests at once.
+/// Most points a search requests at once.
 inline constexpr std::size_t kNelderMeadBatch = 4;
 
 /// Nelder-Mead as a resumable search: it hands out the points it needs
 /// scored (pending()) and takes their values back (tell()), so a caller can
 /// score the points of several searches in one pass of its objective.
-/// nelder_mead below is a loop over it.
+/// An iteration requests its reflect, expand and contract points together,
+/// since all three depend only on the centroid and the worst vertex, and
+/// the initial simplex and shrinks go kNelderMeadBatch vertices per
+/// request. The decisions read only the values the textbook method reads,
+/// so for a pure objective the search ends bit for bit where the
+/// sequential method ends; it spends more evaluations, in fewer requests.
 class NelderMeadSearch {
  public:
-  /// How the search hands out its points. Batched, an iteration requests
-  /// its reflect, expand and contract points together, since all three
-  /// depend only on the centroid and the worst vertex, and the initial
-  /// simplex and shrinks go kNelderMeadBatch vertices per request. The
-  /// decisions read only the values handed back, so for a pure objective
-  /// both ways reach the same result bit for bit; batched spends more
-  /// evaluations, in fewer requests.
-  enum class Requests : std::uint8_t {
-    kOneAtATime,  ///< each point only when a decision reads it
-    kBatched,     ///< up to kNelderMeadBatch points per request
-  };
-
-  NelderMeadSearch(std::vector<double> x0, const NelderMeadOptions& options,
-                   Requests requests = Requests::kBatched);
+  NelderMeadSearch(std::vector<double> x0, const NelderMeadOptions& options);
   // pending() points into the search's own buffers, which a move keeps and
   // a copy would not.
   NelderMeadSearch(const NelderMeadSearch&) = delete;
@@ -58,9 +49,8 @@ class NelderMeadSearch {
   NelderMeadSearch(NelderMeadSearch&&) = default;
   NelderMeadSearch& operator=(NelderMeadSearch&&) = default;
 
-  /// The points to score next, at most kNelderMeadBatch (one when
-  /// requested one at a time); empty once the search is done.
-  /// The spans stay valid until the next tell().
+  /// The points to score next, at most kNelderMeadBatch; empty once the
+  /// search is done. The spans stay valid until the next tell().
   std::span<const std::span<const double>> pending() const {
     return {xs_.data(), pending_};
   }
@@ -80,10 +70,8 @@ class NelderMeadSearch {
   void request_vertices();
   void iterate();
   void decide();
-  bool scored(Trial c);
 
   NelderMeadOptions options_;
-  std::size_t batch_;
   std::size_t n_;
   std::vector<std::vector<double>> simplex_;
   std::vector<double> fvals_;
@@ -91,25 +79,18 @@ class NelderMeadSearch {
   std::vector<double> centroid_;
   std::array<std::vector<double>, kTrials> trial_;
   std::array<double, kTrials> f_trial_{};
-  std::array<bool, kTrials> scored_{};
   std::size_t best_ = 0, worst_ = 0, second_worst_ = 0;
   // Vertices still to score: every index from next_vertex_ on but skip_.
   std::size_t next_vertex_ = 0;
   std::size_t skip_ = 0;
   bool scoring_vertices_ = true;
-  // The pending request: points, and the vertex or trial each one is.
+  // The pending request: points, and, when scoring vertices, the vertex
+  // each one is.
   std::array<std::span<const double>, kNelderMeadBatch> xs_{};
   std::array<std::size_t, kNelderMeadBatch> ids_{};
   std::size_t pending_ = 0;
   OptimResult result_;
 };
-
-/// Minimize f starting from x0 with the Nelder-Mead simplex method.
-/// f must be defined for all real inputs (use penalties for constraints).
-/// f is evaluated only at the points the method's decisions reach.
-OptimResult nelder_mead(const std::function<double(std::span<const double>)>& f,
-                        std::vector<double> x0,
-                        const NelderMeadOptions& options = {});
 
 /// Tunables for the Adam optimizer. The moment decay rates (0.9, 0.999)
 /// and the denominator guard (1e-8) are Kingma & Ba's defaults, fixed in

@@ -3,7 +3,6 @@
 #include "common/error.hpp"
 #include "forecast/arima.hpp"
 #include "forecast/lstm.hpp"
-#include "forecast/holt_winters.hpp"
 #include "forecast/sample_hold.hpp"
 
 namespace resmon::forecast {
@@ -18,24 +17,20 @@ std::string to_string(ForecasterKind kind) {
       return "AutoARIMA";
     case ForecasterKind::kLstm:
       return "LSTM";
-    case ForecasterKind::kHoltWinters:
-      return "HoltWinters";
   }
   throw InvalidArgument("unknown forecaster kind");
 }
 
-ForecasterKind forecaster_kind_from_string(const std::string& name) {
+ForecasterKind forecaster_kind_from_string(const std::string& name,
+                                           const std::string& context) {
   if (name == "hold" || name == "sample-hold") {
     return ForecasterKind::kSampleHold;
   }
   if (name == "arima") return ForecasterKind::kArima;
   if (name == "auto-arima") return ForecasterKind::kAutoArima;
   if (name == "lstm") return ForecasterKind::kLstm;
-  if (name == "holt-winters" || name == "holt") {
-    return ForecasterKind::kHoltWinters;
-  }
-  throw InvalidArgument("unknown forecaster name: " + name +
-                        " (expected hold|arima|auto-arima|lstm|holt-winters)");
+  throw InvalidArgument(context + ": unknown model '" + name +
+                        "' (expected hold|arima|auto-arima|lstm)");
 }
 
 std::unique_ptr<Forecaster> make_forecaster(ForecasterKind kind,
@@ -51,8 +46,6 @@ std::unique_ptr<Forecaster> make_forecaster(ForecasterKind kind,
       return std::make_unique<AutoArimaForecaster>();
     case ForecasterKind::kLstm:
       return std::make_unique<LstmForecaster>(LstmOptions{}, seed);
-    case ForecasterKind::kHoltWinters:
-      return std::make_unique<HoltWintersForecaster>();
   }
   throw InvalidArgument("unknown forecaster kind");
 }

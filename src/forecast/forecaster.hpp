@@ -42,13 +42,15 @@ enum class ForecasterKind {
   kArima,       ///< fixed-order seasonal ARIMA
   kAutoArima,   ///< AICc grid search over seasonal ARIMA orders (§VI-A3)
   kLstm,        ///< stacked LSTM + dense ReLU heads (§VI-A3)
-  kHoltWinters, ///< exponential smoothing (ablation; not in the paper)
 };
 
 std::string to_string(ForecasterKind kind);
 
-/// Parse "hold" / "arima" / "auto-arima" / "lstm" (used by CLI flags).
-ForecasterKind forecaster_kind_from_string(const std::string& name);
+/// The kind spelled `name`: hold (or sample-hold), arima, auto-arima or
+/// lstm. Throws InvalidArgument("<context>: unknown model ...") for any
+/// other name.
+ForecasterKind forecaster_kind_from_string(const std::string& name,
+                                           const std::string& context);
 
 /// Construct a forecaster of the given kind with library defaults.
 /// `seed` feeds stochastic models (LSTM initialization / shuffling).

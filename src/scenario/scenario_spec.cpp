@@ -270,7 +270,7 @@ ScenarioSpec ScenarioSpec::parse(std::istream& in, const std::string& origin) {
       } else if (key == "k") {
         spec.num_clusters = parse_size(context, value);
       } else if (key == "model") {
-        spec.model = forecast::forecaster_kind_from_string(value);
+        spec.model = forecast::forecaster_kind_from_string(value, context);
       } else if (key == "initial") {
         spec.initial_steps = parse_size(context, value);
       } else if (key == "retrain") {

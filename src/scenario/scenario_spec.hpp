@@ -25,7 +25,7 @@
 //   policy = adaptive                 # adaptive | uniform | always | deadband
 //   b = 0.3                           # transmission budget B
 //   k = 3                             # number of clusters K
-//   model = holt-winters              # hold|arima|auto-arima|lstm|holt-winters
+//   model = arima                     # hold | arima | auto-arima | lstm
 //   initial = 120                     # retrain schedule: warm-up steps
 //   retrain = 96                      # retrain schedule: interval
 //   temporal_window = 1

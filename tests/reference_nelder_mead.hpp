@@ -1,7 +1,7 @@
-// Textbook sequential Nelder-Mead: the oracle that optim::nelder_mead must
-// match bit for bit. It scores one point per objective call, in the order
-// the method's decisions reach them, and counts what it did, so tests can
-// pin evaluation counts and check that an objective really shrinks.
+// Textbook sequential Nelder-Mead: the oracle that optim::NelderMeadSearch
+// must match bit for bit. It scores one point per objective call, in the
+// order the method's decisions reach them, and counts what it did, so tests
+// can pin evaluation counts and check that an objective really shrinks.
 #pragma once
 
 #include <algorithm>
@@ -21,7 +21,7 @@ struct ReferenceRun {
   std::size_t shrinks = 0;      ///< iterations that shrank the simplex
 };
 
-inline ReferenceRun reference_nelder_mead(
+inline ReferenceRun nelder_mead_reference(
     const std::function<double(std::span<const double>)>& objective,
     std::vector<double> x0, const optim::NelderMeadOptions& options = {}) {
   ReferenceRun run;

@@ -334,7 +334,7 @@ TEST(ArimaOracle, BatchedFitMatchesSequentialScalarFit) {
       for (const double v : w) m += v;
       x0.back() = m / static_cast<double>(w.size());
     }
-    const auto want = oracle::reference_nelder_mead(
+    const auto want = oracle::nelder_mead_reference(
         [&](std::span<const double> p) {
           return reference_objective(order, w, p);
         },
@@ -581,7 +581,7 @@ TEST(ArimaLockstep, SearchesConvergeRunOutAndShrink) {
     for (const double v : w) m += v;
     x0.back() = m / static_cast<double>(w.size());
     const ArimaOptions options = lockstep_options(i);
-    const auto run = oracle::reference_nelder_mead(
+    const auto run = oracle::nelder_mead_reference(
         [&](std::span<const double> p) {
           return reference_objective(order, w, p);
         },

@@ -1,3 +1,4 @@
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,13 +53,27 @@ TEST(ForecasterFactory, MakesEveryKind) {
 }
 
 TEST(ForecasterFactory, ParsesNames) {
-  EXPECT_EQ(forecaster_kind_from_string("hold"),
+  EXPECT_EQ(forecaster_kind_from_string("hold", "model"),
             ForecasterKind::kSampleHold);
-  EXPECT_EQ(forecaster_kind_from_string("arima"), ForecasterKind::kArima);
-  EXPECT_EQ(forecaster_kind_from_string("auto-arima"),
+  EXPECT_EQ(forecaster_kind_from_string("arima", "model"),
+            ForecasterKind::kArima);
+  EXPECT_EQ(forecaster_kind_from_string("auto-arima", "model"),
             ForecasterKind::kAutoArima);
-  EXPECT_EQ(forecaster_kind_from_string("lstm"), ForecasterKind::kLstm);
-  EXPECT_THROW(forecaster_kind_from_string("rnn"), InvalidArgument);
+  EXPECT_EQ(forecaster_kind_from_string("lstm", "model"),
+            ForecasterKind::kLstm);
+  // The spellings of the retired exponential-smoothing model are rejected
+  // like any other name outside the paper's models.
+  for (const char* name : {"rnn", "holt-winters", "holt"}) {
+    SCOPED_TRACE(name);
+    try {
+      forecaster_kind_from_string(name, "flag --model");
+      ADD_FAILURE() << "accepted " << name;
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("flag --model: unknown model '") + name +
+                    "' (expected hold|arima|auto-arima|lstm)");
+    }
+  }
 }
 
 TEST(ForecasterFactory, RoundTripsToString) {

@@ -108,7 +108,7 @@ void expect_identical(const RunRecord& a, const RunRecord& b,
 core::PipelineOptions base_options() {
   core::PipelineOptions o;
   o.num_clusters = 3;
-  o.forecaster = forecast::ForecasterKind::kHoltWinters;
+  o.forecaster = forecast::ForecasterKind::kArima;
   o.schedule = {.initial_steps = 120, .retrain_interval = 96};
   o.seed = 7;
   return o;
@@ -122,12 +122,11 @@ TEST(ParallelDeterminism, ReliableUplinkBitIdenticalAcrossThreadCounts) {
   expect_identical(serial, run_pipeline(base_options(), 8), "threads=8");
 }
 
-// The other cases refit Holt-Winters models; this one refits ARIMA, whose
-// models due in a slot fit in lockstep within each pool task. Six retrain
+// Every case refits ARIMA, whose models due in a slot fit in lockstep
+// within each pool task; this one retrains twice as often, so six retrain
 // slots fall inside the run.
 TEST(ParallelDeterminism, ArimaRefitsBitIdenticalAcrossThreadCounts) {
   core::PipelineOptions o = base_options();
-  o.forecaster = forecast::ForecasterKind::kArima;
   o.schedule = {.initial_steps = 120, .retrain_interval = 48};
   const RunRecord serial = run_pipeline(o, 1);
   EXPECT_GE(serial.fits, 6 * o.num_clusters);

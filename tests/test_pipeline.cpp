@@ -509,17 +509,6 @@ TEST(Pipeline, ReindexingOffStillRuns) {
   EXPECT_TRUE(std::isfinite(sim::intermediate_rmse(p, t)));
 }
 
-TEST(Pipeline, HoltWintersForecasterIntegrates) {
-  const trace::InMemoryTrace t = small_trace(10, 150);
-  PipelineOptions o = fast_options();
-  o.forecaster = forecast::ForecasterKind::kHoltWinters;
-  Driver d(t, o);
-  d.run(150);
-  const MonitoringPipeline& p = d.pipeline();
-  EXPECT_GT(p.model(0, 0).fits_completed(), 0u);
-  EXPECT_TRUE(std::isfinite(sim::rmse_at(p, t, 0)));
-}
-
 TEST(Pipeline, LowerBGivesNoLowerAccuracyThanTinyB) {
   // More bandwidth should not hurt: B=0.5 h=0 error <= B=0.05 h=0 error
   // (time-averaged).

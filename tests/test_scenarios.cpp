@@ -92,7 +92,7 @@ spike_probability = 0.04
 policy = deadband
 b = 0.25
 k = 5
-model = holt-winters
+model = auto-arima
 initial = 40
 retrain = 50
 temporal_window = 2
@@ -122,7 +122,7 @@ resmon_collect_sends_total nondecreasing slack 0.5
   EXPECT_EQ(spec.policy, collect::PolicyKind::kDeadband);
   EXPECT_DOUBLE_EQ(spec.max_frequency, 0.25);
   EXPECT_EQ(spec.num_clusters, 5u);
-  EXPECT_EQ(spec.model, forecast::ForecasterKind::kHoltWinters);
+  EXPECT_EQ(spec.model, forecast::ForecasterKind::kAutoArima);
   EXPECT_EQ(spec.temporal_window, 2u);
   EXPECT_EQ(spec.threads, 4u);
   EXPECT_FALSE(spec.faults.empty());
@@ -190,6 +190,12 @@ TEST(ScenarioSpecParse, ErrorsNameTheOffendingLine) {
             "name = x\n[pipeline]\nbudget = 0.3\n", "bad.scn");
       },
       "bad.scn:3: unknown [pipeline] key 'budget'");
+  expect_throw_containing(
+      [] {
+        ScenarioSpec::parse_string("name = x\n[pipeline]\nmodel = rnn\n",
+                                   "bad.scn");
+      },
+      "bad.scn:3: unknown model 'rnn'");
   expect_throw_containing(
       [] {
         ScenarioSpec::parse_string(

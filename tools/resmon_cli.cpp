@@ -26,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,7 +54,7 @@ int usage() {
          "  generate --profile alibaba|bitbrains|google|sensors\n"
          "           [--nodes N] [--steps T] [--seed S] --out FILE\n"
          "  monitor  --trace FILE [--b 0.3] [--k 3]\n"
-         "           [--model hold|arima|auto-arima|lstm|holt-winters]\n"
+         "           [--model hold|arima|auto-arima|lstm]\n"
          "           [--h 5] [--initial 400] [--retrain 288]\n"
          "           [--threads 1] [--report FILE]\n"
          "           [--metrics-out FILE.prom] [--trace-out FILE.jsonl]\n"
@@ -70,13 +71,19 @@ int usage() {
 // print them as one line per slot — the same numbers resmon_agent
 // --source procfs would put on the wire.
 int cmd_host_sample(const Args& args) {
-  const std::size_t samples =
-      static_cast<std::size_t>(args.get_int("samples", 5));
   obs::MetricsRegistry registry;
-  tools::LiveSampling live(args, /*default_interval_ms=*/200, registry);
+  std::size_t samples = 0;
+  std::optional<tools::LiveSampling> live;
+  try {
+    samples = static_cast<std::size_t>(args.get_int("samples", 5));
+    live.emplace(args, /*default_interval_ms=*/200, registry);
+  } catch (const InvalidArgument& e) {
+    std::cerr << "resmon host-sample: " << e.what() << "\n";
+    return 2;
+  }
 
   for (std::size_t t = 0; t < samples; ++t) {
-    const std::vector<double> m = live.source().measurement(t);
+    const std::vector<double> m = live->source().measurement(t);
     std::cout << "t=" << t;
     for (std::size_t r = 0; r < m.size(); ++r) {
       std::cout << ' ' << host::HostSampler::resource_name(r) << '='
@@ -84,7 +91,7 @@ int cmd_host_sample(const Args& args) {
     }
     std::cout << '\n';
   }
-  live.finish();
+  live->finish();
   if (args.has("record")) {
     std::cout << "recording written to " << args.get("record", "") << "\n";
   }
@@ -185,21 +192,30 @@ int cmd_monitor(const Args& args) {
     std::cerr << "monitor: --trace FILE is required\n";
     return 2;
   }
-  const trace::InMemoryTrace t = trace::load_csv_file(trace_path);
 
+  // Every other flag is read before the trace loads, so a bad value is a
+  // flag error, not a failure after the load.
   core::PipelineOptions options;
-  options.max_frequency = args.get_double("b", 0.3);
-  options.num_clusters = static_cast<std::size_t>(args.get_int("k", 3));
-  options.forecaster =
-      forecast::forecaster_kind_from_string(args.get("model", "arima"));
-  options.schedule = {
-      .initial_steps = static_cast<std::size_t>(args.get_int("initial", 400)),
-      .retrain_interval =
-          static_cast<std::size_t>(args.get_int("retrain", 288))};
-  options.seed = args.get_int("seed", 1);
-  options.num_threads = args.get_threads();
+  std::size_t h = 0;
+  try {
+    options.max_frequency = args.get_double("b", 0.3);
+    options.num_clusters = static_cast<std::size_t>(args.get_int("k", 3));
+    options.forecaster = forecast::forecaster_kind_from_string(
+        args.get("model", "arima"), "flag --model");
+    options.schedule = {
+        .initial_steps =
+            static_cast<std::size_t>(args.get_int("initial", 400)),
+        .retrain_interval =
+            static_cast<std::size_t>(args.get_int("retrain", 288))};
+    options.seed = args.get_int("seed", 1);
+    options.num_threads = args.get_threads();
+    h = static_cast<std::size_t>(args.get_int("h", 5));
+  } catch (const InvalidArgument& e) {
+    std::cerr << "resmon monitor: " << e.what() << "\n";
+    return 2;
+  }
 
-  const std::size_t h = static_cast<std::size_t>(args.get_int("h", 5));
+  const trace::InMemoryTrace t = trace::load_csv_file(trace_path);
   obs::TraceBuffer trace_events;
   if (args.has("trace-out")) options.trace_events = &trace_events;
   sim::Driver driver(t, options);

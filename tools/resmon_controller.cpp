@@ -35,6 +35,7 @@
 // collection").
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -111,10 +112,11 @@ int main(int argc, char** argv) {
     };
     core::PipelineOptions popts;
     try {
-      popts.forecaster =
-          forecast::forecaster_kind_from_string(args.get("model", "hold"));
+      popts.forecaster = forecast::forecaster_kind_from_string(
+          args.get("model", "hold"), "flag --model");
     } catch (const InvalidArgument& e) {
-      return refuse("model", e.what());
+      std::cerr << "resmon_controller: " << e.what() << "\n";
+      return 2;
     }
     popts.num_clusters = static_cast<std::size_t>(args.get_int("k", 3));
     if (popts.num_clusters == 0 || popts.num_clusters > nodes) {
@@ -233,8 +235,13 @@ int main(int argc, char** argv) {
               << "frames received:   " << controller.frames_received()
               << " (" << controller.bytes_received() << " bytes, "
               << freq << " frames/node/slot)\n"
-              << "store complete:    " << (complete ? "yes" : "no") << "\n"
-              << "forecast RMSE h=1: " << rmse << "\n";
+              << "store complete:    " << (complete ? "yes" : "no") << "\n";
+    // Every significant digit, so comparing two runs' lines compares the
+    // doubles themselves (net_smoke.sh's live == replay check).
+    const std::streamsize precision =
+        std::cout.precision(std::numeric_limits<double>::max_digits10);
+    std::cout << "forecast RMSE h=1: " << rmse << "\n";
+    std::cout.precision(precision);
     if (copts.num_shards > 0) {
       std::cout << "shard summaries:   " << controller.summaries_received()
                 << " (" << controller.summary_measurements()
